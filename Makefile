@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke vet bench bench-telemetry bench-pac bench-partition bench-sched bench-serve bench-gate bench-baseline load-smoke experiments ablations extensions fmt cover clean
+.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-partition bench-sched bench-serve bench-gate bench-baseline load-smoke experiments ablations extensions fmt cover clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,14 @@ fleet-smoke:
 # weights and that checkpoint-preempted runs all finish.
 preempt-smoke:
 	bash scripts/preempt_smoke.sh
+
+# End-to-end harness smoke over the real HTTP surface: the single-node
+# path (sched_corpus) and the fleet path (fleet_tiny), three seconds each.
+# The exit code is the check: every served result equals its direct
+# core.Run reference, with zero fallbacks, failovers and stream drops.
+bench-e2e-smoke:
+	bash bench/run.sh --workload sched_corpus --seed 1 --seconds 3 --trace 0
+	bash bench/run.sh --workload fleet_tiny --seed 1 --seconds 3 --trace 0
 
 # One timed regeneration of every table, figure and ablation.
 bench:
@@ -109,3 +117,4 @@ cover:
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt
+	rm -rf .bench_build bench/out

@@ -61,11 +61,8 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"net/url"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -75,7 +72,7 @@ import (
 	"github.com/pragma-grid/pragma/internal/checkpoint"
 	"github.com/pragma-grid/pragma/internal/core"
 	"github.com/pragma-grid/pragma/internal/fleet"
-	"github.com/pragma-grid/pragma/internal/partition"
+	"github.com/pragma-grid/pragma/internal/sched"
 	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
@@ -150,7 +147,6 @@ func main() {
 
 	var scheduler *pragma.Scheduler
 	var schedBuild pragma.SchedulerSpecBuilder
-	var schedEvents *pragma.RunEventHub
 	var stateStore *checkpoint.Store
 	stateSeq := 0
 	if *schedWorkers > 0 {
@@ -160,15 +156,18 @@ func main() {
 		if *fleetMode {
 			fail(errors.New("-sched and -fleet both own /sched/; pick one"))
 		}
-		schedEvents = pragma.NewRunEventHub(pragma.RunEventHubConfig{})
-		defer schedEvents.Close()
+		events := pragma.NewRunEventHub(pragma.RunEventHubConfig{})
+		defer events.Close()
 		scheduler = pragma.NewScheduler(pragma.SchedulerConfig{
 			Workers:     *schedWorkers,
 			QueueLimit:  *schedQueue,
 			TenantLimit: *schedTenantLimit,
-			Events:      schedEvents,
+			Events:      events,
 		})
-		schedBuild = schedSpecBuilder(*schedCkptRoot)
+		// One path from submit parameters to a spec, shared with the fleet
+		// (fleet.SpecFromValues documents them); name=NAME checkpoints the run
+		// under <root>/<tenant>/<NAME>.
+		schedBuild = fleet.SpecBuilder(*schedCkptRoot, fleet.DefaultMaterializer())
 		if *schedState != "" {
 			stateStore = &checkpoint.Store{Dir: *schedState}
 			// Boot-time restore: re-admit whatever backlog the previous
@@ -194,7 +193,7 @@ func main() {
 	// process runs; /readyz flips to 503 as soon as any of them starts
 	// draining, while /healthz stays 200 (the process is alive, just not
 	// accepting new work).
-	readiness := &readyChecks{}
+	readiness := &readyChecks{draining: map[string]func() bool{}}
 
 	var fleetRouter *fleet.Router
 	if *fleetMode {
@@ -204,26 +203,17 @@ func main() {
 		if *telemetryAddr == "" {
 			fail(errors.New("-fleet needs -telemetry-addr to serve /sched/ on"))
 		}
-		center := pragma.NewMessageCenter(
-			pragma.WithHeartbeatTimeout(*hbTimeout),
-			pragma.WithCenterWriteTimeout(*wTimeout),
-			pragma.WithCenterErrorHandler(func(err error) {
-				fmt.Fprintf(os.Stderr, "broker: %v\n", err)
-			}))
-		ln, err := net.Listen("tcp", *serve)
+		center, ln, err := serveCenter(*serve, *hbTimeout, *wTimeout)
 		if err != nil {
 			fail(err)
 		}
 		defer ln.Close()
-		pragma.RegisterQueueDepthGauge(center)
-		go center.Serve(ln)
-		fmt.Printf("message center listening on %s\n", ln.Addr())
-		fleetEvents := pragma.NewRunEventHub(pragma.RunEventHubConfig{})
-		defer fleetEvents.Close()
+		events := pragma.NewRunEventHub(pragma.RunEventHubConfig{})
+		defer events.Close()
 		fleetRouter, err = fleet.NewRouter(fleet.Config{
 			Port:             center,
 			HeartbeatTimeout: *hbTimeout,
-			Events:           fleetEvents,
+			Events:           events,
 			OnError: func(err error) {
 				fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 			},
@@ -232,20 +222,10 @@ func main() {
 			fail(err)
 		}
 		fleetRouter.AttachCenter(center)
-		readiness.add(func() error {
-			if fleetRouter.Draining() {
-				return errors.New("fleet draining")
-			}
-			return nil
-		})
+		readiness.add("fleet", fleetRouter.Draining)
 	}
 	if scheduler != nil {
-		readiness.add(func() error {
-			if scheduler.Draining() {
-				return errors.New("scheduler draining")
-			}
-			return nil
-		})
+		readiness.add("scheduler", scheduler.Draining)
 	}
 
 	var tsrv *pragma.TelemetryServer
@@ -310,12 +290,11 @@ func main() {
 
 	switch {
 	case *replay:
-		if err := runReplay(replayConfig{
-			trace: *traceName, scenario: *scenarioSpec, strategy: *strategyName, procs: *procs,
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
-			resume: *resume, crashAt: *crashAt,
-			emulate: *emulate, stepDeadline: *stepDeadline,
-		}); err != nil {
+		if err := runReplay(fleet.WireSpec{
+			Trace: *traceName, Scenario: *scenarioSpec, Strategy: *strategyName, Procs: *procs,
+			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, CheckpointKeep: *ckptKeep,
+			Resume: *resume,
+		}, *crashAt, *emulate, *stepDeadline); err != nil {
 			fail(err)
 		}
 		if tsrv != nil && *telemetryHold > 0 {
@@ -346,17 +325,6 @@ func main() {
 		if err := runBroker(ctx, *serve, *interval, *hbTimeout, *wTimeout); err != nil {
 			fail(err)
 		}
-	case *join != "" && *workerMode:
-		dialOpts := []pragma.DialOption{
-			pragma.WithReconnect(*reconnect),
-			pragma.WithHeartbeat(*heartbeat),
-			pragma.WithErrorHandler(func(err error) {
-				fmt.Fprintf(os.Stderr, "[%s] link: %v\n", *id, err)
-			}),
-		}
-		if err := runFleetWorker(ctx, *join, *id, *workerSlots, *heartbeat, *schedDrain, readiness, dialOpts); err != nil {
-			fail(err)
-		}
 	case *join != "":
 		dialOpts := []pragma.DialOption{
 			pragma.WithReconnect(*reconnect),
@@ -364,6 +332,12 @@ func main() {
 			pragma.WithErrorHandler(func(err error) {
 				fmt.Fprintf(os.Stderr, "[%s] link: %v\n", *id, err)
 			}),
+		}
+		if *workerMode {
+			if err := runFleetWorker(ctx, *join, *id, *workerSlots, *heartbeat, *schedDrain, readiness, dialOpts); err != nil {
+				fail(err)
+			}
+			break
 		}
 		if *chaosDrop > 0 || *chaosCorrupt > 0 || *chaosLatency > 0 || *chaosJitter > 0 {
 			dialOpts = append(dialOpts, pragma.WithDialer(pragma.ChaosDialer(pragma.ChaosConfig{
@@ -393,26 +367,26 @@ func main() {
 	}
 }
 
-// readyChecks aggregates per-subsystem readiness probes for /readyz.
-// Checks can be added after the HTTP server is already serving (the fleet
-// worker joins late), hence the lock.
+// readyChecks aggregates the drain signals of the subsystems this process
+// runs, by name, for /readyz. One can be added after the HTTP server is
+// already serving (the fleet worker joins late), hence the lock.
 type readyChecks struct {
-	mu     sync.Mutex
-	checks []func() error
+	mu       sync.Mutex
+	draining map[string]func() bool
 }
 
-func (r *readyChecks) add(fn func() error) {
+func (r *readyChecks) add(name string, draining func() bool) {
 	r.mu.Lock()
-	r.checks = append(r.checks, fn)
+	r.draining[name] = draining
 	r.mu.Unlock()
 }
 
 func (r *readyChecks) check() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, fn := range r.checks {
-		if err := fn(); err != nil {
-			return err
+	for name, draining := range r.draining {
+		if draining() {
+			return errors.New(name + " draining")
 		}
 	}
 	return nil
@@ -439,12 +413,7 @@ func runFleetWorker(ctx context.Context, addr, id string, slots int, heartbeat, 
 	if err != nil {
 		return err
 	}
-	readiness.add(func() error {
-		if worker.Draining() {
-			return errors.New("worker draining")
-		}
-		return nil
-	})
+	readiness.add("worker", worker.Draining)
 	fmt.Printf("fleet worker %s joined %s (%d slots)\n", id, addr, slots)
 	select {
 	case <-ctx.Done():
@@ -459,135 +428,8 @@ func runFleetWorker(ctx context.Context, addr, id string, slots int, heartbeat, 
 	return nil
 }
 
-// schedSpecBuilder maps /sched/submit parameters onto run specs:
-//
-//	trace=small|paper        adaptation trace (generated once, then cached)
-//	scenario=SPEC            composed scenario spec instead of trace=
-//	                         (internal/scenario grammar, cached per spec)
-//	seed=N                   scenario seed override (with scenario=)
-//	strategy=adaptive|...    strategy or partitioner name (default adaptive)
-//	procs=N                  processor count (default 8)
-//	name=NAME                run name; with -sched-checkpoint-root set, the
-//	                         run checkpoints under <root>/<tenant>/<name>
-//	resume=1                 continue from that run's latest checkpoint
-func schedSpecBuilder(ckptRoot string) pragma.SchedulerSpecBuilder {
-	var mu sync.Mutex
-	traces := map[string]*pragma.Trace{}
-	getTrace := func(name string) (*pragma.Trace, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if tr, ok := traces[name]; ok {
-			return tr, nil
-		}
-		var cfg pragma.RM3DConfig
-		switch name {
-		case "", "small":
-			cfg = pragma.RM3DSmall()
-		case "paper":
-			cfg = pragma.RM3DPaper()
-		default:
-			return nil, fmt.Errorf("unknown trace %q (small|paper)", name)
-		}
-		tr, err := pragma.GenerateRM3D(cfg)
-		if err != nil {
-			return nil, err
-		}
-		traces[name] = tr
-		return tr, nil
-	}
-	getScenario := func(specStr, seedStr string) (*pragma.Trace, error) {
-		spec, err := pragma.ParseScenario(specStr)
-		if err != nil {
-			return nil, err
-		}
-		if seedStr != "" {
-			seed, err := strconv.ParseInt(seedStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad seed %q", seedStr)
-			}
-			spec.Seed = seed
-		}
-		key := fmt.Sprintf("scenario\x00%s\x00%d", specStr, spec.Seed)
-		mu.Lock()
-		defer mu.Unlock()
-		if tr, ok := traces[key]; ok {
-			return tr, nil
-		}
-		tr, err := pragma.GenerateScenario(spec)
-		if err != nil {
-			return nil, err
-		}
-		traces[key] = tr
-		return tr, nil
-	}
-	return func(tenant string, priority int, v url.Values) (pragma.SchedulerRunSpec, error) {
-		var tr *pragma.Trace
-		var err error
-		if specStr := v.Get("scenario"); specStr != "" {
-			tr, err = getScenario(specStr, v.Get("seed"))
-		} else {
-			tr, err = getTrace(v.Get("trace"))
-		}
-		if err != nil {
-			return pragma.SchedulerRunSpec{}, err
-		}
-		stratName := v.Get("strategy")
-		if stratName == "" {
-			stratName = "adaptive"
-		}
-		strat, err := strategyByName(stratName)
-		if err != nil {
-			return pragma.SchedulerRunSpec{}, err
-		}
-		procs := 8
-		if p := v.Get("procs"); p != "" {
-			procs, err = strconv.Atoi(p)
-			if err != nil || procs < 1 {
-				return pragma.SchedulerRunSpec{}, fmt.Errorf("bad procs %q", p)
-			}
-		}
-		spec := pragma.SchedulerRunSpec{
-			Trace:    tr,
-			Strategy: strat,
-			Machine:  pragma.NewCluster(procs),
-			NProcs:   procs,
-		}
-		if name := v.Get("name"); name != "" && ckptRoot != "" {
-			if !safePathComponent(tenant) && tenant != "" {
-				return pragma.SchedulerRunSpec{}, fmt.Errorf("tenant %q not usable as a path component", tenant)
-			}
-			if !safePathComponent(name) {
-				return pragma.SchedulerRunSpec{}, fmt.Errorf("name %q not usable as a path component", name)
-			}
-			dir := tenant
-			if dir == "" {
-				dir = "_default"
-			}
-			spec.CheckpointDir = filepath.Join(ckptRoot, dir, name)
-			spec.Resume = v.Get("resume") == "1" || v.Get("resume") == "true"
-		}
-		return spec, nil
-	}
-}
-
-// safePathComponent accepts names usable as a single directory component:
-// letters, digits, dot, underscore, dash — but not "." or "..".
-func safePathComponent(s string) bool {
-	if s == "" || s == "." || s == ".." {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func runBroker(ctx context.Context, addr string, interval, hbTimeout, wTimeout time.Duration) error {
+// serveCenter starts a Message Center serving TCP clients on addr.
+func serveCenter(addr string, hbTimeout, wTimeout time.Duration) (*pragma.MessageCenter, net.Listener, error) {
 	center := pragma.NewMessageCenter(
 		pragma.WithHeartbeatTimeout(hbTimeout),
 		pragma.WithCenterWriteTimeout(wTimeout),
@@ -596,12 +438,20 @@ func runBroker(ctx context.Context, addr string, interval, hbTimeout, wTimeout t
 		}))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer ln.Close()
 	pragma.RegisterQueueDepthGauge(center)
 	go center.Serve(ln)
 	fmt.Printf("message center listening on %s\n", ln.Addr())
+	return center, ln, nil
+}
+
+func runBroker(ctx context.Context, addr string, interval, hbTimeout, wTimeout time.Duration) error {
+	center, ln, err := serveCenter(addr, hbTimeout, wTimeout)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 
 	adm, err := pragma.NewADM("adm", center, pragma.Table2Policy())
 	if err != nil {
@@ -684,80 +534,23 @@ func runNode(ctx context.Context, addr, id string, base, wobble, overload float6
 	return nil
 }
 
-type replayConfig struct {
-	trace, strategy     string
-	scenario            string
-	procs               int
-	ckptDir             string
-	ckptEvery, ckptKeep int
-	resume              bool
-	crashAt             int
-	emulate             bool
-	stepDeadline        time.Duration
-}
-
-// crashingStrategy injects a deterministic crash at the n-th regrid so
-// operators can rehearse the -resume path without kill -9.
-type crashingStrategy struct {
-	inner pragma.Strategy
-	fp    *chaos.FaultPoint
-}
-
-func (c crashingStrategy) Name() string { return c.inner.Name() }
-func (c crashingStrategy) Assign(ctx *core.StepContext) (*partition.Assignment, string, error) {
-	if err := c.fp.Check(); err != nil {
-		return nil, "", err
+// runReplay replays one run through the materializer every serving mode
+// uses, so -replay -scenario S and a submit of scenario=S are the same run.
+// crashAt injects a deterministic crash at that regrid so operators can
+// rehearse the -resume path without kill -9.
+func runReplay(ws fleet.WireSpec, crashAt int, emulate bool, stepDeadline time.Duration) error {
+	spec, err := fleet.DefaultMaterializer()(ws)
+	if err != nil {
+		return err
 	}
-	return c.inner.Assign(ctx)
-}
-
-func (c crashingStrategy) CheckpointState() ([]byte, error) {
-	if cs, ok := c.inner.(core.CheckpointableStrategy); ok {
-		return cs.CheckpointState()
-	}
-	return nil, nil
-}
-
-func (c crashingStrategy) RestoreState(data []byte) error {
-	if cs, ok := c.inner.(core.CheckpointableStrategy); ok {
-		return cs.RestoreState(data)
-	}
-	return nil
-}
-
-func strategyByName(name string) (pragma.Strategy, error) {
-	switch name {
-	case "adaptive":
-		return pragma.Adaptive(), nil
-	case "system-sensitive":
-		return pragma.SystemSensitive(), nil
-	case "proactive":
-		return pragma.Proactive(), nil
-	default:
-		p, err := pragma.PartitionerByName(name)
-		if err != nil {
-			return nil, err
-		}
-		return pragma.Static(p), nil
-	}
-}
-
-func runReplay(cfg replayConfig) error {
-	var trace *pragma.Trace
-	var workModel func(idx int) pragma.WorkModel
-	traceLabel := cfg.trace
-	if cfg.scenario != "" {
-		spec, err := pragma.ParseScenario(cfg.scenario)
+	traceLabel := ws.Trace
+	if ws.Scenario != "" {
+		sc, err := pragma.ParseScenario(ws.Scenario)
 		if err != nil {
 			return err
 		}
-		trace, err = pragma.GenerateScenario(spec)
-		if err != nil {
-			return err
-		}
-		workModel = spec.WorkModel
-		traceLabel = spec.Name
-		for _, exp := range spec.Trajectory() {
+		traceLabel = sc.Name
+		for _, exp := range sc.Trajectory() {
 			if exp.Known {
 				fmt.Printf("phase %s (snapshots %d-%d): expected octant %v\n",
 					exp.Phase, exp.Start, exp.End-1, exp.Octant)
@@ -766,57 +559,24 @@ func runReplay(cfg replayConfig) error {
 					exp.Phase, exp.Start, exp.End-1)
 			}
 		}
-	} else {
-		var rmCfg pragma.RM3DConfig
-		switch cfg.trace {
-		case "small":
-			rmCfg = pragma.RM3DSmall()
-		case "paper":
-			rmCfg = pragma.RM3DPaper()
-		default:
-			return fmt.Errorf("unknown trace %q (small|paper)", cfg.trace)
-		}
-		var err error
-		trace, err = pragma.GenerateRM3D(rmCfg)
-		if err != nil {
-			return err
-		}
 	}
-	strat, err := strategyByName(cfg.strategy)
-	if err != nil {
-		return err
+	if crashAt > 0 {
+		spec.Strategy = fleet.BeforeAssign(spec.Strategy, (&chaos.FaultPoint{FailAt: crashAt}).Check)
 	}
-	if cfg.crashAt > 0 {
-		strat = crashingStrategy{inner: strat, fp: &chaos.FaultPoint{FailAt: cfg.crashAt}}
+	resuming := ""
+	if ws.Resume {
+		resuming = ", resuming from " + ws.CheckpointDir
 	}
-	rt := pragma.Runtime{
-		Trace:     trace,
-		Machine:   pragma.NewCluster(cfg.procs),
-		Strategy:  strat,
-		NProcs:    cfg.procs,
-		WorkModel: workModel,
-	}
-	var opts []pragma.RunOption
-	if cfg.ckptDir != "" {
-		opts = append(opts,
-			pragma.WithCheckpointDir(cfg.ckptDir),
-			pragma.WithCheckpointEvery(cfg.ckptEvery),
-			pragma.WithCheckpointKeep(cfg.ckptKeep))
-	}
-	if cfg.resume {
-		opts = append(opts, pragma.WithResume())
-	}
-	if cfg.resume {
-		fmt.Printf("replaying %s trace (%d snapshots) with %s on %d procs, resuming from %s\n",
-			traceLabel, len(trace.Snapshots), strat.Name(), cfg.procs, cfg.ckptDir)
-	} else {
-		fmt.Printf("replaying %s trace (%d snapshots) with %s on %d procs\n",
-			traceLabel, len(trace.Snapshots), strat.Name(), cfg.procs)
-	}
-	res, err := rt.Execute(opts...)
+	fmt.Printf("replaying %s trace (%d snapshots) with %s on %d procs%s\n",
+		traceLabel, len(spec.Trace.Snapshots), spec.Strategy.Name(), spec.NProcs, resuming)
+	res, err := core.Run(spec.Trace, spec.Strategy, core.RunConfig{
+		Machine: spec.Machine, NProcs: spec.NProcs, WorkModel: spec.WorkModel,
+		CheckpointDir: spec.CheckpointDir, CheckpointEvery: spec.CheckpointEvery,
+		CheckpointKeep: spec.CheckpointKeep, Resume: spec.Resume,
+	})
 	if errors.Is(err, chaos.ErrInjectedCrash) {
 		fmt.Printf("injected crash at regrid %d; checkpoints are in %s — rerun with -resume\n",
-			cfg.crashAt, cfg.ckptDir)
+			crashAt, ws.CheckpointDir)
 		return err
 	}
 	if err != nil {
@@ -826,41 +586,15 @@ func runReplay(cfg replayConfig) error {
 		res.TotalTime, res.ComputeTime, res.CommTime, res.PartitionTime, res.MigrationTime)
 	fmt.Printf("max imbalance %.1f%%  avg %.1f%%  switches %d  steps %d\n",
 		res.MaxImbalance, res.AvgImbalance, res.Switches, res.Steps)
+	if !emulate {
+		return nil
+	}
 
-	if cfg.emulate {
-		return emulateFinalSnapshot(trace, cfg.procs, cfg.stepDeadline)
-	}
-	return nil
-}
-
-// emulateFinalSnapshot runs the trace's last hierarchy as a real
-// message-passing program under worker supervision: every barrier wait is
-// bounded by the step deadline, so a stalled or crashed worker fails the
-// run with EngineLostWorkers instead of hanging it.
-func emulateFinalSnapshot(trace *pragma.Trace, procs int, deadline time.Duration) error {
-	h := trace.Snapshots[len(trace.Snapshots)-1].H
-	p, err := pragma.PartitionerByName("G-MISP+SP")
-	if err != nil {
-		return err
-	}
-	a, err := p.Partition(h, pragma.UniformWork(), procs)
-	if err != nil {
-		return err
-	}
-	center := pragma.NewMessageCenter()
-	ports := make([]pragma.MessagePort, procs)
-	for i := range ports {
-		ports[i] = center
-	}
-	var engOpts []pragma.EngineOption
-	if deadline > 0 {
-		engOpts = append(engOpts, pragma.WithStepDeadline(deadline))
-	}
-	eng, err := pragma.NewEngine(h, a, center, ports, engOpts...)
-	if err != nil {
-		return err
-	}
-	rep, err := eng.Run(4)
+	// Run the final snapshot as a real message-passing program under worker
+	// supervision: every barrier wait is bounded by the step deadline, so a
+	// stalled or crashed worker fails the run instead of hanging it.
+	spec.EmulateSteps, spec.EmulateDeadline = 4, stepDeadline
+	rep, err := sched.EmulateFinalSnapshot(spec)
 	var lost *pragma.EngineLostWorkers
 	if errors.As(err, &lost) {
 		return fmt.Errorf("emulation lost workers %v at step %d (deadline %s)", lost.Missing, lost.Step, lost.Deadline)

@@ -184,9 +184,11 @@ func (c *Center) Send(m Message) error {
 	c.mu.RLock()
 	ch, okL := c.local[m.To]
 	rc, okR := c.remote[m.To]
-	c.mu.RUnlock()
-	switch {
-	case okL:
+	if okL {
+		// Deliver under the read lock: Unregister closes the mailbox under
+		// the write lock, and a send must never meet a closed channel. The
+		// send cannot block, so neither can the lock.
+		defer c.mu.RUnlock()
 		select {
 		case ch <- m:
 			return nil
@@ -194,6 +196,9 @@ func (c *Center) Send(m Message) error {
 			metricMailboxFull.Inc()
 			return fmt.Errorf("agents: mailbox %q full", m.To)
 		}
+	}
+	c.mu.RUnlock()
+	switch {
 	case okR:
 		return rc.deliver(m)
 	default:

@@ -521,8 +521,13 @@ func TestTCPFaultRecovery(t *testing.T) {
 				case <-time.After(20 * time.Millisecond):
 				}
 			}
-			if got := cl.Stats().Reconnects; got < 1 {
-				t.Fatalf("Reconnects = %d, want >= 1", got)
+			// The counter moves just after the last replayed frame is written,
+			// which the sink may have seen already: wait for it, do not race it.
+			for deadline = time.Now().Add(10 * time.Second); cl.Stats().Reconnects < 1; {
+				if time.Now().After(deadline) {
+					t.Fatalf("Reconnects = %d, want >= 1", cl.Stats().Reconnects)
+				}
+				time.Sleep(time.Millisecond)
 			}
 			if fd.count() < 2 {
 				t.Fatalf("dialer used %d conns, want >= 2", fd.count())

@@ -54,7 +54,7 @@ func TestFleetEventsOnResultPath(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("timed out; states so far %v", states)
 		}
-		if len(states) > 0 && State(states[len(states)-1]).terminal() {
+		if len(states) > 0 && State(states[len(states)-1]).Terminal() {
 			break
 		}
 	}
@@ -141,7 +141,7 @@ func TestFleetHandlerPaginationAndEvents(t *testing.T) {
 	decodeJSON(t, presp, &poll)
 	terminalSeen := false
 	for _, e := range poll.Events {
-		if e.Type == stream.TypeState && State(e.State).terminal() {
+		if e.Type == stream.TypeState && State(e.State).Terminal() {
 			terminalSeen = true
 		}
 	}

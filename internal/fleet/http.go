@@ -1,164 +1,88 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"path/filepath"
 	"strconv"
 	"strings"
 
-	"github.com/pragma-grid/pragma/internal/stream"
+	"github.com/pragma-grid/pragma/internal/sched"
 )
 
-// Handler exposes the router over HTTP with the same /sched/* shape the
-// single-node scheduler serves, so clients need not care whether they are
-// talking to one node or a fleet:
+// Handler exposes the router over HTTP: the single-node scheduler's
+// /sched/* surface (see sched.Handler) over the router's lifecycle, so
+// clients need not care whether they are talking to one node or a fleet,
+// with fleet-wide submit, stats and drain, plus
 //
-//	POST /sched/submit?tenant=T&priority=N&...  admit a run fleet-wide
-//	GET  /sched/status?id=fleet-000001          one run's status
-//	GET  /sched/runs                            every retained run record
-//	GET  /sched/stats                           aggregate fleet state
-//	POST /sched/drain                           drain the whole fleet
 //	GET  /sched/fleet                           per-worker placement view
 //
-// Submit's spec parameters are WireSpec fields (trace, scenario, seed,
-// strategy, procs, checkpoint, checkpoint-every, checkpoint-keep, resume,
-// regrid-delay-ms). checkpointRoot, when non-empty, gives runs submitted
-// without an explicit checkpoint dir one under it — keyed by run ID — so
-// every fleet run is failover-capable by default.
+// Submit's spec parameters are those of ParseSubmit. checkpointRoot, when
+// non-empty, confines every checkpoint directory a client can name to it
+// and gives runs submitted without one <root>/<run-id>, so every fleet run
+// is failover-capable by default.
 func Handler(r *Router, checkpointRoot string) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/sched/submit", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		v := req.URL.Query()
-		tenant := v.Get("tenant")
-		priority := 0
-		if p := v.Get("priority"); p != "" {
-			n, err := strconv.Atoi(p)
+	mux := sched.NewMux(r.life, sched.Front{
+		Submit: func(tenant string, priority int, v url.Values) (RunStatus, error) {
+			ws, err := ParseSubmit(tenant, v, checkpointRoot)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad priority: "+err.Error())
-				return
+				return RunStatus{}, err
 			}
-			priority = n
-		}
-		spec, err := SpecFromValues(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		st, err := r.SubmitWithRoot(SubmitRequest{Tenant: tenant, Priority: priority, Spec: spec}, checkpointRoot)
-		switch {
-		case errors.Is(err, ErrSaturated):
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, ErrDraining):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		case err != nil:
-			httpError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeJSON(w, http.StatusAccepted, st)
-		}
-	})
-	mux.HandleFunc("/sched/status", func(w http.ResponseWriter, req *http.Request) {
-		st, ok := r.Status(req.URL.Query().Get("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown run id")
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("/sched/runs", func(w http.ResponseWriter, req *http.Request) {
-		// Paginated like the single-node surface: at most ?limit= records
-		// (default and cap DefaultRunsLimit) after run ID ?after=.
-		v := req.URL.Query()
-		limit := DefaultRunsLimit
-		if l := v.Get("limit"); l != "" {
-			n, err := strconv.Atoi(l)
-			if err != nil || n <= 0 {
-				httpError(w, http.StatusBadRequest, "bad limit")
-				return
-			}
-			if n < limit {
-				limit = n
-			}
-		}
-		writeJSON(w, http.StatusOK, r.RunsPage(v.Get("after"), limit))
-	})
-	mux.HandleFunc("/sched/stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Stats())
-	})
-	mux.HandleFunc("/sched/drain", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		if err := r.Drain(req.Context()); err != nil {
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, r.Stats())
+			return r.SubmitWithRoot(SubmitRequest{Tenant: tenant, Priority: priority, Spec: ws}, checkpointRoot)
+		},
+		Stats: func() any { return r.Stats() },
+		Drain: r.Drain,
 	})
 	mux.HandleFunc("/sched/fleet", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		sched.WriteJSON(w, http.StatusOK, struct {
 			Workers []WorkerInfo `json:"workers"`
 			Stats   Stats        `json:"stats"`
 		}{r.Workers(), r.Stats()})
 	})
-	if r.cfg.Events != nil {
-		mux.Handle("/sched/events", stream.Handler(r.cfg.Events, stream.HandlerConfig{}))
-	}
-	// JSON 404 for unknown /sched/ paths: every error this surface emits
-	// is application/json, including routing misses.
-	mux.HandleFunc("/sched/", func(w http.ResponseWriter, req *http.Request) {
-		httpError(w, http.StatusNotFound, "unknown sched endpoint")
-	})
 	return mux
 }
 
-// SubmitWithRoot admits a run like Submit, additionally defaulting its
-// checkpoint directory to <root>/<run-id> when the spec has none and root
-// is non-empty — the run ID is path-sanitized first.
-func (r *Router) SubmitWithRoot(req SubmitRequest, root string) (RunStatus, error) {
-	return r.submit(req, root)
-}
-
 // SpecFromValues parses WireSpec fields out of URL query parameters — the
-// /sched/submit wire format.
+// /sched/submit wire format:
+//
+//	trace=small|paper        adaptation trace (generated once, then cached)
+//	scenario=SPEC            composed scenario spec instead of trace=
+//	                         (internal/scenario grammar, cached per spec)
+//	seed=N                   scenario seed override (with scenario=)
+//	strategy=adaptive|...    strategy or partitioner name (default adaptive)
+//	procs=N                  processor count (default 8)
+//	weight=W                 the tenant's fair-share weight
+//	checkpoint=DIR           checkpoint directory (see ParseSubmit)
+//	checkpoint-every=K, checkpoint-keep=K
+//	resume=1                 continue from the latest checkpoint
+//	regrid-delay-ms=MS       failure-rehearsal pause per regrid
 func SpecFromValues(v url.Values) (WireSpec, error) {
 	ws := WireSpec{
-		Trace:    v.Get("trace"),
-		Scenario: v.Get("scenario"),
-		Strategy: v.Get("strategy"),
+		Trace:         v.Get("trace"),
+		Scenario:      v.Get("scenario"),
+		Strategy:      v.Get("strategy"),
+		CheckpointDir: v.Get("checkpoint"),
 	}
 	if ws.Trace != "" && ws.Scenario != "" {
 		return WireSpec{}, fmt.Errorf("fleet: trace and scenario are mutually exclusive")
 	}
-	intField := func(name string, dst *int) error {
-		if s := v.Get(name); s != "" {
+	for _, f := range [...]struct {
+		name string
+		dst  *int
+	}{
+		{"procs", &ws.Procs},
+		{"checkpoint-every", &ws.CheckpointEvery},
+		{"checkpoint-keep", &ws.CheckpointKeep},
+		{"regrid-delay-ms", &ws.RegridDelayMS},
+	} {
+		if s := v.Get(f.name); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil {
-				return fmt.Errorf("fleet: bad %s: %w", name, err)
+				return WireSpec{}, fmt.Errorf("fleet: bad %s: %w", f.name, err)
 			}
-			*dst = n
+			*f.dst = n
 		}
-		return nil
-	}
-	if err := intField("procs", &ws.Procs); err != nil {
-		return WireSpec{}, err
-	}
-	if err := intField("checkpoint-every", &ws.CheckpointEvery); err != nil {
-		return WireSpec{}, err
-	}
-	if err := intField("checkpoint-keep", &ws.CheckpointKeep); err != nil {
-		return WireSpec{}, err
-	}
-	if err := intField("regrid-delay-ms", &ws.RegridDelayMS); err != nil {
-		return WireSpec{}, err
 	}
 	if s := v.Get("seed"); s != "" {
 		n, err := strconv.ParseInt(s, 10, 64)
@@ -166,9 +90,6 @@ func SpecFromValues(v url.Values) (WireSpec, error) {
 			return WireSpec{}, fmt.Errorf("fleet: bad seed: %w", err)
 		}
 		ws.Seed, ws.SeedSet = n, true
-	}
-	if s := v.Get("checkpoint"); s != "" {
-		ws.CheckpointDir = s
 	}
 	if s := v.Get("resume"); s != "" {
 		b, err := strconv.ParseBool(s)
@@ -187,8 +108,57 @@ func SpecFromValues(v url.Values) (WireSpec, error) {
 	return ws, nil
 }
 
-// safePathComponent strips anything that could escape the checkpoint root
-// out of a run ID used as a directory name.
+// ParseSubmit is the one path from a /sched/submit request to a WireSpec:
+// SpecFromValues, then the checkpoint-root rule. checkpoint= and name= are
+// outside input that ends up as a directory the router and every worker
+// write to, so with a root configured a client can only name places under
+// it: checkpoint=DIR must be relative and stay inside the root once
+// cleaned, and means <root>/DIR; name=NAME means <root>/<tenant>/<NAME>
+// ("_default" for the empty tenant), both being single safe path
+// components. Without a root, checkpoint= is taken as given and name= is
+// only a label. Programmatic WireSpecs are not restricted.
+func ParseSubmit(tenant string, v url.Values, root string) (WireSpec, error) {
+	ws, err := SpecFromValues(v)
+	if err != nil || root == "" {
+		return ws, err
+	}
+	name := v.Get("name")
+	switch {
+	case ws.CheckpointDir != "":
+		if !filepath.IsLocal(ws.CheckpointDir) {
+			return WireSpec{}, fmt.Errorf("fleet: checkpoint %q must be a relative path inside the checkpoint root", ws.CheckpointDir)
+		}
+		ws.CheckpointDir = filepath.Join(root, ws.CheckpointDir)
+	case name != "":
+		if tenant == "" {
+			tenant = "_default"
+		}
+		for _, c := range []string{tenant, name} {
+			if safePathComponent(c) != c {
+				return WireSpec{}, fmt.Errorf("fleet: %q not usable as a path component", c)
+			}
+		}
+		ws.CheckpointDir = filepath.Join(root, tenant, name)
+	}
+	return ws, nil
+}
+
+// SpecBuilder is the single-node scheduler's submit path: ParseSubmit
+// under root, then mat. It is also what a scheduler snapshot is restored
+// through.
+func SpecBuilder(root string, mat Materializer) sched.SpecBuilder {
+	return func(tenant string, priority int, v url.Values) (sched.RunSpec, error) {
+		ws, err := ParseSubmit(tenant, v, root)
+		if err != nil {
+			return sched.RunSpec{}, err
+		}
+		return mat(ws)
+	}
+}
+
+// safePathComponent rewrites s into a single directory name that cannot
+// escape its parent: anything but letters, digits, dash and underscore
+// becomes an underscore. A name it leaves unchanged is safe as it stands.
 func safePathComponent(s string) string {
 	s = strings.Map(func(r rune) rune {
 		switch {
@@ -202,14 +172,4 @@ func safePathComponent(s string) string {
 		s = "run"
 	}
 	return s
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -13,7 +13,7 @@ var (
 		"Workers currently registered and not evicted.")
 	metricReachableWorkers = telemetry.Default.Gauge(
 		"pragma_fleet_reachable_workers",
-		"Workers with a fresh heartbeat, a closed breaker and free slots.")
+		"Workers new work may be sent to: fresh heartbeat, closed breaker, not draining.")
 	metricDispatches = telemetry.Default.CounterVec(
 		"pragma_fleet_dispatches_total",
 		"Dispatch attempts by verdict: ok, rejected (worker refused), timeout (ack deadline), send_error.",
@@ -29,20 +29,16 @@ var (
 		"Workers evicted for heartbeat silence or link teardown.")
 	metricLocalFallbacks = telemetry.Default.Counter(
 		"pragma_fleet_local_fallbacks_total",
-		"Runs degraded to local in-process execution because no worker was placeable.")
+		"Attempts the router executed itself because no worker was placeable.")
 	metricBreakerOpens = telemetry.Default.Counter(
 		"pragma_fleet_breaker_opens_total",
 		"Per-worker circuit breakers tripped open by consecutive dispatch failures.")
 	metricHeartbeats = telemetry.Default.Counter(
 		"pragma_fleet_heartbeats_total",
 		"Worker capacity heartbeats absorbed by the router.")
-	metricRunsTotal = telemetry.Default.CounterVec(
-		"pragma_fleet_runs_total",
-		"Fleet runs reaching a terminal state, by outcome.",
-		"outcome")
 	metricPlacementSeconds = telemetry.Default.Histogram(
 		"pragma_fleet_placement_seconds",
-		"Wall-clock time from submission to a successful placement (remote ack or local admission).",
+		"Wall-clock time from a dispatch leaving the router to the worker's acknowledgment.",
 		[]float64{.001, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30})
 
 	dispatchOK       = metricDispatches.With("ok")

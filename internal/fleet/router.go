@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -19,12 +17,28 @@ import (
 	"github.com/pragma-grid/pragma/internal/stream"
 )
 
-// Admission errors. Test with errors.Is.
+// A fleet run is a scheduler run whose attempts the router executes: the
+// lifecycle's types under the names fleet callers already use.
+type (
+	State     = sched.State
+	RunStatus = sched.RunStatus
+)
+
+// Run states (see sched.State).
+const (
+	StateQueued    = sched.StateQueued
+	StateRunning   = sched.StateRunning
+	StateDone      = sched.StateDone
+	StateFailed    = sched.StateFailed
+	StateDrained   = sched.StateDrained
+	StateCancelled = sched.StateCancelled
+)
+
+// Admission errors (test with errors.Is): the router no longer admits
+// work; the backlog is at Config.InflightLimit.
 var (
-	// ErrDraining means the router no longer admits work.
-	ErrDraining = errors.New("fleet: draining, not admitting")
-	// ErrSaturated means too many runs are already in flight fleet-wide.
-	ErrSaturated = errors.New("fleet: saturated, too many runs in flight")
+	ErrDraining  = sched.ErrDraining
+	ErrSaturated = sched.ErrSaturated
 )
 
 // Config sizes a Router.
@@ -57,30 +71,25 @@ type Config struct {
 	// worker loss before falling back to local execution (default 3).
 	MaxFailovers int
 
-	// InflightLimit bounds non-terminal runs fleet-wide (default 1024).
+	// InflightLimit bounds the admitted backlog waiting for a slot
+	// fleet-wide (default 1024); submissions beyond it get ErrSaturated.
 	InflightLimit int
 	// KeepFinished bounds retained terminal run records (default 1024).
 	KeepFinished int
 
-	// LocalWorkers sizes the in-process fallback pool used when no worker
-	// is placeable (default 1).
+	// LocalWorkers is how many runs the router executes itself at once
+	// while no worker is placeable (default 1).
 	LocalWorkers int
 	// Materialize turns wire specs into executable specs for the local
-	// fallback path (default DefaultMaterializer()).
+	// execution path (default DefaultMaterializer()).
 	Materialize Materializer
-	// Weights parameterize the Fig. 4 relative-capacity formula used for
-	// placement (zero value = monitor.DefaultWeights()).
-	Weights monitor.Weights
-	// Seed seeds the retry-jitter RNG (0 = 1), for reproducible schedules
-	// in tests.
-	Seed int64
 	// OnError receives asynchronous failures (send errors, late frames);
 	// it runs on router goroutines and must not block. nil discards.
 	OnError func(error)
-	// Events, when non-nil, receives a stream.Event for every fleet run
-	// state transition — admission, placement (running), failover
-	// re-queueing, and the terminal record on the result path. Publishing
-	// never blocks; slow subscribers drop.
+	// Events, when non-nil, receives a stream.Event for every run state
+	// transition — admission, dispatch (running), failover re-queueing,
+	// the terminal record — and the regrid cycles of runs the router
+	// executes itself. Publishing never blocks; slow subscribers drop.
 	Events *stream.Hub
 }
 
@@ -112,63 +121,12 @@ func (c *Config) fill() {
 	if c.InflightLimit <= 0 {
 		c.InflightLimit = 1024
 	}
-	if c.KeepFinished <= 0 {
-		c.KeepFinished = 1024
-	}
 	if c.LocalWorkers <= 0 {
 		c.LocalWorkers = 1
 	}
 	if c.Materialize == nil {
 		c.Materialize = DefaultMaterializer()
 	}
-	if c.Weights == (monitor.Weights{}) {
-		c.Weights = monitor.DefaultWeights()
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
-// State is a fleet run's lifecycle phase.
-type State string
-
-// Run states. Queued covers admission through placement (including
-// re-placement during failover); the terminal states mirror sched's.
-const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateDrained   State = "drained"
-	StateCancelled State = "cancelled"
-)
-
-func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateDrained || s == StateCancelled
-}
-
-// RunStatus is the externally visible snapshot of one fleet run.
-type RunStatus struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant"`
-	Priority int    `json:"priority"`
-	State    State  `json:"state"`
-	// Placement is the executing worker's identity, or "local" when the
-	// run degraded to in-process execution.
-	Placement string `json:"placement,omitempty"`
-	// Attempt counts placement attempts so far; Failovers how many times
-	// the run moved because its worker was lost.
-	Attempt   int `json:"attempt,omitempty"`
-	Failovers int `json:"failovers,omitempty"`
-
-	Submitted time.Time `json:"submitted"`
-	Started   time.Time `json:"started,omitzero"`
-	Finished  time.Time `json:"finished,omitzero"`
-
-	Error         string          `json:"error,omitempty"`
-	Resumable     bool            `json:"resumable,omitempty"`
-	CheckpointDir string          `json:"checkpointDir,omitempty"`
-	Result        *core.RunResult `json:"result,omitempty"`
 }
 
 // WorkerInfo is the router's view of one worker, for /sched/fleet.
@@ -183,31 +141,29 @@ type WorkerInfo struct {
 	Draining      bool      `json:"draining,omitempty"`
 }
 
-// Stats is a point-in-time aggregate view of the router.
+// Stats is a point-in-time aggregate view of the router: the lifecycle's
+// counters plus the fleet's.
 type Stats struct {
-	Workers   int  `json:"workers"`
-	Reachable int  `json:"reachable"`
-	Draining  bool `json:"draining"`
-
-	Submitted int `json:"submitted"`
-	Active    int `json:"active"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Drained   int `json:"drained"`
-	Cancelled int `json:"cancelled"`
+	sched.Stats
+	// Workers counts registered, unevicted workers (shadowing the
+	// lifecycle's capacity figure); Reachable the placeable ones among them:
+	// fresh heartbeat, closed breaker, not draining.
+	Workers   int `json:"workers"`
+	Reachable int `json:"reachable"`
 
 	Failovers      int `json:"failovers"`
 	Evictions      int `json:"evictions"`
 	LocalFallbacks int `json:"localFallbacks"`
 }
 
-// workerState is the router's record of one worker.
+// workerState is the router's record of one worker process. A worker back
+// from an eviction gets a fresh record, so attempts still unwinding from
+// the old one release slots nobody counts any more.
 type workerState struct {
 	id       string
 	port     string
 	slots    int
-	reported int // queued+running per the latest heartbeat
-	inflight int // dispatches the router has in flight or acked on it
+	inflight int // attempts the router has placed, or is placing, on it
 	reading  monitor.Reading
 	lastBeat time.Time
 
@@ -217,53 +173,18 @@ type workerState struct {
 	draining  bool
 }
 
-// run is the router's record of one fleet run.
-type run struct {
-	seq      int
-	id       string
-	tenant   string
-	priority int
-	spec     WireSpec
-
-	state     State
-	placement string
-	attempt   int
-	failovers int
-	started   bool // a worker (or the local pool) accepted it at least once
-
-	submitted time.Time
-	startedAt time.Time
-	finished  time.Time
-	err       string
-	resumable bool
-	result    *core.RunResult
-	done      chan struct{}
-	doneO     sync.Once
+// dispatch is one placement awaiting its worker's ack and result. Each
+// channel holds the one message of its kind the dispatch accepts; res also
+// carries the eviction path's notice that the worker is lost (stateLost).
+type dispatch struct {
+	attempt int
+	w       *workerState
+	ack     chan ackMsg
+	res     chan resultMsg
 }
 
-func (r *run) status() RunStatus {
-	st := RunStatus{
-		ID:        r.id,
-		Tenant:    r.tenant,
-		Priority:  r.priority,
-		State:     r.state,
-		Placement: r.placement,
-		Attempt:   r.attempt,
-		Failovers: r.failovers,
-		Submitted: r.submitted,
-		Started:   r.startedAt,
-		Finished:  r.finished,
-		Error:     r.err,
-	}
-	if r.state == StateDrained {
-		st.Resumable = r.resumable
-		st.CheckpointDir = r.spec.CheckpointDir
-	}
-	if r.state == StateDone {
-		st.Result = r.result
-	}
-	return st
-}
+// stateLost is the resultMsg.State of a dispatch whose worker was evicted.
+const stateLost = "lost"
 
 // SubmitRequest is one fleet admission attempt.
 type SubmitRequest struct {
@@ -272,36 +193,26 @@ type SubmitRequest struct {
 	Spec     WireSpec
 }
 
-// Router shards runs across fleet workers. Create with NewRouter; stop
-// with Drain (graceful) or Close.
+// Router is the remote executor of a run lifecycle: internal/sched admits,
+// orders and records the runs; the router places each attempt it is handed
+// on a fleet worker or, with none placeable, runs it itself. Create with
+// NewRouter; stop with Drain (graceful) or Close.
 type Router struct {
 	cfg  Config
 	port agents.Port
+	life *sched.Scheduler
 
-	mu      sync.Mutex
+	mu      sync.Mutex // never held while calling into life
 	workers map[string]*workerState
-	runs    map[string]*run
-	order   []string // terminal-record eviction order
-	acks    map[string]chan ackMsg
-	seq     int
-	counts  map[State]int
-	active  int
-	subs    int
+	pending map[string]*dispatch // by run ID
 
 	failovers int
 	evictions int
 	fallbacks int
-	draining  bool
 
-	jmu    sync.Mutex
-	jitter *rand.Rand
-
-	local   *sched.Scheduler
-	drainCh chan struct{}
-	stopCh  chan struct{}
-	stopped chan struct{}
-	stopO   sync.Once
-	wg      sync.WaitGroup
+	stopCh chan struct{}
+	stopO  sync.Once
+	wg     sync.WaitGroup
 }
 
 // NewRouter registers the router's mailbox on the control network and
@@ -319,15 +230,17 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		port:    cfg.Port,
 		workers: make(map[string]*workerState),
-		runs:    make(map[string]*run),
-		acks:    make(map[string]chan ackMsg),
-		counts:  make(map[State]int),
-		jitter:  rand.New(rand.NewSource(cfg.Seed)),
-		local:   sched.New(sched.Config{Workers: cfg.LocalWorkers}),
-		drainCh: make(chan struct{}),
+		pending: make(map[string]*dispatch),
 		stopCh:  make(chan struct{}),
-		stopped: make(chan struct{}),
 	}
+	// Preemption stays off: a preemption cannot yet be forwarded to one
+	// remote run.
+	r.life = sched.NewWithExecutor(sched.Config{
+		QueueLimit:   cfg.InflightLimit,
+		KeepFinished: cfg.KeepFinished,
+		Events:       cfg.Events,
+		PreemptRatio: -1,
+	}, r)
 	r.wg.Add(2)
 	go r.recvLoop(inbox)
 	go r.evictLoop()
@@ -345,10 +258,9 @@ func (r *Router) AttachCenter(c *agents.Center) {
 // registered workers evict those workers and fail their runs over.
 func (r *Router) PortsLost(ports []string) {
 	for _, p := range ports {
-		if len(p) <= len(workerPortPrefix) || p[:len(workerPortPrefix)] != workerPortPrefix {
-			continue
+		if id, ok := strings.CutPrefix(p, workerPortPrefix); ok && id != "" {
+			r.evict(id, "link lost")
 		}
-		r.evict(p[len(workerPortPrefix):], "link lost")
 	}
 }
 
@@ -359,152 +271,154 @@ func (r *Router) reportErr(err error) {
 	}
 }
 
-// publishState emits rn's current state to the events hub. Callers hold
-// r.mu, which is what guarantees per-run event order matches the actual
-// transition order (Publish itself never blocks).
-func (r *Router) publishState(rn *run) {
-	if r.cfg.Events == nil {
-		return
-	}
-	r.cfg.Events.Publish(stream.Event{
-		Run:   rn.id,
-		Type:  stream.TypeState,
-		State: string(rn.state),
-		Error: rn.err,
+// Submit admits a run. It returns the queued run's status; the run is
+// dispatched as soon as the fleet has a free slot (watch Status or Wait).
+func (r *Router) Submit(req SubmitRequest) (RunStatus, error) {
+	return r.SubmitWithRoot(req, "")
+}
+
+// SubmitWithRoot admits a run like Submit, additionally defaulting its
+// checkpoint directory to <root>/<run-id> when the spec has none and root
+// is non-empty, so every fleet run is failover-capable by default.
+func (r *Router) SubmitWithRoot(req SubmitRequest, root string) (RunStatus, error) {
+	return r.life.Submit(sched.SubmitRequest{
+		Tenant:   req.Tenant,
+		Priority: req.Priority,
+		Weight:   req.Spec.Weight,
+		// The lifecycle owns these two; Execute copies them back.
+		Spec:           sched.RunSpec{CheckpointDir: req.Spec.CheckpointDir, Resume: req.Spec.Resume},
+		Payload:        req.Spec,
+		CheckpointRoot: root,
 	})
 }
 
-// Submit admits a run and starts placing it. It returns the queued run's
-// status; placement proceeds asynchronously (watch Status or Wait).
-func (r *Router) Submit(req SubmitRequest) (RunStatus, error) {
-	return r.submit(req, "")
+// placeable reports whether new work may be sent to w. Callers hold r.mu.
+func (r *Router) placeable(w *workerState, now time.Time) bool {
+	return !w.evicted && !w.draining && !now.Before(w.openUntil) &&
+		now.Sub(w.lastBeat) <= r.cfg.HeartbeatTimeout
 }
 
-// submit is Submit with an optional checkpoint root: when the spec has no
-// checkpoint directory and root is non-empty, the run gets <root>/<run-id>
-// under the admission lock, so every fleet run is failover-capable by
-// default and no two runs can race onto the same directory.
-func (r *Router) submit(req SubmitRequest, ckptRoot string) (RunStatus, error) {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return RunStatus{}, fmt.Errorf("fleet: submit %q: %w", req.Tenant, ErrDraining)
-	}
-	if r.active >= r.cfg.InflightLimit {
-		r.mu.Unlock()
-		return RunStatus{}, fmt.Errorf("fleet: %d runs in flight: %w", r.cfg.InflightLimit, ErrSaturated)
-	}
-	r.seq++
-	id := fmt.Sprintf("fleet-%06d", r.seq)
-	spec := req.Spec
-	if spec.CheckpointDir == "" && ckptRoot != "" {
-		spec.CheckpointDir = filepath.Join(ckptRoot, safePathComponent(id))
-	}
-	rn := &run{
-		seq:       r.seq,
-		id:        id,
-		tenant:    req.Tenant,
-		priority:  req.Priority,
-		spec:      spec,
-		state:     StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	r.runs[rn.id] = rn
-	r.subs++
-	r.active++
-	r.publishState(rn)
-	st := rn.status()
-	r.mu.Unlock()
-
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.place(rn, false)
-	}()
-	return st, nil
-}
-
-// place finds a home for the run: capacity-ranked workers first, with
-// bounded retries, backoff and jitter, then the local pool. resume marks a
-// failover re-placement, which continues from the run's checkpoints.
-func (r *Router) place(rn *run, resume bool) {
-	backoff := r.cfg.BackoffBase
-	tried := make(map[string]bool)
-	for attempt := 0; attempt < r.cfg.PlaceAttempts; attempt++ {
-		select {
-		case <-r.drainCh:
-			r.finishUnplaced(rn)
-			return
-		case <-r.stopCh:
-			return
-		default:
-		}
-		w := r.pickWorker(tried)
-		if w == nil {
-			break // nobody placeable; degrade to local
-		}
-		tried[w.id] = true
-		if attempt > 0 {
-			metricRetries.Inc()
-		}
-		if r.dispatch(rn, w, resume) {
-			return
-		}
-		// Failed attempt: back off with jitter before trying the next
-		// candidate so a flapping fleet is not hammered in lockstep.
-		sleep := backoff + r.jitterUpTo(backoff/2)
-		if backoff < r.cfg.BackoffMax {
-			backoff *= 2
-			if backoff > r.cfg.BackoffMax {
-				backoff = r.cfg.BackoffMax
-			}
-		}
-		select {
-		case <-time.After(sleep):
-		case <-r.drainCh:
-			r.finishUnplaced(rn)
-			return
-		case <-r.stopCh:
-			return
-		}
-	}
-	r.runLocal(rn, resume)
-}
-
-func (r *Router) jitterUpTo(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	r.jmu.Lock()
-	defer r.jmu.Unlock()
-	return time.Duration(r.jitter.Int63n(int64(d) + 1))
-}
-
-// pickWorker ranks eligible workers by forecast relative capacity (Fig. 4
-// applied to the fleet: each worker's heartbeat reading is one "node" of
-// the capacity calculation) discounted by in-flight load, preferring ones
-// this placement has not tried. Returns nil when nobody is placeable.
-func (r *Router) pickWorker(tried map[string]bool) *workerState {
+// Capacity implements sched.Executor: the slot total of the placeable
+// workers, or LocalWorkers while there is none.
+func (r *Router) Capacity() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := time.Now()
+	slots := 0
+	for _, w := range r.workers {
+		if r.placeable(w, now) {
+			slots += w.slots
+		}
+	}
+	if slots == 0 {
+		return r.cfg.LocalWorkers
+	}
+	return slots
+}
+
+// errUnplaced marks a dispatch the worker never took on.
+var errUnplaced = errors.New("fleet: dispatch not accepted")
+
+// remoteError is a worker's own error text, classed for the lifecycle.
+type remoteError struct {
+	text  string
+	class error
+}
+
+func (e *remoteError) Error() string { return e.text }
+func (e *remoteError) Unwrap() error { return e.class }
+
+func interrupted(a *sched.Attempt) bool {
+	select {
+	case <-a.Interrupt:
+		return true
+	default:
+		return false
+	}
+}
+
+// Execute implements sched.Executor: it finds the attempt a home —
+// capacity-ranked workers first, with bounded retries, backoff and jitter,
+// then this process — and stays with it until it ends.
+func (r *Router) Execute(a *sched.Attempt) (*core.RunResult, error) {
+	ws, _ := a.Payload.(WireSpec)
+	ws.CheckpointDir, ws.Resume = a.Spec.CheckpointDir, a.Spec.Resume
+	// After MaxFailovers moves the run goes straight to local execution
+	// rather than bouncing around a collapsing fleet.
+	if a.Failovers <= r.cfg.MaxFailovers {
+		backoff := r.cfg.BackoffBase
+		tried := make(map[string]bool)
+		for try := 0; try < r.cfg.PlaceAttempts; try++ {
+			if interrupted(a) {
+				return nil, &remoteError{"fleet draining before placement", core.ErrInterrupted}
+			}
+			w, placeable := r.pickWorker(tried)
+			if w == nil {
+				if placeable > 0 {
+					// The fleet shrank under this attempt: wait in the queue
+					// for a slot instead of competing with the workers.
+					return nil, &remoteError{"fleet: no free slot", sched.ErrLost}
+				}
+				break // nobody placeable; degrade to local
+			}
+			tried[w.id] = true
+			if try > 0 {
+				metricRetries.Inc()
+			}
+			if res, err := r.dispatch(a, w, ws); err != errUnplaced {
+				return res, err
+			}
+			// Failed attempt: back off with jitter before trying the next
+			// candidate so a flapping fleet is not hammered in lockstep.
+			sleep := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
+			backoff = min(2*backoff, r.cfg.BackoffMax)
+			select {
+			case <-time.After(sleep):
+			case <-a.Interrupt:
+			case <-r.stopCh:
+			}
+		}
+	}
+	// Zero placeable workers is the local executor, the code a single node
+	// runs: the run still checkpoints and drains exactly as on a worker.
+	spec, err := r.cfg.Materialize(ws)
+	if err != nil {
+		return nil, fmt.Errorf("materialize: %w", err)
+	}
+	a.Begin("local")
+	a.Spec = spec
+	r.mu.Lock()
+	r.fallbacks++
+	r.mu.Unlock()
+	metricLocalFallbacks.Inc()
+	return sched.Local{Events: r.cfg.Events}.Execute(a)
+}
+
+// pickWorker reserves a slot on the placeable worker with the most forecast
+// relative capacity (Fig. 4 applied to the fleet: each worker's heartbeat
+// reading is one "node" of the capacity calculation) discounted by what
+// the router has in flight on it, preferring ones this placement has not
+// tried. Free slots are judged by the router's own count: a heartbeat's
+// occupancy is as old as the heartbeat. It returns nil when no placeable
+// worker has a free slot, and how many are placeable.
+func (r *Router) pickWorker(tried map[string]bool) (*workerState, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := time.Now()
+	placeable := 0
 	eligible := make([]*workerState, 0, len(r.workers))
 	for _, w := range r.workers {
-		if w.evicted || w.draining || now.Before(w.openUntil) {
+		if !r.placeable(w, now) {
 			continue
 		}
-		if now.Sub(w.lastBeat) > r.cfg.HeartbeatTimeout {
-			continue
+		placeable++
+		if w.inflight < w.slots {
+			eligible = append(eligible, w)
 		}
-		if w.busy() >= w.slots {
-			continue
-		}
-		eligible = append(eligible, w)
 	}
-	metricReachableWorkers.Set(float64(len(eligible)))
+	metricReachableWorkers.Set(float64(placeable))
 	if len(eligible) == 0 {
-		return nil
+		return nil, placeable
 	}
 	// Prefer untried candidates; fall back to the full set only when every
 	// eligible worker has already failed this placement once.
@@ -522,7 +436,7 @@ func (r *Router) pickWorker(tried map[string]bool) *workerState {
 	for i, w := range eligible {
 		readings[i] = w.reading
 	}
-	caps, err := monitor.Capacities(readings, r.cfg.Weights)
+	caps, err := monitor.Capacities(readings, monitor.DefaultWeights())
 	best := eligible[0]
 	bestScore := -1.0
 	for i, w := range eligible {
@@ -530,96 +444,103 @@ func (r *Router) pickWorker(tried map[string]bool) *workerState {
 		if err == nil {
 			score = caps[i]
 		}
-		score /= float64(1 + w.busy())
+		score /= float64(1 + w.inflight)
 		if score > bestScore {
 			best, bestScore = w, score
 		}
 	}
 	best.inflight++
-	return best
+	return best, placeable
 }
 
-// busy is the worker's in-use slot count: whichever is larger of its own
-// report and the router's in-flight dispatches (the heartbeat may not have
-// seen the latest dispatch yet). Callers hold r.mu.
-func (w *workerState) busy() int {
-	if w.inflight > w.reported {
-		return w.inflight
-	}
-	return w.reported
-}
-
-// dispatch sends one placement to w and waits for its acknowledgment under
-// the dispatch deadline. Returns true when the worker accepted the run.
-func (r *Router) dispatch(rn *run, w *workerState, resume bool) bool {
+// dispatch sends one placement to w, on which pickWorker reserved a slot,
+// and stays with it: the worker's acknowledgment under the dispatch
+// deadline, then the run's result or the loss of the worker. It returns
+// errUnplaced when the worker did not take the run on.
+func (r *Router) dispatch(a *sched.Attempt, w *workerState, ws WireSpec) (*core.RunResult, error) {
+	// The placement is recorded before anything is sent, so the terminal
+	// record says where the run executed however fast its result arrives.
+	d := &dispatch{attempt: a.Begin(w.id), w: w, ack: make(chan ackMsg, 1), res: make(chan resultMsg, 1)}
 	r.mu.Lock()
-	rn.attempt++
-	attempt := rn.attempt
-	// Record the placement now, not on ack: a short run's result can beat
-	// the ack through the mailbox, and the terminal record must still say
-	// where it executed.
-	rn.placement = w.id
-	spec := rn.spec
-	if resume && spec.CheckpointDir != "" {
-		spec.Resume = true
-	}
-	ackCh := make(chan ackMsg, 1)
-	r.acks[rn.id] = ackCh
+	r.pending[a.Run] = d
 	r.mu.Unlock()
-
-	release := func() {
+	defer func() {
+		// From here on an ack or result of this dispatch is stale: a
+		// superseded placement reporting in late, a zombie worker back from
+		// a partition.
 		r.mu.Lock()
-		delete(r.acks, rn.id)
+		delete(r.pending, a.Run)
 		w.inflight--
 		r.mu.Unlock()
-	}
-	msg := dispatchMsg{RunID: rn.id, Attempt: attempt, Tenant: rn.tenant, Spec: spec}
+	}()
+
+	start := time.Now()
+	msg := dispatchMsg{RunID: a.Run, Attempt: d.attempt, Tenant: a.Tenant, Spec: ws}
 	if err := send(r.port, RouterPort, w.port, KindDispatch, msg); err != nil {
-		release()
 		r.workerFailed(w)
 		dispatchSendErr.Inc()
-		r.reportErr(fmt.Errorf("fleet: dispatch %s to %s: %w", rn.id, w.id, err))
-		return false
+		r.reportErr(fmt.Errorf("fleet: dispatch %s to %s: %w", a.Run, w.id, err))
+		return nil, errUnplaced
+	}
+	accepted := func() {
+		r.mu.Lock()
+		w.failures = 0
+		r.mu.Unlock()
+		dispatchOK.Inc()
+		metricPlacementSeconds.Observe(time.Since(start).Seconds())
 	}
 	timer := time.NewTimer(r.cfg.DispatchDeadline)
 	defer timer.Stop()
-	select {
-	case ack := <-ackCh:
-		if ack.Err != "" {
-			release()
+	ack, deadline := d.ack, timer.C
+	for {
+		select {
+		case verdict := <-ack:
+			if verdict.Err != "" {
+				r.workerFailed(w)
+				dispatchRejected.Inc()
+				return nil, errUnplaced
+			}
+			accepted()
+			ack, deadline = nil, nil
+		case res := <-d.res:
+			if ack != nil && res.State != stateLost {
+				accepted() // the result outran its ack
+			}
+			return r.settle(a, w, res)
+		case <-deadline:
+			// No acknowledgment within the deadline. The worker may still have
+			// admitted the run (the ack was lost); the attempt number makes any
+			// late result from it stale, and a duplicate execution computes the
+			// identical result into the same atomic checkpoint store.
 			r.workerFailed(w)
-			dispatchRejected.Inc()
-			return false
+			dispatchTimeout.Inc()
+			return nil, errUnplaced
+		case <-r.stopCh:
+			return nil, errors.New("fleet: router closed")
 		}
+	}
+}
+
+// settle turns the end of a placed dispatch — the worker's result, or the
+// loss of the worker — into what the lifecycle is told.
+func (r *Router) settle(a *sched.Attempt, w *workerState, res resultMsg) (*core.RunResult, error) {
+	drained := res.State == string(StateDrained)
+	switch {
+	case res.State == stateLost, drained && !interrupted(a):
+		// Lost with its worker — or the worker drained (it is shutting
+		// down) while the fleet is not: the run goes back to the queue and
+		// continues on a survivor from its checkpoints.
 		r.mu.Lock()
-		delete(r.acks, rn.id)
-		w.failures = 0
-		// The run may already be terminal — its result can arrive before
-		// this goroutine wakes. Never un-finish it.
-		if !rn.state.terminal() {
-			rn.state = StateRunning
-			r.publishState(rn)
-		}
-		if !rn.started {
-			rn.started = true
-			rn.startedAt = time.Now()
-			metricPlacementSeconds.Observe(rn.startedAt.Sub(rn.submitted).Seconds())
-		}
+		r.failovers++
 		r.mu.Unlock()
-		dispatchOK.Inc()
-		return true
-	case <-timer.C:
-		// No acknowledgment within the deadline. The worker may still have
-		// admitted the run (the ack was lost); the attempt number makes any
-		// late result from it stale, and a duplicate execution computes the
-		// identical result into the same atomic checkpoint store.
-		release()
-		r.workerFailed(w)
-		dispatchTimeout.Inc()
-		return false
-	case <-r.stopCh:
-		release()
-		return false
+		metricFailovers.Inc()
+		return nil, &remoteError{"fleet: worker " + w.id + " lost", sched.ErrLost}
+	case drained:
+		return nil, &remoteError{res.Err, core.ErrInterrupted}
+	case res.State == string(StateDone):
+		return res.Result, nil
+	default:
+		return nil, &remoteError{text: res.Err}
 	}
 }
 
@@ -635,136 +556,74 @@ func (r *Router) workerFailed(w *workerState) {
 	}
 }
 
-// runLocal degrades the run to the router's in-process pool — the zero-
-// reachable-workers path. The run still checkpoints and drains exactly as
-// it would on a worker.
-func (r *Router) runLocal(rn *run, resume bool) {
-	spec := rn.spec
-	if resume && spec.CheckpointDir != "" {
-		spec.Resume = true
-	}
-	rs, err := r.cfg.Materialize(spec)
-	if err != nil {
-		r.finish(rn, StateFailed, fmt.Sprintf("materialize: %v", err), false, nil)
-		return
-	}
-	st, err := r.local.Submit(sched.SubmitRequest{Tenant: rn.tenant, Priority: rn.priority, Weight: rn.spec.Weight, Spec: rs})
-	if err != nil {
-		if errors.Is(err, sched.ErrDraining) {
-			r.finishUnplaced(rn)
-			return
-		}
-		r.finish(rn, StateFailed, fmt.Sprintf("local fallback: %v", err), false, nil)
-		return
-	}
+// pendingFor returns the dispatch an ack or result answers, or nil when
+// that dispatch is no longer the run's current one.
+func (r *Router) pendingFor(runID string, attempt int) *dispatch {
 	r.mu.Lock()
-	rn.attempt++
-	rn.state = StateRunning
-	r.publishState(rn)
-	rn.placement = "local"
-	if !rn.started {
-		rn.started = true
-		rn.startedAt = time.Now()
-		metricPlacementSeconds.Observe(rn.startedAt.Sub(rn.submitted).Seconds())
+	defer r.mu.Unlock()
+	if d := r.pending[runID]; d != nil && d.attempt == attempt {
+		return d
 	}
-	r.fallbacks++
-	r.mu.Unlock()
-	metricLocalFallbacks.Inc()
-
-	final, err := r.local.Wait(context.Background(), st.ID)
-	if err != nil {
-		r.finish(rn, StateFailed, fmt.Sprintf("local wait: %v", err), false, nil)
-		return
-	}
-	switch final.State {
-	case sched.StateDone:
-		r.finish(rn, StateDone, "", false, final.Result)
-	case sched.StateDrained:
-		r.finish(rn, StateDrained, final.Error, final.Resumable, nil)
-	default:
-		r.finish(rn, StateFailed, final.Error, false, nil)
-	}
-}
-
-// finishUnplaced records a run stopped by a drain before (re)placement
-// completed: drained-resumable if it ever started and can continue from
-// checkpoints, cancelled otherwise.
-func (r *Router) finishUnplaced(rn *run) {
-	if rn.started && rn.spec.CheckpointDir != "" {
-		r.finish(rn, StateDrained, "fleet draining before re-placement", true, nil)
-		return
-	}
-	r.finish(rn, StateCancelled, "", false, nil)
-}
-
-// finish records a run's terminal state. Idempotent: late duplicates are
-// dropped.
-func (r *Router) finish(rn *run, state State, errText string, resumable bool, res *core.RunResult) {
-	r.mu.Lock()
-	if rn.state.terminal() {
-		r.mu.Unlock()
-		return
-	}
-	rn.state = state
-	rn.err = errText
-	rn.resumable = resumable
-	rn.result = res
-	rn.finished = time.Now()
-	r.publishState(rn)
-	r.active--
-	r.counts[state]++
-	r.order = append(r.order, rn.id)
-	for len(r.order) > r.cfg.KeepFinished {
-		delete(r.runs, r.order[0])
-		r.order = r.order[1:]
-	}
-	r.mu.Unlock()
-	metricRunsTotal.With(string(state)).Inc()
-	rn.doneO.Do(func() { close(rn.done) })
+	return nil
 }
 
 // recvLoop consumes the router mailbox until the port closes.
 func (r *Router) recvLoop(inbox <-chan agents.Message) {
 	defer r.wg.Done()
 	for m := range inbox {
+		var err error
 		switch m.Kind {
 		case KindHello:
 			var h helloMsg
-			if err := agents.Decode(m, &h); err != nil {
-				r.reportErr(fmt.Errorf("fleet: bad hello: %w", err))
-				continue
+			if err = agents.Decode(m, &h); err == nil {
+				r.handleHello(h)
 			}
-			r.handleHello(h)
 		case KindHeartbeat:
 			var hb heartbeatMsg
-			if err := agents.Decode(m, &hb); err != nil {
-				r.reportErr(fmt.Errorf("fleet: bad heartbeat: %w", err))
-				continue
+			if err = agents.Decode(m, &hb); err == nil {
+				r.handleHeartbeat(hb)
 			}
-			r.handleHeartbeat(hb)
 		case KindAck:
 			var a ackMsg
-			if err := agents.Decode(m, &a); err != nil {
-				r.reportErr(fmt.Errorf("fleet: bad ack: %w", err))
-				continue
+			if err = agents.Decode(m, &a); err == nil {
+				if d := r.pendingFor(a.RunID, a.Attempt); d != nil {
+					select {
+					case d.ack <- a:
+					default: // a worker repeating itself
+					}
+				}
 			}
-			r.handleAck(a)
 		case KindResult:
 			var res resultMsg
-			if err := agents.Decode(m, &res); err != nil {
-				r.reportErr(fmt.Errorf("fleet: bad result: %w", err))
-				continue
+			if err = agents.Decode(m, &res); err == nil && res.State != stateLost {
+				if d := r.pendingFor(res.RunID, res.Attempt); d != nil {
+					select {
+					case d.res <- res:
+					default:
+					}
+				}
 			}
-			r.handleResult(res)
 		case KindBye:
 			var b byeMsg
-			if err := agents.Decode(m, &b); err != nil {
-				r.reportErr(fmt.Errorf("fleet: bad bye: %w", err))
-				continue
+			if err = agents.Decode(m, &b); err == nil {
+				r.handleBye(b)
 			}
-			r.handleBye(b)
+		}
+		if err != nil {
+			r.reportErr(fmt.Errorf("fleet: bad %s: %w", m.Kind, err))
 		}
 	}
+}
+
+// liveLocked counts registered, unevicted workers. Callers hold r.mu.
+func (r *Router) liveLocked() int {
+	live := 0
+	for _, w := range r.workers {
+		if !w.evicted {
+			live++
+		}
+	}
+	return live
 }
 
 func (r *Router) handleHello(h helloMsg) {
@@ -773,92 +632,39 @@ func (r *Router) handleHello(h helloMsg) {
 	}
 	r.mu.Lock()
 	w := r.workers[h.ID]
-	if w == nil {
+	if w == nil || w.evicted {
 		w = &workerState{id: h.ID, port: WorkerPort(h.ID)}
 		r.workers[h.ID] = w
 	}
-	// A re-hello is a worker process (re)starting: clear the stale view.
+	// A hello is a worker (re)introducing itself: clear the stale view.
 	w.slots = h.Slots
-	w.reported = 0
-	w.inflight = 0
-	w.evicted = false
 	w.draining = false
 	w.failures = 0
 	w.openUntil = time.Time{}
 	w.lastBeat = time.Now()
 	w.reading = monitor.Reading{CPU: 1, MemoryMB: h.MemoryMB, BandwidthMBps: h.BandwidthMBps}
-	live := 0
-	for _, ws := range r.workers {
-		if !ws.evicted {
-			live++
-		}
-	}
+	live := r.liveLocked()
 	r.mu.Unlock()
 	metricWorkers.Set(float64(live))
+	r.life.Kick() // the fleet grew
 }
 
 func (r *Router) handleHeartbeat(hb heartbeatMsg) {
 	metricHeartbeats.Inc()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	w := r.workers[hb.ID]
 	if w == nil || w.evicted {
-		r.mu.Unlock()
 		// Heartbeat from a worker we do not know (router restarted, or the
-		// worker was evicted while partitioned): ask it to re-introduce
-		// itself by ignoring the beat; the worker re-hellos periodically.
+		// worker was evicted while partitioned): ignore the beat; the
+		// worker re-hellos periodically.
 		return
 	}
 	w.lastBeat = time.Now()
-	w.reported = hb.Active
 	if hb.Slots > 0 {
 		w.slots = hb.Slots
 	}
 	w.reading = monitor.Reading{CPU: hb.CPU, MemoryMB: hb.MemoryMB, BandwidthMBps: hb.BandwidthMBps}
-	r.mu.Unlock()
-}
-
-func (r *Router) handleAck(a ackMsg) {
-	r.mu.Lock()
-	rn := r.runs[a.RunID]
-	ch := r.acks[a.RunID]
-	stale := rn == nil || rn.attempt != a.Attempt
-	r.mu.Unlock()
-	if stale || ch == nil {
-		return
-	}
-	select {
-	case ch <- a:
-	default:
-	}
-}
-
-func (r *Router) handleResult(res resultMsg) {
-	r.mu.Lock()
-	rn := r.runs[res.RunID]
-	if rn == nil || rn.state.terminal() || rn.attempt != res.Attempt {
-		r.mu.Unlock()
-		return // stale attempt: a superseded placement reported in late
-	}
-	if w := r.workers[rn.placement]; w != nil && w.inflight > 0 {
-		w.inflight--
-	}
-	drainingNow := r.draining
-	r.mu.Unlock()
-
-	switch res.State {
-	case string(sched.StateDone):
-		r.finish(rn, StateDone, "", false, res.Result)
-	case string(sched.StateDrained):
-		if drainingNow {
-			r.finish(rn, StateDrained, res.Err, res.Resumable, nil)
-			return
-		}
-		// The worker drained (it is shutting down) but the fleet is not:
-		// move the run to a survivor and continue from its checkpoints.
-		r.failover(rn)
-	default:
-		r.finish(rn, StateFailed, res.Err, false, nil)
-	}
 }
 
 func (r *Router) handleBye(b byeMsg) {
@@ -869,13 +675,12 @@ func (r *Router) handleBye(b byeMsg) {
 	r.mu.Unlock()
 }
 
-// evictLoop scans for workers silent past the heartbeat window.
+// evictLoop scans for workers silent past the heartbeat window. Its tick
+// also re-evaluates dispatch, which is how capacity that returns with the
+// clock alone — a breaker cooling down — reaches the queue.
 func (r *Router) evictLoop() {
 	defer r.wg.Done()
-	interval := r.cfg.HeartbeatTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
+	interval := max(r.cfg.HeartbeatTimeout/4, 10*time.Millisecond)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -896,11 +701,13 @@ func (r *Router) evictLoop() {
 		for _, id := range silent {
 			r.evict(id, "heartbeat silence")
 		}
+		r.life.Kick()
 	}
 }
 
-// evict removes a worker from rotation and fails its runs over to
-// survivors (or, during a fleet drain, records them drained-resumable).
+// evict removes a worker from rotation and tells every dispatch placed on
+// it that it is lost; each comes back through the lifecycle's queue and
+// resumes on a survivor (or, during a fleet drain, is recorded drained).
 func (r *Router) evict(id, cause string) {
 	r.mu.Lock()
 	w := r.workers[id]
@@ -909,137 +716,30 @@ func (r *Router) evict(id, cause string) {
 		return
 	}
 	w.evicted = true
-	w.inflight = 0
 	r.evictions++
-	var orphans []*run
-	for _, rn := range r.runs {
-		if !rn.state.terminal() && rn.placement == id && rn.state == StateRunning {
-			orphans = append(orphans, rn)
+	orphans := 0
+	for _, d := range r.pending {
+		if d.w == w {
+			orphans++
+			select {
+			case d.res <- resultMsg{State: stateLost}:
+			default: // its result is already there
+			}
 		}
 	}
-	live := 0
-	for _, ws := range r.workers {
-		if !ws.evicted {
-			live++
-		}
-	}
+	live := r.liveLocked()
 	r.mu.Unlock()
 	metricEvictions.Inc()
 	metricWorkers.Set(float64(live))
-	r.reportErr(fmt.Errorf("fleet: evicted worker %s (%s), %d runs to fail over", id, cause, len(orphans)))
-	for _, rn := range orphans {
-		r.failover(rn)
-	}
-}
-
-// failover re-places a run whose worker was lost. The re-placement resumes
-// from the run's latest CRC-verified checkpoint; after MaxFailovers moves
-// the run falls straight back to local execution rather than bouncing
-// around a collapsing fleet.
-func (r *Router) failover(rn *run) {
-	r.mu.Lock()
-	// Only a currently placed run can fail over; StateQueued means another
-	// failover already owns the re-placement (evict and a late drained
-	// result can both nominate the same run).
-	if rn.state != StateRunning {
-		r.mu.Unlock()
-		return
-	}
-	// Invalidate the lost placement immediately: any ack or result still in
-	// flight from the dead worker now carries a stale attempt number.
-	rn.attempt++
-	rn.failovers++
-	r.failovers++
-	exhausted := rn.failovers > r.cfg.MaxFailovers
-	rn.state = StateQueued
-	r.publishState(rn)
-	rn.placement = ""
-	draining := r.draining
-	r.mu.Unlock()
-	metricFailovers.Inc()
-	if draining {
-		r.finishUnplaced(rn)
-		return
-	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		if exhausted {
-			r.runLocal(rn, true)
-			return
-		}
-		r.place(rn, true)
-	}()
+	r.reportErr(fmt.Errorf("fleet: evicted worker %s (%s), %d runs to fail over", id, cause, orphans))
 }
 
 // Status returns one run's snapshot.
-func (r *Router) Status(id string) (RunStatus, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rn, ok := r.runs[id]
-	if !ok {
-		return RunStatus{}, false
-	}
-	return rn.status(), true
-}
+func (r *Router) Status(id string) (RunStatus, bool) { return r.life.Status(id) }
 
 // Wait blocks until the run reaches a terminal state (or ctx ends).
 func (r *Router) Wait(ctx context.Context, id string) (RunStatus, error) {
-	r.mu.Lock()
-	rn, ok := r.runs[id]
-	r.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("fleet: unknown run %q", id)
-	}
-	select {
-	case <-rn.done:
-	case <-ctx.Done():
-		return RunStatus{}, ctx.Err()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return rn.status(), nil
-}
-
-// Runs lists every retained run record in submission order.
-func (r *Router) Runs() []RunStatus {
-	return r.RunsPage("", 0)
-}
-
-// DefaultRunsLimit caps an HTTP /sched/runs page when no explicit
-// ?limit= is given.
-const DefaultRunsLimit = 256
-
-// RunsPage lists retained run records in submission order, skipping runs
-// submitted up to and including run ID after ("" starts from the oldest
-// retained record; IDs embed the submission sequence, so an evicted or
-// future ID still orders correctly). limit bounds the page size;
-// limit <= 0 means unbounded. Page through a large backlog by passing the
-// last returned ID as the next after.
-func (r *Router) RunsPage(after string, limit int) []RunStatus {
-	afterSeq := 0
-	if after != "" {
-		if n, err := strconv.Atoi(strings.TrimPrefix(after, "fleet-")); err == nil {
-			afterSeq = n
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rs := make([]*run, 0, len(r.runs))
-	for _, rn := range r.runs {
-		if rn.seq > afterSeq {
-			rs = append(rs, rn)
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].seq < rs[j].seq })
-	if limit > 0 && len(rs) > limit {
-		rs = rs[:limit]
-	}
-	out := make([]RunStatus, len(rs))
-	for i, rn := range rs {
-		out[i] = rn.status()
-	}
-	return out
+	return r.life.Wait(ctx, id)
 }
 
 // Workers lists the router's view of the fleet, evicted members included.
@@ -1052,7 +752,7 @@ func (r *Router) Workers() []WorkerInfo {
 		out = append(out, WorkerInfo{
 			ID:            w.id,
 			Slots:         w.slots,
-			Active:        w.busy(),
+			Active:        w.inflight,
 			CPU:           w.reading.CPU,
 			LastHeartbeat: w.lastBeat,
 			BreakerOpen:   now.Before(w.openUntil),
@@ -1066,104 +766,57 @@ func (r *Router) Workers() []WorkerInfo {
 
 // Stats returns the router's aggregate state.
 func (r *Router) Stats() Stats {
+	st := Stats{Stats: r.life.Stats()}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := time.Now()
-	st := Stats{
-		Draining:       r.draining,
-		Submitted:      r.subs,
-		Active:         r.active,
-		Done:           r.counts[StateDone],
-		Failed:         r.counts[StateFailed],
-		Drained:        r.counts[StateDrained],
-		Cancelled:      r.counts[StateCancelled],
-		Failovers:      r.failovers,
-		Evictions:      r.evictions,
-		LocalFallbacks: r.fallbacks,
-	}
+	st.Workers = r.liveLocked()
 	for _, w := range r.workers {
-		if w.evicted {
-			continue
-		}
-		st.Workers++
-		if !w.draining && now.Sub(w.lastBeat) <= r.cfg.HeartbeatTimeout &&
-			!now.Before(w.openUntil) && w.busy() < w.slots {
+		if r.placeable(w, now) {
 			st.Reachable++
 		}
 	}
+	st.Failovers, st.Evictions, st.LocalFallbacks = r.failovers, r.evictions, r.fallbacks
 	return st
 }
 
 // Draining reports whether a fleet drain has begun — the /readyz signal.
-func (r *Router) Draining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining
-}
+func (r *Router) Draining() bool { return r.life.Draining() }
 
-// Drain gracefully stops the fleet: admission closes, every live worker is
-// asked to drain (their in-flight runs checkpoint at the next regrid
-// boundary and report back drained-resumable), the local pool drains, and
-// Drain returns once every run is terminal — or earlier with ctx's error.
+// Drain gracefully stops the fleet: the lifecycle stops admitting and
+// settles its backlog, every live worker is asked to drain (their
+// in-flight runs checkpoint at the next regrid boundary and report back
+// drained-resumable), and Drain returns once every attempt has ended — or
+// earlier with ctx's error.
 func (r *Router) Drain(ctx context.Context) error {
-	r.mu.Lock()
-	first := !r.draining
-	if first {
-		r.draining = true
-		close(r.drainCh)
-	}
-	var workerPorts []string
-	for _, w := range r.workers {
-		if !w.evicted {
-			workerPorts = append(workerPorts, w.port)
+	if r.life.BeginDrain() {
+		var ports []string
+		r.mu.Lock()
+		for _, w := range r.workers {
+			if !w.evicted {
+				ports = append(ports, w.port)
+			}
 		}
-	}
-	r.mu.Unlock()
-
-	if first {
-		for _, p := range workerPorts {
+		r.mu.Unlock()
+		for _, p := range ports {
 			if err := send(r.port, RouterPort, p, KindDrain, struct{}{}); err != nil {
 				r.reportErr(fmt.Errorf("fleet: drain %s: %w", p, err))
 			}
 		}
 	}
-	if err := r.local.Drain(ctx); err != nil {
-		return err
-	}
-	// Wait for the remote runs to report (or for their workers to be
-	// evicted, which records them drained through the failover path).
-	ticker := time.NewTicker(20 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		r.mu.Lock()
-		active := r.active
-		r.mu.Unlock()
-		if active == 0 {
-			r.stopO.Do(func() { close(r.stopped) })
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("fleet: drain: %w", ctx.Err())
-		case <-ticker.C:
-		}
-	}
+	return r.life.Drain(ctx)
 }
 
 // Stopped returns a channel closed once a drain completes — however it was
 // initiated (Drain, Close, or the HTTP drain endpoint). Serving binaries
 // select on it to exit after a remote drain.
-func (r *Router) Stopped() <-chan struct{} { return r.stopped }
+func (r *Router) Stopped() <-chan struct{} { return r.life.Stopped() }
 
 // Close drains with no deadline, then stops the router's loops and
 // releases its mailbox.
 func (r *Router) Close() error {
 	err := r.Drain(context.Background())
-	select {
-	case <-r.stopCh:
-	default:
-		close(r.stopCh)
-	}
+	r.stopO.Do(func() { close(r.stopCh) })
 	r.port.Unregister(RouterPort)
 	r.wg.Wait()
 	return err

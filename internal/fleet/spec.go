@@ -49,9 +49,10 @@ type WireSpec struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// Materializer turns a WireSpec into an executable run spec. Workers and
-// the router's local-fallback path share one, so every placement of a run
-// computes the same result.
+// Materializer turns a WireSpec into an executable run spec. Every entry
+// point shares one — the single-node scheduler, fleet workers, the
+// router's local execution, pragma-node -replay, snapshot restore — so
+// every placement of a run computes the same result.
 type Materializer func(ws WireSpec) (sched.RunSpec, error)
 
 // DefaultMaterializer builds the standard materializer: built-in RM3D
@@ -132,12 +133,13 @@ func DefaultMaterializer() Materializer {
 			CheckpointEvery: ws.CheckpointEvery,
 			CheckpointKeep:  ws.CheckpointKeep,
 			Resume:          ws.Resume,
+			Weight:          ws.Weight,
 		}, nil
 	}
 }
 
-// strategyByName resolves a strategy the same way pragma-node's replay
-// mode does, returning a fresh instance per call.
+// strategyByName resolves a strategy or partitioner name, returning a
+// fresh instance per call.
 func strategyByName(name string) (core.Strategy, error) {
 	switch name {
 	case "", "adaptive":
@@ -155,35 +157,43 @@ func strategyByName(name string) (core.Strategy, error) {
 	}
 }
 
-// delayStrategy wraps a strategy with a fixed pause per Assign call,
-// passing checkpoint state through to the inner strategy so resume
-// semantics are unchanged.
-type delayStrategy struct {
-	inner core.Strategy
-	d     time.Duration
+// hookStrategy calls before ahead of every Assign of inner — an error from
+// it fails the regrid — passing checkpoint state through to inner so
+// resume semantics are unchanged.
+type hookStrategy struct {
+	inner  core.Strategy
+	before func() error
 }
 
-// DelayStrategy returns strat slowed by d per regrid — the rehearsal hook
-// behind WireSpec.RegridDelayMS. Checkpointing passes through.
+// BeforeAssign returns strat with before called ahead of every regrid: the
+// rehearsal hook behind injected delays and crashes.
+func BeforeAssign(strat core.Strategy, before func() error) core.Strategy {
+	return hookStrategy{inner: strat, before: before}
+}
+
+// DelayStrategy returns strat slowed by d per regrid — what
+// WireSpec.RegridDelayMS asks for.
 func DelayStrategy(strat core.Strategy, d time.Duration) core.Strategy {
-	return delayStrategy{inner: strat, d: d}
+	return BeforeAssign(strat, func() error { time.Sleep(d); return nil })
 }
 
-func (s delayStrategy) Name() string { return s.inner.Name() }
+func (s hookStrategy) Name() string { return s.inner.Name() }
 
-func (s delayStrategy) Assign(ctx *core.StepContext) (*partition.Assignment, string, error) {
-	time.Sleep(s.d)
+func (s hookStrategy) Assign(ctx *core.StepContext) (*partition.Assignment, string, error) {
+	if err := s.before(); err != nil {
+		return nil, "", err
+	}
 	return s.inner.Assign(ctx)
 }
 
-func (s delayStrategy) CheckpointState() ([]byte, error) {
+func (s hookStrategy) CheckpointState() ([]byte, error) {
 	if cs, ok := s.inner.(core.CheckpointableStrategy); ok {
 		return cs.CheckpointState()
 	}
 	return nil, nil
 }
 
-func (s delayStrategy) RestoreState(data []byte) error {
+func (s hookStrategy) RestoreState(data []byte) error {
 	if cs, ok := s.inner.(core.CheckpointableStrategy); ok {
 		return cs.RestoreState(data)
 	}

@@ -2,21 +2,22 @@
 // submitted runs across many pragma-node worker processes over the agents
 // TCP control network, and the worker that executes its share.
 //
-// The paper manages one application per runtime; ROADMAP's next scale jump
-// is the layer grid schedulers put *between* the submission API and the
-// per-process run schedulers: capacity-aware placement across machines.
-// Workers advertise forecast capacity in heartbeats (the Fig. 4 relative
-// capacity math, applied to fleet placement instead of intra-run
-// partitioning); the router places each run on the worker with the most
-// predicted headroom, guarded by per-worker circuit breakers, bounded
-// retries with exponential backoff + jitter, and per-dispatch deadlines.
+// The run lifecycle is internal/sched's — admission, the fair queue, run
+// records, drain, the /sched/* surface. The Router is its remote executor:
+// it places each attempt the lifecycle hands it. Workers advertise
+// forecast capacity in heartbeats (the Fig. 4 relative capacity math,
+// applied to fleet placement instead of intra-run partitioning); the
+// router places an attempt on the worker with the most predicted headroom,
+// guarded by per-worker circuit breakers, bounded retries with exponential
+// backoff + jitter, and per-dispatch deadlines.
 //
 // The robustness core is failover: when a worker goes silent past the
-// heartbeat window, or its link tears down, every run placed on it is
-// resumed on a surviving worker from its latest CRC-verified checkpoint
-// (internal/checkpoint guarantees bit-identical resume), and when zero
-// workers are reachable the router degrades to executing runs in-process.
-// See DESIGN.md §14 for the failure model and failover sequence.
+// heartbeat window, or its link tears down, every attempt placed on it is
+// reported lost, and the lifecycle requeues the run to resume on a
+// surviving worker from its latest CRC-verified checkpoint
+// (internal/checkpoint guarantees bit-identical resume); when zero workers
+// are placeable the router executes attempts in-process with sched.Local.
+// See DESIGN.md §12 for the failure model and failover sequence.
 package fleet
 
 import (

@@ -68,14 +68,11 @@ type Worker struct {
 	forecast *monitor.AvailabilityForecaster
 
 	mu       sync.Mutex
-	attempts map[string]int    // fleet run ID -> attempt being executed here
-	local    map[string]string // fleet run ID -> local pool run ID
-	draining bool
+	attempts map[string]int // fleet run ID -> attempt being executed here
 
-	gone    chan struct{} // closed when the inbox closes (link torn down)
-	stopped chan struct{} // closed once a drain completes
-	stopO   sync.Once
-	wg      sync.WaitGroup
+	gone chan struct{} // closed when the inbox closes (link torn down)
+	byeO sync.Once
+	wg   sync.WaitGroup
 }
 
 // NewWorker registers the worker's mailbox, announces it to the router,
@@ -97,9 +94,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		pool:     sched.New(sched.Config{Workers: cfg.Slots}),
 		forecast: monitor.NewAvailabilityForecaster(),
 		attempts: make(map[string]int),
-		local:    make(map[string]string),
 		gone:     make(chan struct{}),
-		stopped:  make(chan struct{}),
 	}
 	if err := w.hello(); err != nil {
 		cfg.Port.Unregister(mailbox)
@@ -136,7 +131,7 @@ func (w *Worker) heartbeatLoop() {
 	seq := 0
 	for {
 		select {
-		case <-w.stopped:
+		case <-w.pool.Stopped():
 			return
 		case <-w.gone:
 			return
@@ -200,12 +195,11 @@ func (w *Worker) handleDispatch(d dispatchMsg) {
 			w.reportErr(fmt.Errorf("fleet: worker %s ack %s: %w", w.cfg.ID, d.RunID, err))
 		}
 	}
-	w.mu.Lock()
-	if w.draining {
-		w.mu.Unlock()
+	if w.pool.Draining() { // before paying for a materialization
 		ack("worker draining")
 		return
 	}
+	w.mu.Lock()
 	if _, active := w.attempts[d.RunID]; active {
 		// A superseded attempt of this run is still executing here; running
 		// it twice in one pool would double-write its checkpoint store.
@@ -227,7 +221,6 @@ func (w *Worker) handleDispatch(d dispatchMsg) {
 	}
 	w.mu.Lock()
 	w.attempts[d.RunID] = d.Attempt
-	w.local[d.RunID] = st.ID
 	w.mu.Unlock()
 	ack("")
 
@@ -237,7 +230,6 @@ func (w *Worker) handleDispatch(d dispatchMsg) {
 		final, err := w.pool.Wait(context.Background(), st.ID)
 		w.mu.Lock()
 		delete(w.attempts, d.RunID)
-		delete(w.local, d.RunID)
 		w.mu.Unlock()
 		res := resultMsg{RunID: d.RunID, Attempt: d.Attempt}
 		if err != nil {
@@ -255,41 +247,28 @@ func (w *Worker) handleDispatch(d dispatchMsg) {
 	}()
 }
 
-// Active reports the pool's queued-plus-running run count.
-func (w *Worker) Active() int {
-	st := w.pool.Stats()
-	return st.Active + st.QueueDepth
-}
-
 // Draining reports whether the worker has begun draining — its /readyz
-// signal.
-func (w *Worker) Draining() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.draining
-}
+// signal. A draining pool refuses dispatches, which the ack passes on.
+func (w *Worker) Draining() bool { return w.pool.Draining() }
 
-// Stopped returns a channel closed once a drain completes — however it was
-// initiated (Drain, Close, or a router KindDrain). Serving binaries select
-// on it to exit after a remote drain.
-func (w *Worker) Stopped() <-chan struct{} { return w.stopped }
+// Stopped returns a channel closed once the pool has drained — however
+// that was initiated (Drain, Close, or a router KindDrain). Serving
+// binaries select on it, then call Drain, which returns once the router
+// has been told goodbye.
+func (w *Worker) Stopped() <-chan struct{} { return w.pool.Stopped() }
 
 // Drain gracefully stops the worker: the local pool drains (in-flight runs
 // checkpoint at their next regrid boundary and report drained-resumable to
 // the router through their watchers), then the worker says goodbye.
 // Idempotent; concurrent calls wait for the same drain.
 func (w *Worker) Drain(ctx context.Context) error {
-	w.mu.Lock()
-	w.draining = true
-	w.mu.Unlock()
 	if err := w.pool.Drain(ctx); err != nil {
 		return err
 	}
-	w.stopO.Do(func() {
+	w.byeO.Do(func() {
 		if err := send(w.port, w.mailbox, RouterPort, KindBye, byeMsg{ID: w.cfg.ID}); err != nil {
 			w.reportErr(fmt.Errorf("fleet: worker %s bye: %w", w.cfg.ID, err))
 		}
-		close(w.stopped)
 	})
 	return nil
 }

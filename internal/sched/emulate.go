@@ -9,14 +9,14 @@ import (
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// emulateFinalSnapshot runs the trace's last hierarchy as a real
+// EmulateFinalSnapshot runs the trace's last hierarchy as a real
 // message-passing program on an in-process Message Center, under the
 // engine's worker supervision: every barrier wait is bounded by the spec's
 // step deadline, and an interval that loses workers is remapped onto the
 // survivors (fresh mailboxes per attempt) up to EmulateRetries times
-// before the run fails. The failure stays inside this run — the pool
-// worker records it and moves on.
-func emulateFinalSnapshot(spec RunSpec) error {
+// before the run fails. The failure stays inside this run. It returns the
+// successful attempt's report (pragma-node -replay -emulate prints it).
+func EmulateFinalSnapshot(spec RunSpec) (engine.Report, error) {
 	h := spec.Trace.Snapshots[len(spec.Trace.Snapshots)-1].H
 	nprocs := spec.NProcs
 	if nprocs == 0 {
@@ -24,11 +24,11 @@ func emulateFinalSnapshot(spec RunSpec) error {
 	}
 	p, err := partition.ByName("G-MISP+SP")
 	if err != nil {
-		return err
+		return engine.Report{}, err
 	}
 	a, err := p.Partition(h, samr.UniformWorkModel{}, nprocs)
 	if err != nil {
-		return err
+		return engine.Report{}, err
 	}
 	center := agents.NewCenter()
 	ports := make([]agents.Port, nprocs)
@@ -52,6 +52,6 @@ func emulateFinalSnapshot(spec RunSpec) error {
 		}
 		return engine.New(h, a, center, ports, opts...)
 	}
-	_, _, err = engine.RunRecovering(spec.EmulateSteps, spec.EmulateRetries, build)
-	return err
+	rep, _, err := engine.RunRecovering(spec.EmulateSteps, spec.EmulateRetries, build)
+	return rep, err
 }

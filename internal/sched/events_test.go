@@ -43,7 +43,7 @@ func TestEventsObserveEveryTransition(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("timed out; states so far %v", states)
 		}
-		if len(states) > 0 && State(states[len(states)-1]).terminal() {
+		if len(states) > 0 && State(states[len(states)-1]).Terminal() {
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -17,6 +18,20 @@ import (
 // generated traces across submissions).
 type SpecBuilder func(tenant string, priority int, v url.Values) (RunSpec, error)
 
+// Front is what differs between the owners of a /sched/* surface: how a
+// submit's parameters become an admitted run, what /sched/stats reports,
+// and what a drain stops. Handler fills it for a Scheduler by itself, the
+// fleet router for the Scheduler it executes for.
+type Front struct {
+	// Submit admits one run; an error that is not an admission error
+	// (ErrSaturated, ErrTenantLimit, ErrDraining) is answered 400.
+	Submit func(tenant string, priority int, v url.Values) (RunStatus, error)
+	Stats  func() any
+	Drain  func(context.Context) error
+}
+
+var errNoBuilder = errors.New("no spec builder configured")
+
 // Handler exposes the scheduler over HTTP, designed to be mounted on the
 // telemetry server's mux:
 //
@@ -25,22 +40,42 @@ type SpecBuilder func(tenant string, priority int, v url.Values) (RunSpec, error
 //	GET  /sched/runs                            every retained run record
 //	GET  /sched/stats                           aggregate scheduler state
 //	POST /sched/drain                           graceful drain; returns when drained
+//	GET  /sched/events                          run events (with Config.Events)
 //
 // Submit returns 202 on admission, 429 with Retry-After under backpressure
 // (saturation or tenant limit), and 503 while draining.
 func Handler(s *Scheduler, build SpecBuilder) http.Handler {
+	return NewMux(s, Front{
+		Submit: func(tenant string, priority int, v url.Values) (RunStatus, error) {
+			if build == nil {
+				return RunStatus{}, errNoBuilder
+			}
+			spec, err := build(tenant, priority, v)
+			if err != nil {
+				return RunStatus{}, err
+			}
+			// Keep the wire form: it is what Snapshot persists so a queued or
+			// drained run survives a process roll (see Snapshot/Restore).
+			if spec.Wire == nil {
+				spec.Wire = v
+			}
+			return s.Submit(SubmitRequest{Tenant: tenant, Priority: priority, Weight: spec.Weight, Spec: spec})
+		},
+		Stats: func() any { return s.Stats() },
+		Drain: s.Drain,
+	})
+}
+
+// NewMux builds the /sched/* surface over s's run table and event hub,
+// with f deciding admission, stats and drain. The caller may add routes.
+func NewMux(s *Scheduler, f Front) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sched/submit", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		if build == nil {
-			httpError(w, http.StatusNotImplemented, "no spec builder configured")
-			return
-		}
 		v := req.URL.Query()
-		tenant := v.Get("tenant")
 		priority := 0
 		if p := v.Get("priority"); p != "" {
 			n, err := strconv.Atoi(p)
@@ -50,39 +85,19 @@ func Handler(s *Scheduler, build SpecBuilder) http.Handler {
 			}
 			priority = n
 		}
-		// weight= sets the tenant's fair-share weight (default 1, clamped
-		// into [MinWeight, MaxWeight]): under saturation a weight-3 tenant
-		// completes ~3x the work of a weight-1 tenant in the same band.
-		var weight float64
-		if ws := v.Get("weight"); ws != "" {
-			f, err := strconv.ParseFloat(ws, 64)
-			if err != nil || f <= 0 {
-				httpError(w, http.StatusBadRequest, "bad weight: must be a positive number")
-				return
-			}
-			weight = f
-		}
-		spec, err := build(tenant, priority, v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		// Keep the wire form: it is what Snapshot persists so a queued or
-		// drained run survives a process roll (see Snapshot/Restore).
-		if spec.Wire == nil {
-			spec.Wire = v
-		}
-		st, err := s.Submit(SubmitRequest{Tenant: tenant, Priority: priority, Weight: weight, Spec: spec})
+		st, err := f.Submit(v.Get("tenant"), priority, v)
 		switch {
 		case errors.Is(err, ErrSaturated), errors.Is(err, ErrTenantLimit):
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusTooManyRequests, err.Error())
 		case errors.Is(err, ErrDraining):
 			httpError(w, http.StatusServiceUnavailable, err.Error())
+		case errors.Is(err, errNoBuilder):
+			httpError(w, http.StatusNotImplemented, err.Error())
 		case err != nil:
 			httpError(w, http.StatusBadRequest, err.Error())
 		default:
-			writeJSON(w, http.StatusAccepted, st)
+			WriteJSON(w, http.StatusAccepted, st)
 		}
 	})
 	mux.HandleFunc("/sched/status", func(w http.ResponseWriter, req *http.Request) {
@@ -131,18 +146,18 @@ func Handler(s *Scheduler, build SpecBuilder) http.Handler {
 		jsonenc.Put(b)
 	})
 	mux.HandleFunc("/sched/stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		WriteJSON(w, http.StatusOK, f.Stats())
 	})
 	mux.HandleFunc("/sched/drain", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		if err := s.Drain(req.Context()); err != nil {
+		if err := f.Drain(req.Context()); err != nil {
 			httpError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Stats())
+		WriteJSON(w, http.StatusOK, f.Stats())
 	})
 	if s.cfg.Events != nil {
 		mux.Handle("/sched/events", stream.Handler(s.cfg.Events, stream.HandlerConfig{}))
@@ -155,12 +170,13 @@ func Handler(s *Scheduler, build SpecBuilder) http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as an application/json document.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	WriteJSON(w, code, map[string]string{"error": msg})
 }

@@ -42,6 +42,18 @@ func appendStatusJSON(b *jsonenc.Buffer, st *RunStatus) {
 		b.Raw(`,"preemptions":`)
 		b.Int(int64(st.Preemptions))
 	}
+	if st.Placement != "" {
+		b.Raw(`,"placement":`)
+		b.String(st.Placement)
+	}
+	if st.Attempt != 0 {
+		b.Raw(`,"attempt":`)
+		b.Int(int64(st.Attempt))
+	}
+	if st.Failovers != 0 {
+		b.Raw(`,"failovers":`)
+		b.Int(int64(st.Failovers))
+	}
 	if st.Error != "" {
 		b.Raw(`,"error":`)
 		b.String(st.Error)

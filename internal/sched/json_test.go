@@ -73,6 +73,17 @@ func TestStatusJSONMatchesEncodingJSON(t *testing.T) {
 		Error:     "core: regrid 3: run interrupted at regrid boundary",
 		Resumable: true, CheckpointDir: "/tmp/ckpt/t/run",
 	})
+
+	// What a fleet router's executor reports; absent on a single node.
+	assertStatusJSON(t, "placed", RunStatus{
+		ID: "run-000009", Tenant: "t", State: StateRunning,
+		Submitted: time.Now(), Started: time.Now(),
+		Preemptions: 1, Placement: "w \"2\"", Attempt: 3, Failovers: 2,
+	})
+	assertStatusJSON(t, "local fallback", RunStatus{
+		ID: "run-000010", State: StateQueued, Submitted: time.Now(),
+		Placement: "local", Attempt: 1,
+	})
 }
 
 func TestHandlerStatusAndRunsWireFormatUnchanged(t *testing.T) {

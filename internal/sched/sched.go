@@ -26,11 +26,18 @@
 // would, transitions to StatePreempted, and is requeued resumable with
 // its service credit intact while the preemptor takes the worker.
 //
-// Concurrency model: exactly Config.Workers goroutines execute runs; Submit
-// never spawns. Admitted runs wait in a fairQueue (priority bands, weighted
-// max-min tenant selection). Each dispatch gets its own interrupt channel,
-// closed either by a preemption (that one run yields) or by Drain (every
-// in-flight run checkpoints, the backlog is cancelled, the pool exits).
+// This is the serving stack's only run lifecycle (DESIGN.md §12). What
+// executes an attempt is behind the Executor seam: Local (core.Run in this
+// process — pragma-node -sched, every fleet worker's pool) or the fleet
+// router's remote dispatch.
+//
+// Concurrency model: admitted runs wait in a fairQueue (priority bands,
+// weighted max-min tenant selection) and start, one goroutine per attempt,
+// while fewer attempts are in flight than the executor's capacity;
+// goroutines scale with the capacity, never with the backlog. Each attempt
+// gets its own interrupt channel, closed either by a preemption (that one
+// run yields) or by Drain (every in-flight run checkpoints, the backlog is
+// cancelled, the attempts end).
 package sched
 
 import (
@@ -38,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,10 +72,16 @@ var (
 	ErrDraining = errors.New("sched: draining, not admitting")
 )
 
+// ErrLost is what Executor.Execute returns (wrapped) for an attempt lost
+// with its run intact, such as on a vanished worker: the run is requeued
+// the way a preempted one is.
+var ErrLost = errors.New("sched: attempt lost, run requeued")
+
 // Config sizes a Scheduler.
 type Config struct {
-	// Workers is the pool size: the number of runs executing concurrently
-	// (default 4). The scheduler runs exactly this many worker goroutines.
+	// Workers is the capacity of the Local executor New builds: the number
+	// of runs executing concurrently (default 4). A scheduler built with
+	// NewWithExecutor takes its capacity from the executor instead.
 	Workers int
 	// QueueLimit bounds the admitted-but-waiting backlog (default 64).
 	// Submissions beyond it fail with ErrSaturated.
@@ -161,6 +175,9 @@ type RunSpec struct {
 	EmulateSteps    int
 	EmulateDeadline time.Duration
 	EmulateRetries  int
+	// Weight is the weight= submit parameter, parsed with the rest of the
+	// spec; the HTTP handler passes it on as SubmitRequest.Weight.
+	Weight float64
 	// Wire, when set, is the submission's serializable description — the
 	// query parameters a SpecBuilder would rebuild this spec from. The
 	// HTTP handler fills it automatically; programmatic submitters that
@@ -199,11 +216,19 @@ type SubmitRequest struct {
 	Weight float64
 	// Spec is the run to execute.
 	Spec RunSpec
-	// RunFunc, when non-nil, replaces Spec entirely: the scheduler calls
-	// it with the drain-interrupt channel. A RunFunc returning an error
-	// wrapping core.ErrInterrupted is recorded as drained. This is the
-	// seam tests and synthetic benchmarks use.
+	// RunFunc, when non-nil, replaces Spec entirely: the Local executor
+	// calls it with the attempt's interrupt channel. A RunFunc returning an
+	// error wrapping core.ErrInterrupted is recorded as drained. This is
+	// the seam tests and synthetic benchmarks use.
 	RunFunc func(interrupt <-chan struct{}) (*core.RunResult, error)
+	// Payload, when non-nil, is the run description for an Executor that
+	// does not take RunSpecs (the fleet router's WireSpec), handed to every
+	// attempt unread. Of Spec the lifecycle then uses only CheckpointDir
+	// and Resume.
+	Payload any
+	// CheckpointRoot, when set and Spec.CheckpointDir is empty, makes the
+	// run checkpoint under <root>/<run-id>.
+	CheckpointRoot string
 }
 
 // State is a run's lifecycle phase.
@@ -214,15 +239,15 @@ type State string
 const (
 	StateQueued    State = "queued"
 	StateRunning   State = "running"
-	StatePreempted State = "preempted" // yielded its worker at a regrid boundary; requeued resumable
+	StatePreempted State = "preempted" // yielded its slot at a regrid boundary; requeued resumable
 	StateDone      State = "done"
 	StateFailed    State = "failed"
 	StateDrained   State = "drained"   // interrupted at a regrid boundary; checkpointed if configured
 	StateCancelled State = "cancelled" // still queued when the drain began; never started
 )
 
-// terminal reports whether a state is final.
-func (s State) terminal() bool {
+// Terminal reports whether a state is final.
+func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateDrained || s == StateCancelled
 }
 
@@ -244,9 +269,17 @@ type RunStatus struct {
 	RunSeconds   float64 `json:"runSeconds"`
 
 	// Preemptions counts how many times this run was interrupted to hand
-	// its worker to an under-share or higher-band submission; each one
+	// its slot to an under-share or higher-band submission; each one
 	// checkpointed the run and requeued it resumable.
 	Preemptions int `json:"preemptions,omitempty"`
+
+	// Placement and Attempt are what a fleet router reported through
+	// Attempt.Begin: where the latest attempt executes (a worker's identity,
+	// or "local") and how many placements the run has had. Failovers counts
+	// the placed attempts that were lost.
+	Placement string `json:"placement,omitempty"`
+	Attempt   int    `json:"attempt,omitempty"`
+	Failovers int    `json:"failovers,omitempty"`
 
 	// Error describes a failed run, or the interrupt a drained one
 	// stopped with.
@@ -262,6 +295,118 @@ type RunStatus struct {
 	Result *core.RunResult `json:"result,omitempty"`
 }
 
+// Executor is the seam between the lifecycle, which admits and orders
+// runs, and whatever executes them.
+type Executor interface {
+	// Capacity is how many attempts may be in flight at once. It is called
+	// under the lifecycle's lock and must not call back into the Scheduler;
+	// an executor whose capacity grew calls Kick.
+	Capacity() int
+	// Execute runs one attempt on the calling goroutine. A nil error is
+	// done, one wrapping core.ErrInterrupted yielded to the interrupt, one
+	// wrapping ErrLost asks for a requeue, anything else failed the run.
+	Execute(a *Attempt) (*core.RunResult, error)
+}
+
+// Attempt is one dispatch of a run to the executor.
+type Attempt struct {
+	Run    string // the run's ID
+	Tenant string
+	// Spec, RunFunc and Payload are the submission's; Spec.Resume is set
+	// once an earlier attempt left checkpoints to continue from.
+	Spec    RunSpec
+	RunFunc func(interrupt <-chan struct{}) (*core.RunResult, error)
+	Payload any
+	// Failovers is how many placed attempts of this run were lost before.
+	Failovers int
+	// Interrupt is closed when the attempt should stop at its next regrid
+	// boundary.
+	Interrupt <-chan struct{}
+
+	s     *Scheduler
+	r     *run
+	begun bool
+}
+
+// Begin records that the executor is placing the attempt on placement and
+// returns the run's placement count, which numbers the dispatch.
+func (a *Attempt) Begin(placement string) int {
+	a.s.mu.Lock()
+	defer a.s.mu.Unlock()
+	a.begun = true
+	a.r.attempt++
+	a.r.placement = placement
+	return a.r.attempt
+}
+
+// Local is the in-process executor: every attempt is one core.Run (or the
+// submission's RunFunc). Events, when non-nil, receives its regrid cycles.
+type Local struct {
+	Workers int
+	Events  *stream.Hub
+}
+
+// Capacity implements Executor.
+func (l Local) Capacity() int { return l.Workers }
+
+// Execute implements Executor.
+func (l Local) Execute(a *Attempt) (res *core.RunResult, err error) {
+	start := time.Now()
+	if a.RunFunc != nil {
+		res, err = a.RunFunc(a.Interrupt)
+	} else {
+		res, err = l.run(a)
+	}
+	metricRunSeconds.With(string(outcome(err))).Observe(time.Since(start).Seconds())
+	return res, err
+}
+
+func (l Local) run(a *Attempt) (*core.RunResult, error) {
+	spec := &a.Spec
+	var onRegrid func(int, string)
+	if hub, id := l.Events, a.Run; hub != nil {
+		onRegrid = func(idx int, partitioner string) {
+			hub.Publish(stream.Event{
+				Run: id, Type: stream.TypeRegrid,
+				Cycle: idx, Partitioner: partitioner,
+			})
+		}
+	}
+	res, err := core.Run(spec.Trace, spec.Strategy, core.RunConfig{
+		Machine:         spec.Machine,
+		Cost:            spec.Cost,
+		NProcs:          spec.NProcs,
+		WorkModel:       spec.WorkModel,
+		CheckpointDir:   spec.CheckpointDir,
+		CheckpointEvery: spec.CheckpointEvery,
+		CheckpointKeep:  spec.CheckpointKeep,
+		Resume:          spec.Resume,
+		Interrupt:       a.Interrupt,
+		OnRegrid:        onRegrid,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if spec.EmulateSteps > 0 {
+		if _, err := EmulateFinalSnapshot(*spec); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// outcome is the state an attempt's error ends a run in, requeues aside.
+func outcome(err error) State {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, core.ErrInterrupted), errors.Is(err, ErrLost):
+		return StateDrained
+	default:
+		return StateFailed
+	}
+}
+
 // run is the scheduler's internal record.
 type run struct {
 	seq      int
@@ -270,8 +415,8 @@ type run struct {
 	priority int
 	weight   float64
 	spec     RunSpec
-	fromSpec bool // built from Spec (true) or a caller RunFunc (false)
 	runFn    func(interrupt <-chan struct{}) (*core.RunResult, error)
+	payload  any
 
 	state     State
 	submitted time.Time
@@ -282,15 +427,22 @@ type run struct {
 	result    *core.RunResult
 	done      chan struct{} // closed on terminal state
 
-	// Per-dispatch interrupt plumbing: a fresh channel per attempt,
+	// Per-attempt interrupt plumbing: a fresh channel per attempt,
 	// closed once by a preemption or a drain (intClosed guards the close).
 	interrupt chan struct{}
 	intClosed bool
 	// preempting marks a run whose interrupt was fired to yield its
-	// worker (as opposed to a drain); finish requeues it instead of
+	// slot (as opposed to a drain); finish requeues it instead of
 	// recording a terminal state.
 	preempting  bool
 	preemptions int
+	// yielded marks a requeued run, preempted or lost: it executed before,
+	// so a drain records it drained, not cancelled.
+	yielded bool
+	// Reported through Attempt.Begin; failovers counts lost placements.
+	placement string
+	attempt   int
+	failovers int
 	// charged is the cumulative cost already billed to the tenant for
 	// this run, so a preempted-and-resumed run is only charged the delta
 	// each attempt adds.
@@ -308,6 +460,9 @@ func (r *run) status() RunStatus {
 		Started:     r.started,
 		Finished:    r.finished,
 		Preemptions: r.preemptions,
+		Placement:   r.placement,
+		Attempt:     r.attempt,
+		Failovers:   r.failovers,
 	}
 	if !r.started.IsZero() {
 		st.QueueSeconds = r.started.Sub(r.submitted).Seconds()
@@ -330,7 +485,7 @@ func (r *run) status() RunStatus {
 
 // Stats is a point-in-time view of the scheduler.
 type Stats struct {
-	Workers     int  `json:"workers"`
+	Workers     int  `json:"workers"` // the executor's capacity
 	QueueDepth  int  `json:"queueDepth"`
 	QueueLimit  int  `json:"queueLimit"`
 	TenantLimit int  `json:"tenantLimit"`
@@ -346,12 +501,12 @@ type Stats struct {
 	Preemptions int `json:"preemptions"`
 }
 
-// Scheduler multiplexes runs over a bounded worker pool.
+// Scheduler is the run lifecycle over one Executor.
 type Scheduler struct {
-	cfg Config
+	cfg  Config
+	exec Executor
 
 	mu          sync.Mutex
-	cond        *sync.Cond
 	queue       *fairQueue
 	runs        map[string]*run
 	running     map[string]*run // dispatched and executing (preemption victim pool)
@@ -366,17 +521,26 @@ type Scheduler struct {
 	preemptions int
 	draining    bool
 
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // in-flight attempts
 	stopOnce sync.Once
 	stopped  chan struct{}
 }
 
-// New starts a scheduler with Config.Workers pool goroutines. Stop it with
-// Drain (graceful) or Close.
+// New starts a scheduler that executes runs in this process, at most
+// Config.Workers at a time. Stop it with Drain (graceful) or Close.
 func New(cfg Config) *Scheduler {
 	cfg.fill()
-	s := &Scheduler{
+	return NewWithExecutor(cfg, Local{Workers: cfg.Workers, Events: cfg.Events})
+}
+
+// NewWithExecutor starts the lifecycle over exec, which decides how many
+// attempts run at once and where.
+func NewWithExecutor(cfg Config, exec Executor) *Scheduler {
+	cfg.fill()
+	metricWorkers.Set(float64(exec.Capacity()))
+	return &Scheduler{
 		cfg:        cfg,
+		exec:       exec,
 		stopped:    make(chan struct{}),
 		queue:      newFairQueue(),
 		runs:       make(map[string]*run),
@@ -385,52 +549,6 @@ func New(cfg Config) *Scheduler {
 		weights:    make(map[string]float64),
 		gauges:     make(map[string]*tenantGauges),
 		counts:     make(map[State]int),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	metricWorkers.Set(float64(cfg.Workers))
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
-	return s
-}
-
-// specRunFn builds the execution closure for a spec-based submission. It
-// captures the run's ID so regrid-cycle events can be attributed to it on
-// the stream hub.
-func (s *Scheduler) specRunFn(id string, spec RunSpec) func(<-chan struct{}) (*core.RunResult, error) {
-	hub := s.cfg.Events
-	return func(interrupt <-chan struct{}) (*core.RunResult, error) {
-		var onRegrid func(int, string)
-		if hub != nil {
-			onRegrid = func(idx int, partitioner string) {
-				hub.Publish(stream.Event{
-					Run: id, Type: stream.TypeRegrid,
-					Cycle: idx, Partitioner: partitioner,
-				})
-			}
-		}
-		res, err := core.Run(spec.Trace, spec.Strategy, core.RunConfig{
-			Machine:         spec.Machine,
-			Cost:            spec.Cost,
-			NProcs:          spec.NProcs,
-			WorkModel:       spec.WorkModel,
-			CheckpointDir:   spec.CheckpointDir,
-			CheckpointEvery: spec.CheckpointEvery,
-			CheckpointKeep:  spec.CheckpointKeep,
-			Resume:          spec.Resume,
-			Interrupt:       interrupt,
-			OnRegrid:        onRegrid,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if spec.EmulateSteps > 0 {
-			if err := emulateFinalSnapshot(spec); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
 	}
 }
 
@@ -452,9 +570,9 @@ func (s *Scheduler) publishState(r *run) {
 
 // Submit admits a run or rejects it with ErrSaturated, ErrTenantLimit or
 // ErrDraining. On admission it returns the queued run's status snapshot;
-// the run starts as soon as a pool worker frees up.
+// the run starts as soon as the executor has a free slot.
 func (s *Scheduler) Submit(req SubmitRequest) (RunStatus, error) {
-	if req.RunFunc == nil {
+	if req.RunFunc == nil && req.Payload == nil {
 		if err := req.Spec.validate(); err != nil {
 			return RunStatus{}, err
 		}
@@ -493,33 +611,78 @@ func (s *Scheduler) Submit(req SubmitRequest) (RunStatus, error) {
 		priority:  req.Priority,
 		weight:    w,
 		spec:      req.Spec,
-		fromSpec:  req.RunFunc == nil,
 		runFn:     req.RunFunc,
+		payload:   req.Payload,
 		state:     StateQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	if r.runFn == nil {
-		r.runFn = s.specRunFn(r.id, req.Spec)
+	if r.spec.CheckpointDir == "" && req.CheckpointRoot != "" {
+		r.spec.CheckpointDir = filepath.Join(req.CheckpointRoot, r.id)
 	}
 	s.runs[r.id] = r
 	s.submitted++
 	s.tenantLoad[r.tenant]++
 	s.queue.push(r)
-	metricQueueDepth.Set(float64(s.queue.len()))
 	s.gaugesLocked(r.tenant).weight.Set(w)
-	s.maybePreemptLocked(r)
 	s.publishState(r)
 	st := r.status()
+	s.dispatchLocked()
+	if r.state == StateQueued {
+		s.maybePreemptLocked(r)
+	}
 	s.mu.Unlock()
 
 	admitAccepted.Inc()
-	s.cond.Signal()
 	return st, nil
 }
 
+// dispatchLocked starts queued runs while the executor has capacity left.
+// A run is running — Started stamped, event published — before its attempt
+// goroutine exists, so no result can precede that. Callers hold s.mu.
+func (s *Scheduler) dispatchLocked() {
+	free := 0
+	if !s.draining && s.queue.len() > 0 {
+		capacity := s.exec.Capacity()
+		metricWorkers.Set(float64(capacity))
+		free = capacity - s.active
+	}
+	for ; free > 0; free-- {
+		r := s.queue.pop()
+		if r == nil {
+			break
+		}
+		r.state = StateRunning
+		r.started = time.Now()
+		r.interrupt = make(chan struct{})
+		r.intClosed = false
+		r.preempting = false
+		s.running[r.id] = r
+		s.active++
+		s.publishState(r)
+		metricQueueWaitSeconds.Observe(r.started.Sub(r.submitted).Seconds())
+		s.wg.Add(1)
+		go s.execute(r, &Attempt{
+			Run: r.id, Tenant: r.tenant,
+			Spec: r.spec, RunFunc: r.runFn, Payload: r.payload,
+			Failovers: r.failovers, Interrupt: r.interrupt,
+			s: s, r: r,
+		})
+	}
+	metricQueueDepth.Set(float64(s.queue.len()))
+	metricActiveRuns.Set(float64(s.active))
+}
+
+// Kick re-evaluates dispatch. An Executor calls it when its capacity grew
+// — a fleet worker joined, a circuit breaker closed.
+func (s *Scheduler) Kick() {
+	s.mu.Lock()
+	s.dispatchLocked()
+	s.mu.Unlock()
+}
+
 // maybePreemptLocked fires checkpoint-based preemption for a freshly
-// queued run when the pool is saturated and the submitter outranks a
+// queued run when the executor is saturated and the submitter outranks a
 // running run: a higher priority band, or the same band with the victim's
 // tenant more than Config.PreemptRatio times over the submitter's
 // normalized service. The victim — lowest band first, then the most
@@ -530,7 +693,7 @@ func (s *Scheduler) Submit(req SubmitRequest) (RunStatus, error) {
 // runs opted into interrupt handling by taking the channel. Runs never
 // preempt their own tenant — the submitter would just wait behind itself.
 func (s *Scheduler) maybePreemptLocked(sub *run) {
-	if s.cfg.PreemptRatio < 0 || s.active < s.cfg.Workers || s.draining {
+	if s.cfg.PreemptRatio < 0 || s.draining || s.active < s.exec.Capacity() {
 		return
 	}
 	var victim *run
@@ -539,7 +702,7 @@ func (s *Scheduler) maybePreemptLocked(sub *run) {
 		if v.preempting || v.tenant == sub.tenant {
 			continue
 		}
-		if v.fromSpec && v.spec.CheckpointDir == "" {
+		if v.runFn == nil && v.spec.CheckpointDir == "" {
 			continue
 		}
 		svc := s.queue.service(v.priority, v.tenant)
@@ -567,7 +730,7 @@ func (s *Scheduler) maybePreemptLocked(sub *run) {
 	metricPreemptions.Inc()
 }
 
-// closeInterruptLocked fires a run's per-dispatch interrupt channel at
+// closeInterruptLocked fires a run's per-attempt interrupt channel at
 // most once. Callers hold s.mu.
 func (s *Scheduler) closeInterruptLocked(r *run) {
 	if r.interrupt != nil && !r.intClosed {
@@ -576,89 +739,57 @@ func (s *Scheduler) closeInterruptLocked(r *run) {
 	}
 }
 
-// worker is one pool goroutine: it executes queued runs until a drain
-// empties the queue.
-func (s *Scheduler) worker() {
+// execute runs one attempt with panic containment: a panicking run is
+// recorded as failed and takes nothing else down with it.
+func (s *Scheduler) execute(r *run, a *Attempt) {
 	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for s.queue.len() == 0 && !s.draining {
-			s.cond.Wait()
-		}
-		r := s.queue.pop()
-		if r == nil { // draining and nothing left
-			s.mu.Unlock()
-			return
-		}
-		r.state = StateRunning
-		r.started = time.Now()
-		r.interrupt = make(chan struct{})
-		r.intClosed = false
-		r.preempting = false
-		s.running[r.id] = r
-		s.active++
-		metricQueueDepth.Set(float64(s.queue.len()))
-		metricActiveRuns.Set(float64(s.active))
-		s.publishState(r)
-		s.mu.Unlock()
-
-		metricQueueWaitSeconds.Observe(r.started.Sub(r.submitted).Seconds())
-		s.execute(r)
-	}
-}
-
-// execute runs r with panic containment: a panicking run is recorded as
-// failed and the worker survives to serve the next one.
-func (s *Scheduler) execute(r *run) {
 	defer func() {
 		if p := recover(); p != nil {
 			metricPanics.Inc()
-			s.finish(r, nil, fmt.Errorf("sched: run panicked: %v", p))
+			s.finish(r, a, nil, fmt.Errorf("sched: run panicked: %v", p))
 		}
 	}()
-	res, err := r.runFn(r.interrupt)
-	s.finish(r, res, err)
+	res, err := s.exec.Execute(a)
+	s.finish(r, a, res, err)
 }
 
-// finish settles a completed run attempt: it charges the attempt's cost
-// to the tenant's normalized service, then either requeues a preempted
+// finish settles a completed attempt: it charges the attempt's cost to the
+// tenant's normalized service, then either requeues a preempted or lost
 // run resumable or records the terminal state and releases the tenant
-// slot.
-func (s *Scheduler) finish(r *run, res *core.RunResult, err error) {
-	state := StateDone
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrInterrupted):
-		state = StateDrained
-	default:
-		state = StateFailed
-	}
+// slot; either way the freed capacity goes to the queue.
+func (s *Scheduler) finish(r *run, a *Attempt, res *core.RunResult, err error) {
+	state := outcome(err)
+	lost := errors.Is(err, ErrLost)
 
 	s.mu.Lock()
 	delete(s.running, r.id)
 	s.chargeLocked(r, res, err)
-	if state == StateDrained && r.preempting && !s.draining {
-		// Preempted, not drained: the run checkpointed at its regrid
-		// boundary to yield the worker. Requeue it at the front of its
+	s.active--
+	if lost && a.begun {
+		r.failovers++
+	}
+	if state == StateDrained && (lost || r.preempting) && !s.draining {
+		// Not drained: the run checkpointed at its regrid boundary to yield
+		// the slot, or its executor lost it. Requeue it at the front of its
 		// tenant's FIFO — service credit intact — flagged to resume from
-		// the checkpoint on its next dispatch.
-		r.preempting = false
-		r.state = StatePreempted
-		r.err = nil
-		r.errText = ""
-		if r.fromSpec && r.spec.CheckpointDir != "" {
-			r.spec.Resume = true
-			r.runFn = s.specRunFn(r.id, r.spec)
+		// the checkpoint on its next attempt.
+		r.state = StateQueued
+		if !lost {
+			r.state = StatePreempted
 		}
-		s.active--
+		r.preempting = false
+		r.yielded = true
+		if r.spec.CheckpointDir != "" {
+			r.spec.Resume = true
+		}
 		s.queue.pushFront(r)
-		metricActiveRuns.Set(float64(s.active))
-		metricQueueDepth.Set(float64(s.queue.len()))
 		s.publishState(r)
+		s.dispatchLocked()
 		s.mu.Unlock()
 
-		metricOutcomes.With(string(StatePreempted)).Inc()
-		s.cond.Signal()
+		if !lost {
+			metricOutcomes.With(string(StatePreempted)).Inc()
+		}
 		return
 	}
 	r.preempting = false
@@ -669,21 +800,24 @@ func (s *Scheduler) finish(r *run, res *core.RunResult, err error) {
 	if err != nil {
 		r.errText = err.Error()
 	}
-	s.active--
+	s.settleLocked(r)
+	s.dispatchLocked()
+	s.mu.Unlock()
+	close(r.done)
+}
+
+// settleLocked books a run that just reached a terminal state. Callers
+// hold s.mu and close r.done after releasing it.
+func (s *Scheduler) settleLocked(r *run) {
 	s.tenantLoad[r.tenant]--
 	if s.tenantLoad[r.tenant] <= 0 {
 		delete(s.tenantLoad, r.tenant)
 		s.tenantExitLocked(r.tenant)
 	}
-	s.counts[state]++
+	s.counts[r.state]++
 	s.retire(r)
-	metricActiveRuns.Set(float64(s.active))
 	s.publishState(r)
-	s.mu.Unlock()
-
-	metricOutcomes.With(string(state)).Inc()
-	metricRunSeconds.With(string(state)).Observe(r.finished.Sub(r.started).Seconds())
-	close(r.done)
+	metricOutcomes.With(string(r.state)).Inc()
 }
 
 // chargeLocked bills the tenant for the progress this attempt made, in
@@ -755,48 +889,49 @@ func (s *Scheduler) retire(r *run) {
 	}
 }
 
+// BeginDrain is the part of Drain that does not wait: admission closes,
+// every in-flight attempt is interrupted and the backlog is settled. It
+// reports whether this call began the drain.
+func (s *Scheduler) BeginDrain() bool {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return false
+	}
+	s.draining = true
+	metricDrains.Inc()
+	for _, r := range s.running {
+		s.closeInterruptLocked(r)
+	}
+	backlog := s.queue.drainAll()
+	metricQueueDepth.Set(0)
+	now := time.Now()
+	for _, r := range backlog {
+		// A requeued run already executed up to a regrid boundary; it
+		// leaves as drained-resumable, exactly as if the drain had
+		// interrupted it itself.
+		r.state = StateCancelled
+		if r.yielded {
+			r.state = StateDrained
+		}
+		r.finished = now
+		s.settleLocked(r)
+	}
+	s.mu.Unlock()
+	for _, r := range backlog {
+		close(r.done)
+	}
+	return true
+}
+
 // Drain gracefully stops the scheduler: admission closes, the backlog is
 // cancelled, every in-flight run is interrupted at its next regrid
 // boundary (checkpointing through its configured store first), and Drain
-// returns once the pool has exited — or earlier with ctx's error. Drained
-// runs report Resumable and can be resubmitted with Spec.Resume. Drain is
-// idempotent; concurrent calls all wait for the same drain.
+// returns once every attempt has ended — or earlier with ctx's error.
+// Drained runs report Resumable and can be resubmitted with Spec.Resume.
+// Drain is idempotent; concurrent calls all wait for the same drain.
 func (s *Scheduler) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		metricDrains.Inc()
-		for _, r := range s.running {
-			s.closeInterruptLocked(r) // interrupt every in-flight run
-		}
-		cancelled := s.queue.drainAll()
-		metricQueueDepth.Set(0)
-		now := time.Now()
-		for _, r := range cancelled {
-			// A preempted run already checkpointed at a regrid boundary;
-			// it leaves as drained-resumable, exactly as if the drain had
-			// interrupted it itself. Never-started runs are cancelled.
-			state := StateCancelled
-			if r.state == StatePreempted {
-				state = StateDrained
-			}
-			r.state = state
-			r.finished = now
-			s.tenantLoad[r.tenant]--
-			if s.tenantLoad[r.tenant] <= 0 {
-				delete(s.tenantLoad, r.tenant)
-				s.tenantExitLocked(r.tenant)
-			}
-			s.counts[state]++
-			s.retire(r)
-			s.publishState(r)
-			metricOutcomes.With(string(state)).Inc()
-			close(r.done)
-		}
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-
+	s.BeginDrain()
 	go func() {
 		s.wg.Wait()
 		s.stopOnce.Do(func() { close(s.stopped) })
@@ -818,8 +953,8 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// Stopped returns a channel closed once a drain has completed and the
-// worker pool has exited — however the drain was initiated (Close, Drain,
+// Stopped returns a channel closed once a drain has completed and every
+// attempt has ended — however the drain was initiated (Close, Drain,
 // or the HTTP drain endpoint). Serving binaries select on it to exit after
 // a remote drain.
 func (s *Scheduler) Stopped() <-chan struct{} { return s.stopped }
@@ -904,7 +1039,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Workers:     s.cfg.Workers,
+		Workers:     s.exec.Capacity(),
 		QueueDepth:  s.queue.len(),
 		QueueLimit:  s.cfg.QueueLimit,
 		TenantLimit: s.cfg.TenantLimit,

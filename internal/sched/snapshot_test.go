@@ -185,6 +185,7 @@ func TestSnapshotCarriesWeights(t *testing.T) {
 	ckptRoot := t.TempDir()
 	build := snapshotBuilder(t, ckptRoot)
 	s1 := New(Config{Workers: 1, QueueLimit: 16})
+	defer s1.Close() // its released backlog must not outlive the temp dir
 
 	// Park the worker so the weighted runs stay queued for the snapshot.
 	block := make(chan struct{})

@@ -666,7 +666,7 @@ func NewSchedulerHandler(s *Scheduler, build SchedulerSpecBuilder) http.Handler 
 }
 
 // Fleet aliases. The implementation lives in internal/fleet; see
-// DESIGN.md §14. A fleet shards scheduler runs across many pragma-node
+// DESIGN.md §12. A fleet shards scheduler runs across many pragma-node
 // worker processes over the agents control network, with capacity-aware
 // placement and checkpoint-resume failover when workers are lost.
 type (
@@ -674,7 +674,7 @@ type (
 	// over to survivors when a worker goes silent or its link drops.
 	FleetRouter = fleet.Router
 	// FleetRouterConfig sizes a FleetRouter (heartbeat window, dispatch
-	// deadline, retry/backoff/breaker knobs, local fallback pool).
+	// deadline, retry/backoff/breaker knobs, local execution).
 	FleetRouterConfig = fleet.Config
 	// FleetWorker executes dispatched runs and advertises forecast
 	// capacity in heartbeats.

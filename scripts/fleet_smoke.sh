@@ -132,7 +132,7 @@ if [ "$failovers" -lt 1 ]; then
 fi
 curl -fs "$BASE/metrics" | grep '^pragma_fleet_failovers_total' | grep -qv ' 0$'
 curl -fs "$BASE/metrics" | grep '^pragma_fleet_evictions_total' | grep -qv ' 0$'
-curl -fs "$BASE/metrics" | grep -q '^pragma_fleet_runs_total{outcome="done"} '"$RUNS"'$'
+curl -fs "$BASE/metrics" | grep -q '^pragma_sched_runs_total{outcome="done"} '"$RUNS"'$'
 echo "failovers=$failovers"
 
 echo "== graceful fleet drain"
