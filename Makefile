@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-partition bench-sched bench-serve bench-gate bench-baseline load-smoke experiments ablations extensions fmt cover clean
+.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-partition bench-sched bench-gate bench-baseline load-smoke experiments ablations extensions fmt cover clean
 
 build:
 	$(GO) build ./...
@@ -73,25 +73,18 @@ bench-partition:
 bench-sched:
 	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' ./internal/sched/
 
-# Serving-surface benchmarks: pooled /sched and /metrics.json encoders
-# (must stay 0 allocs/op) and event-hub publish overhead.
-bench-serve:
-	$(GO) test -bench='Serve' -benchmem -run='^$$' ./internal/sched/ ./internal/stream/ ./internal/telemetry/
-
 # Gate the current tree against the committed baselines, exactly as CI does
 # (fails on >20% geomean ns/op regression).
 bench-gate:
 	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_pac.json
 	$(GO) test -bench='PartitionDelta' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_partition.json
 	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' -count=6 ./internal/sched/ | $(GO) run ./cmd/benchgate -baseline BENCH_sched.json
-	$(GO) test -bench='Serve' -benchmem -run='^$$' -count=6 ./internal/sched/ ./internal/stream/ ./internal/telemetry/ | $(GO) run ./cmd/benchgate -baseline BENCH_serve.json
 
 # Refresh the committed baselines from this machine (commit the result).
 bench-baseline:
 	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_pac.json -update
 	$(GO) test -bench='PartitionDelta' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_partition.json -update
 	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' -count=6 ./internal/sched/ | $(GO) run ./cmd/benchgate -baseline BENCH_sched.json -update
-	$(GO) test -bench='Serve' -benchmem -run='^$$' -count=6 ./internal/sched/ ./internal/stream/ ./internal/telemetry/ | $(GO) run ./cmd/benchgate -baseline BENCH_serve.json -update
 
 # Open-loop load smoke against an in-process scheduler: a short ramp must
 # come back with zero errors and the submit/status p99s inside the SLO.

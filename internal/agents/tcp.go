@@ -494,10 +494,10 @@ func (cl *Client) readLoop(gen int, conn net.Conn) {
 		}
 		switch f.Op {
 		case "deliver":
+			// The send never blocks, and it stays under the lock: Unregister
+			// and Close close the mailbox under the same lock.
 			cl.mu.Lock()
-			box, ok := cl.boxes[f.Msg.To]
-			cl.mu.Unlock()
-			if ok {
+			if box, ok := cl.boxes[f.Msg.To]; ok {
 				select {
 				case box.ch <- f.Msg:
 					cl.delivered.Add(1)
@@ -507,6 +507,7 @@ func (cl *Client) readLoop(gen int, conn net.Conn) {
 					metricMailboxFull.Inc()
 				}
 			}
+			cl.mu.Unlock()
 		case "register", "subscribe":
 			select {
 			case cl.acks <- f:

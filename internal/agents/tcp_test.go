@@ -676,3 +676,34 @@ func TestTCPSendBufferBounded(t *testing.T) {
 		t.Fatalf("BufferRejects = %d, want >= 1", cl.Stats().BufferRejects)
 	}
 }
+
+// TestTCPUnregisterWhileDelivering: the read loop used to look a mailbox up
+// under the lock and send to it after releasing it, so an Unregister or
+// Close in between closed the channel under the send and the process
+// panicked (seen at the teardown of a fleet benchmark run). Without the
+// race detector the window is hit in about one run of six.
+func TestTCPUnregisterWhileDelivering(t *testing.T) {
+	center, addr := startCenter(t)
+	cl := dialT(t, addr)
+	// One burst per round, so the connection never queues more than a
+	// burst ahead of the next round's register ack.
+	burst := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range burst {
+			for k := 0; k < 64; k++ {
+				center.Send(Message{From: "x", To: "p", Kind: "y"})
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if _, err := cl.Register("p", 1); err != nil {
+			t.Fatal(err)
+		}
+		burst <- struct{}{}
+		cl.Unregister("p")
+	}
+	close(burst)
+	<-done
+}

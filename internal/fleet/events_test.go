@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,23 +133,40 @@ func TestFleetHandlerPaginationAndEvents(t *testing.T) {
 		t.Errorf("bad limit: status %d, want 400", resp.StatusCode)
 	}
 
-	// Long-poll catch-up over HTTP: the whole history should arrive at once.
-	presp, err := http.Get(srv.URL + "/sched/events?run=" + ids[0] + "&poll=1&timeout=5s")
+	// Late attach over HTTP: the run is done, so everything the stream
+	// delivers is the history replay, in lifecycle order.
+	ereq, _ := http.NewRequestWithContext(ctx, "GET", srv.URL+"/sched/events?run="+ids[0], nil)
+	eresp, err := http.DefaultClient.Do(ereq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var poll struct {
-		Events []stream.Event `json:"events"`
+	defer eresp.Body.Close()
+	if ct := eresp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("events Content-Type %q, want text/event-stream", ct)
 	}
-	decodeJSON(t, presp, &poll)
-	terminalSeen := false
-	for _, e := range poll.Events {
-		if e.Type == stream.TypeState && State(e.State).Terminal() {
-			terminalSeen = true
+	var states []string
+	sc := bufio.NewScanner(eresp.Body)
+	for len(states) == 0 || !State(states[len(states)-1]).Terminal() {
+		if !sc.Scan() {
+			t.Fatalf("event stream for %s ended after states %v: %v", ids[0], states, sc.Err())
+		}
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var e stream.Event
+		if err := json.Unmarshal([]byte(data), &e); err != nil {
+			t.Fatalf("bad event JSON %q: %v", data, err)
+		}
+		if e.Run != ids[0] {
+			t.Errorf("event for %q on the stream of %s", e.Run, ids[0])
+		}
+		if e.Type == stream.TypeState {
+			states = append(states, e.State)
 		}
 	}
-	if !terminalSeen {
-		t.Errorf("long-poll catch-up for %s carried no terminal event: %+v", ids[0], poll.Events)
+	if want := []string{"queued", "running", "done"}; !reflect.DeepEqual(states, want) {
+		t.Errorf("late attach replayed states %v, want %v", states, want)
 	}
 
 	nresp, err := http.Get(srv.URL + "/sched/bogus")

@@ -152,9 +152,11 @@ func TestRunningBeforeDone(t *testing.T) {
 		if st.Started.Before(st.Submitted) || st.Finished.Before(st.Started) {
 			t.Fatalf("%s: submitted %v, started %v, finished %v are out of order", id, st.Submitted, st.Started, st.Finished)
 		}
-		events, _, _ := hub.Since(id, 0)
+		// Subscribe replays the run's history into the channel's buffer.
+		sub := hub.Subscribe(id, 0)
+		hub.Unsubscribe(sub)
 		var states []string
-		for _, e := range events {
+		for e := range sub.C {
 			if e.Type == stream.TypeState {
 				states = append(states, e.State)
 			}

@@ -129,15 +129,17 @@ func TestDrainPublishesCancelledEvents(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	events, _, _ := hub.Since("", 0)
-	cancelled := map[string]bool{}
-	for _, e := range events {
-		if e.Type == stream.TypeState && e.State == string(StateCancelled) {
-			cancelled[e.Run] = true
-		}
-	}
 	for _, id := range queued {
-		if !cancelled[id] {
+		// Subscribe replays the run's history into the channel's buffer.
+		sub := hub.Subscribe(id, 0)
+		hub.Unsubscribe(sub)
+		cancelled := false
+		for e := range sub.C {
+			if e.Type == stream.TypeState && e.State == string(StateCancelled) {
+				cancelled = true
+			}
+		}
+		if !cancelled {
 			t.Errorf("no cancelled event for backlog run %s", id)
 		}
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,6 @@ import (
 	"net/url"
 	"strconv"
 
-	"github.com/pragma-grid/pragma/internal/jsonenc"
 	"github.com/pragma-grid/pragma/internal/stream"
 )
 
@@ -101,19 +101,12 @@ func NewMux(s *Scheduler, f Front) *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/sched/status", func(w http.ResponseWriter, req *http.Request) {
-		// Hot path: pooled zero-allocation encode, byte-identical to the
-		// encoding/json wire format (held by differential tests).
-		b := jsonenc.Get()
-		ok := s.statusJSONLocked(req.URL.Query().Get("id"), b)
+		st, ok := s.Status(req.URL.Query().Get("id"))
 		if !ok {
-			jsonenc.Put(b)
 			httpError(w, http.StatusNotFound, "unknown run id")
 			return
 		}
-		b.Byte('\n')
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b.B)
-		jsonenc.Put(b)
+		WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("/sched/runs", func(w http.ResponseWriter, req *http.Request) {
 		// Paginated: at most limit records (default DefaultRunsLimit,
@@ -131,19 +124,7 @@ func NewMux(s *Scheduler, f Front) *http.ServeMux {
 				limit = n
 			}
 		}
-		runs := s.RunsPage(v.Get("after"), limit)
-		b := jsonenc.Get()
-		b.Byte('[')
-		for i := range runs {
-			if i > 0 {
-				b.Byte(',')
-			}
-			appendStatusJSON(b, &runs[i])
-		}
-		b.Raw("]\n")
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b.B)
-		jsonenc.Put(b)
+		WriteJSON(w, http.StatusOK, s.RunsPage(v.Get("after"), limit))
 	})
 	mux.HandleFunc("/sched/stats", func(w http.ResponseWriter, req *http.Request) {
 		WriteJSON(w, http.StatusOK, f.Stats())
@@ -170,11 +151,20 @@ func NewMux(s *Scheduler, f Front) *http.ServeMux {
 	return mux
 }
 
-// WriteJSON answers with v as an application/json document.
+// WriteJSON answers with v as an application/json document. It encodes
+// before it writes the header: a value encoding/json refuses (a result
+// from a programmatic Executor may carry a non-finite float) is answered
+// 500 with the usual error document, not 200 with an empty body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		body.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(&body).Encode(map[string]string{"error": err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body.Bytes())
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -94,9 +94,9 @@ type Config struct {
 	KeepFinished int
 	// Events, when non-nil, receives every run lifecycle transition and
 	// regrid cycle as stream events, so clients can watch runs over SSE
-	// or long-poll instead of hammering /sched/status. Publishing never
-	// blocks: a slow subscriber drops events and is marked lagging,
-	// costing the scheduler nothing (see internal/stream).
+	// instead of hammering /sched/status. Publishing never blocks: a slow
+	// subscriber drops events and is marked lagging, costing the
+	// scheduler nothing (see internal/stream).
 	Events *stream.Hub
 	// PreemptRatio tunes checkpoint-based preemption. When a submit finds
 	// every worker busy, the scheduler picks the running run whose tenant

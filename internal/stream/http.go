@@ -1,40 +1,32 @@
 package stream
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
-
-	"github.com/pragma-grid/pragma/internal/jsonenc"
 )
 
 // HandlerConfig tunes the events endpoint. Zero values take defaults.
 type HandlerConfig struct {
 	// Heartbeat is the SSE keep-alive comment interval (default 15s).
 	Heartbeat time.Duration
-	// MaxPoll caps the long-poll wait (default 60s).
-	MaxPoll time.Duration
 }
 
-// Handler serves the hub over HTTP:
+// Handler serves the hub over HTTP as Server-Sent Events:
 //
-//	GET /...?run=<id>                      SSE stream (text/event-stream)
-//	GET /...?run=<id>&after=<seq>          SSE resuming after a cursor
-//	GET /...?run=<id>&poll=1&after=<seq>   long-poll JSON fallback
+//	GET /...?run=<id>               the run's retained history, then live events
+//	GET /...?run=<id>&after=<seq>   only events past a cursor
 //
-// run omitted subscribes to all runs. SSE frames carry the event JSON in
+// run omitted subscribes to all runs. Frames carry the event JSON in
 // data:, the hub sequence number in id: (usable as Last-Event-ID /
 // ?after= on reconnect) and the event type in event:. When the
 // subscriber's buffer overflowed, a synthetic "lagging" event reports how
-// many events were lost. The long-poll form waits up to ?timeout= seconds
-// (bounded by MaxPoll) for events past the cursor and responds with
-// {"events":[...],"cursor":N,"lagged":bool}; clients resume from cursor.
+// many events were lost.
 func Handler(hub *Hub, cfg HandlerConfig) http.Handler {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 15 * time.Second
-	}
-	if cfg.MaxPoll <= 0 {
-		cfg.MaxPoll = 60 * time.Second
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
@@ -60,74 +52,8 @@ func Handler(hub *Hub, cfg HandlerConfig) http.Handler {
 				after = v
 			}
 		}
-		if q.Get("poll") != "" {
-			longPoll(hub, cfg, w, req, run, after)
-			return
-		}
 		serveSSE(hub, cfg, w, req, run, after)
 	})
-}
-
-func longPoll(hub *Hub, cfg HandlerConfig, w http.ResponseWriter, req *http.Request, run string, after uint64) {
-	wait := 30 * time.Second
-	if s := req.URL.Query().Get("timeout"); s != "" {
-		if secs, err := strconv.ParseFloat(s, 64); err == nil && secs >= 0 {
-			wait = time.Duration(secs * float64(time.Second))
-		}
-	}
-	if wait > cfg.MaxPoll {
-		wait = cfg.MaxPoll
-	}
-
-	events, cursor, lagged := hub.Since(run, after)
-	if len(events) == 0 && wait > 0 {
-		// Nothing buffered past the cursor: subscribe and wait for the
-		// first matching event (or timeout / client gone).
-		sub := hub.Subscribe(run, after)
-		timer := time.NewTimer(wait)
-		select {
-		case e, ok := <-sub.C:
-			if ok {
-				events = append(events, e)
-				// Drain whatever arrived in the same instant.
-				for len(events) < 64 {
-					select {
-					case e, ok := <-sub.C:
-						if !ok {
-							break
-						}
-						events = append(events, e)
-						continue
-					default:
-					}
-					break
-				}
-				cursor = events[len(events)-1].Seq
-			}
-		case <-timer.C:
-		case <-req.Context().Done():
-		}
-		timer.Stop()
-		lagged = lagged || sub.Dropped() > 0
-		hub.Unsubscribe(sub)
-	}
-
-	w.Header().Set("Content-Type", "application/json")
-	b := jsonenc.Get()
-	b.Raw(`{"events":[`)
-	for i := range events {
-		if i > 0 {
-			b.Byte(',')
-		}
-		events[i].AppendJSON(b)
-	}
-	b.Raw(`],"cursor":`)
-	b.Uint(cursor)
-	b.Raw(`,"lagged":`)
-	b.Bool(lagged)
-	b.Raw("}\n")
-	w.Write(b.B)
-	jsonenc.Put(b)
 }
 
 func serveSSE(hub *Hub, cfg HandlerConfig, w http.ResponseWriter, req *http.Request, run string, after uint64) {
@@ -135,7 +61,7 @@ func serveSSE(hub *Hub, cfg HandlerConfig, w http.ResponseWriter, req *http.Requ
 	if !ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotImplemented)
-		w.Write([]byte(`{"error":"streaming unsupported; use poll=1"}` + "\n"))
+		w.Write([]byte(`{"error":"streaming unsupported"}` + "\n"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -152,31 +78,20 @@ func serveSSE(hub *Hub, cfg HandlerConfig, w http.ResponseWriter, req *http.Requ
 	heartbeat := time.NewTicker(cfg.Heartbeat)
 	defer heartbeat.Stop()
 
+	// One Write per frame, so a frame is never flushed half-written.
 	writeEvent := func(e Event) bool {
-		b := jsonenc.Get()
-		b.Raw("id: ")
-		b.Uint(e.Seq)
-		b.Raw("\nevent: ")
-		b.Raw(e.Type)
-		b.Raw("\ndata: ")
-		e.AppendJSON(b)
-		b.Raw("\n\n")
-		_, err := w.Write(b.B)
-		jsonenc.Put(b)
+		data, err := json.Marshal(e)
 		if err != nil {
+			return false // end the stream rather than skip an event silently
+		}
+		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data); err != nil {
 			return false
 		}
 		flusher.Flush()
 		return true
 	}
 	writeLagging := func(dropped uint64) bool {
-		b := jsonenc.Get()
-		b.Raw("event: lagging\ndata: {\"dropped\":")
-		b.Uint(dropped)
-		b.Raw("}\n\n")
-		_, err := w.Write(b.B)
-		jsonenc.Put(b)
-		if err != nil {
+		if _, err := fmt.Fprintf(w, "event: lagging\ndata: {\"dropped\":%d}\n\n", dropped); err != nil {
 			return false
 		}
 		flusher.Flush()

@@ -2,14 +2,20 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // sseFrame is one parsed SSE event.
 type sseFrame struct {
@@ -136,62 +142,50 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	}
 }
 
-func TestLongPollImmediateAndWait(t *testing.T) {
+func TestSSEFrameWireFormatUnchanged(t *testing.T) {
+	// One frame with every omitempty field of Event set and strings that
+	// need escaping, byte for byte: the golden file was recorded from the
+	// hand-written frame encoder the handler had before encoding/json.
 	h := NewHub(Config{})
 	defer h.Close()
 	srv := httptest.NewServer(Handler(h, HandlerConfig{}))
 	defer srv.Close()
-
-	type pollResp struct {
-		Events []Event `json:"events"`
-		Cursor uint64  `json:"cursor"`
-		Lagged bool    `json:"lagged"`
+	h.Publish(Event{
+		Run: "run-000001", Type: TypeRegrid, State: "running", Cycle: 7, Partitioner: "G-MISP+SP",
+		Error: "a<b>&c\u2028 \"quoted\"\n", Time: time.Date(2026, 8, 8, 1, 2, 3, 456789000, time.UTC),
+	})
+	resp, err := http.Get(srv.URL + "?run=run-000001")
+	if err != nil {
+		t.Fatal(err)
 	}
-	poll := func(query string) pollResp {
-		t.Helper()
-		resp, err := http.Get(srv.URL + query)
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Errorf("Content-Type %q, want text/event-stream", ct)
+	}
+	var got []byte
+	r := bufio.NewReader(resp.Body)
+	for !bytes.HasSuffix(got, []byte("\n\n")) {
+		line, err := r.ReadBytes('\n')
 		if err != nil {
+			t.Fatalf("read SSE stream: %v (got %q)", err, got)
+		}
+		got = append(got, line...)
+	}
+	golden := filepath.Join("testdata", "sse_frame.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("Content-Type %q, want application/json", ct)
-		}
-		var pr pollResp
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return pr
 	}
-
-	// Buffered events return immediately.
-	h.Publish(Event{Run: "r", Type: TypeState, State: "queued"})
-	pr := poll("?run=r&poll=1&timeout=5")
-	if len(pr.Events) != 1 || pr.Events[0].State != "queued" {
-		t.Fatalf("immediate poll: %+v", pr)
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-
-	// Nothing new: the next poll waits for the event.
-	done := make(chan pollResp, 1)
-	go func() { done <- poll(fmt.Sprintf("?run=r&poll=1&after=%d&timeout=10", pr.Cursor)) }()
-	time.Sleep(100 * time.Millisecond)
-	h.Publish(Event{Run: "r", Type: TypeState, State: "running"})
-	select {
-	case pr2 := <-done:
-		if len(pr2.Events) != 1 || pr2.Events[0].State != "running" {
-			t.Fatalf("waited poll: %+v", pr2)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("long-poll did not wake on publish")
-	}
-
-	// Timeout path: empty event list, cursor intact.
-	pr3 := poll(fmt.Sprintf("?run=r&poll=1&after=%d&timeout=0.1", h.Seq()))
-	if len(pr3.Events) != 0 {
-		t.Fatalf("timeout poll returned events: %+v", pr3)
-	}
-	if pr3.Cursor != h.Seq() {
-		t.Errorf("timeout poll cursor %d, want %d", pr3.Cursor, h.Seq())
+	if !bytes.Equal(got, want) {
+		t.Errorf("SSE frame drifted from its golden file\n got: %q\nwant: %q", got, want)
 	}
 }
 
@@ -220,5 +214,16 @@ func TestHandlerRejectsBadInput(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST: status %d, want 405", post.StatusCode)
+	}
+
+	// A ResponseWriter that cannot flush gets a JSON 501 that names no
+	// other transport: there is none.
+	rec := httptest.NewRecorder()
+	Handler(h, HandlerConfig{}).ServeHTTP(struct{ http.ResponseWriter }{rec}, httptest.NewRequest("GET", "/?run=r", nil))
+	if rec.Code != http.StatusNotImplemented || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("no flusher: status %d Content-Type %q, want 501 application/json", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	if body := rec.Body.String(); body != `{"error":"streaming unsupported"}`+"\n" {
+		t.Errorf("no flusher: body %q", body)
 	}
 }

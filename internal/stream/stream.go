@@ -1,24 +1,22 @@
 // Package stream turns the scheduler's polling surface into push. A Hub
 // fans run lifecycle events — state transitions and regrid-cycle traces —
-// out to any number of subscribers over Server-Sent Events or long-poll,
-// so clients watching a run stop hammering /sched/status.
+// out to any number of subscribers over Server-Sent Events, so clients
+// watching a run stop hammering /sched/status.
 //
 // The cardinal rule is that the publisher never waits: Publish is called
 // from the scheduler's admission and completion paths, so a slow or stuck
 // subscriber must cost the scheduler nothing. Each subscriber owns a
 // bounded buffer; when it overflows, events are dropped and the
 // subscriber is marked lagging (it learns how many it missed) instead of
-// the scheduler blocking. A bounded per-run history ring lets long-poll
-// clients and late SSE attachers catch up on what they missed, with the
-// same honesty: if the ring has wrapped past their cursor, they are told
-// they lagged rather than silently losing events.
+// the scheduler blocking. A bounded per-run history ring lets reconnecting
+// and late-attaching clients catch up on what they missed, with the same
+// honesty: if the ring has wrapped past their cursor, they are told they
+// lagged rather than silently losing events.
 package stream
 
 import (
 	"sync"
 	"time"
-
-	"github.com/pragma-grid/pragma/internal/jsonenc"
 )
 
 // Event types.
@@ -41,36 +39,6 @@ type Event struct {
 	Partitioner string    `json:"partitioner,omitempty"`
 	Error       string    `json:"error,omitempty"`
 	Time        time.Time `json:"time"`
-}
-
-// AppendJSON appends the event's JSON document (matching encoding/json's
-// rendering of Event) without allocating.
-func (e *Event) AppendJSON(b *jsonenc.Buffer) {
-	b.Raw(`{"seq":`)
-	b.Uint(e.Seq)
-	b.Raw(`,"run":`)
-	b.String(e.Run)
-	b.Raw(`,"type":`)
-	b.String(e.Type)
-	if e.State != "" {
-		b.Raw(`,"state":`)
-		b.String(e.State)
-	}
-	if e.Cycle != 0 {
-		b.Raw(`,"cycle":`)
-		b.Int(int64(e.Cycle))
-	}
-	if e.Partitioner != "" {
-		b.Raw(`,"partitioner":`)
-		b.String(e.Partitioner)
-	}
-	if e.Error != "" {
-		b.Raw(`,"error":`)
-		b.String(e.Error)
-	}
-	b.Raw(`,"time":`)
-	b.Time(e.Time)
-	b.Byte('}')
 }
 
 // Sub is one subscription. Read events from C; check Dropped when done
@@ -103,7 +71,7 @@ type Config struct {
 	// When full, new events for that subscriber are dropped and counted.
 	SubBuffer int
 	// History is the per-run catch-up ring size (default 256): how far
-	// back a long-poll cursor or late SSE attach can reach.
+	// back a reconnect cursor or a late attach can reach.
 	History int
 }
 
@@ -308,27 +276,6 @@ func (h *Hub) Unsubscribe(s *Sub) {
 	s.closed = true
 	delete(h.subs, s.id)
 	close(s.ch)
-}
-
-// Since returns the buffered events for one run with Seq > after (run ==
-// "" merges all runs), plus the current sequence cursor and whether the
-// requested range was partially evicted. This is the long-poll read path.
-func (h *Hub) Since(run string, after uint64) (events []Event, cursor uint64, lagged bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if run != "" {
-		if r := h.history[run]; r != nil {
-			events, lagged = r.since(after, nil)
-		}
-	} else {
-		for _, r := range h.history {
-			var l bool
-			events, l = r.since(after, events)
-			lagged = lagged || l
-		}
-		sortEvents(events)
-	}
-	return events, h.seq, lagged
 }
 
 // Seq returns the hub's current (latest assigned) sequence number.

@@ -1,15 +1,24 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/pragma-grid/pragma/internal/jsonenc"
 )
+
+// replayed subscribes at the cursor and returns what Subscribe replayed
+// from history, plus how much of the range it reported lost.
+func replayed(h *Hub, run string, after uint64) ([]Event, uint64) {
+	sub := h.Subscribe(run, after)
+	dropped := sub.Dropped()
+	h.Unsubscribe(sub)
+	var events []Event
+	for e := range sub.C {
+		events = append(events, e)
+	}
+	return events, dropped
+}
 
 func TestPublishSubscribeOrder(t *testing.T) {
 	h := NewHub(Config{})
@@ -144,34 +153,35 @@ func TestRingWrapMarksLagged(t *testing.T) {
 			first = seq
 		}
 	}
-	events, cursor, lagged := h.Since("r", first)
-	if !lagged {
-		t.Error("want lagged after ring wrap")
+	events, dropped := replayed(h, "r", first)
+	if dropped == 0 {
+		t.Error("want a reported gap after ring wrap")
 	}
 	if len(events) != 8 {
 		t.Errorf("got %d events, want 8 (ring size)", len(events))
 	}
-	if cursor != 20 {
-		t.Errorf("cursor %d, want 20", cursor)
+	if last := events[len(events)-1].Seq; last != 20 || h.Seq() != 20 {
+		t.Errorf("last replayed seq %d, hub seq %d, want 20", last, h.Seq())
 	}
 	// A cursor inside the retained window is not lagged.
-	if _, _, lagged := h.Since("r", 15); lagged {
+	if _, dropped := replayed(h, "r", 15); dropped != 0 {
 		t.Error("cursor within window wrongly marked lagged")
 	}
 }
 
-func TestSinceAllRunsMergesInOrder(t *testing.T) {
+func TestSubscribeAllRunsMergesInOrder(t *testing.T) {
 	h := NewHub(Config{})
 	defer h.Close()
-	h.Publish(Event{Run: "a", Type: TypeState, State: "s1"})
+	first := h.Publish(Event{Run: "a", Type: TypeState, State: "s1"})
 	h.Publish(Event{Run: "b", Type: TypeState, State: "s2"})
 	h.Publish(Event{Run: "a", Type: TypeState, State: "s3"})
-	events, cursor, _ := h.Since("", 0)
-	if len(events) != 3 || cursor != 3 {
-		t.Fatalf("got %d events cursor %d, want 3/3", len(events), cursor)
+	h.Publish(Event{Run: "b", Type: TypeState, State: "s4"})
+	events, _ := replayed(h, "", first)
+	if len(events) != 3 {
+		t.Fatalf("got %d events, want the 3 past the cursor", len(events))
 	}
 	for i, e := range events {
-		if e.Seq != uint64(i+1) {
+		if e.Seq != first+uint64(i+1) {
 			t.Errorf("event %d out of order: seq %d", i, e.Seq)
 		}
 	}
@@ -196,26 +206,6 @@ func TestUnsubscribeIdempotentAndClose(t *testing.T) {
 	sub3 := h.Subscribe("", 0)
 	if _, ok := <-sub3.C; ok {
 		t.Error("subscribe after close returned an open channel")
-	}
-}
-
-func TestEventAppendJSONMatchesEncodingJSON(t *testing.T) {
-	cases := []Event{
-		{Seq: 1, Run: "run-000001", Type: TypeState, State: "queued", Time: time.Date(2026, 8, 8, 1, 2, 3, 0, time.UTC)},
-		{Seq: 2, Run: "r", Type: TypeRegrid, Cycle: 7, Partitioner: "G-MISP+SP", Time: time.Unix(12345, 678).UTC()},
-		{Seq: 3, Run: "r \"quoted\"", Type: TypeState, State: "failed", Error: "boom:\nline2", Time: time.Unix(0, 1).UTC()},
-	}
-	for _, e := range cases {
-		want, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := jsonenc.Get()
-		e.AppendJSON(b)
-		if !bytes.Equal(b.B, want) {
-			t.Errorf("AppendJSON = %s, want %s", b.B, want)
-		}
-		jsonenc.Put(b)
 	}
 }
 
@@ -245,7 +235,6 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 					}
 				}
 				h.Unsubscribe(sub)
-				h.Since("", 0)
 			}
 		}(c)
 	}

@@ -39,12 +39,19 @@ newline in help.`, "path", "outcome")
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "exposition.golden")
+	assertGolden(t, "exposition.golden", buf.Bytes())
+}
+
+// assertGolden compares got with testdata/name byte for byte; -update
+// rewrites the file first.
+func assertGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,8 +59,8 @@ newline in help.`, "path", "outcome")
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("exposition drifted from golden file (run with -update to regenerate)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from its golden file (run with -update to regenerate)\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
 }
 

@@ -147,8 +147,6 @@ type family struct {
 	buckets []float64
 	fn      func() float64 // KindGaugeFunc only
 
-	gen *atomic.Uint64 // the owning registry's structure generation
-
 	mu       sync.RWMutex
 	children map[string]*child
 }
@@ -165,11 +163,6 @@ type child struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-
-	// gen counts structural changes (new family or child); the cached
-	// JSON encode plan is invalidated when it moves.
-	gen  atomic.Uint64
-	plan atomic.Pointer[encodePlan]
 }
 
 // NewRegistry returns an empty registry.
@@ -232,11 +225,9 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []string, buckets
 				kind:     kind,
 				labels:   append([]string(nil), labels...),
 				buckets:  append([]float64(nil), buckets...),
-				gen:      &r.gen,
 				children: make(map[string]*child),
 			}
 			r.families[name] = f
-			r.gen.Add(1)
 		}
 		r.mu.Unlock()
 	}
@@ -300,9 +291,6 @@ func (f *family) get(values []string) *child {
 		c.histogram = h
 	}
 	f.children[key] = c
-	if f.gen != nil {
-		f.gen.Add(1)
-	}
 	return c
 }
 

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -34,10 +36,19 @@ func NewHandler(reg *Registry, tracer *Tracer, health func() error) *http.ServeM
 		reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
+		// Encode before the header goes out: a gauge can hold NaN or ±Inf,
+		// which encoding/json refuses, and that must not be a 200 with an
+		// empty body.
+		code := http.StatusOK
+		var body bytes.Buffer
+		if err := json.NewEncoder(&body).Encode(reg.Snapshot()); err != nil {
+			body.Reset()
+			code = http.StatusInternalServerError
+			json.NewEncoder(&body).Encode(map[string]string{"error": err.Error()})
+		}
 		w.Header().Set("Content-Type", "application/json")
-		// Pooled zero-allocation encode; byte-identical to the old
-		// json.NewEncoder(w).Encode(reg.Snapshot()) wire format.
-		reg.WriteJSON(w)
+		w.WriteHeader(code)
+		w.Write(body.Bytes())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		if health != nil {

@@ -68,6 +68,37 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+func TestMetricsJSONWireFormatUnchanged(t *testing.T) {
+	// Every metric shape /metrics.json renders, byte for byte: the golden
+	// file was recorded from the hand-written encoder the endpoint had
+	// before it went back to encoding/json over Snapshot.
+	r := NewRegistry()
+	r.Counter("plain_total", "a <plain> counter").Add(42)
+	gv := r.GaugeVec("load", "labeled gauge", "zone", "az")
+	gv.With("east", "b \"1\"").Set(0.25)
+	gv.With("west", "a\u2028").Set(1e-9)
+	h := r.Histogram("latency_seconds", "request latency", []float64{0.001, 0.01, 0.1, 1})
+	for i := 0; i < 100; i++ {
+		h.Observe(float64(i) * 0.002)
+	}
+	r.Histogram("empty_hist", "", []float64{1, 2})
+	r.GaugeFunc("computed", "sampled at exposition", func() float64 { return 12.5 })
+	srv := httptest.NewServer(NewHandler(r, nil, nil))
+	defer srv.Close()
+
+	code, body, ct := get(t, srv, "/metrics.json")
+	if code != http.StatusOK || ct != "application/json" {
+		t.Errorf("/metrics.json status %d content-type %q", code, ct)
+	}
+	assertGolden(t, "metrics_json.golden", []byte(body))
+
+	empty := httptest.NewServer(NewHandler(NewRegistry(), nil, nil))
+	defer empty.Close()
+	if _, body, _ := get(t, empty, "/metrics.json"); body != "{\"metrics\":null}\n" {
+		t.Errorf("empty registry renders %q", body)
+	}
+}
+
 func TestHealthzUnhealthy(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(NewRegistry(), nil, func() error {
 		return errors.New("control network partitioned")

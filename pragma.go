@@ -713,8 +713,8 @@ func NewFleetHandler(r *FleetRouter, checkpointRoot string) http.Handler {
 // internal/stream; see DESIGN.md §15. A hub broadcasts per-run lifecycle
 // and regrid-cycle events to bounded subscribers; wire one into
 // SchedulerConfig.Events or FleetRouterConfig.Events and clients can
-// follow runs over /sched/events (SSE with a long-poll fallback) instead
-// of polling /sched/status.
+// follow runs over /sched/events (Server-Sent Events) instead of polling
+// /sched/status.
 type (
 	// RunEvent is one run lifecycle or regrid-cycle event.
 	RunEvent = stream.Event
@@ -731,8 +731,7 @@ type (
 // NewRunEventHub creates an event hub (zero config = sensible defaults).
 func NewRunEventHub(cfg RunEventHubConfig) *RunEventHub { return stream.NewHub(cfg) }
 
-// NewRunEventsHandler serves a hub over HTTP: Server-Sent Events by
-// default, JSON long-poll with ?poll=1.
+// NewRunEventsHandler serves a hub over HTTP as Server-Sent Events.
 func NewRunEventsHandler(h *RunEventHub) http.Handler {
 	return stream.Handler(h, stream.HandlerConfig{})
 }
