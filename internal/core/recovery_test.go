@@ -78,9 +78,14 @@ func TestRecoveryRefreshesPACQuality(t *testing.T) {
 		assigns: []*partition.Assignment{dead, recovered},
 		labels:  []string{"doomed", "rescue"},
 	}
+	builds := pacBuilds(t)
 	res, err := Run(tr, strat, RunConfig{Machine: machine, NProcs: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One plan for the regrid, one more for the recovery's replacement.
+	if got := pacBuilds(t) - builds; got != 2 {
+		t.Fatalf("run built %d plans over 1 regrid and 1 recovery, want 2", got)
 	}
 	if math.IsInf(res.TotalTime, 1) {
 		t.Fatal("recovery did not unstick the run")
@@ -142,20 +147,33 @@ func TestRecoveryRefreshesPACQuality(t *testing.T) {
 	}
 }
 
-// TestRunBuildsOneCommPlanPerRegrid proves the plan cache removes redundant
-// rasterization from the replay loop: a healthy run rasterizes each regrid's
-// assignment exactly once — communication stats, per-step ghost volumes,
-// and the next cycle's migration diff all share that one build.
+// pacBuilds returns how many communication plans the process has built:
+// the sample count of pragma_partition_pac_seconds, which BuildCommPlan
+// observes once per call.
+func pacBuilds(t *testing.T) uint64 {
+	t.Helper()
+	series := telemetry.Default.Snapshot().Find("pragma_partition_pac_seconds")
+	if len(series) != 1 {
+		t.Fatalf("pragma_partition_pac_seconds: %d series", len(series))
+	}
+	return series[0].Count
+}
+
+// TestRunBuildsOneCommPlanPerRegrid proves the replay loop shares its plan:
+// a healthy run builds each regrid's plan exactly once — communication
+// stats, per-step ghost volumes, and the next cycle's migration diff all
+// read that one build — and never touches the cell-by-cell reference.
 func TestRunBuildsOneCommPlanPerRegrid(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(8, 1e5, 512, 100)
-	before := partition.Rasterizations()
+	builds, rasters := pacBuilds(t), partition.Rasterizations()
 	if _, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: machine, NProcs: 8}); err != nil {
 		t.Fatal(err)
 	}
-	got := partition.Rasterizations() - before
-	want := uint64(len(tr.Snapshots))
-	if got != want {
-		t.Fatalf("run rasterized %d times over %d regrids, want exactly one per regrid", got, want)
+	if got, want := pacBuilds(t)-builds, uint64(len(tr.Snapshots)); got != want {
+		t.Fatalf("run built %d plans over %d regrids, want exactly one per regrid", got, want)
+	}
+	if got := partition.Rasterizations() - rasters; got != 0 {
+		t.Fatalf("run rasterized %d assignments, want 0: the reference kernel is for tests", got)
 	}
 }

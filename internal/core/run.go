@@ -228,9 +228,9 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			// trace's own snapshot — recomputed, never serialized.
 			prevH = tr.Snapshots[startIdx-1].H
 			if prevA != nil && prevH != nil {
-				// Rebuild only the rasters: the first post-resume regrid
-				// needs them for its migration diff, nothing more.
-				prevPlan = partition.BuildRasterPlan(prevH, prevA)
+				// The first post-resume regrid diffs its migration
+				// against the outgoing assignment's plan.
+				prevPlan = partition.BuildCommPlan(prevH, prevA)
 			}
 		}
 	}
@@ -303,8 +303,9 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		}
 
 		cycle.StartSpan("pac")
-		// One communication plan per regrid: its rasters and stats feed the
-		// PAC metric, the migration diff, and every BSP step of the interval.
+		// One communication plan per regrid: its stats and unit index feed
+		// the PAC metric, the migration diff, and every BSP step of the
+		// interval.
 		plan := partition.BuildCommPlan(snap.H, a)
 		comm := plan.Stats
 		units := float64(len(a.Units))

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/monitor"
@@ -85,12 +86,19 @@ func (s Static) Assign(ctx *StepContext) (*partition.Assignment, string, error) 
 // balances badly on this particular hierarchy, the meta-partitioner falls
 // back to the balance-oriented G-MISP+SP.
 type Adaptive struct {
+	// Meta selects the partitioner; nil means the paper's configuration
+	// (NewMetaPartitioner), built once per process and shared.
 	Meta *MetaPartitioner
 	// ImbalanceGuard, when positive, re-partitions with G-MISP+SP whenever
 	// the selected partitioner's load imbalance exceeds this percentage
 	// and keeps the better-balanced assignment.
 	ImbalanceGuard float64
 }
+
+// defaultMeta is the meta-partitioner of every Adaptive with a nil Meta.
+// Nothing mutates it: callers that install their own Lookup or Policy
+// construct their own MetaPartitioner.
+var defaultMeta = sync.OnceValue(NewMetaPartitioner)
 
 // Name implements Strategy.
 func (a Adaptive) Name() string { return "adaptive" }
@@ -99,7 +107,7 @@ func (a Adaptive) Name() string { return "adaptive" }
 func (a Adaptive) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
 	meta := a.Meta
 	if meta == nil {
-		meta = NewMetaPartitioner()
+		meta = defaultMeta()
 	}
 	p, oct, err := meta.SelectAt(ctx.Trace, ctx.Index)
 	if err != nil {

@@ -265,9 +265,10 @@ func New(h *samr.Hierarchy, a *partition.Assignment, coordOn agents.Port, ports 
 }
 
 // NewFromPlan wires an engine from an already-built communication plan,
-// reusing its unit-pair adjacency instead of re-sweeping the hierarchy.
-// Callers that evaluated the assignment's PAC quality already hold the
-// plan; handing it over makes engine construction rasterization-free.
+// reusing its unit-pair adjacency instead of searching the assignment
+// again. Callers that evaluated the assignment's PAC quality already hold
+// the plan; handing it over makes engine construction free of any plan
+// build.
 func NewFromPlan(plan *partition.CommPlan, coordOn agents.Port, ports []agents.Port, opts ...Option) (*Engine, error) {
 	h, a := plan.H, plan.A
 	if len(ports) != a.NProcs {

@@ -7,6 +7,7 @@ import (
 	"github.com/pragma-grid/pragma/internal/agents"
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/samr"
+	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
 func testSetup(t testing.TB, nprocs int) (*samr.Hierarchy, *partition.Assignment) {
@@ -196,21 +197,35 @@ func TestEngineStressManyWorkers(t *testing.T) {
 	}
 }
 
+// pacBuilds returns how many communication plans the process has built:
+// the sample count of pragma_partition_pac_seconds.
+func pacBuilds(t *testing.T) uint64 {
+	t.Helper()
+	series := telemetry.Default.Snapshot().Find("pragma_partition_pac_seconds")
+	if len(series) != 1 {
+		t.Fatalf("pragma_partition_pac_seconds: %d series", len(series))
+	}
+	return series[0].Count
+}
+
 // TestNewFromPlanReusesAdjacency builds an engine from a pre-built
-// communication plan and checks two things: construction adds zero
-// rasterizations (the plan's cached sweep is reused, not redone), and the
-// resulting engine behaves identically to one built by New.
+// communication plan and checks two things: construction builds no plan
+// and rasterizes nothing (the plan's pairs are reused, not recomputed),
+// and the resulting engine behaves identically to one built by New.
 func TestNewFromPlanReusesAdjacency(t *testing.T) {
 	h, a := testSetup(t, 4)
 	plan := partition.BuildCommPlan(h, a)
 	center := agents.NewCenter()
-	before := partition.Rasterizations()
+	before, builds := partition.Rasterizations(), pacBuilds(t)
 	e, err := NewFromPlan(plan, center, samePorts(center, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := partition.Rasterizations() - before; got != 0 {
 		t.Fatalf("NewFromPlan rasterized %d times, want 0", got)
+	}
+	if got := pacBuilds(t) - builds; got != 0 {
+		t.Fatalf("NewFromPlan built %d plans, want 0", got)
 	}
 	const steps = 3
 	rep, err := e.Run(steps)

@@ -8,15 +8,16 @@ import (
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// KernelBenchRow compares the retained sequential reference kernel against
-// the fused CommPlan kernel for one PAC evaluation primitive.
+// KernelBenchRow compares the retained cell-by-cell reference kernel
+// against the box-geometry CommPlan kernel for one PAC evaluation primitive.
 type KernelBenchRow struct {
 	// Kernel names the primitive: EvalQuality, Adjacency, Migration.
 	Kernel string
-	// ReferenceSeconds is the best-of-repeats wall time of the sequential
-	// reference (per-cell at() lookups, map-based pair dedup).
+	// ReferenceSeconds is the best-of-repeats wall time of the reference
+	// (rasterize, per-cell at() lookups, map-based pair dedup).
 	ReferenceSeconds float64
-	// PlanSeconds is the best-of-repeats wall time of the CommPlan kernel.
+	// PlanSeconds is the best-of-repeats wall time of the CommPlan kernel
+	// (unit-box index, neighbour and parent search; no cell visited).
 	PlanSeconds float64
 	// Speedup is ReferenceSeconds / PlanSeconds.
 	Speedup float64
@@ -63,7 +64,7 @@ func best(repeats int, f func()) float64 {
 
 // KernelBench measures the before/after cost of the PAC evaluation kernels
 // on the paper-scale hierarchy at 64 processors: the full quality metric,
-// the adjacency sweep, and the migration diff (measured at its steady-state
+// the adjacency search, and the migration diff (measured at its steady-state
 // regrid cost, where both cycles' plans already exist). Rows feed the
 // EXPERIMENTS.md kernel table and the -json bench baseline.
 func KernelBench(repeats int) ([]KernelBenchRow, error) {

@@ -1,471 +1,330 @@
 package partition
 
 import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// CommPlan is everything the runtime derives from rasterizing one
+// CommPlan is everything the runtime derives from the geometry of one
 // assignment: the communication statistics, the cross-processor unit-pair
-// adjacencies a distributed executor must realize, and the per-level unit
-// rasters themselves (reused by MigrationFrom at the next regrid instead
-// of re-rasterizing the outgoing assignment). Build it once per regrid and
-// thread it through every layer that needs any of the three.
+// adjacencies a distributed executor must realize, and the per-level index
+// of unit boxes (reused by MigrationFrom at the next regrid). Build it once
+// per regrid and thread it through every layer that needs any of the three.
 //
 // The plan is immutable after construction and safe for concurrent reads.
 type CommPlan struct {
 	// H and A are the hierarchy and assignment the plan was built for.
 	H *samr.Hierarchy
 	A *Assignment
-	// Stats is the assignment's communication requirement. Only populated
-	// by BuildCommPlan; BuildRasterPlan leaves it zero.
+	// Stats is the assignment's communication requirement.
 	Stats CommStats
 	// Pairs lists every cross-processor unit-pair adjacency in canonical
 	// order (levels ascending, then sweep order z, y, x; +x/+y/+z faces
-	// before the coarse-parent relation at each cell). Only populated by
-	// BuildCommPlan.
+	// before the coarse-parent relation at each cell).
 	Pairs []UnitPair
 
-	rasters map[int]*levelRaster
+	// levels holds the non-empty units grouped by level, levels ascending.
+	levels []planLevel
+	// overlap is set when two units of one level share a cell, which
+	// Assignment.Validate forbids. The closed forms below assume disjoint
+	// units, so such a plan takes its numbers from the cell-by-cell
+	// reference, whose raster lets the later unit win the shared cells.
+	overlap bool
 }
 
-// parallelCellThreshold is the swept-cell count below which the kernels
-// stay on the calling goroutine: tiny rasters are not worth the fan-out.
-// Results are bit-identical either way.
-const parallelCellThreshold = 1 << 15
+// planLevel is one level's units, sorted by Box.Lo[0], and their bounding
+// box.
+type planLevel struct {
+	level int
+	box   samr.Box
+	units []planUnit
+}
 
-// BuildCommPlan rasterizes the assignment once and runs the fused
-// single-pass communication kernel over it: one strided sweep per level
-// computes the intra-level ghost faces and the inter-level parent
-// transfers together, parallelized across z-slabs. The result is
-// bit-identical to ReferenceCommunication at any GOMAXPROCS: every
-// contribution is a multiple of a quarter face accumulated in integers,
-// so no floating-point rounding depends on the slab decomposition.
+// planUnit is one unit of the index. Both operands of a migration diff
+// must be sorted along the same axis, so the axis is fixed: x, the long
+// axis of every domain in the repository.
+type planUnit struct {
+	box   samr.Box
+	id    int32
+	owner int32
+	// maxHi is the largest Box.Hi[0] among this unit and those sorted
+	// before it: units up to the last one with maxHi <= x end before x.
+	maxHi int
+}
+
+// contact is one cross-processor unit pair as the reference sweep first
+// sees it. Disjoint boxes meet in exactly one region — one rectangle for
+// two boxes of a level, one box for a fine unit and a coarse unit's
+// preimage — so the reference's first-touch cell is that region's low
+// corner on the lower side, and its pair order is a sort by key.
+type contact struct {
+	key      uint64 // planLevel.sweepKey of the first-touch cell and relation
+	u1, u2   int32
+	quarters int64 // faces count 4, parent cells 1 (interLevelWeight)
+}
+
+// sweepKey places a relation of the cell at in the reference's sweep of the
+// level: the cell's linear index in the level's bounding box, z-major as
+// the reference walks it, then dir — 0, 1, 2 for the cell's +x, +y, +z
+// face, 3 for its coarse parent.
+func (lv *planLevel) sweepKey(at samr.Point, dir int) uint64 {
+	b := lv.box
+	cell := ((at[2]-b.Lo[2])*b.Dx(1)+(at[1]-b.Lo[1]))*b.Dx(0) + (at[0] - b.Lo[0])
+	return uint64(cell)<<2 | uint64(dir)
+}
+
+// BuildCommPlan indexes the assignment's unit boxes and computes its
+// communication from their geometry: two boxes of a level exchange the area
+// of the rectangle where they abut, a fine and a coarse unit a quarter of
+// the volume of the fine box inside the coarse box's preimage under
+// x / Ratio. No cell is visited. The result is bit-identical to
+// ReferenceCommunication: every contribution is a multiple of a quarter
+// face accumulated in integers, so no sum depends on the order of discovery.
 func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
 	start := time.Now()
-	p := &CommPlan{H: h, A: a, rasters: unitRasters(a)}
-	p.Stats, p.Pairs = sweepComm(h, a, p.rasters)
+	p := &CommPlan{H: h, A: a, levels: indexUnits(a), Stats: CommStats{
+		PerProcVolume:   make([]float64, a.NProcs),
+		PerProcMessages: make([]float64, a.NProcs),
+	}}
+	// Sized for the paper's trace, which has 2 to 4 contacts per unit.
+	found := make([]contact, 0, 4*len(a.Units))
+	keys := make([]uint64, 0, 4*len(a.Units))
+	for i := range p.levels {
+		lv := &p.levels[i]
+		if found, p.overlap = lv.faceContacts(found[:0]); p.overlap {
+			p.Stats, p.Pairs = ReferenceCommunication(h, a)
+			break
+		}
+		if coarse := p.unitsAt(lv.level - 1); coarse != nil {
+			found = lv.parentContacts(found, coarse, h.Ratio)
+		}
+		keys = keys[:0]
+		for _, c := range found {
+			keys = append(keys, c.key)
+		}
+		freq := 1.0
+		for range lv.level {
+			freq *= float64(h.Ratio)
+		}
+		// Exact: quarters and freq = Ratio^level are integers, so every
+		// term has at most two fractional bits and the float64 additions
+		// never round at any realistic hierarchy size.
+		p.Pairs = slices.Grow(p.Pairs, len(found))
+		for _, k := range byKeys(keys) {
+			c := &found[k]
+			faces := 0.25 * float64(c.quarters)
+			st, o1, o2 := &p.Stats, a.Owner[c.u1], a.Owner[c.u2]
+			st.Volume += faces * freq
+			st.PerProcVolume[o1] += faces * freq
+			st.PerProcVolume[o2] += faces * freq
+			st.Messages += freq
+			st.PerProcMessages[o1] += freq
+			st.PerProcMessages[o2] += freq
+			p.Pairs = append(p.Pairs, UnitPair{
+				U1: int(min(c.u1, c.u2)), U2: int(max(c.u1, c.u2)),
+				Faces: faces, Frequency: freq,
+			})
+		}
+	}
 	metricPACSeconds.Observe(time.Since(start).Seconds())
 	return p
 }
 
-// BuildRasterPlan rasterizes the assignment without running the
-// communication sweep: Stats and Pairs are left empty. Use it when a plan
-// is needed only as an operand of MigrationFrom (e.g. the previous
-// assignment of a freshly resumed run, whose communication was already
-// accounted in an earlier cycle).
-func BuildRasterPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
-	return &CommPlan{H: h, A: a, rasters: unitRasters(a)}
+// byKeys returns the positions of keys in ascending order of key, equal
+// keys in order of position.
+func byKeys(keys []uint64) []int32 {
+	buf := make([]int32, 2*len(keys))
+	idx := buf[:len(keys)]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return radixSortRun(keys, idx, buf[len(keys):])
+}
+
+// indexUnits groups the assignment's non-empty units by level and sorts
+// each level by Box.Lo[0].
+func indexUnits(a *Assignment) []planLevel {
+	if len(a.Units) == 0 {
+		return nil
+	}
+	minX := a.Units[0].Box.Lo[0]
+	var present []int
+	for _, u := range a.Units {
+		minX = min(minX, u.Box.Lo[0])
+		if !slices.Contains(present, u.Level) {
+			present = append(present, u.Level)
+		}
+	}
+	slices.Sort(present)
+	keys := make([]uint64, len(a.Units))
+	for i, u := range a.Units {
+		keys[i] = uint64(u.Box.Lo[0] - minX)
+	}
+	byX := byKeys(keys)
+	all := make([]planUnit, 0, len(a.Units))
+	levels := make([]planLevel, 0, len(present))
+	for _, l := range present {
+		lv := planLevel{level: l}
+		first := len(all)
+		for _, i := range byX {
+			u := &a.Units[i]
+			if u.Level != l || u.Box.Empty() {
+				continue
+			}
+			pu := planUnit{box: u.Box, id: i, owner: int32(a.Owner[i]), maxHi: u.Box.Hi[0]}
+			if len(all) > first {
+				pu.maxHi = max(pu.maxHi, all[len(all)-1].maxHi)
+			}
+			all = append(all, pu)
+			lv.box = lv.box.Bound(u.Box)
+		}
+		if lv.units = all[first:]; len(lv.units) > 0 {
+			levels = append(levels, lv)
+		}
+	}
+	return levels
+}
+
+// unitsAt returns the indexed units of a level, nil when it has none.
+func (p *CommPlan) unitsAt(level int) []planUnit {
+	for _, lv := range p.levels {
+		if lv.level == level {
+			return lv.units
+		}
+	}
+	return nil
+}
+
+// faceContacts appends the face contact of every cross-processor pair of
+// the level's units, and reports whether any two units overlap. Candidates
+// are pruned along x: units are sorted by Box.Lo[0], so the partners of
+// a unit among the later ones end at the first one starting past its Hi[0].
+func (lv *planLevel) faceContacts(found []contact) (_ []contact, overlap bool) {
+	for i := range lv.units {
+		a, later := &lv.units[i], lv.units[i+1:]
+		for j := 0; j < len(later) && later[j].box.Lo[0] <= a.box.Hi[0]; j++ {
+			b := &later[j]
+			if apartYZ(&a.box, &b.box) {
+				continue
+			}
+			// w[d] is the extent the boxes share along d, zero where they
+			// abut: sharing all three is an overlap, abutting on one a
+			// face, on more an edge or a corner.
+			var w [3]int
+			var at samr.Point
+			axis, abut := 0, 0
+			for d := 0; d < 3; d++ {
+				at[d] = max(a.box.Lo[d], b.box.Lo[d])
+				w[d] = min(a.box.Hi[d], b.box.Hi[d]) - at[d]
+				if w[d] == 0 {
+					axis = d
+					abut++
+				}
+			}
+			if abut == 0 {
+				return found, true
+			}
+			if abut == 1 && a.owner != b.owner {
+				// The rectangle's cells on the lower box lie one below
+				// the plane where the two meet.
+				at[axis]--
+				found = append(found, contact{
+					key: lv.sweepKey(at, axis), u1: a.id, u2: b.id,
+					quarters: 4 * int64(w[(axis+1)%3]) * int64(w[(axis+2)%3]),
+				})
+			}
+		}
+	}
+	return found, false
+}
+
+// apartYZ reports whether a gap separates the boxes along y or z: they
+// neither share a cell nor abut there. It is the candidate filter of both
+// searches, one branch on the sign of four differences.
+func apartYZ(a, b *samr.Box) bool {
+	return (a.Hi[1]-b.Lo[1])|(b.Hi[1]-a.Lo[1])|(a.Hi[2]-b.Lo[2])|(b.Hi[2]-a.Lo[2]) < 0
+}
+
+// preimageEdge maps an interval edge of the coarse index space to the fine
+// one under Go's truncating x / ratio: [lo, hi) is the image of exactly
+// [preimageEdge(lo), preimageEdge(hi)). Quotient 0 is reached from both
+// signs, so edges at or below zero sit ratio-1 cells lower than v*ratio.
+func preimageEdge(v, ratio int) int {
+	if v > 0 {
+		return v * ratio
+	}
+	return v*ratio - (ratio - 1)
+}
+
+// parentContacts appends, for every cross-processor pair of a unit of the
+// level and a coarse unit, the fine cells whose parent cell the coarse unit owns.
+func (lv *planLevel) parentContacts(found []contact, coarse []planUnit, ratio int) []contact {
+	pre := make([]planUnit, len(coarse))
+	for i, c := range coarse {
+		for d := 0; d < 3; d++ {
+			c.box.Lo[d] = preimageEdge(c.box.Lo[d], ratio)
+			c.box.Hi[d] = preimageEdge(c.box.Hi[d], ratio)
+		}
+		c.maxHi = preimageEdge(c.maxHi, ratio)
+		pre[i] = c
+	}
+	overlapping(lv.units, pre, func(f, c *planUnit, common samr.Box) {
+		if f.owner != c.owner {
+			found = append(found, contact{key: lv.sweepKey(common.Lo, 3), u1: f.id, u2: c.id, quarters: common.Volume()})
+		}
+	})
+	return found
+}
+
+// overlapping calls visit with the intersection of every as[i], bs[j] that
+// share a cell. Both lists are sorted by Box.Lo[0] with maxHi filled in, so
+// one cursor skips the bs that end before as[i] starts and the scan stops at
+// the first that starts after it ends.
+func overlapping(as, bs []planUnit, visit func(a, b *planUnit, common samr.Box)) {
+	start := 0
+	for i := range as {
+		a := &as[i]
+		for start < len(bs) && bs[start].maxHi <= a.box.Lo[0] {
+			start++
+		}
+		for j := start; j < len(bs) && bs[j].box.Lo[0] < a.box.Hi[0]; j++ {
+			if apartYZ(&a.box, &bs[j].box) {
+				continue
+			}
+			if common, ok := a.box.Intersect(bs[j].box); ok {
+				visit(a, &bs[j], common)
+			}
+		}
+	}
 }
 
 // MigrationFrom returns the fraction of grid data present in both plans'
 // configurations whose owning processor changed — the paper's "amount of
-// data migration" component, with prev as the outgoing configuration. The
-// sweep reuses both plans' cached rasters; nothing is re-rasterized.
-// Bit-identical to ReferenceMigrationFraction at any GOMAXPROCS.
+// data migration" component, with prev as the outgoing configuration: the
+// summed volume of prev-unit ∩ new-unit over each common level, and the
+// part of it where the owners differ. It sweeps the two plans' indexes and
+// allocates nothing. Bit-identical to ReferenceMigrationFraction.
 func (p *CommPlan) MigrationFrom(prev *CommPlan) float64 {
 	if p == nil || prev == nil {
 		return 0
 	}
-	newOwners := ownersOf(p.A)
-	prevOwners := ownersOf(prev.A)
-
-	levels := make([]int, 0, len(p.rasters))
-	for l := range p.rasters {
-		levels = append(levels, l)
+	if p.overlap || prev.overlap {
+		return ReferenceMigrationFraction(prev.H, prev.A, p.H, p.A)
 	}
-	sort.Ints(levels)
-	var tasks []*migTask
-	var cells int64
-	for _, l := range levels {
-		nr := p.rasters[l]
-		pr, ok := prev.rasters[l]
-		if !ok {
-			continue
-		}
-		common, ok := nr.box.Intersect(pr.box)
-		if !ok {
-			continue
-		}
-		cells += common.Volume()
-		for _, zr := range slabRanges(common.Lo[2], common.Hi[2], workersFor(common.Volume())) {
-			tasks = append(tasks, &migTask{
-				pr: pr, nr: nr, common: common,
-				prevOwners: prevOwners, newOwners: newOwners,
-				zLo: zr[0], zHi: zr[1],
-			})
-		}
-	}
-	forEachTask(len(tasks), workersFor(cells), func(i, _ int) { tasks[i].run() })
 	var both, moved int64
-	for _, t := range tasks {
-		both += t.both
-		moved += t.moved
+	for _, lv := range p.levels {
+		overlapping(lv.units, prev.unitsAt(lv.level), func(n, o *planUnit, common samr.Box) {
+			v := common.Volume()
+			both += v
+			if n.owner != o.owner {
+				moved += v
+			}
+		})
 	}
 	if both == 0 {
 		return 0
 	}
 	return float64(moved) / float64(both)
-}
-
-// ownersOf widens the assignment's owner slice for raster-side lookups.
-func ownersOf(a *Assignment) []int32 {
-	owners := make([]int32, len(a.Owner))
-	for i, o := range a.Owner {
-		owners[i] = int32(o)
-	}
-	return owners
-}
-
-// workersFor picks the worker count for a sweep over the given cell
-// count: GOMAXPROCS-wide unless the sweep is too small to fan out.
-func workersFor(cells int64) int {
-	w := runtime.GOMAXPROCS(0)
-	if w <= 1 || cells < parallelCellThreshold {
-		return 1
-	}
-	return w
-}
-
-// slabRanges cuts [lo, hi) into roughly 2*workers contiguous z-slabs —
-// enough granularity for load balance without drowning small levels in
-// tasks. With workers == 1 the whole range is one slab.
-func slabRanges(lo, hi, workers int) [][2]int {
-	nz := hi - lo
-	if nz <= 0 {
-		return nil
-	}
-	slabs := 2 * workers
-	if slabs > nz {
-		slabs = nz
-	}
-	if slabs < 1 {
-		slabs = 1
-	}
-	chunk := (nz + slabs - 1) / slabs
-	var out [][2]int
-	for z := lo; z < hi; z += chunk {
-		end := z + chunk
-		if end > hi {
-			end = hi
-		}
-		out = append(out, [2]int{z, end})
-	}
-	return out
-}
-
-// forEachTask runs fn(i, worker) for every task index, fanning out over
-// the given number of workers. Task results must be written into
-// per-task storage; completion order is irrelevant to callers because
-// merging happens afterwards in task order.
-func forEachTask(n, workers int, fn func(i, worker int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, 0)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, worker)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// pairAcc accumulates one cross-processor unit pair inside a task, in
-// quarter-face units. Entries with the same lo unit are chained through
-// next, forming the per-unit adjacency accumulator that replaces the old
-// map[uint64]int dedup.
-type pairAcc struct {
-	lo, hi   int32
-	quarters int64
-	next     int32
-}
-
-// commTask is one z-slab of one level's fused sweep. Intra-level faces
-// count 4 quarters, inter-level parent cells 1 quarter (interLevelWeight);
-// the level frequency is applied at merge time, so every per-task
-// accumulator is an exact integer.
-type commTask struct {
-	r     *levelRaster // this level's unit raster
-	cr    *levelRaster // parent level's raster, nil for the coarsest
-	ratio int
-	freq  float64
-	zLo   int
-	zHi   int
-
-	pairs        []pairAcc
-	procQuarters []int64
-	volQuarters  int64
-}
-
-// run sweeps the task's slab. head is the caller-owned per-unit chain
-// head array (len = units, filled with -1); it is restored to -1 for
-// every touched entry before returning so workers can reuse it across
-// tasks.
-func (t *commTask) run(owners []int32, nprocs int, head []int32) {
-	t.procQuarters = make([]int64, nprocs)
-	r, cr := t.r, t.cr
-	b := r.box
-	n := b.Dx(0)
-	lastLo, lastHi := int32(-1), int32(-1)
-	lastIdx := 0
-	add := func(u1, u2 int32, q int64) {
-		o1, o2 := owners[u1], owners[u2]
-		if o1 == o2 {
-			return
-		}
-		t.volQuarters += q
-		t.procQuarters[o1] += q
-		t.procQuarters[o2] += q
-		lo, hi := u1, u2
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo == lastLo && hi == lastHi {
-			t.pairs[lastIdx].quarters += q
-			return
-		}
-		idx := head[lo]
-		for idx >= 0 && t.pairs[idx].hi != hi {
-			idx = t.pairs[idx].next
-		}
-		if idx < 0 {
-			t.pairs = append(t.pairs, pairAcc{lo: lo, hi: hi, next: head[lo]})
-			idx = int32(len(t.pairs) - 1)
-			head[lo] = idx
-		}
-		t.pairs[idx].quarters += q
-		lastLo, lastHi, lastIdx = lo, hi, int(idx)
-	}
-	for z := t.zLo; z < t.zHi; z++ {
-		hasZ := z+1 < b.Hi[2]
-		czOff, czOK := 0, false
-		if cr != nil {
-			cz := z / t.ratio
-			if cz >= cr.box.Lo[2] && cz < cr.box.Hi[2] {
-				czOK = true
-				czOff = (cz - cr.box.Lo[2]) * cr.nxy
-			}
-		}
-		for y := b.Lo[1]; y < b.Hi[1]; y++ {
-			s := (z-b.Lo[2])*r.nxy + (y-b.Lo[1])*r.nx
-			row := r.owner[s : s+n]
-			var rowY, rowZ []int32
-			if y+1 < b.Hi[1] {
-				rowY = r.owner[s+r.nx : s+r.nx+n]
-			}
-			if hasZ {
-				rowZ = r.owner[s+r.nxy : s+r.nxy+n]
-			}
-			var crow []int32
-			cxLo, cxHi := 0, 0
-			if czOK {
-				cy := y / t.ratio
-				if cy >= cr.box.Lo[1] && cy < cr.box.Hi[1] {
-					cs := czOff + (cy-cr.box.Lo[1])*cr.nx
-					crow = cr.owner[cs : cs+cr.nx]
-					cxLo, cxHi = cr.box.Lo[0], cr.box.Hi[0]
-				}
-			}
-			for i := 0; i < n; i++ {
-				u := row[i]
-				if u < 0 {
-					continue
-				}
-				if i+1 < n {
-					if nu := row[i+1]; nu >= 0 && nu != u {
-						add(u, nu, 4)
-					}
-				}
-				if rowY != nil {
-					if nu := rowY[i]; nu >= 0 && nu != u {
-						add(u, nu, 4)
-					}
-				}
-				if rowZ != nil {
-					if nu := rowZ[i]; nu >= 0 && nu != u {
-						add(u, nu, 4)
-					}
-				}
-				if crow != nil {
-					cx := (b.Lo[0] + i) / t.ratio
-					if cx >= cxLo && cx < cxHi {
-						if cu := crow[cx-cxLo]; cu >= 0 && cu != u {
-							add(u, cu, 1)
-						}
-					}
-				}
-			}
-		}
-	}
-	for i := range t.pairs {
-		head[t.pairs[i].lo] = -1
-	}
-}
-
-// sweepComm runs the fused kernel over every level and merges the
-// per-slab accumulators deterministically: tasks are merged in (level,
-// z-slab) order, which is exactly the canonical sweep order, so pair
-// enumeration and every statistic match the sequential reference bit for
-// bit regardless of how many workers ran the slabs.
-func sweepComm(h *samr.Hierarchy, a *Assignment, rs map[int]*levelRaster) (CommStats, []UnitPair) {
-	st := CommStats{
-		PerProcVolume:   make([]float64, a.NProcs),
-		PerProcMessages: make([]float64, a.NProcs),
-	}
-	if len(a.Units) == 0 || len(rs) == 0 {
-		return st, nil
-	}
-	owners := ownersOf(a)
-	levels := make([]int, 0, len(rs))
-	var cells int64
-	for l, r := range rs {
-		levels = append(levels, l)
-		cells += r.box.Volume()
-	}
-	sort.Ints(levels)
-	workers := workersFor(cells)
-
-	var tasks []*commTask
-	for _, l := range levels {
-		r := rs[l]
-		var cr *levelRaster
-		if l > 0 {
-			cr = rs[l-1]
-		}
-		freq := 1.0
-		for i := 0; i < l; i++ {
-			freq *= float64(h.Ratio)
-		}
-		for _, zr := range slabRanges(r.box.Lo[2], r.box.Hi[2], workers) {
-			tasks = append(tasks, &commTask{
-				r: r, cr: cr, ratio: h.Ratio, freq: freq,
-				zLo: zr[0], zHi: zr[1],
-			})
-		}
-	}
-
-	heads := make([][]int32, workers)
-	forEachTask(len(tasks), workers, func(i, worker int) {
-		if heads[worker] == nil {
-			heads[worker] = newHead(len(a.Units))
-		}
-		tasks[i].run(owners, a.NProcs, heads[worker])
-	})
-
-	// Deterministic merge. All sums below are exact: quarters and freq are
-	// integers (freq = Ratio^level), so 0.25*quarters*freq has at most two
-	// fractional bits and the float64 additions never round at any
-	// realistic hierarchy size.
-	type merged struct {
-		lo, hi   int32
-		quarters int64
-		freq     float64
-	}
-	var pairs []merged
-	head := newHead(len(a.Units))
-	next := make([]int32, 0, 64)
-	for _, t := range tasks {
-		if t.volQuarters != 0 {
-			st.Volume += 0.25 * float64(t.volQuarters) * t.freq
-		}
-		for p, q := range t.procQuarters {
-			if q != 0 {
-				st.PerProcVolume[p] += 0.25 * float64(q) * t.freq
-			}
-		}
-		for _, pa := range t.pairs {
-			idx := head[pa.lo]
-			for idx >= 0 && pairs[idx].hi != pa.hi {
-				idx = next[idx]
-			}
-			if idx < 0 {
-				pairs = append(pairs, merged{lo: pa.lo, hi: pa.hi, freq: t.freq})
-				next = append(next, head[pa.lo])
-				idx = int32(len(pairs) - 1)
-				head[pa.lo] = idx
-				o1, o2 := owners[pa.lo], owners[pa.hi]
-				st.Messages += t.freq
-				st.PerProcMessages[o1] += t.freq
-				st.PerProcMessages[o2] += t.freq
-			}
-			pairs[idx].quarters += pa.quarters
-		}
-	}
-	if len(pairs) == 0 {
-		return st, nil
-	}
-	out := make([]UnitPair, len(pairs))
-	for i, m := range pairs {
-		out[i] = UnitPair{
-			U1:        int(m.lo),
-			U2:        int(m.hi),
-			Faces:     0.25 * float64(m.quarters),
-			Frequency: m.freq,
-		}
-	}
-	return st, out
-}
-
-func newHead(n int) []int32 {
-	head := make([]int32, n)
-	for i := range head {
-		head[i] = -1
-	}
-	return head
-}
-
-// migTask counts migrated cells over one z-slab of one level's
-// prev ∩ new raster intersection.
-type migTask struct {
-	pr, nr                *levelRaster
-	common                samr.Box
-	prevOwners, newOwners []int32
-	zLo, zHi              int
-	both, moved           int64
-}
-
-func (t *migTask) run() {
-	c := t.common
-	w := c.Dx(0)
-	var both, moved int64
-	for z := t.zLo; z < t.zHi; z++ {
-		for y := c.Lo[1]; y < c.Hi[1]; y++ {
-			pS := (z-t.pr.box.Lo[2])*t.pr.nxy + (y-t.pr.box.Lo[1])*t.pr.nx + (c.Lo[0] - t.pr.box.Lo[0])
-			nS := (z-t.nr.box.Lo[2])*t.nr.nxy + (y-t.nr.box.Lo[1])*t.nr.nx + (c.Lo[0] - t.nr.box.Lo[0])
-			prow := t.pr.owner[pS : pS+w]
-			nrow := t.nr.owner[nS : nS+w]
-			for i := 0; i < w; i++ {
-				pu, nu := prow[i], nrow[i]
-				if pu < 0 || nu < 0 {
-					continue
-				}
-				both++
-				if t.prevOwners[pu] != t.newOwners[nu] {
-					moved++
-				}
-			}
-		}
-	}
-	t.both, t.moved = both, moved
 }

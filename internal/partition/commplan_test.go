@@ -15,8 +15,8 @@ func diffSuite() []Partitioner {
 	return []Partitioner{SFC{}, GMISPSP{}, PBDISP{}, EqualBlock{}}
 }
 
-// requirePlanMatchesReference asserts the parallel kernel reproduces the
-// sequential reference bit for bit: CommStats (including per-processor
+// requirePlanMatchesReference asserts the box-geometry kernel reproduces
+// the cell-by-cell reference bit for bit: CommStats (including per-processor
 // shares), the pair list in canonical order, and self-migration.
 func requirePlanMatchesReference(t *testing.T, h *samr.Hierarchy, a *Assignment, label string) *CommPlan {
 	t.Helper()
@@ -42,7 +42,8 @@ func requirePlanMatchesReference(t *testing.T, h *samr.Hierarchy, a *Assignment,
 // TestCommPlanMatchesReferenceSuite checks every partitioner at several
 // processor counts on the representative hierarchy, at GOMAXPROCS 1 and
 // a multi-worker setting — the sums are exact integers scaled by
-// quarter-faces, so the slab decomposition must not change a single bit.
+// quarter-faces, so neither the order the search finds contacts in nor
+// the scheduler may change a single bit.
 func TestCommPlanMatchesReferenceSuite(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
@@ -90,7 +91,7 @@ func TestCommPlanDifferentialRandom(t *testing.T) {
 			t.Fatalf("iter %d: %s: %v", it, pp.Name(), err)
 		}
 		plan := requirePlanMatchesReference(t, h, a, p.Name())
-		prevPlan := BuildRasterPlan(prevH, prev)
+		prevPlan := BuildCommPlan(prevH, prev)
 		got := plan.MigrationFrom(prevPlan)
 		want := ReferenceMigrationFraction(prevH, prev, h, a)
 		if got != want {
@@ -103,8 +104,9 @@ func TestCommPlanDifferentialRandom(t *testing.T) {
 }
 
 // TestCommPlanGOMAXPROCSInvariance builds the same plan under several
-// GOMAXPROCS settings and requires byte-identical results — the
-// determinism contract of the z-slab parallelization.
+// GOMAXPROCS settings and requires byte-identical results: the kernel
+// spawns no goroutine, and this pins that nothing in it depends on how
+// many could run.
 func TestCommPlanGOMAXPROCSInvariance(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
@@ -119,22 +121,22 @@ func TestCommPlanGOMAXPROCSInvariance(t *testing.T) {
 	prevGMP := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prevGMP)
 	base := BuildCommPlan(h, a)
-	baseMig := base.MigrationFrom(BuildRasterPlan(h, prev))
+	baseMig := base.MigrationFrom(BuildCommPlan(h, prev))
 	for _, procs := range []int{2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
 		plan := BuildCommPlan(h, a)
 		if !reflect.DeepEqual(plan.Stats, base.Stats) || !reflect.DeepEqual(plan.Pairs, base.Pairs) {
 			t.Fatalf("GOMAXPROCS=%d: plan diverges from GOMAXPROCS=1", procs)
 		}
-		if mig := plan.MigrationFrom(BuildRasterPlan(h, prev)); mig != baseMig {
+		if mig := plan.MigrationFrom(BuildCommPlan(h, prev)); mig != baseMig {
 			t.Fatalf("GOMAXPROCS=%d: migration %g, want %g", procs, mig, baseMig)
 		}
 	}
 }
 
 // TestCommPlanNegativeCoordinates exercises index spaces with negative
-// lows: the strided sweep's integer division for parent lookups must
-// match the reference's semantics exactly.
+// lows: the preimage of a coarse box under the reference's truncating
+// x / Ratio must be taken exactly, not as the box scaled by Ratio.
 func TestCommPlanNegativeCoordinates(t *testing.T) {
 	domain := samr.Box{Lo: samr.Point{-8, -4, -4}, Hi: samr.Point{8, 4, 4}}
 	h, err := samr.NewHierarchy(domain, 2)
@@ -191,38 +193,218 @@ func TestEvalQualityPlanMatchesEvalQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := EvalQuality(h, a, h, prev, 0)
-	got := EvalQualityPlan(BuildCommPlan(h, a), BuildRasterPlan(h, prev), 0)
+	got := EvalQualityPlan(BuildCommPlan(h, a), BuildCommPlan(h, prev), 0)
 	if got != want {
 		t.Fatalf("EvalQualityPlan = %+v, EvalQuality = %+v", got, want)
 	}
 }
 
-// TestRasterizationSharing: one BuildCommPlan rasterizes the assignment
-// exactly once, and every consumer of the plan — stats, pairs, migration
-// in either direction — adds zero further rasterizations.
+// TestRasterizationSharing: one BuildCommPlan is one observation of the
+// PAC histogram, and every consumer of the plan — stats, pairs, migration
+// in either direction — builds nothing further. None of it touches the
+// cell-by-cell reference: Rasterizations does not move.
 func TestRasterizationSharing(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
 	a, _ := (GMISPSP{}).Partition(h, wm, 8)
 	b, _ := (PBDISP{}).Partition(h, wm, 8)
 
-	before := Rasterizations()
+	rasters := Rasterizations()
+	builds := metricPACSeconds.Count()
 	planA := BuildCommPlan(h, a)
-	if got := Rasterizations() - before; got != 1 {
-		t.Fatalf("BuildCommPlan rasterized %d times, want 1", got)
+	if got := metricPACSeconds.Count() - builds; got != 1 {
+		t.Fatalf("BuildCommPlan observed %d builds, want 1", got)
 	}
 	planB := BuildCommPlan(h, b)
-	before = Rasterizations()
+	builds = metricPACSeconds.Count()
 	_ = planA.Stats
 	_ = planA.Pairs
 	_ = planA.MigrationFrom(planB)
 	_ = planB.MigrationFrom(planA)
-	if got := Rasterizations() - before; got != 0 {
-		t.Fatalf("plan consumers rasterized %d times, want 0", got)
-	}
-	before = Rasterizations()
 	EvalQualityPlan(planA, planB, 0)
-	if got := Rasterizations() - before; got != 0 {
-		t.Fatalf("EvalQualityPlan rasterized %d times, want 0", got)
+	if got := metricPACSeconds.Count() - builds; got != 0 {
+		t.Fatalf("plan consumers built %d plans, want 0", got)
 	}
+	if got := Rasterizations() - rasters; got != 0 {
+		t.Fatalf("production path rasterized %d assignments, want 0", got)
+	}
+}
+
+// shifted returns a copy of the assignment with every unit moved by
+// -origin coarse cells (origin * ratio^level cells of its own level), so a
+// domain that started at zero ends astride it or wholly below it.
+func shifted(a *Assignment, ratio int, origin samr.Point) *Assignment {
+	out := &Assignment{NProcs: a.NProcs, Owner: a.Owner, SplitCost: a.SplitCost, Units: make([]Unit, len(a.Units))}
+	for i, u := range a.Units {
+		scale := -1
+		for l := 0; l < u.Level; l++ {
+			scale *= ratio
+		}
+		u.Box = u.Box.Shift(origin.Scale(scale))
+		out.Units[i] = u
+	}
+	return out
+}
+
+// FuzzCommPlanMatchesReference holds the box-geometry kernel to the
+// cell-by-cell reference on random hierarchies: every partitioner of the
+// differential suite, refinement factors 2 to 4 (the preimage of a coarse
+// interval under truncating division), and domains astride zero and
+// wholly negative (where truncation and flooring differ). Stats, pairs in
+// order, and migration against a second, independently partitioned
+// hierarchy must all be bit-identical.
+func FuzzCommPlanMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(4), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(7), uint8(1), uint8(9))
+	f.Add(int64(3), uint8(2), uint8(16), uint8(2), uint8(21))
+	f.Add(int64(4), uint8(3), uint8(23), uint8(0), uint8(63))
+	f.Add(int64(5), uint8(6), uint8(1), uint8(1), uint8(40))
+	f.Add(int64(-6), uint8(9), uint8(12), uint8(2), uint8(3))
+	suite := diffSuite()
+	wm := samr.UniformWorkModel{}
+	f.Fuzz(func(t *testing.T, seed int64, part, procs, ratioRaw, shiftRaw uint8) {
+		ratio := 2 + int(ratioRaw%3)
+		// Domains are at most 40x24x24: a shift below 24 leaves every axis
+		// astride zero, one above 40 puts x wholly negative first.
+		s := int(shiftRaw % 64)
+		origin := samr.Point{s, s / 2, s / 3}
+		build := func(seed int64, part, procs uint8) (*samr.Hierarchy, *Assignment) {
+			h := randomHierarchyRatio(seed, ratio)
+			p := suite[int(part)%len(suite)]
+			a, err := p.Partition(h, wm, 1+int(procs%24))
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			return h, shifted(a, ratio, origin)
+		}
+		h, a := build(seed, part, procs)
+		prevH, prev := build(seed^0x5bd1e995, part/uint8(len(suite)), procs/24)
+		plan := requirePlanMatchesReference(t, h, a, "new")
+		prevPlan := requirePlanMatchesReference(t, prevH, prev, "prev")
+		if got, want := plan.MigrationFrom(prevPlan), ReferenceMigrationFraction(prevH, prev, h, a); got != want {
+			t.Fatalf("migration %g, reference %g", got, want)
+		}
+	})
+}
+
+// TestCommPlanGeometryCases pins the cases box geometry could get wrong
+// where cells cannot: contact of measure zero, one fine unit under several
+// coarse owners, plans whose levels do not line up, nothing at all, and
+// the one input the closed forms do not cover.
+func TestCommPlanGeometryCases(t *testing.T) {
+	h := flatHierarchy(t, 12, 8, 8)
+	box := func(x0, y0, z0, x1, y1, z1 int) samr.Box {
+		return samr.Box{Lo: samr.Point{x0, y0, z0}, Hi: samr.Point{x1, y1, z1}}
+	}
+	units := func(nprocs int, us ...Unit) *Assignment {
+		a := &Assignment{NProcs: nprocs, Units: us}
+		for i := range us {
+			a.Owner = append(a.Owner, i%nprocs)
+		}
+		return a
+	}
+
+	t.Run("edge and corner contact is no pair", func(t *testing.T) {
+		a := units(3,
+			Unit{Box: box(0, 0, 0, 4, 4, 4)},
+			Unit{Box: box(4, 4, 0, 8, 8, 4)}, // shares the edge x=4, y=4
+			Unit{Box: box(4, 4, 4, 8, 8, 8)}, // shares the corner (4,4,4) with the first
+		)
+		plan := requirePlanMatchesReference(t, h, a, "edge-corner")
+		// The second and third do share a face (z=4); the first touches
+		// neither on more than a line.
+		if len(plan.Pairs) != 1 || plan.Pairs[0].U1 != 1 || plan.Pairs[0].U2 != 2 {
+			t.Fatalf("pairs = %+v, want only units 1 and 2", plan.Pairs)
+		}
+	})
+
+	t.Run("fine unit under three coarse owners", func(t *testing.T) {
+		a := units(4,
+			Unit{Level: 0, Box: box(0, 0, 0, 4, 4, 4)},
+			Unit{Level: 0, Box: box(4, 0, 0, 8, 4, 4)},
+			Unit{Level: 0, Box: box(8, 0, 0, 12, 4, 4)},
+			Unit{Level: 1, Box: box(6, 0, 0, 18, 8, 8)}, // parents x = 3..8
+		)
+		plan := requirePlanMatchesReference(t, h, a, "three-parents")
+		want := map[int]float64{0: 0.25 * 2 * 8 * 8, 1: 0.25 * 8 * 8 * 8, 2: 0.25 * 2 * 8 * 8}
+		for _, p := range plan.Pairs {
+			if p.U2 != 3 {
+				continue
+			}
+			if p.Faces != want[p.U1] || p.Frequency != 2 {
+				t.Fatalf("parent pair %+v, want %g faces at frequency 2", p, want[p.U1])
+			}
+			delete(want, p.U1)
+		}
+		if len(want) != 0 {
+			t.Fatalf("coarse units %v have no pair with the fine unit", want)
+		}
+	})
+
+	t.Run("migration across mismatched levels", func(t *testing.T) {
+		lower := units(2,
+			Unit{Level: 0, Box: box(0, 0, 0, 6, 8, 8)},
+			Unit{Level: 0, Box: box(6, 0, 0, 12, 8, 8)},
+			Unit{Level: 1, Box: box(4, 4, 4, 12, 12, 12)},
+		)
+		upper := units(3, // level 1 gone, level 2 new, one more level than lower
+			Unit{Level: 0, Box: box(0, 0, 0, 12, 4, 8)},
+			Unit{Level: 0, Box: box(0, 4, 0, 12, 8, 8)},
+			Unit{Level: 2, Box: box(8, 8, 8, 16, 16, 16)},
+			Unit{Level: 3, Box: box(16, 16, 16, 20, 20, 20)},
+		)
+		lp := requirePlanMatchesReference(t, h, lower, "lower")
+		up := requirePlanMatchesReference(t, h, upper, "upper")
+		for _, c := range []struct {
+			name     string
+			new, old *CommPlan
+		}{{"fewer levels from more", lp, up}, {"more levels from fewer", up, lp}} {
+			got := c.new.MigrationFrom(c.old)
+			want := ReferenceMigrationFraction(c.old.H, c.old.A, c.new.H, c.new.A)
+			if got != want || got == 0 {
+				t.Fatalf("%s: migration %g, reference %g (want equal and non-zero)", c.name, got, want)
+			}
+		}
+	})
+
+	t.Run("empty assignment", func(t *testing.T) {
+		empty := &Assignment{NProcs: 2}
+		plan := requirePlanMatchesReference(t, h, empty, "empty")
+		if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || plan.Pairs != nil {
+			t.Fatalf("empty plan = %+v, %v", plan.Stats, plan.Pairs)
+		}
+		full := BuildCommPlan(h, units(2, Unit{Box: box(0, 0, 0, 12, 8, 8)}))
+		if a, b := plan.MigrationFrom(full), full.MigrationFrom(plan); a != 0 || b != 0 {
+			t.Fatalf("migration to and from nothing = %g, %g, want 0", a, b)
+		}
+	})
+
+	t.Run("overlapping units fall back to the reference", func(t *testing.T) {
+		a := units(3,
+			Unit{Box: box(0, 0, 0, 8, 8, 8)},
+			Unit{Box: box(4, 0, 0, 12, 8, 8)}, // repaints x = 4..7 of the first
+			Unit{Level: 1, Box: box(4, 0, 0, 20, 8, 8)},
+		)
+		if a.Validate() == nil {
+			t.Fatal("overlapping assignment validates")
+		}
+		before := Rasterizations()
+		plan := BuildCommPlan(h, a)
+		if Rasterizations() == before {
+			t.Fatal("overlap did not route the plan through the reference kernel")
+		}
+		requirePlanMatchesReference(t, h, a, "overlap")
+		disjoint := units(2,
+			Unit{Box: box(0, 0, 0, 6, 8, 8)},
+			Unit{Box: box(6, 0, 0, 12, 8, 8)},
+			Unit{Level: 1, Box: box(0, 0, 0, 24, 8, 8)},
+		)
+		other := BuildCommPlan(h, disjoint)
+		if got, want := plan.MigrationFrom(other), ReferenceMigrationFraction(h, disjoint, h, a); got != want {
+			t.Fatalf("migration into the overlap %g, reference %g", got, want)
+		}
+		if got, want := other.MigrationFrom(plan), ReferenceMigrationFraction(h, a, h, disjoint); got != want {
+			t.Fatalf("migration out of the overlap %g, reference %g", got, want)
+		}
+	})
 }

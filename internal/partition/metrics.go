@@ -3,12 +3,12 @@ package partition
 import "github.com/pragma-grid/pragma/internal/telemetry"
 
 // metricPACSeconds times the PAC evaluation kernel — one BuildCommPlan:
-// rasterization plus the fused communication sweep. This is the
-// "partitioning-induced overhead" the runtime itself pays at every regrid
-// for every candidate it evaluates, so it must stay cheap.
+// the unit-box index plus the neighbour and parent search over it. This is
+// the "partitioning-induced overhead" the runtime itself pays at every
+// regrid for every candidate it evaluates, so it must stay cheap.
 var metricPACSeconds = telemetry.Default.Histogram(
 	"pragma_partition_pac_seconds",
-	"Wall-clock duration of one PAC communication-plan build (rasterization + fused sweep).",
+	"Wall-clock duration of one PAC communication-plan build (unit-box index + neighbour and parent search).",
 	nil)
 
 // metricPartitionSeconds times every partitioner invocation through the

@@ -26,6 +26,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -294,6 +297,53 @@ func (t *decompTask) run(h *samr.Hierarchy, wm samr.WorkModel, spec decompSpec, 
 		return
 	}
 	t.out = blockBoxUnits(h, wm, t.level, b, spec.side, t.x0, t.x1, k)
+}
+
+// parallelCellThreshold is the changed-cell count below which the
+// decomposition stays on the calling goroutine: tiny deltas are not worth
+// the fan-out. Results are bit-identical either way.
+const parallelCellThreshold = 1 << 15
+
+// workersFor picks the worker count for the given cell count:
+// GOMAXPROCS-wide unless the work is too small to fan out.
+func workersFor(cells int64) int {
+	w := runtime.GOMAXPROCS(0)
+	if w <= 1 || cells < parallelCellThreshold {
+		return 1
+	}
+	return w
+}
+
+// forEachTask runs fn(i, worker) for every task index, fanning out over
+// the given number of workers. Task results must be written into
+// per-task storage; completion order is irrelevant to callers because
+// merging happens afterwards in task order.
+func forEachTask(n, workers int, fn func(i, worker int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i, 0)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i, worker)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // changedTasks builds the deterministic task list for the changed boxes

@@ -8,13 +8,17 @@ import (
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// randomHierarchy builds a valid random 2-3 level hierarchy from a seed.
-func randomHierarchy(seed int64) *samr.Hierarchy {
+// randomHierarchy builds a valid random two-level factor-2 hierarchy from
+// a seed.
+func randomHierarchy(seed int64) *samr.Hierarchy { return randomHierarchyRatio(seed, 2) }
+
+// randomHierarchyRatio is randomHierarchy at a given refinement factor.
+func randomHierarchyRatio(seed int64, ratio int) *samr.Hierarchy {
 	rng := rand.New(rand.NewSource(seed))
 	nx := 16 + 8*rng.Intn(4)
 	ny := 8 + 8*rng.Intn(3)
 	nz := 8 + 8*rng.Intn(3)
-	h, err := samr.NewHierarchy(samr.MakeBox(nx, ny, nz), 2)
+	h, err := samr.NewHierarchy(samr.MakeBox(nx, ny, nz), ratio)
 	if err != nil {
 		panic(err)
 	}
@@ -32,7 +36,7 @@ func randomHierarchy(seed int64) *samr.Hierarchy {
 	}
 	level1 := make([]samr.Box, len(boxes))
 	for i, b := range boxes {
-		level1[i] = b.Refine(2)
+		level1[i] = b.Refine(ratio)
 	}
 	if err := h.SetLevel(1, level1); err != nil {
 		panic(err)

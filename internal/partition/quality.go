@@ -44,19 +44,19 @@ const interLevelWeight = 0.25
 // prevH may be nil when there is no previous partitioning (migration is 0).
 // Callers evaluating several candidates, or holding the previous cycle's
 // plan, should use BuildCommPlan + EvalQualityPlan directly to avoid
-// re-rasterizing.
+// re-indexing.
 func EvalQuality(h *samr.Hierarchy, a *Assignment, prevH *samr.Hierarchy, prev *Assignment, elapsed time.Duration) Quality {
 	plan := BuildCommPlan(h, a)
 	var prevPlan *CommPlan
 	if prev != nil && prevH != nil {
-		prevPlan = BuildRasterPlan(prevH, prev)
+		prevPlan = BuildCommPlan(prevH, prev)
 	}
 	return EvalQualityPlan(plan, prevPlan, elapsed)
 }
 
 // EvalQualityPlan assembles the PAC metric from an already-built plan,
 // measuring migration against the previous cycle's plan (nil for none).
-// No rasterization or sweeping happens here beyond the migration diff.
+// Nothing is indexed or searched here beyond the migration diff.
 func EvalQualityPlan(plan *CommPlan, prevPlan *CommPlan, elapsed time.Duration) Quality {
 	q := Quality{
 		CommVolume:    plan.Stats.Volume,
@@ -116,8 +116,8 @@ func Adjacency(h *samr.Hierarchy, a *Assignment) []UnitPair {
 	return BuildCommPlan(h, a).Pairs
 }
 
-// Communication computes the assignment's communication statistics with
-// the fused single-pass kernel. Callers that also need the unit pairs or
+// Communication computes the assignment's communication statistics from
+// its unit boxes. Callers that also need the unit pairs or
 // a later migration diff should call BuildCommPlan once instead.
 func Communication(h *samr.Hierarchy, a *Assignment) CommStats {
 	return BuildCommPlan(h, a).Stats
@@ -135,7 +135,7 @@ func CommVolume(h *samr.Hierarchy, a *Assignment) (total float64, perProc []floa
 // the paper's "amount of data migration" component. Levels are compared
 // independently; cells that exist only in one configuration (newly refined
 // or de-refined) do not count. Callers holding CommPlans for both sides
-// should use CommPlan.MigrationFrom, which reuses the cached rasters.
+// should use CommPlan.MigrationFrom, which reuses their unit indexes.
 func MigrationFraction(prevH *samr.Hierarchy, prev *Assignment, h *samr.Hierarchy, a *Assignment) float64 {
-	return BuildRasterPlan(h, a).MigrationFrom(BuildRasterPlan(prevH, prev))
+	return BuildCommPlan(h, a).MigrationFrom(BuildCommPlan(prevH, prev))
 }

@@ -81,8 +81,9 @@ type (
 	Assignment = partition.Assignment
 	// Quality is the five-component PAC metric of a partitioning.
 	Quality = partition.Quality
-	// CommPlan is a cached communication plan: one rasterization of an
-	// assignment shared by quality evaluation, migration diffs, and engine
+	// CommPlan is a cached communication plan: one index of an
+	// assignment's unit boxes, and the statistics and pairs computed from
+	// it, shared by quality evaluation, migration diffs, and engine
 	// construction.
 	CommPlan = partition.CommPlan
 	// CommStats aggregates an assignment's communication requirement.
@@ -325,8 +326,8 @@ func EvaluateQuality(h *Hierarchy, a *Assignment, prevH *Hierarchy, prev *Assign
 	return partition.EvalQuality(h, a, prevH, prev, 0)
 }
 
-// BuildCommPlan rasterizes an assignment once and runs the fused
-// single-pass communication sweep, returning the plan that quality
+// BuildCommPlan indexes an assignment's unit boxes once and computes its
+// communication from their geometry, returning the plan that quality
 // evaluation, migration diffs (CommPlan.MigrationFrom), and engine
 // construction (NewEngineFromPlan) all share. Build it once per
 // assignment instead of calling EvaluateQuality and NewEngine separately.
