@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-partition bench-sched bench-gate bench-baseline load-smoke experiments ablations extensions fmt cover clean
+.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-sched bench-gate bench-baseline load-smoke experiments ablations extensions fmt cover clean
 
 build:
 	$(GO) build ./...
@@ -64,11 +64,6 @@ bench-telemetry:
 bench-pac:
 	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' ./internal/partition/
 
-# Delta-regrid partitioner benchmarks: every ISP partitioner from scratch
-# vs through a warm PartitionPlan on a locality-dominated regrid delta.
-bench-partition:
-	$(GO) test -bench='PartitionDelta' -benchmem -run='^$$' ./internal/partition/
-
 # Scheduler benchmarks: admission/fair-queue/worker hand-off overhead.
 bench-sched:
 	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' ./internal/sched/
@@ -77,13 +72,11 @@ bench-sched:
 # (fails on >20% geomean ns/op regression).
 bench-gate:
 	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_pac.json
-	$(GO) test -bench='PartitionDelta' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_partition.json
 	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' -count=6 ./internal/sched/ | $(GO) run ./cmd/benchgate -baseline BENCH_sched.json
 
 # Refresh the committed baselines from this machine (commit the result).
 bench-baseline:
 	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_pac.json -update
-	$(GO) test -bench='PartitionDelta' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_partition.json -update
 	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' -count=6 ./internal/sched/ | $(GO) run ./cmd/benchgate -baseline BENCH_sched.json -update
 
 # Open-loop load smoke against an in-process scheduler: a short ramp must

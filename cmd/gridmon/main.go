@@ -141,10 +141,9 @@ func main() {
 	fmt.Println("\ncapacities are the weighted normalized CPU/memory/bandwidth sums of Fig. 4;")
 	fmt.Println("the system-sensitive partitioner distributes workload proportionally to them.")
 
-	// Partition latency: drive a short delta-regrid sequence at the
-	// monitored cluster's size so /metrics carries the partitioner latency
-	// histograms and the plan-reuse gauge, then report them the way a
-	// scraper would.
+	// Partition latency: partition a short regrid sequence at the monitored
+	// cluster's size so /metrics carries the partitioner latency
+	// histograms, then report them the way a scraper would.
 	if err := partitionActivity(*nodes); err != nil {
 		fmt.Fprintln(os.Stderr, "gridmon:", err)
 		os.Exit(1)
@@ -160,11 +159,6 @@ func main() {
 		fmt.Printf("%-12s %-8d %-10.3f %-10.3f %.3f\n", p.Name(), n,
 			h.Quantile(0.50)*1e3, h.Quantile(0.95)*1e3, h.Sum()/float64(n)*1e3)
 	}
-	reuse := pragma.Telemetry().Snapshot().Find("pragma_partition_incremental_reuse_ratio")
-	if len(reuse) > 0 {
-		fmt.Printf("\ndelta-regrid plan reuse on the last cycle: %.1f%% of units served from cache\n",
-			100*reuse[0].Value)
-	}
 
 	if tsrv != nil && *telemetryHold > 0 {
 		fmt.Printf("holding telemetry endpoint for %s\n", *telemetryHold)
@@ -172,10 +166,9 @@ func main() {
 	}
 }
 
-// partitionActivity drives a short delta-regrid sequence — a tracked
-// level-2 box drifting across four regrids of a small SAMR workload —
-// through every ISP partitioner with a warm PartitionPlan, populating
-// pragma_partition_seconds and pragma_partition_incremental_reuse_ratio.
+// partitionActivity partitions a short regrid sequence — a tracked level-2
+// box drifting across four regrids of a small SAMR workload — with every
+// ISP partitioner, populating pragma_partition_seconds.
 func partitionActivity(nprocs int) error {
 	build := func(shift int) (*samr.Hierarchy, error) {
 		h, err := samr.NewHierarchy(samr.MakeBox(64, 32, 32), 2)
@@ -197,18 +190,13 @@ func partitionActivity(nprocs int) error {
 		}
 		return h, nil
 	}
-	for _, p := range partition.All() {
-		ip, ok := p.(partition.IncrementalPartitioner)
-		if !ok {
-			continue
+	for shift := 0; shift < 4; shift++ {
+		h, err := build(shift)
+		if err != nil {
+			return err
 		}
-		plan := partition.NewPartitionPlan()
-		for shift := 0; shift < 4; shift++ {
-			h, err := build(shift)
-			if err != nil {
-				return err
-			}
-			if _, err := ip.PartitionIncremental(h, samr.UniformWorkModel{}, nprocs, plan); err != nil {
+		for _, p := range partition.All() {
+			if _, err := p.Partition(h, samr.UniformWorkModel{}, nprocs); err != nil {
 				return err
 			}
 		}

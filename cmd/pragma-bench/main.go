@@ -63,7 +63,6 @@ func main() {
 		ablations  = flag.Bool("ablations", false, "run the DESIGN.md ablation studies")
 		extensions = flag.Bool("extensions", false, "run the extension experiments (cross-application study, PF runtime prediction)")
 		kernel     = flag.Bool("kernel", false, "benchmark the PAC evaluation kernels (reference vs CommPlan)")
-		part       = flag.Bool("partition", false, "benchmark the ISP partitioners (from scratch vs incremental PartitionPlan)")
 		schedLoad  = flag.Bool("sched", false, "benchmark the run scheduler (many tiny replays through the shared pool)")
 		scen       = flag.String("scenario", "", "replay a composed scenario spec (internal/scenario grammar) and report declared vs observed octants")
 		scenCov    = flag.Int("scenario-coverage", 0, "replay a corpus of this many seeded scenarios and print the octant-coverage table (EXPERIMENTS.md uses 100)")
@@ -78,7 +77,7 @@ func main() {
 		sloP99       = flag.Duration("slo-p99", 0, "fail unless every endpoint's client-side p99 stays within this (0 disables), e.g. -slo-p99=50ms")
 	)
 	flag.Parse()
-	if !*all && !*ablations && !*extensions && !*kernel && !*part && !*schedLoad && !*load && *scen == "" && *scenCov == 0 && *table == 0 && *figure == 0 {
+	if !*all && !*ablations && !*extensions && !*kernel && !*schedLoad && !*load && *scen == "" && *scenCov == 0 && *table == 0 && *figure == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -136,9 +135,6 @@ func main() {
 	}
 	if *kernel {
 		run("PAC evaluation kernels (sequential reference vs CommPlan)", func() error { return printKernel() })
-	}
-	if *part {
-		run("ISP partitioners (from scratch vs incremental delta-regrid)", func() error { return printPartition() })
 	}
 	if *schedLoad {
 		run("Scheduler load (tiny RM3D replays through the shared pool)", func() error { return printSched() })
@@ -232,27 +228,6 @@ func printKernel() error {
 		metric(r.Kernel+"_reference_s", r.ReferenceSeconds)
 		metric(r.Kernel+"_plan_s", r.PlanSeconds)
 		metric(r.Kernel+"_speedup", r.Speedup)
-	}
-	return nil
-}
-
-// printPartition regenerates the EXPERIMENTS.md partitioner table:
-// from-scratch vs incremental wall time of every ISP partitioner on the
-// paper-scale locality-dominated regrid delta.
-func printPartition() error {
-	rows, err := experiments.PartitionBench(5)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%-12s %-14s %-16s %-9s %s\n", "Partitioner", "Scratch (ms)", "Incremental (ms)", "Speedup", "Reuse")
-	for _, r := range rows {
-		fmt.Fprintf(out, "%-12s %-14.3f %-16.3f %-9s %.1f%%\n",
-			r.Partitioner, r.ScratchSeconds*1e3, r.IncrementalSeconds*1e3,
-			fmt.Sprintf("%.1fx", r.Speedup), r.ReusePct)
-		metric(r.Partitioner+"_scratch_s", r.ScratchSeconds)
-		metric(r.Partitioner+"_incremental_s", r.IncrementalSeconds)
-		metric(r.Partitioner+"_speedup", r.Speedup)
-		metric(r.Partitioner+"_reuse_pct", r.ReusePct)
 	}
 	return nil
 }

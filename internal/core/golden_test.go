@@ -3,8 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,13 +20,12 @@ import (
 	"github.com/pragma-grid/pragma/internal/scenario"
 )
 
-// recordGolden rewrites testdata/runresult_golden.json from the code under
-// test. The committed file was recorded at commit 27c6f11, before the
+// testdata/runresult_golden.json was recorded at commit 27c6f11, before the
 // regrid decision path was rebuilt (ISSUE 24), and is the bit-identity
 // oracle for that rebuild: a change that claims "same decisions, same
-// floats" must pass it as recorded, not re-record it.
-var recordGolden = flag.Bool("record-golden", false, "rewrite internal/core/testdata/runresult_golden.json")
-
+// floats" must pass it as recorded. There is no switch that rewrites it;
+// only when the file is absent does the test write one from the code under
+// test, and then it fails so the new file gets looked at.
 const goldenPath = "testdata/runresult_golden.json"
 
 // goldenCase is one replay whose whole RunResult — every SnapshotStat
@@ -95,38 +95,11 @@ func TestRunResultGolden(t *testing.T) {
 		}
 		got[c.name] = res
 	}
-	if *recordGolden {
-		// One case per line: encoding/json writes the shortest decimal
-		// that round-trips each float64, so the file is exact.
-		names := make([]string, 0, len(got))
-		for name := range got {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var buf bytes.Buffer
-		buf.WriteString("{\n")
-		for i, name := range names {
-			raw, err := json.Marshal(got[name])
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&buf, "%q: %s", name, raw)
-			if i < len(names)-1 {
-				buf.WriteByte(',')
-			}
-			buf.WriteByte('\n')
-		}
-		buf.WriteString("}\n")
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %d cases to %s", len(got), goldenPath)
-		return
-	}
 	raw, err := os.ReadFile(goldenPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		recordGolden(t, got)
+		t.Fatalf("%s was missing: recorded %d cases from the code under test", goldenPath, len(got))
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,5 +134,36 @@ func TestRunResultGolden(t *testing.T) {
 		if !reflect.DeepEqual(gs, ws) {
 			t.Errorf("%s: totals diverge from the golden record\n got %+v\nwant %+v", name, gs, ws)
 		}
+	}
+}
+
+// recordGolden writes one case per line. encoding/json writes the shortest
+// decimal that round-trips each float64, so the file is exact.
+func recordGolden(t *testing.T, got map[string]*RunResult) {
+	t.Helper()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var buf bytes.Buffer
+	buf.WriteString("{\n")
+	for i, name := range names {
+		raw, err := json.Marshal(got[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%q: %s", name, raw)
+		if i < len(names)-1 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('\n')
+	}
+	buf.WriteString("}\n")
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -194,9 +194,10 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	var prevA *partition.Assignment
 	var prevH *samr.Hierarchy
 	var prevPlan *partition.CommPlan
-	// The delta-regrid plan lets partitioners reuse unchanged boxes'
-	// decomposition and SFC keys across cycles. Pure cache: a resumed run
-	// starts cold and produces bit-identical assignments anyway.
+	// The partitioners' scratch for this run: buffers whose capacity
+	// survives from regrid to regrid and whose contents do not, so a
+	// resumed run starts with an empty one and produces bit-identical
+	// assignments anyway.
 	partPlan := partition.NewPartitionPlan()
 	var prevLabel string
 	var imbSum, effSum float64

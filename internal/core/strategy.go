@@ -33,10 +33,10 @@ type StepContext struct {
 	// (nil at the first regrid).
 	PrevAssignment *partition.Assignment
 	PrevHierarchy  *samr.Hierarchy
-	// PartitionPlan, when non-nil, carries the delta-regrid caches across
-	// cycles: partitioners reuse the previous hierarchy's decomposition and
-	// SFC keys for unchanged boxes. core.Run owns one plan per run (it
-	// starts cold on resume); output is bit-identical with or without it.
+	// PartitionPlan, when non-nil, is the scratch memory partitioners work
+	// in (units, curve keys, sort indices, weights, the prepared work
+	// model). core.Run owns one per run; nothing but capacity survives a
+	// call, so output is bit-identical with or without it.
 	PartitionPlan *partition.PartitionPlan
 	// CycleTrace, when non-nil, records this regrid cycle in the telemetry
 	// trace ring; strategies annotate it with classification and selection
@@ -44,8 +44,8 @@ type StepContext struct {
 	CycleTrace *telemetry.Trace
 }
 
-// Partition runs p on the step's snapshot, routing through the step's
-// delta-regrid PartitionPlan when the partitioner supports it.
+// Partition runs p on the step's snapshot, in the step's PartitionPlan
+// scratch when the partitioner can use it.
 func (ctx *StepContext) Partition(p partition.Partitioner) (*partition.Assignment, error) {
 	if ip, ok := p.(partition.IncrementalPartitioner); ok && ctx.PartitionPlan != nil {
 		return ip.PartitionIncremental(ctx.Snap.H, ctx.WM, ctx.NProcs, ctx.PartitionPlan)

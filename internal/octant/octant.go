@@ -154,6 +154,20 @@ func StateAt(tr *samr.Trace, idx, window int) (State, error) {
 	if idx < 0 || idx >= len(tr.Snapshots) {
 		return State{}, fmt.Errorf("octant: snapshot %d outside trace of %d", idx, len(tr.Snapshots))
 	}
+	return stateAt(tr, idx, window, func(k int) float64 { return intervalChange(tr, k) }), nil
+}
+
+// intervalChange is the level-1 change fraction over regrid interval k, the
+// one that ends at snapshot k >= 1.
+func intervalChange(tr *samr.Trace, k int) float64 {
+	return samr.ChangeFraction(tr.Snapshots[k-1].H, tr.Snapshots[k].H, 1)
+}
+
+// stateAt is StateAt for a valid idx with the interval change fractions
+// supplied by the caller. The window is summed newest interval first;
+// StateAt and CharacterizeTrace share this loop so they produce the same
+// floats.
+func stateAt(tr *samr.Trace, idx, window int, change func(k int) float64) State {
 	if window < 1 {
 		window = 1
 	}
@@ -165,24 +179,26 @@ func StateAt(tr *samr.Trace, idx, window int) (State, error) {
 	var sum float64
 	n := 0
 	for k := idx; k > idx-window && k >= 1; k-- {
-		sum += samr.ChangeFraction(tr.Snapshots[k-1].H, tr.Snapshots[k].H, 1)
+		sum += change(k)
 		n++
 	}
 	if n > 0 {
 		s.Dynamics = sum / float64(n)
 	}
-	return s, nil
+	return s
 }
 
 // CharacterizeTrace classifies every snapshot of a trace — the automated
-// version of the paper's manual application characterization step.
+// version of the paper's manual application characterization step. Each
+// snapshot pair is diffed once, however wide the window.
 func CharacterizeTrace(tr *samr.Trace, th Thresholds, window int) ([]Characterization, error) {
+	changes := make([]float64, len(tr.Snapshots))
+	for k := 1; k < len(changes); k++ {
+		changes[k] = intervalChange(tr, k)
+	}
 	out := make([]Characterization, 0, len(tr.Snapshots))
 	for idx := range tr.Snapshots {
-		s, err := StateAt(tr, idx, window)
-		if err != nil {
-			return nil, err
-		}
+		s := stateAt(tr, idx, window, func(k int) float64 { return changes[k] })
 		out = append(out, Characterization{Index: idx, State: s, Octant: Classify(s, th)})
 	}
 	return out, nil

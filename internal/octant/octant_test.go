@@ -130,6 +130,23 @@ func TestCharacterizeTraceCoversAllOctants(t *testing.T) {
 	if len(seen) != 8 {
 		t.Fatalf("trace visits %d octants, want all 8: %v", len(seen), seen)
 	}
+	// CharacterizeTrace diffs each snapshot pair once and rolls the window;
+	// it must report the very floats StateAt measures one index at a time.
+	for _, window := range []int{0, 1, 3, 5} {
+		chars, err := CharacterizeTrace(tr, DefaultThresholds(), window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, c := range chars {
+			s, err := StateAt(tr, idx, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Index != idx || c.State != s {
+				t.Fatalf("window %d snapshot %d: CharacterizeTrace state %+v, StateAt %+v", window, idx, c.State, s)
+			}
+		}
+	}
 }
 
 func TestStateAtValidation(t *testing.T) {

@@ -18,10 +18,3 @@ var metricPartitionSeconds = telemetry.Default.HistogramVec(
 	"pragma_partition_seconds",
 	"Wall-clock duration of one partitioner invocation (decompose, order, split), by partitioner.",
 	nil, "partitioner")
-
-// metricPartitionReuse tracks how much of the latest incremental partition
-// was served from the PartitionPlan cache: 1 means the regrid was a pure
-// locality delta, 0 a cold from-scratch rebuild.
-var metricPartitionReuse = telemetry.Default.Gauge(
-	"pragma_partition_incremental_reuse_ratio",
-	"Fraction of units reused from the previous regrid's PartitionPlan in the latest incremental partition.")

@@ -1,11 +1,12 @@
 package partition
 
 // Retained from-scratch sequential reference for the ISP partitioner
-// pipeline, mirroring commref.go for the PAC kernel: the delta-regrid
+// pipeline, mirroring commref.go for the PAC kernel: the production
 // pipeline in plan.go must produce bit-identical assignments to this
-// implementation for any plan state and any GOMAXPROCS. The differential
-// and fuzz suites in plan_test.go enforce the equivalence; keep this file
-// boring and obviously sequential.
+// implementation with or without a PartitionPlan and after any sequence of
+// earlier calls through the plan. The differential and fuzz suites in
+// plan_test.go enforce the equivalence; keep this file boring: the
+// library's stable sort, the work model's own BoxWork, fresh slices.
 
 import (
 	"fmt"
@@ -13,7 +14,7 @@ import (
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// Compile-time proof that the whole ISP suite is delta-aware.
+// Compile-time proof that the whole ISP suite partitions through a plan.
 var (
 	_ IncrementalPartitioner = SFC{}
 	_ IncrementalPartitioner = GMISP{}
@@ -23,12 +24,19 @@ var (
 	_ IncrementalPartitioner = ISP{}
 )
 
+// unprepared hides a work model's dynamic type from samr.BoxWeigher, so the
+// reference weighs every unit with the model's own BoxWork — for a
+// FrontWorkModel, re-refining and intersecting every front per unit —
+// rather than with the prepared form production uses.
+type unprepared struct{ samr.WorkModel }
+
 // ReferencePartition partitions h with the original sequential pipeline:
-// sequential decomposition (blockUnits / variableGrainUnits), stable
-// sort-based curve ordering (orderUnits), then the partitioner's splitter.
-// It consumes the same pipelineSpec as the production path, so the two can
-// only differ in mechanism, never in parameters. Partitioners outside the
-// shared pipeline fall through to their own Partition.
+// sequential decomposition (blockUnits / variableGrainUnits) weighed by the
+// unprepared work model, stable sort-based curve ordering (orderUnits),
+// then the partitioner's splitter. It consumes the same pipelineSpec as the
+// production path, so the two can only differ in mechanism, never in
+// parameters. Partitioners outside the shared pipeline fall through to
+// their own Partition.
 func ReferencePartition(p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
 	pp, ok := p.(pipelinePartitioner)
 	if !ok {
@@ -41,9 +49,9 @@ func ReferencePartition(p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, npr
 	var units []Unit
 	switch spec.decomp.kind {
 	case decompVarGrain:
-		units = variableGrainUnits(h, wm, spec.decomp.threshold, spec.decomp.minSide)
+		units = variableGrainUnits(h, unprepared{wm}, spec.decomp.threshold, spec.decomp.minSide)
 	default:
-		units = blockUnits(h, wm, spec.decomp.side)
+		units = blockUnits(h, unprepared{wm}, spec.decomp.side)
 	}
 	if len(units) == 0 {
 		return nil, fmt.Errorf("partition: hierarchy produced no units")

@@ -1,20 +1,23 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// The delta-regrid pipeline's contract (DESIGN.md §16): for any sequence of
-// hierarchy deltas, any work model, any processor count, any GOMAXPROCS,
-// and any plan state (warm, cold, or nil), every incremental partitioner
-// output is bit-identical to ReferencePartition — the retained sequential
-// from-scratch pipeline. These tests mirror the PAC kernel's
-// TestCommPlanDifferentialRandom / TestCommPlanGOMAXPROCSInvariance.
+// The pipeline's contract (DESIGN.md §16): for any hierarchy, work model and
+// processor count, every ISP partitioner's assignment is bit-identical to
+// ReferencePartition — the retained pipeline with the library sort and the
+// unprepared work model — whether it ran in a PartitionPlan's scratch or
+// without one, and whatever ran through that plan before. The plan carries
+// capacity, never contents: these tests drive sequences of regrid deltas,
+// alternating partitioners, processor counts and work models through one
+// plan and look for anything that leaks from one call into the next or
+// from the scratch into a returned assignment.
 
 // clampBox intersects b with dom; an empty result is reported as the zero
 // box, which Validate rejects (the caller retries the mutation).
@@ -118,12 +121,65 @@ func mutateHierarchy(h *samr.Hierarchy, rng *rand.Rand) *samr.Hierarchy {
 	return h
 }
 
-func requireSameAssignment(t *testing.T, label string, inc, ref *Assignment) {
+func requireSameAssignment(t *testing.T, label string, got, ref *Assignment) {
 	t.Helper()
-	if !reflect.DeepEqual(inc, ref) {
-		t.Fatalf("%s: incremental assignment diverges from from-scratch reference\nincremental: nunits=%d owner=%v\nreference:   nunits=%d owner=%v",
-			label, len(inc.Units), inc.Owner, len(ref.Units), ref.Owner)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("%s: assignment diverges from the from-scratch reference\ngot:       nunits=%d owner=%v\nreference: nunits=%d owner=%v",
+			label, len(got.Units), got.Owner, len(ref.Units), ref.Owner)
 	}
+}
+
+// randomWorkModel draws a uniform model or a front model with up to four
+// fronts: inside the domain, astride its edge, wholly outside it, and with
+// multipliers at and below 1 (no surcharge) as well as above.
+func randomWorkModel(rng *rand.Rand, h *samr.Hierarchy) samr.WorkModel {
+	base := samr.UniformWorkModel{CellCost: float64(rng.Intn(4))}
+	if rng.Intn(3) == 0 {
+		return base
+	}
+	dom := h.Domain
+	fronts := make([]samr.Front, rng.Intn(5))
+	for i := range fronts {
+		lo := samr.Point{
+			dom.Lo[0] - 4 + rng.Intn(dom.Dx(0)+8),
+			dom.Lo[1] - 4 + rng.Intn(dom.Dx(1)+8),
+			dom.Lo[2] - 4 + rng.Intn(dom.Dx(2)+8),
+		}
+		fronts[i] = samr.Front{
+			Region:     samr.Box{Lo: lo, Hi: samr.Point{lo[0] + 1 + rng.Intn(12), lo[1] + 1 + rng.Intn(8), lo[2] + 1 + rng.Intn(8)}},
+			Multiplier: []float64{0.5, 1, 1.5, 2, 2.5}[rng.Intn(5)],
+		}
+	}
+	return samr.FrontWorkModel{Base: base, Fronts: fronts}
+}
+
+// planCheck runs p through plan and requires the result to equal both
+// ReferencePartition and a nil-plan call. held is the previous result taken
+// from the same plan with a private copy of its reference: it must have
+// survived this call untouched, or an assignment aliases the scratch.
+type planCheck struct {
+	plan    *PartitionPlan
+	held    *Assignment
+	heldRef *Assignment
+}
+
+func (c *planCheck) partition(t *testing.T, label string, p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) {
+	t.Helper()
+	got, errGot := p.(IncrementalPartitioner).PartitionIncremental(h, wm, nprocs, c.plan)
+	ref, errRef := ReferencePartition(p, h, wm, nprocs)
+	plain, errPlain := p.Partition(h, wm, nprocs)
+	if (errGot != nil) != (errRef != nil) || (errPlain != nil) != (errRef != nil) {
+		t.Fatalf("%s: plan err %v, nil-plan err %v, reference err %v", label, errGot, errPlain, errRef)
+	}
+	if c.held != nil {
+		requireSameAssignment(t, label+": earlier assignment after a later call", c.held, c.heldRef)
+	}
+	if errRef != nil {
+		return
+	}
+	requireSameAssignment(t, label+" through the plan", got, ref)
+	requireSameAssignment(t, label+" without a plan", plain, ref)
+	c.held, c.heldRef = got, ref
 }
 
 func TestDeltaPartitionDifferentialRandom(t *testing.T) {
@@ -135,7 +191,7 @@ func TestDeltaPartitionDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for it := 0; it < iters; it++ {
 		h := randomHierarchy(rng.Int63())
-		plan := NewPartitionPlan()
+		check := planCheck{plan: NewPartitionPlan()}
 		nprocs := 1 + rng.Intn(24)
 		var wm samr.WorkModel = samr.UniformWorkModel{}
 		for cycle := 0; cycle < cycles; cycle++ {
@@ -144,38 +200,23 @@ func TestDeltaPartitionDifferentialRandom(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					nprocs = 1 + rng.Intn(24)
 				}
-				switch rng.Intn(8) {
-				case 0:
-					// Changed comparable model: cached weights must not leak.
-					wm = samr.UniformWorkModel{CellCost: 1 + float64(rng.Intn(3))}
-				case 1:
-					// Uncomparable model: reuse must disable itself.
-					wm = samr.FrontWorkModel{
-						Base:   samr.UniformWorkModel{},
-						Fronts: []samr.Front{{Region: h.Domain, Multiplier: 2.5}},
-					}
+				if rng.Intn(2) == 0 {
+					wm = randomWorkModel(rng, h)
 				}
 			}
-			for _, p := range All() {
-				ip := p.(IncrementalPartitioner)
-				inc, errInc := ip.PartitionIncremental(h, wm, nprocs, plan)
-				ref, errRef := ReferencePartition(p, h, wm, nprocs)
-				if (errInc != nil) != (errRef != nil) {
-					t.Fatalf("iter %d cycle %d %s: incremental err %v, reference err %v",
-						it, cycle, p.Name(), errInc, errRef)
-				}
-				if errInc != nil {
-					continue
-				}
-				requireSameAssignment(t, p.Name(), inc, ref)
+			// A run's plan sees the policy's pick and then, when the guard
+			// fires, G-MISP+SP: any order, repeats included.
+			suite := All()
+			for n := 2 + rng.Intn(len(suite)); n > 0; n-- {
+				p := suite[rng.Intn(len(suite))]
+				check.partition(t, fmt.Sprintf("iter %d cycle %d %s", it, cycle, p.Name()), p, h, wm, nprocs)
 			}
 		}
 	}
 }
 
 // deltaSequence is a deterministic 3-level regrid sequence: the paper-style
-// blob's level-2 core drifts, then a level-1 slab shrinks — the
-// locality-dominated deltas the pipeline is built for.
+// blob's level-2 core drifts, then a level-1 slab shrinks.
 func deltaSequence(t testing.TB) []*samr.Hierarchy {
 	t.Helper()
 	h0 := testHierarchy(t)
@@ -192,93 +233,43 @@ func deltaSequence(t testing.TB) []*samr.Hierarchy {
 	return []*samr.Hierarchy{h0, h1, h2}
 }
 
-func TestDeltaPartitionGOMAXPROCSInvariance(t *testing.T) {
+// TestPartitionPlanScratch pins what a plan is: buffers that stop growing
+// once they have seen the run's largest hierarchy, and a unit count with
+// nothing reused.
+func TestPartitionPlanScratch(t *testing.T) {
 	seq := deltaSequence(t)
-	wm := samr.UniformWorkModel{}
-	const nprocs = 13
-
-	run := func() map[string][]*Assignment {
-		out := map[string][]*Assignment{}
-		plan := NewPartitionPlan()
-		for _, h := range seq {
-			for _, p := range All() {
-				a, err := p.(IncrementalPartitioner).PartitionIncremental(h, wm, nprocs, plan)
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name(), err)
-				}
-				out[p.Name()] = append(out[p.Name()], a)
-			}
-		}
-		return out
-	}
-
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	runtime.GOMAXPROCS(1)
-	want := run()
-	for _, procs := range []int{2, 3, 8} {
-		runtime.GOMAXPROCS(procs)
-		got := run()
-		for name, as := range got {
-			for i, a := range as {
-				requireSameAssignment(t, name, a, want[name][i])
-			}
-		}
-	}
-}
-
-// TestDeltaPartitionColdPlanMatchesWarm proves resume-from-checkpoint
-// semantics: a cold plan (fresh after resume), a warm plan, and no plan at
-// all agree bit-for-bit on the same hierarchy.
-func TestDeltaPartitionColdPlanMatchesWarm(t *testing.T) {
-	seq := deltaSequence(t)
-	wm := samr.UniformWorkModel{}
-	const nprocs = 9
-	warm := NewPartitionPlan()
-	for _, p := range All() {
-		ip := p.(IncrementalPartitioner)
-		var last *Assignment
-		for _, h := range seq {
-			a, err := ip.PartitionIncremental(h, wm, nprocs, warm)
+	wm := samr.FrontWorkModel{Fronts: []samr.Front{{Region: samr.MakeBox(40, 32, 32), Multiplier: 2}}}
+	plan := NewPartitionPlan()
+	var want int64
+	for _, h := range seq {
+		for _, p := range All() {
+			a, err := p.(IncrementalPartitioner).PartitionIncremental(h, wm, 16, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			last = a
+			want += int64(len(a.Units))
 		}
-		final := seq[len(seq)-1]
-		cold, err := ip.PartitionIncremental(final, wm, nprocs, NewPartitionPlan())
-		if err != nil {
-			t.Fatal(err)
+	}
+	if reused, total := plan.Stats(); reused != 0 || total != want {
+		t.Fatalf("stats reused=%d total=%d, want 0 and %d", reused, total, want)
+	}
+	// Warm: only the assignment itself is allocated (the struct, its units,
+	// its owners, and the splitter's own working memory).
+	h := seq[len(seq)-1]
+	for _, p := range []IncrementalPartitioner{PBDISP{}, GMISPSP{}} {
+		warm := testing.AllocsPerRun(20, func() {
+			if _, err := p.PartitionIncremental(h, wm, 16, plan); err != nil {
+				t.Fatal(err)
+			}
+		})
+		cold := testing.AllocsPerRun(20, func() {
+			if _, err := p.Partition(h, wm, 16); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if warm >= cold {
+			t.Errorf("%s: %v allocations through a warm plan, %v without one", p.Name(), warm, cold)
 		}
-		plain, err := p.Partition(final, wm, nprocs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameAssignment(t, p.Name()+" cold-vs-warm", cold, last)
-		requireSameAssignment(t, p.Name()+" nil-plan-vs-warm", plain, last)
-	}
-}
-
-func TestPartitionPlanReuse(t *testing.T) {
-	seq := deltaSequence(t)
-	wm := samr.UniformWorkModel{}
-	plan := NewPartitionPlan()
-	p := SFC{}
-	if _, err := p.PartitionIncremental(seq[0], wm, 16, plan); err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.LastReuseRatio(); got != 0 {
-		t.Fatalf("cold build reuse ratio = %v, want 0", got)
-	}
-	if _, err := p.PartitionIncremental(seq[1], wm, 16, plan); err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.LastReuseRatio(); got < 0.5 {
-		t.Fatalf("locality delta reuse ratio = %v, want >= 0.5", got)
-	}
-	reused, total := plan.Stats()
-	if reused <= 0 || total <= reused {
-		t.Fatalf("stats reused=%d total=%d, want 0 < reused < total", reused, total)
 	}
 }
 
@@ -329,6 +320,9 @@ func TestGranularityForMatchesProbe(t *testing.T) {
 	}
 }
 
+// FuzzDeltaPartition is the differential test with the fuzzer choosing the
+// regrid deltas and, per delta, the processor count, the work model and
+// which partitioners run through the one plan, in which order.
 func FuzzDeltaPartition(f *testing.F) {
 	f.Add(int64(1), uint8(4), []byte{0, 1, 2})
 	f.Add(int64(7), uint8(1), []byte{3, 4, 5, 0})
@@ -338,11 +332,13 @@ func FuzzDeltaPartition(f *testing.F) {
 		h := randomHierarchy(seed)
 		nprocs := 1 + int(procsRaw%24)
 		var wm samr.WorkModel = samr.UniformWorkModel{}
-		plan := NewPartitionPlan()
+		check := planCheck{plan: NewPartitionPlan()}
+		suite := All()
 		if len(ops) > 5 {
 			ops = ops[:5]
 		}
 		for cycle := 0; cycle <= len(ops); cycle++ {
+			first, count := 0, len(suite)
 			if cycle > 0 {
 				op := ops[cycle-1]
 				rng := rand.New(rand.NewSource(seed ^ int64(op)*1099511628211 ^ int64(cycle)))
@@ -350,22 +346,14 @@ func FuzzDeltaPartition(f *testing.F) {
 				if op%7 == 6 {
 					nprocs = 1 + int(op)%24
 				}
-				if op%11 == 10 {
-					wm = samr.UniformWorkModel{CellCost: 2}
+				if op%3 != 0 {
+					wm = randomWorkModel(rng, h)
 				}
+				first, count = int(op)%len(suite), 1+int(op>>4)%len(suite)
 			}
-			for _, p := range All() {
-				inc, errInc := p.(IncrementalPartitioner).PartitionIncremental(h, wm, nprocs, plan)
-				ref, errRef := ReferencePartition(p, h, wm, nprocs)
-				if (errInc != nil) != (errRef != nil) {
-					t.Fatalf("%s: incremental err %v, reference err %v", p.Name(), errInc, errRef)
-				}
-				if errInc != nil {
-					continue
-				}
-				if !reflect.DeepEqual(inc, ref) {
-					t.Fatalf("%s cycle %d: incremental diverges from reference", p.Name(), cycle)
-				}
+			for i := 0; i < count; i++ {
+				p := suite[(first+i*5)%len(suite)]
+				check.partition(t, fmt.Sprintf("cycle %d %s", cycle, p.Name()), p, h, wm, nprocs)
 			}
 		}
 	})

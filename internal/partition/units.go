@@ -11,11 +11,17 @@ import (
 // work model. side <= 0 keeps whole hierarchy boxes as units ("patch
 // granularity").
 func blockUnits(h *samr.Hierarchy, wm samr.WorkModel, side int) []Unit {
-	var units []Unit
+	return appendBlockUnits(nil, new(samr.BoxWeigher), h, wm, side)
+}
+
+// appendBlockUnits is blockUnits appending to units and weighing through
+// w, which is prepared once per hierarchy box for all of its blocks.
+func appendBlockUnits(units []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm samr.WorkModel, side int) []Unit {
 	for l, boxes := range h.Levels {
 		for _, b := range boxes {
+			w.Reset(wm, h, l, b)
 			if side <= 0 {
-				units = append(units, Unit{Level: l, Box: b, Weight: wm.BoxWork(h, l, b)})
+				units = append(units, Unit{Level: l, Box: b, Weight: w.BoxWork(b)})
 				continue
 			}
 			for x := b.Lo[0]; x < b.Hi[0]; x += side {
@@ -29,7 +35,7 @@ func blockUnits(h *samr.Hierarchy, wm samr.WorkModel, side int) []Unit {
 								min(z+side, b.Hi[2]),
 							},
 						}
-						units = append(units, Unit{Level: l, Box: blk, Weight: wm.BoxWork(h, l, blk)})
+						units = append(units, Unit{Level: l, Box: blk, Weight: w.BoxWork(blk)})
 					}
 				}
 			}
@@ -44,33 +50,40 @@ func blockUnits(h *samr.Hierarchy, wm samr.WorkModel, side int) []Unit {
 // axis, until the unit is light enough or minSide is reached. Heavy regions
 // end up finely subdivided while light regions stay coarse.
 func variableGrainUnits(h *samr.Hierarchy, wm samr.WorkModel, threshold float64, minSide int) []Unit {
+	return appendVariableGrainUnits(nil, new(samr.BoxWeigher), h, wm, threshold, minSide)
+}
+
+// appendVariableGrainUnits is variableGrainUnits appending to units and
+// weighing through w, which is prepared once per hierarchy box for every
+// node of that box's halving recursion.
+func appendVariableGrainUnits(units []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm samr.WorkModel, threshold float64, minSide int) []Unit {
 	if minSide < 1 {
 		minSide = 1
 	}
-	var units []Unit
-	var split func(l int, b samr.Box)
-	split = func(l int, b samr.Box) {
-		w := wm.BoxWork(h, l, b)
-		longest := 0
-		for d := 1; d < 3; d++ {
-			if b.Dx(d) > b.Dx(longest) {
-				longest = d
-			}
-		}
-		if w <= threshold || b.Dx(longest) < 2*minSide {
-			units = append(units, Unit{Level: l, Box: b, Weight: w})
-			return
-		}
-		lo, hi := b.Split(longest, b.Lo[longest]+b.Dx(longest)/2)
-		split(l, lo)
-		split(l, hi)
-	}
 	for l, boxes := range h.Levels {
 		for _, b := range boxes {
-			split(l, b)
+			w.Reset(wm, h, l, b)
+			units = halveUnits(units, w, l, b, threshold, minSide)
 		}
 	}
 	return units
+}
+
+// halveUnits appends the leaves of b's halving recursion.
+func halveUnits(units []Unit, w *samr.BoxWeigher, l int, b samr.Box, threshold float64, minSide int) []Unit {
+	weight := w.BoxWork(b)
+	longest := 0
+	for d := 1; d < 3; d++ {
+		if b.Dx(d) > b.Dx(longest) {
+			longest = d
+		}
+	}
+	if weight <= threshold || b.Dx(longest) < 2*minSide {
+		return append(units, Unit{Level: l, Box: b, Weight: weight})
+	}
+	lo, hi := b.Split(longest, b.Lo[longest]+b.Dx(longest)/2)
+	units = halveUnits(units, w, l, lo, threshold, minSide)
+	return halveUnits(units, w, l, hi, threshold, minSide)
 }
 
 // granularityFor picks a block side so the decomposition yields roughly

@@ -240,17 +240,3 @@ func floorDiv(a, b int) int {
 }
 
 func ceilDiv(a, b int) int { return -floorDiv(-a, b) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -93,6 +93,14 @@ func (h *Hierarchy) SurfaceToVolume(l int) float64 {
 // ChangeFraction measures activity dynamics between two hierarchies: the
 // symmetric difference of their level-l refined regions divided by the
 // union. 0 means the refinement did not move; 1 means it moved entirely.
+//
+// Both levels must be pairwise disjoint box lists, which Hierarchy.Validate
+// enforces. Then every cell of A ∩ B lies in exactly one pair (aᵢ, bⱼ), so
+// |A ∩ B| = Σ vol(aᵢ ∩ bⱼ), |A \ B| = |A| − |A ∩ B| and |A ∪ B| = |A| +
+// |B| − |A ∩ B|: exact integers from box intersections, nothing carved and
+// nothing allocated. A level that overlaps itself counts its shared cells
+// once per overlapping pair; the one-sided differences are clamped at zero
+// so the result stays in [0, 1], but it is no longer the change fraction.
 func ChangeFraction(a, b *Hierarchy, l int) float64 {
 	var aBoxes, bBoxes []Box
 	if l < a.Depth() {
@@ -103,11 +111,16 @@ func ChangeFraction(a, b *Hierarchy, l int) float64 {
 	}
 	aVol := boxesVolume(aBoxes)
 	bVol := boxesVolume(bBoxes)
-	if aVol == 0 && bVol == 0 {
-		return 0
+	var common int64
+	for _, x := range aBoxes {
+		for _, y := range bBoxes {
+			if inter, ok := x.Intersect(y); ok {
+				common += inter.Volume()
+			}
+		}
 	}
-	aOnly := differenceVolume(aBoxes, bBoxes)
-	bOnly := differenceVolume(bBoxes, aBoxes)
+	aOnly := max(aVol-common, 0)
+	bOnly := max(bVol-common, 0)
 	union := aVol + bOnly
 	if union == 0 {
 		return 0
@@ -121,27 +134,6 @@ func boxesVolume(boxes []Box) int64 {
 		v += b.Volume()
 	}
 	return v
-}
-
-// differenceVolume returns |union(a) \ union(b)| assuming the boxes within a
-// are pairwise disjoint (a hierarchy level invariant).
-func differenceVolume(a, b []Box) int64 {
-	var vol int64
-	for _, box := range a {
-		remaining := []Box{box}
-		for _, cut := range b {
-			var next []Box
-			for _, r := range remaining {
-				next = append(next, r.Subtract(cut)...)
-			}
-			remaining = next
-			if len(remaining) == 0 {
-				break
-			}
-		}
-		vol += boxesVolume(remaining)
-	}
-	return vol
 }
 
 // Snapshot is one entry of an adaptation trace: the grid hierarchy captured

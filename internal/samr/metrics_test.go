@@ -2,6 +2,7 @@ package samr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -137,4 +138,157 @@ func TestTraceStats(t *testing.T) {
 	if stats[0].Cells != a.TotalCells() {
 		t.Fatalf("cells = %d", stats[0].Cells)
 	}
+}
+
+// differenceVolumeSubtract is the box-carving differenceVolume that
+// ChangeFraction used before it was rewritten on intersection volumes,
+// kept verbatim as the oracle: |union(a) \ union(b)| assuming the boxes
+// within a are pairwise disjoint (a hierarchy level invariant).
+func differenceVolumeSubtract(a, b []Box) int64 {
+	var vol int64
+	for _, box := range a {
+		remaining := []Box{box}
+		for _, cut := range b {
+			var next []Box
+			for _, r := range remaining {
+				next = append(next, r.Subtract(cut)...)
+			}
+			remaining = next
+			if len(remaining) == 0 {
+				break
+			}
+		}
+		vol += boxesVolume(remaining)
+	}
+	return vol
+}
+
+// changeFractionSubtract is the old ChangeFraction on top of that oracle.
+func changeFractionSubtract(aBoxes, bBoxes []Box) float64 {
+	aVol := boxesVolume(aBoxes)
+	bVol := boxesVolume(bBoxes)
+	if aVol == 0 && bVol == 0 {
+		return 0
+	}
+	aOnly := differenceVolumeSubtract(aBoxes, bBoxes)
+	bOnly := differenceVolumeSubtract(bBoxes, aBoxes)
+	union := aVol + bOnly
+	if union == 0 {
+		return 0
+	}
+	return float64(aOnly+bOnly) / float64(union)
+}
+
+// levelOne wraps a box list as level 1 of an otherwise unchecked hierarchy:
+// ChangeFraction reads nothing else.
+func levelOne(boxes []Box) *Hierarchy {
+	if len(boxes) == 0 {
+		return &Hierarchy{Ratio: 2, Levels: [][]Box{nil}}
+	}
+	return &Hierarchy{Ratio: 2, Levels: [][]Box{nil, boxes}}
+}
+
+// disjointBoxes carves a pairwise-disjoint list out of a random box astride
+// zero by repeated splitting, dropping some pieces and trimming others.
+func disjointBoxes(rng *rand.Rand) []Box {
+	lo := Point{rng.Intn(16) - 12, rng.Intn(16) - 12, rng.Intn(16) - 12}
+	pieces := []Box{{Lo: lo, Hi: Point{lo[0] + 4 + rng.Intn(16), lo[1] + 4 + rng.Intn(16), lo[2] + 4 + rng.Intn(16)}}}
+	for cuts := rng.Intn(6); cuts > 0; cuts-- {
+		i := rng.Intn(len(pieces))
+		d := rng.Intn(3)
+		if pieces[i].Dx(d) < 2 {
+			continue
+		}
+		a, b := pieces[i].Split(d, pieces[i].Lo[d]+1+rng.Intn(pieces[i].Dx(d)-1))
+		pieces[i] = a
+		pieces = append(pieces, b)
+	}
+	var out []Box
+	for _, p := range pieces {
+		switch rng.Intn(4) {
+		case 0: // dropped
+			continue
+		case 1: // trimmed, still inside its piece
+			d := rng.Intn(3)
+			if p.Dx(d) > 1 {
+				p.Hi[d]--
+			}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func checkChangeFraction(t *testing.T, a, b []Box) {
+	t.Helper()
+	got := ChangeFraction(levelOne(a), levelOne(b), 1)
+	if want := changeFractionSubtract(a, b); got != want {
+		t.Fatalf("ChangeFraction = %v, box subtraction gives %v\na = %v\nb = %v", got, want, a, b)
+	}
+	if back := ChangeFraction(levelOne(b), levelOne(a), 1); back != got {
+		t.Fatalf("ChangeFraction not symmetric: %v vs %v\na = %v\nb = %v", got, back, a, b)
+	}
+}
+
+func TestChangeFractionMatchesSubtraction(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 2000; i++ {
+		a, b := disjointBoxes(rng), disjointBoxes(rng)
+		checkChangeFraction(t, a, b)
+		checkChangeFraction(t, a, a)
+		checkChangeFraction(t, a, nil)
+		if len(a) > 0 {
+			// One side nested in the other.
+			inner := a[0]
+			if inner.Dx(0) > 2 {
+				inner.Lo[0]++
+				inner.Hi[0]--
+			}
+			checkChangeFraction(t, a, []Box{inner})
+		}
+	}
+}
+
+// TestChangeFractionOverlappingOperand documents the precondition: a level
+// that overlaps itself is not a hierarchy level (Validate rejects it), and
+// ChangeFraction counts its doubly covered cells once per overlapping pair.
+func TestChangeFractionOverlappingOperand(t *testing.T) {
+	x := Box{Lo: Point{0, 0, 0}, Hi: Point{8, 8, 8}}
+	whole := Box{Lo: Point{0, 0, 0}, Hi: Point{12, 12, 12}}
+	cases := []struct {
+		name string
+		a, b []Box
+		want float64
+	}{
+		// a covers 960 distinct cells of b's 1728 but reports 1024: the
+		// common volume reads 1024, so 704 cells differ instead of 768.
+		{"two boxes sharing 4^3 cells", []Box{x, {Lo: Point{4, 4, 4}, Hi: Point{12, 12, 12}}}, []Box{whole}, 704.0 / 1728.0},
+		// The common volume (1024) exceeds |b| (512): |b \ a| clamps at 0
+		// rather than going negative.
+		{"the same box twice", []Box{x, x}, []Box{x}, 0},
+	}
+	for _, c := range cases {
+		h := mustHierarchy(t, MakeBox(16, 16, 16), 2)
+		h.Levels = append(h.Levels, c.a)
+		if err := h.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted a level that overlaps itself", c.name)
+		}
+		if got := ChangeFraction(levelOne(c.a), levelOne(c.b), 1); got != c.want {
+			t.Errorf("%s: ChangeFraction = %v, documented %v", c.name, got, c.want)
+		}
+	}
+}
+
+// FuzzChangeFraction holds the closed form to the box-carving oracle on
+// fuzzer-shaped pairwise-disjoint levels.
+func FuzzChangeFraction(f *testing.F) {
+	f.Add(int64(1), int64(2))
+	f.Add(int64(7), int64(7))
+	f.Add(int64(-5), int64(0))
+	f.Fuzz(func(t *testing.T, seedA, seedB int64) {
+		a := disjointBoxes(rand.New(rand.NewSource(seedA)))
+		b := disjointBoxes(rand.New(rand.NewSource(seedB)))
+		checkChangeFraction(t, a, b)
+		checkChangeFraction(t, a, nil)
+	})
 }

@@ -45,22 +45,88 @@ type Front struct {
 // BoxWork implements WorkModel. The work of the box is the base work plus
 // the surcharge for the portion overlapping each front.
 func (f FrontWorkModel) BoxWork(h *Hierarchy, level int, b Box) float64 {
-	w := f.Base.BoxWork(h, level, b)
-	base := f.Base.CellCost
-	if base == 0 {
-		base = 1
+	var buf [8]Front
+	p := f.prepared(buf[:], h, level, b)
+	return p.boxWork(b)
+}
+
+// preparedFronts is a FrontWorkModel specialised to one level and one
+// enclosing box: regions refined to the level, fronts that miss the box or
+// carry no surcharge dropped, the survivors in their original order — so
+// boxWork adds the same terms in the same order for every box inside the
+// enclosing one, whichever box it was prepared for, and returns the same
+// float bit for bit.
+type preparedFronts struct {
+	cell   float64 // base cost of one cell update
+	scale  float64 // Ratio^level, the MIT time refinement
+	fronts []Front // regions in level coordinates
+}
+
+// prepared specialises f to boxes inside box on the given level, building
+// the front list in buf's memory while it fits.
+func (f FrontWorkModel) prepared(buf []Front, h *Hierarchy, level int, box Box) preparedFronts {
+	p := preparedFronts{cell: f.Base.CellCost, fronts: buf[:0]}
+	if p.cell == 0 {
+		p.cell = 1
 	}
 	scale := h.refinementScale(level)
+	p.scale = float64(scale)
 	for _, fr := range f.Fronts {
-		region := fr.Region
-		for i := 0; i < level; i++ {
-			region = region.Refine(h.Ratio)
+		fr.Region = fr.Region.Refine(scale)
+		if fr.Multiplier > 1 && fr.Region.Overlaps(box) {
+			p.fronts = append(p.fronts, fr)
 		}
-		if inter, ok := b.Intersect(region); ok && fr.Multiplier > 1 {
-			w += base * (fr.Multiplier - 1) * float64(inter.Volume()) * float64(scale)
+	}
+	return p
+}
+
+// boxWork is the one surcharge loop of the front work model.
+func (p *preparedFronts) boxWork(b Box) float64 {
+	w := p.cell * float64(b.Volume()) * p.scale
+	for _, fr := range p.fronts {
+		if inter, ok := b.Intersect(fr.Region); ok {
+			w += p.cell * (fr.Multiplier - 1) * float64(inter.Volume()) * p.scale
 		}
 	}
 	return w
+}
+
+// BoxWeigher is a work model prepared for the sub-boxes of one hierarchy
+// box. A partitioner's decomposition weighs hundreds of blocks or halving
+// nodes inside each box; for a FrontWorkModel everything that depends only
+// on (level, enclosing box) is derived once by Reset (see preparedFronts),
+// and any other model is called through as is. Either way BoxWork returns
+// exactly what the model's own BoxWork returns.
+//
+// The zero value is ready for Reset; the front list's capacity is reused
+// from one Reset to the next, so a weigher kept by its caller allocates
+// nothing in steady state. Not safe for concurrent use.
+type BoxWeigher struct {
+	wm    WorkModel // called through unless isFront
+	h     *Hierarchy
+	level int
+
+	isFront bool // wm is a FrontWorkModel, prepared in front
+	front   preparedFronts
+}
+
+// Reset prepares the weigher for boxes inside box on the given level.
+func (w *BoxWeigher) Reset(wm WorkModel, h *Hierarchy, level int, box Box) {
+	w.wm, w.h, w.level = wm, h, level
+	f, ok := wm.(FrontWorkModel)
+	w.isFront = ok
+	if ok {
+		w.front = f.prepared(w.front.fronts, h, level, box)
+	}
+}
+
+// BoxWork returns the per-coarse-step weight of b, which must lie inside
+// the box the weigher was Reset for.
+func (w *BoxWeigher) BoxWork(b Box) float64 {
+	if w.isFront {
+		return w.front.boxWork(b)
+	}
+	return w.wm.BoxWork(w.h, w.level, b)
 }
 
 // HierarchyWork sums the model's weight over every box of the hierarchy.

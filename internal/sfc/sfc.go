@@ -60,12 +60,49 @@ func (h Hilbert) Bits() uint { return h.bits }
 // Name reports "hilbert".
 func (Hilbert) Name() string { return "hilbert" }
 
-// Index maps (x,y,z) to its Hilbert distance.
+// Index maps (x,y,z) to its Hilbert distance: Skilling's AxestoTranspose
+// for n=3 with the three axes held in locals (the partitioners key every
+// unit center through here), then the transposed index packed by bit
+// interleaving — bit b of x, y, z lands at bit 3b+2, 3b+1, 3b.
 func (h Hilbert) Index(x, y, z uint32) uint64 {
-	var X [3]uint32
-	X[0], X[1], X[2] = x, y, z
-	axesToTranspose(&X, h.bits)
-	return interleaveTransposed(X, h.bits)
+	M := uint32(1) << (h.bits - 1)
+	// Inverse undo. Exchanging x with itself is a no-op, so the x axis
+	// only ever inverts.
+	for Q := M; Q > 1; Q >>= 1 {
+		P := Q - 1
+		if x&Q != 0 {
+			x ^= P
+		}
+		if y&Q != 0 {
+			x ^= P
+		} else {
+			t := (x ^ y) & P
+			x ^= t
+			y ^= t
+		}
+		if z&Q != 0 {
+			x ^= P
+		} else {
+			t := (x ^ z) & P
+			x ^= t
+			z ^= t
+		}
+	}
+	// Gray encode.
+	y ^= x
+	z ^= y
+	// Skilling folds Q-1 into t for every set bit Q > 1 of z, so bit k of
+	// t is the parity of z's bits above k: a suffix XOR of z>>1.
+	t := z >> 1
+	t ^= t >> 1
+	t ^= t >> 2
+	t ^= t >> 4
+	t ^= t >> 8
+	t ^= t >> 16
+	x ^= t
+	y ^= t
+	z ^= t
+	return spread(x)<<2 | spread(y)<<1 | spread(z)
 }
 
 // Coords inverts Index.
@@ -73,38 +110,6 @@ func (h Hilbert) Coords(d uint64) (x, y, z uint32) {
 	X := deinterleaveTransposed(d, h.bits)
 	transposeToAxes(&X, h.bits)
 	return X[0], X[1], X[2]
-}
-
-// axesToTranspose converts point coordinates into the "transposed" Hilbert
-// index in place (Skilling's AxestoTranspose for n=3).
-func axesToTranspose(X *[3]uint32, bits uint) {
-	M := uint32(1) << (bits - 1)
-	// Inverse undo.
-	for Q := M; Q > 1; Q >>= 1 {
-		P := Q - 1
-		for i := 0; i < 3; i++ {
-			if X[i]&Q != 0 {
-				X[0] ^= P // invert
-			} else {
-				t := (X[0] ^ X[i]) & P
-				X[0] ^= t
-				X[i] ^= t
-			}
-		}
-	}
-	// Gray encode.
-	for i := 1; i < 3; i++ {
-		X[i] ^= X[i-1]
-	}
-	var t uint32
-	for Q := M; Q > 1; Q >>= 1 {
-		if X[2]&Q != 0 {
-			t ^= Q - 1
-		}
-	}
-	for i := 0; i < 3; i++ {
-		X[i] ^= t
-	}
 }
 
 // transposeToAxes converts a transposed Hilbert index back into point
@@ -132,19 +137,8 @@ func transposeToAxes(X *[3]uint32, bits uint) {
 	}
 }
 
-// interleaveTransposed packs the transposed representation into a scalar
-// curve index: bit b of axis i becomes bit 3*b + (2-i) of the result.
-func interleaveTransposed(X [3]uint32, bits uint) uint64 {
-	var d uint64
-	for b := int(bits) - 1; b >= 0; b-- {
-		for i := 0; i < 3; i++ {
-			d = d<<1 | uint64((X[i]>>uint(b))&1)
-		}
-	}
-	return d
-}
-
-// deinterleaveTransposed inverts interleaveTransposed.
+// deinterleaveTransposed unpacks a curve index into the transposed
+// representation: bit 3*b + (2-i) of d is bit b of axis i.
 func deinterleaveTransposed(d uint64, bits uint) [3]uint32 {
 	var X [3]uint32
 	for b := int(bits) - 1; b >= 0; b-- {

@@ -22,6 +22,12 @@ BASE="http://$HOST:$HTTP_PORT"
 BG_RUNS=40
 VIP_RUNS=20
 TRACE_COST=41 # regrid intervals per trace=small run
+# Every run pauses this long at each regrid, so a run lasts ~0.17 s however
+# fast the host replays it. Without the pause vip's whole backlog is over in
+# tens of milliseconds — less than one scrape — and the share measured
+# below is mostly what bg does alone between vip finishing and the next
+# poll noticing.
+REGRID_DELAY_MS=4
 
 WORK=$(mktemp -d)
 BIN="$WORK/pragma-node"
@@ -66,7 +72,7 @@ IDS=()
 flood() { # flood TENANT WEIGHT COUNT — submit COUNT runs in one curl process
   local tenant=$1 weight=$2 count=$3 urls=() out
   for i in $(seq 1 "$count"); do
-    urls+=("$BASE/sched/submit?trace=small&tenant=$tenant&weight=$weight&name=$tenant-$i")
+    urls+=("$BASE/sched/submit?trace=small&regrid-delay-ms=$REGRID_DELAY_MS&tenant=$tenant&weight=$weight&name=$tenant-$i")
   done
   # One curl reusing one connection: a per-submit curl would take ~50ms
   # each, long enough for the pool to drain the flood as it is submitted.
@@ -86,8 +92,7 @@ echo "== flood tenant bg (weight 1)"
 flood bg 1 "$BG_RUNS"
 
 echo "== wait for bg to bank service"
-# Tight poll: trace=small runs complete in fractions of a second, and vip
-# must join while bg is still deep in its backlog.
+# Tight poll: vip must join while bg is still deep in its backlog.
 for i in $(seq 1 2400); do
   BG0=$(gauge pragma_sched_tenant_cost bg)
   awk -v v="$BG0" 'BEGIN{exit !(v>0)}' && break
@@ -113,12 +118,14 @@ flood vip 4 "$VIP_RUNS"
 echo "== wait for vip's backlog to complete"
 VIP_TOTAL=$((VIP_RUNS * TRACE_COST))
 ok=0
-for i in $(seq 1 480); do
+# Tight poll again: bg has the pool to itself from the moment vip finishes
+# until BG1 is scraped.
+for i in $(seq 1 2400); do
   VIP=$(gauge pragma_sched_tenant_cost vip)
   if awk -v v="$VIP" -v want="$VIP_TOTAL" 'BEGIN{exit !(v>=want)}'; then
     ok=1; break
   fi
-  sleep 0.25
+  sleep 0.05
 done
 if [ "$ok" != 1 ]; then
   echo "vip never finished its backlog (cost $VIP of $VIP_TOTAL); node log:" >&2
