@@ -119,7 +119,6 @@ func main() {
 		procs        = flag.Int("procs", 8, "replay: processor count")
 		ckptDir      = flag.String("checkpoint-dir", "", "replay: persist run state here at regrid boundaries")
 		ckptEvery    = flag.Int("checkpoint-every", 1, "replay: checkpoint after every k-th regrid")
-		ckptKeep     = flag.Int("checkpoint-keep", 3, "replay: checkpoint files to retain (negative = all)")
 		resume       = flag.Bool("resume", false, "replay: continue from the latest valid checkpoint")
 		crashAt      = flag.Int("crash-at", 0, "replay: inject a crash at the n-th regrid (rehearsal; 0 disables)")
 		emulate      = flag.Bool("emulate", false, "replay: then run the final snapshot on the message-passing engine")
@@ -170,6 +169,7 @@ func main() {
 		schedBuild = fleet.SpecBuilder(*schedCkptRoot, fleet.DefaultMaterializer())
 		if *schedState != "" {
 			stateStore = &checkpoint.Store{Dir: *schedState}
+			defer stateStore.Close() // runs after the drain's Save below
 			// Boot-time restore: re-admit whatever backlog the previous
 			// process snapshotted on its way down. A missing snapshot is a
 			// fresh start, not an error.
@@ -292,8 +292,7 @@ func main() {
 	case *replay:
 		if err := runReplay(fleet.WireSpec{
 			Trace: *traceName, Scenario: *scenarioSpec, Strategy: *strategyName, Procs: *procs,
-			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, CheckpointKeep: *ckptKeep,
-			Resume: *resume,
+			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
 		}, *crashAt, *emulate, *stepDeadline); err != nil {
 			fail(err)
 		}
@@ -571,8 +570,7 @@ func runReplay(ws fleet.WireSpec, crashAt int, emulate bool, stepDeadline time.D
 		traceLabel, len(spec.Trace.Snapshots), spec.Strategy.Name(), spec.NProcs, resuming)
 	res, err := core.Run(spec.Trace, spec.Strategy, core.RunConfig{
 		Machine: spec.Machine, NProcs: spec.NProcs, WorkModel: spec.WorkModel,
-		CheckpointDir: spec.CheckpointDir, CheckpointEvery: spec.CheckpointEvery,
-		CheckpointKeep: spec.CheckpointKeep, Resume: spec.Resume,
+		CheckpointDir: spec.CheckpointDir, CheckpointEvery: spec.CheckpointEvery, Resume: spec.Resume,
 	})
 	if errors.Is(err, chaos.ErrInjectedCrash) {
 		fmt.Printf("injected crash at regrid %d; checkpoints are in %s — rerun with -resume\n",

@@ -2,14 +2,15 @@
 // instead of losing the whole run — the recovery half of Pragma's "respond
 // to system failures" reactive management (§3.4.2). It provides a small,
 // format-versioned container (magic, version, length, CRC-32C over the
-// payload) and a directory Store that writes checkpoints atomically
-// (temp file + fsync + rename) and finds the latest valid one, skipping
-// truncated or corrupted files.
+// payload) and a directory Store of append-only logs: every Save appends
+// one container-framed record to the log its Store owns and fsyncs it
+// before returning, and readers take the longest valid prefix of the
+// newest log that has one.
 //
 // The package is payload-agnostic: callers serialize their own state
-// (internal/core stores its replay accumulators as JSON) and this layer
-// guarantees that whatever is read back is exactly what was written, or an
-// error — never silently damaged state.
+// (internal/core writes a binary record per regrid boundary) and this
+// layer guarantees that whatever is read back is exactly what was
+// written, or nothing — never silently damaged state.
 package checkpoint
 
 import (
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,7 +27,7 @@ import (
 	"time"
 )
 
-// Format constants. A checkpoint file is:
+// Format constants. A container is:
 //
 //	offset 0:  magic "PRGMCKPT" (8 bytes)
 //	offset 8:  version, uint32 little-endian
@@ -34,22 +36,25 @@ import (
 //	offset 24: payload
 //
 // Truncation is caught by the length field, payload damage by the CRC, and
-// future incompatible layouts by the version.
+// future incompatible layouts by the version. A log record is one
+// container whose payload is the record's sequence number (int64
+// little-endian) followed by the caller's payload.
 const (
 	magic      = "PRGMCKPT"
 	headerSize = 24
+	seqSize    = 8
 	// Version is the current container format version.
 	Version = 1
 )
 
-// Sentinel decode errors. All of them mean "this file is not a usable
-// checkpoint"; Store.Latest treats any of them as a skip.
+// Sentinel decode errors. All of them mean "these bytes are not a usable
+// checkpoint"; the log reader stops at the first record that fails.
 var (
 	// ErrNotCheckpoint marks data without the checkpoint magic.
 	ErrNotCheckpoint = errors.New("checkpoint: not a checkpoint file")
 	// ErrVersion marks a container version this code does not understand.
 	ErrVersion = errors.New("checkpoint: unsupported format version")
-	// ErrTruncated marks a file shorter than its header promises.
+	// ErrTruncated marks data shorter (or longer) than its header promises.
 	ErrTruncated = errors.New("checkpoint: truncated file")
 	// ErrCorrupt marks a payload whose CRC does not match.
 	ErrCorrupt = errors.New("checkpoint: payload CRC mismatch")
@@ -62,188 +67,295 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Encode wraps a payload in the checkpoint container.
 func Encode(payload []byte) []byte {
 	out := make([]byte, headerSize+len(payload))
-	copy(out, magic)
-	binary.LittleEndian.PutUint32(out[8:], Version)
-	binary.LittleEndian.PutUint64(out[12:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(out[20:], crc32.Checksum(payload, castagnoli))
 	copy(out[headerSize:], payload)
+	putHeader(out)
 	return out
+}
+
+// putHeader fills in the header of a container whose payload is
+// c[headerSize:].
+func putHeader(c []byte) {
+	payload := c[headerSize:]
+	copy(c, magic)
+	binary.LittleEndian.PutUint32(c[8:], Version)
+	binary.LittleEndian.PutUint64(c[12:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(c[20:], crc32.Checksum(payload, castagnoli))
 }
 
 // Decode validates a checkpoint container and returns its payload.
 func Decode(data []byte) ([]byte, error) {
-	if len(data) < headerSize || string(data[:8]) != magic {
-		return nil, ErrNotCheckpoint
+	payload, n, err := frame(data)
+	if err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
-		return nil, fmt.Errorf("%w: %d", ErrVersion, v)
-	}
-	length := binary.LittleEndian.Uint64(data[12:])
-	if length != uint64(len(data)-headerSize) {
+	if n != len(data) {
 		return nil, fmt.Errorf("%w: header says %d payload bytes, file has %d",
-			ErrTruncated, length, len(data)-headerSize)
-	}
-	payload := data[headerSize:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[20:]) {
-		return nil, ErrCorrupt
+			ErrTruncated, len(payload), len(data)-headerSize)
 	}
 	return payload, nil
 }
 
-// Store manages a directory of sequence-numbered checkpoint files.
+// frame validates the container at the start of data and returns its
+// payload and the container's total size. Bytes after it are not looked at.
+func frame(data []byte) (payload []byte, n int, err error) {
+	if len(data) < headerSize || string(data[:8]) != magic {
+		return nil, 0, ErrNotCheckpoint
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
+		return nil, 0, fmt.Errorf("%w: %d", ErrVersion, v)
+	}
+	length := binary.LittleEndian.Uint64(data[12:])
+	if length > uint64(len(data)-headerSize) {
+		return nil, 0, fmt.Errorf("%w: header says %d payload bytes, file has %d",
+			ErrTruncated, length, len(data)-headerSize)
+	}
+	n = headerSize + int(length)
+	payload = data[headerSize:n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[20:]) {
+		return nil, 0, ErrCorrupt
+	}
+	return payload, n, nil
+}
+
+// Record is one valid record of a log.
+type Record struct {
+	// Seq is the caller-chosen sequence number (core: the next regrid).
+	Seq int
+	// Payload is the caller's bytes, a slice of the data the log was read
+	// into.
+	Payload []byte
+	// End is the offset just past this record in the log.
+	End int
+}
+
+// ParseLog returns the valid prefix of a log's contents, in order: it
+// stops at the first torn, CRC-damaged or foreign record, because a crash
+// can only damage the tail that was being appended.
+func ParseLog(data []byte) []Record {
+	var recs []Record
+	for off := 0; off < len(data); {
+		body, n, err := frame(data[off:])
+		if err != nil || len(body) < seqSize {
+			break
+		}
+		off += n
+		recs = append(recs, Record{
+			Seq:     int(int64(binary.LittleEndian.Uint64(body))),
+			Payload: body[seqSize:],
+			End:     off,
+		})
+	}
+	return recs
+}
+
+// Store is a directory of append-only checkpoint logs, one per Store
+// value that has saved: the first Save creates the next log
+// (log-<n>.ckpt, n one past the newest in the directory, created
+// exclusively), so each log has exactly one writer — one attempt of one
+// run. A Store is not safe for concurrent use.
 type Store struct {
 	// Dir is the checkpoint directory; Save creates it on demand.
 	Dir string
-	// Keep bounds how many checkpoint files Save retains (oldest pruned
-	// first). 0 means the default of 3; negative keeps everything.
-	Keep int
-}
 
-// Entry identifies one checkpoint file in a store.
-type Entry struct {
-	// Seq is the caller-chosen sequence number (a regrid index).
-	Seq int
-	// Path is the file's location.
-	Path string
+	f    *os.File // this Store's log, open once Save has created it
+	num  int      // its number
+	buf  []byte   // the record being written, reused across saves
+	werr error    // sticky: a failed append leaves the log's tail unknown
 }
 
 const (
-	filePrefix = "ckpt-"
-	fileSuffix = ".ckpt"
+	logPrefix = "log-"
+	logSuffix = ".ckpt"
 )
 
-func (s *Store) path(seq int) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s%08d%s", filePrefix, seq, fileSuffix))
+func (s *Store) path(n int) string {
+	return filepath.Join(s.Dir, fmt.Sprintf("%s%08d%s", logPrefix, n, logSuffix))
 }
 
-// Save atomically writes a checkpoint with the given sequence number: the
-// container goes to a temp file in the same directory, is synced, and
-// renamed into place, so a crash mid-write can never leave a half-written
-// file under the checkpoint name. Older files beyond Keep are pruned.
+// Save appends one record with the given sequence number to this Store's
+// log and returns only once it is on disk: the record is one write of the
+// container followed by an fsync. The first Save creates the log and, once
+// its first record is synced, fsyncs the directory, unlinks every older
+// log and fsyncs the directory again; until then the previous log is
+// still the newest valid one. It returns the log's path.
 func (s *Store) Save(seq int, payload []byte) (string, error) {
 	start := time.Now()
-	dst, err := s.save(seq, payload)
+	err := s.save(seq, payload)
 	if err != nil {
 		metricWritesFailed.Inc()
 		return "", err
 	}
 	metricWriteSeconds.Observe(time.Since(start).Seconds())
-	metricBytesWritten.Add(uint64(headerSize + len(payload)))
+	metricBytesWritten.Add(uint64(headerSize + seqSize + len(payload)))
 	metricWritesOK.Inc()
-	return dst, nil
+	return s.f.Name(), nil
 }
 
-func (s *Store) save(seq int, payload []byte) (string, error) {
+func (s *Store) save(seq int, payload []byte) error {
+	if s.werr != nil {
+		return s.werr
+	}
+	first := s.f == nil
+	if first {
+		if err := s.create(); err != nil {
+			return err
+		}
+	}
+	s.buf = append(s.buf[:0], make([]byte, headerSize+seqSize)...)
+	binary.LittleEndian.PutUint64(s.buf[headerSize:], uint64(int64(seq)))
+	s.buf = append(s.buf, payload...)
+	putHeader(s.buf)
+	if _, err := s.f.Write(s.buf); err != nil {
+		s.werr = fmt.Errorf("checkpoint: append %s: %w", s.f.Name(), err)
+		return s.werr
+	}
+	if err := s.f.Sync(); err != nil {
+		s.werr = fmt.Errorf("checkpoint: sync %s: %w", s.f.Name(), err)
+		return s.werr
+	}
+	if !first {
+		return nil
+	}
+	if err := syncDir(s.Dir); err != nil {
+		s.werr = err
+		return err
+	}
+	logs, err := s.logs()
+	if err != nil {
+		return nil // the record is durable; the older logs are only clutter
+	}
+	removed := false
+	for _, n := range logs {
+		if n < s.num && os.Remove(s.path(n)) == nil {
+			removed = true
+		}
+	}
+	if removed {
+		// Not needed for correctness (readers prefer the newest log), but
+		// without it a power loss could bring the old logs back.
+		syncDir(s.Dir)
+	}
+	return nil
+}
+
+// create opens the log this Store writes: one past the newest in the
+// directory, created exclusively so two attempts never share a log.
+func (s *Store) create() error {
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.Dir, ".ckpt-*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(Encode(payload)); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("checkpoint: sync %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("checkpoint: close %s: %w", tmp.Name(), err)
-	}
-	dst := s.path(seq)
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return "", fmt.Errorf("checkpoint: publish %s: %w", dst, err)
-	}
-	s.prune()
-	return dst, nil
-}
-
-// prune removes the oldest files beyond the retention bound. Pruning is
-// best-effort: a failure leaves extra files behind, never missing ones.
-func (s *Store) prune() {
-	keep := s.Keep
-	if keep == 0 {
-		keep = 3
-	}
-	if keep < 0 {
-		return
-	}
-	entries, err := s.Entries()
-	if err != nil {
-		return
-	}
-	for _, e := range entries[min(keep, len(entries)):] {
-		os.Remove(e.Path)
+	for {
+		logs, err := s.logs()
+		if err != nil {
+			return err
+		}
+		n := 1
+		if len(logs) > 0 {
+			n = logs[len(logs)-1] + 1
+		}
+		f, err := os.OpenFile(s.path(n), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue // another attempt took n between the listing and here
+		}
+		if err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		s.f, s.num = f, n
+		return nil
 	}
 }
 
-// Entries lists the store's checkpoint files, newest sequence first.
-// Non-checkpoint files in the directory are ignored; a missing directory
-// is an empty store.
-func (s *Store) Entries() ([]Entry, error) {
+// Close closes this Store's log. Records already saved stay durable; a
+// later Save on the same Store fails.
+func (s *Store) Close() error {
+	if s.f == nil {
+		return nil
+	}
+	s.werr = fmt.Errorf("checkpoint: %s: store closed", s.f.Name())
+	return s.f.Close()
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("checkpoint: sync %s: %w", dir, err)
+	}
+	return nil
+}
+
+// logs lists the numbers of the directory's logs, ascending. Other files
+// are ignored; a missing directory has none.
+func (s *Store) logs() ([]int, error) {
 	des, err := os.ReadDir(s.Dir)
-	if errors.Is(err, os.ErrNotExist) {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var out []Entry
+	var out []int
 	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, filePrefix) || !strings.HasSuffix(name, fileSuffix) {
+		if !strings.HasPrefix(name, logPrefix) || !strings.HasSuffix(name, logSuffix) {
 			continue
 		}
-		seq, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, filePrefix), fileSuffix))
-		if err != nil {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, logPrefix), logSuffix))
+		if err != nil || n < 1 {
 			continue
 		}
-		out = append(out, Entry{Seq: seq, Path: filepath.Join(s.Dir, name)})
+		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
+	sort.Ints(out)
 	return out, nil
 }
 
-// Load reads and validates one checkpoint file, returning its payload.
-func (s *Store) Load(e Entry) ([]byte, error) {
-	data, err := os.ReadFile(e.Path)
+// Records returns the valid records of the newest log that has at least
+// one, in the order they were saved, up to its first torn or damaged
+// record. It walks back to an older log only when every newer one has no
+// valid record (an attempt that crashed before its first record was
+// durable). It returns no records and no error when nothing valid exists.
+func (s *Store) Records() ([]Record, error) {
+	logs, err := s.logs()
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, err
 	}
-	payload, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, e.Path)
+	for i := len(logs) - 1; i >= 0; i-- {
+		data, err := os.ReadFile(s.path(logs[i]))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // unlinked by a newer attempt since the listing
+		}
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+		if recs := ParseLog(data); len(recs) > 0 {
+			return recs, nil
+		}
 	}
-	return payload, nil
+	return nil, nil
 }
 
-// Latest returns the newest checkpoint that validates, walking older files
-// when newer ones are truncated or corrupted. accept, when non-nil, may
-// reject a structurally valid payload (e.g. one recorded for a different
-// run configuration), continuing the walk. Returns ErrNoCheckpoint when
-// nothing usable exists.
+// Latest returns the newest record of Records that accept, when non-nil,
+// does not reject (e.g. one recorded for a different run configuration).
+// Returns ErrNoCheckpoint when nothing usable exists.
 func (s *Store) Latest(accept func(seq int, payload []byte) error) (int, []byte, error) {
-	entries, err := s.Entries()
+	recs, err := s.Records()
 	if err != nil {
 		return 0, nil, err
 	}
 	var lastErr error
-	for _, e := range entries {
-		payload, err := s.Load(e)
-		if err != nil {
-			lastErr = err
-			continue
-		}
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := recs[i]
 		if accept != nil {
-			if err := accept(e.Seq, payload); err != nil {
+			if err := accept(r.Seq, r.Payload); err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		return e.Seq, payload, nil
+		return r.Seq, r.Payload, nil
 	}
 	if lastErr != nil {
 		return 0, nil, fmt.Errorf("%w (last failure: %v)", ErrNoCheckpoint, lastErr)

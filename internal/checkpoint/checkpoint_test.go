@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -34,6 +35,9 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if _, err := Decode(truncated); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated: err = %v, want ErrTruncated", err)
 	}
+	if _, err := Decode(append(append([]byte(nil), valid...), 0)); !errors.Is(err, ErrTruncated) {
+		t.Errorf("trailing byte: err = %v, want ErrTruncated", err)
+	}
 
 	// Flip one payload byte: CRC must catch it.
 	corrupt := append([]byte(nil), valid...)
@@ -50,12 +54,46 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
+// dirNames lists a directory, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	sort.Strings(names)
+	return names
+}
+
+func save(t *testing.T, st *Store, seq int, payload string) string {
+	t.Helper()
+	p, err := st.Save(seq, []byte(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func seqs(recs []Record) []int {
+	var out []int
+	for _, r := range recs {
+		out = append(out, r.Seq)
+	}
+	return out
+}
+
 func TestStoreSaveAndLatest(t *testing.T) {
 	st := &Store{Dir: filepath.Join(t.TempDir(), "ckpts")}
-	for seq, body := range map[int]string{2: "two", 5: "five", 9: "nine"} {
-		if _, err := st.Save(seq, []byte(body)); err != nil {
-			t.Fatal(err)
-		}
+	defer st.Close()
+	for _, r := range []struct {
+		seq  int
+		body string
+	}{{2, "two"}, {5, "five"}, {9, "nine"}} {
+		save(t, st, r.seq, r.body)
 	}
 	seq, payload, err := st.Latest(nil)
 	if err != nil {
@@ -64,47 +102,69 @@ func TestStoreSaveAndLatest(t *testing.T) {
 	if seq != 9 || string(payload) != "nine" {
 		t.Fatalf("latest = (%d, %q), want (9, nine)", seq, payload)
 	}
+	recs, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seqs(recs); len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 9 {
+		t.Fatalf("records = %v, want [2 5 9] in save order", got)
+	}
 }
 
+// TestStoreLatestSkipsCorruptedAndTruncated: within a log, readers stop at
+// the first damaged record (a torn or bit-flipped tail) and keep the
+// prefix; a newest log with no valid record at all falls back to the
+// previous one.
 func TestStoreLatestSkipsCorruptedAndTruncated(t *testing.T) {
-	st := &Store{Dir: t.TempDir()}
-	if _, err := st.Save(1, []byte("good-old")); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := st.Save(2, []byte("good-mid"))
+	dir := t.TempDir()
+	st := &Store{Dir: dir}
+	save(t, st, 1, "good-old")
+	save(t, st, 2, "good-mid")
+	p := save(t, st, 3, "good-new")
+	st.Close()
+	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := st.Save(3, []byte("good-new"))
-	if err != nil {
+	recs := ParseLog(data)
+
+	// Bit flip in the middle record: it and everything after it are gone.
+	flipped := append([]byte(nil), data...)
+	flipped[recs[0].End+headerSize+seqSize+1] ^= 1
+	if err := os.WriteFile(p, flipped, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if seq, payload, err := st.Latest(nil); err != nil || seq != 1 || string(payload) != "good-old" {
+		t.Fatalf("after a bit flip in record 2: latest = (%d, %q, %v), want (1, good-old)", seq, payload, err)
 	}
 
-	// Damage the newest (bit flip) and truncate the middle one — the crash
-	// scenarios rename-on-publish cannot prevent after the fact.
-	data, err := os.ReadFile(p3)
-	if err != nil {
+	// A torn tail: the last record cut mid-payload.
+	if err := os.WriteFile(p, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 1
-	if err := os.WriteFile(p3, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(p2, 10); err != nil {
-		t.Fatal(err)
+	if seq, _, err := st.Latest(nil); err != nil || seq != 2 {
+		t.Fatalf("after a torn tail: latest = (%d, %v), want 2", seq, err)
 	}
 
-	seq, payload, err := st.Latest(nil)
-	if err != nil {
+	// A newer attempt that crashed before its first record was durable:
+	// its log exists but holds only part of a record.
+	next := &Store{Dir: dir}
+	np := save(t, next, 7, "never-synced")
+	next.Close()
+	if err := os.WriteFile(p, data, 0o644); err != nil { // the older log, as the crash left it
 		t.Fatal(err)
 	}
-	if seq != 1 || string(payload) != "good-old" {
-		t.Fatalf("latest = (%d, %q), want the oldest intact file (1, good-old)", seq, payload)
+	if err := os.Truncate(np, 10); err != nil {
+		t.Fatal(err)
+	}
+	if seq, payload, err := st.Latest(nil); err != nil || seq != 3 || string(payload) != "good-new" {
+		t.Fatalf("torn newest log: latest = (%d, %q, %v), want the older log's (3, good-new)", seq, payload, err)
 	}
 }
 
 func TestStoreLatestHonorsAccept(t *testing.T) {
 	st := &Store{Dir: t.TempDir()}
+	defer st.Close()
 	for seq := 1; seq <= 3; seq++ {
 		if _, err := st.Save(seq, []byte{byte(seq)}); err != nil {
 			t.Fatal(err)
@@ -119,6 +179,10 @@ func TestStoreLatestHonorsAccept(t *testing.T) {
 	if err != nil || seq != 2 {
 		t.Fatalf("latest = (%d, %v), want seq 2 after rejecting 3", seq, err)
 	}
+	_, _, err = st.Latest(func(int, []byte) error { return errors.New("no") })
+	if !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("everything rejected: err = %v, want ErrNoCheckpoint", err)
+	}
 }
 
 func TestStoreEmptyAndMissingDir(t *testing.T) {
@@ -126,56 +190,93 @@ func TestStoreEmptyAndMissingDir(t *testing.T) {
 	if _, _, err := st.Latest(nil); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("missing dir: err = %v, want ErrNoCheckpoint", err)
 	}
+	if recs, err := st.Records(); err != nil || len(recs) != 0 {
+		t.Fatalf("missing dir: records = %v, %v; want none", recs, err)
+	}
 }
 
+// TestStorePruneKeepsNewest: each Store writes its own log, and a new
+// log's first durable record unlinks every older one.
 func TestStorePruneKeepsNewest(t *testing.T) {
-	st := &Store{Dir: t.TempDir(), Keep: 2}
-	for seq := 1; seq <= 5; seq++ {
-		if _, err := st.Save(seq, []byte{byte(seq)}); err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	var last string
+	for attempt := 1; attempt <= 4; attempt++ {
+		st := &Store{Dir: dir}
+		for seq := 1; seq <= 3; seq++ {
+			last = save(t, st, attempt*10+seq, "x")
 		}
+		st.Close()
 	}
-	entries, err := st.Entries()
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != filepath.Base(last) {
+		t.Fatalf("after four attempts: %v, want only the newest log %s", names, filepath.Base(last))
+	}
+	recs, err := (&Store{Dir: dir}).Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || entries[0].Seq != 5 || entries[1].Seq != 4 {
-		t.Fatalf("after pruning: %+v, want seqs [5 4]", entries)
+	if got := seqs(recs); len(got) != 3 || got[0] != 41 || got[2] != 43 {
+		t.Fatalf("records = %v, want the last attempt's [41 42 43]", got)
+	}
+}
+
+// TestStoreZombieAppendsAreInvisible: an attempt that is still appending
+// after a newer attempt took over writes into a log the newer one has
+// unlinked, so no reader ever mixes the two histories.
+func TestStoreZombieAppendsAreInvisible(t *testing.T) {
+	dir := t.TempDir()
+	zombie := &Store{Dir: dir}
+	defer zombie.Close()
+	save(t, zombie, 1, "zombie-1")
+	next := &Store{Dir: dir}
+	defer next.Close()
+	save(t, next, 1, "next-1")
+	save(t, zombie, 2, "zombie-2")
+	save(t, next, 2, "next-2")
+	recs, err := (&Store{Dir: dir}).Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || string(recs[0].Payload) != "next-1" || string(recs[1].Payload) != "next-2" {
+		t.Fatalf("records after a zombie's appends: %q", recs)
 	}
 }
 
 func TestStoreIgnoresForeignFiles(t *testing.T) {
 	st := &Store{Dir: t.TempDir()}
-	if err := os.WriteFile(filepath.Join(st.Dir, "README.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
+	defer st.Close()
+	for _, name := range []string{"README.txt", "log-notanumber.ckpt", "ckpt-00000009.ckpt"} {
+		if err := os.WriteFile(filepath.Join(st.Dir, name), Encode([]byte("hi")), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(st.Dir, "ckpt-notanumber.ckpt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
+	if _, _, err := st.Latest(nil); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("only foreign files: err = %v, want ErrNoCheckpoint", err)
 	}
-	if _, err := st.Save(7, []byte("seven")); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := st.Entries()
+	save(t, st, 7, "seven")
+	recs, err := st.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Seq != 7 {
-		t.Fatalf("entries = %+v, want just seq 7", entries)
+	if len(recs) != 1 || recs[0].Seq != 7 {
+		t.Fatalf("records = %+v, want just seq 7", recs)
+	}
+	if names := dirNames(t, st.Dir); len(names) != 4 {
+		t.Fatalf("foreign files were touched: %v", names)
 	}
 }
 
+// TestSaveLeavesNoTempFiles: a log is the only file a Store writes, and
+// one Store writes one log however many records it saves.
 func TestSaveLeavesNoTempFiles(t *testing.T) {
 	st := &Store{Dir: t.TempDir()}
-	if _, err := st.Save(1, []byte("x")); err != nil {
-		t.Fatal(err)
+	for seq := 1; seq <= 5; seq++ {
+		save(t, st, seq, "x")
 	}
-	des, err := os.ReadDir(st.Dir)
-	if err != nil {
-		t.Fatal(err)
+	st.Close()
+	if names := dirNames(t, st.Dir); len(names) != 1 || names[0] != "log-00000001.ckpt" {
+		t.Fatalf("directory holds %v, want [log-00000001.ckpt]", names)
 	}
-	for _, de := range des {
-		if de.Name() != "ckpt-00000001.ckpt" {
-			t.Fatalf("unexpected leftover %q", de.Name())
-		}
+	if _, err := st.Save(6, []byte("x")); err == nil {
+		t.Fatal("Save after Close succeeded")
 	}
 }

@@ -2,13 +2,22 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
-// FuzzCheckpointDecode throws arbitrary bytes at the container decoder: it
-// must never panic, and anything it accepts must re-encode to a container
-// that decodes to the same payload. This is the parser a resuming run
-// trusts with whatever a crash left on disk.
+// logRecord is the bytes Store.Save appends for one record.
+func logRecord(seq int, payload []byte) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, uint64(int64(seq)))
+	return Encode(append(body, payload...))
+}
+
+// FuzzCheckpointDecode throws arbitrary bytes at the container decoder and
+// at the log reader: neither may panic, anything the decoder accepts must
+// re-encode to a container that decodes to the same payload, and the
+// records the log reader returns must be exactly the CRC-valid records
+// that tile the data from its first byte, in order. These are the parsers
+// a resuming run trusts with whatever a crash left on disk.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("PRGMCKPT"))
@@ -20,18 +29,28 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[headerSize] ^= 1 // corrupted payload
 	f.Add(flipped)
+	log := append(logRecord(1, []byte("one")), logRecord(2, bytes.Repeat([]byte{7}, 40))...)
+	f.Add(log)
+	f.Add(log[:len(log)-5])                       // torn tail
+	f.Add(append(log, logRecord(-3, nil)[:9]...)) // a partial header after two records
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := Decode(data)
-		if err != nil {
-			return
+		if payload, err := Decode(data); err == nil {
+			again, err := Decode(Encode(payload))
+			if err != nil {
+				t.Fatalf("accepted payload fails round trip: %v", err)
+			}
+			if !bytes.Equal(again, payload) {
+				t.Fatalf("round trip changed payload: %x vs %x", again, payload)
+			}
 		}
-		again, err := Decode(Encode(payload))
-		if err != nil {
-			t.Fatalf("accepted payload fails round trip: %v", err)
-		}
-		if !bytes.Equal(again, payload) {
-			t.Fatalf("round trip changed payload: %x vs %x", again, payload)
+		off := 0
+		for i, r := range ParseLog(data) {
+			want := logRecord(r.Seq, r.Payload)
+			if r.End != off+len(want) || !bytes.Equal(data[off:r.End], want) {
+				t.Fatalf("record %d (seq %d) at [%d, %d) is not a valid record of the input", i, r.Seq, off, r.End)
+			}
+			off = r.End
 		}
 	})
 }

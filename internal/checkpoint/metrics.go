@@ -2,17 +2,18 @@ package checkpoint
 
 import "github.com/pragma-grid/pragma/internal/telemetry"
 
-// Store-level instrumentation: write latency covers the full atomic path
-// (temp file, fsync, rename), so it reflects what a regrid boundary
+// Store-level instrumentation: write latency covers the whole durable
+// append (write, fsync, and on a log's first record the directory fsyncs
+// and the unlinking of older logs), so it reflects what a regrid boundary
 // actually pays for durability, not just the write syscall.
 var (
 	metricWriteSeconds = telemetry.Default.Histogram(
 		"pragma_checkpoint_write_seconds",
-		"Latency of atomically persisting one checkpoint (write+fsync+rename).",
+		"Latency of durably appending one checkpoint record (write+fsync; a log's first record adds the directory fsyncs).",
 		telemetry.DefBuckets)
 	metricBytesWritten = telemetry.Default.Counter(
 		"pragma_checkpoint_bytes_written_total",
-		"Total checkpoint container bytes written, including headers.")
+		"Total checkpoint record bytes written, including headers.")
 	metricWrites = telemetry.Default.CounterVec(
 		"pragma_checkpoint_writes_total",
 		"Checkpoint save attempts by result.",

@@ -137,6 +137,24 @@ func TestRunResultGolden(t *testing.T) {
 	}
 }
 
+// goldenResult returns the recorded RunResult of one golden case.
+func goldenResult(t *testing.T, name string) *RunResult {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all map[string]*RunResult
+	if err := json.Unmarshal(raw, &all); err != nil {
+		t.Fatal(err)
+	}
+	res, ok := all[name]
+	if !ok {
+		t.Fatalf("%s: no golden case %q", goldenPath, name)
+	}
+	return res
+}
+
 // recordGolden writes one case per line. encoding/json writes the shortest
 // decimal that round-trips each float64, so the file is exact.
 func recordGolden(t *testing.T, got map[string]*RunResult) {

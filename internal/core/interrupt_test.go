@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/pragma-grid/pragma/internal/checkpoint"
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/partition"
 )
@@ -77,16 +76,12 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 		t.Fatalf("interrupted run returned a result: %+v", o.res)
 	}
 
-	store := &checkpoint.Store{Dir: dir}
-	entries, err := store.Entries()
-	if err != nil {
-		t.Fatal(err)
+	recs := records(t, dir)
+	if len(recs) != 1 {
+		t.Fatalf("drain-save wrote %d checkpoints, want exactly 1", len(recs))
 	}
-	if len(entries) != 1 {
-		t.Fatalf("drain-save wrote %d checkpoints, want exactly 1", len(entries))
-	}
-	if entries[0].Seq != 4 {
-		t.Fatalf("drain checkpoint has NextIndex %d, want 4 (interrupt landed during interval 3)", entries[0].Seq)
+	if recs[0].Seq != 4 {
+		t.Fatalf("drain checkpoint has NextIndex %d, want 4 (interrupt landed during interval 3)", recs[0].Seq)
 	}
 
 	res, err := Run(tr, Static{P: p}, RunConfig{
@@ -119,12 +114,8 @@ func TestRunInterruptBeforeFirstInterval(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("got %v, want ErrInterrupted", err)
 	}
-	entries, err := (&checkpoint.Store{Dir: dir}).Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("interrupt before the first interval wrote %d checkpoints, want none", len(entries))
+	if recs := records(t, dir); len(recs) != 0 {
+		t.Fatalf("interrupt before the first interval wrote %d checkpoints, want none", len(recs))
 	}
 	// A "resume" over the empty store must simply run to completion.
 	res, err := Run(tr, Static{P: p}, RunConfig{

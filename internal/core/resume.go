@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"github.com/pragma-grid/pragma/internal/checkpoint"
@@ -10,15 +8,18 @@ import (
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// Checkpoint/restart for trace replays: at regrid boundaries Run persists
-// everything its loop carries between intervals — the accumulators of the
-// eventual RunResult, the outgoing assignment, and opt-in strategy state —
-// through the internal/checkpoint container (CRC-verified, atomically
-// renamed). A resumed run skips the completed intervals and continues from
-// the recorded simulation time, producing a final RunResult bit-identical
-// to an uninterrupted run: every accumulator is a float64 restored through
-// JSON, whose shortest-round-trip encoding is exact, and the previous
-// hierarchy is re-taken from the trace itself rather than serialized.
+// Checkpoint/restart for trace replays: at regrid boundaries Run appends
+// one binary record (record.go) to the checkpoint log its attempt owns
+// (internal/checkpoint: CRC-framed, fsynced before Save returns). A
+// record carries the accumulators of the eventual RunResult, the
+// SnapshotStats completed since the attempt's previous record, the
+// outgoing assignment and opt-in strategy state, so its size follows one
+// interval rather than the whole run so far. A resumed run folds the
+// newest log back into one state, skips the completed intervals and
+// continues from the recorded simulation time, producing a final
+// RunResult bit-identical to an uninterrupted run: every float travels as
+// its IEEE bits, and the previous hierarchy is re-taken from the trace
+// itself rather than serialized.
 
 // CheckpointableStrategy is implemented by strategies carrying in-memory
 // state that a resumed run must restore (capacity caches, failure
@@ -31,121 +32,157 @@ type CheckpointableStrategy interface {
 	RestoreState([]byte) error
 }
 
-// runCheckpoint is the payload Run persists at a regrid boundary.
-type runCheckpoint struct {
+// Checkpoint is one record of a run's checkpoint log, and also the state a
+// whole log folds into (ReadCheckpoint): then From is 0 and Stats holds
+// every interval before Next.
+type Checkpoint struct {
 	// Identity of the run; a checkpoint recorded under a different trace,
-	// strategy or machine shape must not be resumed into this one.
-	Trace     string `json:"trace"`
-	Snapshots int    `json:"snapshots"`
-	Strategy  string `json:"strategy"`
-	NProcs    int    `json:"nprocs"`
+	// strategy or machine shape is not resumed into this one.
+	Trace     string
+	Snapshots int
+	Strategy  string
+	NProcs    int
 
-	// NextIndex is the first regrid interval the resumed run executes;
-	// everything before it is complete and accounted in Result.
-	NextIndex int `json:"nextIndex"`
+	// Stats are the SnapshotStats of intervals [From, Next). Within one
+	// Run call From is 0 for the first record, a full base, and the
+	// previous record's Next after that. Next is the first regrid interval
+	// a resumed run executes; everything before it is complete.
+	From, Next int
+	Stats      []SnapshotStat
 
-	// Loop state between intervals.
-	SimTime   float64    `json:"simTime"`
-	PrevLabel string     `json:"prevLabel"`
-	ImbSum    float64    `json:"imbSum"`
-	EffSum    float64    `json:"effSum"`
-	Degraded  int        `json:"degraded"`
-	Result    *RunResult `json:"result"`
+	// Loop state between intervals and the RunResult accumulators as of
+	// Next, absolute rather than deltas.
+	SimTime        float64
+	PrevLabel      string
+	ImbSum, EffSum float64
+	Degraded       int
+	ComputeTime    float64
+	CommTime       float64
+	PartitionTime  float64
+	MigrationTime  float64
+	MaxImbalance   float64
+	Switches       int
+	Recoveries     int
+	Steps          int
 
 	// PrevAssignment is the outgoing placement; the matching hierarchy is
-	// re-taken from the trace at NextIndex-1, not serialized.
-	PrevAssignment *assignmentState `json:"prevAssignment,omitempty"`
+	// re-taken from the trace at Next-1, not serialized.
+	PrevAssignment *partition.Assignment
 
 	// StrategyState is the opaque CheckpointableStrategy payload.
-	StrategyState json.RawMessage `json:"strategyState,omitempty"`
+	StrategyState []byte
 }
 
-// assignmentState serializes a partition.Assignment, reusing the samr Box
-// JSON encoding the trace serializer established.
-type assignmentState struct {
-	NProcs    int              `json:"nprocs"`
-	Units     []partition.Unit `json:"units"`
-	Owner     []int            `json:"owner"`
-	SplitCost float64          `json:"splitCost"`
+// sameRun reports whether two records were written for the same run.
+func (c *Checkpoint) sameRun(o *Checkpoint) bool {
+	return c.Trace == o.Trace && c.Snapshots == o.Snapshots && c.Strategy == o.Strategy && c.NProcs == o.NProcs
 }
 
-func encodeAssignment(a *partition.Assignment) *assignmentState {
-	if a == nil {
-		return nil
+// result rebuilds the partial RunResult a folded checkpoint describes.
+func (c *Checkpoint) result() *RunResult {
+	return &RunResult{
+		Strategy:      c.Strategy,
+		ComputeTime:   c.ComputeTime,
+		CommTime:      c.CommTime,
+		PartitionTime: c.PartitionTime,
+		MigrationTime: c.MigrationTime,
+		MaxImbalance:  c.MaxImbalance,
+		Switches:      c.Switches,
+		Recoveries:    c.Recoveries,
+		Steps:         c.Steps,
+		Snapshots:     c.Stats,
 	}
-	return &assignmentState{NProcs: a.NProcs, Units: a.Units, Owner: a.Owner, SplitCost: a.SplitCost}
 }
 
-func (s *assignmentState) decode() *partition.Assignment {
-	if s == nil {
-		return nil
-	}
-	return &partition.Assignment{NProcs: s.NProcs, Units: s.Units, Owner: s.Owner, SplitCost: s.SplitCost}
-}
-
-// saveRunCheckpoint persists the loop state after interval idx completed.
-func saveRunCheckpoint(store *checkpoint.Store, tr *samr.Trace, strat Strategy, nprocs int, ck runCheckpoint) error {
-	ck.Trace = tr.Name
-	ck.Snapshots = len(tr.Snapshots)
-	ck.Strategy = strat.Name()
-	ck.NProcs = nprocs
-	if cs, ok := strat.(CheckpointableStrategy); ok {
-		state, err := cs.CheckpointState()
-		if err != nil {
-			return fmt.Errorf("core: checkpoint strategy state: %w", err)
-		}
-		ck.StrategyState = state
-	}
-	payload, err := json.Marshal(ck)
+// ReadCheckpoint folds the newest checkpoint log in dir into the state a
+// resumed run would continue from, without checking that it belongs to
+// any particular run. It returns nil, with no error, when dir holds no
+// usable record.
+func ReadCheckpoint(dir string) (*Checkpoint, error) {
+	recs, err := (&checkpoint.Store{Dir: dir}).Records()
 	if err != nil {
-		return fmt.Errorf("core: encode checkpoint: %w", err)
+		return nil, err
 	}
-	if _, err := store.Save(ck.NextIndex, payload); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return nil
+	return foldCheckpoint(recs)
 }
 
-// loadRunCheckpoint finds the latest valid checkpoint matching this run's
-// identity. ok is false — with no error — when nothing usable exists, in
-// which case the run starts from the beginning.
-func loadRunCheckpoint(store *checkpoint.Store, tr *samr.Trace, strat Strategy, nprocs int) (runCheckpoint, bool, error) {
-	var ck runCheckpoint
-	_, _, err := store.Latest(func(seq int, payload []byte) error {
-		var cand runCheckpoint
-		if err := json.Unmarshal(payload, &cand); err != nil {
-			return fmt.Errorf("undecodable payload: %w", err)
+// foldCheckpoint replays a log's records in order. A record is taken when
+// it decodes and continues the chain: the first has From 0, every later
+// one belongs to the same run and has From equal to the running Next, and
+// each carries exactly the stats of [From, Next), indexed in order. The
+// fold stops at the first record that does not, as the log reader stops
+// at the first damaged one. Only the last record's assignment and
+// strategy state are decoded.
+func foldCheckpoint(recs []checkpoint.Record) (*Checkpoint, error) {
+	var ck *Checkpoint
+	var tail []byte
+	for _, r := range recs {
+		rec, rest, err := decodeCheckpointHead(r.Payload)
+		if err != nil || rec.Next != r.Seq || !rec.continues(ck) {
+			break
 		}
-		if cand.Trace != tr.Name || cand.Snapshots != len(tr.Snapshots) {
-			return fmt.Errorf("checkpoint is for trace %q with %d snapshots, run has %q with %d",
-				cand.Trace, cand.Snapshots, tr.Name, len(tr.Snapshots))
+		if ck != nil {
+			rec.Stats = append(ck.Stats, rec.Stats...)
 		}
-		if cand.Strategy != strat.Name() || cand.NProcs != nprocs {
-			return fmt.Errorf("checkpoint is for strategy %q on %d procs, run has %q on %d",
-				cand.Strategy, cand.NProcs, strat.Name(), nprocs)
-		}
-		if cand.NextIndex < 1 || cand.NextIndex > len(tr.Snapshots) || cand.Result == nil {
-			return fmt.Errorf("inconsistent checkpoint (nextIndex %d of %d)", cand.NextIndex, len(tr.Snapshots))
-		}
-		ck = cand
-		return nil
-	})
-	if errors.Is(err, checkpoint.ErrNoCheckpoint) {
-		return runCheckpoint{}, false, nil
+		ck, tail = rec, rest
 	}
+	if ck == nil {
+		return nil, nil
+	}
+	if err := ck.decodeTail(tail); err != nil {
+		return nil, fmt.Errorf("core: checkpoint at regrid %d: %w", ck.Next, err)
+	}
+	ck.From = 0
+	return ck, nil
+}
+
+// continues reports whether c extends the fold so far (nil: nothing yet).
+func (c *Checkpoint) continues(prev *Checkpoint) bool {
+	from := 0
+	if prev != nil {
+		if !c.sameRun(prev) {
+			return false
+		}
+		from = prev.Next
+	}
+	if c.From != from || c.Next-c.From != len(c.Stats) {
+		return false
+	}
+	for i, s := range c.Stats {
+		if s.Index != c.From+i {
+			return false
+		}
+	}
+	return true
+}
+
+// loadRunCheckpoint folds the store's newest log and checks it against
+// this run's identity. It returns nil — with no error — when nothing
+// usable exists or the log belongs to another run, in which case the run
+// starts from the beginning.
+func loadRunCheckpoint(store *checkpoint.Store, tr *samr.Trace, strat Strategy, nprocs int) (*Checkpoint, error) {
+	recs, err := store.Records()
 	if err != nil {
-		return runCheckpoint{}, false, err
+		return nil, err
+	}
+	ck, err := foldCheckpoint(recs)
+	if err != nil || ck == nil {
+		return nil, err
+	}
+	want := Checkpoint{Trace: tr.Name, Snapshots: len(tr.Snapshots), Strategy: strat.Name(), NProcs: nprocs}
+	if !ck.sameRun(&want) || ck.Next < 1 || ck.Next > len(tr.Snapshots) {
+		return nil, nil
 	}
 	if len(ck.StrategyState) > 0 {
 		cs, ok := strat.(CheckpointableStrategy)
 		if !ok {
-			return runCheckpoint{}, false, fmt.Errorf(
+			return nil, fmt.Errorf(
 				"core: checkpoint carries state for strategy %q but the strategy cannot restore it", ck.Strategy)
 		}
 		if err := cs.RestoreState(ck.StrategyState); err != nil {
-			return runCheckpoint{}, false, fmt.Errorf("core: restore strategy state: %w", err)
+			return nil, fmt.Errorf("core: restore strategy state: %w", err)
 		}
 	}
 	metricResumes.Inc()
-	return ck, true, nil
+	return ck, nil
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/chaos"
@@ -44,6 +46,44 @@ func (c crashingStrategy) RestoreState(data []byte) error {
 		return cs.RestoreState(data)
 	}
 	return nil
+}
+
+// records returns the valid records of the newest checkpoint log in dir.
+func records(t *testing.T, dir string) []checkpoint.Record {
+	t.Helper()
+	recs, err := (&checkpoint.Store{Dir: dir}).Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// newestLog returns the path of the newest log in dir; log names sort in
+// the order they were created.
+func newestLog(t *testing.T, dir string) string {
+	t.Helper()
+	logs := logNames(t, dir)
+	if len(logs) == 0 {
+		t.Fatalf("no checkpoint log in %s", dir)
+	}
+	return filepath.Join(dir, logs[len(logs)-1])
+}
+
+// logNames lists the checkpoint logs in dir, oldest first.
+func logNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		if strings.HasPrefix(de.Name(), "log-") {
+			names = append(names, de.Name())
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // sameResult asserts two run results are identical, field by field —
@@ -95,9 +135,8 @@ func TestRunCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("crash run: err = %v, want injected crash", err)
 	}
 
-	entries, err := (&checkpoint.Store{Dir: dir}).Entries()
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no checkpoints written before the crash (err=%v)", err)
+	if len(records(t, dir)) == 0 {
+		t.Fatal("no checkpoints written before the crash")
 	}
 
 	resumed, err := Run(tr, Adaptive{ImbalanceGuard: 20}, RunConfig{
@@ -123,33 +162,29 @@ func TestRunResumeSkipsCorruptedCheckpoint(t *testing.T) {
 	_, err = Run(tr, crashingStrategy{
 		inner: Static{P: partition.GMISPSP{}},
 		fp:    &chaos.FaultPoint{FailAt: crashAt + 1},
-	}, RunConfig{Machine: mk(), NProcs: 4, CheckpointDir: dir, CheckpointKeep: -1})
+	}, RunConfig{Machine: mk(), NProcs: 4, CheckpointDir: dir})
 	if !errors.Is(err, chaos.ErrInjectedCrash) {
 		t.Fatalf("crash run: err = %v", err)
 	}
 
-	// Corrupt the newest checkpoint (a crash mid-overwrite / disk damage):
+	// Corrupt the newest checkpoint record (a torn append / disk damage):
 	// resume must fall back to the previous valid one and still reproduce
 	// the uninterrupted result.
-	st := &checkpoint.Store{Dir: dir, Keep: -1}
-	entries, err := st.Entries()
-	if err != nil {
-		t.Fatal(err)
+	if len(records(t, dir)) < 2 {
+		t.Fatalf("need at least 2 checkpoints, have %d", len(records(t, dir)))
 	}
-	if len(entries) < 2 {
-		t.Fatalf("need at least 2 checkpoints, have %d", len(entries))
-	}
-	data, err := os.ReadFile(entries[0].Path)
+	path := newestLog(t, dir)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-1] ^= 0x80
-	if err := os.WriteFile(entries[0].Path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	resumed, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{
-		Machine: mk(), NProcs: 4, CheckpointDir: dir, CheckpointKeep: -1, Resume: true,
+		Machine: mk(), NProcs: 4, CheckpointDir: dir, Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,20 +240,17 @@ func TestRunCheckpointEveryKRegrids(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{
 		Machine: machine, NProcs: 4,
-		CheckpointDir: dir, CheckpointEvery: 3, CheckpointKeep: -1,
+		CheckpointDir: dir, CheckpointEvery: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := (&checkpoint.Store{Dir: dir, Keep: -1}).Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
+	recs := records(t, dir)
+	if len(recs) == 0 {
 		t.Fatal("no checkpoints written")
 	}
-	for _, e := range entries {
-		if e.Seq%3 != 0 {
-			t.Errorf("checkpoint at regrid %d violates CheckpointEvery=3", e.Seq)
+	for _, r := range recs {
+		if r.Seq%3 != 0 {
+			t.Errorf("checkpoint at regrid %d violates CheckpointEvery=3", r.Seq)
 		}
 	}
 }

@@ -32,18 +32,16 @@ type RunConfig struct {
 	// metric.
 	PartitionSecondsPerUnit float64
 	// CheckpointDir, when set, persists run state at regrid boundaries so
-	// a crashed replay can resume (see resume.go for the format).
+	// a crashed replay can resume: each Run call appends to a log of its
+	// own in this directory (see resume.go and record.go for the format).
 	CheckpointDir string
 	// CheckpointEvery checkpoints after every k-th regrid interval
 	// (default 1 = every interval).
 	CheckpointEvery int
-	// CheckpointKeep bounds retained checkpoint files (0 = default of 3,
-	// negative = keep all).
-	CheckpointKeep int
 	// Resume restarts from the latest valid checkpoint in CheckpointDir,
-	// skipping the already-completed regrid intervals. Corrupted or
-	// truncated checkpoints are detected by CRC and skipped in favor of
-	// the previous valid one; with no usable checkpoint the run starts
+	// skipping the already-completed regrid intervals. A torn or
+	// CRC-damaged tail is detected and the run continues from the last
+	// intact record before it; with no usable checkpoint the run starts
 	// from the beginning. The final RunResult is identical to an
 	// uninterrupted run's.
 	Resume bool
@@ -207,24 +205,25 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	var store *checkpoint.Store
 	ckptEvery := cfg.CheckpointEvery
 	if cfg.CheckpointDir != "" {
-		store = &checkpoint.Store{Dir: cfg.CheckpointDir, Keep: cfg.CheckpointKeep}
+		store = &checkpoint.Store{Dir: cfg.CheckpointDir}
+		defer store.Close() // every record is synced before Save returns
 		if ckptEvery < 1 {
 			ckptEvery = 1
 		}
 	}
 	if cfg.Resume && store != nil {
-		ck, ok, err := loadRunCheckpoint(store, tr, strat, nprocs)
+		ck, err := loadRunCheckpoint(store, tr, strat, nprocs)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			startIdx = ck.NextIndex
+		if ck != nil {
+			startIdx = ck.Next
 			simTime = ck.SimTime
 			prevLabel = ck.PrevLabel
 			imbSum, effSum = ck.ImbSum, ck.EffSum
 			degradedBase = ck.Degraded
-			res = ck.Result
-			prevA = ck.PrevAssignment.decode()
+			res = ck.result()
+			prevA = ck.PrevAssignment
 			// The hierarchy the outgoing assignment partitioned is the
 			// trace's own snapshot — recomputed, never serialized.
 			prevH = tr.Snapshots[startIdx-1].H
@@ -236,32 +235,50 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		}
 	}
 
-	// saveAt persists the loop state with next as the first interval a
+	// durable is the boundary the checkpoint directory already holds (the
+	// resumed one, then this attempt's latest record), and from the first
+	// interval this attempt's next record starts its stats at: 0 for its
+	// first record, which is a full base.
+	durable, from := startIdx, 0
+	var record []byte
+	// saveAt appends the loop state with next as the first interval a
 	// resumed run executes; everything before next is complete and
 	// accounted in res.
 	saveAt := func(next int) error {
-		degraded := degradedBase
-		if dg, ok := strat.(interface{ DegradedCount() int }); ok {
-			degraded += dg.DegradedCount()
+		ck := Checkpoint{
+			Trace: tr.Name, Snapshots: len(tr.Snapshots), Strategy: strat.Name(), NProcs: nprocs,
+			From: from, Next: next, Stats: res.Snapshots[from:next],
+			SimTime: simTime, PrevLabel: prevLabel, ImbSum: imbSum, EffSum: effSum, Degraded: degradedBase,
+			ComputeTime: res.ComputeTime, CommTime: res.CommTime, PartitionTime: res.PartitionTime,
+			MigrationTime: res.MigrationTime, MaxImbalance: res.MaxImbalance,
+			Switches: res.Switches, Recoveries: res.Recoveries, Steps: res.Steps,
+			PrevAssignment: prevA,
 		}
-		return saveRunCheckpoint(store, tr, strat, nprocs, runCheckpoint{
-			NextIndex:      next,
-			SimTime:        simTime,
-			PrevLabel:      prevLabel,
-			ImbSum:         imbSum,
-			EffSum:         effSum,
-			Degraded:       degraded,
-			Result:         res,
-			PrevAssignment: encodeAssignment(prevA),
-		})
+		if dg, ok := strat.(interface{ DegradedCount() int }); ok {
+			ck.Degraded += dg.DegradedCount()
+		}
+		if cs, ok := strat.(CheckpointableStrategy); ok {
+			state, err := cs.CheckpointState()
+			if err != nil {
+				return fmt.Errorf("core: checkpoint strategy state: %w", err)
+			}
+			ck.StrategyState = state
+		}
+		record = appendCheckpoint(record[:0], &ck)
+		if _, err := store.Save(next, record); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		durable, from = next, next
+		return nil
 	}
 
 	for idx := startIdx; idx < len(tr.Snapshots); idx++ {
 		if interrupted(cfg.Interrupt) {
 			// A drain landed between intervals. Everything up to idx is
-			// complete; persist it (there is nothing to save before the
+			// complete; persist it unless the directory already holds
+			// exactly this boundary (there is nothing to save before the
 			// first interval) and stop.
-			if store != nil && idx > 0 {
+			if store != nil && idx > durable {
 				if err := saveAt(idx); err != nil {
 					return nil, err
 				}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -67,7 +66,6 @@ func testMaterializer(t testing.TB) Materializer {
 			NProcs:          4,
 			CheckpointDir:   ws.CheckpointDir,
 			CheckpointEvery: ws.CheckpointEvery,
-			CheckpointKeep:  ws.CheckpointKeep,
 			Resume:          ws.Resume,
 		}, nil
 	}
@@ -84,7 +82,6 @@ func refResult(t testing.TB, mat Materializer, ws WireSpec) *core.RunResult {
 	res, err := core.Run(spec.Trace, spec.Strategy, core.RunConfig{
 		Machine: spec.Machine, NProcs: spec.NProcs,
 		CheckpointDir: spec.CheckpointDir, CheckpointEvery: spec.CheckpointEvery,
-		CheckpointKeep: spec.CheckpointKeep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +218,8 @@ func TestFleetEndToEnd(t *testing.T) {
 // TestFleetFailoverBitIdentical is the robustness core: a worker is killed
 // mid-run (link torn down, no goodbye — the in-process equivalent of
 // SIGKILL) after it has checkpointed, and the run must complete on the
-// surviving worker with a final result AND final checkpoint bit-identical
-// to an unfailed single-node reference run.
+// surviving worker with a final result AND a final checkpoint state
+// bit-identical to an unfailed single-node reference run.
 func TestFleetFailoverBitIdentical(t *testing.T) {
 	mat := testMaterializer(t)
 	center, addr := startCenter(t, agents.WithHeartbeatTimeout(2*time.Second))
@@ -243,7 +240,6 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	ws := WireSpec{
 		CheckpointDir:   ckptDir,
 		CheckpointEvery: 1,
-		CheckpointKeep:  -1, // retain all, for the byte-level comparison
 		RegridDelayMS:   25, // keep the run in flight long enough to kill
 	}
 	failoversBefore := metricFailovers.Value()
@@ -266,12 +262,12 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	store := &checkpoint.Store{Dir: ckptDir, Keep: -1}
+	store := &checkpoint.Store{Dir: ckptDir}
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint ever appeared")
 		}
-		if entries, _ := store.Entries(); len(entries) > 0 {
+		if recs, _ := store.Records(); len(recs) > 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -305,9 +301,10 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 		t.Fatalf("pragma_fleet_evictions_total = %d, want > %d", got, evictionsBefore)
 	}
 
-	// The killed worker's zombie pool may still be running; stop it so its
-	// writes cannot land after the comparison below. (Its checkpoints are
-	// deterministic duplicates, so even before this they were harmless.)
+	// The killed worker's zombie pool may still be running; stop it so the
+	// comparison below sees a settled directory. (Its appends go to its own
+	// log, which the survivor unlinked, so even before this they were
+	// harmless.)
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Minute)
 	defer dcancel()
 	if err := workers[victim].Drain(dctx); err != nil {
@@ -315,27 +312,30 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	}
 
 	// Bit-identical to the unfailed single-node reference: both the run
-	// result and the final checkpoint payload.
+	// result and the state the final checkpoint log replays to. (Not one
+	// record's bytes: the survivor's log starts with a full base where the
+	// reference's holds one interval.)
 	refWS := ws
 	refWS.CheckpointDir = refDir
 	want := refResult(t, mat, refWS)
 	sameRunResult(t, "failed-over run", final.Result, want)
 
-	gotSeq, gotPayload, err := store.Latest(nil)
+	gotState, err := core.ReadCheckpoint(ckptDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStore := &checkpoint.Store{Dir: refDir, Keep: -1}
-	wantSeq, wantPayload, err := refStore.Latest(nil)
+	wantState, err := core.ReadCheckpoint(refDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSeq != wantSeq {
-		t.Fatalf("final checkpoint seq = %d, reference = %d", gotSeq, wantSeq)
+	if gotState == nil || wantState == nil {
+		t.Fatalf("missing final checkpoint: failed-over %v, reference %v", gotState != nil, wantState != nil)
 	}
-	if !bytes.Equal(gotPayload, wantPayload) {
-		t.Fatalf("final checkpoint payload diverged from the unfailed reference (%d vs %d bytes)",
-			len(gotPayload), len(wantPayload))
+	if gotState.Next != wantState.Next {
+		t.Fatalf("final checkpoint at regrid %d, reference at %d", gotState.Next, wantState.Next)
+	}
+	if !reflect.DeepEqual(gotState, wantState) {
+		t.Fatalf("final checkpoint state diverged from the unfailed reference")
 	}
 }
 

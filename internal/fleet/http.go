@@ -54,7 +54,7 @@ func Handler(r *Router, checkpointRoot string) http.Handler {
 //	procs=N                  processor count (default 8)
 //	weight=W                 the tenant's fair-share weight
 //	checkpoint=DIR           checkpoint directory (see ParseSubmit)
-//	checkpoint-every=K, checkpoint-keep=K
+//	checkpoint-every=K       checkpoint after every K-th regrid
 //	resume=1                 continue from the latest checkpoint
 //	regrid-delay-ms=MS       failure-rehearsal pause per regrid
 func SpecFromValues(v url.Values) (WireSpec, error) {
@@ -73,7 +73,6 @@ func SpecFromValues(v url.Values) (WireSpec, error) {
 	}{
 		{"procs", &ws.Procs},
 		{"checkpoint-every", &ws.CheckpointEvery},
-		{"checkpoint-keep", &ws.CheckpointKeep},
 		{"regrid-delay-ms", &ws.RegridDelayMS},
 	} {
 		if s := v.Get(f.name); s != "" {

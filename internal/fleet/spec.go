@@ -36,7 +36,6 @@ type WireSpec struct {
 	// checkpoint in CheckpointDir (the failover path sets it).
 	CheckpointDir   string `json:"checkpointDir,omitempty"`
 	CheckpointEvery int    `json:"checkpointEvery,omitempty"`
-	CheckpointKeep  int    `json:"checkpointKeep,omitempty"`
 	Resume          bool   `json:"resume,omitempty"`
 	// RegridDelayMS pauses every regrid by this many milliseconds. It is a
 	// failure-rehearsal knob: the fleet smoke test uses it to keep runs in
@@ -131,7 +130,6 @@ func DefaultMaterializer() Materializer {
 			WorkModel:       workModel,
 			CheckpointDir:   ws.CheckpointDir,
 			CheckpointEvery: ws.CheckpointEvery,
-			CheckpointKeep:  ws.CheckpointKeep,
 			Resume:          ws.Resume,
 			Weight:          ws.Weight,
 		}, nil

@@ -163,7 +163,6 @@ type RunSpec struct {
 	// and at drain time, which is what makes a drained run resumable.
 	CheckpointDir   string
 	CheckpointEvery int
-	CheckpointKeep  int
 	// Resume continues from the latest valid checkpoint in CheckpointDir
 	// (how a run drained by a previous instance is picked back up).
 	Resume bool
@@ -379,7 +378,6 @@ func (l Local) run(a *Attempt) (*core.RunResult, error) {
 		WorkModel:       spec.WorkModel,
 		CheckpointDir:   spec.CheckpointDir,
 		CheckpointEvery: spec.CheckpointEvery,
-		CheckpointKeep:  spec.CheckpointKeep,
 		Resume:          spec.Resume,
 		Interrupt:       a.Interrupt,
 		OnRegrid:        onRegrid,

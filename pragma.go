@@ -525,8 +525,8 @@ type Runtime struct {
 type RunOption func(*core.RunConfig)
 
 // WithCheckpointDir persists run state to dir at regrid boundaries.
-// Checkpoints are CRC-verified and written atomically; a later Execute
-// with WithResume continues from the newest valid one.
+// Each record is CRC-verified and on disk before the run moves on; a
+// later Execute with WithResume continues from the newest valid one.
 func WithCheckpointDir(dir string) RunOption {
 	return func(c *core.RunConfig) { c.CheckpointDir = dir }
 }
@@ -535,11 +535,6 @@ func WithCheckpointDir(dir string) RunOption {
 // instead of every interval.
 func WithCheckpointEvery(k int) RunOption {
 	return func(c *core.RunConfig) { c.CheckpointEvery = k }
-}
-
-// WithCheckpointKeep bounds retained checkpoint files (negative keeps all).
-func WithCheckpointKeep(n int) RunOption {
-	return func(c *core.RunConfig) { c.CheckpointKeep = n }
 }
 
 // WithResume restarts from the latest valid checkpoint in the checkpoint

@@ -63,7 +63,7 @@ func TestRuntimeCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	crashAt := len(trace.Snapshots)/2 + 1
 	_, err = mk(crashAfter{inner: Adaptive(), fp: &chaos.FaultPoint{FailAt: crashAt}}).
-		Execute(WithCheckpointDir(dir), WithCheckpointEvery(2), WithCheckpointKeep(2))
+		Execute(WithCheckpointDir(dir), WithCheckpointEvery(2))
 	if !errors.Is(err, chaos.ErrInjectedCrash) {
 		t.Fatalf("crash run: err = %v, want injected crash", err)
 	}
