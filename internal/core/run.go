@@ -191,7 +191,12 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	var simTime float64
 	var prevA *partition.Assignment
 	var prevH *samr.Hierarchy
-	var prevPlan *partition.CommPlan
+	// The run's two communication plans. prevPlan is the outgoing
+	// assignment's, which the next migration diff reads; plan is the one
+	// before it, dead once that diff has run, so each regrid builds into
+	// plan's buffers and the two swap. A plan is never rebuilt while
+	// anything reads it, and the run never holds a third (DESIGN.md §11).
+	var plan, prevPlan *partition.CommPlan
 	// The partitioners' scratch for this run: buffers whose capacity
 	// survives from regrid to regrid and whose contents do not, so a
 	// resumed run starts with an empty one and produces bit-identical
@@ -324,8 +329,9 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		// One communication plan per regrid: its stats and unit index feed
 		// the PAC metric, the migration diff, and every BSP step of the
 		// interval.
-		plan := partition.BuildCommPlan(snap.H, a)
+		plan = partition.RebuildCommPlan(plan, snap.H, a)
 		comm := plan.Stats
+		work := a.Work()
 		units := float64(len(a.Units))
 		splitCost := a.SplitCost
 		if splitCost < 1 {
@@ -335,7 +341,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		q := partition.Quality{
 			CommVolume:   comm.Volume,
 			CommMessages: comm.Messages,
-			Imbalance:    a.Imbalance(),
+			Imbalance:    partition.ImbalanceOf(work),
 		}
 		cycle.EndSpan(
 			telemetry.String("imbalance_pct", strconv.FormatFloat(q.Imbalance, 'g', 4, 64)),
@@ -362,7 +368,6 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 
 		stat := SnapshotStat{Index: idx, Partitioner: label, Quality: q, Overhead: partTime + migTime}
 		metricRegridSeconds.Observe(time.Since(regridStart).Seconds())
-		work := a.Work()
 		cycle.StartSpan("steps")
 		for s := 0; s < stepsPerRegrid; s++ {
 			sc := cfg.Machine.Step(work, comm.PerProcVolume, comm.PerProcMessages, simTime, cost)
@@ -385,16 +390,17 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 					// everything derived from the dead one: the recorded
 					// quality, the published gauges, and the interval's
 					// overhead — they must describe the assignment that
-					// actually finishes the interval.
-					deadPlan := plan
-					plan = partition.BuildCommPlan(snap.H, a)
+					// actually finishes the interval. prevPlan's migration
+					// diff has run, so the replacement is built into it and
+					// the dead plan takes its place as the one migrated from.
+					plan, prevPlan = partition.RebuildCommPlan(prevPlan, snap.H, a), plan
 					comm = plan.Stats
 					work = a.Work()
 					units = float64(len(a.Units))
 					q.CommVolume = comm.Volume
 					q.CommMessages = comm.Messages
-					q.Imbalance = a.Imbalance()
-					q.Migration = plan.MigrationFrom(deadPlan)
+					q.Imbalance = partition.ImbalanceOf(work)
+					q.Migration = plan.MigrationFrom(prevPlan)
 					if boxes > 0 {
 						q.Overhead = units / float64(boxes)
 					}
@@ -423,7 +429,8 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			res.MaxImbalance = q.Imbalance
 		}
 		effSum += snap.H.AMREfficiency()
-		prevA, prevH, prevPlan = a, snap.H, plan
+		prevA, prevH = a, snap.H
+		plan, prevPlan = prevPlan, plan
 
 		if store != nil && (idx+1)%ckptEvery == 0 && idx+1 < len(tr.Snapshots) {
 			if err := saveAt(idx + 1); err != nil {

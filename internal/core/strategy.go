@@ -119,7 +119,10 @@ func (a Adaptive) Assign(ctx *StepContext) (*partition.Assignment, string, error
 	if err != nil {
 		return nil, "", err
 	}
-	if a.ImbalanceGuard > 0 && asg.Imbalance() > a.ImbalanceGuard && p.Name() != "G-MISP+SP" {
+	if a.ImbalanceGuard <= 0 || p.Name() == "G-MISP+SP" {
+		return asg, p.Name(), nil
+	}
+	if imb := asg.Imbalance(); imb > a.ImbalanceGuard {
 		fallback, err := meta.Lookup("G-MISP+SP")
 		if err != nil {
 			return nil, "", err
@@ -130,7 +133,7 @@ func (a Adaptive) Assign(ctx *StepContext) (*partition.Assignment, string, error
 		}
 		// The guard costs an extra partitioning pass; charge it.
 		alt.SplitCost += asg.SplitCost * float64(len(asg.Units)) / float64(max(len(alt.Units), 1))
-		if alt.Imbalance() < asg.Imbalance() {
+		if alt.Imbalance() < imb {
 			ctx.CycleTrace.Event("imbalance-guard", telemetry.String("fallback", fallback.Name()))
 			return alt, fallback.Name(), nil
 		}

@@ -286,7 +286,7 @@ func NewFromPlan(plan *partition.CommPlan, coordOn agents.Port, ports []agents.P
 		return nil, err
 	}
 	e.coord = coordIn
-	pairs := plan.Pairs
+	pairs := plan.Pairs()
 	expect := make([]int, a.NProcs)
 	sends := make([][]send, a.NProcs)
 	for i, pr := range pairs {

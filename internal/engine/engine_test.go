@@ -232,7 +232,7 @@ func TestNewFromPlanReusesAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * len(plan.Pairs) * steps; rep.TotalMessages() != want {
+	if want := 2 * len(plan.Pairs()) * steps; rep.TotalMessages() != want {
 		t.Fatalf("delivered %d messages, want %d", rep.TotalMessages(), want)
 	}
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -9,37 +10,52 @@ import (
 
 // CommPlan is everything the runtime derives from the geometry of one
 // assignment: the communication statistics, the cross-processor unit-pair
-// adjacencies a distributed executor must realize, and the per-level index
-// of unit boxes (reused by MigrationFrom at the next regrid). Build it once
-// per regrid and thread it through every layer that needs any of the three.
+// adjacencies a distributed executor must realize (Pairs), and the per-level
+// index of unit boxes (swept by MigrationFrom at the next regrid). Build it
+// once per regrid and thread it through every layer that needs any of the
+// three.
 //
-// The plan is immutable after construction and safe for concurrent reads.
+// A plan is immutable and safe for concurrent reads until it is rebuilt.
+// RebuildCommPlan writes another assignment's plan into the same buffers,
+// which invalidates every slice the plan handed out before
+// (Stats.PerProcVolume, Stats.PerProcMessages): rebuild a plan only when
+// nothing reads it any more. Pairs returns a fresh slice and survives it.
 type CommPlan struct {
 	// H and A are the hierarchy and assignment the plan was built for.
 	H *samr.Hierarchy
 	A *Assignment
 	// Stats is the assignment's communication requirement.
 	Stats CommStats
-	// Pairs lists every cross-processor unit-pair adjacency in canonical
-	// order (levels ascending, then sweep order z, y, x; +x/+y/+z faces
-	// before the coarse-parent relation at each cell).
-	Pairs []UnitPair
 
 	// levels holds the non-empty units grouped by level, levels ascending.
 	levels []planLevel
+	// found holds every level's contacts in discovery order; a level's are
+	// found[lo:hi].
+	found []contact
 	// overlap is set when two units of one level share a cell, which
 	// Assignment.Validate forbids. The closed forms below assume disjoint
 	// units, so such a plan takes its numbers from the cell-by-cell
 	// reference, whose raster lets the later unit win the shared cells.
 	overlap bool
+
+	// Scratch whose capacity survives a rebuild: the units of every level
+	// (levels[i].units are windows of it), the x-sort keys and permutation,
+	// and the coarse preimages of parentContacts.
+	units    []planUnit
+	keys     []uint64
+	idx, tmp []int32
+	pre      []planUnit
 }
 
-// planLevel is one level's units, sorted by Box.Lo[0], and their bounding
-// box.
+// planLevel is one level's units, sorted by Box.Lo[0], their bounding box,
+// the level's exchanges per coarse step (Ratio^level) and where its contacts
+// lie in CommPlan.found.
 type planLevel struct {
-	level int
-	box   samr.Box
-	units []planUnit
+	level  int
+	box    samr.Box
+	freq   float64
+	units  []planUnit
+	lo, hi int
 }
 
 // planUnit is one unit of the index. Both operands of a migration diff
@@ -76,60 +92,106 @@ func (lv *planLevel) sweepKey(at samr.Point, dir int) uint64 {
 }
 
 // BuildCommPlan indexes the assignment's unit boxes and computes its
-// communication from their geometry: two boxes of a level exchange the area
-// of the rectangle where they abut, a fine and a coarse unit a quarter of
-// the volume of the fine box inside the coarse box's preimage under
-// x / Ratio. No cell is visited. The result is bit-identical to
-// ReferenceCommunication: every contribution is a multiple of a quarter
-// face accumulated in integers, so no sum depends on the order of discovery.
+// communication from their geometry into a fresh plan; it is
+// RebuildCommPlan(nil, h, a).
 func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
+	return RebuildCommPlan(nil, h, a)
+}
+
+// RebuildCommPlan builds the plan of (h, a) into p's buffers and returns p;
+// a nil p gets a fresh plan. Once the buffers have grown to the
+// assignment's size a rebuild allocates nothing. Everything p handed out
+// before is invalid afterwards (see CommPlan).
+//
+// Two boxes of a level exchange the area of the rectangle where they abut,
+// a fine and a coarse unit a quarter of the volume of the fine box inside
+// the coarse box's preimage under x / Ratio. No cell is visited, and the
+// contacts are not sorted: Stats is accumulated in discovery order and is
+// still bit-identical to ReferenceCommunication, because every contribution
+// is a multiple of a quarter face counted in integers, so no sum depends on
+// the order of its terms. Pairs sorts them when asked.
+func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 	start := time.Now()
-	p := &CommPlan{H: h, A: a, levels: indexUnits(a), Stats: CommStats{
-		PerProcVolume:   make([]float64, a.NProcs),
-		PerProcMessages: make([]float64, a.NProcs),
-	}}
-	// Sized for the paper's trace, which has 2 to 4 contacts per unit.
-	found := make([]contact, 0, 4*len(a.Units))
-	keys := make([]uint64, 0, 4*len(a.Units))
+	if p == nil {
+		p = &CommPlan{}
+	}
+	p.H, p.A, p.overlap = h, a, false
+	p.Stats = CommStats{
+		PerProcVolume:   cleared(p.Stats.PerProcVolume, a.NProcs),
+		PerProcMessages: cleared(p.Stats.PerProcMessages, a.NProcs),
+	}
+	p.index(a)
+	p.found = p.found[:0]
 	for i := range p.levels {
 		lv := &p.levels[i]
-		if found, p.overlap = lv.faceContacts(found[:0]); p.overlap {
-			p.Stats, p.Pairs = ReferenceCommunication(h, a)
+		lv.lo = len(p.found)
+		if p.found, p.overlap = lv.faceContacts(p.found); p.overlap {
+			p.Stats, _ = ReferenceCommunication(h, a)
 			break
 		}
 		if coarse := p.unitsAt(lv.level - 1); coarse != nil {
-			found = lv.parentContacts(found, coarse, h.Ratio)
+			p.found, p.pre = lv.parentContacts(p.found, p.pre, coarse, h.Ratio)
 		}
-		keys = keys[:0]
-		for _, c := range found {
-			keys = append(keys, c.key)
-		}
-		freq := 1.0
+		lv.hi = len(p.found)
+		lv.freq = 1.0
 		for range lv.level {
-			freq *= float64(h.Ratio)
+			lv.freq *= float64(h.Ratio)
 		}
 		// Exact: quarters and freq = Ratio^level are integers, so every
 		// term has at most two fractional bits and the float64 additions
 		// never round at any realistic hierarchy size.
-		p.Pairs = slices.Grow(p.Pairs, len(found))
-		for _, k := range byKeys(keys) {
-			c := &found[k]
+		st := &p.Stats
+		for _, c := range p.found[lv.lo:lv.hi] {
 			faces := 0.25 * float64(c.quarters)
-			st, o1, o2 := &p.Stats, a.Owner[c.u1], a.Owner[c.u2]
-			st.Volume += faces * freq
-			st.PerProcVolume[o1] += faces * freq
-			st.PerProcVolume[o2] += faces * freq
-			st.Messages += freq
-			st.PerProcMessages[o1] += freq
-			st.PerProcMessages[o2] += freq
-			p.Pairs = append(p.Pairs, UnitPair{
-				U1: int(min(c.u1, c.u2)), U2: int(max(c.u1, c.u2)),
-				Faces: faces, Frequency: freq,
-			})
+			o1, o2 := a.Owner[c.u1], a.Owner[c.u2]
+			st.Volume += faces * lv.freq
+			st.PerProcVolume[o1] += faces * lv.freq
+			st.PerProcVolume[o2] += faces * lv.freq
+			st.Messages += lv.freq
+			st.PerProcMessages[o1] += lv.freq
+			st.PerProcMessages[o2] += lv.freq
 		}
 	}
 	metricPACSeconds.Observe(time.Since(start).Seconds())
 	return p
+}
+
+// cleared returns s resized to n zeros, reusing its capacity.
+func cleared(s []float64, n int) []float64 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// Pairs returns every cross-processor unit-pair adjacency in canonical
+// order (levels ascending, then the reference's sweep order z, y, x;
+// +x/+y/+z faces before the coarse-parent relation at each cell) as a fresh
+// slice. It sorts the plan's contacts on every call, so a caller that needs
+// the pairs more than once keeps the slice.
+func (p *CommPlan) Pairs() []UnitPair {
+	if p.overlap {
+		_, pairs := ReferenceCommunication(p.H, p.A)
+		return pairs
+	}
+	if len(p.found) == 0 {
+		return nil
+	}
+	pairs := make([]UnitPair, 0, len(p.found))
+	for _, lv := range p.levels {
+		found := p.found[lv.lo:lv.hi]
+		keys := make([]uint64, len(found))
+		for i, c := range found {
+			keys[i] = c.key
+		}
+		for _, k := range byKeys(keys) {
+			c := &found[k]
+			pairs = append(pairs, UnitPair{
+				U1: int(min(c.u1, c.u2)), U2: int(max(c.u1, c.u2)),
+				Faces: 0.25 * float64(c.quarters), Frequency: lv.freq,
+			})
+		}
+	}
+	return pairs
 }
 
 // byKeys returns the positions of keys in ascending order of key, equal
@@ -143,48 +205,48 @@ func byKeys(keys []uint64) []int32 {
 	return radixSortRun(keys, idx, buf[len(keys):])
 }
 
-// indexUnits groups the assignment's non-empty units by level and sorts
-// each level by Box.Lo[0].
-func indexUnits(a *Assignment) []planLevel {
+// index groups the assignment's non-empty units by level, levels
+// ascending, and sorts each level by Box.Lo[0], in the plan's buffers.
+func (p *CommPlan) index(a *Assignment) {
+	p.levels, p.units = p.levels[:0], p.units[:0]
 	if len(a.Units) == 0 {
-		return nil
+		return
 	}
 	minX := a.Units[0].Box.Lo[0]
-	var present []int
 	for _, u := range a.Units {
 		minX = min(minX, u.Box.Lo[0])
-		if !slices.Contains(present, u.Level) {
-			present = append(present, u.Level)
+		if !slices.ContainsFunc(p.levels, func(lv planLevel) bool { return lv.level == u.Level }) {
+			p.levels = append(p.levels, planLevel{level: u.Level})
 		}
 	}
-	slices.Sort(present)
-	keys := make([]uint64, len(a.Units))
+	slices.SortFunc(p.levels, func(x, y planLevel) int { return cmp.Compare(x.level, y.level) })
+	p.keys, p.idx, p.tmp = p.keys[:0], p.idx[:0], p.tmp[:0]
 	for i, u := range a.Units {
-		keys[i] = uint64(u.Box.Lo[0] - minX)
+		p.keys = append(p.keys, uint64(u.Box.Lo[0]-minX))
+		p.idx = append(p.idx, int32(i))
+		p.tmp = append(p.tmp, 0)
 	}
-	byX := byKeys(keys)
-	all := make([]planUnit, 0, len(a.Units))
-	levels := make([]planLevel, 0, len(present))
-	for _, l := range present {
-		lv := planLevel{level: l}
-		first := len(all)
-		for _, i := range byX {
-			u := &a.Units[i]
-			if u.Level != l || u.Box.Empty() {
+	byX := radixSortRun(p.keys, p.idx, p.tmp)
+	// Full capacity up front: the levels' windows must not move.
+	p.units = slices.Grow(p.units, len(a.Units))
+	for i := range p.levels {
+		lv := &p.levels[i]
+		first := len(p.units)
+		for _, id := range byX {
+			u := &a.Units[id]
+			if u.Level != lv.level || u.Box.Empty() {
 				continue
 			}
-			pu := planUnit{box: u.Box, id: i, owner: int32(a.Owner[i]), maxHi: u.Box.Hi[0]}
-			if len(all) > first {
-				pu.maxHi = max(pu.maxHi, all[len(all)-1].maxHi)
+			pu := planUnit{box: u.Box, id: id, owner: int32(a.Owner[id]), maxHi: u.Box.Hi[0]}
+			if len(p.units) > first {
+				pu.maxHi = max(pu.maxHi, p.units[len(p.units)-1].maxHi)
 			}
-			all = append(all, pu)
+			p.units = append(p.units, pu)
 			lv.box = lv.box.Bound(u.Box)
 		}
-		if lv.units = all[first:]; len(lv.units) > 0 {
-			levels = append(levels, lv)
-		}
+		lv.units = p.units[first:]
 	}
-	return levels
+	p.levels = slices.DeleteFunc(p.levels, func(lv planLevel) bool { return len(lv.units) == 0 })
 }
 
 // unitsAt returns the indexed units of a level, nil when it has none.
@@ -259,23 +321,24 @@ func preimageEdge(v, ratio int) int {
 }
 
 // parentContacts appends, for every cross-processor pair of a unit of the
-// level and a coarse unit, the fine cells whose parent cell the coarse unit owns.
-func (lv *planLevel) parentContacts(found []contact, coarse []planUnit, ratio int) []contact {
-	pre := make([]planUnit, len(coarse))
-	for i, c := range coarse {
+// level and a coarse unit, the fine cells whose parent cell the coarse unit
+// owns. It maps the coarse units into pre, which it returns for reuse.
+func (lv *planLevel) parentContacts(found []contact, pre, coarse []planUnit, ratio int) ([]contact, []planUnit) {
+	pre = pre[:0]
+	for _, c := range coarse {
 		for d := 0; d < 3; d++ {
 			c.box.Lo[d] = preimageEdge(c.box.Lo[d], ratio)
 			c.box.Hi[d] = preimageEdge(c.box.Hi[d], ratio)
 		}
 		c.maxHi = preimageEdge(c.maxHi, ratio)
-		pre[i] = c
+		pre = append(pre, c)
 	}
 	overlapping(lv.units, pre, func(f, c *planUnit, common samr.Box) {
 		if f.owner != c.owner {
 			found = append(found, contact{key: lv.sweepKey(common.Lo, 3), u1: f.id, u2: c.id, quarters: common.Volume()})
 		}
 	})
-	return found
+	return found, pre
 }
 
 // overlapping calls visit with the intersection of every as[i], bs[j] that

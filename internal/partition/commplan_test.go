@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -21,22 +22,42 @@ func diffSuite() []Partitioner {
 func requirePlanMatchesReference(t *testing.T, h *samr.Hierarchy, a *Assignment, label string) *CommPlan {
 	t.Helper()
 	plan := BuildCommPlan(h, a)
-	refSt, refPairs := ReferenceCommunication(h, a)
+	requireMatchesReference(t, plan, label)
+	return plan
+}
+
+// requireMatchesReference holds an already-built plan to the reference for
+// its own hierarchy and assignment.
+func requireMatchesReference(t *testing.T, plan *CommPlan, label string) {
+	t.Helper()
+	refSt, refPairs := ReferenceCommunication(plan.H, plan.A)
 	if !reflect.DeepEqual(plan.Stats, refSt) {
 		t.Fatalf("%s: stats diverge\n plan: %+v\n  ref: %+v", label, plan.Stats, refSt)
 	}
-	if len(plan.Pairs) != len(refPairs) {
-		t.Fatalf("%s: %d pairs, reference has %d", label, len(plan.Pairs), len(refPairs))
+	pairs := plan.Pairs()
+	if len(pairs) != len(refPairs) || (pairs == nil) != (refPairs == nil) {
+		t.Fatalf("%s: %d pairs (nil %t), reference has %d (nil %t)", label, len(pairs), pairs == nil, len(refPairs), refPairs == nil)
 	}
 	for i := range refPairs {
-		if plan.Pairs[i] != refPairs[i] {
-			t.Fatalf("%s: pair %d = %+v, reference %+v", label, i, plan.Pairs[i], refPairs[i])
+		if pairs[i] != refPairs[i] {
+			t.Fatalf("%s: pair %d = %+v, reference %+v", label, i, pairs[i], refPairs[i])
 		}
 	}
 	if got := plan.MigrationFrom(plan); got != 0 {
 		t.Fatalf("%s: self-migration = %g, want 0", label, got)
 	}
-	return plan
+}
+
+// requireMigrationMatchesReference checks the migration diff between two
+// plans in both directions.
+func requireMigrationMatchesReference(t *testing.T, plan, other *CommPlan, label string) {
+	t.Helper()
+	if got, want := plan.MigrationFrom(other), ReferenceMigrationFraction(other.H, other.A, plan.H, plan.A); got != want {
+		t.Fatalf("%s: migration from the other plan %g, reference %g", label, got, want)
+	}
+	if got, want := other.MigrationFrom(plan), ReferenceMigrationFraction(plan.H, plan.A, other.H, other.A); got != want {
+		t.Fatalf("%s: migration to the other plan %g, reference %g", label, got, want)
+	}
 }
 
 // TestCommPlanMatchesReferenceSuite checks every partitioner at several
@@ -125,7 +146,7 @@ func TestCommPlanGOMAXPROCSInvariance(t *testing.T) {
 	for _, procs := range []int{2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
 		plan := BuildCommPlan(h, a)
-		if !reflect.DeepEqual(plan.Stats, base.Stats) || !reflect.DeepEqual(plan.Pairs, base.Pairs) {
+		if !reflect.DeepEqual(plan.Stats, base.Stats) || !reflect.DeepEqual(plan.Pairs(), base.Pairs()) {
 			t.Fatalf("GOMAXPROCS=%d: plan diverges from GOMAXPROCS=1", procs)
 		}
 		if mig := plan.MigrationFrom(BuildCommPlan(h, prev)); mig != baseMig {
@@ -166,7 +187,7 @@ func TestCommPlanEmptyAndSingleOwner(t *testing.T) {
 	h := flatHierarchy(t, 8, 4, 4)
 	solo := manualAssignment(2, pair{samr.MakeBox(8, 4, 4), 1})
 	plan := requirePlanMatchesReference(t, h, solo, "single-unit")
-	if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || len(plan.Pairs) != 0 {
+	if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || len(plan.Pairs()) != 0 {
 		t.Fatalf("single-unit plan not empty: %+v", plan.Stats)
 	}
 	sameOwner := manualAssignment(2,
@@ -174,7 +195,7 @@ func TestCommPlanEmptyAndSingleOwner(t *testing.T) {
 		pair{samr.Box{Lo: samr.Point{4, 0, 0}, Hi: samr.Point{8, 4, 4}}, 1},
 	)
 	plan = requirePlanMatchesReference(t, h, sameOwner, "same-owner")
-	if plan.Stats.Volume != 0 || len(plan.Pairs) != 0 {
+	if plan.Stats.Volume != 0 || len(plan.Pairs()) != 0 {
 		t.Fatalf("same-owner plan not empty: %+v", plan.Stats)
 	}
 }
@@ -218,7 +239,7 @@ func TestRasterizationSharing(t *testing.T) {
 	planB := BuildCommPlan(h, b)
 	builds = metricPACSeconds.Count()
 	_ = planA.Stats
-	_ = planA.Pairs
+	_ = planA.Pairs()
 	_ = planA.MigrationFrom(planB)
 	_ = planB.MigrationFrom(planA)
 	EvalQualityPlan(planA, planB, 0)
@@ -246,13 +267,27 @@ func shifted(a *Assignment, ratio int, origin samr.Point) *Assignment {
 	return out
 }
 
+// finer returns a copy of the assignment one level deeper over nprocs
+// processors: every unit a level up, its box refined by ratio.
+func finer(a *Assignment, ratio, nprocs int) *Assignment {
+	out := &Assignment{NProcs: nprocs, Owner: a.Owner, Units: make([]Unit, len(a.Units))}
+	for i, u := range a.Units {
+		u.Level++
+		u.Box = u.Box.Refine(ratio)
+		out.Units[i] = u
+	}
+	return out
+}
+
 // FuzzCommPlanMatchesReference holds the box-geometry kernel to the
 // cell-by-cell reference on random hierarchies: every partitioner of the
 // differential suite, refinement factors 2 to 4 (the preimage of a coarse
 // interval under truncating division), and domains astride zero and
 // wholly negative (where truncation and flooring differ). Stats, pairs in
 // order, and migration against a second, independently partitioned
-// hierarchy must all be bit-identical.
+// hierarchy must all be bit-identical — and stay so when one plan is
+// rebuilt in turn for assignments that differ in processor count, levels
+// and unit count.
 func FuzzCommPlanMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(7), uint8(1), uint8(9))
@@ -284,6 +319,35 @@ func FuzzCommPlanMatchesReference(f *testing.F) {
 		if got, want := plan.MigrationFrom(prevPlan), ReferenceMigrationFraction(prevH, prev, h, a); got != want {
 			t.Fatalf("migration %g, reference %g", got, want)
 		}
+
+		// The reuse sequence: a, then other (more processors, every level
+		// one deeper, a different unit count), a again, then a's level 0
+		// or nothing at all — one plan, rebuilt each time.
+		other := finer(prev, ratio, max(a.NProcs, prev.NProcs)+1)
+		if len(other.Units) == len(a.Units) {
+			other.Units, other.Owner = other.Units[1:], other.Owner[1:]
+		}
+		last := &Assignment{NProcs: 1 + s%7}
+		if seed%2 == 0 {
+			last.NProcs = a.NProcs
+			for i, u := range a.Units {
+				if u.Level == 0 {
+					last.Units, last.Owner = append(last.Units, u), append(last.Owner, a.Owner[i])
+				}
+			}
+		}
+		var reused *CommPlan
+		before := prevPlan
+		for i, step := range []struct {
+			h *samr.Hierarchy
+			a *Assignment
+		}{{h, a}, {prevH, other}, {h, a}, {h, last}} {
+			reused = RebuildCommPlan(reused, step.h, step.a)
+			label := fmt.Sprintf("rebuild %d", i)
+			requireMatchesReference(t, reused, label)
+			requireMigrationMatchesReference(t, reused, before, label)
+			before = BuildCommPlan(step.h, step.a)
+		}
 	})
 }
 
@@ -313,8 +377,8 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		plan := requirePlanMatchesReference(t, h, a, "edge-corner")
 		// The second and third do share a face (z=4); the first touches
 		// neither on more than a line.
-		if len(plan.Pairs) != 1 || plan.Pairs[0].U1 != 1 || plan.Pairs[0].U2 != 2 {
-			t.Fatalf("pairs = %+v, want only units 1 and 2", plan.Pairs)
+		if pairs := plan.Pairs(); len(pairs) != 1 || pairs[0].U1 != 1 || pairs[0].U2 != 2 {
+			t.Fatalf("pairs = %+v, want only units 1 and 2", pairs)
 		}
 	})
 
@@ -327,7 +391,7 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		)
 		plan := requirePlanMatchesReference(t, h, a, "three-parents")
 		want := map[int]float64{0: 0.25 * 2 * 8 * 8, 1: 0.25 * 8 * 8 * 8, 2: 0.25 * 2 * 8 * 8}
-		for _, p := range plan.Pairs {
+		for _, p := range plan.Pairs() {
 			if p.U2 != 3 {
 				continue
 			}
@@ -370,8 +434,8 @@ func TestCommPlanGeometryCases(t *testing.T) {
 	t.Run("empty assignment", func(t *testing.T) {
 		empty := &Assignment{NProcs: 2}
 		plan := requirePlanMatchesReference(t, h, empty, "empty")
-		if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || plan.Pairs != nil {
-			t.Fatalf("empty plan = %+v, %v", plan.Stats, plan.Pairs)
+		if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || plan.Pairs() != nil {
+			t.Fatalf("empty plan = %+v, %v", plan.Stats, plan.Pairs())
 		}
 		full := BuildCommPlan(h, units(2, Unit{Box: box(0, 0, 0, 12, 8, 8)}))
 		if a, b := plan.MigrationFrom(full), full.MigrationFrom(plan); a != 0 || b != 0 {
@@ -406,5 +470,53 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		if got, want := other.MigrationFrom(plan), ReferenceMigrationFraction(h, a, h, disjoint); got != want {
 			t.Fatalf("migration out of the overlap %g, reference %g", got, want)
 		}
+
+		// The fallback is a property of the latest build, not of the plan:
+		// one plan rebuilt out of the overlap, back into it, and out of it
+		// into nothing at all takes the reference path exactly when its
+		// latest assignment overlaps.
+		reused := BuildCommPlan(h, a)
+		empty := &Assignment{NProcs: 2}
+		for _, step := range []struct {
+			name    string
+			a       *Assignment
+			overlap bool
+			other   *CommPlan
+		}{
+			{"overlap, then disjoint", disjoint, false, plan},
+			{"disjoint, then overlap", a, true, other},
+			{"overlap, then empty", empty, false, plan},
+		} {
+			RebuildCommPlan(reused, h, step.a)
+			if reused.overlap != step.overlap {
+				t.Fatalf("%s: overlap fallback %t, want %t", step.name, reused.overlap, step.overlap)
+			}
+			requireMatchesReference(t, reused, step.name)
+			requireMigrationMatchesReference(t, reused, step.other, step.name)
+		}
 	})
+}
+
+// TestCommPlanRebuildAllocatesNothing: once a plan's buffers have grown to
+// the paper-scale assignment, rebuilding it allocates nothing — the
+// steady state of a run, which rebuilds two plans in turn.
+func TestCommPlanRebuildAllocatesNothing(t *testing.T) {
+	h, a, _ := paperAssignments(t)
+	plan := BuildCommPlan(h, a)
+	RebuildCommPlan(plan, h, a)
+	if allocs := testing.AllocsPerRun(10, func() { RebuildCommPlan(plan, h, a) }); allocs != 0 {
+		t.Fatalf("a warm rebuild allocates %g times, want 0", allocs)
+	}
+	requireMatchesReference(t, plan, "warm rebuild")
+}
+
+// TestCommPlanMigrationFromAllocatesNothing: the migration diff sweeps the
+// two plans' indexes and allocates nothing, for built and rebuilt plans.
+func TestCommPlanMigrationFromAllocatesNothing(t *testing.T) {
+	h, a, prev := paperAssignments(t)
+	plan := RebuildCommPlan(BuildCommPlan(h, prev), h, a)
+	prevPlan := BuildCommPlan(h, prev)
+	if allocs := testing.AllocsPerRun(10, func() { plan.MigrationFrom(prevPlan) }); allocs != 0 {
+		t.Fatalf("MigrationFrom allocates %g times, want 0", allocs)
+	}
 }

@@ -66,9 +66,15 @@ func (a *Assignment) TotalWeight() float64 {
 }
 
 // Imbalance returns the percentage load imbalance, 100*(max-avg)/avg, the
-// "maximum load imbalance" column of the paper's Table 4.
+// "maximum load imbalance" column of the paper's Table 4. It is
+// ImbalanceOf(a.Work()).
 func (a *Assignment) Imbalance() float64 {
-	w := a.Work()
+	return ImbalanceOf(a.Work())
+}
+
+// ImbalanceOf returns the percentage load imbalance of a per-processor work
+// vector, for callers that already hold Assignment.Work.
+func ImbalanceOf(w []float64) float64 {
 	var sum, max float64
 	for _, v := range w {
 		sum += v

@@ -113,7 +113,7 @@ type UnitPair struct {
 // the message pattern a distributed executor must realize. Callers that
 // also need CommStats should call BuildCommPlan once instead.
 func Adjacency(h *samr.Hierarchy, a *Assignment) []UnitPair {
-	return BuildCommPlan(h, a).Pairs
+	return BuildCommPlan(h, a).Pairs()
 }
 
 // Communication computes the assignment's communication statistics from

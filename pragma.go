@@ -82,9 +82,9 @@ type (
 	// Quality is the five-component PAC metric of a partitioning.
 	Quality = partition.Quality
 	// CommPlan is a cached communication plan: one index of an
-	// assignment's unit boxes, and the statistics and pairs computed from
-	// it, shared by quality evaluation, migration diffs, and engine
-	// construction.
+	// assignment's unit boxes, the statistics computed from it and the
+	// pairs sorted from it on demand (Pairs), shared by quality
+	// evaluation, migration diffs, and engine construction.
 	CommPlan = partition.CommPlan
 	// CommStats aggregates an assignment's communication requirement.
 	CommStats = partition.CommStats
