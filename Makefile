@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-sched bench-gate bench-baseline load-smoke experiments ablations extensions fmt cover clean
+.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean
 
 build:
 	$(GO) build ./...
@@ -59,25 +59,17 @@ bench-telemetry:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/telemetry/
 
 # PAC evaluation kernel benchmarks on the paper-scale hierarchy: CommPlan
-# kernels vs the retained sequential reference. benchstat-friendly; pipe
-# two runs through benchstat to compare.
+# kernels vs the cell-by-cell test oracle (the *Reference rows). Development
+# tools with no committed baseline: to compare two trees, run both on one
+# host and pipe the outputs through benchstat. The performance gate is
+# bench/e2e, parent vs change on one host.
 bench-pac:
 	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' ./internal/partition/
 
-# Scheduler benchmarks: admission/fair-queue/worker hand-off overhead.
+# Scheduler benchmarks: admission/fair-queue/worker hand-off overhead
+# (development tools, as above).
 bench-sched:
 	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' ./internal/sched/
-
-# Gate the current tree against the committed baselines, exactly as CI does
-# (fails on >20% geomean ns/op regression).
-bench-gate:
-	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_pac.json
-	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' -count=6 ./internal/sched/ | $(GO) run ./cmd/benchgate -baseline BENCH_sched.json
-
-# Refresh the committed baselines from this machine (commit the result).
-bench-baseline:
-	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' -count=6 ./internal/partition/ | $(GO) run ./cmd/benchgate -baseline BENCH_pac.json -update
-	$(GO) test -bench='Scheduler|FairQueue|WeightedQueue' -benchmem -run='^$$' -count=6 ./internal/sched/ | $(GO) run ./cmd/benchgate -baseline BENCH_sched.json -update
 
 # Open-loop load smoke against an in-process scheduler: a short ramp must
 # come back with zero errors and the submit/status p99s inside the SLO.

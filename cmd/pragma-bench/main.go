@@ -62,8 +62,6 @@ func main() {
 		small      = flag.Bool("small", false, "use the reduced configuration for Tables 4 and 5")
 		ablations  = flag.Bool("ablations", false, "run the DESIGN.md ablation studies")
 		extensions = flag.Bool("extensions", false, "run the extension experiments (cross-application study, PF runtime prediction)")
-		kernel     = flag.Bool("kernel", false, "benchmark the PAC evaluation kernels (reference vs CommPlan)")
-		schedLoad  = flag.Bool("sched", false, "benchmark the run scheduler (many tiny replays through the shared pool)")
 		scen       = flag.String("scenario", "", "replay a composed scenario spec (internal/scenario grammar) and report declared vs observed octants")
 		scenCov    = flag.Int("scenario-coverage", 0, "replay a corpus of this many seeded scenarios and print the octant-coverage table (EXPERIMENTS.md uses 100)")
 		jsonOut    = flag.Bool("json", false, "write one JSON object with per-run wall time and key metrics to stdout (tables go to stderr)")
@@ -77,7 +75,7 @@ func main() {
 		sloP99       = flag.Duration("slo-p99", 0, "fail unless every endpoint's client-side p99 stays within this (0 disables), e.g. -slo-p99=50ms")
 	)
 	flag.Parse()
-	if !*all && !*ablations && !*extensions && !*kernel && !*schedLoad && !*load && *scen == "" && *scenCov == 0 && *table == 0 && *figure == 0 {
+	if !*all && !*ablations && !*extensions && !*load && *scen == "" && *scenCov == 0 && *table == 0 && *figure == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -132,12 +130,6 @@ func main() {
 	}
 	if *extensions {
 		run("Extension experiments", func() error { return printExtensions() })
-	}
-	if *kernel {
-		run("PAC evaluation kernels (sequential reference vs CommPlan)", func() error { return printKernel() })
-	}
-	if *schedLoad {
-		run("Scheduler load (tiny RM3D replays through the shared pool)", func() error { return printSched() })
 	}
 	if *scen != "" {
 		run("Scenario replay: "+*scen, func() error { return printScenario(*scen) })
@@ -211,44 +203,6 @@ func printScenarioCoverage(n int) error {
 	}
 	metric("scenarios", float64(res.Scenarios))
 	metric("snapshots", float64(res.Snapshots))
-	return nil
-}
-
-// printKernel regenerates the EXPERIMENTS.md kernel table: before/after
-// wall time of each PAC evaluation primitive on the paper-scale hierarchy.
-func printKernel() error {
-	rows, err := experiments.KernelBench(5)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%-14s %-16s %-16s %s\n", "Kernel", "Reference (ms)", "CommPlan (ms)", "Speedup")
-	for _, r := range rows {
-		fmt.Fprintf(out, "%-14s %-16.3f %-16.3f %.1fx\n",
-			r.Kernel, r.ReferenceSeconds*1e3, r.PlanSeconds*1e3, r.Speedup)
-		metric(r.Kernel+"_reference_s", r.ReferenceSeconds)
-		metric(r.Kernel+"_plan_s", r.PlanSeconds)
-		metric(r.Kernel+"_speedup", r.Speedup)
-	}
-	return nil
-}
-
-// printSched runs the scheduler load benchmark: 64 tiny replays from 8
-// tenants through a 4-worker pool, reporting throughput and mean per-phase
-// latencies (the -json metrics back the BENCH_sched baseline narrative).
-func printSched() error {
-	res, err := experiments.SchedBench(4, 64, 8)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "workers %d, tenants %d, runs %d\n", res.Workers, res.Tenants, res.Runs)
-	fmt.Fprintf(out, "wall %.2fs   throughput %.1f runs/s   mean queue %.3fs   mean run %.3fs\n",
-		res.WallSeconds, res.RunsPerSecond, res.MeanQueueSeconds, res.MeanRunSeconds)
-	metric("workers", float64(res.Workers))
-	metric("runs", float64(res.Runs))
-	metric("wall_s", res.WallSeconds)
-	metric("runs_per_s", res.RunsPerSecond)
-	metric("mean_queue_s", res.MeanQueueSeconds)
-	metric("mean_run_s", res.MeanRunSeconds)
 	return nil
 }
 

@@ -162,18 +162,15 @@ func pacBuilds(t *testing.T) uint64 {
 // TestRunBuildsOneCommPlanPerRegrid proves the replay loop shares its plan:
 // a healthy run builds each regrid's plan exactly once — communication
 // stats, per-step ghost volumes, and the next cycle's migration diff all
-// read that one build — and never touches the cell-by-cell reference.
+// read that one build.
 func TestRunBuildsOneCommPlanPerRegrid(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(8, 1e5, 512, 100)
-	builds, rasters := pacBuilds(t), partition.Rasterizations()
+	builds := pacBuilds(t)
 	if _, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: machine, NProcs: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := pacBuilds(t)-builds, uint64(len(tr.Snapshots)); got != want {
 		t.Fatalf("run built %d plans over %d regrids, want exactly one per regrid", got, want)
-	}
-	if got := partition.Rasterizations() - rasters; got != 0 {
-		t.Fatalf("run rasterized %d assignments, want 0: the reference kernel is for tests", got)
 	}
 }

@@ -159,7 +159,9 @@ func (c *Checkpoint) continues(prev *Checkpoint) bool {
 // loadRunCheckpoint folds the store's newest log and checks it against
 // this run's identity. It returns nil — with no error — when nothing
 // usable exists or the log belongs to another run, in which case the run
-// starts from the beginning.
+// starts from the beginning. An outgoing assignment that is not a valid
+// placement on this run's processors is an error: the run would build its
+// communication plan from it.
 func loadRunCheckpoint(store *checkpoint.Store, tr *samr.Trace, strat Strategy, nprocs int) (*Checkpoint, error) {
 	recs, err := store.Records()
 	if err != nil {
@@ -172,6 +174,14 @@ func loadRunCheckpoint(store *checkpoint.Store, tr *samr.Trace, strat Strategy, 
 	want := Checkpoint{Trace: tr.Name, Snapshots: len(tr.Snapshots), Strategy: strat.Name(), NProcs: nprocs}
 	if !ck.sameRun(&want) || ck.Next < 1 || ck.Next > len(tr.Snapshots) {
 		return nil, nil
+	}
+	if a := ck.PrevAssignment; a != nil {
+		if a.NProcs != nprocs {
+			return nil, fmt.Errorf("core: checkpoint at regrid %d: assignment over %d processors, run has %d", ck.Next, a.NProcs, nprocs)
+		}
+		if err := a.Validate(); err != nil {
+			return nil, fmt.Errorf("core: checkpoint at regrid %d: %w", ck.Next, err)
+		}
 	}
 	if len(ck.StrategyState) > 0 {
 		cs, ok := strat.(CheckpointableStrategy)

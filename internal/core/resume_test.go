@@ -234,6 +234,74 @@ func TestRunResumeRejectsMismatchedRun(t *testing.T) {
 	sameResult(t, res, base)
 }
 
+// TestRunResumeRejectsInvalidAssignment: the outgoing assignment of a
+// checkpoint comes from disk, and the resumed run builds a communication
+// plan from it. One that is not a valid placement on the run's processors
+// fails the run instead of panicking in the plan or resuming silently. Each
+// case re-saves the folded checkpoint as one CRC-valid record with its
+// assignment altered; the unaltered record resumes to the uninterrupted
+// result.
+func TestRunResumeRejectsInvalidAssignment(t *testing.T) {
+	tr := testTrace(t)
+	mk := func() *cluster.Cluster { return cluster.Homogeneous(8, 1e5, 512, 100) }
+	strat := Static{P: partition.GMISPSP{}}
+	base, err := Run(tr, strat, RunConfig{Machine: mk(), NProcs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := t.TempDir()
+	_, err = Run(tr, crashingStrategy{inner: strat, fp: &chaos.FaultPoint{FailAt: len(tr.Snapshots)/2 + 1}},
+		RunConfig{Machine: mk(), NProcs: 8, CheckpointDir: crashed})
+	if !errors.Is(err, chaos.ErrInjectedCrash) {
+		t.Fatalf("crash run: err = %v", err)
+	}
+	// resume re-saves the folded checkpoint, altered by alter, as the only
+	// record of a fresh directory and resumes the run from it.
+	resume := func(alter func(a *partition.Assignment)) (*RunResult, error) {
+		ck, err := ReadCheckpoint(crashed)
+		if err != nil || ck == nil || ck.PrevAssignment == nil {
+			t.Fatalf("ReadCheckpoint: %+v, %v", ck, err)
+		}
+		alter(ck.PrevAssignment)
+		dir := t.TempDir()
+		store := &checkpoint.Store{Dir: dir}
+		if _, err := store.Save(ck.Next, appendCheckpoint(nil, ck)); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		return Run(tr, strat, RunConfig{Machine: mk(), NProcs: 8, CheckpointDir: dir, Resume: true})
+	}
+
+	res, err := resume(func(*partition.Assignment) {})
+	if err != nil {
+		t.Fatalf("unaltered record: %v", err)
+	}
+	sameResult(t, res, base)
+
+	for _, tc := range []struct {
+		name  string
+		alter func(a *partition.Assignment)
+	}{
+		{"owner out of range", func(a *partition.Assignment) { a.Owner[len(a.Owner)-1] = 13 }},
+		{"one owner short", func(a *partition.Assignment) { a.Owner = a.Owner[:len(a.Owner)-1] }},
+		{"overlapping units", func(a *partition.Assignment) {
+			for j := 1; j < len(a.Units); j++ {
+				if a.Units[j].Level == a.Units[0].Level {
+					a.Units[j].Box = a.Units[0].Box
+					return
+				}
+			}
+			t.Fatal("no two units share a level")
+		}},
+		{"other processor count", func(a *partition.Assignment) { a.NProcs = 16 }},
+	} {
+		res, err := resume(tc.alter)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint at regrid") {
+			t.Errorf("%s: resumed to %v (err %v), want a checkpoint error", tc.name, res != nil, err)
+		}
+	}
+}
+
 func TestRunCheckpointEveryKRegrids(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(4, 1e5, 512, 100)

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"time"
 
@@ -20,6 +21,11 @@ import (
 // which invalidates every slice the plan handed out before
 // (Stats.PerProcVolume, Stats.PerProcMessages): rebuild a plan only when
 // nothing reads it any more. Pairs returns a fresh slice and survives it.
+//
+// The closed forms assume the units of each level are disjoint, which
+// Assignment.Validate checks. A plan of an assignment with overlapping
+// units is a programming error: RebuildCommPlan panics on one. Callers
+// that take an assignment from outside the process validate it first.
 type CommPlan struct {
 	// H and A are the hierarchy and assignment the plan was built for.
 	H *samr.Hierarchy
@@ -32,11 +38,6 @@ type CommPlan struct {
 	// found holds every level's contacts in discovery order; a level's are
 	// found[lo:hi].
 	found []contact
-	// overlap is set when two units of one level share a cell, which
-	// Assignment.Validate forbids. The closed forms below assume disjoint
-	// units, so such a plan takes its numbers from the cell-by-cell
-	// reference, whose raster lets the later unit win the shared cells.
-	overlap bool
 
 	// Scratch whose capacity survives a rebuild: the units of every level
 	// (levels[i].units are windows of it), the x-sort keys and permutation,
@@ -70,20 +71,20 @@ type planUnit struct {
 	maxHi int
 }
 
-// contact is one cross-processor unit pair as the reference sweep first
-// sees it. Disjoint boxes meet in exactly one region — one rectangle for
-// two boxes of a level, one box for a fine unit and a coarse unit's
-// preimage — so the reference's first-touch cell is that region's low
-// corner on the lower side, and its pair order is a sort by key.
+// contact is one cross-processor unit pair as the cell-by-cell sweep
+// first sees it. Disjoint boxes meet in exactly one region — one rectangle
+// for two boxes of a level, one box for a fine unit and a coarse unit's
+// preimage — so the sweep's first-touch cell is that region's low corner
+// on the lower side, and its pair order is a sort by key.
 type contact struct {
 	key      uint64 // planLevel.sweepKey of the first-touch cell and relation
 	u1, u2   int32
 	quarters int64 // faces count 4, parent cells 1 (interLevelWeight)
 }
 
-// sweepKey places a relation of the cell at in the reference's sweep of the
-// level: the cell's linear index in the level's bounding box, z-major as
-// the reference walks it, then dir — 0, 1, 2 for the cell's +x, +y, +z
+// sweepKey places a relation of the cell at in the cell-by-cell sweep of
+// the level: the cell's linear index in the level's bounding box, z-major
+// as the sweep walks it, then dir — 0, 1, 2 for the cell's +x, +y, +z
 // face, 3 for its coarse parent.
 func (lv *planLevel) sweepKey(at samr.Point, dir int) uint64 {
 	b := lv.box
@@ -107,15 +108,17 @@ func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
 // a fine and a coarse unit a quarter of the volume of the fine box inside
 // the coarse box's preimage under x / Ratio. No cell is visited, and the
 // contacts are not sorted: Stats is accumulated in discovery order and is
-// still bit-identical to ReferenceCommunication, because every contribution
-// is a multiple of a quarter face counted in integers, so no sum depends on
-// the order of its terms. Pairs sorts them when asked.
+// still bit-identical to the cell-by-cell oracle of the tests, because
+// every contribution is a multiple of a quarter face counted in integers,
+// so no sum depends on the order of its terms. Pairs sorts them when asked.
+//
+// It panics when two units of one level overlap (see CommPlan).
 func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 	start := time.Now()
 	if p == nil {
 		p = &CommPlan{}
 	}
-	p.H, p.A, p.overlap = h, a, false
+	p.H, p.A = h, a
 	p.Stats = CommStats{
 		PerProcVolume:   cleared(p.Stats.PerProcVolume, a.NProcs),
 		PerProcMessages: cleared(p.Stats.PerProcMessages, a.NProcs),
@@ -125,9 +128,9 @@ func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 	for i := range p.levels {
 		lv := &p.levels[i]
 		lv.lo = len(p.found)
-		if p.found, p.overlap = lv.faceContacts(p.found); p.overlap {
-			p.Stats, _ = ReferenceCommunication(h, a)
-			break
+		var overlap bool
+		if p.found, overlap = lv.faceContacts(p.found); overlap {
+			panic(fmt.Sprintf("partition: CommPlan of overlapping units on level %d: the assignment fails Assignment.Validate", lv.level))
 		}
 		if coarse := p.unitsAt(lv.level - 1); coarse != nil {
 			p.found, p.pre = lv.parentContacts(p.found, p.pre, coarse, h.Ratio)
@@ -164,15 +167,11 @@ func cleared(s []float64, n int) []float64 {
 }
 
 // Pairs returns every cross-processor unit-pair adjacency in canonical
-// order (levels ascending, then the reference's sweep order z, y, x;
+// order (levels ascending, then the cell-by-cell sweep order z, y, x;
 // +x/+y/+z faces before the coarse-parent relation at each cell) as a fresh
 // slice. It sorts the plan's contacts on every call, so a caller that needs
 // the pairs more than once keeps the slice.
 func (p *CommPlan) Pairs() []UnitPair {
-	if p.overlap {
-		_, pairs := ReferenceCommunication(p.H, p.A)
-		return pairs
-	}
 	if len(p.found) == 0 {
 		return nil
 	}
@@ -368,13 +367,10 @@ func overlapping(as, bs []planUnit, visit func(a, b *planUnit, common samr.Box))
 // data migration" component, with prev as the outgoing configuration: the
 // summed volume of prev-unit ∩ new-unit over each common level, and the
 // part of it where the owners differ. It sweeps the two plans' indexes and
-// allocates nothing. Bit-identical to ReferenceMigrationFraction.
+// allocates nothing. Bit-identical to the cell-by-cell oracle of the tests.
 func (p *CommPlan) MigrationFrom(prev *CommPlan) float64 {
 	if p == nil || prev == nil {
 		return 0
-	}
-	if p.overlap || prev.overlap {
-		return ReferenceMigrationFraction(prev.H, prev.A, p.H, p.A)
 	}
 	var both, moved int64
 	for _, lv := range p.levels {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -222,15 +223,13 @@ func TestEvalQualityPlanMatchesEvalQuality(t *testing.T) {
 
 // TestRasterizationSharing: one BuildCommPlan is one observation of the
 // PAC histogram, and every consumer of the plan — stats, pairs, migration
-// in either direction — builds nothing further. None of it touches the
-// cell-by-cell reference: Rasterizations does not move.
+// in either direction — builds nothing further.
 func TestRasterizationSharing(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
 	a, _ := (GMISPSP{}).Partition(h, wm, 8)
 	b, _ := (PBDISP{}).Partition(h, wm, 8)
 
-	rasters := Rasterizations()
 	builds := metricPACSeconds.Count()
 	planA := BuildCommPlan(h, a)
 	if got := metricPACSeconds.Count() - builds; got != 1 {
@@ -245,9 +244,6 @@ func TestRasterizationSharing(t *testing.T) {
 	EvalQualityPlan(planA, planB, 0)
 	if got := metricPACSeconds.Count() - builds; got != 0 {
 		t.Fatalf("plan consumers built %d plans, want 0", got)
-	}
-	if got := Rasterizations() - rasters; got != 0 {
-		t.Fatalf("production path rasterized %d assignments, want 0", got)
 	}
 }
 
@@ -354,7 +350,7 @@ func FuzzCommPlanMatchesReference(f *testing.F) {
 // TestCommPlanGeometryCases pins the cases box geometry could get wrong
 // where cells cannot: contact of measure zero, one fine unit under several
 // coarse owners, plans whose levels do not line up, nothing at all, and
-// the one input the closed forms do not cover.
+// the one input the closed forms do not cover, which panics.
 func TestCommPlanGeometryCases(t *testing.T) {
 	h := flatHierarchy(t, 12, 8, 8)
 	box := func(x0, y0, z0, x1, y1, z1 int) samr.Box {
@@ -443,58 +439,45 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		}
 	})
 
-	t.Run("overlapping units fall back to the reference", func(t *testing.T) {
+	t.Run("overlapping units panic", func(t *testing.T) {
 		a := units(3,
 			Unit{Box: box(0, 0, 0, 8, 8, 8)},
-			Unit{Box: box(4, 0, 0, 12, 8, 8)}, // repaints x = 4..7 of the first
+			Unit{Box: box(4, 0, 0, 12, 8, 8)}, // shares x = 4..7 with the first
 			Unit{Level: 1, Box: box(4, 0, 0, 20, 8, 8)},
 		)
 		if a.Validate() == nil {
 			t.Fatal("overlapping assignment validates")
 		}
-		before := Rasterizations()
-		plan := BuildCommPlan(h, a)
-		if Rasterizations() == before {
-			t.Fatal("overlap did not route the plan through the reference kernel")
-		}
-		requirePlanMatchesReference(t, h, a, "overlap")
 		disjoint := units(2,
 			Unit{Box: box(0, 0, 0, 6, 8, 8)},
 			Unit{Box: box(6, 0, 0, 12, 8, 8)},
 			Unit{Level: 1, Box: box(0, 0, 0, 24, 8, 8)},
 		)
-		other := BuildCommPlan(h, disjoint)
-		if got, want := plan.MigrationFrom(other), ReferenceMigrationFraction(h, disjoint, h, a); got != want {
-			t.Fatalf("migration into the overlap %g, reference %g", got, want)
-		}
-		if got, want := other.MigrationFrom(plan), ReferenceMigrationFraction(h, a, h, disjoint); got != want {
-			t.Fatalf("migration out of the overlap %g, reference %g", got, want)
-		}
-
-		// The fallback is a property of the latest build, not of the plan:
-		// one plan rebuilt out of the overlap, back into it, and out of it
-		// into nothing at all takes the reference path exactly when its
-		// latest assignment overlaps.
-		reused := BuildCommPlan(h, a)
-		empty := &Assignment{NProcs: 2}
+		used := BuildCommPlan(h, disjoint)
 		for _, step := range []struct {
-			name    string
-			a       *Assignment
-			overlap bool
-			other   *CommPlan
+			name  string
+			build func()
 		}{
-			{"overlap, then disjoint", disjoint, false, plan},
-			{"disjoint, then overlap", a, true, other},
-			{"overlap, then empty", empty, false, plan},
+			{"fresh build", func() { BuildCommPlan(h, a) }},
+			{"rebuild into a used plan", func() { RebuildCommPlan(used, h, a) }},
 		} {
-			RebuildCommPlan(reused, h, step.a)
-			if reused.overlap != step.overlap {
-				t.Fatalf("%s: overlap fallback %t, want %t", step.name, reused.overlap, step.overlap)
+			msg := panicMessage(step.build)
+			if !strings.Contains(msg, "overlapping units") || !strings.Contains(msg, "Assignment.Validate") {
+				t.Fatalf("%s: panic %q, want one about overlapping units naming Assignment.Validate", step.name, msg)
 			}
-			requireMatchesReference(t, reused, step.name)
-			requireMigrationMatchesReference(t, reused, step.other, step.name)
 		}
 	})
+}
+
+// panicMessage runs f and returns what it panicked with, "" if it did not.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 // TestCommPlanRebuildAllocatesNothing: once a plan's buffers have grown to

@@ -6,14 +6,13 @@ import (
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// This file holds the retained sequential reference kernels: the simple,
-// obviously-correct cell-by-cell implementations the parallel CommPlan
-// kernel is differentially tested against. They define the canonical
-// semantics — per level ascending, cells in z, y, x order, each cell
-// checking its +x, +y, +z face neighbors and then its coarse parent — and
-// the canonical pair enumeration order. Production code should use
-// BuildCommPlan; these exist for property tests and before/after
-// benchmarking.
+// This file holds the test oracles of the PAC kernel: the simple,
+// obviously-correct cell-by-cell implementations the box-geometry CommPlan
+// is differentially tested against. They define the canonical semantics —
+// per level ascending, cells in z, y, x order, each cell checking its +x,
+// +y, +z face neighbors and then its coarse parent — and the canonical pair
+// enumeration order. They back the property and fuzz tests and the
+// *Reference benchmark rows; production has only BuildCommPlan.
 
 // ReferenceCommunication computes the assignment's communication
 // statistics and cross-processor unit pairs with the pre-CommPlan

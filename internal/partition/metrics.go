@@ -11,6 +11,12 @@ var metricPACSeconds = telemetry.Default.Histogram(
 	"Wall-clock duration of one PAC communication-plan build (unit-box index + neighbour and parent search).",
 	nil)
 
+// Rasterizations returns 0: production builds no cell raster, as the
+// cell-by-cell oracle lives in the package's tests. It remains because
+// bench/e2e reports it as partition.rasterizations_per_regrid, and goes
+// with that metric.
+func Rasterizations() uint64 { return 0 }
+
 // metricPartitionSeconds times every partitioner invocation through the
 // shared ISP pipeline — decompose, curve-order, split — labeled by
 // partitioner so placement-time cost is visible per algorithm fleet-wide.

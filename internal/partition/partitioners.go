@@ -326,10 +326,3 @@ func weightsOf(units []Unit) []float64 {
 func assemble(units []Unit, owner []int, nprocs int) *Assignment {
 	return &Assignment{NProcs: nprocs, Units: units, Owner: owner, SplitCost: 1}
 }
-
-// assembleWith is assemble with an explicit splitting-algorithm cost.
-func assembleWith(units []Unit, owner []int, nprocs int, splitCost float64) *Assignment {
-	a := assemble(units, owner, nprocs)
-	a.SplitCost = splitCost
-	return a
-}

@@ -1,27 +1,17 @@
 package partition
 
-// Retained from-scratch sequential reference for the ISP partitioner
-// pipeline, mirroring commref.go for the PAC kernel: the production
-// pipeline in plan.go must produce bit-identical assignments to this
-// implementation with or without a PartitionPlan and after any sequence of
-// earlier calls through the plan. The differential and fuzz suites in
-// plan_test.go enforce the equivalence; keep this file boring: the
-// library's stable sort, the work model's own BoxWork, fresh slices.
+// Test oracle: the from-scratch sequential reference for the ISP
+// partitioner pipeline, mirroring commref_test.go for the PAC kernel: the
+// production pipeline in plan.go must produce bit-identical assignments to
+// this implementation with or without a PartitionPlan and after any
+// sequence of earlier calls through the plan. The differential and fuzz
+// suites in plan_test.go enforce the equivalence; keep this file boring:
+// the library's stable sort, the work model's own BoxWork, fresh slices.
 
 import (
 	"fmt"
 
 	"github.com/pragma-grid/pragma/internal/samr"
-)
-
-// Compile-time proof that the whole ISP suite partitions through a plan.
-var (
-	_ IncrementalPartitioner = SFC{}
-	_ IncrementalPartitioner = GMISP{}
-	_ IncrementalPartitioner = GMISPSP{}
-	_ IncrementalPartitioner = PBDISP{}
-	_ IncrementalPartitioner = SPISP{}
-	_ IncrementalPartitioner = ISP{}
 )
 
 // unprepared hides a work model's dynamic type from samr.BoxWeigher, so the
@@ -62,4 +52,16 @@ func ReferencePartition(p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, npr
 	}
 	orderUnits(units, h, curve)
 	return assembleWith(units, spec.split(weightsOf(units), nprocs), nprocs, spec.cost), nil
+}
+
+// variableGrainUnits is appendVariableGrainUnits into a fresh slice.
+func variableGrainUnits(h *samr.Hierarchy, wm samr.WorkModel, threshold float64, minSide int) []Unit {
+	return appendVariableGrainUnits(nil, new(samr.BoxWeigher), h, wm, threshold, minSide)
+}
+
+// assembleWith is assemble with an explicit splitting-algorithm cost.
+func assembleWith(units []Unit, owner []int, nprocs int, splitCost float64) *Assignment {
+	a := assemble(units, owner, nprocs)
+	a.SplitCost = splitCost
+	return a
 }

@@ -5,9 +5,9 @@ package partition
 // unit's center along a space-filling curve, stable-sort by key, split the
 // ordered weights across processors — and differs only in its pipelineSpec.
 // partitionPipeline runs them once, serially, from scratch, on the calling
-// goroutine; ReferencePartition (partref.go) is the same pipeline with the
-// library sort and the unprepared work model, and the two must agree bit
-// for bit.
+// goroutine; the test oracle ReferencePartition (partref_test.go) is the
+// same pipeline with the library sort and the unprepared work model, and
+// the two must agree bit for bit.
 
 import (
 	"fmt"
@@ -24,7 +24,7 @@ const (
 	// decompBlock cuts every hierarchy box into fixed-side blocks
 	// (blockUnits); side <= 0 keeps whole boxes ("patch granularity").
 	decompBlock decompKind = iota + 1
-	// decompVarGrain recursively halves heavy boxes (variableGrainUnits).
+	// decompVarGrain recursively halves heavy boxes (appendVariableGrainUnits).
 	decompVarGrain
 )
 
@@ -78,6 +78,16 @@ type IncrementalPartitioner interface {
 	Partitioner
 	PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error)
 }
+
+// Compile-time proof that the whole ISP suite partitions through a plan.
+var (
+	_ IncrementalPartitioner = SFC{}
+	_ IncrementalPartitioner = GMISP{}
+	_ IncrementalPartitioner = GMISPSP{}
+	_ IncrementalPartitioner = PBDISP{}
+	_ IncrementalPartitioner = SPISP{}
+	_ IncrementalPartitioner = ISP{}
+)
 
 // PartitionPlan is the pipeline's scratch: the unit list in generation
 // order, its curve keys, the sort permutation and the ordered weights, plus

@@ -1,13 +1,10 @@
 package partition
 
-import (
-	"sync/atomic"
-
-	"github.com/pragma-grid/pragma/internal/samr"
-)
+import "github.com/pragma-grid/pragma/internal/samr"
 
 // levelRaster is a dense owner map over the bounding box of one level's
-// units; cells outside every unit hold -1.
+// units; cells outside every unit hold -1. The cell-by-cell oracles of
+// commref_test.go walk it.
 type levelRaster struct {
 	box   samr.Box
 	nx    int
@@ -50,8 +47,7 @@ func (r *levelRaster) paint(b samr.Box, owner int32) {
 }
 
 // at returns the owner of the cell at p, or -1 when p is outside the
-// raster or unowned. The sequential reference kernel is written in terms
-// of at; the production kernel sweeps the backing slice directly.
+// raster or unowned. The oracles are written in terms of at.
 func (r *levelRaster) at(p samr.Point) int32 {
 	if !r.box.Contains(p) {
 		return -1
@@ -59,18 +55,8 @@ func (r *levelRaster) at(p samr.Point) int32 {
 	return r.owner[(p[2]-r.box.Lo[2])*r.nxy+(p[1]-r.box.Lo[1])*r.nx+(p[0]-r.box.Lo[0])]
 }
 
-// rasterizations counts assignment rasterizations process-wide. Regrid
-// paths are expected to rasterize each assignment exactly once (one
-// CommPlan shared by communication, adjacency, and migration); tests
-// assert on deltas of Rasterizations.
-var rasterizations atomic.Uint64
-
-// Rasterizations returns the process-wide count of assignment
-// rasterizations performed so far.
-func Rasterizations() uint64 { return rasterizations.Load() }
-
 // ownerRasters builds one processor-owner raster per level of the
-// assignment (used by the sequential migration reference).
+// assignment (used by the migration oracle).
 func ownerRasters(a *Assignment) map[int]*levelRaster {
 	return buildRasters(a, func(i int) int32 { return int32(a.Owner[i]) })
 }
@@ -81,7 +67,6 @@ func unitRasters(a *Assignment) map[int]*levelRaster {
 }
 
 func buildRasters(a *Assignment, value func(i int) int32) map[int]*levelRaster {
-	rasterizations.Add(1)
 	perLevel := map[int][]int{}
 	for i, u := range a.Units {
 		perLevel[u.Level] = append(perLevel[u.Level], i)

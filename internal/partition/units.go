@@ -44,18 +44,13 @@ func appendBlockUnits(units []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm sa
 	return units
 }
 
-// variableGrainUnits implements the "variable grain geometric multilevel"
-// decomposition of G-MISP: it starts from whole hierarchy boxes and
-// recursively halves any unit heavier than threshold along its longest
+// appendVariableGrainUnits implements the "variable grain geometric
+// multilevel" decomposition of G-MISP: it starts from whole hierarchy boxes
+// and recursively halves any unit heavier than threshold along its longest
 // axis, until the unit is light enough or minSide is reached. Heavy regions
-// end up finely subdivided while light regions stay coarse.
-func variableGrainUnits(h *samr.Hierarchy, wm samr.WorkModel, threshold float64, minSide int) []Unit {
-	return appendVariableGrainUnits(nil, new(samr.BoxWeigher), h, wm, threshold, minSide)
-}
-
-// appendVariableGrainUnits is variableGrainUnits appending to units and
-// weighing through w, which is prepared once per hierarchy box for every
-// node of that box's halving recursion.
+// end up finely subdivided while light regions stay coarse. It appends to
+// units and weighs through w, which is prepared once per hierarchy box for
+// every node of that box's halving recursion.
 func appendVariableGrainUnits(units []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm samr.WorkModel, threshold float64, minSide int) []Unit {
 	if minSide < 1 {
 		minSide = 1
