@@ -257,12 +257,12 @@ func TestRunResumeRejectsInvalidAssignment(t *testing.T) {
 	}
 	// resume re-saves the folded checkpoint, altered by alter, as the only
 	// record of a fresh directory and resumes the run from it.
-	resume := func(alter func(a *partition.Assignment)) (*RunResult, error) {
+	resume := func(t *testing.T, alter func(t *testing.T, a *partition.Assignment)) (*RunResult, error) {
 		ck, err := ReadCheckpoint(crashed)
 		if err != nil || ck == nil || ck.PrevAssignment == nil {
 			t.Fatalf("ReadCheckpoint: %+v, %v", ck, err)
 		}
-		alter(ck.PrevAssignment)
+		alter(t, ck.PrevAssignment)
 		dir := t.TempDir()
 		store := &checkpoint.Store{Dir: dir}
 		if _, err := store.Save(ck.Next, appendCheckpoint(nil, ck)); err != nil {
@@ -272,19 +272,21 @@ func TestRunResumeRejectsInvalidAssignment(t *testing.T) {
 		return Run(tr, strat, RunConfig{Machine: mk(), NProcs: 8, CheckpointDir: dir, Resume: true})
 	}
 
-	res, err := resume(func(*partition.Assignment) {})
-	if err != nil {
-		t.Fatalf("unaltered record: %v", err)
-	}
-	sameResult(t, res, base)
+	t.Run("unaltered record", func(t *testing.T) {
+		res, err := resume(t, func(*testing.T, *partition.Assignment) {})
+		if err != nil {
+			t.Fatalf("unaltered record: %v", err)
+		}
+		sameResult(t, res, base)
+	})
 
 	for _, tc := range []struct {
 		name  string
-		alter func(a *partition.Assignment)
+		alter func(t *testing.T, a *partition.Assignment)
 	}{
-		{"owner out of range", func(a *partition.Assignment) { a.Owner[len(a.Owner)-1] = 13 }},
-		{"one owner short", func(a *partition.Assignment) { a.Owner = a.Owner[:len(a.Owner)-1] }},
-		{"overlapping units", func(a *partition.Assignment) {
+		{"owner out of range", func(_ *testing.T, a *partition.Assignment) { a.Owner[len(a.Owner)-1] = 13 }},
+		{"one owner short", func(_ *testing.T, a *partition.Assignment) { a.Owner = a.Owner[:len(a.Owner)-1] }},
+		{"overlapping units", func(t *testing.T, a *partition.Assignment) {
 			for j := 1; j < len(a.Units); j++ {
 				if a.Units[j].Level == a.Units[0].Level {
 					a.Units[j].Box = a.Units[0].Box
@@ -293,12 +295,14 @@ func TestRunResumeRejectsInvalidAssignment(t *testing.T) {
 			}
 			t.Fatal("no two units share a level")
 		}},
-		{"other processor count", func(a *partition.Assignment) { a.NProcs = 16 }},
+		{"other processor count", func(_ *testing.T, a *partition.Assignment) { a.NProcs = 16 }},
 	} {
-		res, err := resume(tc.alter)
-		if err == nil || !strings.Contains(err.Error(), "checkpoint at regrid") {
-			t.Errorf("%s: resumed to %v (err %v), want a checkpoint error", tc.name, res != nil, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := resume(t, tc.alter)
+			if err == nil || !strings.Contains(err.Error(), "checkpoint at regrid") {
+				t.Errorf("resumed to %v (err %v), want a checkpoint error", res != nil, err)
+			}
+		})
 	}
 }
 

@@ -461,10 +461,12 @@ func TestCommPlanGeometryCases(t *testing.T) {
 			{"fresh build", func() { BuildCommPlan(h, a) }},
 			{"rebuild into a used plan", func() { RebuildCommPlan(used, h, a) }},
 		} {
-			msg := panicMessage(step.build)
-			if !strings.Contains(msg, "overlapping units") || !strings.Contains(msg, "Assignment.Validate") {
-				t.Fatalf("%s: panic %q, want one about overlapping units naming Assignment.Validate", step.name, msg)
-			}
+			t.Run(step.name, func(t *testing.T) {
+				msg := panicMessage(step.build)
+				if !strings.Contains(msg, "overlapping units") || !strings.Contains(msg, "Assignment.Validate") {
+					t.Fatalf("panic %q, want one about overlapping units naming Assignment.Validate", msg)
+				}
+			})
 		}
 	})
 }
