@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean
+.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,11 @@ fleet-smoke:
 # weights and that checkpoint-preempted runs all finish.
 preempt-smoke:
 	bash scripts/preempt_smoke.sh
+
+# Process-roll rehearsal: SIGINT a -sched-state node with runs mid-flight,
+# reboot it on the same directories, every submitted run must end done.
+roll-smoke:
+	bash scripts/roll_smoke.sh
 
 # End-to-end harness smoke over the real HTTP surface: the single-node
 # path (sched_corpus) and the fleet path (fleet_tiny), three seconds each.

@@ -169,7 +169,6 @@ func main() {
 		schedBuild = fleet.SpecBuilder(*schedCkptRoot, fleet.DefaultMaterializer())
 		if *schedState != "" {
 			stateStore = &checkpoint.Store{Dir: *schedState}
-			defer stateStore.Close() // runs after the drain's Save below
 			// Boot-time restore: re-admit whatever backlog the previous
 			// process snapshotted on its way down. A missing snapshot is a
 			// fresh start, not an error.
@@ -275,7 +274,12 @@ func main() {
 					fmt.Fprintf(os.Stderr, "pragma-node: snapshot: %v\n", err)
 					return
 				}
-				if _, err := stateStore.Save(stateSeq+1, data); err != nil {
+				// Close syncs the snapshot: it is saved once Close succeeds.
+				_, err = stateStore.Save(stateSeq+1, data)
+				if cerr := stateStore.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
 					fmt.Fprintf(os.Stderr, "pragma-node: save state: %v\n", err)
 					return
 				}

@@ -3,9 +3,16 @@
 // to system failures" reactive management (§3.4.2). It provides a small,
 // format-versioned container (magic, version, length, CRC-32C over the
 // payload) and a directory Store of append-only logs: every Save appends
-// one container-framed record to the log its Store owns and fsyncs it
-// before returning, and readers take the longest valid prefix of the
-// newest log that has one.
+// one container-framed record to the log its Store owns, and readers take
+// the longest valid prefix of the newest log that has one.
+//
+// A record is visible once Save returns: it is one write, so every reader
+// on the host sees it and it survives the death of the writing process.
+// It is durable once the Store syncs, which Close does and which a Save
+// does when the log's last sync is syncEvery old. Only a host crash or a
+// power loss tells the two apart, and it costs at most the records
+// appended since the last sync; a resume from any valid prefix of a log
+// is as good as one from the whole log.
 //
 // The package is payload-agnostic: callers serialize their own state
 // (internal/core writes a binary record per regrid boundary) and this
@@ -157,15 +164,24 @@ type Store struct {
 	// Dir is the checkpoint directory; Save creates it on demand.
 	Dir string
 
-	f    *os.File // this Store's log, open once Save has created it
-	num  int      // its number
-	buf  []byte   // the record being written, reused across saves
-	werr error    // sticky: a failed append leaves the log's tail unknown
+	f      *os.File  // this Store's log, open once Save has created it
+	num    int       // its number
+	buf    []byte    // the record being written, reused across saves
+	werr   error     // sticky: a failed append or sync leaves the log's tail unknown
+	dirty  bool      // records appended since the last sync
+	synced time.Time // the last sync; the log's creation before its first
+	pruned bool      // the first sync made the log's entry durable and unlinked older logs
+	closed bool
 }
 
 const (
 	logPrefix = "log-"
 	logSuffix = ".ckpt"
+
+	// syncEvery bounds how long an appended record can stay unsynced
+	// while the Store keeps saving: a Save syncs when the log's last sync
+	// is at least this old.
+	syncEvery = time.Second
 )
 
 func (s *Store) path(n int) string {
@@ -173,11 +189,13 @@ func (s *Store) path(n int) string {
 }
 
 // Save appends one record with the given sequence number to this Store's
-// log and returns only once it is on disk: the record is one write of the
-// container followed by an fsync. The first Save creates the log and, once
-// its first record is synced, fsyncs the directory, unlinks every older
-// log and fsyncs the directory again; until then the previous log is
-// still the newest valid one. It returns the log's path.
+// log with one write of the container and returns the log's path. The
+// record is visible when Save returns and durable after the next sync:
+// Close syncs, and so does a Save made at least syncEvery after the last
+// sync. The first Save creates the log. Older logs stay on disk until its
+// first sync, which fsyncs the directory, unlinks them and fsyncs the
+// directory again, so a power loss before then finds the previous log
+// intact.
 func (s *Store) Save(seq int, payload []byte) (string, error) {
 	start := time.Now()
 	err := s.save(seq, payload)
@@ -195,8 +213,7 @@ func (s *Store) save(seq int, payload []byte) error {
 	if s.werr != nil {
 		return s.werr
 	}
-	first := s.f == nil
-	if first {
+	if s.f == nil {
 		if err := s.create(); err != nil {
 			return err
 		}
@@ -209,20 +226,45 @@ func (s *Store) save(seq int, payload []byte) error {
 		s.werr = fmt.Errorf("checkpoint: append %s: %w", s.f.Name(), err)
 		return s.werr
 	}
+	s.dirty = true
+	if time.Since(s.synced) >= syncEvery {
+		return s.sync()
+	}
+	return nil
+}
+
+// sync makes every record appended so far durable. A log's first sync
+// then makes its directory entry durable, unlinks every older log and
+// fsyncs the directory again. A failed sync is sticky: after it the
+// kernel may have dropped the dirty pages, so no later sync can vouch
+// for them.
+func (s *Store) sync() error {
+	start := time.Now()
 	if err := s.f.Sync(); err != nil {
 		s.werr = fmt.Errorf("checkpoint: sync %s: %w", s.f.Name(), err)
 		return s.werr
 	}
-	if !first {
-		return nil
+	if !s.pruned {
+		if err := syncDir(s.Dir); err != nil {
+			s.werr = err
+			return err
+		}
+		s.pruned = true
+		s.unlinkOlder()
 	}
-	if err := syncDir(s.Dir); err != nil {
-		s.werr = err
-		return err
-	}
+	s.dirty = false
+	s.synced = time.Now()
+	metricSyncSeconds.Observe(s.synced.Sub(start).Seconds())
+	return nil
+}
+
+// unlinkOlder removes every log older than this Store's. Its records and
+// directory entry are durable by now, so the older logs are only clutter:
+// a failure here is not an error.
+func (s *Store) unlinkOlder() {
 	logs, err := s.logs()
 	if err != nil {
-		return nil // the record is durable; the older logs are only clutter
+		return
 	}
 	removed := false
 	for _, n := range logs {
@@ -235,7 +277,6 @@ func (s *Store) save(seq int, payload []byte) error {
 		// without it a power loss could bring the old logs back.
 		syncDir(s.Dir)
 	}
-	return nil
 }
 
 // create opens the log this Store writes: one past the newest in the
@@ -260,19 +301,34 @@ func (s *Store) create() error {
 		if err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
-		s.f, s.num = f, n
+		s.f, s.num, s.synced = f, n, time.Now()
 		return nil
 	}
 }
 
-// Close closes this Store's log. Records already saved stay durable; a
-// later Save on the same Store fails.
+// Close is the Store's barrier: it syncs whatever was appended since the
+// last sync, closes the log and returns the sync's error (or the error of
+// an earlier failed append or sync, whose records it cannot vouch for).
+// Only once it returns nil are all of this Store's records durable. A
+// second Close returns nil; a Save after Close fails.
 func (s *Store) Close() error {
-	if s.f == nil {
+	if s.closed {
 		return nil
 	}
-	s.werr = fmt.Errorf("checkpoint: %s: store closed", s.f.Name())
-	return s.f.Close()
+	s.closed = true
+	var err error
+	if s.f != nil {
+		if err = s.werr; err == nil && s.dirty {
+			err = s.sync()
+		}
+		if cerr := s.f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if s.werr == nil {
+		s.werr = fmt.Errorf("checkpoint: %s: store closed", s.Dir)
+	}
+	return err
 }
 
 func syncDir(dir string) error {
@@ -316,8 +372,8 @@ func (s *Store) logs() ([]int, error) {
 // Records returns the valid records of the newest log that has at least
 // one, in the order they were saved, up to its first torn or damaged
 // record. It walks back to an older log only when every newer one has no
-// valid record (an attempt that crashed before its first record was
-// durable). It returns no records and no error when nothing valid exists.
+// valid record (an attempt whose host crashed before its first sync). It
+// returns no records and no error when nothing valid exists.
 func (s *Store) Records() ([]Record, error) {
 	logs, err := s.logs()
 	if err != nil {

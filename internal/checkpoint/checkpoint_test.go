@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -262,6 +263,129 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	}
 	if names := dirNames(t, st.Dir); len(names) != 4 {
 		t.Fatalf("foreign files were touched: %v", names)
+	}
+}
+
+// syncsDuring returns how many syncs f made, read from the sync histogram.
+func syncsDuring(f func()) uint64 {
+	before := metricSyncSeconds.Count()
+	f()
+	return metricSyncSeconds.Count() - before
+}
+
+// TestStoreSyncsAtCloseInsideTheBound: saves made within syncEvery of the
+// log's creation only write; Close is the one sync.
+func TestStoreSyncsAtCloseInsideTheBound(t *testing.T) {
+	st := &Store{Dir: t.TempDir()}
+	if n := syncsDuring(func() {
+		for seq := 1; seq <= 5; seq++ {
+			save(t, st, seq, "x")
+		}
+	}); n != 0 {
+		t.Fatalf("5 saves inside the bound synced %d times, want 0", n)
+	}
+	if n := syncsDuring(func() {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Close synced %d times, want 1", n)
+	}
+}
+
+// TestStoreSaveSyncsPastTheBound: a Save made syncEvery after the last
+// sync syncs in that Save, and the clock restarts there.
+func TestStoreSaveSyncsPastTheBound(t *testing.T) {
+	st := &Store{Dir: t.TempDir()}
+	defer st.Close()
+	save(t, st, 1, "x")
+	st.synced = time.Now().Add(-syncEvery)
+	if n := syncsDuring(func() { save(t, st, 2, "x") }); n != 1 {
+		t.Fatalf("a save past the bound synced %d times, want 1", n)
+	}
+	if st.dirty {
+		t.Fatal("the log is still dirty after a sync")
+	}
+	if n := syncsDuring(func() { save(t, st, 3, "x") }); n != 0 {
+		t.Fatalf("a save right after a sync synced %d times, want 0", n)
+	}
+}
+
+// TestStoreCloseIsIdempotent: a second Close returns nil and syncs
+// nothing; Save after Close fails, and Close reports an earlier failed
+// append instead of vouching for the log.
+func TestStoreCloseIsIdempotent(t *testing.T) {
+	st := &Store{Dir: t.TempDir()}
+	save(t, st, 1, "x")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := syncsDuring(func() {
+		if err := st.Close(); err != nil {
+			t.Fatalf("second Close: %v, want nil", err)
+		}
+	}); n != 0 {
+		t.Fatalf("second Close synced %d times, want 0", n)
+	}
+	if _, err := st.Save(2, []byte("x")); err == nil {
+		t.Fatal("Save after Close succeeded")
+	}
+
+	broken := &Store{Dir: t.TempDir()}
+	save(t, broken, 1, "x")
+	broken.f.Close() // the next append fails
+	_, saveErr := broken.Save(2, []byte("x"))
+	if saveErr == nil {
+		t.Fatal("append to a closed file succeeded")
+	}
+	if err := broken.Close(); err != saveErr {
+		t.Fatalf("Close after a failed append: %v, want the append's error %v", err, saveErr)
+	}
+}
+
+// TestStoreUnclosedRecordsAreVisible: a writer that dies without syncing
+// (its process killed) leaves its records to every other reader on the
+// host: they were written before Save returned.
+func TestStoreUnclosedRecordsAreVisible(t *testing.T) {
+	dir := t.TempDir()
+	dead := &Store{Dir: dir}
+	for seq := 1; seq <= 3; seq++ {
+		save(t, dead, seq, "x")
+	}
+	recs, err := (&Store{Dir: dir}).Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seqs(recs); len(got) != 3 || got[2] != 3 {
+		t.Fatalf("records of an unclosed store = %v, want [1 2 3]", got)
+	}
+	dead.f.Close()
+}
+
+// TestStoreOlderLogSurvivesUntilFirstSync: a newer Store's saves leave the
+// older log on disk until the newer log is synced; its first sync unlinks
+// it.
+func TestStoreOlderLogSurvivesUntilFirstSync(t *testing.T) {
+	dir := t.TempDir()
+	old := &Store{Dir: dir}
+	oldPath := save(t, old, 1, "old")
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := &Store{Dir: dir}
+	var nextPath string
+	for seq := 1; seq <= 3; seq++ {
+		nextPath = save(t, next, seq, "next")
+	}
+	if names := dirNames(t, dir); len(names) != 2 {
+		t.Fatalf("before the newer log's first sync: %v, want both logs", names)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != filepath.Base(nextPath) {
+		t.Fatalf("after the newer log's first sync: %v, want only %s (%s unlinked)",
+			names, filepath.Base(nextPath), filepath.Base(oldPath))
 	}
 }
 

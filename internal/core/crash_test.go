@@ -219,6 +219,89 @@ func TestCrashPointsResumeAtLastIntactRecord(t *testing.T) {
 	}
 }
 
+// TestCrashUnsyncedTails: the crash states of a log that has not been
+// synced. An attempt syncs when it ends or is interrupted (and in a save a
+// second after its last sync), so a power loss can leave any prefix of
+// its unsynced records, in whatever order the page cache wrote them back,
+// beside the older log its first sync would have unlinked.
+func TestCrashUnsyncedTails(t *testing.T) {
+	tr := testTrace(t)
+	strat := func() Strategy { return Adaptive{ImbalanceGuard: 20} }
+	want := goldenResult(t, "rm3d-small/adaptive/8")
+	const k = 15
+	dir := t.TempDir()
+
+	interruptedAfter(t, tr, strat(), crashConfig(dir), k)
+	first := readLogs(t, dir)
+	cfg := crashConfig(dir)
+	cfg.Resume = true
+	if _, err := Run(tr, strat(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	second := readLogs(t, dir)
+	if len(first) != 1 || len(second) != 1 || first[0].name == second[0].name {
+		t.Fatalf("logs after attempt 1: %d, after attempt 2: %d; want one each, the second replacing the first", len(first), len(second))
+	}
+	older, newest := first[0], second[0]
+	recs := checkpoint.ParseLog(newest.data)
+	start := func(i int) int {
+		if i == 0 {
+			return 0
+		}
+		return recs[i-1].End
+	}
+	// lastIntact is where a resume continues when the newest log's records
+	// from i on are lost: the record before i, or attempt 1's last record
+	// when the newest log has none.
+	lastIntact := func(i int) int {
+		if i == 0 {
+			return k + 1
+		}
+		return recs[i-1].Seq
+	}
+
+	// Before the newest log's first sync: it holds any prefix of its
+	// records, and the older log is still on disk.
+	for i := 0; i <= len(recs); i++ {
+		files := []logFile{older, {newest.name, newest.data[:start(i)]}}
+		t.Run(fmt.Sprintf("before-first-sync/boundary-%d", i), func(t *testing.T) {
+			checkResume(t, tr, strat, files, lastIntact(i), want)
+		})
+	}
+
+	// The newest log's directory entry never reached the disk.
+	t.Run("newest-log-missing", func(t *testing.T) {
+		checkResume(t, tr, strat, []logFile{older}, k+1, want)
+	})
+
+	// Reordered writeback: record i reads as zeros while every later record
+	// reached the disk. The resume stops before the hole, with the older
+	// log beside it (before the first sync) or without it (the unsynced
+	// tail after a sync).
+	for i := range recs {
+		data := append([]byte(nil), newest.data...)
+		clear(data[start(i):recs[i].End])
+		t.Run(fmt.Sprintf("hole-record-%d/with-older", i), func(t *testing.T) {
+			checkResume(t, tr, strat, []logFile{older, {newest.name, data}}, lastIntact(i), want)
+		})
+		if i > 0 {
+			t.Run(fmt.Sprintf("hole-record-%d/alone", i), func(t *testing.T) {
+				checkResume(t, tr, strat, []logFile{{newest.name, data}}, lastIntact(i), want)
+			})
+		}
+	}
+
+	// The log's size reached the disk but its data did not: zeros from
+	// record i to a page past the log's end (i = len(recs): every record
+	// intact, then zeros).
+	for i := 0; i <= len(recs); i++ {
+		data := append(append([]byte(nil), newest.data[:start(i)]...), make([]byte, len(newest.data)-start(i)+4096)...)
+		t.Run(fmt.Sprintf("zero-tail-%d", i), func(t *testing.T) {
+			checkResume(t, tr, strat, []logFile{older, {newest.name, data}}, lastIntact(i), want)
+		})
+	}
+}
+
 // perAttempt decides every regrid with its own partitioner, so two
 // attempts of one run make different decisions. All of them share one
 // name, so each resumes the others' checkpoints.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"os"
 	"sync"
 	"testing"
 
@@ -93,6 +94,47 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, res, ref)
+}
+
+// removeDirAt deletes the checkpoint directory and closes stop when the
+// run enters regrid at: the log this attempt already writes stays open,
+// but its directory can no longer be synced.
+type removeDirAt struct {
+	Strategy
+	at   int
+	dir  string
+	stop chan struct{}
+}
+
+func (s *removeDirAt) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
+	if ctx.Index == s.at {
+		if err := os.RemoveAll(s.dir); err != nil {
+			return nil, "", err
+		}
+		close(s.stop)
+	}
+	return s.Strategy.Assign(ctx)
+}
+
+// TestRunInterruptReportsFailedSync: an interrupted run is reported
+// interrupted only once its records are durable. When the sync at the
+// interrupt fails, Run returns that error instead of ErrInterrupted, so
+// no caller treats the run as resumable from records it cannot vouch for.
+func TestRunInterruptReportsFailedSync(t *testing.T) {
+	tr := testTrace(t)
+	p, err := partition.ByName("SFC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := &removeDirAt{Strategy: Static{P: p}, at: 1, dir: dir, stop: make(chan struct{})}
+	_, err = Run(tr, s, RunConfig{
+		Machine: cluster.SP2(4), NProcs: 4,
+		CheckpointDir: dir, CheckpointEvery: 1, Interrupt: s.stop,
+	})
+	if err == nil || errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupt whose sync failed returned %v, want the sync's error", err)
+	}
 }
 
 // TestRunInterruptBeforeFirstInterval: an interrupt that fires before any

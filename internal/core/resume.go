@@ -10,7 +10,9 @@ import (
 
 // Checkpoint/restart for trace replays: at regrid boundaries Run appends
 // one binary record (record.go) to the checkpoint log its attempt owns
-// (internal/checkpoint: CRC-framed, fsynced before Save returns). A
+// (internal/checkpoint: CRC-framed, visible once Save returns, synced by
+// a save a second or more after the last sync and when the attempt ends;
+// an interrupted Run returns only after that sync). A
 // record carries the accumulators of the eventual RunResult, the
 // SnapshotStats completed since the attempt's previous record, the
 // outgoing assignment and opt-in strategy state, so its size follows one

@@ -47,10 +47,12 @@ type RunConfig struct {
 	Resume bool
 	// Interrupt, when non-nil, is polled at every regrid boundary. Once it
 	// is closed the run stops before starting the next interval: with
-	// CheckpointDir configured the loop state is persisted first, so a
-	// later Resume continues exactly where the interrupted run stopped.
-	// Run then fails with an error wrapping ErrInterrupted. This is the
-	// graceful-drain hook the scheduler uses (see internal/sched).
+	// CheckpointDir configured the loop state is written and synced before
+	// Run returns, so a later Resume continues exactly where the
+	// interrupted run stopped. Run then fails with an error wrapping
+	// ErrInterrupted, or with the sync's error if the records could not be
+	// made durable. This is the graceful-drain hook the scheduler uses (see
+	// internal/sched).
 	Interrupt <-chan struct{}
 	// OnRegrid, when non-nil, is called once per regrid cycle with the
 	// snapshot index and the partitioner the meta-strategy chose for it.
@@ -76,7 +78,7 @@ var ErrInterrupted = errors.New("run interrupted at regrid boundary")
 type InterruptedError struct {
 	// Next is the first regrid interval that has not run: intervals
 	// [0, Next) are complete and, when a checkpoint store is configured,
-	// persisted. A Resume against the same CheckpointDir continues at
+	// durable. A Resume against the same CheckpointDir continues at
 	// Next.
 	Next int
 	// Completed counts the intervals this attempt finished before the
@@ -211,7 +213,11 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	ckptEvery := cfg.CheckpointEvery
 	if cfg.CheckpointDir != "" {
 		store = &checkpoint.Store{Dir: cfg.CheckpointDir}
-		defer store.Close() // every record is synced before Save returns
+		// Close syncs this attempt's records. The interrupt path closes
+		// the store itself and reports its error; on every other return
+		// the run completed or failed, so no caller resumes from them and
+		// the error is dropped.
+		defer store.Close()
 		if ckptEvery < 1 {
 			ckptEvery = 1
 		}
@@ -240,11 +246,11 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		}
 	}
 
-	// durable is the boundary the checkpoint directory already holds (the
+	// saved is the boundary the checkpoint directory already holds (the
 	// resumed one, then this attempt's latest record), and from the first
 	// interval this attempt's next record starts its stats at: 0 for its
 	// first record, which is a full base.
-	durable, from := startIdx, 0
+	saved, from := startIdx, 0
 	var record []byte
 	// saveAt appends the loop state with next as the first interval a
 	// resumed run executes; everything before next is complete and
@@ -273,19 +279,25 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		if _, err := store.Save(next, record); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		durable, from = next, next
+		saved, from = next, next
 		return nil
 	}
 
 	for idx := startIdx; idx < len(tr.Snapshots); idx++ {
 		if interrupted(cfg.Interrupt) {
 			// A drain landed between intervals. Everything up to idx is
-			// complete; persist it unless the directory already holds
+			// complete; write it unless the directory already holds
 			// exactly this boundary (there is nothing to save before the
-			// first interval) and stop.
-			if store != nil && idx > durable {
-				if err := saveAt(idx); err != nil {
-					return nil, err
+			// first interval), sync it, and stop. The run is reported
+			// interrupted only once its records are durable.
+			if store != nil {
+				if idx > saved {
+					if err := saveAt(idx); err != nil {
+						return nil, err
+					}
+				}
+				if err := store.Close(); err != nil {
+					return nil, fmt.Errorf("core: %w", err)
 				}
 			}
 			metricInterrupts.Inc()

@@ -546,8 +546,9 @@ func WithResume() RunOption {
 }
 
 // WithInterrupt stops the run at the next regrid boundary once ch is
-// closed: with checkpointing configured the loop state is persisted first,
-// and Execute fails with an error wrapping ErrRunInterrupted. This is the
+// closed: with checkpointing configured the loop state is written and
+// synced first, and Execute fails with an error wrapping ErrRunInterrupted
+// (or with the sync's error if it fails). This is the
 // graceful-drain hook (the Scheduler wires it for every run it manages).
 func WithInterrupt(ch <-chan struct{}) RunOption {
 	return func(c *core.RunConfig) { c.Interrupt = ch }
