@@ -42,7 +42,7 @@ fleet-smoke:
 preempt-smoke:
 	bash scripts/preempt_smoke.sh
 
-# Process-roll rehearsal: SIGINT a -sched-state node with runs mid-flight,
+# Process-roll rehearsal: SIGINT a `sched -state` node with runs mid-flight,
 # reboot it on the same directories, every submitted run must end done.
 roll-smoke:
 	bash scripts/roll_smoke.sh

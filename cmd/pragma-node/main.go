@@ -1,57 +1,35 @@
-// Command pragma-node emulates a multi-node Pragma control network with
-// real processes: one process serves the Message Center and the application
-// delegated manager; every other process joins as a node running a
-// component agent with a synthetic load sensor and a repartition actuator.
+// Command pragma-node runs one process of a Pragma deployment. Each
+// subcommand is one process role with its own flags: broker, node, replay,
+// sched, router and worker (pragma-node with no arguments lists them, and
+// pragma-node SUBCOMMAND -h its flags). All six take -telemetry-addr and
+// -run-for; a flag the subcommand does not read is a usage error, exit 2.
 //
-// Terminal 1 (the broker + ADM):
+// A control network: the broker serves the Message Center and the ADM;
+// each node joins it as a component agent. A node whose load crosses the
+// overload threshold fires an event, and the ADM queries the policy base
+// and broadcasts a repartition command that every node's actuator prints:
 //
-//	pragma-node -serve 127.0.0.1:7070
+//	pragma-node broker -serve 127.0.0.1:7070
+//	pragma-node node -join 127.0.0.1:7070 -id node-1 -load 0.9
 //
-// Terminals 2..N (one per emulated node):
+// Crash recovery, rehearsed on one replay:
 //
-//	pragma-node -join 127.0.0.1:7070 -id node-1
-//	pragma-node -join 127.0.0.1:7070 -id node-2 -load 0.9
+//	pragma-node replay -checkpoint-dir ./ckpt -crash-at 8   # dies mid-run
+//	pragma-node replay -checkpoint-dir ./ckpt -resume       # picks it up
 //
-// The broker prints consolidated state once per second; agents whose load
-// crosses the overload threshold trigger events, the ADM queries the
-// policy base and broadcasts a repartition command, and each node's
-// actuator prints when it fires.
+// The multi-tenant run scheduler serves submit/status/drain on the telemetry
+// address. On SIGINT or SIGTERM its in-flight runs checkpoint at their next
+// regrid boundary and report as resumable:
 //
-// A third mode replays an adaptation trace with checkpoint/restart, for
-// rehearsing crash recovery:
+//	pragma-node sched -workers 4 -telemetry-addr 127.0.0.1:9090 -checkpoint-root ./runs
+//	curl -X POST 'http://127.0.0.1:9090/sched/submit?tenant=acme&name=run1'
 //
-//	pragma-node -replay -checkpoint-dir ./ckpt -crash-at 8   # dies mid-run
-//	pragma-node -replay -checkpoint-dir ./ckpt -resume       # picks it up
+// A fleet: a router owns the message center and a fleet-wide /sched/, and
+// workers execute the runs it dispatches. Runs checkpoint under the shared
+// root, so a killed worker's runs resume on survivors:
 //
-// A fourth mode serves the multi-tenant run scheduler: many concurrent
-// replays through a bounded worker pool, with submit/status/drain exposed
-// on the telemetry HTTP server:
-//
-//	pragma-node -serve 127.0.0.1:7070 -sched 4 -telemetry-addr 127.0.0.1:9090 \
-//	    -sched-checkpoint-root ./runs
-//	curl -X POST 'http://127.0.0.1:9090/sched/submit?tenant=acme&name=run1&strategy=adaptive'
-//	curl -X POST  http://127.0.0.1:9090/sched/drain
-//
-// Tenants share the pool by weighted max-min fairness: submit with
-// weight=4 and the tenant completes ~4x a weight-1 tenant's work under
-// saturation, with an under-share submit preempting the most over-share
-// running run at its next regrid boundary (it checkpoints and resumes
-// later, bit-identically).
-//
-// On SIGINT the scheduler drains gracefully: in-flight runs checkpoint at
-// their next regrid boundary and report as resumable.
-//
-// A fifth mode federates several pragma-node processes into a fleet: one
-// router owning the message center and the fleet-wide /sched/ API, and any
-// number of workers executing the runs it dispatches. Runs checkpoint
-// under the shared root, so a killed worker's runs resume on survivors:
-//
-//	pragma-node -serve 127.0.0.1:7070 -fleet -telemetry-addr 127.0.0.1:9090 \
-//	    -fleet-checkpoint-root ./fleet-runs
-//	pragma-node -join 127.0.0.1:7070 -worker -id w1
-//	pragma-node -join 127.0.0.1:7070 -worker -id w2
-//	curl -X POST 'http://127.0.0.1:9090/sched/submit?tenant=acme&trace=small'
-//	curl http://127.0.0.1:9090/sched/fleet
+//	pragma-node router -serve 127.0.0.1:7070 -telemetry-addr 127.0.0.1:9090 -checkpoint-root ./fleet-runs
+//	pragma-node worker -join 127.0.0.1:7070 -id w1
 package main
 
 import (
@@ -59,11 +37,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -76,370 +55,463 @@ import (
 	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
-func main() {
-	var (
-		serve    = flag.String("serve", "", "serve the Message Center and ADM on this address")
-		join     = flag.String("join", "", "join a served Message Center as a node agent")
-		id       = flag.String("id", "node-0", "agent identity (with -join)")
-		load     = flag.Float64("load", 0.3, "base synthetic load of this node (with -join)")
-		wobble   = flag.Float64("wobble", 0.15, "load oscillation amplitude (with -join)")
-		overload = flag.Float64("overload", 0.8, "load threshold that fires an overload event")
-		interval = flag.Duration("interval", time.Second, "agent poll / ADM report interval")
-		runFor   = flag.Duration("run-for", 0, "exit after this duration (0 = until interrupted)")
+// config is one validated pragma-node invocation: the subcommand and every
+// flag it reads. Fields a subcommand does not read stay zero.
+type config struct {
+	cmd           string
+	telemetryAddr string
+	runFor        time.Duration
 
-		// Observability.
-		telemetryAddr = flag.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pragma on this address (all modes)")
-		telemetryHold = flag.Duration("telemetry-hold", 0, "keep the telemetry endpoint alive this long after -replay finishes (for scraping)")
+	addr                                                   string // -serve (broker, router) or -join (node, worker)
+	interval, heartbeatTimeout, writeTimeout, drainTimeout time.Duration
+	checkpointRoot                                         string
 
-		// Multi-tenant run scheduler (serving mode; requires -telemetry-addr).
-		schedWorkers     = flag.Int("sched", 0, "run the multi-tenant run scheduler with this many pool workers, exposing /sched/ on the telemetry address")
-		schedQueue       = flag.Int("sched-queue", 64, "scheduler: admission queue limit (submissions beyond it are rejected)")
-		schedTenantLimit = flag.Int("sched-tenant-limit", 8, "scheduler: max queued+running runs per tenant (0 = unlimited)")
-		schedCkptRoot    = flag.String("sched-checkpoint-root", "", "scheduler: checkpoint named runs under <root>/<tenant>/<name> so drained runs are resumable")
-		schedDrain       = flag.Duration("sched-drain-timeout", time.Minute, "scheduler: how long shutdown waits for in-flight runs to reach a regrid boundary")
-		schedState       = flag.String("sched-state", "", "scheduler: snapshot the queued and drained backlog into this directory on drain and restore it on boot, so a process roll loses no submitted run")
+	// node and worker
+	id                     string
+	heartbeat              time.Duration
+	reconnect              bool
+	chaos                  pragma.ChaosConfig
+	load, wobble, overload float64
+	slots                  int
 
-		// Fleet: shard runs across pragma-node worker processes.
-		fleetMode     = flag.Bool("fleet", false, "with -serve: run the fleet router on the message center; /sched/ becomes fleet-wide (requires -telemetry-addr)")
-		workerMode    = flag.Bool("worker", false, "with -join: execute fleet runs dispatched by a -fleet router")
-		workerSlots   = flag.Int("worker-slots", 2, "worker: concurrent run slots advertised to the router")
-		fleetCkptRoot = flag.String("fleet-checkpoint-root", "", "router: default submitted runs to checkpoint under <root>/<run-id> (shared storage) so failover can resume them")
+	// replay
+	replay                      fleet.WireSpec
+	crashAt                     int
+	emulate                     bool
+	stepDeadline, telemetryHold time.Duration
 
-		// Robustness knobs.
-		hbTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "broker: evict clients silent this long (0 disables; with -serve)")
-		wTimeout  = flag.Duration("write-timeout", 5*time.Second, "broker: wire write deadline (0 disables; with -serve)")
-		heartbeat = flag.Duration("heartbeat", time.Second, "node: ping the broker this often (0 disables; with -join)")
-		reconnect = flag.Bool("reconnect", true, "node: reconnect with backoff and replay state after link loss (with -join)")
+	// sched
+	workers, queue, tenantLimit int
+	state                       string
+}
 
-		// Trace replay with checkpoint/restart.
-		replay       = flag.Bool("replay", false, "replay an adaptation trace on a simulated machine")
-		traceName    = flag.String("trace", "small", "replay: RM3D trace configuration (small|paper)")
-		scenarioSpec = flag.String("scenario", "", "replay: composed scenario spec instead of the RM3D trace, e.g. \"seed=7;shock:8,block:6\" (see internal/scenario)")
-		strategyName = flag.String("strategy", "adaptive", "replay: adaptive|system-sensitive|proactive or a partitioner name (SFC, G-MISP+SP, ...)")
-		procs        = flag.Int("procs", 8, "replay: processor count")
-		ckptDir      = flag.String("checkpoint-dir", "", "replay: persist run state here at regrid boundaries")
-		ckptEvery    = flag.Int("checkpoint-every", 1, "replay: checkpoint after every k-th regrid")
-		resume       = flag.Bool("resume", false, "replay: continue from the latest valid checkpoint")
-		crashAt      = flag.Int("crash-at", 0, "replay: inject a crash at the n-th regrid (rehearsal; 0 disables)")
-		emulate      = flag.Bool("emulate", false, "replay: then run the final snapshot on the message-passing engine")
-		stepDeadline = flag.Duration("step-deadline", 30*time.Second, "emulation: per-step barrier deadline (0 = none, may hang on faults)")
+// A command is one subcommand: the flags it reads and the mode it runs.
+type command struct {
+	name, summary string
+	flags         func(*flag.FlagSet, *config)
+	run           func(context.Context, config) error
+}
 
-		// Fault injection on the node's uplink, for rehearsing failures.
-		chaosDrop    = flag.Float64("chaos-drop", 0, "inject: per-op connection drop probability (with -join)")
-		chaosCorrupt = flag.Float64("chaos-corrupt", 0, "inject: per-write byte corruption probability (with -join)")
-		chaosLatency = flag.Duration("chaos-latency", 0, "inject: fixed latency per wire op (with -join)")
-		chaosJitter  = flag.Duration("chaos-jitter", 0, "inject: random extra latency per wire op (with -join)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "inject: fault RNG seed (with -join)")
-		chaosBudget  = flag.Int("chaos-max-faults", 0, "inject: total fault budget, 0 = unlimited (with -join)")
-	)
-	flag.Parse()
+var commands = []command{
+	{"broker", "serve the Message Center and the ADM", brokerFlags, withTelemetry(runBroker)},
+	{"node", "join a broker as a component agent with a synthetic load sensor", nodeFlags, withTelemetry(runNode)},
+	{"replay", "replay an adaptation trace with checkpoint/restart", replayFlags, withTelemetry(runReplay)},
+	{"sched", "serve the multi-tenant run scheduler on the telemetry address", schedFlags, runSched},
+	{"router", "serve a fleet router: a Message Center plus a fleet-wide /sched/", routerFlags, runRouter},
+	{"worker", "join a fleet router and execute the runs it dispatches", workerFlags, runWorker},
+}
 
+func lookup(name string) (command, bool) {
+	for _, cmd := range commands {
+		if cmd.name == name {
+			return cmd, true
+		}
+	}
+	return command{}, false
+}
+
+func brokerFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.addr, "serve", "", "serve the Message Center and ADM on this address (required)")
+	fs.DurationVar(&c.interval, "interval", time.Second, "ADM report interval")
+	centerFlags(fs, c)
+}
+
+func nodeFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.addr, "join", "", "join the Message Center served on this address (required)")
+	fs.Float64Var(&c.load, "load", 0.3, "base synthetic load of this node")
+	fs.Float64Var(&c.wobble, "wobble", 0.15, "load oscillation amplitude")
+	fs.Float64Var(&c.overload, "overload", 0.8, "load threshold that fires an overload event")
+	fs.DurationVar(&c.interval, "interval", time.Second, "agent poll interval")
+	linkFlags(fs, c)
+}
+
+func replayFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.replay.Trace, "trace", "small", "RM3D trace configuration (small|paper)")
+	fs.StringVar(&c.replay.Scenario, "scenario", "", "composed scenario spec instead of the RM3D trace, e.g. \"seed=7;shock:8,block:6\" (see internal/scenario)")
+	fs.StringVar(&c.replay.Strategy, "strategy", "adaptive", "adaptive|system-sensitive|proactive or a partitioner name (SFC, G-MISP+SP, ...)")
+	fs.IntVar(&c.replay.Procs, "procs", 8, "processor count")
+	fs.StringVar(&c.replay.CheckpointDir, "checkpoint-dir", "", "persist run state here at regrid boundaries")
+	fs.IntVar(&c.replay.CheckpointEvery, "checkpoint-every", 1, "checkpoint after every k-th regrid")
+	fs.BoolVar(&c.replay.Resume, "resume", false, "continue from the latest valid checkpoint in -checkpoint-dir")
+	fs.IntVar(&c.crashAt, "crash-at", 0, "inject a crash at the n-th regrid (rehearsal; 0 disables)")
+	fs.BoolVar(&c.emulate, "emulate", false, "then run the final snapshot on the message-passing engine")
+	fs.DurationVar(&c.stepDeadline, "step-deadline", 30*time.Second, "emulation: per-step barrier deadline (0 = none, may hang on faults)")
+	fs.DurationVar(&c.telemetryHold, "telemetry-hold", 0, "keep the telemetry endpoint alive this long after the replay finishes (for scraping)")
+}
+
+func schedFlags(fs *flag.FlagSet, c *config) {
+	fs.IntVar(&c.workers, "workers", 4, "pool workers: runs executing at once")
+	fs.IntVar(&c.queue, "queue", 64, "admission queue limit (submissions beyond it are rejected)")
+	fs.IntVar(&c.tenantLimit, "tenant-limit", 8, "max queued+running runs per tenant (0 = unlimited)")
+	fs.StringVar(&c.checkpointRoot, "checkpoint-root", "", "checkpoint named runs under <root>/<tenant>/<name> so drained runs are resumable")
+	fs.StringVar(&c.state, "state", "", "snapshot the queued and drained backlog into this directory on drain and restore it on boot, so a process roll loses no submitted run")
+	drainFlag(fs, c)
+}
+
+func routerFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.addr, "serve", "", "serve the Message Center workers join on this address (required)")
+	fs.StringVar(&c.checkpointRoot, "checkpoint-root", "", "default submitted runs to checkpoint under <root>/<run-id> (shared storage) so failover can resume them")
+	centerFlags(fs, c)
+	drainFlag(fs, c)
+}
+
+func workerFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.addr, "join", "", "join the router's Message Center on this address (required)")
+	fs.IntVar(&c.slots, "slots", 2, "concurrent run slots advertised to the router")
+	linkFlags(fs, c)
+	drainFlag(fs, c)
+}
+
+// centerFlags are the served Message Center's robustness knobs.
+func centerFlags(fs *flag.FlagSet, c *config) {
+	fs.DurationVar(&c.heartbeatTimeout, "heartbeat-timeout", 5*time.Second, "evict clients silent this long (0 disables)")
+	fs.DurationVar(&c.writeTimeout, "write-timeout", 5*time.Second, "wire write deadline (0 disables)")
+}
+
+// linkFlags shape a joining process's link to the broker, fault injection
+// included.
+func linkFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.id, "id", "node-0", "identity on the control network")
+	fs.DurationVar(&c.heartbeat, "heartbeat", time.Second, "ping the broker this often (0 disables)")
+	fs.BoolVar(&c.reconnect, "reconnect", true, "reconnect with backoff and replay state after link loss")
+	fs.Float64Var(&c.chaos.DropRate, "chaos-drop", 0, "inject: per-op connection drop probability")
+	fs.Float64Var(&c.chaos.CorruptRate, "chaos-corrupt", 0, "inject: per-write byte corruption probability")
+	fs.DurationVar(&c.chaos.Latency, "chaos-latency", 0, "inject: fixed latency per wire op")
+	fs.DurationVar(&c.chaos.Jitter, "chaos-jitter", 0, "inject: random extra latency per wire op")
+	fs.Int64Var(&c.chaos.Seed, "chaos-seed", 1, "inject: fault RNG seed")
+	fs.IntVar(&c.chaos.MaxFaults, "chaos-max-faults", 0, "inject: total fault budget, 0 = unlimited")
+}
+
+func drainFlag(fs *flag.FlagSet, c *config) {
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", time.Minute, "how long shutdown waits for in-flight runs to reach a regrid boundary")
+}
+
+// flagSet registers cmd's flags, with their defaults, on c.
+func flagSet(cmd command, c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("pragma-node "+cmd.name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.StringVar(&c.telemetryAddr, "telemetry-addr", "", "serve /metrics, /healthz, /readyz and /debug/pragma on this address")
+	fs.DurationVar(&c.runFor, "run-for", 0, "exit after this duration (0 = until interrupted)")
+	cmd.flags(fs, c)
+	return fs
+}
+
+// parse reads one invocation, subcommand first, and validates it.
+func parse(args []string) (config, error) {
+	if len(args) == 0 {
+		return config{}, errors.New("missing subcommand")
+	}
+	cmd, ok := lookup(args[0])
+	if !ok {
+		return config{}, fmt.Errorf("unknown subcommand %q", args[0])
+	}
+	c := config{cmd: cmd.name}
+	fs := flagSet(cmd, &c)
+	if err := fs.Parse(args[1:]); err != nil {
+		return c, err
+	}
+	if fs.NArg() > 0 {
+		return c, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return c, c.validate(fs)
+}
+
+// validate rejects the values the modes cannot run with. Each rule names
+// a flag and applies when the subcommand reads that flag.
+func (c config) validate(fs *flag.FlagSet) error {
+	var errs []error
+	check := func(name string, bad bool, rule string) {
+		if bad && fs.Lookup(name) != nil {
+			errs = append(errs, fmt.Errorf("-%s %s", name, rule))
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		d, ok := f.Value.(flag.Getter).Get().(time.Duration)
+		check(f.Name, ok && d < 0, "must not be negative")
+	})
+	for _, n := range []struct {
+		name string
+		v    int
+	}{{"workers", c.workers}, {"slots", c.slots}, {"procs", c.replay.Procs}, {"queue", c.queue}, {"checkpoint-every", c.replay.CheckpointEvery}} {
+		check(n.name, n.v < 1, "must be at least 1")
+	}
+	check("tenant-limit", c.tenantLimit < 0, "must not be negative")
+	check("chaos-drop", !(c.chaos.DropRate >= 0 && c.chaos.DropRate <= 1), "must lie in [0, 1]")
+	check("chaos-corrupt", !(c.chaos.CorruptRate >= 0 && c.chaos.CorruptRate <= 1), "must lie in [0, 1]")
+	check("serve", c.addr == "", "is required")
+	check("join", c.addr == "", "is required")
+	check("interval", c.interval == 0, "must be positive")
+	check("telemetry-addr", (c.cmd == "sched" || c.cmd == "router") && c.telemetryAddr == "", "is required: "+c.cmd+" serves /sched/ on it")
+	check("resume", c.replay.Resume && c.replay.CheckpointDir == "", "needs -checkpoint-dir")
+	check("telemetry-hold", c.telemetryHold > 0 && c.telemetryAddr == "", "needs -telemetry-addr")
+	return errors.Join(errs...)
+}
+
+// usage prints cmd's flags, or the subcommand list when cmd names none.
+func usage(w io.Writer, name string) {
+	if cmd, ok := lookup(name); ok {
+		fmt.Fprintf(w, "usage: pragma-node %s [flags]\n\n%s.\n\n", cmd.name, cmd.summary)
+		fs := flagSet(cmd, &config{})
+		fs.SetOutput(w)
+		fs.PrintDefaults()
+		return
+	}
+	fmt.Fprintln(w, "usage: pragma-node <subcommand> [flags]\n\nsubcommands:")
+	for _, cmd := range commands {
+		fmt.Fprintf(w, "  %-7s %s\n", cmd.name, cmd.summary)
+	}
+	fmt.Fprintln(w, "\nRun 'pragma-node <subcommand> -h' for its flags.")
+}
+
+func main() { os.Exit(runMain(os.Args[1:], os.Stderr)) }
+
+// runMain runs one invocation and returns its exit code: 2 for a usage
+// error, 1 for a mode that failed.
+func runMain(args []string, stderr io.Writer) int {
+	c, err := parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		usage(os.Stdout, c.cmd)
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "pragma-node:", err)
+		usage(stderr, c.cmd)
+		return 2
+	}
 	// SIGTERM is what container orchestrators send first; treat it exactly
 	// like Ctrl-C so both paths end in a graceful drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *runFor > 0 {
+	if c.runFor > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *runFor)
+		ctx, cancel = context.WithTimeout(ctx, c.runFor)
 		defer cancel()
 	}
-
-	var scheduler *pragma.Scheduler
-	var schedBuild pragma.SchedulerSpecBuilder
-	var stateStore *checkpoint.Store
-	stateSeq := 0
-	if *schedWorkers > 0 {
-		if *telemetryAddr == "" {
-			fail(errors.New("-sched needs -telemetry-addr to serve its endpoints on"))
-		}
-		if *fleetMode {
-			fail(errors.New("-sched and -fleet both own /sched/; pick one"))
-		}
-		events := pragma.NewRunEventHub(pragma.RunEventHubConfig{})
-		defer events.Close()
-		scheduler = pragma.NewScheduler(pragma.SchedulerConfig{
-			Workers:     *schedWorkers,
-			QueueLimit:  *schedQueue,
-			TenantLimit: *schedTenantLimit,
-			Events:      events,
-		})
-		// One path from submit parameters to a spec, shared with the fleet
-		// (fleet.SpecFromValues documents them); name=NAME checkpoints the run
-		// under <root>/<tenant>/<NAME>.
-		schedBuild = fleet.SpecBuilder(*schedCkptRoot, fleet.DefaultMaterializer())
-		if *schedState != "" {
-			stateStore = &checkpoint.Store{Dir: *schedState}
-			// Boot-time restore: re-admit whatever backlog the previous
-			// process snapshotted on its way down. A missing snapshot is a
-			// fresh start, not an error.
-			seq, payload, err := stateStore.Latest(nil)
-			switch {
-			case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			case err != nil:
-				fail(fmt.Errorf("restore scheduler state: %w", err))
-			default:
-				stateSeq = seq
-				restored, err := scheduler.Restore(payload, schedBuild)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "pragma-node: restore (snapshot %d): %v\n", seq, err)
-				}
-				fmt.Printf("restored %d runs from %s (snapshot %d)\n", restored, *schedState, seq)
-			}
-		}
+	cmd, _ := lookup(c.cmd)
+	if err := cmd.run(ctx, c); err != nil {
+		fmt.Fprintln(stderr, "pragma-node:", err)
+		return 1
 	}
+	return 0
+}
 
-	// readiness aggregates the drain signals of whatever subsystems this
-	// process runs; /readyz flips to 503 as soon as any of them starts
-	// draining, while /healthz stays 200 (the process is alive, just not
-	// accepting new work).
-	readiness := &readyChecks{draining: map[string]func() bool{}}
+// startTelemetry serves the telemetry mux on -telemetry-addr, with ready
+// behind /readyz and api, when non-nil, under /sched/. Without an address
+// it serves nothing. stop closes the server.
+func startTelemetry(c config, ready func() error, api http.Handler) (stop func(), err error) {
+	if c.telemetryAddr == "" {
+		return func() {}, nil
+	}
+	mux := telemetry.NewHandler(telemetry.Default, telemetry.DefaultTracer, ready)
+	if api != nil {
+		mux.Handle("/sched/", api)
+	}
+	srv, err := telemetry.ServeHandler(c.telemetryAddr, mux)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("telemetry on http://%s/metrics\n", srv.Addr())
+	return func() { srv.Close() }, nil
+}
 
-	var fleetRouter *fleet.Router
-	if *fleetMode {
-		if *serve == "" {
-			fail(errors.New("-fleet needs -serve (the router owns the message center)"))
-		}
-		if *telemetryAddr == "" {
-			fail(errors.New("-fleet needs -telemetry-addr to serve /sched/ on"))
-		}
-		center, ln, err := serveCenter(*serve, *hbTimeout, *wTimeout)
+// withTelemetry serves telemetry, always ready, around a mode that has
+// nothing to drain.
+func withTelemetry(run func(context.Context, config) error) func(context.Context, config) error {
+	return func(ctx context.Context, c config) error {
+		stop, err := startTelemetry(c, nil, nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		defer ln.Close()
-		events := pragma.NewRunEventHub(pragma.RunEventHubConfig{})
-		defer events.Close()
-		fleetRouter, err = fleet.NewRouter(fleet.Config{
-			Port:             center,
-			HeartbeatTimeout: *hbTimeout,
-			Events:           events,
-			OnError: func(err error) {
-				fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			},
-		})
-		if err != nil {
-			fail(err)
-		}
-		fleetRouter.AttachCenter(center)
-		readiness.add("fleet", fleetRouter.Draining)
-	}
-	if scheduler != nil {
-		readiness.add("scheduler", scheduler.Draining)
-	}
-
-	var tsrv *pragma.TelemetryServer
-	if *telemetryAddr != "" {
-		mux := telemetry.NewHandler(telemetry.Default, telemetry.DefaultTracer, nil)
-		telemetry.HandleReadiness(mux, readiness.check)
-		if scheduler != nil {
-			mux.Handle("/sched/", pragma.NewSchedulerHandler(scheduler, schedBuild))
-		}
-		if fleetRouter != nil {
-			mux.Handle("/sched/", fleet.Handler(fleetRouter, *fleetCkptRoot))
-		}
-		var err error
-		tsrv, err = telemetry.ServeHandler(*telemetryAddr, mux)
-		if err != nil {
-			fail(err)
-		}
-		defer tsrv.Close()
-		fmt.Printf("telemetry on http://%s/metrics\n", tsrv.Addr())
-		if scheduler != nil {
-			fmt.Printf("scheduler serving %d workers on http://%s/sched/\n", *schedWorkers, tsrv.Addr())
-		}
-		if fleetRouter != nil {
-			fmt.Printf("fleet router serving on http://%s/sched/\n", tsrv.Addr())
-		}
-	}
-	if scheduler != nil {
-		// Whatever mode runs in the foreground, shut the scheduler down
-		// gracefully on the way out: stop admitting, checkpoint in-flight
-		// runs at their next regrid boundary, report what is resumable.
-		defer func() {
-			dctx, cancel := context.WithTimeout(context.Background(), *schedDrain)
-			defer cancel()
-			if err := scheduler.Drain(dctx); err != nil {
-				fmt.Fprintf(os.Stderr, "pragma-node: drain: %v\n", err)
-				return
-			}
-			st := scheduler.Stats()
-			fmt.Printf("scheduler drained: %d done, %d drained (resumable), %d cancelled, %d failed\n",
-				st.Done, st.Drained, st.Cancelled, st.Failed)
-			if stateStore != nil {
-				// Persist the backlog so the next boot re-admits it: drained
-				// runs resume from their checkpoints, cancelled queued runs
-				// start fresh.
-				data, skipped, err := scheduler.Snapshot()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "pragma-node: snapshot: %v\n", err)
-					return
-				}
-				// Close syncs the snapshot: it is saved once Close succeeds.
-				_, err = stateStore.Save(stateSeq+1, data)
-				if cerr := stateStore.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "pragma-node: save state: %v\n", err)
-					return
-				}
-				if skipped > 0 {
-					fmt.Printf("scheduler state saved to %s (%d programmatic runs not serializable)\n", *schedState, skipped)
-				} else {
-					fmt.Printf("scheduler state saved to %s\n", *schedState)
-				}
-			}
-		}()
-	}
-
-	switch {
-	case *replay:
-		if err := runReplay(fleet.WireSpec{
-			Trace: *traceName, Scenario: *scenarioSpec, Strategy: *strategyName, Procs: *procs,
-			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
-		}, *crashAt, *emulate, *stepDeadline); err != nil {
-			fail(err)
-		}
-		if tsrv != nil && *telemetryHold > 0 {
-			fmt.Printf("holding telemetry endpoint for %s (scrape http://%s/metrics)\n", *telemetryHold, tsrv.Addr())
-			select {
-			case <-ctx.Done():
-			case <-time.After(*telemetryHold):
-			}
-		}
-	case fleetRouter != nil:
-		// The message center and /sched/ endpoints are live; block until
-		// interrupted or a remote POST /sched/drain completes, then drain
-		// whatever is still in flight.
-		fmt.Println("fleet router ready; join workers with -join ADDR -worker")
-		select {
-		case <-ctx.Done():
-		case <-fleetRouter.Stopped():
-		}
-		dctx, cancel := context.WithTimeout(context.Background(), *schedDrain)
-		if err := fleetRouter.Drain(dctx); err != nil {
-			fmt.Fprintf(os.Stderr, "pragma-node: fleet drain: %v\n", err)
-		}
-		cancel()
-		st := fleetRouter.Stats()
-		fmt.Printf("fleet drained: %d done, %d drained (resumable), %d cancelled, %d failed, %d failovers\n",
-			st.Done, st.Drained, st.Cancelled, st.Failed, st.Failovers)
-	case *serve != "":
-		if err := runBroker(ctx, *serve, *interval, *hbTimeout, *wTimeout); err != nil {
-			fail(err)
-		}
-	case *join != "":
-		dialOpts := []pragma.DialOption{
-			pragma.WithReconnect(*reconnect),
-			pragma.WithHeartbeat(*heartbeat),
-			pragma.WithErrorHandler(func(err error) {
-				fmt.Fprintf(os.Stderr, "[%s] link: %v\n", *id, err)
-			}),
-		}
-		if *workerMode {
-			if err := runFleetWorker(ctx, *join, *id, *workerSlots, *heartbeat, *schedDrain, readiness, dialOpts); err != nil {
-				fail(err)
-			}
-			break
-		}
-		if *chaosDrop > 0 || *chaosCorrupt > 0 || *chaosLatency > 0 || *chaosJitter > 0 {
-			dialOpts = append(dialOpts, pragma.WithDialer(pragma.ChaosDialer(pragma.ChaosConfig{
-				Seed:        *chaosSeed,
-				Latency:     *chaosLatency,
-				Jitter:      *chaosJitter,
-				DropRate:    *chaosDrop,
-				CorruptRate: *chaosCorrupt,
-				MaxFaults:   *chaosBudget,
-			})))
-		}
-		if err := runNode(ctx, *join, *id, *load, *wobble, *overload, *interval, dialOpts); err != nil {
-			fail(err)
-		}
-	case scheduler != nil:
-		// Scheduler-only serving: the HTTP endpoints are live; block until
-		// interrupted (the deferred drain then checkpoints in-flight runs)
-		// or until a POST /sched/drain finishes the drain remotely.
-		fmt.Println("scheduler ready; submit runs, interrupt to drain")
-		select {
-		case <-ctx.Done():
-		case <-scheduler.Stopped():
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
+		defer stop()
+		return run(ctx, c)
 	}
 }
 
-// readyChecks aggregates the drain signals of the subsystems this process
-// runs, by name, for /readyz. One can be added after the HTTP server is
-// already serving (the fleet worker joins late), hence the lock.
-type readyChecks struct {
-	mu       sync.Mutex
-	draining map[string]func() bool
+// drainable is the lifecycle a serving subcommand runs: the scheduler, the
+// fleet router or the fleet worker.
+type drainable interface {
+	Draining() bool
+	Stopped() <-chan struct{}
+	Drain(context.Context) error
 }
 
-func (r *readyChecks) add(name string, draining func() bool) {
-	r.mu.Lock()
-	r.draining[name] = draining
-	r.mu.Unlock()
-}
-
-func (r *readyChecks) check() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, draining := range r.draining {
-		if draining() {
-			return errors.New(name + " draining")
+// serveUntilDrained is the serving loop of sched, router and worker: it
+// serves telemetry with l's drain state as /readyz (503 while draining,
+// /healthz stays 200), waits for a signal or for l to stop on its own (a
+// remote drain), drains l under -drain-timeout and prints the drained line.
+func serveUntilDrained(ctx context.Context, c config, l drainable, api http.Handler, drained func() string) error {
+	ready := func() error {
+		if l.Draining() {
+			return errors.New(c.cmd + " draining")
 		}
+		return nil
 	}
-	return nil
-}
-
-// runFleetWorker joins the control network as a fleet worker: it executes
-// runs the router dispatches until interrupted, the router drains it, or
-// its link is lost for good.
-func runFleetWorker(ctx context.Context, addr, id string, slots int, heartbeat, drainTimeout time.Duration, readiness *readyChecks, dialOpts []pragma.DialOption) error {
-	client, err := pragma.DialMessageCenter(addr, dialOpts...)
+	stop, err := startTelemetry(c, ready, api)
 	if err != nil {
 		return err
 	}
-	defer client.Close()
-	worker, err := fleet.NewWorker(fleet.WorkerConfig{
-		Port:           client,
-		ID:             id,
-		Slots:          slots,
-		HeartbeatEvery: heartbeat,
+	defer stop()
+	select {
+	case <-ctx.Done():
+	case <-l.Stopped():
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
+	defer cancel()
+	if err := l.Drain(dctx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	fmt.Println(drained())
+	return nil
+}
+
+// runSched serves the multi-tenant run scheduler. With -state it restores
+// the previous process's backlog at boot and snapshots its own once a drain
+// has begun, whether or not the drain finished in time.
+func runSched(ctx context.Context, c config) error {
+	events := pragma.NewRunEventHub(pragma.RunEventHubConfig{})
+	defer events.Close()
+	s := pragma.NewScheduler(pragma.SchedulerConfig{
+		Workers:     c.workers,
+		QueueLimit:  c.queue,
+		TenantLimit: c.tenantLimit,
+		Events:      events,
+	})
+	// One path from submit parameters to a spec, shared with the fleet
+	// (fleet.SpecFromValues documents them); name=NAME checkpoints the run
+	// under <root>/<tenant>/<NAME>.
+	build := fleet.SpecBuilder(c.checkpointRoot, fleet.DefaultMaterializer())
+	var store *checkpoint.Store
+	seq := 0
+	if c.state != "" {
+		store = &checkpoint.Store{Dir: c.state}
+		// A missing snapshot is a fresh start, not an error.
+		var payload []byte
+		var err error
+		seq, payload, err = store.Latest(nil)
+		switch {
+		case errors.Is(err, checkpoint.ErrNoCheckpoint):
+		case err != nil:
+			return fmt.Errorf("restore scheduler state: %w", err)
+		default:
+			restored, err := s.Restore(payload, build)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "pragma-node: restore (snapshot %d): %v\n", seq, err)
+			}
+			fmt.Printf("restored %d runs from %s (snapshot %d)\n", restored, c.state, seq)
+		}
+	}
+	fmt.Printf("scheduler ready with %d workers; submit runs, interrupt to drain\n", c.workers)
+	err := serveUntilDrained(ctx, c, s, pragma.NewSchedulerHandler(s, build), func() string {
+		st := s.Stats()
+		return fmt.Sprintf("scheduler drained: %d done, %d drained (resumable), %d cancelled, %d failed",
+			st.Done, st.Drained, st.Cancelled, st.Failed)
+	})
+	// A serve that failed to start has not drained: its restored runs may
+	// be running, and a snapshot would miss them. Keep the previous one.
+	if store != nil && s.Draining() {
+		err = errors.Join(err, saveState(s, store, seq+1))
+	}
+	return err
+}
+
+// saveState persists the scheduler's restorable backlog so the next boot
+// re-admits it: drained runs resume from their checkpoints, cancelled
+// queued runs start fresh. After a timed-out drain the runs still running
+// are not in it.
+func saveState(s *pragma.Scheduler, store *checkpoint.Store, seq int) error {
+	data, skipped, err := s.Snapshot()
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	// Close syncs the snapshot: it is saved once Close succeeds.
+	_, err = store.Save(seq, data)
+	if err = errors.Join(err, store.Close()); err != nil {
+		return fmt.Errorf("save state: %w", err)
+	}
+	fmt.Printf("scheduler state saved to %s (%d runs not serializable, %d still running and not captured)\n",
+		store.Dir, skipped, s.Stats().Active)
+	return nil
+}
+
+// runRouter serves a fleet router on its own Message Center.
+func runRouter(ctx context.Context, c config) error {
+	center, ln, err := serveCenter(c)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	events := pragma.NewRunEventHub(pragma.RunEventHubConfig{})
+	defer events.Close()
+	r, err := fleet.NewRouter(fleet.Config{
+		Port:             center,
+		HeartbeatTimeout: c.heartbeatTimeout,
+		Events:           events,
 		OnError: func(err error) {
-			fmt.Fprintf(os.Stderr, "[%s] fleet: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 		},
 	})
 	if err != nil {
 		return err
 	}
-	readiness.add("worker", worker.Draining)
-	fmt.Printf("fleet worker %s joined %s (%d slots)\n", id, addr, slots)
-	select {
-	case <-ctx.Done():
-	case <-worker.Stopped():
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := worker.Drain(dctx); err != nil {
-		return fmt.Errorf("worker drain: %w", err)
-	}
-	fmt.Printf("fleet worker %s drained\n", id)
-	return nil
+	r.AttachCenter(center)
+	fmt.Println("fleet router ready; join workers with: pragma-node worker -join ADDR")
+	return serveUntilDrained(ctx, c, r, fleet.Handler(r, c.checkpointRoot), func() string {
+		st := r.Stats()
+		return fmt.Sprintf("fleet drained: %d done, %d drained (resumable), %d cancelled, %d failed, %d failovers",
+			st.Done, st.Drained, st.Cancelled, st.Failed, st.Failovers)
+	})
 }
 
-// serveCenter starts a Message Center serving TCP clients on addr.
-func serveCenter(addr string, hbTimeout, wTimeout time.Duration) (*pragma.MessageCenter, net.Listener, error) {
+// runWorker joins the control network as a fleet worker: it executes runs
+// the router dispatches until interrupted or the router drains it.
+func runWorker(ctx context.Context, c config) error {
+	client, err := pragma.DialMessageCenter(c.addr, dialOptions(c)...)
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	w, err := fleet.NewWorker(fleet.WorkerConfig{
+		Port:           client,
+		ID:             c.id,
+		Slots:          c.slots,
+		HeartbeatEvery: c.heartbeat,
+		OnError: func(err error) {
+			fmt.Fprintf(os.Stderr, "[%s] fleet: %v\n", c.id, err)
+		},
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("fleet worker %s joined %s (%d slots)\n", c.id, c.addr, c.slots)
+	return serveUntilDrained(ctx, c, w, nil, func() string { return "fleet worker " + c.id + " drained" })
+}
+
+// dialOptions is how node and worker dial the broker: the link's
+// reconnect and heartbeat policy, its errors on stderr, and the -chaos-*
+// fault injector when any fault is asked for.
+func dialOptions(c config) []pragma.DialOption {
+	opts := []pragma.DialOption{
+		pragma.WithReconnect(c.reconnect),
+		pragma.WithHeartbeat(c.heartbeat),
+		pragma.WithErrorHandler(func(err error) {
+			fmt.Fprintf(os.Stderr, "[%s] link: %v\n", c.id, err)
+		}),
+	}
+	if ch := c.chaos; ch.DropRate > 0 || ch.CorruptRate > 0 || ch.Latency > 0 || ch.Jitter > 0 {
+		opts = append(opts, pragma.WithDialer(pragma.ChaosDialer(ch)))
+	}
+	return opts
+}
+
+// serveCenter starts a Message Center serving TCP clients on -serve.
+func serveCenter(c config) (*pragma.MessageCenter, net.Listener, error) {
 	center := pragma.NewMessageCenter(
-		pragma.WithHeartbeatTimeout(hbTimeout),
-		pragma.WithCenterWriteTimeout(wTimeout),
+		pragma.WithHeartbeatTimeout(c.heartbeatTimeout),
+		pragma.WithCenterWriteTimeout(c.writeTimeout),
 		pragma.WithCenterErrorHandler(func(err error) {
 			fmt.Fprintf(os.Stderr, "broker: %v\n", err)
 		}))
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -449,8 +521,8 @@ func serveCenter(addr string, hbTimeout, wTimeout time.Duration) (*pragma.Messag
 	return center, ln, nil
 }
 
-func runBroker(ctx context.Context, addr string, interval, hbTimeout, wTimeout time.Duration) error {
-	center, ln, err := serveCenter(addr, hbTimeout, wTimeout)
+func runBroker(ctx context.Context, c config) error {
+	center, ln, err := serveCenter(c)
 	if err != nil {
 		return err
 	}
@@ -460,7 +532,7 @@ func runBroker(ctx context.Context, addr string, interval, hbTimeout, wTimeout t
 	if err != nil {
 		return err
 	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(c.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -499,49 +571,57 @@ func runBroker(ctx context.Context, addr string, interval, hbTimeout, wTimeout t
 	}
 }
 
-func runNode(ctx context.Context, addr, id string, base, wobble, overload float64, interval time.Duration, dialOpts []pragma.DialOption) error {
-	client, err := pragma.DialMessageCenter(addr, dialOpts...)
+func runNode(ctx context.Context, c config) error {
+	client, err := pragma.DialMessageCenter(c.addr, dialOptions(c)...)
 	if err != nil {
 		return err
 	}
 	defer client.Close()
 	start := time.Now()
 	sensor := pragma.SensorFunc{SensorName: "load", Fn: func() (float64, error) {
-		t := time.Since(start).Seconds()
-		l := base + wobble*math.Sin(t/7)
-		if l < 0 {
-			l = 0
-		}
-		if l > 0.99 {
-			l = 0.99
-		}
-		return l, nil
+		l := c.load + c.wobble*math.Sin(time.Since(start).Seconds()/7)
+		return min(max(l, 0), 0.99), nil
 	}}
 	actuator := pragma.ActuatorFunc{ActuatorName: "repartition", Fn: func(p map[string]float64) error {
-		fmt.Printf("[%s] repartitioning with %v\n", id, p)
+		fmt.Printf("[%s] repartitioning with %v\n", c.id, p)
 		return nil
 	}}
-	agent, err := pragma.NewComponentAgent(id, client,
+	agent, err := pragma.NewComponentAgent(c.id, client,
 		[]pragma.Sensor{sensor},
 		[]pragma.Actuator{actuator},
-		[]pragma.EventRule{{Sensor: "load", Above: &overload, Event: "overload"}})
+		[]pragma.EventRule{{Sensor: "load", Above: &c.overload, Event: "overload"}})
 	if err != nil {
 		return err
 	}
 	agent.OnError = func(err error) {
-		fmt.Fprintf(os.Stderr, "[%s] agent: %v\n", id, err)
+		fmt.Fprintf(os.Stderr, "[%s] agent: %v\n", c.id, err)
 	}
-	fmt.Printf("agent %s joined %s (base load %.2f)\n", id, addr, base)
-	agent.Run(ctx, interval)
-	fmt.Printf("agent %s leaving\n", id)
+	fmt.Printf("agent %s joined %s (base load %.2f)\n", c.id, c.addr, c.load)
+	agent.Run(ctx, c.interval)
+	fmt.Printf("agent %s leaving\n", c.id)
 	return nil
 }
 
 // runReplay replays one run through the materializer every serving mode
-// uses, so -replay -scenario S and a submit of scenario=S are the same run.
-// crashAt injects a deterministic crash at that regrid so operators can
+// uses, so replay -scenario S and a submit of scenario=S are the same run.
+// -crash-at injects a deterministic crash at that regrid so operators can
 // rehearse the -resume path without kill -9.
-func runReplay(ws fleet.WireSpec, crashAt int, emulate bool, stepDeadline time.Duration) error {
+func runReplay(ctx context.Context, c config) error {
+	if err := replay(c); err != nil {
+		return err
+	}
+	if c.telemetryHold > 0 {
+		fmt.Printf("holding the telemetry endpoint for %s\n", c.telemetryHold)
+		select {
+		case <-ctx.Done():
+		case <-time.After(c.telemetryHold):
+		}
+	}
+	return nil
+}
+
+func replay(c config) error {
+	ws := c.replay
 	spec, err := fleet.DefaultMaterializer()(ws)
 	if err != nil {
 		return err
@@ -563,8 +643,8 @@ func runReplay(ws fleet.WireSpec, crashAt int, emulate bool, stepDeadline time.D
 			}
 		}
 	}
-	if crashAt > 0 {
-		spec.Strategy = fleet.BeforeAssign(spec.Strategy, (&chaos.FaultPoint{FailAt: crashAt}).Check)
+	if c.crashAt > 0 {
+		spec.Strategy = fleet.BeforeAssign(spec.Strategy, (&chaos.FaultPoint{FailAt: c.crashAt}).Check)
 	}
 	resuming := ""
 	if ws.Resume {
@@ -578,7 +658,7 @@ func runReplay(ws fleet.WireSpec, crashAt int, emulate bool, stepDeadline time.D
 	})
 	if errors.Is(err, chaos.ErrInjectedCrash) {
 		fmt.Printf("injected crash at regrid %d; checkpoints are in %s — rerun with -resume\n",
-			crashAt, ws.CheckpointDir)
+			c.crashAt, ws.CheckpointDir)
 		return err
 	}
 	if err != nil {
@@ -588,14 +668,14 @@ func runReplay(ws fleet.WireSpec, crashAt int, emulate bool, stepDeadline time.D
 		res.TotalTime, res.ComputeTime, res.CommTime, res.PartitionTime, res.MigrationTime)
 	fmt.Printf("max imbalance %.1f%%  avg %.1f%%  switches %d  steps %d\n",
 		res.MaxImbalance, res.AvgImbalance, res.Switches, res.Steps)
-	if !emulate {
+	if !c.emulate {
 		return nil
 	}
 
 	// Run the final snapshot as a real message-passing program under worker
 	// supervision: every barrier wait is bounded by the step deadline, so a
 	// stalled or crashed worker fails the run instead of hanging it.
-	spec.EmulateSteps, spec.EmulateDeadline = 4, stepDeadline
+	spec.EmulateSteps, spec.EmulateDeadline = 4, c.stepDeadline
 	rep, err := sched.EmulateFinalSnapshot(spec)
 	var lost *pragma.EngineLostWorkers
 	if errors.As(err, &lost) {
@@ -611,9 +691,4 @@ func runReplay(ws fleet.WireSpec, crashAt int, emulate bool, stepDeadline time.D
 	fmt.Printf("emulated %d steps on %d workers: %d ghost messages, %.0f faces exchanged\n",
 		rep.Steps, len(rep.Workers), rep.TotalMessages(), faces)
 	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "pragma-node:", err)
-	os.Exit(1)
 }

@@ -133,9 +133,6 @@ func testRouter(t *testing.T, center *agents.Center, mat Materializer, mut func(
 	cfg := Config{
 		Port:             center,
 		HeartbeatTimeout: 500 * time.Millisecond,
-		DispatchDeadline: time.Second,
-		BackoffBase:      5 * time.Millisecond,
-		BackoffMax:       50 * time.Millisecond,
 		Materialize:      mat,
 	}
 	if mut != nil {
@@ -344,9 +341,7 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 func TestFleetLocalFallback(t *testing.T) {
 	mat := testMaterializer(t)
 	center, _ := startCenter(t)
-	r := testRouter(t, center, mat, func(c *Config) {
-		c.PlaceAttempts = 1
-	})
+	r := testRouter(t, center, mat, nil)
 	st, err := r.Submit(SubmitRequest{Tenant: "acme", Spec: WireSpec{}})
 	if err != nil {
 		t.Fatal(err)
@@ -388,10 +383,11 @@ func TestFleetBreaker(t *testing.T) {
 		}
 	}()
 
-	r := testRouter(t, center, mat, func(c *Config) {
-		c.DispatchDeadline = 50 * time.Millisecond
-		c.BreakerThreshold = 2
-	})
+	// Restored after the router closes: cleanups run last-in first-out.
+	deadline := dispatchDeadline
+	dispatchDeadline = 50 * time.Millisecond
+	t.Cleanup(func() { dispatchDeadline = deadline })
+	r := testRouter(t, center, mat, nil)
 	if err := send(center, liarPort, RouterPort, KindHello, helloMsg{ID: "liar", Slots: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +557,9 @@ func TestSafePathComponent(t *testing.T) {
 	}
 }
 
-// TestMain keeps checkpoint temp dirs from leaking on abnormal exits.
+// TestMain shortens the router's retry timing for every test: backoff
+// in milliseconds, and a second (not two) for a worker to acknowledge.
 func TestMain(m *testing.M) {
+	dispatchDeadline, backoffBase, backoffMax = time.Second, 5*time.Millisecond, 50*time.Millisecond
 	os.Exit(m.Run())
 }

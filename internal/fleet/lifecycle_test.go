@@ -43,7 +43,7 @@ func postSubmit(t *testing.T, base, query string) string {
 // TestOneRequestOneResult: the same query string gives the same RunResult
 // through the single-node handler, through the fleet handler (one worker)
 // and as a direct core.Run of the materialized spec. Before the single
-// submit path the scenario rows differed: pragma-node -sched replayed
+// submit path the scenario rows differed: pragma-node's scheduler replayed
 // scenarios with the uniform work model.
 func TestOneRequestOneResult(t *testing.T) {
 	mat := DefaultMaterializer()

@@ -35,10 +35,31 @@ const (
 )
 
 // Admission errors (test with errors.Is): the router no longer admits
-// work; the backlog is at Config.InflightLimit.
+// work; the backlog is at inflightLimit.
 var (
 	ErrDraining  = sched.ErrDraining
 	ErrSaturated = sched.ErrSaturated
+)
+
+// Placement, retry and breaker tuning (DESIGN.md §12).
+const (
+	placeAttempts    = 3               // dispatch tries per placement round before running the run locally
+	breakerThreshold = 3               // consecutive dispatch failures that open a worker's circuit breaker
+	breakerCooldown  = 5 * time.Second // how long an open breaker keeps its worker out of placement
+	maxFailovers     = 3               // re-placements after worker loss before running the run locally
+	inflightLimit    = 1024            // admitted backlog fleet-wide; submissions beyond it get ErrSaturated
+	localWorkers     = 1               // runs the router executes itself at once while no worker is placeable
+)
+
+// dispatchDeadline bounds each dispatch RPC: a worker that does not
+// acknowledge within it is treated as failed. backoffBase and backoffMax
+// shape the exponential backoff between dispatch tries; a uniform jitter of
+// up to half the current backoff is added so a thundering herd of retries
+// spreads out. They are variables only so tests can shorten them.
+var (
+	dispatchDeadline = 2 * time.Second
+	backoffBase      = 25 * time.Millisecond
+	backoffMax       = 500 * time.Millisecond
 )
 
 // Config sizes a Router.
@@ -50,36 +71,6 @@ type Config struct {
 	// HeartbeatTimeout evicts workers silent this long (default 5s). The
 	// eviction scan runs at a quarter of it.
 	HeartbeatTimeout time.Duration
-	// DispatchDeadline bounds each dispatch RPC: a worker that does not
-	// acknowledge within it is treated as failed (default 2s).
-	DispatchDeadline time.Duration
-	// PlaceAttempts bounds dispatch attempts per placement round before
-	// the router degrades the run to local execution (default 3).
-	PlaceAttempts int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// dispatch attempts (defaults 25ms, 500ms); a uniform jitter of up to
-	// half the current backoff is added so a thundering herd of retries
-	// spreads out.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerThreshold consecutive dispatch failures open a worker's
-	// circuit breaker (default 3); BreakerCooldown is how long it stays
-	// open before the worker is probed again (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MaxFailovers bounds how many times one run may be re-placed after
-	// worker loss before falling back to local execution (default 3).
-	MaxFailovers int
-
-	// InflightLimit bounds the admitted backlog waiting for a slot
-	// fleet-wide (default 1024); submissions beyond it get ErrSaturated.
-	InflightLimit int
-	// KeepFinished bounds retained terminal run records (default 1024).
-	KeepFinished int
-
-	// LocalWorkers is how many runs the router executes itself at once
-	// while no worker is placeable (default 1).
-	LocalWorkers int
 	// Materialize turns wire specs into executable specs for the local
 	// execution path (default DefaultMaterializer()).
 	Materialize Materializer
@@ -96,33 +87,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 5 * time.Second
-	}
-	if c.DispatchDeadline <= 0 {
-		c.DispatchDeadline = 2 * time.Second
-	}
-	if c.PlaceAttempts <= 0 {
-		c.PlaceAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.MaxFailovers <= 0 {
-		c.MaxFailovers = 3
-	}
-	if c.InflightLimit <= 0 {
-		c.InflightLimit = 1024
-	}
-	if c.LocalWorkers <= 0 {
-		c.LocalWorkers = 1
 	}
 	if c.Materialize == nil {
 		c.Materialize = DefaultMaterializer()
@@ -236,8 +200,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	// Preemption stays off: a preemption cannot yet be forwarded to one
 	// remote run.
 	r.life = sched.NewWithExecutor(sched.Config{
-		QueueLimit:   cfg.InflightLimit,
-		KeepFinished: cfg.KeepFinished,
+		QueueLimit:   inflightLimit,
 		Events:       cfg.Events,
 		PreemptRatio: -1,
 	}, r)
@@ -299,7 +262,7 @@ func (r *Router) placeable(w *workerState, now time.Time) bool {
 }
 
 // Capacity implements sched.Executor: the slot total of the placeable
-// workers, or LocalWorkers while there is none.
+// workers, or localWorkers while there is none.
 func (r *Router) Capacity() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -311,7 +274,7 @@ func (r *Router) Capacity() int {
 		}
 	}
 	if slots == 0 {
-		return r.cfg.LocalWorkers
+		return localWorkers
 	}
 	return slots
 }
@@ -343,12 +306,12 @@ func interrupted(a *sched.Attempt) bool {
 func (r *Router) Execute(a *sched.Attempt) (*core.RunResult, error) {
 	ws, _ := a.Payload.(WireSpec)
 	ws.CheckpointDir, ws.Resume = a.Spec.CheckpointDir, a.Spec.Resume
-	// After MaxFailovers moves the run goes straight to local execution
+	// After maxFailovers moves the run goes straight to local execution
 	// rather than bouncing around a collapsing fleet.
-	if a.Failovers <= r.cfg.MaxFailovers {
-		backoff := r.cfg.BackoffBase
+	if a.Failovers <= maxFailovers {
+		backoff := backoffBase
 		tried := make(map[string]bool)
-		for try := 0; try < r.cfg.PlaceAttempts; try++ {
+		for try := 0; try < placeAttempts; try++ {
 			if interrupted(a) {
 				return nil, &remoteError{"fleet draining before placement", core.ErrInterrupted}
 			}
@@ -371,7 +334,7 @@ func (r *Router) Execute(a *sched.Attempt) (*core.RunResult, error) {
 			// Failed attempt: back off with jitter before trying the next
 			// candidate so a flapping fleet is not hammered in lockstep.
 			sleep := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
-			backoff = min(2*backoff, r.cfg.BackoffMax)
+			backoff = min(2*backoff, backoffMax)
 			select {
 			case <-time.After(sleep):
 			case <-a.Interrupt:
@@ -489,7 +452,7 @@ func (r *Router) dispatch(a *sched.Attempt, w *workerState, ws WireSpec) (*core.
 		dispatchOK.Inc()
 		metricPlacementSeconds.Observe(time.Since(start).Seconds())
 	}
-	timer := time.NewTimer(r.cfg.DispatchDeadline)
+	timer := time.NewTimer(dispatchDeadline)
 	defer timer.Stop()
 	ack, deadline := d.ack, timer.C
 	for {
@@ -549,8 +512,8 @@ func (r *Router) workerFailed(w *workerState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w.failures++
-	if w.failures >= r.cfg.BreakerThreshold && time.Now().After(w.openUntil) {
-		w.openUntil = time.Now().Add(r.cfg.BreakerCooldown)
+	if w.failures >= breakerThreshold && time.Now().After(w.openUntil) {
+		w.openUntil = time.Now().Add(breakerCooldown)
 		w.failures = 0
 		metricBreakerOpens.Inc()
 	}

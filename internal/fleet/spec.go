@@ -50,7 +50,7 @@ type WireSpec struct {
 
 // Materializer turns a WireSpec into an executable run spec. Every entry
 // point shares one — the single-node scheduler, fleet workers, the
-// router's local execution, pragma-node -replay, snapshot restore — so
+// router's local execution, pragma-node replay, snapshot restore — so
 // every placement of a run computes the same result.
 type Materializer func(ws WireSpec) (sched.RunSpec, error)
 

@@ -26,10 +26,6 @@ type WorkerConfig struct {
 	// heartbeat is preceded by a re-hello, so a worker the router evicted
 	// during a partition re-introduces itself once the link heals.
 	HeartbeatEvery time.Duration
-	// MemoryMB and BandwidthMBps are the advertised static resources — the
-	// non-CPU terms of the Fig. 4 capacity formula (defaults 4096, 100).
-	MemoryMB      float64
-	BandwidthMBps float64
 
 	// Materialize turns dispatched wire specs into executable runs
 	// (default DefaultMaterializer()).
@@ -38,18 +34,19 @@ type WorkerConfig struct {
 	OnError func(error)
 }
 
+// The resources every worker advertises: the non-CPU terms of the Fig. 4
+// capacity formula.
+const (
+	workerMemoryMB      = 4096
+	workerBandwidthMBps = 100
+)
+
 func (c *WorkerConfig) fill() {
 	if c.Slots <= 0 {
 		c.Slots = 2
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
-	}
-	if c.MemoryMB <= 0 {
-		c.MemoryMB = 4096
-	}
-	if c.BandwidthMBps <= 0 {
-		c.BandwidthMBps = 100
 	}
 	if c.Materialize == nil {
 		c.Materialize = DefaultMaterializer()
@@ -116,8 +113,8 @@ func (w *Worker) hello() error {
 	return send(w.port, w.mailbox, RouterPort, KindHello, helloMsg{
 		ID:            w.cfg.ID,
 		Slots:         w.cfg.Slots,
-		MemoryMB:      w.cfg.MemoryMB,
-		BandwidthMBps: w.cfg.BandwidthMBps,
+		MemoryMB:      workerMemoryMB,
+		BandwidthMBps: workerBandwidthMBps,
 	})
 }
 
@@ -152,8 +149,8 @@ func (w *Worker) heartbeatLoop() {
 			CPU:           w.forecast.Available(),
 			Active:        active,
 			Slots:         w.cfg.Slots,
-			MemoryMB:      w.cfg.MemoryMB,
-			BandwidthMBps: w.cfg.BandwidthMBps,
+			MemoryMB:      workerMemoryMB,
+			BandwidthMBps: workerBandwidthMBps,
 		}
 		if err := send(w.port, w.mailbox, RouterPort, KindHeartbeat, hb); err != nil {
 			w.reportErr(fmt.Errorf("fleet: worker %s heartbeat: %w", w.cfg.ID, err))

@@ -9,8 +9,8 @@ import (
 )
 
 // This file parses the compact scenario grammar used by the -scenario
-// flags on pragma-node and pragma-bench, so serving and load tests can run
-// arbitrary composed workloads without writing Go:
+// flags of pragma-node replay and pragma-bench, so serving and load tests
+// can run arbitrary composed workloads without writing Go:
 //
 //	spec    := segment (';' segment)*
 //	segment := option | phases

@@ -15,7 +15,7 @@ import (
 // step deadline, and an interval that loses workers is remapped onto the
 // survivors (fresh mailboxes per attempt) up to EmulateRetries times
 // before the run fails. The failure stays inside this run. It returns the
-// successful attempt's report (pragma-node -replay -emulate prints it).
+// successful attempt's report (pragma-node replay -emulate prints it).
 func EmulateFinalSnapshot(spec RunSpec) (engine.Report, error) {
 	h := spec.Trace.Snapshots[len(spec.Trace.Snapshots)-1].H
 	nprocs := spec.NProcs

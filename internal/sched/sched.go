@@ -28,7 +28,7 @@
 //
 // This is the serving stack's only run lifecycle (DESIGN.md §12). What
 // executes an attempt is behind the Executor seam: Local (core.Run in this
-// process — pragma-node -sched, every fleet worker's pool) or the fleet
+// process — pragma-node sched, every fleet worker's pool) or the fleet
 // router's remote dispatch.
 //
 // Concurrency model: admitted runs wait in a fairQueue (priority bands,
@@ -89,9 +89,6 @@ type Config struct {
 	// TenantLimit bounds one tenant's queued plus running work
 	// (0 = unlimited). Submissions beyond it fail with ErrTenantLimit.
 	TenantLimit int
-	// KeepFinished bounds retained terminal run records (default 1024);
-	// the oldest are evicted so a long-lived server's memory stays flat.
-	KeepFinished int
 	// Events, when non-nil, receives every run lifecycle transition and
 	// regrid cycle as stream events, so clients can watch runs over SSE
 	// instead of hammering /sched/status. Publishing never blocks: a slow
@@ -117,13 +114,14 @@ func (c *Config) fill() {
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 64
 	}
-	if c.KeepFinished <= 0 {
-		c.KeepFinished = 1024
-	}
 	if c.PreemptRatio == 0 {
 		c.PreemptRatio = 2
 	}
 }
+
+// keepFinished bounds retained terminal run records; the oldest are
+// evicted so a long-lived server's memory stays flat.
+const keepFinished = 1024
 
 // Tenant weight bounds. A submission's Weight is clamped into
 // [MinWeight, MaxWeight]; zero means "keep the tenant's current weight"
@@ -878,10 +876,10 @@ func (s *Scheduler) tenantExitLocked(tenant string) {
 }
 
 // retire appends r to the terminal-record ring, evicting the oldest
-// records beyond KeepFinished. Callers hold s.mu.
+// records beyond keepFinished. Callers hold s.mu.
 func (s *Scheduler) retire(r *run) {
 	s.finished = append(s.finished, r.id)
-	for len(s.finished) > s.cfg.KeepFinished {
+	for len(s.finished) > keepFinished {
 		delete(s.runs, s.finished[0])
 		s.finished = s.finished[1:]
 	}

@@ -506,11 +506,11 @@ func TestWaitUnknownRun(t *testing.T) {
 }
 
 func TestKeepFinishedEviction(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 64, KeepFinished: 4})
+	s := New(Config{Workers: 1})
 	defer s.Close()
 	noop := func(<-chan struct{}) (*core.RunResult, error) { return nil, nil }
 	var first string
-	for i := 0; i < 10; i++ {
+	for i := 0; i < keepFinished+6; i++ {
 		st, err := s.Submit(SubmitRequest{Tenant: "t", RunFunc: noop})
 		if err != nil {
 			t.Fatal(err)
@@ -523,9 +523,9 @@ func TestKeepFinishedEviction(t *testing.T) {
 		}
 	}
 	if _, ok := s.Status(first); ok {
-		t.Fatal("oldest terminal record survived past KeepFinished")
+		t.Fatal("oldest terminal record survived past keepFinished")
 	}
-	if got := len(s.Runs()); got != 4 {
-		t.Fatalf("retained %d records, want 4", got)
+	if got := len(s.Runs()); got != keepFinished {
+		t.Fatalf("retained %d records, want %d", got, keepFinished)
 	}
 }

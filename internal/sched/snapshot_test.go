@@ -62,6 +62,8 @@ func TestSnapshotRestoreLosesNoRun(t *testing.T) {
 
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- s1.Drain(context.Background()) }()
+	// Released before the drain begins, the run could finish instead.
+	waitFor(t, "drain to begin", s1.Draining)
 	close(release)
 	if err := <-drainDone; err != nil {
 		t.Fatal(err)

@@ -89,7 +89,7 @@ type Hub struct {
 }
 
 // maxRuns bounds how many runs keep history before the oldest is evicted;
-// it tracks the scheduler's own retention (KeepFinished) loosely — the
+// it tracks the scheduler's own retention (1024 terminal records) loosely — the
 // ring is a catch-up window, not an archive.
 const maxRuns = 4096
 

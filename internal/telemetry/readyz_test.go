@@ -25,14 +25,12 @@ func TestReadyzDefault(t *testing.T) {
 // be restarted mid-drain.
 func TestReadyzDrainFlip(t *testing.T) {
 	var draining atomic.Bool
-	mux := NewHandler(NewRegistry(), nil, nil)
-	HandleReadiness(mux, func() error {
+	srv := httptest.NewServer(NewHandler(NewRegistry(), nil, func() error {
 		if draining.Load() {
 			return errors.New("scheduler draining")
 		}
 		return nil
-	})
-	srv := httptest.NewServer(mux)
+	}))
 	defer srv.Close()
 
 	code, body, _ := get(t, srv, "/readyz")
@@ -52,20 +50,5 @@ func TestReadyzDrainFlip(t *testing.T) {
 	code, body, _ = get(t, srv, "/healthz")
 	if code != http.StatusOK || strings.TrimSpace(body) != "ok" {
 		t.Fatalf("draining /healthz = %d %q, want 200 (alive, just not ready)", code, body)
-	}
-}
-
-// TestReadyzLateInstall: HandleReadiness may be called again after
-// NewHandler installed the default route — the check swaps in without
-// double-registering the pattern (which would panic).
-func TestReadyzLateInstall(t *testing.T) {
-	mux := NewHandler(NewRegistry(), nil, nil)
-	HandleReadiness(mux, func() error { return errors.New("no") })
-	HandleReadiness(mux, func() error { return nil })
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	code, _, _ := get(t, srv, "/readyz")
-	if code != http.StatusOK {
-		t.Fatalf("/readyz = %d after re-install, want 200", code)
 	}
 }

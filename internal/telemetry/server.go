@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -15,21 +14,21 @@ import (
 //
 //	/metrics       Prometheus text exposition of reg
 //	/metrics.json  JSON snapshot of reg
-//	/healthz       200 "ok" while health() returns nil, else 503
-//	/readyz        200 "ok" until HandleReadiness's ready() errors, then 503
+//	/healthz       200 "ok" while the process serves at all
+//	/readyz        200 "ok" while ready() returns nil, else 503 with its error
 //	/debug/pragma  JSONL dump of tracer's recorded traces
 //
-// health may be nil (always healthy); tracer may be nil (empty dump).
+// ready may be nil (always ready); tracer may be nil (empty dump).
 // The returned mux is open for extension: callers mount additional routes
-// on it (pragma-node -sched adds the scheduler's /sched/ endpoints) and
+// on it (pragma-node sched adds the scheduler's /sched/ endpoints) and
 // serve the combined handler with ServeHandler.
 //
 // Liveness and readiness are deliberately separate endpoints: a draining
 // scheduler is still alive (the process must not be restarted while it
 // checkpoints in-flight runs) but no longer ready (load balancers must stop
 // routing new submissions to it). /healthz answers the first question,
-// /readyz the second — see HandleReadiness.
-func NewHandler(reg *Registry, tracer *Tracer, health func() error) *http.ServeMux {
+// /readyz the second.
+func NewHandler(reg *Registry, tracer *Tracer, ready func() error) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -51,8 +50,12 @@ func NewHandler(reg *Registry, tracer *Tracer, health func() error) *http.ServeM
 		w.Write(body.Bytes())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		if health != nil {
-			if err := health(); err != nil {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
+		if ready != nil {
+			if err := ready(); err != nil {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)
 				return
 			}
@@ -64,45 +67,7 @@ func NewHandler(reg *Registry, tracer *Tracer, health func() error) *http.ServeM
 		w.Header().Set("Content-Type", "application/jsonl")
 		tracer.WriteJSONL(w)
 	})
-	HandleReadiness(mux, nil)
 	return mux
-}
-
-// readyzPattern is the readiness route. It is registered exactly once per
-// mux; HandleReadiness swaps the check behind it.
-const readyzPattern = "/readyz"
-
-// readiness holds the swappable readiness checks of the muxes built by
-// NewHandler. Keyed by mux so several servers in one process (tests) stay
-// independent.
-var readiness sync.Map // *http.ServeMux -> func() error
-
-// HandleReadiness installs (or replaces) the readiness check behind the
-// mux's /readyz endpoint: 200 "ok" while ready() returns nil, 503 with the
-// error text afterwards. A nil ready means always ready.
-//
-// The split from /healthz matters during graceful shutdown: once a
-// scheduler starts draining, ready() should return an error so load
-// balancers take the node out of rotation, while /healthz keeps returning
-// 200 so orchestrators do not kill the process before in-flight runs have
-// checkpointed. Calling HandleReadiness again (e.g. after the scheduler is
-// constructed) replaces the previous check.
-func HandleReadiness(mux *http.ServeMux, ready func() error) {
-	if _, installed := readiness.Swap(mux, ready); installed {
-		return // route already registered; the swap is all that was needed
-	}
-	mux.HandleFunc(readyzPattern, func(w http.ResponseWriter, req *http.Request) {
-		if fn, ok := readiness.Load(mux); ok && fn != nil {
-			if check, ok := fn.(func() error); ok && check != nil {
-				if err := check(); err != nil {
-					http.Error(w, err.Error(), http.StatusServiceUnavailable)
-					return
-				}
-			}
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 }
 
 // Server is a running telemetry endpoint.
@@ -112,9 +77,10 @@ type Server struct {
 }
 
 // Serve starts the telemetry endpoint on addr (e.g. ":9090" or
-// "127.0.0.1:0") and returns once it is listening. Close shuts it down.
-func Serve(addr string, reg *Registry, tracer *Tracer, health func() error) (*Server, error) {
-	return ServeHandler(addr, NewHandler(reg, tracer, health))
+// "127.0.0.1:0"), always ready, and returns once it is listening. Close
+// shuts it down. A readiness check needs NewHandler and ServeHandler.
+func Serve(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
+	return ServeHandler(addr, NewHandler(reg, tracer, nil))
 }
 
 // ServeHandler starts an HTTP server for an arbitrary handler — typically

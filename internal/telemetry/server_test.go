@@ -99,24 +99,27 @@ func TestMetricsJSONWireFormatUnchanged(t *testing.T) {
 	}
 }
 
-func TestHealthzUnhealthy(t *testing.T) {
+func TestReadyzNotReady(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(NewRegistry(), nil, func() error {
 		return errors.New("control network partitioned")
 	}))
 	defer srv.Close()
-	code, body, _ := get(t, srv, "/healthz")
+	code, body, _ := get(t, srv, "/readyz")
 	if code != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz status %d, want 503", code)
+		t.Fatalf("/readyz status %d, want 503", code)
 	}
 	if !strings.Contains(body, "control network partitioned") {
-		t.Fatalf("/healthz body %q", body)
+		t.Fatalf("/readyz body %q", body)
+	}
+	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz status %d while not ready, want 200", code)
 	}
 }
 
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("live_total", "").Inc()
-	srv, err := Serve("127.0.0.1:0", r, NewTracer(1), nil)
+	srv, err := Serve("127.0.0.1:0", r, NewTracer(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func DefaultScenario() ScenarioSpec { return scenario.Default() }
 // ParseScenario parses the compact scenario grammar, e.g.
 // "dims=48x24x24;seed=7;shock:8,block:6,I:4" — see internal/scenario's
 // ParseSpec for the full grammar. The same strings drive the -scenario
-// flags of pragma-node and pragma-bench.
+// flags of pragma-node replay and pragma-bench.
 func ParseScenario(s string) (ScenarioSpec, error) { return scenario.ParseSpec(s) }
 
 // GenerateScenario produces the adaptation trace of a composed scenario.
@@ -607,10 +607,10 @@ func RegridTraces() *TelemetryTracer { return telemetry.DefaultTracer }
 
 // ServeTelemetry starts an HTTP server on addr exposing the global registry
 // and tracer: /metrics (Prometheus text), /metrics.json (snapshot),
-// /healthz, and /debug/pragma (regrid traces as JSONL). Close the returned
-// server when done.
+// /healthz and /readyz (always ok), and /debug/pragma (regrid traces as
+// JSONL). Close the returned server when done.
 func ServeTelemetry(addr string) (*TelemetryServer, error) {
-	return telemetry.Serve(addr, telemetry.Default, telemetry.DefaultTracer, nil)
+	return telemetry.Serve(addr, telemetry.Default, telemetry.DefaultTracer)
 }
 
 // RegisterQueueDepthGauge exposes a Message Center's aggregate mailbox
@@ -670,8 +670,8 @@ type (
 	// FleetRouter places submitted runs on fleet workers and fails them
 	// over to survivors when a worker goes silent or its link drops.
 	FleetRouter = fleet.Router
-	// FleetRouterConfig sizes a FleetRouter (heartbeat window, dispatch
-	// deadline, retry/backoff/breaker knobs, local execution).
+	// FleetRouterConfig configures a FleetRouter (its port, heartbeat
+	// window, materializer, error handler and event hub).
 	FleetRouterConfig = fleet.Config
 	// FleetWorker executes dispatched runs and advertises forecast
 	// capacity in heartbeats.

@@ -36,8 +36,8 @@ echo "== build"
 go build -o "$BIN" ./cmd/pragma-node
 
 echo "== start router"
-"$BIN" -serve "$HOST:$CTRL_PORT" -fleet -telemetry-addr "$HOST:$HTTP_PORT" \
-  -fleet-checkpoint-root "$WORK/runs" -heartbeat-timeout 2s \
+"$BIN" router -serve "$HOST:$CTRL_PORT" -telemetry-addr "$HOST:$HTTP_PORT" \
+  -checkpoint-root "$WORK/runs" -heartbeat-timeout 2s \
   >"$WORK/router.log" 2>&1 &
 ROUTER_PID=$!
 
@@ -52,7 +52,7 @@ curl -fs "$BASE/readyz" | grep -q '^ok$'
 
 echo "== start 3 workers"
 for i in 1 2 3; do
-  "$BIN" -join "$HOST:$CTRL_PORT" -worker -id "w$i" -worker-slots 2 \
+  "$BIN" worker -join "$HOST:$CTRL_PORT" -id "w$i" -slots 2 \
     -heartbeat 200ms >"$WORK/w$i.log" 2>&1 &
   WORKER_PID[w$i]=$!
 done

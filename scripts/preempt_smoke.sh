@@ -56,8 +56,8 @@ echo "== build"
 go build -o "$BIN" ./cmd/pragma-node
 
 echo "== start scheduler node"
-"$BIN" -sched 2 -sched-checkpoint-root "$WORK/runs" \
-  -sched-queue 256 -sched-tenant-limit 0 \
+"$BIN" sched -workers 2 -checkpoint-root "$WORK/runs" \
+  -queue 256 -tenant-limit 0 \
   -telemetry-addr "$HOST:$HTTP_PORT" >"$WORK/node.log" 2>&1 &
 NODE_PID=$!
 for i in $(seq 1 60); do

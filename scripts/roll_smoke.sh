@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# roll_smoke.sh — process-roll rehearsal for a -sched-state scheduler node.
+# roll_smoke.sh — process-roll rehearsal for a scheduler node with -state.
 #
-# Boots pragma-node -sched 2 with a checkpoint root and a state directory,
+# Boots pragma-node sched -workers 2 with a checkpoint root and a state directory,
 # submits named runs slowed enough that some are mid-run, sends SIGINT (the
 # drain checkpoints in-flight runs, then snapshots the backlog), reboots on
 # the same directories, and requires:
@@ -44,7 +44,7 @@ counter() {
 
 # boot LOG — start a scheduler node on the shared directories, wait for it.
 boot() {
-  "$BIN" -sched 2 -sched-checkpoint-root "$WORK/runs" -sched-state "$WORK/state" \
+  "$BIN" sched -workers 2 -checkpoint-root "$WORK/runs" -state "$WORK/state" \
     -telemetry-addr "$HOST:$HTTP_PORT" >"$1" 2>&1 &
   NODE_PID=$!
   for i in $(seq 1 60); do
