@@ -48,12 +48,16 @@ roll-smoke:
 	bash scripts/roll_smoke.sh
 
 # End-to-end harness smoke over the real HTTP surface: the single-node
-# path (sched_corpus) and the fleet path (fleet_tiny), three seconds each.
-# The exit code is the check: every served result equals its direct
-# core.Run reference, with zero fallbacks, failovers and stream drops.
+# path (sched_corpus) and the fleet path (fleet_tiny), three seconds each,
+# then the paper-scale replay with the harness's traced probe, which wraps
+# every partitioner in its own timing decorators. The exit code is the
+# check: every served result equals its direct core.Run reference, with
+# zero fallbacks, failovers and stream drops, and the traced probe decides
+# exactly as the untraced strategy does.
 bench-e2e-smoke:
 	bash bench/run.sh --workload sched_corpus --seed 1 --seconds 3 --trace 0
 	bash bench/run.sh --workload fleet_tiny --seed 1 --seconds 3 --trace 0
+	bash bench/run.sh --workload rm3d64_adaptive --seed 1 --seconds 3 --trace 1
 
 # One timed regeneration of every table, figure and ablation.
 bench:

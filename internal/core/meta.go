@@ -53,7 +53,7 @@ func (m *MetaPartitioner) SelectForOctant(o octant.Octant) (partition.Partitione
 	if !o.Valid() {
 		return nil, fmt.Errorf("core: invalid octant %v", o)
 	}
-	act, ok := m.Policy.BestAction("select-partitioner", map[string]interface{}{"octant": o.String()})
+	act, ok := m.Policy.BestAction("select-partitioner", map[string]interface{}{"octant": octantNames[o]})
 	if !ok {
 		return nil, fmt.Errorf("core: no partitioner policy for octant %v", o)
 	}
@@ -63,6 +63,15 @@ func (m *MetaPartitioner) SelectForOctant(o octant.Octant) (partition.Partitione
 	}
 	return p, err
 }
+
+// octantNames holds each octant's name as a policy attribute value, boxed
+// once: boxing it per query would allocate at every regrid.
+var octantNames = func() (names [octant.VIII + 1]interface{}) {
+	for o := octant.I; o <= octant.VIII; o++ {
+		names[o] = o.String()
+	}
+	return names
+}()
 
 // SelectAt characterizes the trace at snapshot idx and returns the selected
 // partitioner together with the octant classification — one row of the

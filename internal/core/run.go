@@ -204,6 +204,9 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	// resumed run starts with an empty one and produces bit-identical
 	// assignments anyway.
 	partPlan := partition.NewPartitionPlan()
+	// The interval's per-processor work, rewritten at every regrid and
+	// recovery; Cluster.Step reads it and keeps no reference.
+	var work []float64
 	var prevLabel string
 	var imbSum, effSum float64
 	startIdx := 0
@@ -343,7 +346,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		// interval.
 		plan = partition.RebuildCommPlan(plan, snap.H, a)
 		comm := plan.Stats
-		work := a.Work()
+		work = a.WorkInto(work)
 		units := float64(len(a.Units))
 		splitCost := a.SplitCost
 		if splitCost < 1 {
@@ -407,7 +410,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 					// the dead plan takes its place as the one migrated from.
 					plan, prevPlan = partition.RebuildCommPlan(prevPlan, snap.H, a), plan
 					comm = plan.Stats
-					work = a.Work()
+					work = a.WorkInto(work)
 					units = float64(len(a.Units))
 					q.CommVolume = comm.Volume
 					q.CommMessages = comm.Messages

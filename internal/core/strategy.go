@@ -35,8 +35,9 @@ type StepContext struct {
 	PrevHierarchy  *samr.Hierarchy
 	// PartitionPlan, when non-nil, is the scratch memory partitioners work
 	// in (units, curve keys, sort indices, weights, the prepared work
-	// model). core.Run owns one per run; nothing but capacity survives a
-	// call, so output is bit-identical with or without it.
+	// model) and Adaptive holds its two candidates in. core.Run owns one
+	// per run; nothing but capacity survives a call, so output is
+	// bit-identical with or without it.
 	PartitionPlan *partition.PartitionPlan
 	// CycleTrace, when non-nil, records this regrid cycle in the telemetry
 	// trace ring; strategies annotate it with classification and selection
@@ -103,7 +104,10 @@ var defaultMeta = sync.OnceValue(NewMetaPartitioner)
 // Name implements Strategy.
 func (a Adaptive) Name() string { return "adaptive" }
 
-// Assign implements Strategy.
+// Assign implements Strategy. The selected partitioner runs as a
+// candidate in the step's PartitionPlan; when the guard fires, G-MISP+SP
+// runs as a second one, and only the assignment kept is materialized
+// (DESIGN.md §16).
 func (a Adaptive) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
 	meta := a.Meta
 	if meta == nil {
@@ -115,37 +119,34 @@ func (a Adaptive) Assign(ctx *StepContext) (*partition.Assignment, string, error
 	}
 	ctx.CycleTrace.Event("octant-classified", telemetry.String("octant", oct.String()))
 	ctx.CycleTrace.Event("partitioner-selected", telemetry.String("partitioner", p.Name()))
-	asg, err := ctx.Partition(p)
+	plan := ctx.PartitionPlan
+	if plan == nil {
+		plan = partition.NewPartitionPlan()
+	}
+	cand, err := plan.Propose(0, p, ctx.Snap.H, ctx.WM, ctx.NProcs)
 	if err != nil {
 		return nil, "", err
 	}
 	if a.ImbalanceGuard <= 0 || p.Name() == "G-MISP+SP" {
-		return asg, p.Name(), nil
+		return cand.Materialize(), p.Name(), nil
 	}
-	if imb := asg.Imbalance(); imb > a.ImbalanceGuard {
+	if imb := cand.Imbalance(); imb > a.ImbalanceGuard {
 		fallback, err := meta.Lookup("G-MISP+SP")
 		if err != nil {
 			return nil, "", err
 		}
-		alt, err := ctx.Partition(fallback)
+		alt, err := plan.Propose(1, fallback, ctx.Snap.H, ctx.WM, ctx.NProcs)
 		if err != nil {
 			return nil, "", err
 		}
 		// The guard costs an extra partitioning pass; charge it.
-		alt.SplitCost += asg.SplitCost * float64(len(asg.Units)) / float64(max(len(alt.Units), 1))
+		alt.SplitCost += cand.SplitCost * float64(cand.Len()) / float64(max(alt.Len(), 1))
 		if alt.Imbalance() < imb {
 			ctx.CycleTrace.Event("imbalance-guard", telemetry.String("fallback", fallback.Name()))
-			return alt, fallback.Name(), nil
+			return alt.Materialize(), fallback.Name(), nil
 		}
 	}
-	return asg, p.Name(), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return cand.Materialize(), p.Name(), nil
 }
 
 // SystemSensitive is the strategy of §4.6 (Fig. 4): resource monitoring

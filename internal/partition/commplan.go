@@ -161,7 +161,7 @@ func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 
 // cleared returns s resized to n zeros, reusing its capacity.
 func cleared(s []float64, n int) []float64 {
-	s = slices.Grow(s[:0], n)[:n]
+	s = grow(s, n)[:n]
 	clear(s)
 	return s
 }

@@ -33,7 +33,9 @@ func (p EqualBlock) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) 
 	if err != nil {
 		return nil, err
 	}
-	return assemble(units, greedyPrefix(weightsOf(units), nprocs), nprocs), nil
+	owner := make([]int, len(units))
+	greedyPrefix(weightsOf(units), nprocs, owner)
+	return assemble(units, owner, nprocs), nil
 }
 
 // Heterogeneous is the system-sensitive partitioner of §4.6 (Fig. 4): the

@@ -49,11 +49,24 @@ type Assignment struct {
 
 // Work returns the per-processor computational load.
 func (a *Assignment) Work() []float64 {
-	w := make([]float64, a.NProcs)
-	for i, u := range a.Units {
-		w[a.Owner[i]] += u.Weight
+	return a.WorkInto(nil)
+}
+
+// WorkInto is Work written into dst's memory, grown if it is shorter than
+// NProcs, for callers that keep one work vector across regrids.
+func (a *Assignment) WorkInto(dst []float64) []float64 {
+	return workInto(dst, a.NProcs, a.Units, a.Owner)
+}
+
+// workInto sums the units' weights per owner into dst's memory, in unit
+// order, so a candidate's work vector and its materialized assignment's
+// agree bit for bit.
+func workInto(dst []float64, nprocs int, units []Unit, owner []int) []float64 {
+	dst = cleared(dst, nprocs)
+	for i, u := range units {
+		dst[owner[i]] += u.Weight
 	}
-	return w
+	return dst
 }
 
 // TotalWeight returns the summed weight of all units.

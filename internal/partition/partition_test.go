@@ -169,13 +169,20 @@ func TestCommOrderingCoarseVsFine(t *testing.T) {
 	}
 }
 
+// splitOwners runs splitter k on weights into a fresh owner slice.
+func splitOwners(k splitKind, weights []float64, nprocs int) []int {
+	owner := make([]int, len(weights))
+	k.owners(weights, nprocs, owner, nil)
+	return owner
+}
+
 func TestGreedyPrefix(t *testing.T) {
-	owner := greedyPrefix([]float64{1, 1, 1, 1}, 2)
+	owner := splitOwners(splitGreedy, []float64{1, 1, 1, 1}, 2)
 	if owner[0] != 0 || owner[3] != 1 {
 		t.Fatalf("owners = %v", owner)
 	}
 	// Each proc gets a unit when counts match.
-	owner = greedyPrefix([]float64{5, 1, 1}, 3)
+	owner = splitOwners(splitGreedy, []float64{5, 1, 1}, 3)
 	want := []int{0, 1, 2}
 	for i := range want {
 		if owner[i] != want[i] {
@@ -183,7 +190,7 @@ func TestGreedyPrefix(t *testing.T) {
 		}
 	}
 	// Monotone non-decreasing owners (contiguity).
-	owner = greedyPrefix([]float64{3, 1, 4, 1, 5, 9, 2, 6}, 3)
+	owner = splitOwners(splitGreedy, []float64{3, 1, 4, 1, 5, 9, 2, 6}, 3)
 	for i := 1; i < len(owner); i++ {
 		if owner[i] < owner[i-1] {
 			t.Fatalf("owners not contiguous: %v", owner)
@@ -204,7 +211,7 @@ func TestOptimalSequenceIsOptimal(t *testing.T) {
 	}
 	for _, weights := range cases {
 		for p := 1; p <= 4; p++ {
-			owner := optimalSequence(weights, p)
+			owner := splitOwners(splitOptimal, weights, p)
 			got := bottleneck(weights, owner, p)
 			want := bruteForceBottleneck(weights, p)
 			if math.Abs(got-want) > 1e-9 {
@@ -268,7 +275,7 @@ func bruteForceBottleneck(weights []float64, p int) float64 {
 }
 
 func TestBinaryDissection(t *testing.T) {
-	owner := binaryDissection([]float64{1, 1, 1, 1, 1, 1, 1, 1}, 4)
+	owner := splitOwners(splitDissection, []float64{1, 1, 1, 1, 1, 1, 1, 1}, 4)
 	counts := map[int]int{}
 	for i := 1; i < len(owner); i++ {
 		if owner[i] < owner[i-1] {
@@ -284,7 +291,7 @@ func TestBinaryDissection(t *testing.T) {
 		}
 	}
 	// Non-power-of-two processor counts are supported.
-	owner = binaryDissection([]float64{1, 1, 1, 1, 1, 1}, 3)
+	owner = splitOwners(splitDissection, []float64{1, 1, 1, 1, 1, 1}, 3)
 	seen := map[int]bool{}
 	for _, o := range owner {
 		if o < 0 || o >= 3 {

@@ -37,12 +37,12 @@ func (SFC) Name() string { return "SFC" }
 
 // Partition implements Partitioner.
 func (p SFC) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, nil)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
 }
 
 // PartitionIncremental implements IncrementalPartitioner.
 func (p SFC) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, plan)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
 func (p SFC) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
@@ -53,7 +53,7 @@ func (p SFC) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipeline
 	return pipelineSpec{
 		decomp: decompSpec{kind: decompBlock, side: g},
 		curve:  p.Curve,
-		split:  greedyPrefix,
+		split:  splitGreedy,
 		cost:   1,
 	}
 }
@@ -74,24 +74,24 @@ func (GMISP) Name() string { return "G-MISP" }
 
 // Partition implements Partitioner.
 func (p GMISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, nil)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
 }
 
 // PartitionIncremental implements IncrementalPartitioner.
 func (p GMISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, plan)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
 func (p GMISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
 	return pipelineSpec{
-		decomp: p.decomp(h, wm, nprocs),
+		decomp: p.decomp(),
 		curve:  p.Curve,
-		split:  greedyPrefix,
+		split:  splitGreedy,
 		cost:   1,
 	}
 }
 
-func (p GMISP) decomp(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) decompSpec {
+func (p GMISP) decomp() decompSpec {
 	f := p.ThresholdFactor
 	if f == 0 {
 		f = 4
@@ -100,12 +100,7 @@ func (p GMISP) decomp(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) decompSp
 	if minSide == 0 {
 		minSide = 2
 	}
-	total := samr.HierarchyWork(h, wm)
-	return decompSpec{
-		kind:      decompVarGrain,
-		threshold: total / (float64(nprocs) * f),
-		minSide:   minSide,
-	}
+	return decompSpec{kind: decompVarGrain, factor: f, minSide: minSide}
 }
 
 // GMISPSP is G-MISP with optimal sequence partitioning (G-MISP+SP).
@@ -120,20 +115,20 @@ func (GMISPSP) Name() string { return "G-MISP+SP" }
 
 // Partition implements Partitioner.
 func (p GMISPSP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, nil)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
 }
 
 // PartitionIncremental implements IncrementalPartitioner.
 func (p GMISPSP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, plan)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
 func (p GMISPSP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
 	inner := GMISP{Curve: p.Curve, ThresholdFactor: p.ThresholdFactor, MinSide: p.MinSide}
 	return pipelineSpec{
-		decomp: inner.decomp(h, wm, nprocs),
+		decomp: inner.decomp(),
 		curve:  p.Curve,
-		split:  optimalSequence,
+		split:  splitOptimal,
 		cost:   seqSplitCost,
 	}
 }
@@ -151,12 +146,12 @@ func (PBDISP) Name() string { return "pBD-ISP" }
 
 // Partition implements Partitioner.
 func (p PBDISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, nil)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
 }
 
 // PartitionIncremental implements IncrementalPartitioner.
 func (p PBDISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, plan)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
 func (p PBDISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
@@ -167,7 +162,7 @@ func (p PBDISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipel
 	return pipelineSpec{
 		decomp: decompSpec{kind: decompBlock, side: g},
 		curve:  p.Curve,
-		split:  binaryDissection,
+		split:  splitDissection,
 		cost:   log2(nprocs),
 	}
 }
@@ -186,12 +181,12 @@ func (SPISP) Name() string { return "SP-ISP" }
 
 // Partition implements Partitioner.
 func (p SPISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, nil)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
 }
 
 // PartitionIncremental implements IncrementalPartitioner.
 func (p SPISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, plan)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
 func (p SPISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
@@ -202,7 +197,7 @@ func (p SPISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipeli
 	return pipelineSpec{
 		decomp: decompSpec{kind: decompBlock, side: g},
 		curve:  p.Curve,
-		split:  optimalSequence,
+		split:  splitOptimal,
 		cost:   seqSplitCost,
 	}
 }
@@ -220,12 +215,12 @@ func (ISP) Name() string { return "ISP" }
 
 // Partition implements Partitioner.
 func (p ISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, nil)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
 }
 
 // PartitionIncremental implements IncrementalPartitioner.
 func (p ISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p, h, wm, nprocs, plan)
+	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
 func (p ISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
@@ -236,37 +231,33 @@ func (p ISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipeline
 	return pipelineSpec{
 		decomp: decompSpec{kind: decompBlock, side: g},
 		curve:  p.Curve,
-		split:  greedyPrefix,
+		split:  splitGreedy,
 		cost:   1,
 	}
 }
 
 // ByName returns the partitioner registered under the paper's name, or an
 // error listing the known names. This is the partitioner database the
-// adaptive meta-partitioner selects from.
+// adaptive meta-partitioner selects from; a lookup allocates nothing.
 func ByName(name string) (Partitioner, error) {
-	switch name {
-	case "SFC":
-		return SFC{}, nil
-	case "G-MISP":
-		return GMISP{}, nil
-	case "G-MISP+SP":
-		return GMISPSP{}, nil
-	case "pBD-ISP":
-		return PBDISP{}, nil
-	case "SP-ISP":
-		return SPISP{}, nil
-	case "ISP":
-		return ISP{}, nil
-	case "EqualBlock":
-		return EqualBlock{}, nil
-	case "Heterogeneous":
-		return Heterogeneous{}, nil
-	case "PatchGreedy":
-		return PatchGreedy{}, nil
-	default:
-		return nil, fmt.Errorf("partition: unknown partitioner %q (known: SFC, G-MISP, G-MISP+SP, pBD-ISP, SP-ISP, ISP, EqualBlock, Heterogeneous, PatchGreedy)", name)
+	if p, ok := byName[name]; ok {
+		return p, nil
 	}
+	return nil, fmt.Errorf("partition: unknown partitioner %q (known: SFC, G-MISP, G-MISP+SP, pBD-ISP, SP-ISP, ISP, EqualBlock, Heterogeneous, PatchGreedy)", name)
+}
+
+// byName holds the database's entries already boxed as Partitioners:
+// partitioners are stateless values, so every caller can share one.
+var byName = map[string]Partitioner{
+	"SFC":           SFC{},
+	"G-MISP":        GMISP{},
+	"G-MISP+SP":     GMISPSP{},
+	"pBD-ISP":       PBDISP{},
+	"SP-ISP":        SPISP{},
+	"ISP":           ISP{},
+	"EqualBlock":    EqualBlock{},
+	"Heterogeneous": Heterogeneous{},
+	"PatchGreedy":   PatchGreedy{},
 }
 
 // All returns the ISP partitioner suite in the order the paper lists it.

@@ -39,7 +39,8 @@ func ReferencePartition(p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, npr
 	var units []Unit
 	switch spec.decomp.kind {
 	case decompVarGrain:
-		units = variableGrainUnits(h, unprepared{wm}, spec.decomp.threshold, spec.decomp.minSide)
+		threshold := spec.decomp.threshold(samr.HierarchyWork(h, unprepared{wm}), nprocs)
+		units = variableGrainUnits(h, unprepared{wm}, threshold, spec.decomp.minSide)
 	default:
 		units = blockUnits(h, unprepared{wm}, spec.decomp.side)
 	}
@@ -51,7 +52,9 @@ func ReferencePartition(p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, npr
 		curve = curveFor(h)
 	}
 	orderUnits(units, h, curve)
-	return assembleWith(units, spec.split(weightsOf(units), nprocs), nprocs, spec.cost), nil
+	owner := make([]int, len(units))
+	spec.split.owners(weightsOf(units), nprocs, owner, nil)
+	return assembleWith(units, owner, nprocs, spec.cost), nil
 }
 
 // variableGrainUnits is appendVariableGrainUnits into a fresh slice.

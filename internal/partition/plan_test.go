@@ -129,8 +129,9 @@ func requireSameAssignment(t *testing.T, label string, got, ref *Assignment) {
 	}
 }
 
-// randomWorkModel draws a uniform model or a front model with up to four
-// fronts: inside the domain, astride its edge, wholly outside it, and with
+// randomWorkModel draws a uniform model or a front model with up to
+// twelve fronts — more than FrontWorkModel.BoxWork keeps on its stack —
+// inside the domain, astride its edge, wholly outside it, and with
 // multipliers at and below 1 (no surcharge) as well as above.
 func randomWorkModel(rng *rand.Rand, h *samr.Hierarchy) samr.WorkModel {
 	base := samr.UniformWorkModel{CellCost: float64(rng.Intn(4))}
@@ -138,7 +139,7 @@ func randomWorkModel(rng *rand.Rand, h *samr.Hierarchy) samr.WorkModel {
 		return base
 	}
 	dom := h.Domain
-	fronts := make([]samr.Front, rng.Intn(5))
+	fronts := make([]samr.Front, rng.Intn(13))
 	for i := range fronts {
 		lo := samr.Point{
 			dom.Lo[0] - 4 + rng.Intn(dom.Dx(0)+8),
@@ -154,32 +155,128 @@ func randomWorkModel(rng *rand.Rand, h *samr.Hierarchy) samr.WorkModel {
 }
 
 // planCheck runs p through plan and requires the result to equal both
-// ReferencePartition and a nil-plan call. held is the previous result taken
-// from the same plan with a private copy of its reference: it must have
-// survived this call untouched, or an assignment aliases the scratch.
+// ReferencePartition and a nil-plan call. held is the previous result
+// taken from the same plan with a private copy of its reference: it must
+// have survived this call untouched, or an assignment aliases the scratch.
+// Each call also proposes p as a candidate, in the plan's two slots
+// alternately, whose imbalance and unit count must match the reference.
+// The previous candidate, in the other slot, is materialized only after
+// this one is proposed: it must still equal its reference, or one slot's
+// scratch leaks into the other's. And the candidate materialized on the
+// previous call must survive this one, or a handed-over buffer is still
+// scratch.
 type planCheck struct {
-	plan    *PartitionPlan
-	held    *Assignment
-	heldRef *Assignment
+	plan       *PartitionPlan
+	held       *Assignment
+	heldRef    *Assignment
+	slot       int
+	pending    *Candidate
+	pendingRef *Assignment
+	mat        *Assignment
+	matRef     *Assignment
 }
 
 func (c *planCheck) partition(t *testing.T, label string, p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) {
 	t.Helper()
 	got, errGot := p.(IncrementalPartitioner).PartitionIncremental(h, wm, nprocs, c.plan)
+	cand, errCand := c.plan.Propose(c.slot, p, h, wm, nprocs)
 	ref, errRef := ReferencePartition(p, h, wm, nprocs)
 	plain, errPlain := p.Partition(h, wm, nprocs)
-	if (errGot != nil) != (errRef != nil) || (errPlain != nil) != (errRef != nil) {
-		t.Fatalf("%s: plan err %v, nil-plan err %v, reference err %v", label, errGot, errPlain, errRef)
+	if (errGot != nil) != (errRef != nil) || (errPlain != nil) != (errRef != nil) || (errCand != nil) != (errRef != nil) {
+		t.Fatalf("%s: plan err %v, candidate err %v, nil-plan err %v, reference err %v", label, errGot, errCand, errPlain, errRef)
 	}
 	if c.held != nil {
 		requireSameAssignment(t, label+": earlier assignment after a later call", c.held, c.heldRef)
+	}
+	if c.mat != nil {
+		requireSameAssignment(t, label+": earlier materialized candidate after a later call", c.mat, c.matRef)
+	}
+	if c.pending != nil {
+		c.mat, c.matRef = c.pending.Materialize(), c.pendingRef
+		c.pending = nil
+		requireSameAssignment(t, label+": earlier candidate after a later one", c.mat, c.matRef)
 	}
 	if errRef != nil {
 		return
 	}
 	requireSameAssignment(t, label+" through the plan", got, ref)
 	requireSameAssignment(t, label+" without a plan", plain, ref)
+	if imb, want := cand.Imbalance(), ref.Imbalance(); imb != want || cand.Len() != len(ref.Units) {
+		t.Fatalf("%s: candidate imbalance %v over %d units, reference %v over %d", label, imb, cand.Len(), want, len(ref.Units))
+	}
 	c.held, c.heldRef = got, ref
+	c.pending, c.pendingRef, c.slot = cand, ref, 1-c.slot
+}
+
+// wrapped hides a partitioner's candidate stage, as a caller's decorating
+// Lookup does, and counts the calls that reach it.
+type wrapped struct {
+	Partitioner
+	calls *int
+}
+
+func (w wrapped) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
+	*w.calls++
+	return w.Partitioner.(IncrementalPartitioner).PartitionIncremental(h, wm, nprocs, plan)
+}
+
+// TestProposeOwnCandidate: a partitioner with no candidate stage — one
+// outside the pipeline, or an ISP partitioner behind a wrapper — is called
+// through once per Propose and is its own candidate: Materialize returns
+// the assignment it produced, with the candidate's SplitCost. A wrapped
+// call that works in the plan leaves a live candidate in the other slot
+// intact.
+func TestProposeOwnCandidate(t *testing.T) {
+	h := testHierarchy(t)
+	var wm samr.WorkModel = samr.UniformWorkModel{}
+	plan := NewPartitionPlan()
+	first, err := plan.Propose(0, PBDISP{}, h, wm, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReferencePartition(PBDISP{}, h, wm, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	second, err := plan.Propose(1, wrapped{Partitioner: GMISPSP{}, calls: &calls}, h, wm, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("the wrapper was called %d times, want 1", calls)
+	}
+	requireSameAssignment(t, "slot 0 after a wrapped call into the plan", first.Materialize(), want)
+	ref, err := ReferencePartition(GMISPSP{}, h, wm, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Imbalance() != ref.Imbalance() || second.Len() != len(ref.Units) {
+		t.Fatalf("wrapped candidate: imbalance %v over %d units, reference %v over %d", second.Imbalance(), second.Len(), ref.Imbalance(), len(ref.Units))
+	}
+	second.SplitCost += 7
+	a := second.Materialize()
+	if again := second.Materialize(); again != a {
+		t.Fatal("a partitioner's own candidate materialized as a copy")
+	}
+	if a.SplitCost != ref.SplitCost+7 {
+		t.Fatalf("materialized split cost %v, want %v", a.SplitCost, ref.SplitCost+7)
+	}
+	a.SplitCost = ref.SplitCost
+	requireSameAssignment(t, "wrapped candidate", a, ref)
+
+	eq, err := plan.Propose(0, EqualBlock{}, h, wm, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := EqualBlock{}.Partition(h, wm, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq.Imbalance() != direct.Imbalance() {
+		t.Fatalf("EqualBlock candidate imbalance %v, its assignment's %v", eq.Imbalance(), direct.Imbalance())
+	}
+	requireSameAssignment(t, "EqualBlock candidate", eq.Materialize(), direct)
 }
 
 func TestDeltaPartitionDifferentialRandom(t *testing.T) {
@@ -238,7 +335,9 @@ func deltaSequence(t testing.TB) []*samr.Hierarchy {
 // nothing reused.
 func TestPartitionPlanScratch(t *testing.T) {
 	seq := deltaSequence(t)
-	wm := samr.FrontWorkModel{Fronts: []samr.Front{{Region: samr.MakeBox(40, 32, 32), Multiplier: 2}}}
+	// An interface value, as core.Run hands it over: converting a struct
+	// at every call would be the caller's allocation.
+	var wm samr.WorkModel = samr.FrontWorkModel{Fronts: []samr.Front{{Region: samr.MakeBox(40, 32, 32), Multiplier: 2}}}
 	plan := NewPartitionPlan()
 	var want int64
 	for _, h := range seq {
@@ -253,22 +352,18 @@ func TestPartitionPlanScratch(t *testing.T) {
 	if reused, total := plan.Stats(); reused != 0 || total != want {
 		t.Fatalf("stats reused=%d total=%d, want 0 and %d", reused, total, want)
 	}
-	// Warm: only the assignment itself is allocated (the struct, its units,
-	// its owners, and the splitter's own working memory).
+	// Warm: only the assignment itself is allocated — the struct, its
+	// units and its owners. The splitters work in plan scratch.
 	h := seq[len(seq)-1]
-	for _, p := range []IncrementalPartitioner{PBDISP{}, GMISPSP{}} {
+	for _, p := range All() {
+		ip := p.(IncrementalPartitioner)
 		warm := testing.AllocsPerRun(20, func() {
-			if _, err := p.PartitionIncremental(h, wm, 16, plan); err != nil {
+			if _, err := ip.PartitionIncremental(h, wm, 16, plan); err != nil {
 				t.Fatal(err)
 			}
 		})
-		cold := testing.AllocsPerRun(20, func() {
-			if _, err := p.Partition(h, wm, 16); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if warm >= cold {
-			t.Errorf("%s: %v allocations through a warm plan, %v without one", p.Name(), warm, cold)
+		if warm != 3 {
+			t.Errorf("%s: %v allocations through a warm plan, want 3 (the assignment, its Units, its Owner)", p.Name(), warm)
 		}
 	}
 }

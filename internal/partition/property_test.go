@@ -96,8 +96,8 @@ func TestOptimalNeverWorseThanGreedyProperty(t *testing.T) {
 		for i := range weights {
 			weights[i] = 0.1 + rng.Float64()*10
 		}
-		greedy := bottleneck(weights, greedyPrefix(weights, nprocs), nprocs)
-		optimal := bottleneck(weights, optimalSequence(weights, nprocs), nprocs)
+		greedy := bottleneck(weights, splitOwners(splitGreedy, weights, nprocs), nprocs)
+		optimal := bottleneck(weights, splitOwners(splitOptimal, weights, nprocs), nprocs)
 		return optimal <= greedy+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -117,9 +117,9 @@ func TestContiguityProperty(t *testing.T) {
 			weights[i] = rng.Float64() * 5
 		}
 		for _, split := range [][]int{
-			greedyPrefix(weights, nprocs),
-			optimalSequence(weights, nprocs),
-			binaryDissection(weights, nprocs),
+			splitOwners(splitGreedy, weights, nprocs),
+			splitOwners(splitOptimal, weights, nprocs),
+			splitOwners(splitDissection, weights, nprocs),
 			weightedSequence(weights, make([]float64, nprocs)), // degenerate caps
 		} {
 			if len(split) != n {

@@ -9,9 +9,9 @@ package partition
 // target adapts to the remaining weight and processor count after each
 // chunk, so rounding errors do not pile up on the last processor. Fast, but
 // a chunk can still miss its boundary by up to half a unit — the imbalance
-// signature of the plain SFC partitioner.
-func greedyPrefix(weights []float64, nprocs int) []int {
-	owner := make([]int, len(weights))
+// signature of the plain SFC partitioner. Owners go into owner, which is
+// as long as weights.
+func greedyPrefix(weights []float64, nprocs int, owner []int) {
 	var remaining float64
 	for _, w := range weights {
 		remaining += w
@@ -33,14 +33,14 @@ func greedyPrefix(weights []float64, nprocs int) []int {
 		acc += w
 		remaining -= w
 	}
-	return owner
 }
 
 // optimalSequence splits the sequence into at most nprocs contiguous chunks
 // minimizing the bottleneck (maximum chunk weight). It binary-searches the
 // bottleneck over the answer space and verifies candidates greedily, which
-// is exact for contiguous partitioning.
-func optimalSequence(weights []float64, nprocs int) []int {
+// is exact for contiguous partitioning. Owners go into owner, which is as
+// long as weights.
+func optimalSequence(weights []float64, nprocs int, owner []int) {
 	var total, maxw float64
 	for _, w := range weights {
 		total += w
@@ -58,7 +58,7 @@ func optimalSequence(weights []float64, nprocs int) []int {
 			lo = mid
 		}
 	}
-	return packChunks(weights, hi, nprocs)
+	packChunks(weights, hi, nprocs, owner)
 }
 
 // chunksNeeded returns how many contiguous chunks of weight <= bottleneck
@@ -78,8 +78,7 @@ func chunksNeeded(weights []float64, bottleneck float64) int {
 
 // packChunks assigns owners greedily under the bottleneck, clamping to
 // nprocs chunks.
-func packChunks(weights []float64, bottleneck float64, nprocs int) []int {
-	owner := make([]int, len(weights))
+func packChunks(weights []float64, bottleneck float64, nprocs int, owner []int) {
 	proc := 0
 	var acc float64
 	for i, w := range weights {
@@ -90,49 +89,51 @@ func packChunks(weights []float64, bottleneck float64, nprocs int) []int {
 		owner[i] = proc
 		acc += w
 	}
-	return owner
 }
 
 // binaryDissection splits the sequence into nprocs contiguous chunks by
 // recursive bisection: each step cuts the (sub)sequence at the point that
 // best balances weight between ceil(p/2) and floor(p/2) processors. This is
-// the splitting strategy of pBD-ISP — cheap and coarse.
-func binaryDissection(weights []float64, nprocs int) []int {
-	owner := make([]int, len(weights))
-	prefix := make([]float64, len(weights)+1)
+// the splitting strategy of pBD-ISP — cheap and coarse. Owners go into
+// owner, which is as long as weights; prefix is working memory for the
+// prefix sums, returned grown so the caller can keep it.
+func binaryDissection(weights []float64, nprocs int, owner []int, prefix []float64) []float64 {
+	prefix = append(prefix[:0], 0)
 	for i, w := range weights {
-		prefix[i+1] = prefix[i] + w
+		prefix = append(prefix, prefix[i]+w)
 	}
-	var rec func(lo, hi, procLo, procs int)
-	rec = func(lo, hi, procLo, procs int) {
-		if procs <= 1 || hi-lo <= 1 {
-			for i := lo; i < hi; i++ {
-				owner[i] = procLo
-			}
-			return
+	dissect(prefix, owner, 0, len(weights), 0, nprocs)
+	return prefix
+}
+
+// dissect assigns units [lo, hi) to processors [procLo, procLo+procs),
+// cutting where the prefix sums best match the two halves' shares.
+func dissect(prefix []float64, owner []int, lo, hi, procLo, procs int) {
+	if procs <= 1 || hi-lo <= 1 {
+		for i := lo; i < hi; i++ {
+			owner[i] = procLo
 		}
-		left := (procs + 1) / 2
-		right := procs - left
-		total := prefix[hi] - prefix[lo]
-		target := total * float64(left) / float64(procs)
-		// Find the cut minimizing deviation from the proportional target.
-		cut := lo + 1
-		best := -1.0
-		for i := lo + 1; i < hi; i++ {
-			dev := prefix[i] - prefix[lo] - target
-			if dev < 0 {
-				dev = -dev
-			}
-			if best < 0 || dev < best {
-				best = dev
-				cut = i
-			}
-		}
-		rec(lo, cut, procLo, left)
-		rec(cut, hi, procLo+left, right)
+		return
 	}
-	rec(0, len(weights), 0, nprocs)
-	return owner
+	left := (procs + 1) / 2
+	right := procs - left
+	total := prefix[hi] - prefix[lo]
+	target := total * float64(left) / float64(procs)
+	// Find the cut minimizing deviation from the proportional target.
+	cut := lo + 1
+	best := -1.0
+	for i := lo + 1; i < hi; i++ {
+		dev := prefix[i] - prefix[lo] - target
+		if dev < 0 {
+			dev = -dev
+		}
+		if best < 0 || dev < best {
+			best = dev
+			cut = i
+		}
+	}
+	dissect(prefix, owner, lo, cut, procLo, left)
+	dissect(prefix, owner, cut, hi, procLo+left, right)
 }
 
 // weightedSequence splits the sequence into contiguous chunks whose weights
@@ -149,7 +150,8 @@ func weightedSequence(weights []float64, capacities []float64) []int {
 	}
 	if capTotal <= 0 {
 		// Degenerate capacities: fall back to equal shares.
-		return greedyPrefix(weights, len(capacities))
+		greedyPrefix(weights, len(capacities), owner)
+		return owner
 	}
 	nprocs := len(capacities)
 	proc := 0

@@ -210,47 +210,70 @@ func (b *Base) Query(attrs map[string]interface{}) []Scored {
 	defer b.mu.RUnlock()
 	var out []Scored
 	for _, r := range b.rules {
-		d := 1.0
-		for attr, m := range r.When {
-			v, present := attrs[attr]
-			var dd float64
-			if !present {
-				dd = neutralDegree
-			} else {
-				dd = m.degree(v)
-			}
-			if dd < d {
-				d = dd
-			}
-			if d == 0 {
-				break
-			}
-		}
-		if d > 0 {
+		if d := r.degree(attrs); d > 0 {
 			out = append(out, Scored{Rule: *r, Degree: d})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree != out[j].Degree {
-			return out[i].Degree > out[j].Degree
-		}
-		if out[i].Rule.Priority != out[j].Rule.Priority {
-			return out[i].Rule.Priority > out[j].Rule.Priority
-		}
-		return out[i].Rule.Seq < out[j].Rule.Seq
+		return ranksBefore(out[i].Degree, &out[i].Rule, out[j].Degree, &out[j].Rule)
 	})
 	return out
 }
 
-// BestAction returns the highest-ranked action of the given kind for the
-// query, and false when nothing matches.
-func (b *Base) BestAction(kind string, attrs map[string]interface{}) (Action, bool) {
-	for _, s := range b.Query(attrs) {
-		if s.Rule.Then.Kind == kind {
-			return s.Rule.Then, true
+// degree is the rule's degree of match to the query: the minimum over its
+// conditions.
+func (r *Rule) degree(attrs map[string]interface{}) float64 {
+	d := 1.0
+	for attr, m := range r.When {
+		v, present := attrs[attr]
+		var dd float64
+		if !present {
+			dd = neutralDegree
+		} else {
+			dd = m.degree(v)
+		}
+		if dd < d {
+			d = dd
+		}
+		if d == 0 {
+			break
 		}
 	}
-	return Action{}, false
+	return d
+}
+
+// ranksBefore orders scored rules as Query returns them: by degree, then
+// priority, then insertion order.
+func ranksBefore(da float64, a *Rule, db float64, b *Rule) bool {
+	if da != db {
+		return da > db
+	}
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	return a.Seq < b.Seq
+}
+
+// BestAction returns the highest-ranked action of the given kind for the
+// query — the first of that kind in Query's order — and false when
+// nothing matches. It scores the rules in one pass and allocates nothing.
+func (b *Base) BestAction(kind string, attrs map[string]interface{}) (Action, bool) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var best *Rule
+	var bestDegree float64
+	for _, r := range b.rules {
+		if r.Then.Kind != kind {
+			continue
+		}
+		if d := r.degree(attrs); d > 0 && (best == nil || ranksBefore(d, r, bestDegree, best)) {
+			best, bestDegree = r, d
+		}
+	}
+	if best == nil {
+		return Action{}, false
+	}
+	return best.Then, true
 }
 
 // MarshalJSON encodes the base as its rule list.

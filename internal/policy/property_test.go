@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +71,64 @@ func TestQueryOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBestActionIsQuerysFirstOfKindProperty: BestAction's one pass picks
+// exactly the action Query's ranking puts first among rules of the kind,
+// with two kinds interleaved and ties in degree and priority.
+func TestBestActionIsQuerysFirstOfKindProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := randBase(rng, 1+rng.Intn(20))
+		for i := 0; i < rng.Intn(6); i++ {
+			mustAdd(b, Rule{
+				ID:       fmt.Sprintf("other%d", i),
+				Priority: rng.Intn(5),
+				When:     map[string]Match{"octant": {Equals: []string{"I", "II"}[rng.Intn(2)]}},
+				Then:     Action{Kind: "communication-mechanism", Target: fmt.Sprint(i)},
+			})
+		}
+		attrs := map[string]interface{}{
+			"octant": []string{"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}[rng.Intn(8)],
+			"load":   rng.Float64() * 3,
+			"procs":  rng.Intn(96),
+		}
+		if rng.Intn(3) == 0 {
+			delete(attrs, "load") // partial query: neutral degrees tie
+		}
+		for _, kind := range []string{"select-partitioner", "communication-mechanism", "none"} {
+			var want Action
+			found := false
+			for _, s := range b.Query(attrs) {
+				if s.Rule.Then.Kind == kind {
+					want, found = s.Rule.Then, true
+					break
+				}
+			}
+			got, ok := b.BestAction(kind, attrs)
+			if ok != found || !reflect.DeepEqual(got, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBestActionAllocatesNothing: the meta-partitioner asks the base once
+// per regrid, so the query itself must not allocate.
+func TestBestActionAllocatesNothing(t *testing.T) {
+	b := Table2()
+	var octant interface{} = "VI"
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := b.BestAction("select-partitioner", map[string]interface{}{"octant": octant}); !ok {
+			t.Fatal("no action for octant VI")
+		}
+	}); n != 0 {
+		t.Fatalf("BestAction allocated %v times per call", n)
 	}
 }
 

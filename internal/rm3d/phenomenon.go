@@ -3,6 +3,7 @@ package rm3d
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/pragma-grid/pragma/internal/samr"
 )
@@ -151,9 +152,27 @@ type feature struct {
 	coreShrink float64
 }
 
+// randPool recycles the generators features draws scattered layouts
+// from: a fresh rand.NewSource is about 4.9 KB, and features runs for
+// every snapshot a trace generates and at every regrid a run weighs
+// (WorkModel). Re-seeding a generator puts it in exactly the state a
+// fresh source with that seed starts in.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // features returns the refinement features active at snapshot idx,
 // deterministically derived from the config seed.
 func (c Config) features(idx int) []feature {
+	rng := randPool.Get().(*rand.Rand)
+	defer randPool.Put(rng)
+	return c.featuresSeeded(idx, func(seed int64) *rand.Rand {
+		rng.Seed(seed)
+		return rng
+	})
+}
+
+// featuresSeeded is features drawing from seeded(seed), which must return
+// a generator in the state rand.New(rand.NewSource(seed)) starts in.
+func (c Config) featuresSeeded(idx int, seeded func(seed int64) *rand.Rand) []feature {
 	nx := float64(c.BaseDims[0])
 	ny := float64(c.BaseDims[1])
 	nz := float64(c.BaseDims[2])
@@ -164,7 +183,7 @@ func (c Config) features(idx int) []feature {
 	switch phase {
 	case PhasePerturbation:
 		// Scattered solid blobs near the unshocked interface; static.
-		rng := rand.New(rand.NewSource(c.Seed + 11))
+		rng := seeded(c.Seed + 11)
 		return scatterBlobs(rng, 10, [2]float64{0.30, 0.62}, nx, ny, nz,
 			[3]float64{0.050 * nx, 0.17 * ny, 0.17 * nz}, 0.7)
 
@@ -194,14 +213,14 @@ func (c Config) features(idx int) []feature {
 	case PhaseInteraction:
 		// Shock meets the perturbed interface: many sheet fragments,
 		// re-seeded every regrid (rapid re-arrangement).
-		rng := rand.New(rand.NewSource(c.Seed + 37 + int64(idx)*1009))
+		rng := seeded(c.Seed + 37 + int64(idx)*1009)
 		return scatterSheets(rng, 12, [2]float64{0.70, 0.82}, nx, ny, nz, 0.012*nx, 0.26)
 
 	case PhaseMixingGrowth:
 		// Mixing zone grows: solid blobs drifting downstream quickly,
 		// re-seeded every few regrids.
 		epoch := age / 6
-		rng := rand.New(rand.NewSource(c.Seed + 53 + int64(epoch)*911))
+		rng := seeded(c.Seed + 53 + int64(epoch)*911)
 		blobs := scatterBlobs(rng, 12, [2]float64{0.66, 0.84}, nx, ny, nz,
 			[3]float64{0.050 * nx, 0.16 * ny, 0.16 * nz}, 0.7)
 		drift := 0.025 * nx * float64(age%6)
@@ -213,7 +232,7 @@ func (c Config) features(idx int) []feature {
 
 	case PhaseLateMixing:
 		// Quasi-static thin filaments in the mixed region.
-		rng := rand.New(rand.NewSource(c.Seed + 71))
+		rng := seeded(c.Seed + 71)
 		return scatterSheets(rng, 10, [2]float64{0.66, 0.90}, nx, ny, nz, 0.012*nx, 0.26)
 
 	case PhaseReshock:

@@ -129,6 +129,20 @@ func (w *BoxWeigher) BoxWork(b Box) float64 {
 	return w.wm.BoxWork(w.h, w.level, b)
 }
 
+// HierarchyWork is the package's HierarchyWork weighed through w: the same
+// terms summed in the same order, so the same float, without the model's
+// per-box preparation allocating once it outgrows the stack.
+func (w *BoxWeigher) HierarchyWork(m WorkModel, h *Hierarchy) float64 {
+	var total float64
+	for l, boxes := range h.Levels {
+		for _, b := range boxes {
+			w.Reset(m, h, l, b)
+			total += w.BoxWork(b)
+		}
+	}
+	return total
+}
+
 // HierarchyWork sums the model's weight over every box of the hierarchy.
 func HierarchyWork(h *Hierarchy, m WorkModel) float64 {
 	var w float64

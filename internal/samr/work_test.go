@@ -95,6 +95,33 @@ func TestBoxWeigherMatchesFrontWorkModel(t *testing.T) {
 	}
 }
 
+// TestBoxWeigherHierarchyWork: summing through a weigher is
+// HierarchyWork bit for bit, and allocates nothing once warm even with
+// more fronts than FrontWorkModel.BoxWork keeps on its stack.
+func TestBoxWeigherHierarchyWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	h := mustHierarchy(t, MakeBox(32, 16, 16), 2)
+	if err := h.SetLevel(1, []Box{{Lo: Point{4, 4, 4}, Hi: Point{40, 28, 28}}}); err != nil {
+		t.Fatal(err)
+	}
+	fronts := make([]Front, 12)
+	for i := range fronts {
+		lo := Point{rng.Intn(28), rng.Intn(12), rng.Intn(12)}
+		fronts[i] = Front{Region: Box{Lo: lo, Hi: Point{lo[0] + 4, lo[1] + 4, lo[2] + 4}}, Multiplier: 1.5 + rng.Float64()}
+	}
+	f := FrontWorkModel{Base: UniformWorkModel{CellCost: 0.7}, Fronts: fronts}
+	var w BoxWeigher
+	if got, want := w.HierarchyWork(f, h), HierarchyWork(h, f); got != want {
+		t.Fatalf("weigher sum %v, HierarchyWork %v", got, want)
+	}
+	var m WorkModel = f
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += w.HierarchyWork(m, h) }); n != 0 {
+		t.Fatalf("BoxWeigher.HierarchyWork allocated %v times per call", n)
+	}
+	_ = sink
+}
+
 // TestFrontWorkModelBoxWorkDoesNotAllocate: the unprepared entry point
 // builds its front list on the stack for the front counts the trace
 // generators produce.

@@ -258,25 +258,39 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []string, buckets
 // childKey joins label values with a byte that cannot appear in valid
 // UTF-8 text, so distinct value tuples cannot collide.
 func childKey(values []string) string {
-	return strings.Join(values, "\xff")
+	return string(appendChildKey(nil, values))
+}
+
+// appendChildKey is childKey appended to dst, so a lookup can build the
+// key in a stack buffer: indexing a map with string(key) does not
+// allocate.
+func appendChildKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, '\xff')
+		}
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // get returns the child for the given label values, creating it on first
-// use.
+// use. Resolving an existing child allocates nothing.
 func (f *family) get(values []string) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("telemetry: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := childKey(values)
+	var buf [64]byte
+	key := appendChildKey(buf[:0], values)
 	f.mu.RLock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok = f.children[key]; ok {
+	if c, ok = f.children[string(key)]; ok {
 		return c
 	}
 	c = &child{values: append([]string(nil), values...)}
@@ -290,7 +304,7 @@ func (f *family) get(values []string) *child {
 		h.counts = make([]atomic.Uint64, len(f.buckets)+1)
 		c.histogram = h
 	}
-	f.children[key] = c
+	f.children[string(key)] = c
 	return c
 }
 

@@ -32,6 +32,21 @@ func TestHistogramObserveAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestVecWithAllocatesNothing: resolving an existing child of a labeled
+// family builds its key on the stack.
+func TestVecWithAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("hot_labeled_total", "", "partitioner", "octant")
+	v.With("pBD-ISP", "VI").Inc()
+	if allocs := testing.AllocsPerRun(1000, func() { v.With("pBD-ISP", "VI").Inc() }); allocs != 0 {
+		t.Fatalf("CounterVec.With allocates %.1f times per call, want 0", allocs)
+	}
+	// One increment before, and 1001 inside: AllocsPerRun warms up once.
+	if got := v.With("pBD-ISP", "VI").Value(); got != 1002 {
+		t.Fatalf("counter = %d, want 1002: the stack key resolved another child", got)
+	}
+}
+
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("test_gauge", "")
