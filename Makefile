@@ -10,11 +10,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Fast subset: skips the paper-scale shape tests (~20 s).
+# Fast subset: skips the paper-scale Table 4/5 replays (~21 s on a 2-vCPU
+# host, warm build cache).
 test-short: vet
 	$(GO) test -short ./...
 
-# Full suite, including the paper-scale Table 4/5 shape tests (~3 min).
+# Full suite, including the paper-scale Table 4/5 replays (~24 s on the
+# same host).
 test: vet
 	$(GO) test ./...
 

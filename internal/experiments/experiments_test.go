@@ -64,9 +64,6 @@ func TestTable2MatchesPaperExactly(t *testing.T) {
 }
 
 func TestTable3MatchesPaperExactly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale trace")
-	}
 	want := map[int][2]string{
 		0:   {"IV", "G-MISP+SP"},
 		5:   {"VII", "G-MISP+SP"},
@@ -136,8 +133,8 @@ func TestTable4SmallShape(t *testing.T) {
 	}
 }
 
-// TestTable4PaperShape checks the full paper-scale orderings; it is the
-// slowest test in the repository (~30 s) and is skipped in -short runs.
+// TestTable4PaperShape checks the full paper-scale orderings; it is
+// skipped in -short runs.
 func TestTable4PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale replay")
@@ -230,9 +227,6 @@ func TestTable5PaperShape(t *testing.T) {
 }
 
 func TestFigure2Occupancy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale trace")
-	}
 	rows, err := Figure2()
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +247,6 @@ func TestFigure2Occupancy(t *testing.T) {
 }
 
 func TestFigure3Profiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale trace")
-	}
 	profiles, err := Figure3()
 	if err != nil {
 		t.Fatal(err)
@@ -274,9 +265,6 @@ func TestFigure3Profiles(t *testing.T) {
 }
 
 func TestFigure4Pipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale trace")
-	}
 	res, err := Figure4()
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,7 @@
 package samr
 
+import "math/bits"
+
 // Flags is a dense bitmap of error-flagged cells over a bounding box. The
 // application's error estimator marks cells that need refinement; the
 // Berger–Rigoutsos clusterer then covers the marked cells with boxes.
@@ -67,13 +69,10 @@ func (f *Flags) SetBox(b Box) {
 	if !ok {
 		return
 	}
-	for z := clipped.Lo[2]; z < clipped.Hi[2]; z++ {
-		for y := clipped.Lo[1]; y < clipped.Hi[1]; y++ {
-			for x := clipped.Lo[0]; x < clipped.Hi[0]; x++ {
-				f.Set(Point{x, y, z})
-			}
-		}
-	}
+	f.eachWord(clipped, func(w int, mask uint64, _, _, _ int) {
+		f.count += bits.OnesCount64(mask &^ f.bits[w])
+		f.bits[w] |= mask
+	})
 }
 
 // CountIn returns the number of flagged cells inside b.
@@ -83,114 +82,59 @@ func (f *Flags) CountIn(b Box) int {
 		return 0
 	}
 	n := 0
-	for z := clipped.Lo[2]; z < clipped.Hi[2]; z++ {
-		for y := clipped.Lo[1]; y < clipped.Hi[1]; y++ {
-			for x := clipped.Lo[0]; x < clipped.Hi[0]; x++ {
-				if f.Get(Point{x, y, z}) {
-					n++
-				}
-			}
-		}
-	}
+	f.eachWord(clipped, func(w int, mask uint64, _, _, _ int) {
+		n += bits.OnesCount64(f.bits[w] & mask)
+	})
 	return n
 }
 
-// BoundingBox returns the tightest box containing all flagged cells inside
-// region, and false when region holds no flagged cells.
-func (f *Flags) BoundingBox(region Box) (Box, bool) {
-	clipped, ok := f.bounds.Intersect(region)
-	if !ok {
-		return Box{}, false
-	}
-	lo := Point{clipped.Hi[0], clipped.Hi[1], clipped.Hi[2]}
-	hi := Point{clipped.Lo[0], clipped.Lo[1], clipped.Lo[2]}
-	found := false
-	for z := clipped.Lo[2]; z < clipped.Hi[2]; z++ {
-		for y := clipped.Lo[1]; y < clipped.Hi[1]; y++ {
-			for x := clipped.Lo[0]; x < clipped.Hi[0]; x++ {
-				if !f.Get(Point{x, y, z}) {
-					continue
-				}
-				found = true
-				if x < lo[0] {
-					lo[0] = x
-				}
-				if y < lo[1] {
-					lo[1] = y
-				}
-				if z < lo[2] {
-					lo[2] = z
-				}
-				if x+1 > hi[0] {
-					hi[0] = x + 1
-				}
-				if y+1 > hi[1] {
-					hi[1] = y + 1
-				}
-				if z+1 > hi[2] {
-					hi[2] = z + 1
-				}
-			}
+// signatures overwrites sig[d][:region.Dx(d)] with the per-plane
+// flagged-cell counts of region along each axis d — sig[d][i] is the
+// number of flagged cells in the plane region.Lo[d]+i — in one pass over
+// the bitmap. region must lie inside the bounds. Signatures drive the
+// Berger–Rigoutsos cut selection.
+func (f *Flags) signatures(region Box, sig *[3][]int64) {
+	sx, sy, sz := sig[0][:region.Dx(0)], sig[1][:region.Dx(1)], sig[2][:region.Dx(2)]
+	clear(sx)
+	clear(sy)
+	clear(sz)
+	f.eachWord(region, func(w int, mask uint64, j, k, off int) {
+		v := f.bits[w] & mask
+		if v == 0 {
+			return
 		}
-	}
-	if !found {
-		return Box{}, false
-	}
-	return Box{Lo: lo, Hi: hi}, true
+		n := int64(bits.OnesCount64(v))
+		sy[j] += n
+		sz[k] += n
+		for x0 := w<<6 - off; v != 0; v &= v - 1 {
+			sx[x0+bits.TrailingZeros64(v)]++
+		}
+	})
 }
 
-// Buffer returns a new bitmap with every flagged cell dilated by n cells in
-// each direction (clipped to the bounds). Standard SAMR practice buffers
-// flags before clustering so that moving features stay inside their refined
-// boxes until the next regrid.
-func (f *Flags) Buffer(n int) *Flags {
-	if n <= 0 {
-		out := NewFlags(f.bounds)
-		for z := f.bounds.Lo[2]; z < f.bounds.Hi[2]; z++ {
-			for y := f.bounds.Lo[1]; y < f.bounds.Hi[1]; y++ {
-				for x := f.bounds.Lo[0]; x < f.bounds.Hi[0]; x++ {
-					if f.Get(Point{x, y, z}) {
-						out.Set(Point{x, y, z})
-					}
+// eachWord calls fn for every bitmap word holding cells of b, row by row
+// with x fastest: w is the word's index and mask selects the row's cells
+// of b in it. The row is b's (j, k)-th along y and z, and bit i of word w
+// is the cell b.Lo[0] + 64*w + i - off along x. b must be non-empty and lie
+// inside the bounds.
+func (f *Flags) eachWord(b Box, fn func(w int, mask uint64, j, k, off int)) {
+	x0 := b.Lo[0] - f.bounds.Lo[0]
+	for k := range b.Dx(2) {
+		z := b.Lo[2] + k - f.bounds.Lo[2]
+		for j := range b.Dx(1) {
+			y := b.Lo[1] + j - f.bounds.Lo[1]
+			lo := x0 + f.nx*(y+f.ny*z) // the row's first and last bit
+			hi := lo + b.Dx(0) - 1
+			for w := lo >> 6; w <= hi>>6; w++ {
+				mask := ^uint64(0)
+				if w == lo>>6 {
+					mask <<= uint(lo & 63)
 				}
-			}
-		}
-		return out
-	}
-	out := NewFlags(f.bounds)
-	for z := f.bounds.Lo[2]; z < f.bounds.Hi[2]; z++ {
-		for y := f.bounds.Lo[1]; y < f.bounds.Hi[1]; y++ {
-			for x := f.bounds.Lo[0]; x < f.bounds.Hi[0]; x++ {
-				if f.Get(Point{x, y, z}) {
-					out.SetBox(Box{
-						Lo: Point{x - n, y - n, z - n},
-						Hi: Point{x + n + 1, y + n + 1, z + n + 1},
-					})
+				if w == hi>>6 {
+					mask &= ^uint64(0) >> uint(63-hi&63)
 				}
+				fn(w, mask, j, k, lo)
 			}
 		}
 	}
-	return out
-}
-
-// Signature returns the per-plane flagged-cell counts of region along axis
-// d: Signature[i] is the number of flagged cells in the plane
-// region.Lo[d]+i. Signatures drive the Berger–Rigoutsos cut selection.
-func (f *Flags) Signature(region Box, d int) []int64 {
-	clipped, ok := f.bounds.Intersect(region)
-	if !ok {
-		return make([]int64, max(0, region.Dx(d)))
-	}
-	sig := make([]int64, region.Dx(d))
-	for z := clipped.Lo[2]; z < clipped.Hi[2]; z++ {
-		for y := clipped.Lo[1]; y < clipped.Hi[1]; y++ {
-			for x := clipped.Lo[0]; x < clipped.Hi[0]; x++ {
-				if f.Get(Point{x, y, z}) {
-					p := Point{x, y, z}
-					sig[p[d]-region.Lo[d]]++
-				}
-			}
-		}
-	}
-	return sig
 }
