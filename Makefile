@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean
+.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke bench-pair vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,14 @@ bench-e2e-smoke:
 	bash bench/run.sh --workload sched_corpus --seed 1 --seconds 3 --trace 0
 	bash bench/run.sh --workload fleet_tiny --seed 1 --seconds 3 --trace 0
 	bash bench/run.sh --workload rm3d64_adaptive --seed 1 --seconds 3 --trace 1
+
+# Parent-vs-change gate: bench/e2e on the merge base of HEAD~1 (in a
+# temporary git worktree) and on this checkout, four workloads x seeds
+# 1-3, three seconds each. Fails when sim_runtime_s moves (1e-9 relative)
+# or alloc_mb_per_run rises by more than 2%; prints the time metrics
+# without gating them. About 3 minutes on a 2-vCPU host.
+bench-pair:
+	bash scripts/bench_pair.sh
 
 # One timed regeneration of every table, figure and ablation.
 bench:

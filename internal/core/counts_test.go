@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/cluster"
@@ -177,4 +178,52 @@ func TestGuardedAssignAllocatesOnlyTheAssignment(t *testing.T) {
 		return
 	}
 	t.Fatal("no regrid of the trace where the guard replaces pBD-ISP with G-MISP+SP")
+}
+
+// TestWarmRunAllocations pins what a warm core.Run allocates on the golden
+// SmallConfig trace at 64 procs: 41 regrids, 12 guard re-runs. With its
+// scratch taken from the pool, a run allocates only what it hands out or
+// records:
+//
+//	  127  assignments: 41 × 3 (struct, Units, Owner); the candidate
+//	       slots grow Units and Owner 43 times for the 41 they hand
+//	       over (41 × 3 + 2 × 2)
+//	+  49  the run: its RunResult, 41 StepContexts, 7 growths of Snapshots
+//	+ 228  the pac and migration span attributes: 3 floats formatted per
+//	       regrid, a buffer and a string each, no string for the 18
+//	       one-character results (41 × 3 × 2 − 18)
+//	+ 598  the regrid trace: 14 per regrid (trace and its attributes,
+//	       three span growths and the open stack, four span attribute
+//	       lists, two events and their attributes) and 2 per guard re-run
+//	       (its event) = 41 × 14 + 12 × 2
+//	+   1  this test's Adaptive, boxed into a Strategy
+//	= 1003
+//
+// Before runs recycled their scratch the count was 1188: every run grew
+// its partition plan, both communication plans and its work vector from
+// empty, 185 objects more. A change that brings that warm-up back fails
+// here. The work models are built once, as the fleet's materializer
+// builds them, and the collector is held off while counting: a
+// collection can account an object of its own to the window.
+func TestWarmRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop recycled scratch at random")
+	}
+	const want = 1003
+	tr := testTrace(t)
+	wms := make([]samr.WorkModel, len(tr.Snapshots))
+	for i := range wms {
+		wms[i] = rm3d.SmallConfig().WorkModel(i)
+	}
+	cfg := RunConfig{Machine: cluster.SP2(64), NProcs: 64, WorkModel: func(i int) samr.WorkModel { return wms[i] }}
+	run := func() {
+		if _, err := Run(tr, Adaptive{ImbalanceGuard: 20}, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(10, run); got != want {
+		t.Fatalf("a warm run allocates %v objects, want %d", got, want)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/pragma-grid/pragma/internal/checkpoint"
@@ -153,6 +154,27 @@ type RunResult struct {
 	Snapshots []SnapshotStat
 }
 
+// runScratch is the memory a Run works in: buffers whose capacity is
+// worth keeping from one run to the next and whose contents never reach
+// an output. The partition plan's candidates are handed over to fresh
+// assignments (DESIGN.md §16), a communication plan is rebuilt before it
+// is read (§11), and the work vector and checkpoint record are rewritten
+// before each use; Cluster.Step and the checkpoint store copy what they
+// keep. A run of another shape, or a resumed one, therefore decides and
+// computes exactly what it would in fresh memory.
+type runScratch struct {
+	part   *partition.PartitionPlan
+	plans  [2]*partition.CommPlan // nil until a run has built them
+	work   []float64
+	record []byte
+}
+
+// scratchPool recycles run scratch, so a served run does not grow its
+// plans and buffers from empty, regrid by regrid, every time.
+var scratchPool = sync.Pool{New: func() any {
+	return &runScratch{part: partition.NewPartitionPlan()}
+}}
+
 // Run replays an adaptation trace on the simulated machine under the given
 // strategy and returns the accumulated execution profile.
 func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
@@ -193,20 +215,46 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	var simTime float64
 	var prevA *partition.Assignment
 	var prevH *samr.Hierarchy
+
+	// The run works in scratch from the pool and gives it back once
+	// nothing reads it, on every return path: the deferred Put below is
+	// registered before the store's deferred Close, so it runs after it.
+	sc := scratchPool.Get().(*runScratch)
 	// The run's two communication plans. prevPlan is the outgoing
 	// assignment's, which the next migration diff reads; plan is the one
 	// before it, dead once that diff has run, so each regrid builds into
 	// plan's buffers and the two swap. A plan is never rebuilt while
 	// anything reads it, and the run never holds a third (DESIGN.md §11).
-	var plan, prevPlan *partition.CommPlan
-	// The partitioners' scratch for this run: buffers whose capacity
-	// survives from regrid to regrid and whose contents do not, so a
-	// resumed run starts with an empty one and produces bit-identical
-	// assignments anyway.
-	partPlan := partition.NewPartitionPlan()
+	// A nil prevPlan means there is no diff at the first regrid, so the
+	// pool's second plan waits as spare: a build target only, taken by
+	// the first build that has no plan of its own to build into.
+	plan, spare := sc.plans[0], sc.plans[1]
+	var prevPlan *partition.CommPlan
+	target := func(p *partition.CommPlan) *partition.CommPlan {
+		if p == nil {
+			p, spare = spare, nil
+		}
+		return p
+	}
+	// The partitioners' scratch: buffers whose capacity survives from
+	// regrid to regrid, and from run to run, and whose contents do not,
+	// so a resumed run produces bit-identical assignments from whatever
+	// the pool hands it.
+	partPlan := sc.part
 	// The interval's per-processor work, rewritten at every regrid and
 	// recovery; Cluster.Step reads it and keeps no reference.
-	var work []float64
+	work := sc.work
+	// The encoded checkpoint record; the store copies it.
+	record := sc.record
+	defer func() {
+		// The spare is still unused only while prevPlan is nil.
+		sc.plans = [2]*partition.CommPlan{plan, prevPlan}
+		if prevPlan == nil {
+			sc.plans[1] = spare
+		}
+		sc.work, sc.record = work, record
+		scratchPool.Put(sc)
+	}()
 	var prevLabel string
 	var imbSum, effSum float64
 	startIdx := 0
@@ -244,7 +292,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			if prevA != nil && prevH != nil {
 				// The first post-resume regrid diffs its migration
 				// against the outgoing assignment's plan.
-				prevPlan = partition.BuildCommPlan(prevH, prevA)
+				prevPlan = partition.RebuildCommPlan(target(nil), prevH, prevA)
 			}
 		}
 	}
@@ -254,7 +302,6 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	// interval this attempt's next record starts its stats at: 0 for its
 	// first record, which is a full base.
 	saved, from := startIdx, 0
-	var record []byte
 	// saveAt appends the loop state with next as the first interval a
 	// resumed run executes; everything before next is complete and
 	// accounted in res.
@@ -408,7 +455,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 					// actually finishes the interval. prevPlan's migration
 					// diff has run, so the replacement is built into it and
 					// the dead plan takes its place as the one migrated from.
-					plan, prevPlan = partition.RebuildCommPlan(prevPlan, snap.H, a), plan
+					plan, prevPlan = partition.RebuildCommPlan(target(prevPlan), snap.H, a), plan
 					comm = plan.Stats
 					work = a.WorkInto(work)
 					units = float64(len(a.Units))
@@ -445,7 +492,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		}
 		effSum += snap.H.AMREfficiency()
 		prevA, prevH = a, snap.H
-		plan, prevPlan = prevPlan, plan
+		plan, prevPlan = target(prevPlan), plan
 
 		if store != nil && (idx+1)%ckptEvery == 0 && idx+1 < len(tr.Snapshots) {
 			if err := saveAt(idx + 1); err != nil {

@@ -35,9 +35,12 @@ type StepContext struct {
 	PrevHierarchy  *samr.Hierarchy
 	// PartitionPlan, when non-nil, is the scratch memory partitioners work
 	// in (units, curve keys, sort indices, weights, the prepared work
-	// model) and Adaptive holds its two candidates in. core.Run owns one
-	// per run; nothing but capacity survives a call, so output is
-	// bit-identical with or without it.
+	// model) and Adaptive holds its two candidates in. core.Run takes one
+	// from a pool for each run and gives it back when it returns, so the
+	// plan is valid only for the duration of that Run: a strategy must
+	// not keep it, or anything it holds, past its Assign. Nothing but
+	// capacity survives a call, so output is bit-identical with or
+	// without it.
 	PartitionPlan *partition.PartitionPlan
 	// CycleTrace, when non-nil, records this regrid cycle in the telemetry
 	// trace ring; strategies annotate it with classification and selection

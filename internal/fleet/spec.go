@@ -57,26 +57,39 @@ type Materializer func(ws WireSpec) (sched.RunSpec, error)
 // DefaultMaterializer builds the standard materializer: built-in RM3D
 // traces and scenario specs, cached per process so repeated dispatches of
 // the same trace do not regenerate it, with a fresh strategy instance per
-// run (strategies carry per-run state).
+// run (strategies carry per-run state). A scenario's per-snapshot work
+// models are built once with its trace and cached in the same entry; the
+// runs share them read-only.
 func DefaultMaterializer() Materializer {
 	var mu sync.Mutex
-	traces := map[string]*samr.Trace{}
-	getTrace := func(key string, gen func() (*samr.Trace, error)) (*samr.Trace, error) {
+	type cached struct {
+		tr        *samr.Trace
+		workModel func(idx int) samr.WorkModel // nil: uniform
+	}
+	cache := map[string]cached{}
+	get := func(key string, gen func() (*samr.Trace, error), wm func(idx int) samr.WorkModel) (cached, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if tr, ok := traces[key]; ok {
-			return tr, nil
+		if c, ok := cache[key]; ok {
+			return c, nil
 		}
 		tr, err := gen()
 		if err != nil {
-			return nil, err
+			return cached{}, err
 		}
-		traces[key] = tr
-		return tr, nil
+		c := cached{tr: tr}
+		if wm != nil {
+			wms := make([]samr.WorkModel, len(tr.Snapshots))
+			for i := range wms {
+				wms[i] = wm(i)
+			}
+			c.workModel = func(idx int) samr.WorkModel { return wms[idx] }
+		}
+		cache[key] = c
+		return c, nil
 	}
 	return func(ws WireSpec) (sched.RunSpec, error) {
-		var tr *samr.Trace
-		var workModel func(idx int) samr.WorkModel
+		var c cached
 		var err error
 		if ws.Scenario != "" {
 			spec, perr := scenario.ParseSpec(ws.Scenario)
@@ -87,8 +100,7 @@ func DefaultMaterializer() Materializer {
 				spec.Seed = ws.Seed
 			}
 			key := fmt.Sprintf("scenario\x00%s\x00%d", ws.Scenario, spec.Seed)
-			tr, err = getTrace(key, spec.Generate)
-			workModel = spec.WorkModel
+			c, err = get(key, spec.Generate, spec.WorkModel)
 		} else {
 			var cfg rm3d.Config
 			switch ws.Trace {
@@ -103,7 +115,7 @@ func DefaultMaterializer() Materializer {
 			if name == "" {
 				name = "small"
 			}
-			tr, err = getTrace(name, func() (*samr.Trace, error) { return rm3d.GenerateTrace(cfg) })
+			c, err = get(name, func() (*samr.Trace, error) { return rm3d.GenerateTrace(cfg) }, nil)
 		}
 		if err != nil {
 			return sched.RunSpec{}, err
@@ -123,11 +135,11 @@ func DefaultMaterializer() Materializer {
 			return sched.RunSpec{}, fmt.Errorf("fleet: bad procs %d", procs)
 		}
 		return sched.RunSpec{
-			Trace:           tr,
+			Trace:           c.tr,
 			Strategy:        strat,
 			Machine:         cluster.SP2(procs),
 			NProcs:          procs,
-			WorkModel:       workModel,
+			WorkModel:       c.workModel,
 			CheckpointDir:   ws.CheckpointDir,
 			CheckpointEvery: ws.CheckpointEvery,
 			Resume:          ws.Resume,

@@ -8,10 +8,10 @@
 // subscriber must cost the scheduler nothing. Each subscriber owns a
 // bounded buffer; when it overflows, events are dropped and the
 // subscriber is marked lagging (it learns how many it missed) instead of
-// the scheduler blocking. A bounded per-run history ring lets reconnecting
-// and late-attaching clients catch up on what they missed, with the same
-// honesty: if the ring has wrapped past their cursor, they are told they
-// lagged rather than silently losing events.
+// the scheduler blocking. A bounded per-run history ring, grown on
+// demand, lets reconnecting and late-attaching clients catch up on what
+// they missed, with the same honesty: if the ring has wrapped past their
+// cursor, they are told they lagged rather than silently losing events.
 package stream
 
 import (
@@ -93,16 +93,19 @@ type Hub struct {
 // ring is a catch-up window, not an archive.
 const maxRuns = 4096
 
-// ring is a fixed-size overwrite-oldest event buffer for one run.
+// ring is an overwrite-oldest event buffer for one run. It grows by
+// append up to size, so a run that publishes a few events holds a few,
+// and wraps once full.
 type ring struct {
 	buf   []Event
+	size  int // Config.History
 	start int // index of oldest
 	n     int
 }
 
 func (r *ring) push(e Event) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
+	if len(r.buf) < r.size {
+		r.buf = append(r.buf, e)
 		r.n++
 		return
 	}
@@ -130,9 +133,11 @@ func (r *ring) since(after uint64, out []Event) ([]Event, bool) {
 		// fine (other runs' events fill the numeric gap). The honest
 		// check is whether the run's first retained event is the run's
 		// genuinely first-after-cursor; the ring cannot know once it has
-		// wrapped, so it reports lagged whenever it has wrapped and the
-		// cursor is older than everything retained.
-		if r.n == len(r.buf) && after != 0 && after < oldest-1 {
+		// wrapped, so it reports lagged whenever it is full, and so may
+		// have wrapped, and the cursor is older than everything retained.
+		// Full means the configured size: a ring still growing holds
+		// every event its run published.
+		if r.n == r.size && after != 0 && after < oldest-1 {
 			lagged = true
 		}
 	}
@@ -175,7 +180,7 @@ func (h *Hub) Publish(e Event) uint64 {
 			delete(h.history, h.order[0])
 			h.order = h.order[1:]
 		}
-		r = &ring{buf: make([]Event, h.cfg.History)}
+		r = &ring{size: h.cfg.History}
 		h.history[e.Run] = r
 		h.order = append(h.order, e.Run)
 	}

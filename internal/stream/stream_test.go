@@ -252,3 +252,72 @@ func BenchmarkServeEventPublish(b *testing.B) {
 		h.Publish(e)
 	}
 }
+
+// TestRingGrowsOnDemand: a run's history ring holds what the run has
+// published, not Config.History slots from its first event: after k <
+// History events its buffer has room for at most 2k. Once full it stays
+// at History events and wraps.
+func TestRingGrowsOnDemand(t *testing.T) {
+	h := NewHub(Config{})
+	defer h.Close()
+	size := h.cfg.History
+	for k := 1; k < size; k++ {
+		h.Publish(Event{Run: "r", Type: TypeRegrid, Cycle: k})
+		r := h.history["r"]
+		if r.n != k || cap(r.buf) > 2*k {
+			t.Fatalf("after %d events the ring holds %d in a buffer of %d, want %d in at most %d", k, r.n, cap(r.buf), k, 2*k)
+		}
+	}
+	for range 2 * size {
+		h.Publish(Event{Run: "r", Type: TypeRegrid})
+	}
+	r := h.history["r"]
+	if r.n != size || len(r.buf) != size {
+		t.Fatalf("a wrapped ring holds %d events in %d slots, want %d", r.n, len(r.buf), size)
+	}
+	if events, _ := r.since(0, nil); len(events) != size || events[0].Seq != h.Seq()-uint64(size)+1 || events[size-1].Seq != h.Seq() {
+		t.Fatalf("a wrapped ring returns %d events, want the newest %d in order", len(events), size)
+	}
+}
+
+// TestUnwrappedRingOldCursorNotLagged: a cursor older than every event of
+// a ring that has not wrapped loses nothing, even though the ring is full
+// to its current length: lag is judged against Config.History.
+func TestUnwrappedRingOldCursorNotLagged(t *testing.T) {
+	h := NewHub(Config{History: 8})
+	defer h.Close()
+	cursor := h.Publish(Event{Run: "other", Type: TypeState, State: "queued"})
+	for range 5 {
+		h.Publish(Event{Run: "other", Type: TypeRegrid})
+	}
+	for range 5 {
+		h.Publish(Event{Run: "r", Type: TypeRegrid})
+	}
+	events, dropped := replayed(h, "r", cursor)
+	if dropped != 0 || len(events) != 5 {
+		t.Fatalf("cursor before an unwrapped ring: %d events, %d dropped, want 5 and 0", len(events), dropped)
+	}
+	all, dropped := replayed(h, "", cursor)
+	if dropped != 0 || len(all) != 10 {
+		t.Fatalf("all-runs catch-up: %d events, %d dropped, want 10 and 0", len(all), dropped)
+	}
+}
+
+// TestHistoryEvictsOldestRun: past maxRuns runs the oldest run's history
+// goes, and the next oldest stays.
+func TestHistoryEvictsOldestRun(t *testing.T) {
+	h := NewHub(Config{})
+	defer h.Close()
+	for i := range maxRuns + 1 {
+		h.Publish(Event{Run: fmt.Sprintf("run-%d", i), Type: TypeState, State: "queued"})
+	}
+	if len(h.history) != maxRuns {
+		t.Fatalf("%d runs keep history, want %d", len(h.history), maxRuns)
+	}
+	if events, _ := replayed(h, "run-0", 0); len(events) != 0 {
+		t.Errorf("the oldest run still replays %d events", len(events))
+	}
+	if events, _ := replayed(h, "run-1", 0); len(events) != 1 {
+		t.Errorf("the next oldest run replays %d events, want 1", len(events))
+	}
+}
