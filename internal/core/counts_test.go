@@ -10,6 +10,7 @@ import (
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/rm3d"
 	"github.com/pragma-grid/pragma/internal/samr"
+	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
 // Exact counts a change must not move by accident: a regression that
@@ -80,6 +81,48 @@ func TestGoldenTracePartitionerCalls(t *testing.T) {
 	reruns := c.calls - len(tr.Snapshots)
 	if c.calls != wantCalls || reruns != wantReruns {
 		t.Fatalf("%d partitioner calls and %d guard re-runs per run, want %d and %d", c.calls, reruns, wantCalls, wantReruns)
+	}
+}
+
+// TestGoldenTracePlanLevels pins how the golden run's communication plans
+// find their contacts. Each of the 41 regrids builds one plan, with the
+// previous regrid's as its source (none for the first), over 95 levels
+// in all: 41 with level 0 and level 1, 13 of them with level 2 as well
+// (41 × 2 + 13). A level is copied when the source has exactly its boxes
+// and, if it has a coarser level, that level is copied too:
+//
+//	41 copied = 24 level-0 + 17 level-1 + 0 level-2
+//	54 searched = 17 level-0 + 24 level-1 + 13 level-2
+//
+// One level 2 has the source's boxes under a changed level 1, so only its
+// fine/coarse contacts are searched; it counts as searched. A change that
+// stops copying, or copies what it may not, moves these counts while the
+// run stays golden.
+func TestGoldenTracePlanLevels(t *testing.T) {
+	const wantCopied, wantSearched = 41, 54
+	tr := testTrace(t)
+	levels := func(geometry string) float64 {
+		var n float64
+		for _, s := range telemetry.Default.Snapshot().Find("pragma_partition_plan_levels_total") {
+			if s.Labels["geometry"] == geometry {
+				n += s.Value
+			}
+		}
+		return n
+	}
+	copied, searched := levels("copied"), levels("searched")
+	res, err := Run(tr, Adaptive{ImbalanceGuard: 20}, RunConfig{
+		Machine: cluster.SP2(64), NProcs: 64, WorkModel: rm3d.SmallConfig().WorkModel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenResult(t, "rm3d-small/adaptive/64"); !reflect.DeepEqual(res, want) {
+		t.Fatal("the run no longer matches the golden record")
+	}
+	copied, searched = levels("copied")-copied, levels("searched")-searched
+	if copied != wantCopied || searched != wantSearched {
+		t.Fatalf("plan levels: %g copied and %g searched per run, want %d and %d", copied, searched, wantCopied, wantSearched)
 	}
 }
 

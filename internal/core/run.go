@@ -292,7 +292,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			if prevA != nil && prevH != nil {
 				// The first post-resume regrid diffs its migration
 				// against the outgoing assignment's plan.
-				prevPlan = partition.RebuildCommPlan(target(nil), prevH, prevA)
+				prevPlan = partition.RebuildCommPlan(target(nil), nil, prevH, prevA)
 			}
 		}
 	}
@@ -390,8 +390,9 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		cycle.StartSpan("pac")
 		// One communication plan per regrid: its stats and unit index feed
 		// the PAC metric, the migration diff, and every BSP step of the
-		// interval.
-		plan = partition.RebuildCommPlan(plan, snap.H, a)
+		// interval. The previous regrid's plan is its source: a level whose
+		// boxes did not change copies its contacts from there.
+		plan = partition.RebuildCommPlan(plan, prevPlan, snap.H, a)
 		comm := plan.Stats
 		work = a.WorkInto(work)
 		units := float64(len(a.Units))
@@ -453,9 +454,10 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 					// quality, the published gauges, and the interval's
 					// overhead — they must describe the assignment that
 					// actually finishes the interval. prevPlan's migration
-					// diff has run, so the replacement is built into it and
+					// diff has run, so the replacement is built into it, with
+					// the dead plan of the same snapshot as its source, and
 					// the dead plan takes its place as the one migrated from.
-					plan, prevPlan = partition.RebuildCommPlan(target(prevPlan), snap.H, a), plan
+					plan, prevPlan = partition.RebuildCommPlan(target(prevPlan), plan, snap.H, a), plan
 					comm = plan.Stats
 					work = a.WorkInto(work)
 					units = float64(len(a.Units))

@@ -3,6 +3,7 @@ package partition
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -35,12 +36,13 @@ type CommPlan struct {
 
 	// levels holds the non-empty units grouped by level, levels ascending.
 	levels []planLevel
-	// found holds every level's contacts in discovery order; a level's are
-	// found[lo:hi].
+	// found holds every level's contacts, whatever the owners: a level's
+	// abutting pairs are found[lo:mid], its fine/coarse overlaps
+	// found[mid:hi].
 	found []contact
 
 	// Scratch whose capacity survives a rebuild: the units of every level
-	// (levels[i].units are windows of it), the x-sort keys and permutation,
+	// (levels[i].units are windows of it), the sort keys and permutation,
 	// and the coarse preimages of parentContacts.
 	units    []planUnit
 	keys     []uint64
@@ -48,20 +50,27 @@ type CommPlan struct {
 	pre      []planUnit
 }
 
-// planLevel is one level's units, sorted by Box.Lo[0], their bounding box,
-// the level's exchanges per coarse step (Ratio^level) and where its contacts
-// lie in CommPlan.found.
+// planLevel is one level's units in canonical order, their bounding box,
+// the level's exchanges per coarse step (Ratio^level) and where its
+// contacts lie in CommPlan.found.
 type planLevel struct {
-	level  int
-	box    samr.Box
-	freq   float64
-	units  []planUnit
-	lo, hi int
+	level int
+	box   samr.Box
+	freq  float64
+	units []planUnit
+	// coarse is the units of the next coarser level, nil when the plan
+	// has none; the fine/coarse contacts name their coarse unit in it.
+	coarse      []planUnit
+	lo, mid, hi int
+	// same is the position in the source plan's levels of a level with
+	// exactly these boxes, -1 when the source has none.
+	same int
 }
 
-// planUnit is one unit of the index. Both operands of a migration diff
-// must be sorted along the same axis, so the axis is fixed: x, the long
-// axis of every domain in the repository.
+// planUnit is one unit of the index. The units of a level are in
+// canonical order, sorted by low corner x, then y, then z: the units are
+// disjoint, so no two share a low corner, and two plans list identical
+// boxes in the same order. Both sweeps prune along x, the first key.
 type planUnit struct {
 	box   samr.Box
 	id    int32
@@ -71,11 +80,13 @@ type planUnit struct {
 	maxHi int
 }
 
-// contact is one cross-processor unit pair as the cell-by-cell sweep
-// first sees it. Disjoint boxes meet in exactly one region — one rectangle
-// for two boxes of a level, one box for a fine unit and a coarse unit's
-// preimage — so the sweep's first-touch cell is that region's low corner
-// on the lower side, and its pair order is a sort by key.
+// contact is one unit pair as the cell-by-cell sweep first sees it, both
+// units named by their position in the level's units (a fine/coarse
+// contact's u2 in the coarse level's). Disjoint boxes meet in exactly one
+// region — one rectangle for two boxes of a level, one box for a fine unit
+// and a coarse unit's preimage — so the sweep's first-touch cell is that
+// region's low corner on the lower side, and its pair order is a sort by
+// key.
 type contact struct {
 	key      uint64 // planLevel.sweepKey of the first-touch cell and relation
 	u1, u2   int32
@@ -92,11 +103,21 @@ func (lv *planLevel) sweepKey(at samr.Point, dir int) uint64 {
 	return uint64(cell)<<2 | uint64(dir)
 }
 
+// partners returns the units the second unit of the level's contact at k
+// is named in: the level's own for a face, the coarser level's for a
+// fine/coarse contact.
+func (lv *planLevel) partners(k int) []planUnit {
+	if k < lv.mid {
+		return lv.units
+	}
+	return lv.coarse
+}
+
 // BuildCommPlan indexes the assignment's unit boxes and computes its
 // communication from their geometry into a fresh plan; it is
-// RebuildCommPlan(nil, h, a).
+// RebuildCommPlan(nil, nil, h, a).
 func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
-	return RebuildCommPlan(nil, h, a)
+	return RebuildCommPlan(nil, nil, h, a)
 }
 
 // RebuildCommPlan builds the plan of (h, a) into p's buffers and returns p;
@@ -112,11 +133,22 @@ func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
 // every contribution is a multiple of a quarter face counted in integers,
 // so no sum depends on the order of its terms. Pairs sorts them when asked.
 //
+// from, when not nil and not p, is a plan left intact since it was built —
+// at a regrid, the previous one's. A level whose boxes from lists too
+// copies from's contacts instead of searching for them: the contacts hold
+// every pair whatever the owners, by position in the canonical order, so
+// the same boxes have the same contacts. Its fine/coarse contacts are
+// copied only when the next coarser level is unchanged too and the
+// refinement factor is the same, which is all a preimage depends on.
+//
 // It panics when two units of one level overlap (see CommPlan).
-func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
+func RebuildCommPlan(p, from *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 	start := time.Now()
 	if p == nil {
 		p = &CommPlan{}
+	}
+	if from == p {
+		from = nil
 	}
 	p.H, p.A = h, a
 	p.Stats = CommStats{
@@ -124,18 +156,40 @@ func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 		PerProcMessages: cleared(p.Stats.PerProcMessages, a.NProcs),
 	}
 	p.index(a)
+	p.matchLevels(from)
 	p.found = p.found[:0]
+	var copied, searched uint64
 	for i := range p.levels {
 		lv := &p.levels[i]
 		lv.lo = len(p.found)
-		var overlap bool
-		if p.found, overlap = lv.faceContacts(p.found); overlap {
-			panic(fmt.Sprintf("partition: CommPlan of overlapping units on level %d: the assignment fails Assignment.Validate", lv.level))
+		var src *planLevel
+		if lv.same >= 0 {
+			src = &from.levels[lv.same]
+			p.found = append(p.found, from.found[src.lo:src.mid]...)
+		} else {
+			var overlap bool
+			if p.found, overlap = lv.faceContacts(p.found); overlap {
+				// Nothing may copy from what is left.
+				p.levels = p.levels[:0]
+				panic(fmt.Sprintf("partition: CommPlan of overlapping units on level %d: the assignment fails Assignment.Validate", lv.level))
+			}
 		}
-		if coarse := p.unitsAt(lv.level - 1); coarse != nil {
-			p.found, p.pre = lv.parentContacts(p.found, p.pre, coarse, h.Ratio)
+		lv.mid = len(p.found)
+		copiedAll := src != nil
+		if lv.coarse != nil {
+			if copiedAll && p.levels[i-1].same >= 0 && h.Ratio == from.H.Ratio {
+				p.found = append(p.found, from.found[src.mid:src.hi]...)
+			} else {
+				p.found, p.pre = lv.parentContacts(p.found, p.pre, h.Ratio)
+				copiedAll = false
+			}
 		}
 		lv.hi = len(p.found)
+		if copiedAll {
+			copied++
+		} else {
+			searched++
+		}
 		lv.freq = 1.0
 		for range lv.level {
 			lv.freq *= float64(h.Ratio)
@@ -144,9 +198,13 @@ func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 		// term has at most two fractional bits and the float64 additions
 		// never round at any realistic hierarchy size.
 		st := &p.Stats
-		for _, c := range p.found[lv.lo:lv.hi] {
+		for k := lv.lo; k < lv.hi; k++ {
+			c := &p.found[k]
+			o1, o2 := lv.units[c.u1].owner, lv.partners(k)[c.u2].owner
+			if o1 == o2 {
+				continue
+			}
 			faces := 0.25 * float64(c.quarters)
-			o1, o2 := a.Owner[c.u1], a.Owner[c.u2]
 			st.Volume += faces * lv.freq
 			st.PerProcVolume[o1] += faces * lv.freq
 			st.PerProcVolume[o2] += faces * lv.freq
@@ -155,6 +213,8 @@ func RebuildCommPlan(p *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
 			st.PerProcMessages[o2] += lv.freq
 		}
 	}
+	metricPlanLevelsCopied.Add(copied)
+	metricPlanLevelsSearched.Add(searched)
 	metricPACSeconds.Observe(time.Since(start).Seconds())
 	return p
 }
@@ -166,26 +226,63 @@ func cleared(s []float64, n int) []float64 {
 	return s
 }
 
+// matchLevels sets each level's same: the position of the level of from
+// with the same level number and exactly the same boxes, or -1.
+func (p *CommPlan) matchLevels(from *CommPlan) {
+	j := 0
+	for i := range p.levels {
+		lv := &p.levels[i]
+		lv.same = -1
+		if from == nil {
+			continue
+		}
+		for j < len(from.levels) && from.levels[j].level < lv.level {
+			j++
+		}
+		if j < len(from.levels) && from.levels[j].level == lv.level && sameBoxes(lv.units, from.levels[j].units) {
+			lv.same = j
+		}
+	}
+}
+
+// sameBoxes reports whether two levels' units have the same boxes in the
+// same order.
+func sameBoxes(us, vs []planUnit) bool {
+	if len(us) != len(vs) {
+		return false
+	}
+	for i := range us {
+		if us[i].box != vs[i].box {
+			return false
+		}
+	}
+	return true
+}
+
 // Pairs returns every cross-processor unit-pair adjacency in canonical
 // order (levels ascending, then the cell-by-cell sweep order z, y, x;
 // +x/+y/+z faces before the coarse-parent relation at each cell) as a fresh
-// slice. It sorts the plan's contacts on every call, so a caller that needs
-// the pairs more than once keeps the slice.
+// slice, nil when there is none. It sorts the plan's contacts on every
+// call, so a caller that needs the pairs more than once keeps the slice.
 func (p *CommPlan) Pairs() []UnitPair {
-	if len(p.found) == 0 {
-		return nil
-	}
-	pairs := make([]UnitPair, 0, len(p.found))
-	for _, lv := range p.levels {
-		found := p.found[lv.lo:lv.hi]
-		keys := make([]uint64, len(found))
-		for i, c := range found {
-			keys[i] = c.key
+	var pairs []UnitPair
+	var keys []uint64
+	var at []int
+	for i := range p.levels {
+		lv := &p.levels[i]
+		keys, at = keys[:0], at[:0]
+		for k := lv.lo; k < lv.hi; k++ {
+			if c := &p.found[k]; lv.units[c.u1].owner != lv.partners(k)[c.u2].owner {
+				keys = append(keys, c.key)
+				at = append(at, k)
+			}
 		}
-		for _, k := range byKeys(keys) {
-			c := &found[k]
+		for _, s := range byKeys(keys) {
+			k := at[s]
+			c := &p.found[k]
+			id1, id2 := lv.units[c.u1].id, lv.partners(k)[c.u2].id
 			pairs = append(pairs, UnitPair{
-				U1: int(min(c.u1, c.u2)), U2: int(max(c.u1, c.u2)),
+				U1: int(min(id1, id2)), U2: int(max(id1, id2)),
 				Faces: 0.25 * float64(c.quarters), Frequency: lv.freq,
 			})
 		}
@@ -205,47 +302,92 @@ func byKeys(keys []uint64) []int32 {
 }
 
 // index groups the assignment's non-empty units by level, levels
-// ascending, and sorts each level by Box.Lo[0], in the plan's buffers.
+// ascending, each level in canonical order, in the plan's buffers. One
+// radix sort orders them all on a key packing the level and the low
+// corner's x, y and z, each offset by its minimum and as wide as its span
+// needs; an assignment whose spans do not fit 64 bits is sorted by
+// comparison.
 func (p *CommPlan) index(a *Assignment) {
 	p.levels, p.units = p.levels[:0], p.units[:0]
-	if len(a.Units) == 0 {
-		return
-	}
-	minX := a.Units[0].Box.Lo[0]
-	for _, u := range a.Units {
-		minX = min(minX, u.Box.Lo[0])
-		if !slices.ContainsFunc(p.levels, func(lv planLevel) bool { return lv.level == u.Level }) {
-			p.levels = append(p.levels, planLevel{level: u.Level})
-		}
-	}
-	slices.SortFunc(p.levels, func(x, y planLevel) int { return cmp.Compare(x.level, y.level) })
 	p.keys, p.idx, p.tmp = p.keys[:0], p.idx[:0], p.tmp[:0]
+	var lo, hi [4]int // level, then the low corner
 	for i, u := range a.Units {
-		p.keys = append(p.keys, uint64(u.Box.Lo[0]-minX))
+		p.keys = append(p.keys, 0)
+		if u.Box.Empty() {
+			continue
+		}
+		c := [4]int{u.Level, u.Box.Lo[0], u.Box.Lo[1], u.Box.Lo[2]}
+		if len(p.idx) == 0 {
+			lo, hi = c, c
+		}
+		for d := range c {
+			lo[d], hi[d] = min(lo[d], c[d]), max(hi[d], c[d])
+		}
 		p.idx = append(p.idx, int32(i))
 		p.tmp = append(p.tmp, 0)
 	}
-	byX := radixSortRun(p.keys, p.idx, p.tmp)
-	// Full capacity up front: the levels' windows must not move.
-	p.units = slices.Grow(p.units, len(a.Units))
-	for i := range p.levels {
-		lv := &p.levels[i]
-		first := len(p.units)
-		for _, id := range byX {
-			u := &a.Units[id]
-			if u.Level != lv.level || u.Box.Empty() {
-				continue
-			}
-			pu := planUnit{box: u.Box, id: id, owner: int32(a.Owner[id]), maxHi: u.Box.Hi[0]}
-			if len(p.units) > first {
-				pu.maxHi = max(pu.maxHi, p.units[len(p.units)-1].maxHi)
-			}
-			p.units = append(p.units, pu)
-			lv.box = lv.box.Bound(u.Box)
-		}
-		lv.units = p.units[first:]
+	if len(p.idx) == 0 {
+		return
 	}
-	p.levels = slices.DeleteFunc(p.levels, func(lv planLevel) bool { return len(lv.units) == 0 })
+	var width [4]int
+	total := 0
+	for d := range width {
+		width[d] = bits.Len(uint(hi[d] - lo[d]))
+		total += width[d]
+	}
+	sorted := p.idx
+	if total <= 64 {
+		for _, id := range p.idx {
+			u := &a.Units[id]
+			c := [4]int{u.Level, u.Box.Lo[0], u.Box.Lo[1], u.Box.Lo[2]}
+			var key uint64
+			for d := range c {
+				key = key<<width[d] | uint64(c[d]-lo[d])
+			}
+			p.keys[id] = key
+		}
+		sorted = radixSortRun(p.keys, p.idx, p.tmp)
+	} else {
+		slices.SortFunc(sorted, func(i, j int32) int {
+			x, y := &a.Units[i], &a.Units[j]
+			if c := cmp.Compare(x.Level, y.Level); c != 0 {
+				return c
+			}
+			for d := 0; d < 3; d++ {
+				if c := cmp.Compare(x.Box.Lo[d], y.Box.Lo[d]); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+	}
+	// Full capacity up front: the levels' windows must not move.
+	p.units = slices.Grow(p.units, len(sorted))
+	first := 0
+	for _, id := range sorted {
+		u := &a.Units[id]
+		pu := planUnit{box: u.Box, id: id, owner: int32(a.Owner[id]), maxHi: u.Box.Hi[0]}
+		if n := len(p.levels); n == 0 || p.levels[n-1].level != u.Level {
+			if n > 0 {
+				p.levels[n-1].units = p.units[first:]
+			}
+			first = len(p.units)
+			p.levels = append(p.levels, planLevel{level: u.Level, box: u.Box})
+		} else {
+			pu.maxHi = max(pu.maxHi, p.units[len(p.units)-1].maxHi)
+			b := &p.levels[n-1].box
+			for d := 0; d < 3; d++ {
+				b.Lo[d], b.Hi[d] = min(b.Lo[d], u.Box.Lo[d]), max(b.Hi[d], u.Box.Hi[d])
+			}
+		}
+		p.units = append(p.units, pu)
+	}
+	p.levels[len(p.levels)-1].units = p.units[first:]
+	for i := 1; i < len(p.levels); i++ {
+		if p.levels[i-1].level == p.levels[i].level-1 {
+			p.levels[i].coarse = p.levels[i-1].units
+		}
+	}
 }
 
 // unitsAt returns the indexed units of a level, nil when it has none.
@@ -258,10 +400,10 @@ func (p *CommPlan) unitsAt(level int) []planUnit {
 	return nil
 }
 
-// faceContacts appends the face contact of every cross-processor pair of
-// the level's units, and reports whether any two units overlap. Candidates
-// are pruned along x: units are sorted by Box.Lo[0], so the partners of
-// a unit among the later ones end at the first one starting past its Hi[0].
+// faceContacts appends the face contact of every pair of the level's
+// units, and reports whether any two units overlap. Candidates are pruned
+// along x: units are sorted by Box.Lo[0], so the partners of a unit among
+// the later ones end at the first one starting past its Hi[0].
 func (lv *planLevel) faceContacts(found []contact) (_ []contact, overlap bool) {
 	for i := range lv.units {
 		a, later := &lv.units[i], lv.units[i+1:]
@@ -287,12 +429,12 @@ func (lv *planLevel) faceContacts(found []contact) (_ []contact, overlap bool) {
 			if abut == 0 {
 				return found, true
 			}
-			if abut == 1 && a.owner != b.owner {
+			if abut == 1 {
 				// The rectangle's cells on the lower box lie one below
 				// the plane where the two meet.
 				at[axis]--
 				found = append(found, contact{
-					key: lv.sweepKey(at, axis), u1: a.id, u2: b.id,
+					key: lv.sweepKey(at, axis), u1: int32(i), u2: int32(i + 1 + j),
 					quarters: 4 * int64(w[(axis+1)%3]) * int64(w[(axis+2)%3]),
 				})
 			}
@@ -319,12 +461,14 @@ func preimageEdge(v, ratio int) int {
 	return v*ratio - (ratio - 1)
 }
 
-// parentContacts appends, for every cross-processor pair of a unit of the
-// level and a coarse unit, the fine cells whose parent cell the coarse unit
-// owns. It maps the coarse units into pre, which it returns for reuse.
-func (lv *planLevel) parentContacts(found []contact, pre, coarse []planUnit, ratio int) ([]contact, []planUnit) {
+// parentContacts appends, for every unit of the level and every coarse
+// unit, the fine cells whose parent cell the coarse unit owns. It maps the
+// coarse units into pre, which it returns for reuse. The map is strictly
+// increasing along each axis, so the preimages are disjoint and in
+// canonical order like the units they come from.
+func (lv *planLevel) parentContacts(found []contact, pre []planUnit, ratio int) ([]contact, []planUnit) {
 	pre = pre[:0]
-	for _, c := range coarse {
+	for _, c := range lv.coarse {
 		for d := 0; d < 3; d++ {
 			c.box.Lo[d] = preimageEdge(c.box.Lo[d], ratio)
 			c.box.Hi[d] = preimageEdge(c.box.Hi[d], ratio)
@@ -332,22 +476,29 @@ func (lv *planLevel) parentContacts(found []contact, pre, coarse []planUnit, rat
 		c.maxHi = preimageEdge(c.maxHi, ratio)
 		pre = append(pre, c)
 	}
-	overlapping(lv.units, pre, func(f, c *planUnit, common samr.Box) {
-		if f.owner != c.owner {
-			found = append(found, contact{key: lv.sweepKey(common.Lo, 3), u1: f.id, u2: c.id, quarters: common.Volume()})
-		}
+	overlapping(lv.units, pre, func(f, c int, common samr.Box) {
+		found = append(found, contact{key: lv.sweepKey(common.Lo, 3), u1: int32(f), u2: int32(c), quarters: common.Volume()})
 	})
 	return found, pre
 }
 
 // overlapping calls visit with the intersection of every as[i], bs[j] that
-// share a cell. Both lists are sorted by Box.Lo[0] with maxHi filled in, so
-// one cursor skips the bs that end before as[i] starts and the scan stops at
-// the first that starts after it ends.
-func overlapping(as, bs []planUnit, visit func(a, b *planUnit, common samr.Box)) {
-	start := 0
+// share a cell. Both lists are in canonical order, disjoint, with maxHi
+// filled in. A box both lists hold is met by a merge along the canonical
+// order and overlaps nothing else in either list, so it skips the sweep;
+// for the others one cursor skips the bs that end before as[i] starts and
+// the scan stops at the first that starts after it ends.
+func overlapping(as, bs []planUnit, visit func(i, j int, common samr.Box)) {
+	start, twin := 0, 0
 	for i := range as {
 		a := &as[i]
+		for twin < len(bs) && lowerCorner(&bs[twin].box, &a.box) {
+			twin++
+		}
+		if twin < len(bs) && bs[twin].box == a.box {
+			visit(i, twin, a.box)
+			continue
+		}
 		for start < len(bs) && bs[start].maxHi <= a.box.Lo[0] {
 			start++
 		}
@@ -356,28 +507,43 @@ func overlapping(as, bs []planUnit, visit func(a, b *planUnit, common samr.Box))
 				continue
 			}
 			if common, ok := a.box.Intersect(bs[j].box); ok {
-				visit(a, &bs[j], common)
+				visit(i, j, common)
 			}
 		}
 	}
+}
+
+// lowerCorner reports whether a's low corner comes before b's in the
+// canonical order: x, then y, then z.
+func lowerCorner(a, b *samr.Box) bool {
+	if a.Lo[0] != b.Lo[0] {
+		return a.Lo[0] < b.Lo[0]
+	}
+	if a.Lo[1] != b.Lo[1] {
+		return a.Lo[1] < b.Lo[1]
+	}
+	return a.Lo[2] < b.Lo[2]
 }
 
 // MigrationFrom returns the fraction of grid data present in both plans'
 // configurations whose owning processor changed — the paper's "amount of
 // data migration" component, with prev as the outgoing configuration: the
 // summed volume of prev-unit ∩ new-unit over each common level, and the
-// part of it where the owners differ. It sweeps the two plans' indexes and
-// allocates nothing. Bit-identical to the cell-by-cell oracle of the tests.
+// part of it where the owners differ. It merges the two plans' indexes —
+// a unit whose box prev also has counts whole and is not swept — and
+// sweeps the rest, and allocates nothing. Bit-identical to the
+// cell-by-cell oracle of the tests.
 func (p *CommPlan) MigrationFrom(prev *CommPlan) float64 {
 	if p == nil || prev == nil {
 		return 0
 	}
 	var both, moved int64
 	for _, lv := range p.levels {
-		overlapping(lv.units, prev.unitsAt(lv.level), func(n, o *planUnit, common samr.Box) {
+		olds := prev.unitsAt(lv.level)
+		overlapping(lv.units, olds, func(n, o int, common samr.Box) {
 			v := common.Volume()
 			both += v
-			if n.owner != o.owner {
+			if lv.units[n].owner != olds[o].owner {
 				moved += v
 			}
 		})

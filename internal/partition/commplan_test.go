@@ -317,8 +317,9 @@ func FuzzCommPlanMatchesReference(f *testing.F) {
 		}
 
 		// The reuse sequence: a, then other (more processors, every level
-		// one deeper, a different unit count), a again, then a's level 0
-		// or nothing at all — one plan, rebuilt each time.
+		// one deeper, a different unit count), a twice, a's boxes under
+		// other owners, then a's level 0 or nothing at all — one plan,
+		// rebuilt each time.
 		other := finer(prev, ratio, max(a.NProcs, prev.NProcs)+1)
 		if len(other.Units) == len(a.Units) {
 			other.Units, other.Owner = other.Units[1:], other.Owner[1:]
@@ -332,13 +333,20 @@ func FuzzCommPlanMatchesReference(f *testing.F) {
 				}
 			}
 		}
+		rotated := &Assignment{NProcs: a.NProcs, Units: a.Units, Owner: make([]int, len(a.Owner))}
+		for i, o := range a.Owner {
+			rotated.Owner[i] = (o + 1 + s) % a.NProcs
+		}
 		var reused *CommPlan
 		before := prevPlan
 		for i, step := range []struct {
 			h *samr.Hierarchy
 			a *Assignment
-		}{{h, a}, {prevH, other}, {h, a}, {h, last}} {
-			reused = RebuildCommPlan(reused, step.h, step.a)
+		}{{h, a}, {prevH, other}, {h, a}, {h, a}, {h, rotated}, {h, last}} {
+			// Each rebuild names the previous step's plan as its source:
+			// the repeated step copies every level, the rotated one every
+			// level under new owners, the others what they share.
+			reused = RebuildCommPlan(reused, before, step.h, step.a)
 			label := fmt.Sprintf("rebuild %d", i)
 			requireMatchesReference(t, reused, label)
 			requireMigrationMatchesReference(t, reused, before, label)
@@ -439,6 +447,40 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		}
 	})
 
+	t.Run("spans too wide for a packed key", func(t *testing.T) {
+		// A unit 2^22 cells out on every axis makes the low corners' spans
+		// 3 × 23 bits, so the index sorts by comparison. The far unit
+		// touches nothing and is listed between the two that abut, so an
+		// index left in input order would end the face sweep at it: the
+		// plan must be the near units' plan, unit for unit.
+		near := units(3,
+			Unit{Box: box(0, 0, 0, 6, 8, 8)},
+			Unit{Box: box(6, 0, 0, 12, 8, 8)},
+			Unit{Level: 1, Box: box(8, 0, 0, 16, 16, 16)},
+		)
+		far := 1 << 22
+		wide := &Assignment{NProcs: 3,
+			Units: []Unit{near.Units[1], {Box: box(far, far, far, far+4, far+4, far+4)}, near.Units[0], near.Units[2]},
+			Owner: []int{near.Owner[1], 0, near.Owner[0], near.Owner[2]},
+		}
+		nearID := []int{1, -1, 0, 2}
+		want := requirePlanMatchesReference(t, h, near, "near")
+		got := BuildCommPlan(h, wide)
+		pairs := got.Pairs()
+		for i, p := range pairs {
+			pairs[i].U1, pairs[i].U2 = min(nearID[p.U1], nearID[p.U2]), max(nearID[p.U1], nearID[p.U2])
+		}
+		if !reflect.DeepEqual(got.Stats, want.Stats) || !reflect.DeepEqual(pairs, want.Pairs()) {
+			t.Fatalf("wide plan %+v %v, want %+v %v", got.Stats, pairs, want.Stats, want.Pairs())
+		}
+		if m := got.MigrationFrom(want); m != 0 {
+			t.Fatalf("migration from the near plan %g, want 0", m)
+		}
+		if copied := RebuildCommPlan(nil, got, h, wide); !reflect.DeepEqual(copied.Stats, want.Stats) {
+			t.Fatalf("wide plan copied from itself %+v, want %+v", copied.Stats, want.Stats)
+		}
+	})
+
 	t.Run("overlapping units panic", func(t *testing.T) {
 		a := units(3,
 			Unit{Box: box(0, 0, 0, 8, 8, 8)},
@@ -459,7 +501,9 @@ func TestCommPlanGeometryCases(t *testing.T) {
 			build func()
 		}{
 			{"fresh build", func() { BuildCommPlan(h, a) }},
-			{"rebuild into a used plan", func() { RebuildCommPlan(used, h, a) }},
+			{"rebuild into a used plan", func() { RebuildCommPlan(used, nil, h, a) }},
+			{"rebuild with a source", func() { RebuildCommPlan(nil, BuildCommPlan(h, disjoint), h, a) }},
+			{"rebuild with the plan that panicked as source", func() { RebuildCommPlan(nil, used, h, a) }},
 		} {
 			t.Run(step.name, func(t *testing.T) {
 				msg := panicMessage(step.build)
@@ -469,6 +513,79 @@ func TestCommPlanGeometryCases(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestCommPlanCopiesUnchangedLevels pins the copy rule of RebuildCommPlan
+// against the cell-by-cell reference: a level copies its source's contacts
+// only when the source has exactly its boxes, whatever the owners and the
+// order of the units, and its fine/coarse contacts only when the next
+// coarser level is copied too and the refinement factor is the same.
+func TestCommPlanCopiesUnchangedLevels(t *testing.T) {
+	h := flatHierarchy(t, 12, 8, 8)
+	h4, err := samr.NewHierarchy(samr.MakeBox(12, 8, 8), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := func(x0, y0, z0, x1, y1, z1 int) samr.Box {
+		return samr.Box{Lo: samr.Point{x0, y0, z0}, Hi: samr.Point{x1, y1, z1}}
+	}
+	// Two coarse units split at x = 6 under two fine ones that meet at
+	// y = 8 and straddle the split (coarse x = 4..8).
+	coarse := []Unit{{Box: box(0, 0, 0, 6, 8, 8)}, {Box: box(6, 0, 0, 12, 8, 8)}}
+	fine := []Unit{{Level: 1, Box: box(8, 0, 0, 16, 8, 16)}, {Level: 1, Box: box(8, 8, 0, 16, 16, 16)}}
+	movedSplit := []Unit{{Box: box(0, 0, 0, 5, 8, 8)}, {Box: box(5, 0, 0, 12, 8, 8)}}
+	assign := func(owners []int, units ...[]Unit) *Assignment {
+		a := &Assignment{NProcs: 3, Owner: owners}
+		for _, us := range units {
+			a.Units = append(a.Units, us...)
+		}
+		return a
+	}
+	full := assign([]int{0, 1, 2, 0}, coarse, fine)
+	// permuted lists shared's boxes in reverse order under other owners.
+	// Pairs on one owner in shared span two in permuted (the two coarse
+	// units; the first fine unit and each coarse unit), and one pair goes
+	// the other way (the second fine unit and the first coarse unit): a
+	// copy of only the source's cross-owner faces or fine/coarse contacts
+	// misses a contact.
+	shared := assign([]int{0, 0, 0, 1}, coarse, fine)
+	permuted := assign([]int{0, 2, 1, 0}, []Unit{fine[1], fine[0], coarse[1], coarse[0]})
+
+	for _, c := range []struct {
+		name             string
+		srcH             *samr.Hierarchy
+		src              *Assignment // nil: no source
+		h                *samr.Hierarchy
+		a                *Assignment
+		copied, searched uint64
+	}{
+		{"identical boxes, permuted owners", h, shared, h, permuted, 2, 0},
+		{"level 1 identical, level 0 changed", h, assign([]int{1, 2, 2, 0}, movedSplit, fine), h, full, 0, 2},
+		{"another refinement factor", h, full, h4, full, 1, 1},
+		{"source without level 1", h, assign([]int{2, 0}, coarse), h, full, 1, 1},
+		{"source without level 0", h, assign([]int{0, 1}, fine), h, full, 0, 2},
+		{"nil source", nil, nil, h, full, 0, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var src *CommPlan
+			if c.src != nil {
+				src = requirePlanMatchesReference(t, c.srcH, c.src, "source")
+			}
+			// Into a used plan, so that nothing of the copy can come
+			// from the target's own buffers.
+			p := BuildCommPlan(h, assign([]int{0, 1, 2}, movedSplit, fine[:1]))
+			copied, searched := metricPlanLevelsCopied.Value(), metricPlanLevelsSearched.Value()
+			RebuildCommPlan(p, src, c.h, c.a)
+			copied, searched = metricPlanLevelsCopied.Value()-copied, metricPlanLevelsSearched.Value()-searched
+			if copied != c.copied || searched != c.searched {
+				t.Fatalf("%d levels copied and %d searched, want %d and %d", copied, searched, c.copied, c.searched)
+			}
+			requireMatchesReference(t, p, c.name)
+			if src != nil {
+				requireMigrationMatchesReference(t, p, src, c.name)
+			}
+		})
+	}
 }
 
 // panicMessage runs f and returns what it panicked with, "" if it did not.
@@ -486,20 +603,28 @@ func panicMessage(f func()) (msg string) {
 // the paper-scale assignment, rebuilding it allocates nothing — the
 // steady state of a run, which rebuilds two plans in turn.
 func TestCommPlanRebuildAllocatesNothing(t *testing.T) {
-	h, a, _ := paperAssignments(t)
+	h, a, prev := paperAssignments(t)
 	plan := BuildCommPlan(h, a)
-	RebuildCommPlan(plan, h, a)
-	if allocs := testing.AllocsPerRun(10, func() { RebuildCommPlan(plan, h, a) }); allocs != 0 {
+	RebuildCommPlan(plan, nil, h, a)
+	if allocs := testing.AllocsPerRun(10, func() { RebuildCommPlan(plan, nil, h, a) }); allocs != 0 {
 		t.Fatalf("a warm rebuild allocates %g times, want 0", allocs)
 	}
 	requireMatchesReference(t, plan, "warm rebuild")
+	// With a source: one with every box (every level copied) and one with
+	// another partitioner's boxes (searched where they differ).
+	for _, src := range []*CommPlan{BuildCommPlan(h, a), BuildCommPlan(h, prev)} {
+		if allocs := testing.AllocsPerRun(10, func() { RebuildCommPlan(plan, src, h, a) }); allocs != 0 {
+			t.Fatalf("a warm rebuild with a source allocates %g times, want 0", allocs)
+		}
+		requireMatchesReference(t, plan, "warm rebuild with a source")
+	}
 }
 
 // TestCommPlanMigrationFromAllocatesNothing: the migration diff sweeps the
 // two plans' indexes and allocates nothing, for built and rebuilt plans.
 func TestCommPlanMigrationFromAllocatesNothing(t *testing.T) {
 	h, a, prev := paperAssignments(t)
-	plan := RebuildCommPlan(BuildCommPlan(h, prev), h, a)
+	plan := RebuildCommPlan(BuildCommPlan(h, prev), nil, h, a)
 	prevPlan := BuildCommPlan(h, prev)
 	if allocs := testing.AllocsPerRun(10, func() { plan.MigrationFrom(prevPlan) }); allocs != 0 {
 		t.Fatalf("MigrationFrom allocates %g times, want 0", allocs)

@@ -24,3 +24,16 @@ var metricPartitionSeconds = telemetry.Default.HistogramVec(
 	"pragma_partition_seconds",
 	"Wall-clock duration of one partitioner invocation (decompose, order, split), by partitioner.",
 	nil, "partitioner")
+
+// metricPlanLevels counts the levels of every CommPlan build by how their
+// contacts were found: copied from the source plan, which had the same
+// boxes, or searched, fully or in part. Its children are resolved once, so
+// a build allocates nothing for it.
+var (
+	metricPlanLevels = telemetry.Default.CounterVec(
+		"pragma_partition_plan_levels_total",
+		"Communication-plan levels built, by whether their contacts were copied from the previous plan or searched.",
+		"geometry")
+	metricPlanLevelsCopied   = metricPlanLevels.With("copied")
+	metricPlanLevelsSearched = metricPlanLevels.With("searched")
+)
