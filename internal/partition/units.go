@@ -15,11 +15,13 @@ func blockUnits(h *samr.Hierarchy, wm samr.WorkModel, side int) []Unit {
 }
 
 // appendBlockUnits is blockUnits appending to units and weighing through
-// w, which is prepared once per hierarchy box for all of its blocks.
+// w, which is prepared once for h and reset per hierarchy box for all of
+// its blocks.
 func appendBlockUnits(units []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm samr.WorkModel, side int) []Unit {
+	w.Prepare(wm, h)
 	for l, boxes := range h.Levels {
 		for _, b := range boxes {
-			w.Reset(wm, h, l, b)
+			w.Reset(l, b)
 			if side <= 0 {
 				units = append(units, Unit{Level: l, Box: b, Weight: w.BoxWork(b)})
 				continue
@@ -49,15 +51,16 @@ func appendBlockUnits(units []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm sa
 // and recursively halves any unit heavier than threshold along its longest
 // axis, until the unit is light enough or minSide is reached. Heavy regions
 // end up finely subdivided while light regions stay coarse. It appends to
-// units and weighs through w, which is prepared once per hierarchy box for
-// every node of that box's halving recursion.
+// units and weighs through w, which is prepared once for h and reset per
+// hierarchy box for every node of that box's halving recursion.
 func appendVariableGrainUnits(units []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm samr.WorkModel, threshold float64, minSide int) []Unit {
 	if minSide < 1 {
 		minSide = 1
 	}
+	w.Prepare(wm, h)
 	for l, boxes := range h.Levels {
 		for _, b := range boxes {
-			w.Reset(wm, h, l, b)
+			w.Reset(l, b)
 			units = halveUnits(units, w, l, b, threshold, minSide)
 		}
 	}

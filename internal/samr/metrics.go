@@ -114,9 +114,7 @@ func ChangeFraction(a, b *Hierarchy, l int) float64 {
 	var common int64
 	for _, x := range aBoxes {
 		for _, y := range bBoxes {
-			if inter, ok := x.Intersect(y); ok {
-				common += inter.Volume()
-			}
+			common += x.OverlapVolume(y)
 		}
 	}
 	aOnly := max(aVol-common, 0)

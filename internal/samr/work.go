@@ -19,11 +19,7 @@ type UniformWorkModel struct {
 
 // BoxWork implements WorkModel.
 func (u UniformWorkModel) BoxWork(h *Hierarchy, level int, b Box) float64 {
-	c := u.CellCost
-	if c == 0 {
-		c = 1
-	}
-	return c * float64(b.Volume()) * float64(h.refinementScale(level))
+	return u.cellCost() * float64(b.Volume()) * float64(h.refinementScale(level))
 }
 
 // FrontWorkModel charges extra cost inside a "front" region (e.g. a shock,
@@ -46,8 +42,25 @@ type Front struct {
 // the surcharge for the portion overlapping each front.
 func (f FrontWorkModel) BoxWork(h *Hierarchy, level int, b Box) float64 {
 	var buf [8]Front
-	p := f.prepared(buf[:], h, level, b)
+	scale := h.refinementScale(level)
+	p := preparedFronts{cell: f.Base.cellCost(), scale: float64(scale), fronts: buf[:0]}
+	for _, fr := range f.Fronts {
+		if fr.Multiplier > 1 {
+			fr.Region = fr.Region.Refine(scale)
+			if fr.Region.Overlaps(b) {
+				p.fronts = append(p.fronts, fr)
+			}
+		}
+	}
 	return p.boxWork(b)
+}
+
+// cellCost is the cost of one cell update: CellCost, or 1 when it is 0.
+func (u UniformWorkModel) cellCost() float64 {
+	if u.CellCost == 0 {
+		return 1
+	}
+	return u.CellCost
 }
 
 // preparedFronts is a FrontWorkModel specialised to one level and one
@@ -62,61 +75,99 @@ type preparedFronts struct {
 	fronts []Front // regions in level coordinates
 }
 
-// prepared specialises f to boxes inside box on the given level, building
-// the front list in buf's memory while it fits.
-func (f FrontWorkModel) prepared(buf []Front, h *Hierarchy, level int, box Box) preparedFronts {
-	p := preparedFronts{cell: f.Base.CellCost, fronts: buf[:0]}
-	if p.cell == 0 {
-		p.cell = 1
-	}
-	scale := h.refinementScale(level)
-	p.scale = float64(scale)
-	for _, fr := range f.Fronts {
-		fr.Region = fr.Region.Refine(scale)
-		if fr.Multiplier > 1 && fr.Region.Overlaps(box) {
-			p.fronts = append(p.fronts, fr)
-		}
-	}
-	return p
-}
-
-// boxWork is the one surcharge loop of the front work model.
+// boxWork is the one surcharge loop of the front work model. A front's
+// overlap is three extents multiplied (Box.OverlapVolume): zero exactly
+// when Intersect reports no overlap, and otherwise the integer Volume of
+// the intersection, so each term is the float it always was.
 func (p *preparedFronts) boxWork(b Box) float64 {
 	w := p.cell * float64(b.Volume()) * p.scale
-	for _, fr := range p.fronts {
-		if inter, ok := b.Intersect(fr.Region); ok {
-			w += p.cell * (fr.Multiplier - 1) * float64(inter.Volume()) * p.scale
+	for i := range p.fronts {
+		fr := &p.fronts[i]
+		if v := b.OverlapVolume(fr.Region); v > 0 {
+			w += p.cell * (fr.Multiplier - 1) * float64(v) * p.scale
 		}
 	}
 	return w
 }
 
-// BoxWeigher is a work model prepared for the sub-boxes of one hierarchy
-// box. A partitioner's decomposition weighs hundreds of blocks or halving
-// nodes inside each box; for a FrontWorkModel everything that depends only
-// on (level, enclosing box) is derived once by Reset (see preparedFronts),
-// and any other model is called through as is. Either way BoxWork returns
+// BoxWeigher is a work model prepared for one hierarchy and then for the
+// sub-boxes of one of its boxes at a time. A partitioner's decomposition
+// weighs hundreds of blocks or halving nodes inside each box. For a
+// FrontWorkModel, Prepare refines the surcharged fronts once per level and
+// Reset only filters a level's regions by the box (see preparedFronts);
+// any other model is called through as is. Either way BoxWork returns
 // exactly what the model's own BoxWork returns.
 //
-// The zero value is ready for Reset; the front list's capacity is reused
-// from one Reset to the next, so a weigher kept by its caller allocates
-// nothing in steady state. Not safe for concurrent use.
+// The zero value is ready for Prepare; the refined and filtered lists'
+// capacity is reused from one Prepare to the next, so a weigher kept by its
+// caller allocates nothing in steady state. Not safe for concurrent use.
 type BoxWeigher struct {
 	wm    WorkModel // called through unless isFront
 	h     *Hierarchy
 	level int
 
-	isFront bool // wm is a FrontWorkModel, prepared in front
-	front   preparedFronts
+	isFront bool // wm is a FrontWorkModel, prepared in refined and front
+	// nfront is the number of the model's fronts with Multiplier > 1, and
+	// refined holds them refined to levels 0, 1, … level-major: level l's
+	// regions are refined[l*nfront : (l+1)*nfront], in the model's order.
+	nfront  int
+	refined []Front
+	front   preparedFronts // refined[level] filtered by the Reset box
 }
 
-// Reset prepares the weigher for boxes inside box on the given level.
-func (w *BoxWeigher) Reset(wm WorkModel, h *Hierarchy, level int, box Box) {
-	w.wm, w.h, w.level = wm, h, level
+// Prepare sets the weigher up for the boxes of h weighed by wm: for a
+// FrontWorkModel, every front with Multiplier > 1 refined to each of h's
+// levels. Nothing of an earlier hierarchy is kept.
+func (w *BoxWeigher) Prepare(wm WorkModel, h *Hierarchy) {
+	w.wm, w.h = wm, h
 	f, ok := wm.(FrontWorkModel)
 	w.isFront = ok
-	if ok {
-		w.front = f.prepared(w.front.fronts, h, level, box)
+	if !ok {
+		return
+	}
+	w.front.cell = f.Base.cellCost()
+	w.refined = w.refined[:0]
+	for _, fr := range f.Fronts {
+		if fr.Multiplier > 1 {
+			w.refined = append(w.refined, fr)
+		}
+	}
+	w.nfront = len(w.refined)
+	for l := 1; l < h.Depth(); l++ {
+		w.refineLevel(l)
+	}
+}
+
+// refineLevel appends the level-l regions, l being the first level not
+// yet refined, scaling the level-0 regions as FrontWorkModel.BoxWork does.
+func (w *BoxWeigher) refineLevel(l int) {
+	scale := w.h.refinementScale(l)
+	for i := 0; i < w.nfront; i++ {
+		fr := w.refined[i]
+		fr.Region = fr.Region.Refine(scale)
+		w.refined = append(w.refined, fr)
+	}
+}
+
+// Reset sets the weigher for boxes inside box on the given level of the
+// prepared hierarchy. A level past the hierarchy's is refined on first use.
+func (w *BoxWeigher) Reset(level int, box Box) {
+	w.level = level
+	if !w.isFront {
+		return
+	}
+	w.front.scale = float64(w.h.refinementScale(level))
+	w.front.fronts = w.front.fronts[:0]
+	if w.nfront == 0 {
+		return
+	}
+	for l := len(w.refined) / w.nfront; l <= level; l++ {
+		w.refineLevel(l)
+	}
+	for _, fr := range w.refined[level*w.nfront : (level+1)*w.nfront] {
+		if fr.Region.Overlaps(box) {
+			w.front.fronts = append(w.front.fronts, fr)
+		}
 	}
 }
 
@@ -133,10 +184,11 @@ func (w *BoxWeigher) BoxWork(b Box) float64 {
 // terms summed in the same order, so the same float, without the model's
 // per-box preparation allocating once it outgrows the stack.
 func (w *BoxWeigher) HierarchyWork(m WorkModel, h *Hierarchy) float64 {
+	w.Prepare(m, h)
 	var total float64
 	for l, boxes := range h.Levels {
 		for _, b := range boxes {
-			w.Reset(m, h, l, b)
+			w.Reset(l, b)
 			total += w.BoxWork(b)
 		}
 	}
