@@ -22,12 +22,10 @@ func TestFailureAwareSurvivesNodeLoss(t *testing.T) {
 		t.Fatal("healthy run infinite")
 	}
 
-	// Kill two nodes mid-run.
-	failing := cluster.Homogeneous(8, 1e5, 512, 100)
-	failing.Fail(2, healthy.TotalTime/3)
-	failing.Fail(5, healthy.TotalTime/2)
+	// Kill two nodes mid-interval, so the run must recover inside an
+	// interval, not only re-partition at the next regrid.
 	ft := &FailureAware{Inner: Static{P: partition.GMISPSP{}}}
-	res, err := Run(tr, ft, RunConfig{Machine: failing, NProcs: 8})
+	res, err := Run(tr, ft, RunConfig{Machine: nodeLoss(healthy.TotalTime), NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +34,9 @@ func TestFailureAwareSurvivesNodeLoss(t *testing.T) {
 	}
 	if ft.FailuresSeen == 0 {
 		t.Fatal("failures never detected")
+	}
+	if res.Recoveries < 1 {
+		t.Fatalf("Recoveries = %d: no failure landed mid-interval", res.Recoveries)
 	}
 	// Losing a quarter of the machine must cost time, but bounded: the
 	// survivors absorb the work.

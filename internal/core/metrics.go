@@ -59,9 +59,8 @@ var (
 		"Partitioning-overhead proxy: assignment units per hierarchy box.")
 )
 
-// setPACGauges publishes a regrid's quality metric. Called again from the
-// mid-interval recovery path so the gauges always describe the assignment
-// actually running.
+// setPACGauges publishes the quality of the assignment the run costed last,
+// at a regrid or a mid-interval recovery.
 func setPACGauges(q partition.Quality) {
 	metricPACImbalance.Set(q.Imbalance)
 	metricPACCommVolume.Set(q.CommVolume)

@@ -83,16 +83,17 @@ func (c *Checkpoint) sameRun(o *Checkpoint) bool {
 // result rebuilds the partial RunResult a folded checkpoint describes.
 func (c *Checkpoint) result() *RunResult {
 	return &RunResult{
-		Strategy:      c.Strategy,
-		ComputeTime:   c.ComputeTime,
-		CommTime:      c.CommTime,
-		PartitionTime: c.PartitionTime,
-		MigrationTime: c.MigrationTime,
-		MaxImbalance:  c.MaxImbalance,
-		Switches:      c.Switches,
-		Recoveries:    c.Recoveries,
-		Steps:         c.Steps,
-		Snapshots:     c.Stats,
+		Strategy:        c.Strategy,
+		ComputeTime:     c.ComputeTime,
+		CommTime:        c.CommTime,
+		PartitionTime:   c.PartitionTime,
+		MigrationTime:   c.MigrationTime,
+		MaxImbalance:    c.MaxImbalance,
+		Switches:        c.Switches,
+		Recoveries:      c.Recoveries,
+		Steps:           c.Steps,
+		DegradedRegrids: c.Degraded,
+		Snapshots:       c.Stats,
 	}
 }
 

@@ -157,15 +157,14 @@ type RunResult struct {
 // runScratch is the memory a Run works in: buffers whose capacity is
 // worth keeping from one run to the next and whose contents never reach
 // an output. The partition plan's candidates are handed over to fresh
-// assignments (DESIGN.md §16), a communication plan is rebuilt before it
-// is read (§11), and the work vector and checkpoint record are rewritten
-// before each use; Cluster.Step and the checkpoint store copy what they
-// keep. A run of another shape, or a resumed one, therefore decides and
-// computes exactly what it would in fresh memory.
+// assignments (DESIGN.md §16), the regrid kernel rebuilds a communication
+// plan before it is read (§11), and the work vector and checkpoint record
+// are rewritten before each use; Cluster.Step and the checkpoint store
+// copy what they keep. A run of another shape, or a resumed one, therefore
+// decides and computes exactly what it would in fresh memory.
 type runScratch struct {
 	part   *partition.PartitionPlan
-	plans  [2]*partition.CommPlan // nil until a run has built them
-	work   []float64
+	regrid regrid
 	record []byte
 }
 
@@ -174,6 +173,14 @@ type runScratch struct {
 var scratchPool = sync.Pool{New: func() any {
 	return &runScratch{part: partition.NewPartitionPlan()}
 }}
+
+// degradedCount is the number of regrids strat decided in degraded mode.
+func degradedCount(strat Strategy) int {
+	if dg, ok := strat.(interface{ DegradedCount() int }); ok {
+		return dg.DegradedCount()
+	}
+	return 0
+}
 
 // Run replays an adaptation trace on the simulated machine under the given
 // strategy and returns the accumulated execution profile.
@@ -213,52 +220,16 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 
 	res := &RunResult{Strategy: strat.Name()}
 	var simTime float64
-	var prevA *partition.Assignment
-	var prevH *samr.Hierarchy
 
 	// The run works in scratch from the pool and gives it back once
 	// nothing reads it, on every return path: the deferred Put below is
 	// registered before the store's deferred Close, so it runs after it.
 	sc := scratchPool.Get().(*runScratch)
-	// The run's two communication plans. prevPlan is the outgoing
-	// assignment's, which the next migration diff reads; plan is the one
-	// before it, dead once that diff has run, so each regrid builds into
-	// plan's buffers and the two swap. A plan is never rebuilt while
-	// anything reads it, and the run never holds a third (DESIGN.md §11).
-	// A nil prevPlan means there is no diff at the first regrid, so the
-	// pool's second plan waits as spare: a build target only, taken by
-	// the first build that has no plan of its own to build into.
-	plan, spare := sc.plans[0], sc.plans[1]
-	var prevPlan *partition.CommPlan
-	target := func(p *partition.CommPlan) *partition.CommPlan {
-		if p == nil {
-			p, spare = spare, nil
-		}
-		return p
-	}
-	// The partitioners' scratch: buffers whose capacity survives from
-	// regrid to regrid, and from run to run, and whose contents do not,
-	// so a resumed run produces bit-identical assignments from whatever
-	// the pool hands it.
-	partPlan := sc.part
-	// The interval's per-processor work, rewritten at every regrid and
-	// recovery; Cluster.Step reads it and keeps no reference.
-	work := sc.work
-	// The encoded checkpoint record; the store copies it.
-	record := sc.record
-	defer func() {
-		// The spare is still unused only while prevPlan is nil.
-		sc.plans = [2]*partition.CommPlan{plan, prevPlan}
-		if prevPlan == nil {
-			sc.plans[1] = spare
-		}
-		sc.work, sc.record = work, record
-		scratchPool.Put(sc)
-	}()
-	var prevLabel string
+	defer scratchPool.Put(sc)
+	rg := &sc.regrid
+	*rg = regrid{machine: cfg.Machine, model: cost, puCost: puCost, plans: rg.plans, work: rg.work}
 	var imbSum, effSum float64
 	startIdx := 0
-	degradedBase := 0
 
 	var store *checkpoint.Store
 	ckptEvery := cfg.CheckpointEvery
@@ -281,18 +252,15 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		if ck != nil {
 			startIdx = ck.Next
 			simTime = ck.SimTime
-			prevLabel = ck.PrevLabel
 			imbSum, effSum = ck.ImbSum, ck.EffSum
-			degradedBase = ck.Degraded
 			res = ck.result()
-			prevA = ck.PrevAssignment
-			// The hierarchy the outgoing assignment partitioned is the
-			// trace's own snapshot — recomputed, never serialized.
-			prevH = tr.Snapshots[startIdx-1].H
-			if prevA != nil && prevH != nil {
-				// The first post-resume regrid diffs its migration
-				// against the outgoing assignment's plan.
-				prevPlan = partition.RebuildCommPlan(target(nil), nil, prevH, prevA)
+			if a := ck.PrevAssignment; a != nil {
+				// The first post-resume regrid is costed after the
+				// outgoing assignment, on the trace's own snapshot —
+				// recomputed, never serialized.
+				h := tr.Snapshots[startIdx-1].H
+				rg.build(h, a)
+				rg.commit(h, a, ck.PrevLabel)
 			}
 		}
 	}
@@ -308,15 +276,11 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	saveAt := func(next int) error {
 		ck := Checkpoint{
 			Trace: tr.Name, Snapshots: len(tr.Snapshots), Strategy: strat.Name(), NProcs: nprocs,
-			From: from, Next: next, Stats: res.Snapshots[from:next],
-			SimTime: simTime, PrevLabel: prevLabel, ImbSum: imbSum, EffSum: effSum, Degraded: degradedBase,
+			From: from, Next: next, Stats: res.Snapshots[from:next], PrevAssignment: rg.a, PrevLabel: rg.label,
+			SimTime: simTime, ImbSum: imbSum, EffSum: effSum, Degraded: res.DegradedRegrids + degradedCount(strat),
 			ComputeTime: res.ComputeTime, CommTime: res.CommTime, PartitionTime: res.PartitionTime,
 			MigrationTime: res.MigrationTime, MaxImbalance: res.MaxImbalance,
 			Switches: res.Switches, Recoveries: res.Recoveries, Steps: res.Steps,
-			PrevAssignment: prevA,
-		}
-		if dg, ok := strat.(interface{ DegradedCount() int }); ok {
-			ck.Degraded += dg.DegradedCount()
 		}
 		if cs, ok := strat.(CheckpointableStrategy); ok {
 			state, err := cs.CheckpointState()
@@ -325,8 +289,8 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			}
 			ck.StrategyState = state
 		}
-		record = appendCheckpoint(record[:0], &ck)
-		if _, err := store.Save(next, record); err != nil {
+		sc.record = appendCheckpoint(sc.record[:0], &ck)
+		if _, err := store.Save(next, sc.record); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 		saved, from = next, next
@@ -366,9 +330,9 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			NProcs:         nprocs,
 			SimTime:        simTime,
 			Machine:        cfg.Machine,
-			PrevAssignment: prevA,
-			PrevHierarchy:  prevH,
-			PartitionPlan:  partPlan,
+			PrevAssignment: rg.a,
+			PrevHierarchy:  rg.h,
+			PartitionPlan:  sc.part,
 			CycleTrace:     cycle,
 		}
 		cycle.StartSpan("repartition")
@@ -378,63 +342,19 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			return nil, fmt.Errorf("core: regrid %d: %w", idx, err)
 		}
 		cycle.EndSpan(telemetry.String("partitioner", label))
-		if prevLabel != "" && label != prevLabel {
-			res.Switches++
-			metricSwitches.Inc()
-		}
-		prevLabel = label
 		if cfg.OnRegrid != nil {
 			cfg.OnRegrid(idx, label)
 		}
 
-		cycle.StartSpan("pac")
-		// One communication plan per regrid: its stats and unit index feed
-		// the PAC metric, the migration diff, and every BSP step of the
-		// interval. The previous regrid's plan is its source: a level whose
-		// boxes did not change copies its contacts from there.
-		plan = partition.RebuildCommPlan(plan, prevPlan, snap.H, a)
-		comm := plan.Stats
-		work = a.WorkInto(work)
-		units := float64(len(a.Units))
-		splitCost := a.SplitCost
-		if splitCost < 1 {
-			splitCost = 1
-		}
-		partTime := puCost * units * splitCost
-		q := partition.Quality{
-			CommVolume:   comm.Volume,
-			CommMessages: comm.Messages,
-			Imbalance:    partition.ImbalanceOf(work),
-		}
-		cycle.EndSpan(
-			telemetry.String("imbalance_pct", strconv.FormatFloat(q.Imbalance, 'g', 4, 64)),
-			telemetry.String("comm_volume", strconv.FormatFloat(q.CommVolume, 'g', 4, 64)))
-		cycle.StartSpan("migration")
-		var migTime float64
-		if prevPlan != nil {
-			q.Migration = plan.MigrationFrom(prevPlan)
-			migTime = cfg.Machine.MigrationTime(q.Migration*float64(snap.H.TotalCells()), cost)
-		}
-		cycle.EndSpan(telemetry.String("fraction", strconv.FormatFloat(q.Migration, 'g', 4, 64)))
-		boxes := 0
-		for _, lb := range snap.H.Levels {
-			boxes += len(lb)
-		}
-		if boxes > 0 {
-			q.Overhead = units / float64(boxes)
-		}
-		setPACGauges(q)
-
+		stat, partTime, migTime := rg.cost(idx, snap.H, a, label, cycle)
 		res.PartitionTime += partTime
 		res.MigrationTime += migTime
 		simTime += partTime + migTime
-
-		stat := SnapshotStat{Index: idx, Partitioner: label, Quality: q, Overhead: partTime + migTime}
 		metricRegridSeconds.Observe(time.Since(regridStart).Seconds())
 		cycle.StartSpan("steps")
 		for s := 0; s < stepsPerRegrid; s++ {
-			sc := cfg.Machine.Step(work, comm.PerProcVolume, comm.PerProcMessages, simTime, cost)
-			if math.IsInf(sc.Total, 1) {
+			st := rg.step(simTime)
+			if math.IsInf(st.Total, 1) {
 				// A node carrying work died mid-interval. Give the
 				// strategy one chance to recover: re-assign at the current
 				// time and charge a full redistribution. Strategies that
@@ -442,45 +362,28 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 				// the run stays infinite — which is the honest outcome.
 				ctx.SimTime = simTime
 				ctx.PrevAssignment, ctx.PrevHierarchy = a, snap.H
-				a2, label2, err := strat.Assign(ctx)
-				if err == nil {
+				if a2, label2, err := strat.Assign(ctx); err == nil {
 					recMig := cfg.Machine.MigrationTime(float64(snap.H.TotalCells()), cost)
 					simTime += recMig
 					res.MigrationTime += recMig
+					// The replacement is costed after the dead assignment,
+					// so the interval's recorded quality and the gauges
+					// describe the assignment that finishes it.
+					rg.swap()
+					rec, _, _ := rg.cost(idx, snap.H, a2, label2, cycle)
 					a = a2
-					stat.Partitioner = label2
-					// Re-plan for the replacement assignment and refresh
-					// everything derived from the dead one: the recorded
-					// quality, the published gauges, and the interval's
-					// overhead — they must describe the assignment that
-					// actually finishes the interval. prevPlan's migration
-					// diff has run, so the replacement is built into it, with
-					// the dead plan of the same snapshot as its source, and
-					// the dead plan takes its place as the one migrated from.
-					plan, prevPlan = partition.RebuildCommPlan(target(prevPlan), plan, snap.H, a), plan
-					comm = plan.Stats
-					work = a.WorkInto(work)
-					units = float64(len(a.Units))
-					q.CommVolume = comm.Volume
-					q.CommMessages = comm.Messages
-					q.Imbalance = partition.ImbalanceOf(work)
-					q.Migration = plan.MigrationFrom(prevPlan)
-					if boxes > 0 {
-						q.Overhead = units / float64(boxes)
-					}
-					setPACGauges(q)
-					stat.Quality = q
+					stat.Partitioner, stat.Quality = rec.Partitioner, rec.Quality
 					stat.Overhead += recMig
 					res.Recoveries++
 					metricRecoveries.Inc()
 					cycle.Event("recovery", telemetry.String("partitioner", label2))
-					sc = cfg.Machine.Step(work, comm.PerProcVolume, comm.PerProcMessages, simTime, cost)
+					st = rg.step(simTime)
 				}
 			}
-			simTime += sc.Total
-			stat.StepTime += sc.Total
-			res.ComputeTime += sc.Compute
-			res.CommTime += sc.Comm
+			simTime += st.Total
+			stat.StepTime += st.Total
+			res.ComputeTime += st.Compute
+			res.CommTime += st.Comm
 			res.Steps++
 		}
 		cycle.EndSpan(telemetry.String("count", strconv.Itoa(stepsPerRegrid)))
@@ -488,13 +391,15 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		metricRegrids.Inc()
 		cycle.End()
 		res.Snapshots = append(res.Snapshots, stat)
-		imbSum += q.Imbalance
-		if q.Imbalance > res.MaxImbalance {
-			res.MaxImbalance = q.Imbalance
+		imbSum += stat.Quality.Imbalance
+		if stat.Quality.Imbalance > res.MaxImbalance {
+			res.MaxImbalance = stat.Quality.Imbalance
 		}
 		effSum += snap.H.AMREfficiency()
-		prevA, prevH = a, snap.H
-		plan, prevPlan = target(prevPlan), plan
+		if rg.commit(snap.H, a, stat.Partitioner) {
+			res.Switches++
+			metricSwitches.Inc()
+		}
 
 		if store != nil && (idx+1)%ckptEvery == 0 && idx+1 < len(tr.Snapshots) {
 			if err := saveAt(idx + 1); err != nil {
@@ -503,10 +408,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		}
 	}
 	res.TotalTime = simTime
-	res.DegradedRegrids = degradedBase
-	if dg, ok := strat.(interface{ DegradedCount() int }); ok {
-		res.DegradedRegrids += dg.DegradedCount()
-	}
+	res.DegradedRegrids += degradedCount(strat)
 	n := float64(len(tr.Snapshots))
 	res.AvgImbalance = imbSum / n
 	res.AMREfficiency = effSum / n

@@ -215,7 +215,7 @@ func TestEvalQualityPlanMatchesEvalQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := EvalQuality(h, a, h, prev, 0)
-	got := EvalQualityPlan(BuildCommPlan(h, a), BuildCommPlan(h, prev), 0)
+	got := EvalQualityPlan(BuildCommPlan(h, a), BuildCommPlan(h, prev), a.Work(), 0)
 	if got != want {
 		t.Fatalf("EvalQualityPlan = %+v, EvalQuality = %+v", got, want)
 	}
@@ -241,7 +241,7 @@ func TestRasterizationSharing(t *testing.T) {
 	_ = planA.Pairs()
 	_ = planA.MigrationFrom(planB)
 	_ = planB.MigrationFrom(planA)
-	EvalQualityPlan(planA, planB, 0)
+	EvalQualityPlan(planA, planB, a.Work(), 0)
 	if got := metricPACSeconds.Count() - builds; got != 0 {
 		t.Fatalf("plan consumers built %d plans, want 0", got)
 	}

@@ -51,17 +51,18 @@ func EvalQuality(h *samr.Hierarchy, a *Assignment, prevH *samr.Hierarchy, prev *
 	if prev != nil && prevH != nil {
 		prevPlan = BuildCommPlan(prevH, prev)
 	}
-	return EvalQualityPlan(plan, prevPlan, elapsed)
+	return EvalQualityPlan(plan, prevPlan, a.Work(), elapsed)
 }
 
-// EvalQualityPlan assembles the PAC metric from an already-built plan,
-// measuring migration against the previous cycle's plan (nil for none).
-// Nothing is indexed or searched here beyond the migration diff.
-func EvalQualityPlan(plan *CommPlan, prevPlan *CommPlan, elapsed time.Duration) Quality {
+// EvalQualityPlan assembles the PAC metric — for EvalQuality and core.Run
+// alike — from an already-built plan and its assignment's per-processor
+// work (Assignment.WorkInto), measuring migration against the previous
+// cycle's plan (nil for none). Nothing is searched beyond the migration diff.
+func EvalQualityPlan(plan *CommPlan, prevPlan *CommPlan, work []float64, elapsed time.Duration) Quality {
 	q := Quality{
 		CommVolume:    plan.Stats.Volume,
 		CommMessages:  plan.Stats.Messages,
-		Imbalance:     plan.A.Imbalance(),
+		Imbalance:     ImbalanceOf(work),
 		PartitionTime: elapsed,
 	}
 	if prevPlan != nil {
