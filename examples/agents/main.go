@@ -111,17 +111,22 @@ func main() {
 	if err := adm.Broadcast(pragma.Command{Actuator: "repartition", Params: map[string]float64{"procs": 2}}); err != nil {
 		log.Fatal(err)
 	}
-	// Drain each agent's mailbox so the actuators fire.
+	// Drain node-1's mailbox, then node-2's, each until its command fires.
 	deadline := time.Now().Add(2 * time.Second)
-	fired := 0
-	for fired < 2 && time.Now().Before(deadline) {
-		fired = 0
-		for _, n := range []node{n1, n2} {
-			if k, _ := n.agent.DrainInbox(); k > 0 {
-				fired++
+	for _, n := range []node{n1, n2} {
+		for {
+			k, err := n.agent.DrainInbox()
+			if err != nil {
+				log.Fatal(err)
 			}
+			if k > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				log.Fatal("expected a repartition command on every node")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	fmt.Println("step 4: template discovery for the new execution environment")

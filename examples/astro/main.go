@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"github.com/pragma-grid/pragma"
 )
@@ -36,13 +37,13 @@ func main() {
 		for _, c := range chars {
 			visits[c.Octant]++
 		}
-		fmt.Print("octant occupancy: ")
+		var occupancy []string
 		for o := pragma.Octant(1); o <= 8; o++ {
 			if visits[o] > 0 {
-				fmt.Printf("%s:%d ", o, visits[o])
+				occupancy = append(occupancy, fmt.Sprintf("%s:%d", o, visits[o]))
 			}
 		}
-		fmt.Println()
+		fmt.Println("octant occupancy:", strings.Join(occupancy, " "))
 
 		res, err := pragma.Runtime{
 			Trace:    trace,

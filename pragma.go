@@ -24,11 +24,9 @@
 package pragma
 
 import (
-	"context"
 	"io"
 	"net"
 	"net/http"
-	"time"
 
 	"github.com/pragma-grid/pragma/internal/agents"
 	"github.com/pragma-grid/pragma/internal/astro"
@@ -36,10 +34,7 @@ import (
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/core"
 	"github.com/pragma-grid/pragma/internal/engine"
-	"github.com/pragma-grid/pragma/internal/fleet"
 	"github.com/pragma-grid/pragma/internal/hydro"
-	"github.com/pragma-grid/pragma/internal/loadgen"
-	"github.com/pragma-grid/pragma/internal/monitor"
 	"github.com/pragma-grid/pragma/internal/octant"
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/perf"
@@ -55,10 +50,6 @@ import (
 // Re-exported core types. The implementation lives in internal packages;
 // these aliases are the public names.
 type (
-	// Box is a half-open axis-aligned region of a grid index space.
-	Box = samr.Box
-	// Point is a 3-D integer index.
-	Point = samr.Point
 	// Hierarchy is an SAMR grid hierarchy.
 	Hierarchy = samr.Hierarchy
 	// Snapshot is one regrid-step capture of a hierarchy.
@@ -70,10 +61,6 @@ type (
 
 	// Octant is one of the eight application-state octants (Fig. 2).
 	Octant = octant.Octant
-	// OctantState is the measured application state.
-	OctantState = octant.State
-	// OctantThresholds configure the octant classifier.
-	OctantThresholds = octant.Thresholds
 
 	// Partitioner distributes a hierarchy across processors.
 	Partitioner = partition.Partitioner
@@ -81,15 +68,6 @@ type (
 	Assignment = partition.Assignment
 	// Quality is the five-component PAC metric of a partitioning.
 	Quality = partition.Quality
-	// CommPlan is a cached communication plan: one index of an
-	// assignment's unit boxes, the statistics computed from it and the
-	// pairs sorted from it on demand (Pairs), shared by quality
-	// evaluation, migration diffs, and engine construction.
-	CommPlan = partition.CommPlan
-	// CommStats aggregates an assignment's communication requirement.
-	CommStats = partition.CommStats
-	// UnitPair is one cross-processor ghost-exchange adjacency.
-	UnitPair = partition.UnitPair
 
 	// Cluster is a simulated execution environment.
 	Cluster = cluster.Cluster
@@ -98,27 +76,15 @@ type (
 
 	// PolicyBase is the programmable adaptation policy knowledge base.
 	PolicyBase = policy.Base
-	// PolicyRule is one adaptation policy.
-	PolicyRule = policy.Rule
-	// PolicyAction is what a matched rule prescribes.
-	PolicyAction = policy.Action
 
-	// MetaPartitioner selects partitioners from octant state (§4).
-	MetaPartitioner = core.MetaPartitioner
 	// Strategy decides how each regrid point is partitioned.
 	Strategy = core.Strategy
 	// RunResult is the execution profile of a replayed run.
 	RunResult = core.RunResult
 
-	// CapacityWeights weight CPU/memory/bandwidth in the relative-capacity
-	// formula (Fig. 4).
-	CapacityWeights = monitor.Weights
-
 	// RM3DConfig parameterizes the synthetic RM3D application.
 	RM3DConfig = rm3d.Config
 
-	// Message is the unit of communication in the agent control network.
-	Message = agents.Message
 	// MessageCenter is the CATALINA-style broker owning agent mailboxes.
 	MessageCenter = agents.Center
 	// MessagePort is the communication capability agents speak (in-process
@@ -155,8 +121,6 @@ type (
 	// CenterOption configures NewMessageCenter's wire behavior (liveness
 	// eviction, write deadlines).
 	CenterOption = agents.CenterOption
-	// ClientStats counts an AgentClient's failure-path events.
-	ClientStats = agents.ClientStats
 	// ChaosConfig parameterizes deterministic fault injection on control-
 	// network connections (latency, jitter, drops, corruption).
 	ChaosConfig = chaos.Config
@@ -172,8 +136,6 @@ type (
 	// Engine executes a partitioned hierarchy as a real message-passing
 	// program over the Message Center (see internal/engine).
 	Engine = engine.Engine
-	// EngineReport summarizes an emulated distributed run.
-	EngineReport = engine.Report
 	// EngineOption configures an Engine (step deadlines, port namespacing,
 	// fault injection).
 	EngineOption = engine.Option
@@ -185,8 +147,6 @@ type (
 	PF = perf.PF
 	// SerialPF composes PFs of serially traversed components (Eq. 2).
 	SerialPF = perf.Serial
-	// ParallelPF composes PFs of concurrent components.
-	ParallelPF = perf.Parallel
 	// SystemComponent is a measurable component of the PF example system.
 	SystemComponent = perf.Component
 )
@@ -214,27 +174,10 @@ type (
 	// a phase script of refinement drivers, generating a Trace exactly
 	// like GenerateRM3D does.
 	ScenarioSpec = scenario.Spec
-	// ScenarioPhase is one segment of a scenario: a driver mix active for
-	// a number of regrid snapshots, with a declared expected octant.
-	ScenarioPhase = scenario.Phase
 	// ScenarioDriver is one phenomenon ingredient (moving shock, point
 	// source, merging fronts, scattered activity, background noise).
 	ScenarioDriver = scenario.Driver
-	// ScenarioSignature is the octant signature a driver declares.
-	ScenarioSignature = scenario.Signature
-	// ScenarioActivity is a driver's dynamics dial (ScenarioLow/High).
-	ScenarioActivity = scenario.Activity
 )
-
-// Scenario activity dials.
-const (
-	ScenarioLow  = scenario.Low
-	ScenarioHigh = scenario.High
-)
-
-// DefaultScenario returns the standard scenario envelope (48x24x24 base
-// grid, 3 levels, regrid every 4 steps); attach phases and a seed.
-func DefaultScenario() ScenarioSpec { return scenario.Default() }
 
 // ParseScenario parses the compact scenario grammar, e.g.
 // "dims=48x24x24;seed=7;shock:8,block:6,I:4" — see internal/scenario's
@@ -248,17 +191,6 @@ func GenerateScenario(spec ScenarioSpec) (*Trace, error) { return spec.Generate(
 // ScenarioForOctant returns the canonical driver engineered to occupy the
 // given octant — every octant I-VIII has one.
 func ScenarioForOctant(o Octant) ScenarioDriver { return scenario.ForOctant(o) }
-
-// Scenario driver constructors, re-exported from internal/scenario.
-var (
-	ScenarioSheet         = scenario.Sheet
-	ScenarioSheetField    = scenario.SheetField
-	ScenarioBlock         = scenario.Block
-	ScenarioBlobField     = scenario.BlobField
-	ScenarioPointSource   = scenario.PointSource
-	ScenarioMergingFronts = scenario.MergingFronts
-	ScenarioBackground    = scenario.Background
-)
 
 // AstroConfig parameterizes the galaxy-formation and supernova application
 // models (the other two driver applications of the paper's §2).
@@ -326,22 +258,9 @@ func EvaluateQuality(h *Hierarchy, a *Assignment, prevH *Hierarchy, prev *Assign
 	return partition.EvalQuality(h, a, prevH, prev, 0)
 }
 
-// BuildCommPlan indexes an assignment's unit boxes once and computes its
-// communication from their geometry, returning the plan that quality
-// evaluation, migration diffs (CommPlan.MigrationFrom), and engine
-// construction (NewEngineFromPlan) all share. Build it once per
-// assignment instead of calling EvaluateQuality and NewEngine separately.
-func BuildCommPlan(h *Hierarchy, a *Assignment) *CommPlan {
-	return partition.BuildCommPlan(h, a)
-}
-
 // Table2Policy returns the paper's Table 2 octant-to-partitioner policy
 // knowledge base.
 func Table2Policy() *PolicyBase { return policy.Table2() }
-
-// NewMetaPartitioner returns the paper's adaptive meta-partitioner:
-// Table 2 policies over octant characterization.
-func NewMetaPartitioner() *MetaPartitioner { return core.NewMetaPartitioner() }
 
 // ClassifyTrace characterizes every snapshot of a trace into octants.
 func ClassifyTrace(tr *Trace) ([]octant.Characterization, error) {
@@ -367,11 +286,6 @@ func Adaptive() Strategy { return core.Adaptive{ImbalanceGuard: 20} }
 // partitioning driven by resource monitoring.
 func SystemSensitive() Strategy { return &core.SystemSensitive{} }
 
-// Proactive returns the predictive variant of system-sensitive
-// partitioning: capacities come from the NWS meta-forecaster's prediction
-// of the next resource state (§3.1's proactive management).
-func Proactive() Strategy { return &core.Proactive{} }
-
 // FailureAware wraps a strategy with fail-stop tolerance: dead nodes are
 // detected at each regrid and work is redistributed across survivors.
 func FailureAware(inner Strategy) Strategy { return &core.FailureAware{Inner: inner} }
@@ -395,11 +309,8 @@ var (
 	WithDialer             = agents.WithDialer
 	WithReconnect          = agents.WithReconnect
 	WithBackoff            = agents.WithBackoff
-	WithMaxRetries         = agents.WithMaxRetries
 	WithHeartbeat          = agents.WithHeartbeat
-	WithWriteTimeout       = agents.WithWriteTimeout
 	WithOpTimeout          = agents.WithOpTimeout
-	WithSendBuffer         = agents.WithSendBuffer
 	WithErrorHandler       = agents.WithErrorHandler
 	WithSeed               = agents.WithSeed
 	WithHeartbeatTimeout   = agents.WithHeartbeatTimeout
@@ -411,25 +322,11 @@ var (
 // to DialMessageCenter via WithDialer to chaos-test a control network.
 func ChaosDialer(cfg ChaosConfig) func(addr string) (net.Conn, error) { return chaos.Dialer(cfg) }
 
-// WrapChaosListener wraps a listener so every accepted connection draws
-// faults from one seeded stream — chaos injection on the broker side.
-func WrapChaosListener(ln net.Listener, cfg ChaosConfig) net.Listener {
-	return chaos.WrapListener(ln, cfg)
-}
-
-// WrapChaosConn wraps a single connection with its own fault injector.
-func WrapChaosConn(c net.Conn, cfg ChaosConfig) net.Conn { return chaos.Wrap(c, cfg) }
-
-// NewAgentManaged returns the §4.7 agent-managed adaptation strategy on an
-// in-process control network: node agents gate repartitioning on threshold
-// events instead of repartitioning at every regrid.
-func NewAgentManaged(nprocs int, imbalanceEventPct float64) (*AgentManagedStrategy, error) {
-	return core.NewAgentManaged(nprocs, imbalanceEventPct)
-}
-
-// NewAgentManagedOn is NewAgentManaged over caller-supplied ports: the ADM
-// registers on admPort and one component agent per node port (e.g. TCP
-// clients of a served MessageCenter). Set the strategy's Health field —
+// NewAgentManagedOn returns the §4.7 agent-managed adaptation strategy
+// over caller-supplied ports: node agents gate repartitioning on threshold
+// events instead of repartitioning at every regrid. The ADM registers on
+// admPort and one component agent per node port (e.g. TCP clients of a
+// served MessageCenter). Set the strategy's Health field —
 // typically over AgentClient.Degraded — to enable degraded-mode fallback
 // when the control network partitions.
 func NewAgentManagedOn(admPort MessagePort, nodePorts []MessagePort, imbalanceEventPct float64) (*AgentManagedStrategy, error) {
@@ -462,36 +359,9 @@ func NewEngine(h *Hierarchy, a *Assignment, coordOn MessagePort, ports []Message
 	return engine.New(h, a, coordOn, ports, opts...)
 }
 
-// NewEngineFromPlan is NewEngine over an already-built communication plan,
-// reusing its adjacency instead of re-sweeping the hierarchy.
-func NewEngineFromPlan(plan *CommPlan, coordOn MessagePort, ports []MessagePort, opts ...EngineOption) (*Engine, error) {
-	return engine.NewFromPlan(plan, coordOn, ports, opts...)
-}
-
-// Engine option constructors, re-exported from internal/engine.
-// WithStepDeadline bounds each worker/coordinator barrier wait;
-// WithEnginePortSuffix namespaces the engine's mailboxes so a recovery
-// engine can share the Message Center with a failed one.
-var (
-	WithStepDeadline     = engine.WithStepDeadline
-	WithEnginePortSuffix = engine.WithPortSuffix
-)
-
-// RemapOntoSurvivors renumbers an assignment's processors onto the workers
-// that survived a lost-worker failure, spreading orphaned grid units
-// least-loaded-first. The returned slice maps new processor ids to the
-// original ones.
-func RemapOntoSurvivors(a *Assignment, dead []int) (*Assignment, []int, error) {
-	return engine.RemapOntoSurvivors(a, dead)
-}
-
-// RunEngineRecovering drives build/Run cycles until an engine run
-// completes, retrying at most maxRetries times after lost-worker failures.
-// build receives the attempt number and the processor ids (in the previous
-// attempt's numbering) that were lost.
-func RunEngineRecovering(steps, maxRetries int, build func(attempt int, lost []int) (*Engine, error)) (EngineReport, int, error) {
-	return engine.RunRecovering(steps, maxRetries, build)
-}
+// WithStepDeadline bounds each worker/coordinator barrier wait of an
+// Engine (see NewEngine).
+var WithStepDeadline = engine.WithStepDeadline
 
 // PFExampleSystem returns the paper's PC1 -> switch -> PC2 pipeline used
 // to illustrate performance functions (§3.2, Table 1).
@@ -524,9 +394,13 @@ type Runtime struct {
 // RunOption configures one Execute call (checkpointing, resume).
 type RunOption func(*core.RunConfig)
 
-// WithCheckpointDir persists run state to dir at regrid boundaries.
-// Each record is CRC-verified and on disk before the run moves on; a
-// later Execute with WithResume continues from the newest valid one.
+// WithCheckpointDir persists run state to dir at regrid boundaries, one
+// CRC-verified record each. A record is visible once it is written: it
+// survives the death of the process. It is durable once the log syncs,
+// which happens when Execute returns and otherwise within a second of the
+// previous sync; an interrupted run syncs before Execute returns (see
+// DESIGN.md §9). A later Execute with WithResume continues from the
+// newest valid record.
 func WithCheckpointDir(dir string) RunOption {
 	return func(c *core.RunConfig) { c.CheckpointDir = dir }
 }
@@ -558,12 +432,6 @@ func WithInterrupt(ch <-chan struct{}) RunOption {
 // (test with errors.Is); the run is resumable via WithResume.
 var ErrRunInterrupted = core.ErrInterrupted
 
-// RunInterruptedError is the concrete error an interrupted Execute returns
-// (extract with errors.As): it wraps ErrRunInterrupted and records the
-// resume point and the intervals this attempt completed, which is how the
-// Scheduler charges exact progress when it preempts a run.
-type RunInterruptedError = core.InterruptedError
-
 // Execute replays the trace and returns the execution profile.
 func (r Runtime) Execute(opts ...RunOption) (*RunResult, error) {
 	strat := r.Strategy
@@ -588,9 +456,6 @@ type (
 	// TelemetryRegistry is a concurrency-safe metrics registry (counters,
 	// gauges, histograms) with Prometheus text exposition.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetryTracer records regrid cycles as structured traces in a
-	// bounded ring.
-	TelemetryTracer = telemetry.Tracer
 	// TelemetryServer is a running telemetry HTTP endpoint.
 	TelemetryServer = telemetry.Server
 	// TelemetrySnapshot is a point-in-time JSON view of a registry.
@@ -600,10 +465,6 @@ type (
 // Telemetry returns the process-global metrics registry every instrumented
 // layer (engine, agents, core, checkpoint, monitor) records into.
 func Telemetry() *TelemetryRegistry { return telemetry.Default }
-
-// RegridTraces returns the process-global tracer holding the most recent
-// regrid-cycle traces.
-func RegridTraces() *TelemetryTracer { return telemetry.DefaultTracer }
 
 // ServeTelemetry starts an HTTP server on addr exposing the global registry
 // and tracer: /metrics (Prometheus text), /metrics.json (snapshot),
@@ -633,22 +494,14 @@ type (
 	// SchedulerSubmission is one admission attempt (tenant, priority,
 	// fair-share weight, spec).
 	SchedulerSubmission = sched.SubmitRequest
-	// SchedulerRunStatus is the externally visible snapshot of one run.
-	SchedulerRunStatus = sched.RunStatus
-	// SchedulerStats is a point-in-time aggregate view of a Scheduler.
-	SchedulerStats = sched.Stats
 	// SchedulerSpecBuilder maps submit-request wire parameters to run specs
 	// for the HTTP API.
 	SchedulerSpecBuilder = sched.SpecBuilder
 )
 
-// Scheduler admission errors — the backpressure surface Submit rejects
-// with (test with errors.Is).
-var (
-	ErrSchedulerSaturated   = sched.ErrSaturated
-	ErrSchedulerTenantLimit = sched.ErrTenantLimit
-	ErrSchedulerDraining    = sched.ErrDraining
-)
+// ErrSchedulerDraining is the error Submit rejects a run with once the
+// Scheduler has started draining (test with errors.Is).
+var ErrSchedulerDraining = sched.ErrDraining
 
 // NewScheduler starts a run scheduler with cfg.Workers pool goroutines.
 // Stop it with Drain (graceful: in-flight runs checkpoint at their next
@@ -662,99 +515,19 @@ func NewSchedulerHandler(s *Scheduler, build SchedulerSpecBuilder) http.Handler 
 	return sched.Handler(s, build)
 }
 
-// Fleet aliases. The implementation lives in internal/fleet; see
-// DESIGN.md §12. A fleet shards scheduler runs across many pragma-node
-// worker processes over the agents control network, with capacity-aware
-// placement and checkpoint-resume failover when workers are lost.
-type (
-	// FleetRouter places submitted runs on fleet workers and fails them
-	// over to survivors when a worker goes silent or its link drops.
-	FleetRouter = fleet.Router
-	// FleetRouterConfig configures a FleetRouter (its port, heartbeat
-	// window, materializer, error handler and event hub).
-	FleetRouterConfig = fleet.Config
-	// FleetWorker executes dispatched runs and advertises forecast
-	// capacity in heartbeats.
-	FleetWorker = fleet.Worker
-	// FleetWorkerConfig sizes a FleetWorker (identity, slots, heartbeat).
-	FleetWorkerConfig = fleet.WorkerConfig
-	// FleetWireSpec is the run description that crosses the control
-	// network: names and numbers only, materialized identically wherever
-	// the run lands.
-	FleetWireSpec = fleet.WireSpec
-	// FleetRunStatus is the externally visible snapshot of one fleet run.
-	FleetRunStatus = fleet.RunStatus
-	// FleetStats is a point-in-time aggregate view of a FleetRouter.
-	FleetStats = fleet.Stats
-	// FleetWorkerInfo is the router's view of one worker.
-	FleetWorkerInfo = fleet.WorkerInfo
-)
-
-// NewFleetRouter starts a fleet router over the given control-network
-// port (typically a MessageCenter the same process serves).
-func NewFleetRouter(cfg FleetRouterConfig) (*FleetRouter, error) { return fleet.NewRouter(cfg) }
-
-// NewFleetWorker joins the fleet as a worker executing dispatched runs
-// (cfg.Port is typically a DialMessageCenter client).
-func NewFleetWorker(cfg FleetWorkerConfig) (*FleetWorker, error) { return fleet.NewWorker(cfg) }
-
-// NewFleetHandler exposes a fleet router over HTTP with the same /sched/
-// surface a single-node scheduler serves, plus /sched/fleet; a non-empty
-// checkpointRoot defaults every run to a resumable checkpoint directory
-// under it.
-func NewFleetHandler(r *FleetRouter, checkpointRoot string) http.Handler {
-	return fleet.Handler(r, checkpointRoot)
-}
-
 // Run-event streaming aliases. The implementation lives in
 // internal/stream; see DESIGN.md §15. A hub broadcasts per-run lifecycle
 // and regrid-cycle events to bounded subscribers; wire one into
-// SchedulerConfig.Events or FleetRouterConfig.Events and clients can
-// follow runs over /sched/events (Server-Sent Events) instead of polling
-// /sched/status.
+// SchedulerConfig.Events and clients can follow runs over /sched/events
+// (Server-Sent Events) instead of polling /sched/status.
 type (
-	// RunEvent is one run lifecycle or regrid-cycle event.
-	RunEvent = stream.Event
 	// RunEventHub fans events out to subscribers without ever blocking
 	// the publisher; slow subscribers drop events and are marked lagging.
 	RunEventHub = stream.Hub
 	// RunEventHubConfig sizes a hub's per-subscriber buffers and per-run
 	// replay history.
 	RunEventHubConfig = stream.Config
-	// RunEventSub is one subscription; receive on C, check Dropped.
-	RunEventSub = stream.Sub
 )
 
 // NewRunEventHub creates an event hub (zero config = sensible defaults).
 func NewRunEventHub(cfg RunEventHubConfig) *RunEventHub { return stream.NewHub(cfg) }
-
-// NewRunEventsHandler serves a hub over HTTP as Server-Sent Events.
-func NewRunEventsHandler(h *RunEventHub) http.Handler {
-	return stream.Handler(h, stream.HandlerConfig{})
-}
-
-// Load-generation aliases. The implementation lives in internal/loadgen:
-// an open-loop QPS harness for the /sched serving surface whose latencies
-// count from intended arrival times (no coordinated omission) and whose
-// report derives percentiles from telemetry histograms.
-type (
-	// LoadConfig parameterizes one load run (target, stages, worker pool).
-	LoadConfig = loadgen.Config
-	// LoadStage is one rung of the open-loop schedule.
-	LoadStage = loadgen.Stage
-	// LoadReport is the client-side result: per-endpoint p50/p95/p99,
-	// throughput, errors and backpressure counts.
-	LoadReport = loadgen.Report
-	// LoadEndpointReport is one endpoint's slice of the report.
-	LoadEndpointReport = loadgen.EndpointReport
-)
-
-// RunLoad executes an open-loop load run against cfg.BaseURL.
-func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
-	return loadgen.Run(ctx, cfg)
-}
-
-// LoadRamp builds the common warmup-then-measure stage schedule.
-func LoadRamp(peakQPS float64, warmup, duration time.Duration) []LoadStage {
-	return loadgen.Ramp(peakQPS, warmup, duration)
-}
