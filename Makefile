@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke bench-pair vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean
+.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke bench-pair vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean loc
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,12 @@ extensions:
 
 fmt:
 	gofmt -w .
+
+# The two line counts ROADMAP cites: non-test Go outside bench/, and the
+# serving stack (internal/sched + internal/fleet + cmd/pragma-node).
+loc:
+	@printf 'non-test Go outside bench/:  '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'sched + fleet + pragma-node: '; find internal/sched internal/fleet cmd/pragma-node -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 cover:
 	$(GO) test -short -coverprofile=cover.out ./...

@@ -51,7 +51,6 @@ import (
 	"github.com/pragma-grid/pragma/internal/checkpoint"
 	"github.com/pragma-grid/pragma/internal/core"
 	"github.com/pragma-grid/pragma/internal/fleet"
-	"github.com/pragma-grid/pragma/internal/sched"
 	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
@@ -672,11 +671,29 @@ func replay(c config) error {
 		return nil
 	}
 
-	// Run the final snapshot as a real message-passing program under worker
+	// Run the final snapshot, partitioned by G-MISP+SP, as a real
+	// message-passing program on an in-process Message Center under worker
 	// supervision: every barrier wait is bounded by the step deadline, so a
 	// stalled or crashed worker fails the run instead of hanging it.
-	spec.EmulateSteps, spec.EmulateDeadline = 4, c.stepDeadline
-	rep, err := sched.EmulateFinalSnapshot(spec)
+	h := spec.Trace.Snapshots[len(spec.Trace.Snapshots)-1].H
+	p, err := pragma.PartitionerByName("G-MISP+SP")
+	if err != nil {
+		return err
+	}
+	a, err := p.Partition(h, pragma.UniformWork(), spec.NProcs)
+	if err != nil {
+		return err
+	}
+	center := pragma.NewMessageCenter()
+	ports := make([]pragma.MessagePort, spec.NProcs)
+	for i := range ports {
+		ports[i] = center
+	}
+	eng, err := pragma.NewEngine(h, a, center, ports, pragma.WithStepDeadline(c.stepDeadline))
+	if err != nil {
+		return err
+	}
+	rep, err := eng.Run(4)
 	var lost *pragma.EngineLostWorkers
 	if errors.As(err, &lost) {
 		return fmt.Errorf("emulation lost workers %v at step %d (deadline %s)", lost.Missing, lost.Step, lost.Deadline)

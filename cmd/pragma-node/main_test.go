@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"reflect"
 	"slices"
 	"sort"
@@ -495,5 +496,33 @@ func TestSchedKeepsStateWhenServeFails(t *testing.T) {
 	}
 	if gotSeq != seq || !bytes.Equal(got, payload) {
 		t.Fatalf("latest state is snapshot %d (%d bytes), want the restored snapshot %d unchanged", gotSeq, len(got), seq)
+	}
+}
+
+// TestReplayEmulate pins what replay -emulate prints for the small trace
+// on four procs: the replay's three summary lines, then the final
+// snapshot run on the message-passing engine for four steps.
+func TestReplayEmulate(t *testing.T) {
+	c := mustParse(t, "replay", "-trace", "small", "-procs", "4", "-emulate")
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = replay(c)
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("replay: %v\n%s", err, out)
+	}
+	want := `replaying small trace (41 snapshots) with adaptive on 4 procs
+simulated run-time 49.1s  compute 42.1s  comm 8.1s  partition 0.02s  migration 0.26s
+max imbalance 13.4%  avg 7.2%  switches 5  steps 164
+emulated 4 steps on 4 workers: 264 ghost messages, 107456 faces exchanged
+`
+	if string(out) != want {
+		t.Fatalf("replay -emulate printed\n%s\nwant\n%s", out, want)
 	}
 }

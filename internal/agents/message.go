@@ -266,19 +266,4 @@ func (c *Center) QueueDepth() int {
 	return n
 }
 
-// Ports returns the registered port names (local and remote), mainly for
-// monitoring and tests.
-func (c *Center) Ports() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.local)+len(c.remote))
-	for p := range c.local {
-		out = append(out, p)
-	}
-	for p := range c.remote {
-		out = append(out, p)
-	}
-	return out
-}
-
 var _ Port = (*Center)(nil)

@@ -239,7 +239,6 @@ const (
 type dialConfig struct {
 	dialer       func(addr string) (net.Conn, error)
 	reconnect    bool
-	maxRetries   int
 	backoffBase  time.Duration
 	backoffMax   time.Duration
 	heartbeat    time.Duration
@@ -289,12 +288,6 @@ func WithBackoff(base, max time.Duration) DialOption {
 			c.backoffMax = max
 		}
 	}
-}
-
-// WithMaxRetries bounds consecutive failed reconnect attempts per outage;
-// 0 (the default) retries until Close.
-func WithMaxRetries(n int) DialOption {
-	return func(c *dialConfig) { c.maxRetries = n }
 }
 
 // WithHeartbeat makes the client send a ping frame every interval and arms
@@ -565,14 +558,7 @@ func (cl *Client) failLocked() {
 
 func (cl *Client) reconnectLoop() {
 	backoff := cl.cfg.backoffBase
-	for attempt := 1; ; attempt++ {
-		if cl.cfg.maxRetries > 0 && attempt > cl.cfg.maxRetries {
-			cl.mu.Lock()
-			cl.failLocked()
-			cl.mu.Unlock()
-			cl.reportErr(fmt.Errorf("agents: reconnect: %d attempts exhausted", cl.cfg.maxRetries))
-			return
-		}
+	for {
 		cl.mu.Lock()
 		if cl.state == stateClosed {
 			cl.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pragma-grid/pragma/internal/sched"
 	"github.com/pragma-grid/pragma/internal/stream"
 )
 
@@ -57,7 +58,7 @@ func TestFleetEventsOnResultPath(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("timed out; states so far %v", states)
 		}
-		if len(states) > 0 && State(states[len(states)-1]).Terminal() {
+		if len(states) > 0 && sched.State(states[len(states)-1]).Terminal() {
 			break
 		}
 	}
@@ -146,7 +147,7 @@ func TestFleetHandlerPaginationAndEvents(t *testing.T) {
 	}
 	var states []string
 	sc := bufio.NewScanner(eresp.Body)
-	for len(states) == 0 || !State(states[len(states)-1]).Terminal() {
+	for len(states) == 0 || !sched.State(states[len(states)-1]).Terminal() {
 		if !sc.Scan() {
 			t.Fatalf("event stream for %s ended after states %v: %v", ids[0], states, sc.Err())
 		}

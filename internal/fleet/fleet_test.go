@@ -199,7 +199,7 @@ func TestFleetEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateDone {
+		if st.State != sched.StateDone {
 			t.Fatalf("run %s: state %s (err %q)", id, st.State, st.Error)
 		}
 		if st.Placement == "" || st.Placement == "local" {
@@ -254,7 +254,7 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("run never started on a worker")
 		}
-		if cur, ok := r.Status(st.ID); ok && cur.State == StateRunning && cur.Placement != "" {
+		if cur, ok := r.Status(st.ID); ok && cur.State == sched.StateRunning && cur.Placement != "" {
 			victim = cur.Placement
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -282,7 +282,7 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone {
+	if final.State != sched.StateDone {
 		t.Fatalf("state %s (err %q), want done", final.State, final.Error)
 	}
 	if final.Failovers < 1 {
@@ -352,7 +352,7 @@ func TestFleetLocalFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone {
+	if final.State != sched.StateDone {
 		t.Fatalf("state %s (err %q), want done", final.State, final.Error)
 	}
 	if final.Placement != "local" {
@@ -420,7 +420,7 @@ func TestFleetBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone {
+	if final.State != sched.StateDone {
 		t.Fatalf("state %s (err %q), want done", final.State, final.Error)
 	}
 	if final.Placement != "local" {
@@ -459,7 +459,7 @@ func TestFleetDrain(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("run never started")
 		}
-		if cur, ok := r.Status(st.ID); ok && cur.State == StateRunning {
+		if cur, ok := r.Status(st.ID); ok && cur.State == sched.StateRunning {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -473,14 +473,14 @@ func TestFleetDrain(t *testing.T) {
 	if !ok {
 		t.Fatal("run record vanished")
 	}
-	if final.State != StateDrained || !final.Resumable {
+	if final.State != sched.StateDrained || !final.Resumable {
 		t.Fatalf("state %s resumable=%v, want drained+resumable", final.State, final.Resumable)
 	}
 	if final.CheckpointDir != ws.CheckpointDir {
 		t.Fatalf("drained checkpoint dir %q, want %q", final.CheckpointDir, ws.CheckpointDir)
 	}
-	if _, err := r.Submit(SubmitRequest{Tenant: "acme", Spec: WireSpec{}}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("submit during drain: %v, want ErrDraining", err)
+	if _, err := r.Submit(SubmitRequest{Tenant: "acme", Spec: WireSpec{}}); !errors.Is(err, sched.ErrDraining) {
+		t.Fatalf("submit during drain: %v, want sched.ErrDraining", err)
 	}
 	if !r.Draining() {
 		t.Fatal("Draining() = false after Drain")
@@ -540,6 +540,30 @@ func TestSpecFromValues(t *testing.T) {
 	}
 	if _, err := SpecFromValues(map[string][]string{"procs": {"many"}}); err == nil {
 		t.Fatal("bad procs accepted")
+	}
+	// The materializer every submit goes through refuses parsed values
+	// past their bounds before it builds anything.
+	mat := DefaultMaterializer()
+	for _, c := range []struct {
+		param, value string
+		ok           bool
+	}{
+		{"procs", "1", true},
+		{"procs", "1024", true},
+		{"procs", "1025", false},
+		{"procs", "-1", false},
+		{"procs", "1000000000", false},
+		{"regrid-delay-ms", "1000", true},
+		{"regrid-delay-ms", "1001", false},
+		{"regrid-delay-ms", "-1", false},
+	} {
+		ws, err := SpecFromValues(map[string][]string{c.param: {c.value}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mat(ws); (err == nil) != c.ok {
+			t.Errorf("%s=%s: materialize err %v, want ok=%v", c.param, c.value, err, c.ok)
+		}
 	}
 }
 

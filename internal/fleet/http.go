@@ -29,7 +29,7 @@ func Handler(r *Router, checkpointRoot string) http.Handler {
 			if err != nil {
 				return RunStatus{}, err
 			}
-			return r.SubmitWithRoot(SubmitRequest{Tenant: tenant, Priority: priority, Spec: ws}, checkpointRoot)
+			return r.Submit(SubmitRequest{Tenant: tenant, Priority: priority, Spec: ws, CheckpointRoot: checkpointRoot})
 		},
 		Stats: func() any { return r.Stats() },
 		Drain: r.Drain,

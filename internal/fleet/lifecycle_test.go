@@ -146,7 +146,7 @@ func TestRunningBeforeDone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateDone {
+		if st.State != sched.StateDone {
 			t.Fatalf("%s ended %s: %s", id, st.State, st.Error)
 		}
 		if st.Started.Before(st.Submitted) || st.Finished.Before(st.Started) {
@@ -177,7 +177,7 @@ func TestStaleHeartbeatNoFallback(t *testing.T) {
 	defer cancel()
 	for i := 0; i < 300; i++ {
 		id := postSubmit(t, base, "procs=4&scenario="+url.QueryEscape(tinyScenario(i%8)))
-		if st, err := r.Wait(ctx, id); err != nil || st.State != StateDone || st.Placement != "w0" {
+		if st, err := r.Wait(ctx, id); err != nil || st.State != sched.StateDone || st.Placement != "w0" {
 			t.Fatalf("%s: %+v, %v", id, st, err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestFleetWeightedFairness(t *testing.T) {
 	finals := make([]RunStatus, len(ids))
 	for i, id := range ids {
 		st, err := r.Wait(ctx, id)
-		if err != nil || st.State != StateDone {
+		if err != nil || st.State != sched.StateDone {
 			t.Fatalf("%s: %+v, %v", id, st, err)
 		}
 		finals[i] = st
@@ -301,5 +301,50 @@ func TestFleetWeightedFairness(t *testing.T) {
 	}
 	if st := r.Stats(); st.LocalFallbacks != 0 {
 		t.Errorf("stats %+v, want no local fallback", st)
+	}
+}
+
+// TestRefusedSpecSparesBreaker: a spec the worker cannot materialize is
+// the submitter's fault, and every fleet member shares the materializer.
+// The run fails at once, with no retry, no local fallback and no charge
+// against the worker's breaker, so the next run is still placed on it.
+// The worker beats once a minute: its re-hello would close the breaker.
+func TestRefusedSpecSparesBreaker(t *testing.T) {
+	mat := DefaultMaterializer()
+	center, addr := startCenter(t)
+	r := testRouter(t, center, mat, func(c *Config) { c.HeartbeatTimeout = time.Hour })
+	cl, err := agents.Dial(addr, agents.WithErrorHandler(func(error) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{Port: cl, ID: "w0", Slots: 1, HeartbeatEvery: time.Minute, Materialize: mat})
+	if err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	t.Cleanup(func() { w.Close() })
+	waitReachable(t, r, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	bad, err := r.Submit(SubmitRequest{Tenant: "t", Spec: WireSpec{Trace: "bogus"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := r.Wait(ctx, bad.ID); err != nil || st.State != sched.StateFailed {
+		t.Fatalf("bogus trace: %+v, %v; want failed", st, err)
+	}
+	if ws := r.Workers(); len(ws) != 1 || ws[0].BreakerOpen {
+		t.Fatalf("workers %+v, want w0 with its breaker closed", ws)
+	}
+	good, err := r.Submit(SubmitRequest{Tenant: "t", Spec: WireSpec{Scenario: tinyScenario(0), Procs: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := r.Wait(ctx, good.ID); err != nil || st.State != sched.StateDone || st.Placement != "w0" {
+		t.Fatalf("valid run after the refusal: %+v, %v; want done on w0", st, err)
+	}
+	if st := r.Stats(); st.LocalFallbacks != 0 {
+		t.Fatalf("stats %+v, want no local fallback", st)
 	}
 }

@@ -17,29 +17,9 @@ import (
 	"github.com/pragma-grid/pragma/internal/stream"
 )
 
-// A fleet run is a scheduler run whose attempts the router executes: the
-// lifecycle's types under the names fleet callers already use.
-type (
-	State     = sched.State
-	RunStatus = sched.RunStatus
-)
-
-// Run states (see sched.State).
-const (
-	StateQueued    = sched.StateQueued
-	StateRunning   = sched.StateRunning
-	StateDone      = sched.StateDone
-	StateFailed    = sched.StateFailed
-	StateDrained   = sched.StateDrained
-	StateCancelled = sched.StateCancelled
-)
-
-// Admission errors (test with errors.Is): the router no longer admits
-// work; the backlog is at inflightLimit.
-var (
-	ErrDraining  = sched.ErrDraining
-	ErrSaturated = sched.ErrSaturated
-)
+// RunStatus is a fleet run's status: a fleet run is a scheduler run whose
+// attempts the router executes.
+type RunStatus = sched.RunStatus
 
 // Placement, retry and breaker tuning (DESIGN.md §12).
 const (
@@ -47,7 +27,7 @@ const (
 	breakerThreshold = 3               // consecutive dispatch failures that open a worker's circuit breaker
 	breakerCooldown  = 5 * time.Second // how long an open breaker keeps its worker out of placement
 	maxFailovers     = 3               // re-placements after worker loss before running the run locally
-	inflightLimit    = 1024            // admitted backlog fleet-wide; submissions beyond it get ErrSaturated
+	inflightLimit    = 1024            // admitted backlog fleet-wide; submissions beyond it get sched.ErrSaturated
 	localWorkers     = 1               // runs the router executes itself at once while no worker is placeable
 )
 
@@ -155,6 +135,9 @@ type SubmitRequest struct {
 	Tenant   string
 	Priority int
 	Spec     WireSpec
+	// CheckpointRoot, when set and Spec.CheckpointDir is empty, makes the
+	// run checkpoint under <root>/<run-id>, so failover can resume it.
+	CheckpointRoot string
 }
 
 // Router is the remote executor of a run lifecycle: internal/sched admits,
@@ -237,13 +220,6 @@ func (r *Router) reportErr(err error) {
 // Submit admits a run. It returns the queued run's status; the run is
 // dispatched as soon as the fleet has a free slot (watch Status or Wait).
 func (r *Router) Submit(req SubmitRequest) (RunStatus, error) {
-	return r.SubmitWithRoot(req, "")
-}
-
-// SubmitWithRoot admits a run like Submit, additionally defaulting its
-// checkpoint directory to <root>/<run-id> when the spec has none and root
-// is non-empty, so every fleet run is failover-capable by default.
-func (r *Router) SubmitWithRoot(req SubmitRequest, root string) (RunStatus, error) {
 	return r.life.Submit(sched.SubmitRequest{
 		Tenant:   req.Tenant,
 		Priority: req.Priority,
@@ -251,7 +227,7 @@ func (r *Router) SubmitWithRoot(req SubmitRequest, root string) (RunStatus, erro
 		// The lifecycle owns these two; Execute copies them back.
 		Spec:           sched.RunSpec{CheckpointDir: req.Spec.CheckpointDir, Resume: req.Spec.Resume},
 		Payload:        req.Spec,
-		CheckpointRoot: root,
+		CheckpointRoot: req.CheckpointRoot,
 	})
 }
 
@@ -419,7 +395,8 @@ func (r *Router) pickWorker(tried map[string]bool) (*workerState, int) {
 // dispatch sends one placement to w, on which pickWorker reserved a slot,
 // and stays with it: the worker's acknowledgment under the dispatch
 // deadline, then the run's result or the loss of the worker. It returns
-// errUnplaced when the worker did not take the run on.
+// errUnplaced when the worker did not take the run on, and fails the run
+// when its spec did not materialize there.
 func (r *Router) dispatch(a *sched.Attempt, w *workerState, ws WireSpec) (*core.RunResult, error) {
 	// The placement is recorded before anything is sent, so the terminal
 	// record says where the run executed however fast its result arrives.
@@ -458,6 +435,12 @@ func (r *Router) dispatch(a *sched.Attempt, w *workerState, ws WireSpec) (*core.
 	for {
 		select {
 		case verdict := <-ack:
+			if verdict.Refused {
+				// The spec is at fault, not the worker: the run fails here,
+				// since a retry or this process would refuse it the same way.
+				dispatchRejected.Inc()
+				return nil, &remoteError{text: verdict.Err}
+			}
 			if verdict.Err != "" {
 				r.workerFailed(w)
 				dispatchRejected.Inc()
@@ -487,7 +470,7 @@ func (r *Router) dispatch(a *sched.Attempt, w *workerState, ws WireSpec) (*core.
 // settle turns the end of a placed dispatch — the worker's result, or the
 // loss of the worker — into what the lifecycle is told.
 func (r *Router) settle(a *sched.Attempt, w *workerState, res resultMsg) (*core.RunResult, error) {
-	drained := res.State == string(StateDrained)
+	drained := res.State == string(sched.StateDrained)
 	switch {
 	case res.State == stateLost, drained && !interrupted(a):
 		// Lost with its worker — or the worker drained (it is shutting
@@ -500,7 +483,7 @@ func (r *Router) settle(a *sched.Attempt, w *workerState, res resultMsg) (*core.
 		return nil, &remoteError{"fleet: worker " + w.id + " lost", sched.ErrLost}
 	case drained:
 		return nil, &remoteError{res.Err, core.ErrInterrupted}
-	case res.State == string(StateDone):
+	case res.State == string(sched.StateDone):
 		return res.Result, nil
 	default:
 		return nil, &remoteError{text: res.Err}

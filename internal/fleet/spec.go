@@ -48,6 +48,18 @@ type WireSpec struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
+// Bounds on the outside input a WireSpec carries. The machine is allocated
+// per processor, and a regrid delay sleeps through interrupts, so a drain
+// waits it out.
+const (
+	maxProcs         = 1024
+	maxRegridDelayMS = 1000
+	// maxCachedTraces bounds the materializer's trace cache, which is keyed
+	// by client-chosen scenario strings and seeds; the oldest entry goes
+	// first.
+	maxCachedTraces = 256
+)
+
 // Materializer turns a WireSpec into an executable run spec. Every entry
 // point shares one — the single-node scheduler, fleet workers, the
 // router's local execution, pragma-node replay, snapshot restore — so
@@ -55,11 +67,11 @@ type WireSpec struct {
 type Materializer func(ws WireSpec) (sched.RunSpec, error)
 
 // DefaultMaterializer builds the standard materializer: built-in RM3D
-// traces and scenario specs, cached per process so repeated dispatches of
-// the same trace do not regenerate it, with a fresh strategy instance per
-// run (strategies carry per-run state). A scenario's per-snapshot work
-// models are built once with its trace and cached in the same entry; the
-// runs share them read-only.
+// traces and scenario specs, cached per process (the latest
+// maxCachedTraces of them) so repeated dispatches of the same trace do not
+// regenerate it, with a fresh strategy instance per run (strategies carry
+// per-run state). A scenario's per-snapshot work models are built once with
+// its trace and cached in the same entry; the runs share them read-only.
 func DefaultMaterializer() Materializer {
 	var mu sync.Mutex
 	type cached struct {
@@ -67,6 +79,7 @@ func DefaultMaterializer() Materializer {
 		workModel func(idx int) samr.WorkModel // nil: uniform
 	}
 	cache := map[string]cached{}
+	var order []string // cache keys, oldest first
 	get := func(key string, gen func() (*samr.Trace, error), wm func(idx int) samr.WorkModel) (cached, error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -85,10 +98,25 @@ func DefaultMaterializer() Materializer {
 			}
 			c.workModel = func(idx int) samr.WorkModel { return wms[idx] }
 		}
+		if len(order) == maxCachedTraces {
+			delete(cache, order[0])
+			order = order[1:]
+		}
 		cache[key] = c
+		order = append(order, key)
 		return c, nil
 	}
 	return func(ws WireSpec) (sched.RunSpec, error) {
+		procs := ws.Procs
+		if procs == 0 {
+			procs = 8
+		}
+		if procs < 1 || procs > maxProcs {
+			return sched.RunSpec{}, fmt.Errorf("fleet: procs %d outside [1, %d]", procs, maxProcs)
+		}
+		if ws.RegridDelayMS < 0 || ws.RegridDelayMS > maxRegridDelayMS {
+			return sched.RunSpec{}, fmt.Errorf("fleet: regrid delay %d ms outside [0, %d]", ws.RegridDelayMS, maxRegridDelayMS)
+		}
 		var c cached
 		var err error
 		if ws.Scenario != "" {
@@ -126,13 +154,6 @@ func DefaultMaterializer() Materializer {
 		}
 		if ws.RegridDelayMS > 0 {
 			strat = DelayStrategy(strat, time.Duration(ws.RegridDelayMS)*time.Millisecond)
-		}
-		procs := ws.Procs
-		if procs == 0 {
-			procs = 8
-		}
-		if procs < 1 {
-			return sched.RunSpec{}, fmt.Errorf("fleet: bad procs %d", procs)
 		}
 		return sched.RunSpec{
 			Trace:           c.tr,

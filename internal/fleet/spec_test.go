@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -82,5 +84,58 @@ func TestMaterializerCachesWorkModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRunResult(t, sc+" through sched", got.Result, want)
+	}
+}
+
+// TestSingleNodeSubmitRejectsHugeProcs: a single-node scheduler
+// materializes before admission, so an out-of-range procs= is answered
+// 400 and allocates no machine.
+func TestSingleNodeSubmitRejectsHugeProcs(t *testing.T) {
+	s := sched.New(sched.Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(sched.Handler(s, SpecBuilder("", DefaultMaterializer())))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/sched/submit?trace=small&procs=100000", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit with procs=100000 answered %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestMaterializerCacheBounded: the trace cache keeps the latest
+// maxCachedTraces traces. A key pushed out by newer ones regenerates its
+// trace; a recent key still shares the cached one.
+func TestMaterializerCacheBounded(t *testing.T) {
+	mat := DefaultMaterializer()
+	ws := func(seed int) WireSpec {
+		return WireSpec{Scenario: "dims=16x8x8;depth=2;III:2", Seed: int64(seed), SeedSet: true, Procs: 4}
+	}
+	traces := make([]*samr.Trace, maxCachedTraces+1)
+	for i := range traces {
+		spec, err := mat(ws(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = spec.Trace
+	}
+	last, err := mat(ws(maxCachedTraces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Trace != traces[maxCachedTraces] {
+		t.Error("the most recent key regenerated its trace")
+	}
+	first, err := mat(ws(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Trace == traces[0] {
+		t.Error("the oldest key still shares its trace past the cache bound")
+	}
+	if !reflect.DeepEqual(first.Trace, traces[0]) {
+		t.Error("the regenerated trace differs from the evicted one")
 	}
 }

@@ -102,6 +102,9 @@ type ackMsg struct {
 	RunID   string `json:"runID"`
 	Attempt int    `json:"attempt"`
 	Err     string `json:"err,omitempty"`
+	// Refused marks an Err the spec caused: it did not materialize, and
+	// every fleet member, sharing one materializer, would refuse it alike.
+	Refused bool `json:"refused,omitempty"`
 }
 
 // resultMsg is KindResult's payload: one run's terminal state on a worker.

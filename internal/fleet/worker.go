@@ -186,14 +186,14 @@ func (w *Worker) recvLoop(inbox <-chan agents.Message) {
 // handleDispatch admits one placement into the local pool and acks the
 // verdict. On admission a watcher goroutine reports the terminal state.
 func (w *Worker) handleDispatch(d dispatchMsg) {
-	ack := func(errText string) {
-		msg := ackMsg{RunID: d.RunID, Attempt: d.Attempt, Err: errText}
+	ack := func(errText string, refused bool) {
+		msg := ackMsg{RunID: d.RunID, Attempt: d.Attempt, Err: errText, Refused: refused}
 		if err := send(w.port, w.mailbox, RouterPort, KindAck, msg); err != nil {
 			w.reportErr(fmt.Errorf("fleet: worker %s ack %s: %w", w.cfg.ID, d.RunID, err))
 		}
 	}
 	if w.pool.Draining() { // before paying for a materialization
-		ack("worker draining")
+		ack("worker draining", false)
 		return
 	}
 	w.mu.Lock()
@@ -201,25 +201,25 @@ func (w *Worker) handleDispatch(d dispatchMsg) {
 		// A superseded attempt of this run is still executing here; running
 		// it twice in one pool would double-write its checkpoint store.
 		w.mu.Unlock()
-		ack("run already active on this worker")
+		ack("run already active on this worker", false)
 		return
 	}
 	w.mu.Unlock()
 
 	spec, err := w.cfg.Materialize(d.Spec)
 	if err != nil {
-		ack(fmt.Sprintf("materialize: %v", err))
+		ack(fmt.Sprintf("materialize: %v", err), true)
 		return
 	}
 	st, err := w.pool.Submit(sched.SubmitRequest{Tenant: d.Tenant, Weight: d.Spec.Weight, Spec: spec})
 	if err != nil {
-		ack(err.Error())
+		ack(err.Error(), false)
 		return
 	}
 	w.mu.Lock()
 	w.attempts[d.RunID] = d.Attempt
 	w.mu.Unlock()
-	ack("")
+	ack("", false)
 
 	w.wg.Add(1)
 	go func() {

@@ -48,6 +48,3 @@ func (f *AvailabilityForecaster) Available() float64 {
 	}
 	return avail
 }
-
-// Observations reports how many samples have been fed.
-func (f *AvailabilityForecaster) Observations() int { return f.n }

@@ -13,7 +13,7 @@ import (
 // priority bands, worker hand-off, and terminal bookkeeping — with a no-op
 // run body, so the number is pure scheduling cost.
 func BenchmarkSchedulerSubmitCycle(b *testing.B) {
-	s := New(Config{
+	s := newTestScheduler(Config{
 		Workers:    runtime.GOMAXPROCS(0),
 		QueueLimit: 1 << 30, // never reject: the bench measures throughput, not backpressure
 	})
@@ -31,7 +31,7 @@ func BenchmarkSchedulerSubmitCycle(b *testing.B) {
 		if _, err := s.Submit(SubmitRequest{
 			Tenant:   tenants[i%len(tenants)],
 			Priority: i % 4,
-			RunFunc:  noop,
+			Payload:  noop,
 		}); err != nil {
 			b.Fatal(err)
 		}

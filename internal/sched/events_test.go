@@ -62,7 +62,7 @@ func TestEventsObserveEveryTransition(t *testing.T) {
 func TestSlowSubscriberNeverBlocksSubmit(t *testing.T) {
 	hub := stream.NewHub(stream.Config{SubBuffer: 1})
 	defer hub.Close()
-	s := New(Config{Workers: 2, QueueLimit: 512, Events: hub})
+	s := newTestScheduler(Config{Workers: 2, QueueLimit: 512, Events: hub})
 	defer s.Close()
 
 	// A subscriber that never reads: every publish past its 1-slot buffer
@@ -76,7 +76,7 @@ func TestSlowSubscriberNeverBlocksSubmit(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			if _, err := s.Submit(SubmitRequest{
 				Tenant: "flood",
-				RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+				Payload: func(<-chan struct{}) (*core.RunResult, error) {
 					<-block
 					return &core.RunResult{Strategy: "noop"}, nil
 				},
@@ -104,11 +104,11 @@ func TestSlowSubscriberNeverBlocksSubmit(t *testing.T) {
 func TestDrainPublishesCancelledEvents(t *testing.T) {
 	hub := stream.NewHub(stream.Config{SubBuffer: 256})
 	defer hub.Close()
-	s := New(Config{Workers: 1, QueueLimit: 16, Events: hub})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 16, Events: hub})
 
 	block := make(chan struct{})
 	// One run occupies the single worker; the rest stay queued.
-	if _, err := s.Submit(SubmitRequest{RunFunc: func(interrupt <-chan struct{}) (*core.RunResult, error) {
+	if _, err := s.Submit(SubmitRequest{Payload: func(interrupt <-chan struct{}) (*core.RunResult, error) {
 		close(block)
 		<-interrupt
 		return &core.RunResult{Strategy: "noop"}, nil
@@ -118,7 +118,7 @@ func TestDrainPublishesCancelledEvents(t *testing.T) {
 	<-block
 	queued := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
-		st, err := s.Submit(SubmitRequest{RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+		st, err := s.Submit(SubmitRequest{Payload: func(<-chan struct{}) (*core.RunResult, error) {
 			return &core.RunResult{Strategy: "noop"}, nil
 		}})
 		if err != nil {

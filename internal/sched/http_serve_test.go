@@ -16,14 +16,14 @@ import (
 )
 
 func TestRunsPagination(t *testing.T) {
-	s := New(Config{Workers: 2, QueueLimit: 64})
+	s := newTestScheduler(Config{Workers: 2, QueueLimit: 64})
 	defer s.Close()
 	srv := httptest.NewServer(Handler(s, nil))
 	defer srv.Close()
 
 	ids := make([]string, 0, 10)
 	for i := 0; i < 10; i++ {
-		st, err := s.Submit(SubmitRequest{RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+		st, err := s.Submit(SubmitRequest{Payload: func(<-chan struct{}) (*core.RunResult, error) {
 			return &core.RunResult{Strategy: "noop"}, nil
 		}})
 		if err != nil {
@@ -103,7 +103,7 @@ func TestSaturated429CarriesParseableRetryAfter(t *testing.T) {
 	// One worker wedged + queue of 1 ⇒ the third submission must be
 	// rejected 429 with a parseable Retry-After, and the accept loop must
 	// keep answering other endpoints instantly while saturated.
-	s := New(Config{Workers: 1, QueueLimit: 1})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 1})
 	defer s.Close()
 	block := make(chan struct{})
 	defer close(block)
@@ -111,13 +111,13 @@ func TestSaturated429CarriesParseableRetryAfter(t *testing.T) {
 		<-block
 		return &core.RunResult{Strategy: "noop"}, nil
 	}
-	if _, err := s.Submit(SubmitRequest{RunFunc: wedge}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Payload: wedge}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "wedged run to occupy the worker", func() bool {
 		return s.Stats().Active == 1
 	})
-	if _, err := s.Submit(SubmitRequest{RunFunc: wedge}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Payload: wedge}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(Handler(s, func(tenant string, priority int, v url.Values) (RunSpec, error) {

@@ -136,17 +136,17 @@ func TestHandlerLifecycle(t *testing.T) {
 }
 
 func TestHandlerBackpressureStatus(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 1})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 1})
 	defer s.Close()
 	gate := make(chan struct{})
 	defer close(gate)
 	// Park the worker and fill the queue through the scheduler directly,
 	// then confirm the HTTP surface translates saturation to 429.
-	if _, err := s.Submit(SubmitRequest{Tenant: "t", RunFunc: blockingRun(gate)}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Tenant: "t", Payload: blockingRun(gate)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the blocker to start", func() bool { return s.Stats().Active == 1 })
-	if _, err := s.Submit(SubmitRequest{Tenant: "t", RunFunc: blockingRun(gate)}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Tenant: "t", Payload: blockingRun(gate)}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -12,10 +12,10 @@ import (
 	"github.com/pragma-grid/pragma/internal/core"
 )
 
-// costRun returns a RunFunc whose reported cost is `intervals` completed
+// costRun returns a runFunc whose reported cost is `intervals` completed
 // regrid intervals — what the scheduler charges to the tenant's
 // normalized service.
-func costRun(intervals int) func(<-chan struct{}) (*core.RunResult, error) {
+func costRun(intervals int) runFunc {
 	return func(<-chan struct{}) (*core.RunResult, error) {
 		return &core.RunResult{Snapshots: make([]core.SnapshotStat, intervals)}, nil
 	}
@@ -26,14 +26,14 @@ func costRun(intervals int) func(<-chan struct{}) (*core.RunResult, error) {
 // proportionally (±20%, the acceptance bound; the engine is deterministic
 // here so the ratios are in fact exact).
 func TestWeightedFairnessRatios(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 256, PreemptRatio: -1})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 256, PreemptRatio: -1})
 	defer s.Close()
 
 	// Park the only worker so the whole backlog is queued before the
 	// first weighted dispatch decision.
 	blocked := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := s.Submit(SubmitRequest{Tenant: "gate", RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	if _, err := s.Submit(SubmitRequest{Tenant: "gate", Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		close(blocked)
 		<-release
 		return nil, nil
@@ -44,7 +44,7 @@ func TestWeightedFairnessRatios(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []string
-	runFor := func(tenant string) func(<-chan struct{}) (*core.RunResult, error) {
+	runFor := func(tenant string) runFunc {
 		return func(<-chan struct{}) (*core.RunResult, error) {
 			mu.Lock()
 			order = append(order, tenant)
@@ -55,7 +55,7 @@ func TestWeightedFairnessRatios(t *testing.T) {
 	weights := map[string]float64{"A": 1, "B": 2, "C": 4}
 	for i := 0; i < 30; i++ {
 		for _, tn := range []string{"A", "B", "C"} {
-			if _, err := s.Submit(SubmitRequest{Tenant: tn, Weight: weights[tn], RunFunc: runFor(tn)}); err != nil {
+			if _, err := s.Submit(SubmitRequest{Tenant: tn, Weight: weights[tn], Payload: runFor(tn)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,7 +92,7 @@ func TestWeightedFairnessRatios(t *testing.T) {
 // resumes to a final result bit-identical to a never-interrupted
 // reference run.
 func TestPreemptResumeBitIdentical(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 16})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 16})
 	defer s.Close()
 
 	reached := make(chan struct{})
@@ -108,7 +108,7 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 
 	// A higher-band submit finds the pool saturated and preempts bg.
 	vipGate := make(chan struct{})
-	vip, err := s.Submit(SubmitRequest{Tenant: "vip", Priority: 1, RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	vip, err := s.Submit(SubmitRequest{Tenant: "vip", Priority: 1, Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		<-vipGate
 		return nil, nil
 	}})
@@ -150,14 +150,16 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 // priority difference, but the running tenant is far over-share, so an
 // under-share tenant's submit evicts it and runs first.
 func TestPreemptionOverShareSameBand(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 16})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 16})
 	defer s.Close()
 
 	// bg earns 10 cost units, then parks its second run on the worker.
 	// The earner must finish before the blocker is dispatched (one
 	// worker), and bg keeps a run in flight throughout, so its service
-	// survives (tenantExit never fires).
+	// survives (tenantExit never fires): the earner holds the worker until
+	// the blocker is queued.
 	bgBlocked := make(chan struct{})
+	blockerQueued := make(chan struct{})
 	var attempts int32
 	blocker := func(interrupt <-chan struct{}) (*core.RunResult, error) {
 		if atomic.AddInt32(&attempts, 1) == 1 {
@@ -167,17 +169,23 @@ func TestPreemptionOverShareSameBand(t *testing.T) {
 		}
 		return costRun(1)(nil)
 	}
-	if _, err := s.Submit(SubmitRequest{Tenant: "bg", RunFunc: costRun(10)}); err != nil {
+	earner := func(<-chan struct{}) (*core.RunResult, error) {
+		<-blockerQueued
+		return costRun(10)(nil)
+	}
+	if _, err := s.Submit(SubmitRequest{Tenant: "bg", Payload: earner}); err != nil {
 		t.Fatal(err)
 	}
-	stB, err := s.Submit(SubmitRequest{Tenant: "bg", RunFunc: blocker})
+	// A checkpoint directory is what makes the blocker preemptible.
+	stB, err := s.Submit(SubmitRequest{Tenant: "bg", Payload: blocker, Spec: RunSpec{CheckpointDir: t.TempDir()}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(blockerQueued)
 	<-bgBlocked
 
 	var fgOrder, bgOrder time.Time
-	stF, err := s.Submit(SubmitRequest{Tenant: "fg", RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	stF, err := s.Submit(SubmitRequest{Tenant: "fg", Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		fgOrder = time.Now()
 		return costRun(1)(nil)
 	}})
@@ -213,10 +221,10 @@ func TestPreemptionOverShareSameBand(t *testing.T) {
 // wildly different weights and priorities, with run bodies that yield to
 // their first interrupts, and requires every admitted run to complete.
 func TestPreemptionStarvationFreedom(t *testing.T) {
-	s := New(Config{Workers: 2, QueueLimit: 512})
+	s := newTestScheduler(Config{Workers: 2, QueueLimit: 512})
 	defer s.Close()
 
-	newBody := func() func(<-chan struct{}) (*core.RunResult, error) {
+	newBody := func() runFunc {
 		var attempts int32
 		return func(interrupt <-chan struct{}) (*core.RunResult, error) {
 			n := atomic.AddInt32(&attempts, 1)
@@ -232,11 +240,12 @@ func TestPreemptionStarvationFreedom(t *testing.T) {
 		}
 	}
 	weights := []float64{0.5, 1, 2, 4, 8, 64}
+	root := t.TempDir() // every run checkpoints under it, so every run is preemptible
 	var ids []string
 	for i, w := range weights {
 		tenant := fmt.Sprintf("t%d", i)
 		for j := 0; j < 8; j++ {
-			st, err := s.Submit(SubmitRequest{Tenant: tenant, Weight: w, Priority: j % 2, RunFunc: newBody()})
+			st, err := s.Submit(SubmitRequest{Tenant: tenant, Weight: w, Priority: j % 2, Payload: newBody(), CheckpointRoot: root})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +269,7 @@ func TestPreemptionStarvationFreedom(t *testing.T) {
 // into [MinWeight, MaxWeight], zero meaning "keep the tenant's current
 // weight", and the default for undeclared tenants.
 func TestSubmitWeightClampAndStickiness(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 16, PreemptRatio: -1})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 16, PreemptRatio: -1})
 	defer s.Close()
 
 	// Hold the worker so tenant "t" stays active between submits (an idle
@@ -268,7 +277,7 @@ func TestSubmitWeightClampAndStickiness(t *testing.T) {
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := s.Submit(SubmitRequest{Tenant: "gate", RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	if _, err := s.Submit(SubmitRequest{Tenant: "gate", Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		close(blocked)
 		<-release
 		return nil, nil
@@ -288,7 +297,7 @@ func TestSubmitWeightClampAndStickiness(t *testing.T) {
 		{3, 3},
 	}
 	for i, c := range cases {
-		st, err := s.Submit(SubmitRequest{Tenant: "t", Weight: c.weight, RunFunc: noop})
+		st, err := s.Submit(SubmitRequest{Tenant: "t", Weight: c.weight, Payload: noop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +305,7 @@ func TestSubmitWeightClampAndStickiness(t *testing.T) {
 			t.Errorf("submit %d (weight %v): status weight %v, want %v", i, c.weight, st.Weight, c.want)
 		}
 	}
-	st, err := s.Submit(SubmitRequest{Tenant: "fresh", RunFunc: noop})
+	st, err := s.Submit(SubmitRequest{Tenant: "fresh", Payload: noop})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,14 +164,6 @@ type RunSpec struct {
 	// Resume continues from the latest valid checkpoint in CheckpointDir
 	// (how a run drained by a previous instance is picked back up).
 	Resume bool
-	// EmulateSteps, when positive, follows the replay by running the final
-	// snapshot on the message-passing engine for this many BSP steps under
-	// worker supervision: every barrier wait is bounded by EmulateDeadline
-	// and lost workers are remapped onto survivors up to EmulateRetries
-	// times (engine.RunRecovering) before the run fails.
-	EmulateSteps    int
-	EmulateDeadline time.Duration
-	EmulateRetries  int
 	// Weight is the weight= submit parameter, parsed with the rest of the
 	// spec; the HTTP handler passes it on as SubmitRequest.Weight.
 	Weight float64
@@ -213,11 +205,6 @@ type SubmitRequest struct {
 	Weight float64
 	// Spec is the run to execute.
 	Spec RunSpec
-	// RunFunc, when non-nil, replaces Spec entirely: the Local executor
-	// calls it with the attempt's interrupt channel. A RunFunc returning an
-	// error wrapping core.ErrInterrupted is recorded as drained. This is
-	// the seam tests and synthetic benchmarks use.
-	RunFunc func(interrupt <-chan struct{}) (*core.RunResult, error)
 	// Payload, when non-nil, is the run description for an Executor that
 	// does not take RunSpecs (the fleet router's WireSpec), handed to every
 	// attempt unread. Of Spec the lifecycle then uses only CheckpointDir
@@ -309,10 +296,9 @@ type Executor interface {
 type Attempt struct {
 	Run    string // the run's ID
 	Tenant string
-	// Spec, RunFunc and Payload are the submission's; Spec.Resume is set
-	// once an earlier attempt left checkpoints to continue from.
+	// Spec and Payload are the submission's; Spec.Resume is set once an
+	// earlier attempt left checkpoints to continue from.
 	Spec    RunSpec
-	RunFunc func(interrupt <-chan struct{}) (*core.RunResult, error)
 	Payload any
 	// Failovers is how many placed attempts of this run were lost before.
 	Failovers int
@@ -336,8 +322,8 @@ func (a *Attempt) Begin(placement string) int {
 	return a.r.attempt
 }
 
-// Local is the in-process executor: every attempt is one core.Run (or the
-// submission's RunFunc). Events, when non-nil, receives its regrid cycles.
+// Local is the in-process executor: every attempt is one core.Run of the
+// attempt's Spec. Events, when non-nil, receives its regrid cycles.
 type Local struct {
 	Workers int
 	Events  *stream.Hub
@@ -347,18 +333,8 @@ type Local struct {
 func (l Local) Capacity() int { return l.Workers }
 
 // Execute implements Executor.
-func (l Local) Execute(a *Attempt) (res *core.RunResult, err error) {
+func (l Local) Execute(a *Attempt) (*core.RunResult, error) {
 	start := time.Now()
-	if a.RunFunc != nil {
-		res, err = a.RunFunc(a.Interrupt)
-	} else {
-		res, err = l.run(a)
-	}
-	metricRunSeconds.With(string(outcome(err))).Observe(time.Since(start).Seconds())
-	return res, err
-}
-
-func (l Local) run(a *Attempt) (*core.RunResult, error) {
 	spec := &a.Spec
 	var onRegrid func(int, string)
 	if hub, id := l.Events, a.Run; hub != nil {
@@ -380,15 +356,8 @@ func (l Local) run(a *Attempt) (*core.RunResult, error) {
 		Interrupt:       a.Interrupt,
 		OnRegrid:        onRegrid,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if spec.EmulateSteps > 0 {
-		if _, err := EmulateFinalSnapshot(*spec); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	metricRunSeconds.With(string(outcome(err))).Observe(time.Since(start).Seconds())
+	return res, err
 }
 
 // outcome is the state an attempt's error ends a run in, requeues aside.
@@ -411,7 +380,6 @@ type run struct {
 	priority int
 	weight   float64
 	spec     RunSpec
-	runFn    func(interrupt <-chan struct{}) (*core.RunResult, error)
 	payload  any
 
 	state     State
@@ -568,7 +536,7 @@ func (s *Scheduler) publishState(r *run) {
 // ErrDraining. On admission it returns the queued run's status snapshot;
 // the run starts as soon as the executor has a free slot.
 func (s *Scheduler) Submit(req SubmitRequest) (RunStatus, error) {
-	if req.RunFunc == nil && req.Payload == nil {
+	if req.Payload == nil {
 		if err := req.Spec.validate(); err != nil {
 			return RunStatus{}, err
 		}
@@ -607,7 +575,6 @@ func (s *Scheduler) Submit(req SubmitRequest) (RunStatus, error) {
 		priority:  req.Priority,
 		weight:    w,
 		spec:      req.Spec,
-		runFn:     req.RunFunc,
 		payload:   req.Payload,
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -660,7 +627,7 @@ func (s *Scheduler) dispatchLocked() {
 		s.wg.Add(1)
 		go s.execute(r, &Attempt{
 			Run: r.id, Tenant: r.tenant,
-			Spec: r.spec, RunFunc: r.runFn, Payload: r.payload,
+			Spec: r.spec, Payload: r.payload,
 			Failovers: r.failovers, Interrupt: r.interrupt,
 			s: s, r: r,
 		})
@@ -684,10 +651,9 @@ func (s *Scheduler) Kick() {
 // normalized service. The victim — lowest band first, then the most
 // over-share tenant — has its interrupt channel closed; it checkpoints at
 // its next regrid boundary and finish requeues it resumable. Only runs
-// that can actually resume are eligible: spec runs need a CheckpointDir
-// (restarting a half-advanced strategy is not bit-identical), RunFunc
-// runs opted into interrupt handling by taking the channel. Runs never
-// preempt their own tenant — the submitter would just wait behind itself.
+// with a CheckpointDir are eligible: restarting a half-advanced strategy
+// is not bit-identical. Runs never preempt their own tenant — the
+// submitter would just wait behind itself.
 func (s *Scheduler) maybePreemptLocked(sub *run) {
 	if s.cfg.PreemptRatio < 0 || s.draining || s.active < s.exec.Capacity() {
 		return
@@ -695,10 +661,7 @@ func (s *Scheduler) maybePreemptLocked(sub *run) {
 	var victim *run
 	var victimSvc float64
 	for _, v := range s.running {
-		if v.preempting || v.tenant == sub.tenant {
-			continue
-		}
-		if v.runFn == nil && v.spec.CheckpointDir == "" {
+		if v.preempting || v.tenant == sub.tenant || v.spec.CheckpointDir == "" {
 			continue
 		}
 		svc := s.queue.service(v.priority, v.tenant)
@@ -835,7 +798,7 @@ func (s *Scheduler) chargeLocked(r *run, res *core.RunResult, err error) {
 		}
 	}
 	delta := total - r.charged
-	if !(delta > 0) { // also guards NaN from a pathological RunFunc result
+	if !(delta > 0) { // also guards NaN from a pathological executor result
 		return
 	}
 	r.charged = total
@@ -987,11 +950,6 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (RunStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return r.status(), nil
-}
-
-// Runs lists every retained run record in submission order.
-func (s *Scheduler) Runs() []RunStatus {
-	return s.RunsPage("", 0)
 }
 
 // DefaultRunsLimit caps an HTTP /sched/runs page when no explicit

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/build"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,8 +154,31 @@ func TestSchedulerRunsToCompletion(t *testing.T) {
 	}
 }
 
-// blockingRun returns a RunFunc that parks until gate closes.
-func blockingRun(gate <-chan struct{}) func(<-chan struct{}) (*core.RunResult, error) {
+// runFunc is a synthetic run body. A test submits one as the Payload of a
+// scheduler built by newTestScheduler, whose executor calls it with the
+// attempt's interrupt channel; one returning an error that wraps
+// core.ErrInterrupted yielded to the interrupt.
+type runFunc = func(interrupt <-chan struct{}) (*core.RunResult, error)
+
+// funcExec executes a runFunc payload itself and hands every other attempt
+// to Local, so one scheduler serves synthetic runs and replays side by side.
+type funcExec struct{ Local }
+
+func (e funcExec) Execute(a *Attempt) (*core.RunResult, error) {
+	if f, ok := a.Payload.(runFunc); ok {
+		return f(a.Interrupt)
+	}
+	return e.Local.Execute(a)
+}
+
+// newTestScheduler is New with funcExec as the executor.
+func newTestScheduler(cfg Config) *Scheduler {
+	cfg.fill()
+	return NewWithExecutor(cfg, funcExec{Local{Workers: cfg.Workers, Events: cfg.Events}})
+}
+
+// blockingRun returns a runFunc that parks until gate closes.
+func blockingRun(gate <-chan struct{}) runFunc {
 	return func(<-chan struct{}) (*core.RunResult, error) {
 		<-gate
 		return nil, nil
@@ -161,23 +186,23 @@ func blockingRun(gate <-chan struct{}) func(<-chan struct{}) (*core.RunResult, e
 }
 
 func TestAdmissionSaturation(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 2})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 2})
 	defer s.Close()
 	gate := make(chan struct{})
 	defer close(gate)
 
-	if _, err := s.Submit(SubmitRequest{Tenant: "a", RunFunc: blockingRun(gate)}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Tenant: "a", Payload: blockingRun(gate)}); err != nil {
 		t.Fatal(err)
 	}
 	// The single worker must pick it up so the queue is empty again.
 	waitFor(t, "the blocker to start", func() bool { return s.Stats().Active == 1 })
 
 	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(SubmitRequest{Tenant: "a", RunFunc: blockingRun(gate)}); err != nil {
+		if _, err := s.Submit(SubmitRequest{Tenant: "a", Payload: blockingRun(gate)}); err != nil {
 			t.Fatalf("queued submission %d rejected: %v", i, err)
 		}
 	}
-	_, err := s.Submit(SubmitRequest{Tenant: "b", RunFunc: blockingRun(gate)})
+	_, err := s.Submit(SubmitRequest{Tenant: "b", Payload: blockingRun(gate)})
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("submission over the queue limit returned %v, want ErrSaturated", err)
 	}
@@ -187,25 +212,25 @@ func TestAdmissionSaturation(t *testing.T) {
 }
 
 func TestTenantLimit(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 16, TenantLimit: 2})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 16, TenantLimit: 2})
 	defer s.Close()
 	gate := make(chan struct{})
 	defer close(gate)
 
-	if _, err := s.Submit(SubmitRequest{Tenant: "greedy", RunFunc: blockingRun(gate)}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Tenant: "greedy", Payload: blockingRun(gate)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the blocker to start", func() bool { return s.Stats().Active == 1 })
-	if _, err := s.Submit(SubmitRequest{Tenant: "greedy", RunFunc: blockingRun(gate)}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Tenant: "greedy", Payload: blockingRun(gate)}); err != nil {
 		t.Fatal(err)
 	}
 	// Running plus queued hits the limit; the third is rejected…
-	_, err := s.Submit(SubmitRequest{Tenant: "greedy", RunFunc: blockingRun(gate)})
+	_, err := s.Submit(SubmitRequest{Tenant: "greedy", Payload: blockingRun(gate)})
 	if !errors.Is(err, ErrTenantLimit) {
 		t.Fatalf("over-limit tenant got %v, want ErrTenantLimit", err)
 	}
 	// …while other tenants are unaffected.
-	if _, err := s.Submit(SubmitRequest{Tenant: "patient", RunFunc: blockingRun(gate)}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Tenant: "patient", Payload: blockingRun(gate)}); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 }
@@ -214,13 +239,13 @@ func TestTenantLimit(t *testing.T) {
 // warmup job, queues a mixed backlog, and asserts the execution order:
 // the high-priority run first, then one run per tenant per rotation.
 func TestPriorityAndTenantFairness(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 16})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 16})
 	defer s.Close()
 	gate := make(chan struct{})
 
 	var mu sync.Mutex
 	var order []string
-	record := func(label string) func(<-chan struct{}) (*core.RunResult, error) {
+	record := func(label string) runFunc {
 		return func(<-chan struct{}) (*core.RunResult, error) {
 			mu.Lock()
 			order = append(order, label)
@@ -229,14 +254,14 @@ func TestPriorityAndTenantFairness(t *testing.T) {
 		}
 	}
 
-	if _, err := s.Submit(SubmitRequest{Tenant: "warm", RunFunc: blockingRun(gate)}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Tenant: "warm", Payload: blockingRun(gate)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the warmup job to park the worker", func() bool { return s.Stats().Active == 1 })
 
 	submit := func(tenant string, priority int, label string) {
 		t.Helper()
-		if _, err := s.Submit(SubmitRequest{Tenant: tenant, Priority: priority, RunFunc: record(label)}); err != nil {
+		if _, err := s.Submit(SubmitRequest{Tenant: tenant, Priority: priority, Payload: record(label)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,16 +286,16 @@ func TestPriorityAndTenantFairness(t *testing.T) {
 // TestRunIsolation: one run panicking and another failing with a run error
 // must not disturb sibling runs or kill pool workers.
 func TestRunIsolation(t *testing.T) {
-	s := New(Config{Workers: 2, QueueLimit: 16})
+	s := newTestScheduler(Config{Workers: 2, QueueLimit: 16})
 	defer s.Close()
 
-	boom, err := s.Submit(SubmitRequest{Tenant: "bad", RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	boom, err := s.Submit(SubmitRequest{Tenant: "bad", Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		panic("boom")
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sad, err := s.Submit(SubmitRequest{Tenant: "bad", RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	sad, err := s.Submit(SubmitRequest{Tenant: "bad", Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		return nil, fmt.Errorf("lost workers")
 	}})
 	if err != nil {
@@ -506,12 +531,12 @@ func TestWaitUnknownRun(t *testing.T) {
 }
 
 func TestKeepFinishedEviction(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := newTestScheduler(Config{Workers: 1})
 	defer s.Close()
 	noop := func(<-chan struct{}) (*core.RunResult, error) { return nil, nil }
 	var first string
 	for i := 0; i < keepFinished+6; i++ {
-		st, err := s.Submit(SubmitRequest{Tenant: "t", RunFunc: noop})
+		st, err := s.Submit(SubmitRequest{Tenant: "t", Payload: noop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +550,24 @@ func TestKeepFinishedEviction(t *testing.T) {
 	if _, ok := s.Status(first); ok {
 		t.Fatal("oldest terminal record survived past keepFinished")
 	}
-	if got := len(s.Runs()); got != keepFinished {
+	if got := len(s.RunsPage("", 0)); got != keepFinished {
 		t.Fatalf("retained %d records, want %d", got, keepFinished)
+	}
+}
+
+// TestExecutionStaysBehindExecutor: the lifecycle describes a run and
+// leaves its execution to the Executor, so no non-test file of the
+// package reaches the message-passing engine or the control network.
+func TestExecutionStaysBehindExecutor(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range pkg.Imports {
+		for _, banned := range []string{"internal/engine", "internal/agents"} {
+			if strings.HasSuffix(imp, banned) {
+				t.Errorf("sched imports %s", imp)
+			}
+		}
 	}
 }

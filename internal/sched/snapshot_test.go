@@ -100,7 +100,7 @@ func TestSnapshotRestoreLosesNoRun(t *testing.T) {
 	// Every restored run must end bit-identical to the uninterrupted
 	// reference — including the one resumed from its drain checkpoint.
 	want := refResult(t)
-	for _, st := range s2.Runs() {
+	for _, st := range s2.RunsPage("", 0) {
 		if st.State != StateDone {
 			t.Errorf("%s ended %q (%s)", st.ID, st.State, st.Error)
 			continue
@@ -110,9 +110,9 @@ func TestSnapshotRestoreLosesNoRun(t *testing.T) {
 }
 
 func TestSnapshotSkipsUnwiredAndTerminal(t *testing.T) {
-	s := New(Config{Workers: 1, QueueLimit: 16})
+	s := newTestScheduler(Config{Workers: 1, QueueLimit: 16})
 	// A run that completes (terminal: not part of the backlog).
-	st, err := s.Submit(SubmitRequest{RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	st, err := s.Submit(SubmitRequest{Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		return &core.RunResult{Strategy: "noop"}, nil
 	}})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestSnapshotSkipsUnwiredAndTerminal(t *testing.T) {
 	// serializable — counted as skipped.
 	block := make(chan struct{})
 	defer close(block)
-	if _, err := s.Submit(SubmitRequest{RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	if _, err := s.Submit(SubmitRequest{Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		<-block
 		return &core.RunResult{Strategy: "noop"}, nil
 	}}); err != nil {
@@ -186,12 +186,12 @@ func TestRestoreRejectsCorruptAndForeign(t *testing.T) {
 func TestSnapshotCarriesWeights(t *testing.T) {
 	ckptRoot := t.TempDir()
 	build := snapshotBuilder(t, ckptRoot)
-	s1 := New(Config{Workers: 1, QueueLimit: 16})
+	s1 := newTestScheduler(Config{Workers: 1, QueueLimit: 16})
 	defer s1.Close() // its released backlog must not outlive the temp dir
 
 	// Park the worker so the weighted runs stay queued for the snapshot.
 	block := make(chan struct{})
-	if _, err := s1.Submit(SubmitRequest{RunFunc: func(<-chan struct{}) (*core.RunResult, error) {
+	if _, err := s1.Submit(SubmitRequest{Payload: func(<-chan struct{}) (*core.RunResult, error) {
 		<-block
 		return nil, nil
 	}}); err != nil {
@@ -236,7 +236,7 @@ func TestSnapshotCarriesWeights(t *testing.T) {
 	}
 	waitFor(t, "restored runs to finish", func() bool { return s2.Stats().Done == 2 })
 	seen := 0
-	for _, st := range s2.Runs() {
+	for _, st := range s2.RunsPage("", 0) {
 		want, ok := weights[st.Tenant]
 		if !ok {
 			t.Errorf("unexpected restored tenant %q", st.Tenant)
