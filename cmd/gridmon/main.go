@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -20,34 +22,46 @@ import (
 	"github.com/pragma-grid/pragma"
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/monitor"
-	"github.com/pragma-grid/pragma/internal/partition"
-	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-func usageError(msg string) {
-	fmt.Fprintln(os.Stderr, "gridmon:", msg)
-	flag.Usage()
-	os.Exit(2)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+// run runs one invocation and returns its exit code: 2 for a usage error,
+// 1 for a failed report.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gridmon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		nodes         = flag.Int("nodes", 8, "cluster size")
-		seed          = flag.Int64("seed", 2002, "synthetic load seed")
-		samples       = flag.Int("samples", 60, "number of monitoring samples")
-		interval      = flag.Float64("interval", 5, "seconds between samples")
-		telemetryAddr = flag.String("telemetry-addr", "", "serve /metrics and /healthz on this address")
-		telemetryHold = flag.Duration("telemetry-hold", 0, "keep the telemetry endpoint alive this long after the report")
+		nodes         = fs.Int("nodes", 8, "cluster size")
+		seed          = fs.Int64("seed", 2002, "synthetic load seed")
+		samples       = fs.Int("samples", 60, "number of monitoring samples")
+		interval      = fs.Float64("interval", 5, "seconds between samples")
+		telemetryAddr = fs.String("telemetry-addr", "", "serve /metrics and /healthz on this address")
+		telemetryHold = fs.Duration("telemetry-hold", 0, "keep the telemetry endpoint alive this long after the report")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usageError := func(msg string) int {
+		fmt.Fprintln(stderr, "gridmon:", msg)
+		fs.Usage()
+		return 2
+	}
 	if *nodes < 1 {
-		usageError("need at least 1 node (-nodes)")
+		return usageError("need at least 1 node (-nodes)")
 	}
 	if *samples < 2 {
-		usageError("need at least 2 samples (-samples)")
+		return usageError("need at least 2 samples (-samples)")
 	}
 	if *interval <= 0 {
-		usageError(fmt.Sprintf("-interval must be positive, got %g", *interval))
+		return usageError(fmt.Sprintf("-interval must be positive, got %g", *interval))
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "gridmon:", err)
+		return 1
 	}
 
 	var tsrv *pragma.TelemetryServer
@@ -55,11 +69,10 @@ func main() {
 		var err error
 		tsrv, err = pragma.ServeTelemetry(*telemetryAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridmon:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer tsrv.Close()
-		fmt.Printf("telemetry on http://%s/metrics\n", tsrv.Addr())
+		fmt.Fprintf(stdout, "telemetry on http://%s/metrics\n", tsrv.Addr())
 	}
 
 	machine := cluster.LinuxCluster(*nodes, *seed)
@@ -94,8 +107,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("monitored %d nodes for %d samples (%.0fs apart)\n\n", *nodes, *samples, *interval)
-	fmt.Printf("%-6s %-10s %-10s %-12s %-10s %-10s %-20s\n",
+	fmt.Fprintf(stdout, "monitored %d nodes for %d samples (%.0fs apart)\n\n", *nodes, *samples, *interval)
+	fmt.Fprintf(stdout, "%-6s %-10s %-10s %-12s %-10s %-10s %-20s\n",
 		"Node", "CPU now", "Forecast", "Best model", "MAE", "Accuracy", "Forecaster MSEs")
 	last := history[len(history)-1]
 	for i := 0; i < *nodes; i++ {
@@ -111,21 +124,19 @@ func main() {
 		if accuracy < 0 {
 			accuracy = 0
 		}
-		fmt.Printf("%-6d %-10.3f %-10.3f %-12s %-10.4f %-10s %s\n",
+		fmt.Fprintf(stdout, "%-6d %-10.3f %-10.3f %-12s %-10.4f %-10s %s\n",
 			i, last[i].CPU, metas[i].Predict(), metas[i].Best().Name(), mae,
 			fmt.Sprintf("%.1f%%", accuracy), top)
 	}
 
-	fmt.Printf("\nfleet forecast error quantiles: p50 %.4f   p95 %.4f   p99 %.4f (%d samples)\n",
-		errDist.Quantile(0.50), errDist.Quantile(0.95), errDist.Quantile(0.99), errDist.Count())
+	fmt.Fprintf(stdout, "\nfleet forecast error quantiles: p50 %.4f   p95 %.4f   p99 %.4f (%d samples)\n",
+		errDist.Quantile(0.50), errDist.Quantile(0.95), errDist.Quantile(0.99), *nodes*(*samples-1))
 
 	if _, err := monitor.Capacities(last, monitor.DefaultWeights()); err != nil {
-		fmt.Fprintln(os.Stderr, "gridmon:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if _, err := monitor.PredictiveCapacities(history, monitor.DefaultWeights()); err != nil {
-		fmt.Fprintln(os.Stderr, "gridmon:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	// The capacity calculators publish per-node gauges; read the final
@@ -134,74 +145,18 @@ func main() {
 	snap := pragma.Telemetry().Snapshot()
 	reactive := gaugeByNode(snap, "pragma_monitor_relative_capacity")
 	proactive := gaugeByNode(snap, "pragma_monitor_predicted_capacity")
-	fmt.Printf("\n%-6s %-20s %-20s\n", "Node", "Reactive capacity", "Predictive capacity")
+	fmt.Fprintf(stdout, "\n%-6s %-20s %-20s\n", "Node", "Reactive capacity", "Predictive capacity")
 	for i := 0; i < *nodes; i++ {
-		fmt.Printf("%-6d %-20.4f %-20.4f\n", i, reactive[i], proactive[i])
+		fmt.Fprintf(stdout, "%-6d %-20.4f %-20.4f\n", i, reactive[i], proactive[i])
 	}
-	fmt.Println("\ncapacities are the weighted normalized CPU/memory/bandwidth sums of Fig. 4;")
-	fmt.Println("the system-sensitive partitioner distributes workload proportionally to them.")
-
-	// Partition latency: partition a short regrid sequence at the monitored
-	// cluster's size so /metrics carries the partitioner latency
-	// histograms, then report them the way a scraper would.
-	if err := partitionActivity(*nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "gridmon:", err)
-		os.Exit(1)
-	}
-	partHist := pragma.Telemetry().HistogramVec("pragma_partition_seconds", "", nil, "partitioner")
-	fmt.Printf("\n%-12s %-8s %-10s %-10s %s\n", "Partitioner", "Calls", "p50 (ms)", "p95 (ms)", "Mean (ms)")
-	for _, p := range partition.All() {
-		h := partHist.With(p.Name())
-		n := h.Count()
-		if n == 0 {
-			continue
-		}
-		fmt.Printf("%-12s %-8d %-10.3f %-10.3f %.3f\n", p.Name(), n,
-			h.Quantile(0.50)*1e3, h.Quantile(0.95)*1e3, h.Sum()/float64(n)*1e3)
-	}
+	fmt.Fprintln(stdout, "\ncapacities are the weighted normalized CPU/memory/bandwidth sums of Fig. 4;")
+	fmt.Fprintln(stdout, "the system-sensitive partitioner distributes workload proportionally to them.")
 
 	if tsrv != nil && *telemetryHold > 0 {
-		fmt.Printf("holding telemetry endpoint for %s\n", *telemetryHold)
+		fmt.Fprintf(stdout, "holding telemetry endpoint for %s\n", *telemetryHold)
 		time.Sleep(*telemetryHold)
 	}
-}
-
-// partitionActivity partitions a short regrid sequence — a tracked level-2
-// box drifting across four regrids of a small SAMR workload — with every
-// ISP partitioner, populating pragma_partition_seconds.
-func partitionActivity(nprocs int) error {
-	build := func(shift int) (*samr.Hierarchy, error) {
-		h, err := samr.NewHierarchy(samr.MakeBox(64, 32, 32), 2)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.SetLevel(1, []samr.Box{
-			{Lo: samr.Point{16, 0, 0}, Hi: samr.Point{96, 64, 64}},
-		}); err != nil {
-			return nil, err
-		}
-		if err := h.SetLevel(2, []samr.Box{
-			{Lo: samr.Point{40 + 4*shift, 16, 16}, Hi: samr.Point{72 + 4*shift, 48, 48}},
-		}); err != nil {
-			return nil, err
-		}
-		if err := h.Validate(); err != nil {
-			return nil, err
-		}
-		return h, nil
-	}
-	for shift := 0; shift < 4; shift++ {
-		h, err := build(shift)
-		if err != nil {
-			return err
-		}
-		for _, p := range partition.All() {
-			if _, err := p.Partition(h, samr.UniformWorkModel{}, nprocs); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return 0
 }
 
 // gaugeByNode extracts a per-node gauge family from a registry snapshot

@@ -59,7 +59,7 @@ func startLocalTarget() (string, func(), error) {
 // printLoad runs the open-loop load harness against target (or an
 // in-process scheduler when target is empty) and prints the client-side
 // report. A positive slo fails the run when any endpoint's p99 exceeds it.
-func printLoad(target string, qps float64, warmup, duration time.Duration, workers int, slo time.Duration) error {
+func (p *printer) printLoad(target string, qps float64, warmup, duration time.Duration, workers int, slo time.Duration) error {
 	local := ""
 	if target == "" {
 		var stop func()
@@ -80,39 +80,39 @@ func printLoad(target string, qps float64, warmup, duration time.Duration, worke
 		return err
 	}
 
-	fmt.Fprintf(out, "target %s%s\n", target, local)
+	fmt.Fprintf(p.out, "target %s%s\n", target, local)
 	for i, st := range rep.Stages {
 		label := "measure"
 		if len(rep.Stages) == 2 && i == 0 {
 			label = "warmup"
 		}
-		fmt.Fprintf(out, "stage %d: %.0f qps x %s (%s)\n", i+1, st.QPS, st.Duration, label)
+		fmt.Fprintf(p.out, "stage %d: %.0f qps x %s (%s)\n", i+1, st.QPS, st.Duration, label)
 	}
-	fmt.Fprintf(out, "wall %.2fs   intended %d   issued %d   dropped %d\n",
+	fmt.Fprintf(p.out, "wall %.2fs   intended %d   issued %d   dropped %d\n",
 		rep.WallSeconds, rep.Intended, rep.Issued, rep.Dropped)
-	fmt.Fprintf(out, "%-8s %-9s %-7s %-6s %-9s %-9s %-9s %s\n",
+	fmt.Fprintf(p.out, "%-8s %-9s %-7s %-6s %-9s %-9s %-9s %s\n",
 		"endpoint", "requests", "errors", "429s", "p50(ms)", "p95(ms)", "p99(ms)", "rps")
 	for _, ep := range rep.Endpoints {
-		fmt.Fprintf(out, "%-8s %-9d %-7d %-6d %-9.2f %-9.2f %-9.2f %.1f\n",
+		fmt.Fprintf(p.out, "%-8s %-9d %-7d %-6d %-9.2f %-9.2f %-9.2f %.1f\n",
 			ep.Endpoint, ep.Requests, ep.Errors, ep.Backpressure429,
 			ep.P50Ms, ep.P95Ms, ep.P99Ms, ep.ThroughputRPS)
-		metric(ep.Endpoint+"_requests", float64(ep.Requests))
-		metric(ep.Endpoint+"_errors", float64(ep.Errors))
-		metric(ep.Endpoint+"_429s", float64(ep.Backpressure429))
-		metric(ep.Endpoint+"_p50_ms", ep.P50Ms)
-		metric(ep.Endpoint+"_p95_ms", ep.P95Ms)
-		metric(ep.Endpoint+"_p99_ms", ep.P99Ms)
-		metric(ep.Endpoint+"_rps", ep.ThroughputRPS)
+		p.metric(ep.Endpoint+"_requests", float64(ep.Requests))
+		p.metric(ep.Endpoint+"_errors", float64(ep.Errors))
+		p.metric(ep.Endpoint+"_429s", float64(ep.Backpressure429))
+		p.metric(ep.Endpoint+"_p50_ms", ep.P50Ms)
+		p.metric(ep.Endpoint+"_p95_ms", ep.P95Ms)
+		p.metric(ep.Endpoint+"_p99_ms", ep.P99Ms)
+		p.metric(ep.Endpoint+"_rps", ep.ThroughputRPS)
 	}
-	metric("intended", float64(rep.Intended))
-	metric("issued", float64(rep.Issued))
-	metric("dropped", float64(rep.Dropped))
-	metric("wall_s", rep.WallSeconds)
+	p.metric("intended", float64(rep.Intended))
+	p.metric("issued", float64(rep.Issued))
+	p.metric("dropped", float64(rep.Dropped))
+	p.metric("wall_s", rep.WallSeconds)
 	if slo > 0 {
 		if err := rep.CheckSLO(slo); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "SLO: worst p99 %v within %v\n", rep.P99().Round(time.Microsecond), slo)
+		fmt.Fprintf(p.out, "SLO: worst p99 %v within %v\n", rep.P99().Round(time.Microsecond), slo)
 	}
 	return nil
 }

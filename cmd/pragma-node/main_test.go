@@ -518,8 +518,8 @@ func TestReplayEmulate(t *testing.T) {
 		t.Fatalf("replay: %v\n%s", err, out)
 	}
 	want := `replaying small trace (41 snapshots) with adaptive on 4 procs
-simulated run-time 49.1s  compute 42.1s  comm 8.1s  partition 0.02s  migration 0.26s
-max imbalance 13.4%  avg 7.2%  switches 5  steps 164
+simulated run-time 103.0s  compute 96.1s  comm 8.7s  partition 0.02s  migration 0.26s
+max imbalance 17.8%  avg 5.9%  switches 5  steps 164
 emulated 4 steps on 4 workers: 264 ghost messages, 107456 faces exchanged
 `
 	if string(out) != want {

@@ -11,9 +11,7 @@
 //
 // Runs are supervised: a worker error aborts the whole run instead of
 // deadlocking the barrier, an optional step deadline turns a stalled or
-// killed worker into a LostWorkersError naming the missing processors, and
-// RunRecovering retries a failed interval on the survivors with the dead
-// processors' work remapped (RemapOntoSurvivors).
+// killed worker into a LostWorkersError naming the missing processors.
 package engine
 
 import (
@@ -93,7 +91,6 @@ type workerFault struct {
 
 type options struct {
 	stepDeadline time.Duration
-	suffix       string
 	faults       map[int]workerFault
 }
 
@@ -110,13 +107,6 @@ func WithStepDeadline(d time.Duration) Option {
 	return func(o *options) { o.stepDeadline = d }
 }
 
-// WithPortSuffix namespaces the engine's mailbox names so a recovery
-// engine can be wired on a Center whose previous engine already claimed
-// the default ports.
-func WithPortSuffix(s string) Option {
-	return func(o *options) { o.suffix = s }
-}
-
 // WithWorkerFault injects a deterministic fault into one worker at the
 // given step — reproducible crash rehearsal for the supervision machinery.
 func WithWorkerFault(proc, step int, mode FaultMode) Option {
@@ -130,8 +120,7 @@ func WithWorkerFault(proc, step int, mode FaultMode) Option {
 
 // LostWorkersError reports processors that missed a step deadline: their
 // barrier signal or ghost messages never arrived, so they are presumed
-// stalled or dead. Callers can recover by remapping the assignment onto
-// the survivors (see RemapOntoSurvivors and RunRecovering).
+// stalled or dead.
 type LostWorkersError struct {
 	// Step is the BSP step at which the loss was detected.
 	Step int
@@ -246,20 +235,17 @@ type Engine struct {
 	opts     options
 }
 
-// portName returns worker p's mailbox name under this engine's namespace.
-func (e *Engine) portName(p int) string {
-	return fmt.Sprintf("engine-worker-%d%s", p, e.opts.suffix)
-}
+// portName returns worker p's mailbox name.
+func portName(p int) string { return fmt.Sprintf("engine-worker-%d", p) }
 
-// coordName returns the coordinator's mailbox name.
-func (e *Engine) coordName() string { return "engine-coordinator" + e.opts.suffix }
+// coordName is the coordinator's mailbox name.
+const coordName = "engine-coordinator"
 
 // New wires an engine over the given ports: ports[p] is the Port worker p
 // registers its mailbox on (pass the same Center for an in-process run, or
 // distinct TCP clients for a multi-node emulation). coordOn hosts the
 // coordinator mailbox. Options add supervision: WithStepDeadline bounds
-// every wait, WithPortSuffix namespaces the mailboxes (recovery engines),
-// WithWorkerFault injects deterministic faults for crash rehearsal.
+// every wait, WithWorkerFault injects deterministic faults for crash rehearsal.
 func New(h *samr.Hierarchy, a *partition.Assignment, coordOn agents.Port, ports []agents.Port, opts ...Option) (*Engine, error) {
 	return NewFromPlan(partition.BuildCommPlan(h, a), coordOn, ports, opts...)
 }
@@ -281,7 +267,7 @@ func NewFromPlan(plan *partition.CommPlan, coordOn agents.Port, ports []agents.P
 	for _, o := range opts {
 		o(&e.opts)
 	}
-	coordIn, err := coordOn.Register(e.coordName(), a.NProcs*4)
+	coordIn, err := coordOn.Register(coordName, a.NProcs*4)
 	if err != nil {
 		return nil, err
 	}
@@ -291,13 +277,13 @@ func NewFromPlan(plan *partition.CommPlan, coordOn agents.Port, ports []agents.P
 	sends := make([][]send, a.NProcs)
 	for i, pr := range pairs {
 		o1, o2 := a.Owner[pr.U1], a.Owner[pr.U2]
-		sends[o1] = append(sends[o1], send{pair: i, to: e.portName(o2), peer: o2, faces: pr.Faces})
-		sends[o2] = append(sends[o2], send{pair: i, to: e.portName(o1), peer: o1, faces: pr.Faces})
+		sends[o1] = append(sends[o1], send{pair: i, to: portName(o2), peer: o2, faces: pr.Faces})
+		sends[o2] = append(sends[o2], send{pair: i, to: portName(o1), peer: o1, faces: pr.Faces})
 		expect[o1]++
 		expect[o2]++
 	}
 	for p := 0; p < a.NProcs; p++ {
-		inbox, err := ports[p].Register(e.portName(p), 4*(expect[p]+4))
+		inbox, err := ports[p].Register(portName(p), 4*(expect[p]+4))
 		if err != nil {
 			return nil, fmt.Errorf("engine: worker %d: %w", p, err)
 		}
@@ -402,7 +388,7 @@ func (e *Engine) coordinate(steps int, sup *supervisor) {
 		metricStepSeconds.Observe(time.Since(stepStart).Seconds())
 		for p := range e.workers {
 			if err := e.coordown.Send(agents.Message{
-				From: e.coordName(), To: e.portName(p), Kind: "proceed",
+				From: coordName, To: portName(p), Kind: "proceed",
 			}); err != nil {
 				sup.fail(fmt.Errorf("engine: coordinator: %w", err))
 				return
@@ -415,7 +401,7 @@ func (e *Engine) coordinate(steps int, sup *supervisor) {
 func (e *Engine) missingProcs(arrived map[string]bool) []int {
 	var missing []int
 	for p := range e.workers {
-		if !arrived[e.portName(p)] {
+		if !arrived[portName(p)] {
 			missing = append(missing, p)
 		}
 	}
@@ -459,7 +445,7 @@ func (w *worker) run(e *Engine, steps int, sup *supervisor) error {
 		// expected number of arrivals for this step.
 		for _, snd := range w.sends {
 			err := w.port.Send(agents.Message{
-				From: e.portName(w.proc),
+				From: portName(w.proc),
 				To:   snd.to,
 				Kind: "ghost",
 				Payload: agents.Encode(ghostPayload{
@@ -476,7 +462,7 @@ func (w *worker) run(e *Engine, steps int, sup *supervisor) error {
 		// Signal the barrier after sends; then drain this step's ghosts and
 		// one proceed token, stashing early arrivals from the next step.
 		if err := w.port.Send(agents.Message{
-			From: e.portName(w.proc), To: e.coordName(), Kind: "barrier",
+			From: portName(w.proc), To: coordName, Kind: "barrier",
 		}); err != nil {
 			return err
 		}
@@ -547,90 +533,6 @@ func (w *worker) missingPeers(s int, got map[int]bool) []int {
 	}
 	sort.Ints(missing)
 	return missing
-}
-
-// RemapOntoSurvivors reassigns the units owned by dead processors onto the
-// survivors, least-loaded first — the engine-level analogue of
-// core.FailureAware's survivor remap. The result is renumbered over the
-// survivors (NProcs = len(survivors)); the returned slice maps new
-// processor ids back to the original ones, which is also the port subset a
-// recovery engine should be wired on.
-func RemapOntoSurvivors(a *partition.Assignment, dead []int) (*partition.Assignment, []int, error) {
-	isDead := map[int]bool{}
-	for _, d := range dead {
-		if d < 0 || d >= a.NProcs {
-			return nil, nil, fmt.Errorf("engine: dead processor %d outside assignment of %d", d, a.NProcs)
-		}
-		isDead[d] = true
-	}
-	var survivors []int
-	newID := make([]int, a.NProcs)
-	for p := 0; p < a.NProcs; p++ {
-		if isDead[p] {
-			newID[p] = -1
-			continue
-		}
-		newID[p] = len(survivors)
-		survivors = append(survivors, p)
-	}
-	if len(survivors) == 0 {
-		return nil, nil, fmt.Errorf("engine: no surviving processors")
-	}
-	out := &partition.Assignment{
-		NProcs:    len(survivors),
-		Units:     a.Units,
-		Owner:     make([]int, len(a.Owner)),
-		SplitCost: a.SplitCost,
-	}
-	load := make([]float64, len(survivors))
-	for i, o := range a.Owner {
-		if id := newID[o]; id >= 0 {
-			out.Owner[i] = id
-			load[id] += a.Units[i].Weight
-		} else {
-			out.Owner[i] = -1 // orphaned; placed below
-		}
-	}
-	for i, o := range out.Owner {
-		if o >= 0 {
-			continue
-		}
-		least := 0
-		for p := 1; p < len(load); p++ {
-			if load[p] < load[least] {
-				least = p
-			}
-		}
-		out.Owner[i] = least
-		load[least] += a.Units[i].Weight
-	}
-	return out, survivors, nil
-}
-
-// RunRecovering executes an interval with bounded retry: build(attempt,
-// lost) constructs an engine — attempt 0 with lost == nil, each later
-// attempt with the processors the *previous* attempt's engine reported
-// missing, in that engine's own numbering (the builder created that
-// numbering, typically via RemapOntoSurvivors, so it can translate;
-// WithPortSuffix gives the retry fresh mailboxes). A run failing with a
-// LostWorkersError restarts the whole interval from the regrid boundary —
-// the recovery granularity checkpointed replays use. It returns the
-// successful report and the number of retries consumed.
-func RunRecovering(steps, maxRetries int, build func(attempt int, lost []int) (*Engine, error)) (Report, int, error) {
-	var lost []int
-	for attempt := 0; ; attempt++ {
-		e, err := build(attempt, append([]int(nil), lost...))
-		if err != nil {
-			return Report{}, attempt, err
-		}
-		rep, err := e.Run(steps)
-		var lw *LostWorkersError
-		if errors.As(err, &lw) && attempt < maxRetries {
-			lost = lw.Missing
-			continue
-		}
-		return rep, attempt, err
-	}
 }
 
 // mix is a simple 64-bit hash combiner.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -132,7 +131,7 @@ func TestEngineGhostDedupAndStaleRejection(t *testing.T) {
 	// pair ids (ghost exchange is symmetric), and senders put
 	// Checksum=uint64(pair) on the wire, so a byte-faithful replay of every
 	// step-0 message is forgeable without running anything.
-	target := e.portName(0)
+	target := portName(0)
 	injected := 0
 	for _, snd := range e.workers[0].sends {
 		for copies := 0; copies < 2; copies++ { // two replays of each
@@ -183,108 +182,5 @@ func TestEngineGhostDedupAndStaleRejection(t *testing.T) {
 	// either way exactly `injected` extra messages must be discarded.
 	if dropped != injected {
 		t.Errorf("dropped %d ghosts, want %d", dropped, injected)
-	}
-}
-
-// TestEngineRecoveryOntoSurvivors kills a worker mid-interval and recovers
-// by remapping its units onto the survivors and re-running the interval
-// from the regrid boundary. The recovered run's checksums must equal an
-// uninterrupted run of the same survivor assignment — the engine-level
-// half of the crash-recovery acceptance criterion.
-func TestEngineRecoveryOntoSurvivors(t *testing.T) {
-	h, a := testSetup(t, 4)
-	const steps = 6
-	const dead = 2
-
-	remapped, survivors, err := RemapOntoSurvivors(a, []int{dead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remapped.NProcs != 3 || len(survivors) != 3 {
-		t.Fatalf("remap: nprocs=%d survivors=%v", remapped.NProcs, survivors)
-	}
-	if err := remapped.Validate(); err != nil {
-		t.Fatalf("remapped assignment invalid: %v", err)
-	}
-	if w, want := remapped.TotalWeight(), a.TotalWeight(); w != want {
-		t.Fatalf("remap lost work: %g vs %g", w, want)
-	}
-
-	uninterrupted := func() Report {
-		center := agents.NewCenter()
-		e, err := New(h, remapped, center, samePorts(center, remapped.NProcs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run(steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}()
-
-	rep, retries, err := RunRecovering(steps, 2, func(attempt int, lost []int) (*Engine, error) {
-		center := agents.NewCenter()
-		switch attempt {
-		case 0:
-			return New(h, a, center, samePorts(center, a.NProcs),
-				WithStepDeadline(250*time.Millisecond),
-				WithWorkerFault(dead, 2, FaultCrash))
-		default:
-			if len(lost) != 1 || lost[0] != dead {
-				return nil, fmt.Errorf("attempt %d: lost %v, want [%d]", attempt, lost, dead)
-			}
-			re, _, err := RemapOntoSurvivors(a, lost)
-			if err != nil {
-				return nil, err
-			}
-			return New(h, re, center, samePorts(center, re.NProcs),
-				WithStepDeadline(250*time.Millisecond),
-				WithPortSuffix(fmt.Sprintf("-retry%d", attempt)))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retries != 1 {
-		t.Fatalf("recovered after %d retries, want 1", retries)
-	}
-	if len(rep.Workers) != len(uninterrupted.Workers) {
-		t.Fatalf("worker counts differ: %d vs %d", len(rep.Workers), len(uninterrupted.Workers))
-	}
-	for i := range rep.Workers {
-		if rep.Workers[i].Checksum != uninterrupted.Workers[i].Checksum {
-			t.Errorf("worker %d: recovered checksum %x != uninterrupted %x",
-				i, rep.Workers[i].Checksum, uninterrupted.Workers[i].Checksum)
-		}
-	}
-	if rep.TotalMessages() != uninterrupted.TotalMessages() {
-		t.Errorf("recovered run delivered %d messages, uninterrupted %d",
-			rep.TotalMessages(), uninterrupted.TotalMessages())
-	}
-}
-
-func TestRemapOntoSurvivorsRejectsBadInput(t *testing.T) {
-	_, a := testSetup(t, 3)
-	if _, _, err := RemapOntoSurvivors(a, []int{7}); err == nil {
-		t.Error("out-of-range dead processor accepted")
-	}
-	if _, _, err := RemapOntoSurvivors(a, []int{0, 1, 2}); err == nil {
-		t.Error("zero survivors accepted")
-	}
-}
-
-func TestEnginePortSuffixAllowsSecondEngine(t *testing.T) {
-	h, a := testSetup(t, 3)
-	center := agents.NewCenter()
-	if _, err := New(h, a, center, samePorts(center, 3)); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := New(h, a, center, samePorts(center, 3), WithPortSuffix("-b"))
-	if err != nil {
-		t.Fatalf("suffixed engine on the same center: %v", err)
-	}
-	if _, err := e2.Run(2); err != nil {
-		t.Fatal(err)
 	}
 }

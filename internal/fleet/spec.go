@@ -70,13 +70,14 @@ type Materializer func(ws WireSpec) (sched.RunSpec, error)
 // traces and scenario specs, cached per process (the latest
 // maxCachedTraces of them) so repeated dispatches of the same trace do not
 // regenerate it, with a fresh strategy instance per run (strategies carry
-// per-run state). A scenario's per-snapshot work models are built once with
-// its trace and cached in the same entry; the runs share them read-only.
+// per-run state). A trace's per-snapshot work models (the scenario's, or
+// the RM3D configuration's for a built-in trace) are built once with it
+// and cached in the same entry; the runs share them read-only.
 func DefaultMaterializer() Materializer {
 	var mu sync.Mutex
 	type cached struct {
 		tr        *samr.Trace
-		workModel func(idx int) samr.WorkModel // nil: uniform
+		workModel func(idx int) samr.WorkModel
 	}
 	cache := map[string]cached{}
 	var order []string // cache keys, oldest first
@@ -90,14 +91,11 @@ func DefaultMaterializer() Materializer {
 		if err != nil {
 			return cached{}, err
 		}
-		c := cached{tr: tr}
-		if wm != nil {
-			wms := make([]samr.WorkModel, len(tr.Snapshots))
-			for i := range wms {
-				wms[i] = wm(i)
-			}
-			c.workModel = func(idx int) samr.WorkModel { return wms[idx] }
+		wms := make([]samr.WorkModel, len(tr.Snapshots))
+		for i := range wms {
+			wms[i] = wm(i)
 		}
+		c := cached{tr: tr, workModel: func(idx int) samr.WorkModel { return wms[idx] }}
 		if len(order) == maxCachedTraces {
 			delete(cache, order[0])
 			order = order[1:]
@@ -143,7 +141,7 @@ func DefaultMaterializer() Materializer {
 			if name == "" {
 				name = "small"
 			}
-			c, err = get(name, func() (*samr.Trace, error) { return rm3d.GenerateTrace(cfg) }, nil)
+			c, err = get(name, func() (*samr.Trace, error) { return rm3d.GenerateTrace(cfg) }, cfg.WorkModel)
 		}
 		if err != nil {
 			return sched.RunSpec{}, err

@@ -10,23 +10,32 @@ import (
 
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/core"
+	"github.com/pragma-grid/pragma/internal/rm3d"
 	"github.com/pragma-grid/pragma/internal/samr"
 	"github.com/pragma-grid/pragma/internal/scenario"
 	"github.com/pragma-grid/pragma/internal/sched"
 )
 
 // TestMaterializerCachesWorkModels: the default materializer builds a
-// scenario's work models once, with its trace, and every run of that
-// scenario reads the same ones. They are the spec's own models, value for
-// value; a second materialization hands out the cached models through a
-// func that allocates nothing; and a run served from them is the run a
-// direct core.Run weighs with the spec's WorkModel.
+// trace's work models once, with the trace, and every run of that trace
+// reads the same ones. They are the spec's own models (a scenario's, or
+// the RM3D configuration's for a built-in trace), value for value; a
+// second materialization hands out the cached models through a func that
+// allocates nothing; and a run served from them is the run a direct
+// core.Run weighs with the same WorkModel. The paper trace on 64
+// processors is Table 4's adaptive row.
 func TestMaterializerCachesWorkModels(t *testing.T) {
 	mat := DefaultMaterializer()
 	s := sched.New(sched.Config{Workers: 1})
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	type source struct {
+		ws        WireSpec
+		generate  func() (*samr.Trace, error)
+		workModel func(idx int) samr.WorkModel
+	}
+	var sources []source
 	for _, sc := range []string{
 		"name=corpus-000;seed=11;III:6",
 		"name=corpus-001;seed=12;V:6,II:7",
@@ -36,41 +45,54 @@ func TestMaterializerCachesWorkModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := WireSpec{Scenario: sc, Procs: 8}
-		first, err := mat(ws)
+		sources = append(sources, source{WireSpec{Scenario: sc, Procs: 8}, spec.Generate, spec.WorkModel})
+	}
+	paper := rm3d.DefaultConfig()
+	sources = append(sources, source{WireSpec{Trace: "paper", Procs: 64},
+		func() (*samr.Trace, error) { return rm3d.GenerateTrace(paper) }, paper.WorkModel})
+
+	for _, src := range sources {
+		name := src.ws.Scenario
+		if name == "" {
+			name = "trace=" + src.ws.Trace
+		}
+		first, err := mat(src.ws)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if first.WorkModel == nil {
+			t.Fatalf("%s: materialized without a work model, so it runs on the uniform one", name)
+		}
 		n := len(first.Trace.Snapshots)
 		for i := range n {
-			if got, want := first.WorkModel(i), spec.WorkModel(i); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: snapshot %d work model differs from the spec's\n got %+v\nwant %+v", sc, i, got, want)
+			if got, want := first.WorkModel(i), src.workModel(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: snapshot %d work model differs from the spec's\n got %+v\nwant %+v", name, i, got, want)
 			}
 		}
 
-		second, err := mat(ws)
+		second, err := mat(src.ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if second.Trace != first.Trace {
-			t.Errorf("%s: second materialization regenerated the trace", sc)
+			t.Errorf("%s: second materialization regenerated the trace", name)
 		}
 		for i := range n {
 			a, b := first.WorkModel(i).(samr.FrontWorkModel), second.WorkModel(i).(samr.FrontWorkModel)
 			if len(a.Fronts) > 0 && &a.Fronts[0] != &b.Fronts[0] {
-				t.Errorf("%s: snapshot %d work model rebuilt, not shared", sc, i)
+				t.Errorf("%s: snapshot %d work model rebuilt, not shared", name, i)
 			}
 			if allocs := testing.AllocsPerRun(10, func() { _ = second.WorkModel(i) }); allocs != 0 {
-				t.Errorf("%s: snapshot %d work model costs %v allocations, want 0", sc, i, allocs)
+				t.Errorf("%s: snapshot %d work model costs %v allocations, want 0", name, i, allocs)
 			}
 		}
 
-		tr, err := spec.Generate()
+		tr, err := src.generate()
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := core.Run(tr, core.Adaptive{ImbalanceGuard: 20}, core.RunConfig{
-			Machine: cluster.SP2(8), NProcs: 8, WorkModel: spec.WorkModel,
+			Machine: cluster.SP2(src.ws.Procs), NProcs: src.ws.Procs, WorkModel: src.workModel,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +105,7 @@ func TestMaterializerCachesWorkModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRunResult(t, sc+" through sched", got.Result, want)
+		sameRunResult(t, name+" through sched", got.Result, want)
 	}
 }
 

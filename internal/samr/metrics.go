@@ -167,38 +167,3 @@ func (t *Trace) At(index int) (Snapshot, bool) {
 	}
 	return t.Snapshots[index], true
 }
-
-// SnapshotStats summarizes one trace snapshot for reporting.
-type SnapshotStats struct {
-	Index      int
-	CoarseStep int
-	Depth      int
-	Boxes      int
-	Cells      int64
-	Efficiency float64 // AMR efficiency, percent
-	Change     float64 // level-1 change fraction vs the previous snapshot
-}
-
-// Stats summarizes every snapshot of the trace.
-func (t *Trace) Stats() []SnapshotStats {
-	out := make([]SnapshotStats, 0, len(t.Snapshots))
-	for i, s := range t.Snapshots {
-		boxes := 0
-		for _, lb := range s.H.Levels {
-			boxes += len(lb)
-		}
-		st := SnapshotStats{
-			Index:      s.Index,
-			CoarseStep: s.CoarseStep,
-			Depth:      s.H.Depth(),
-			Boxes:      boxes,
-			Cells:      s.H.TotalCells(),
-			Efficiency: s.H.AMREfficiency(),
-		}
-		if i > 0 {
-			st.Change = ChangeFraction(t.Snapshots[i-1].H, s.H, 1)
-		}
-		out = append(out, st)
-	}
-	return out
-}

@@ -115,31 +115,6 @@ func TestTraceAt(t *testing.T) {
 	}
 }
 
-func TestTraceStats(t *testing.T) {
-	a := hierarchyWithLevel1(t, Box{Lo: Point{0, 0, 0}, Hi: Point{16, 16, 16}})
-	b := hierarchyWithLevel1(t, Box{Lo: Point{8, 0, 0}, Hi: Point{24, 16, 16}})
-	tr := &Trace{Name: "x", RegridEvery: 4, Snapshots: []Snapshot{
-		{Index: 0, CoarseStep: 0, H: a},
-		{Index: 1, CoarseStep: 4, H: b},
-	}}
-	stats := tr.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("stats = %d", len(stats))
-	}
-	if stats[0].Change != 0 {
-		t.Fatalf("first snapshot change = %g", stats[0].Change)
-	}
-	if stats[1].Change <= 0 {
-		t.Fatal("moved refinement shows no change")
-	}
-	if stats[0].Boxes != 2 || stats[0].Depth != 2 {
-		t.Fatalf("stats[0] = %+v", stats[0])
-	}
-	if stats[0].Cells != a.TotalCells() {
-		t.Fatalf("cells = %d", stats[0].Cells)
-	}
-}
-
 // differenceVolumeSubtract is the box-carving differenceVolume that
 // ChangeFraction used before it was rewritten on intersection volumes,
 // kept verbatim as the oracle: |union(a) \ union(b)| assuming the boxes

@@ -26,7 +26,10 @@
 #
 # Then the script prints the per-seed sim_runtime_s table (base, change,
 # relative delta) and does not fail on sim_runtime_s; every other check
-# (correct, failed, alloc_mb_per_run) still fails as before.
+# (correct, failed, alloc_mb_per_run) still fails as before. A change to
+# cmd/pragma-bench/testdata/paper.golden (the paper's tables and figures,
+# pinned by TestPaperGolden) carries the same trailer, and its CHANGES.md
+# entry quotes the golden's diff.
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
