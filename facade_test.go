@@ -5,156 +5,295 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
+const modulePath = "github.com/pragma-grid/pragma"
+
 // TestFacadeNamesHaveCallers holds pragma.go to the names something uses.
-// An exported top-level name has a caller when an examples/ or cmd/
-// program names it as pragma.X, when a root test other than this one names
-// it, or when a kept declaration of pragma.go mentions it (the signature or
-// body of a name that stays, or a method of a type that stays). A name with
-// no caller is dead surface: delete it, or list it in kept with the reason.
+// An exported top-level name has a caller when an examples/ or cmd/ file
+// names it, when a root test other than this one names it, or when a kept
+// declaration of pragma.go mentions it (the signature or body of a name
+// that stays, or a method of a type that stays). A name with no caller is
+// dead surface: delete it, or list it in kept with the reason.
 func TestFacadeNamesHaveCallers(t *testing.T) {
 	// kept maps a facade name deliberately kept without a caller to why.
 	kept := map[string]string{}
 
+	m := parseModule(t)
+	caller := func(f modFile) bool {
+		return strings.HasPrefix(f.dir, "examples/") || strings.HasPrefix(f.dir, "cmd/") ||
+			(f.dir == "." && f.test && f.path != "facade_test.go")
+	}
+	live := m.live(caller, func(modFile, string) bool { return true }, kept)
+	checkCallers(t, m, "pragma.go", kept, live,
+		"facade names have no caller in examples/, cmd/, the root tests or a kept declaration")
+}
+
+// TestInternalNamesHaveCallers holds internal/ to the code a program runs.
+// An exported top-level func, type, var or const of an internal package
+// has a caller when a live declaration names it, or when a test in another
+// directory does. Every declaration of a non-test file outside internal/ is
+// live; an internal one is live when a live declaration names it (a method
+// belongs to its receiver type) or it is an init func. A name that only
+// its own package's tests reach is dead: delete it with those tests,
+// unexport it if it is a test seam, or list it in kept with the reason.
+// Names match by package and name, so a collision can keep a dead name
+// alive but never flags a live one; methods are not checked.
+func TestInternalNamesHaveCallers(t *testing.T) {
+	// kept maps an internal name (package.Name) deliberately kept without a
+	// caller to why.
+	kept := map[string]string{
+		"perf.TrainMultiNeural": "ROADMAP item 8's per-layer PFs take six inputs",
+	}
+
+	m := parseModule(t)
+	keptKeys := map[string]string{}
+	for name, reason := range kept {
+		keptKeys["internal/"+name] = reason
+	}
+	caller := func(f modFile) bool { return f.test || !strings.HasPrefix(f.dir, "internal/") }
+	// A test names its own package's declarations without calling them.
+	counts := func(from modFile, key string) bool { return !from.test || !strings.HasPrefix(key, from.dir+".") }
+	live := m.live(caller, counts, keptKeys)
+	checkCallers(t, m, "internal/", keptKeys, live,
+		"internal names have no caller outside their own package's tests")
+}
+
+// checkCallers fails on every exported top-level name declared in a
+// non-test file under prefix that is not live, and on every kept entry
+// that has no reason or names no declaration there.
+func checkCallers(t *testing.T, m *module, prefix string, kept map[string]string, live map[string]bool, what string) {
+	t.Helper()
+	for key, reason := range kept {
+		if reason == "" {
+			t.Errorf("kept[%q] has no reason", key)
+		}
+		if !m.exported[key] || !strings.HasPrefix(m.declared[key], prefix) {
+			t.Errorf("kept[%q] is not an exported declaration under %s", key, prefix)
+		}
+	}
+	var dead []string
+	for key := range m.exported {
+		if strings.HasPrefix(m.declared[key], prefix) && !live[key] {
+			dead = append(dead, strings.TrimPrefix(key, "internal/"))
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d %s (delete them, or add them to kept with a reason):\n%s", len(dead), what, strings.Join(dead, "\n"))
+	}
+}
+
+// modFile is one parsed Go file of the module.
+type modFile struct {
+	path string // slash-separated, relative to the module root
+	dir  string // path.Dir(path)
+	test bool
+	f    *ast.File
+}
+
+// module is every Go file of the module and its top-level declarations.
+// A declaration's key is its name, qualified by its directory outside the
+// root package ("internal/perf.TrainNeural").
+type module struct {
+	files    []modFile
+	declared map[string]string // key -> path of a non-test file declaring it
+	exported map[string]bool   // keys of exported funcs, types, vars and consts (not methods)
+	pkgName  map[string]string // dir -> package name
+}
+
+// parseModule parses every Go file of the module once, skipping the
+// directories the go tool ignores (testdata and names starting with . or _).
+func parseModule(t *testing.T) *module {
+	t.Helper()
+	m := &module{declared: map[string]string{}, exported: map[string]bool{}, pkgName: map[string]string{}}
 	fset := token.NewFileSet()
-	facade, err := parser.ParseFile(fset, "pragma.go", nil, 0)
+	err := filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if n := e.Name(); p != "." && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		p = filepath.ToSlash(p)
+		mf := modFile{path: p, dir: path.Dir(p), test: strings.HasSuffix(p, "_test.go"), f: f}
+		if !mf.test {
+			m.pkgName[mf.dir] = f.Name.Name
+			eachDecl(f, func(name string, method bool, _ ast.Node) {
+				key := declKey(mf.dir, name)
+				m.declared[key] = p
+				if !method && ast.IsExported(name) {
+					m.exported[key] = true
+				}
+			})
+		}
+		m.files = append(m.files, mf)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var exported []string
-	uses := map[string][]string{} // top-level name -> facade names its declaration mentions
-	declare := func(names []*ast.Ident, node ast.Node) {
-		mentioned := facadeMentions(facade, node)
-		for _, n := range names {
-			if n.IsExported() {
-				exported = append(exported, n.Name)
-			}
-			uses[n.Name] = append(uses[n.Name], mentioned...)
+	return m
+}
+
+// live returns the keys reachable from the roots: the kept keys, init
+// funcs, and what the declarations of every caller file name where counts
+// allows it. A declaration of another file is live when a live
+// declaration names it.
+func (m *module) live(caller func(modFile) bool, counts func(from modFile, key string) bool, kept map[string]string) map[string]bool {
+	live := map[string]bool{}
+	var queue []string
+	mark := func(key string) {
+		if !live[key] {
+			live[key] = true
+			queue = append(queue, key)
 		}
 	}
-	for _, decl := range facade.Decls {
+	for key := range kept {
+		mark(key)
+	}
+	uses := map[string][]string{} // key -> keys its declarations name
+	for _, mf := range m.files {
+		imports := m.imports(mf.f)
+		root := caller(mf)
+		eachDecl(mf.f, func(name string, _ bool, node ast.Node) {
+			from := declKey(mf.dir, name)
+			if !mf.test && name == "init" {
+				mark(from)
+			}
+			for _, key := range m.mentions(mf, imports, node) {
+				switch {
+				case !counts(mf, key):
+				case root:
+					mark(key)
+				default:
+					uses[from] = append(uses[from], key)
+				}
+			}
+		})
+	}
+	for len(queue) > 0 {
+		key := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, k := range uses[key] {
+			mark(k)
+		}
+	}
+	return live
+}
+
+// imports maps the local name of each of f's imports of this module to
+// the imported directory.
+func (m *module) imports(f *ast.File) map[string]string {
+	dirs := map[string]string{}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		dir := "."
+		if p != modulePath {
+			var ok bool
+			if dir, ok = strings.CutPrefix(p, modulePath+"/"); !ok {
+				continue
+			}
+		}
+		name := m.pkgName[dir]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		dirs[name] = dir
+	}
+	return dirs
+}
+
+// mentions returns the keys of the module's declarations that node names:
+// a qualified identifier (pkg.X) of an imported package of this module, or
+// an identifier of its own package that the parser resolved to the file
+// scope or left unresolved (another file's declaration). Struct fields,
+// parameters, locals and selected methods do not count.
+func (m *module) mentions(mf modFile, imports map[string]string, node ast.Node) []string {
+	var keys []string
+	add := func(dir, name string) {
+		if key := declKey(dir, name); m.declared[key] != "" {
+			keys = append(keys, key)
+		}
+	}
+	own := !strings.HasSuffix(mf.f.Name.Name, "_test")
+	selected := map[*ast.Ident]bool{}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			selected[n.Sel] = true
+			if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil {
+				if dir, ok := imports[x.Name]; ok {
+					add(dir, n.Sel.Name)
+				}
+			}
+		case *ast.Ident:
+			if own && !selected[n] && (n.Obj == nil || mf.f.Scope.Lookup(n.Name) == n.Obj) {
+				add(mf.dir, n.Name)
+			}
+		}
+		return true
+	})
+	return keys
+}
+
+// eachDecl calls fn for every top-level declaration of f with the name its
+// key goes under: a method's is its receiver type's.
+func eachDecl(f *ast.File, fn func(name string, method bool, node ast.Node)) {
+	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
-				declare([]*ast.Ident{d.Name}, d)
+				fn(d.Name.Name, false, d)
 				continue
 			}
-			// A method is kept with its receiver type.
 			recv := d.Recv.List[0].Type
 			if star, ok := recv.(*ast.StarExpr); ok {
 				recv = star.X
 			}
+			switch r := recv.(type) {
+			case *ast.IndexExpr:
+				recv = r.X
+			case *ast.IndexListExpr:
+				recv = r.X
+			}
 			if id, ok := recv.(*ast.Ident); ok {
-				uses[id.Name] = append(uses[id.Name], facadeMentions(facade, d)...)
+				fn(id.Name, true, d)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					declare([]*ast.Ident{s.Name}, s)
+					fn(s.Name.Name, false, s)
 				case *ast.ValueSpec:
-					declare(s.Names, s)
-				}
-			}
-		}
-	}
-
-	live := map[string]bool{}
-	for name, reason := range kept {
-		if reason == "" {
-			t.Errorf("kept[%q] has no reason", name)
-		}
-		if _, ok := uses[name]; !ok {
-			t.Errorf("kept[%q] is not declared in pragma.go", name)
-		}
-		live[name] = true
-	}
-	callers := func(root string, tests bool) {
-		err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if e.IsDir() {
-				if tests && path != root {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || (tests && (!strings.HasSuffix(path, "_test.go") || path == "facade_test.go")) {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "pragma" {
-						live[sel.Sel.Name] = true
+					for _, n := range s.Names {
+						fn(n.Name, false, s)
 					}
 				}
-				return true
-			})
-			if f.Name.Name == "pragma" {
-				// Same-package tests name facade declarations unqualified,
-				// and the parser leaves those identifiers unresolved.
-				for _, id := range f.Unresolved {
-					live[id.Name] = true
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	callers("examples", false)
-	callers("cmd", false)
-	callers(".", true)
-
-	queue := make([]string, 0, len(live))
-	for name := range live {
-		queue = append(queue, name)
-	}
-	for len(queue) > 0 {
-		name := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, m := range uses[name] {
-			if !live[m] {
-				live[m] = true
-				queue = append(queue, m)
 			}
 		}
-	}
-
-	var dead []string
-	for _, name := range exported {
-		if !live[name] {
-			dead = append(dead, name)
-		}
-	}
-	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("%d facade names have no caller in examples/, cmd/, the root tests or a kept declaration "+
-			"(delete them, or add them to kept with a reason):\n%s", len(dead), strings.Join(dead, "\n"))
 	}
 }
 
-// facadeMentions returns the package-level names of pragma.go that node
-// refers to. The parser resolves an identifier to its file-scope object, so
-// struct fields, parameters and qualified names (pkg.X) do not count.
-func facadeMentions(facade *ast.File, node ast.Node) []string {
-	var names []string
-	ast.Inspect(node, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Obj != nil && facade.Scope.Lookup(id.Name) == id.Obj {
-			names = append(names, id.Name)
-		}
-		return true
-	})
-	return names
+func declKey(dir, name string) string {
+	if dir == "." {
+		return name
+	}
+	return dir + "." + name
 }

@@ -3,7 +3,6 @@ package agents
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -267,14 +266,4 @@ func (ca *ComponentAgent) reportErr(err error) {
 	if ca.OnError != nil {
 		ca.OnError(err)
 	}
-}
-
-// SensorNames lists the agent's sensors, sorted.
-func (ca *ComponentAgent) SensorNames() []string {
-	out := make([]string, 0, len(ca.sensors))
-	for _, s := range ca.sensors {
-		out = append(out, s.Name())
-	}
-	sort.Strings(out)
-	return out
 }

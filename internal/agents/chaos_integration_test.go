@@ -40,8 +40,8 @@ func TestChaosControlNetwork(t *testing.T) {
 		WithBackoff(5*time.Millisecond, 50*time.Millisecond),
 		WithHeartbeat(25*time.Millisecond),
 		WithOpTimeout(2*time.Second),
-		WithWriteTimeout(time.Second),
-		WithSendBuffer(512),
+		withWriteTimeout(time.Second),
+		withSendBuffer(512),
 		WithSeed(99),
 		WithErrorHandler(func(error) {}))
 	if err != nil {
@@ -127,7 +127,7 @@ func TestChaosServerSide(t *testing.T) {
 		WithBackoff(5*time.Millisecond, 50*time.Millisecond),
 		WithHeartbeat(25*time.Millisecond),
 		WithOpTimeout(2*time.Second),
-		WithSendBuffer(256),
+		withSendBuffer(256),
 		WithSeed(11),
 		WithErrorHandler(func(error) {}))
 	if err != nil {

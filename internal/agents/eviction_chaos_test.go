@@ -34,8 +34,8 @@ func TestEvictionReconnectReplayUnderChaos(t *testing.T) {
 		WithReconnect(true),
 		WithBackoff(5*time.Millisecond, 50*time.Millisecond),
 		WithOpTimeout(2*time.Second),
-		WithWriteTimeout(time.Second),
-		WithSendBuffer(256),
+		withWriteTimeout(time.Second),
+		withSendBuffer(256),
 		WithErrorHandler(func(error) {}))
 	if err != nil {
 		t.Fatal(err)

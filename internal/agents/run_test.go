@@ -106,19 +106,6 @@ func TestComponentAgentConstructorValidation(t *testing.T) {
 	}
 }
 
-func TestSensorNames(t *testing.T) {
-	c := NewCenter()
-	ca, err := NewComponentAgent("named", c,
-		[]Sensor{fixedSensor("zeta", 1), fixedSensor("alpha", 2)}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := ca.SensorNames()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestEventRuleBelowThreshold(t *testing.T) {
 	c := NewCenter()
 	events, _ := c.Register("ev", 16)

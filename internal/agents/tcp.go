@@ -297,8 +297,9 @@ func WithHeartbeat(interval time.Duration) DialOption {
 	return func(c *dialConfig) { c.heartbeat = interval }
 }
 
-// WithWriteTimeout arms a per-frame write deadline on the client side.
-func WithWriteTimeout(d time.Duration) DialOption {
+// withWriteTimeout arms a per-frame write deadline on the client side.
+// Only tests set it; every other client has none.
+func withWriteTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) { c.writeTimeout = d }
 }
 
@@ -312,10 +313,11 @@ func WithOpTimeout(d time.Duration) DialOption {
 	}
 }
 
-// WithSendBuffer bounds the in-flight buffer of sends accepted during an
-// outage and replayed after reconnect (default 64 frames). When the buffer
-// is full further sends fail fast instead of blocking.
-func WithSendBuffer(n int) DialOption {
+// withSendBuffer bounds the in-flight buffer of sends accepted during an
+// outage and replayed after reconnect (default 64 frames; only tests set
+// another). When the buffer is full further sends fail fast instead of
+// blocking.
+func withSendBuffer(n int) DialOption {
 	return func(c *dialConfig) {
 		if n > 0 {
 			c.sendBuffer = n

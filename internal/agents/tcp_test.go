@@ -638,7 +638,7 @@ func TestTCPSendBufferBounded(t *testing.T) {
 		}),
 		WithReconnect(true),
 		WithBackoff(20*time.Millisecond, 100*time.Millisecond),
-		WithSendBuffer(4),
+		withSendBuffer(4),
 		WithSeed(3),
 		WithErrorHandler(func(error) {}))
 	if err != nil {

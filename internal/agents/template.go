@@ -3,6 +3,7 @@ package agents
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -44,27 +45,9 @@ func (r *Registry) Register(t Template) error {
 	return nil
 }
 
-// Deregister removes a template, reporting whether it existed.
-func (r *Registry) Deregister(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.templates[name]; !ok {
-		return false
-	}
-	delete(r.templates, name)
-	return true
-}
-
-// Len returns the number of registered templates.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.templates)
-}
-
 // Discover returns every template satisfying all given requirements (a
 // template satisfies a requirement when Provides contains the same
-// key/value). An empty requirement set matches everything.
+// key/value), sorted by name. An empty requirement set matches everything.
 func (r *Registry) Discover(requirements map[string]string) []Template {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -81,72 +64,6 @@ func (r *Registry) Discover(requirements map[string]string) []Template {
 			out = append(out, t)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// RegistryPort is the well-known mailbox of a registry served over the
-// Message Center.
-const RegistryPort = "template-registry"
-
-// discoverRequest is the payload of a registry discovery message.
-type discoverRequest struct {
-	ReplyTo      string            `json:"replyTo"`
-	Requirements map[string]string `json:"requirements"`
-}
-
-// discoverReply is the payload of the registry's response.
-type discoverReply struct {
-	Templates []Template `json:"templates"`
-}
-
-// Serve exposes the registry on the Message Center at RegistryPort,
-// answering "discover" messages until the port closes. Run it in a
-// goroutine.
-func (r *Registry) Serve(port Port) error {
-	inbox, err := port.Register(RegistryPort, 64)
-	if err != nil {
-		return err
-	}
-	for m := range inbox {
-		if m.Kind != "discover" {
-			continue
-		}
-		var req discoverRequest
-		if Decode(m, &req) != nil || req.ReplyTo == "" {
-			continue
-		}
-		reply := discoverReply{Templates: r.Discover(req.Requirements)}
-		port.Send(Message{
-			From: RegistryPort, To: req.ReplyTo, Kind: "discover-reply", Payload: Encode(reply),
-		})
-	}
-	return nil
-}
-
-// DiscoverVia performs a discovery through the Message Center: it sends a
-// request to RegistryPort and waits for the reply on the given mailbox.
-func DiscoverVia(port Port, replyPort string, inbox <-chan Message, requirements map[string]string) ([]Template, error) {
-	err := port.Send(Message{
-		From: replyPort,
-		To:   RegistryPort,
-		Kind: "discover",
-		Payload: Encode(discoverRequest{
-			ReplyTo:      replyPort,
-			Requirements: requirements,
-		}),
-	})
-	if err != nil {
-		return nil, err
-	}
-	for m := range inbox {
-		if m.Kind != "discover-reply" {
-			continue
-		}
-		var reply discoverReply
-		if err := Decode(m, &reply); err != nil {
-			return nil, err
-		}
-		return reply.Templates, nil
-	}
-	return nil, fmt.Errorf("agents: mailbox closed before discovery reply")
 }

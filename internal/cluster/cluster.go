@@ -199,20 +199,3 @@ func (c *Cluster) MigrationTime(cells float64, cost CostModel) float64 {
 	}
 	return cells * cost.BytesPerCell / (c.Net.BisectionMBps * 1e6)
 }
-
-// RelativeSpeeds returns each node's effective speed at time t normalized
-// by the fastest node — a convenience for tests and monitoring.
-func (c *Cluster) RelativeSpeeds(t float64) []float64 {
-	out := make([]float64, len(c.Nodes))
-	var max float64
-	for i := range c.Nodes {
-		out[i] = c.EffectiveSpeed(i, t)
-		max = math.Max(max, out[i])
-	}
-	if max > 0 {
-		for i := range out {
-			out[i] /= max
-		}
-	}
-	return out
-}

@@ -162,15 +162,3 @@ func TestLinuxClusterShape(t *testing.T) {
 		t.Fatalf("fast Ethernet bandwidth = %g MB/s", c.Nodes[0].BandwidthMBps)
 	}
 }
-
-func TestRelativeSpeeds(t *testing.T) {
-	c := Homogeneous(3, 1000, 512, 100)
-	c.Load = ConstantLoad{0, 0.5, 0.75}
-	rs := c.RelativeSpeeds(0)
-	want := []float64{1, 0.5, 0.25}
-	for i := range want {
-		if math.Abs(rs[i]-want[i]) > 1e-9 {
-			t.Fatalf("relative speeds = %v, want %v", rs, want)
-		}
-	}
-}

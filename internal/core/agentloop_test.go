@@ -193,3 +193,22 @@ func TestProactiveStrategy(t *testing.T) {
 		t.Fatalf("proactive %.2fs not faster than default %.2fs", res.TotalTime, def.TotalTime)
 	}
 }
+
+// TestProactiveEqualsRecalibrateEveryRegrid pins what Proactive does on
+// the simulated cluster: its NWS meta-forecaster never beats LastValue on
+// SyntheticLoad, so it partitions on the last reading, exactly as
+// SystemSensitive recalibrating at every regrid does. A forecaster that
+// predicts the load, or a load it can predict, breaks this equality.
+func TestProactiveEqualsRecalibrateEveryRegrid(t *testing.T) {
+	tr := testTrace(t)
+	pro, err := Run(tr, &Proactive{}, RunConfig{Machine: cluster.LinuxCluster(8, 2002), NProcs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	every, err := Run(tr, &SystemSensitive{RecalibrateEvery: 1}, RunConfig{Machine: cluster.LinuxCluster(8, 2002), NProcs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	every.Strategy = pro.Strategy
+	sameResult(t, pro, every)
+}

@@ -109,7 +109,7 @@ func sameResult(t *testing.T, got, want *RunResult) {
 		if len(got.Snapshots) != len(want.Snapshots) {
 			t.Errorf("snapshot counts %d != %d", len(got.Snapshots), len(want.Snapshots))
 		}
-		t.Fatalf("resumed result differs from uninterrupted run")
+		t.Fatalf("run results differ")
 	}
 }
 

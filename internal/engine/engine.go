@@ -68,7 +68,7 @@ func (r Report) TotalMessages() int {
 	return n
 }
 
-// FaultMode selects the kind of worker fault WithWorkerFault injects — the
+// FaultMode selects the kind of worker fault withWorkerFault injects — the
 // engine-level counterpart of package chaos's wire faults.
 type FaultMode int
 
@@ -107,9 +107,10 @@ func WithStepDeadline(d time.Duration) Option {
 	return func(o *options) { o.stepDeadline = d }
 }
 
-// WithWorkerFault injects a deterministic fault into one worker at the
-// given step — reproducible crash rehearsal for the supervision machinery.
-func WithWorkerFault(proc, step int, mode FaultMode) Option {
+// withWorkerFault injects a deterministic fault into one worker at the
+// given step — reproducible crash rehearsal for the supervision machinery;
+// only tests set it.
+func withWorkerFault(proc, step int, mode FaultMode) Option {
 	return func(o *options) {
 		if o.faults == nil {
 			o.faults = map[int]workerFault{}
@@ -245,7 +246,7 @@ const coordName = "engine-coordinator"
 // registers its mailbox on (pass the same Center for an in-process run, or
 // distinct TCP clients for a multi-node emulation). coordOn hosts the
 // coordinator mailbox. Options add supervision: WithStepDeadline bounds
-// every wait, WithWorkerFault injects deterministic faults for crash rehearsal.
+// every wait, withWorkerFault injects deterministic faults for crash rehearsal.
 func New(h *samr.Hierarchy, a *partition.Assignment, coordOn agents.Port, ports []agents.Port, opts ...Option) (*Engine, error) {
 	return NewFromPlan(partition.BuildCommPlan(h, a), coordOn, ports, opts...)
 }

@@ -39,7 +39,7 @@ func TestEngineWorkerErrorDoesNotDeadlock(t *testing.T) {
 	h, a := testSetup(t, 4)
 	center := agents.NewCenter()
 	e, err := New(h, a, center, samePorts(center, 4),
-		WithWorkerFault(1, 1, FaultError))
+		withWorkerFault(1, 1, FaultError))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEngineStalledWorkerHitsDeadline(t *testing.T) {
 	const deadline = 200 * time.Millisecond
 	e, err := New(h, a, center, samePorts(center, 4),
 		WithStepDeadline(deadline),
-		WithWorkerFault(2, 1, FaultStall))
+		withWorkerFault(2, 1, FaultStall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEngineCrashedWorkerDetected(t *testing.T) {
 	center := agents.NewCenter()
 	e, err := New(h, a, center, samePorts(center, 4),
 		WithStepDeadline(250*time.Millisecond),
-		WithWorkerFault(0, 2, FaultCrash))
+		withWorkerFault(0, 2, FaultCrash))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,3 @@ func TraceFor(cfg rm3d.Config) (*samr.Trace, error) {
 // PaperTrace returns the paper-scale RM3D trace (128x32x32 base, 3 levels,
 // regrid every 4 steps, 202 snapshots).
 func PaperTrace() (*samr.Trace, error) { return TraceFor(rm3d.DefaultConfig()) }
-
-// SmallTrace returns the reduced trace used by fast tests.
-func SmallTrace() (*samr.Trace, error) { return TraceFor(rm3d.SmallConfig()) }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/pragma-grid/pragma/internal/rm3d"
 )
 
 func TestTable1ErrorsInPaperBand(t *testing.T) {
@@ -300,11 +302,11 @@ func TestFigure4Pipeline(t *testing.T) {
 }
 
 func TestTraceCaching(t *testing.T) {
-	a, err := SmallTrace()
+	a, err := TraceFor(rm3d.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SmallTrace()
+	b, err := TraceFor(rm3d.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

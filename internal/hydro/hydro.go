@@ -35,8 +35,6 @@ type Grid struct {
 	sx, sxy int // strides including ghosts
 	cells   []State
 	scratch []State
-	// secondOrder selects MUSCL reconstruction (see muscl.go).
-	secondOrder bool
 }
 
 // NewGrid allocates an nx x ny x nz grid with cell size dx.
@@ -234,12 +232,8 @@ func (g *Grid) waveSpeed(s State, d int) float64 {
 }
 
 // Step advances the solution by dt with an unsplit finite-volume update,
-// U += -dt/dx * sum_d (F_{d,+} - F_{d,-}), at the configured spatial order.
+// U += -dt/dx * sum_d (F_{d,+} - F_{d,-}), first order in space.
 func (g *Grid) Step(dt float64) {
-	if g.secondOrder {
-		g.stepSecondOrder(dt)
-		return
-	}
 	g.applyBC()
 	lambda := dt / g.Dx
 	off := [3][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}

@@ -18,20 +18,15 @@ type Reading struct {
 	BandwidthMBps float64
 }
 
-// Sensor samples the resource state of the nodes of an execution
-// environment — the role NWS sensors play in the paper.
-type Sensor interface {
-	// Sample returns one reading per node at simulation time t.
-	Sample(t float64) []Reading
-}
-
-// ClusterSensor observes a simulated cluster.
+// ClusterSensor observes a simulated cluster: it samples the resource
+// state of the nodes — the role NWS sensors play in the paper.
 type ClusterSensor struct {
 	Cluster *cluster.Cluster
 }
 
-// Sample implements Sensor: available CPU is what the background load
-// leaves over; memory and bandwidth come from the machine description.
+// Sample returns one reading per node at simulation time t: available
+// CPU is what the background load leaves over; memory and bandwidth come
+// from the machine description.
 // A failed node reads as having no resources at all — the NWS sensor on a
 // dead machine reports nothing, and the capacity calculator must starve it
 // of work rather than inherit its last healthy reading.

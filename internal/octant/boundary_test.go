@@ -72,72 +72,6 @@ func TestClassifyTotal(t *testing.T) {
 	}
 }
 
-// TestFuzzyMembershipAtBoundaries checks the fuzzy classifier near
-// thresholds: memberships stay normalized, Best returns a valid octant,
-// and exactly at a threshold corner the top two octants split the mass
-// (genuine ambiguity, which Ambiguous reports).
-func TestFuzzyMembershipAtBoundaries(t *testing.T) {
-	th := DefaultThresholds()
-	corner := State{Dynamics: th.Dynamics, CommRatio: th.CommRatio, Dispersion: th.Dispersion}
-	m := FuzzyClassify(corner, th, 0.25)
-	var sum float64
-	for o := I; o <= VIII; o++ {
-		v := m[o]
-		if v < 0 || v > 1 || math.IsNaN(v) {
-			t.Fatalf("membership[%v] = %v out of range", o, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("memberships sum to %v", sum)
-	}
-	if o, v := m.Best(); !o.Valid() || v <= 0 {
-		t.Fatalf("Best() = %v, %v at corner", o, v)
-	} else if v > 0.5 {
-		t.Errorf("corner state should be ambiguous, best membership %v", v)
-	}
-	if !m.Ambiguous(0.5) {
-		t.Error("corner state not reported ambiguous at 0.5 dominance")
-	}
-
-	// ±ε around a single axis threshold must not flip Best discontinuously
-	// to a non-adjacent octant: the two candidates differ only on that
-	// axis.
-	for _, off := range []float64{-eps, +eps} {
-		s := State{Dynamics: 0.01, CommRatio: th.CommRatio + off, Dispersion: 0.01}
-		o, _ := FuzzyClassify(s, th, 0.25).Best()
-		if o != I && o != III {
-			t.Errorf("CommRatio %+g: Best() = %v, want I or III", off, o)
-		}
-	}
-}
-
-// TestFuzzyClassifyDegenerateInputs checks the fuzzy path never panics on
-// NaN or off-scale states and that Best stays total.
-func TestFuzzyClassifyDegenerateInputs(t *testing.T) {
-	th := DefaultThresholds()
-	nan := math.NaN()
-	for _, s := range []State{
-		{Dynamics: nan, CommRatio: nan, Dispersion: nan},
-		{Dynamics: nan, CommRatio: 0.6, Dispersion: 0.1},
-		{Dynamics: math.Inf(1), CommRatio: math.Inf(-1), Dispersion: 0},
-		{},
-	} {
-		m := FuzzyClassify(s, th, 0.25)
-		if len(m) != 8 {
-			t.Fatalf("state %+v: %d memberships", s, len(m))
-		}
-		if o, _ := m.Best(); !o.Valid() {
-			t.Fatalf("state %+v: Best() invalid octant %v", s, o)
-		}
-	}
-	// Zero thresholds exercise the width fallback (softness*threshold = 0).
-	m := FuzzyClassify(State{Dynamics: 0.1}, Thresholds{}, 0.25)
-	if o, _ := m.Best(); !o.Valid() {
-		t.Fatalf("zero-threshold Best() invalid octant %v", o)
-	}
-}
-
 // TestStateAtZeroExtentRefinement checks the measurement path on traces
 // whose hierarchies have no refined region at all: metrics degrade to
 // zeros (no division-by-zero panic) and classification stays total.

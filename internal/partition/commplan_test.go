@@ -119,9 +119,6 @@ func TestCommPlanDifferentialRandom(t *testing.T) {
 		if got != want {
 			t.Fatalf("iter %d: migration %g, reference %g", it, got, want)
 		}
-		if wrapped := MigrationFraction(prevH, prev, h, a); wrapped != want {
-			t.Fatalf("iter %d: MigrationFraction wrapper %g, reference %g", it, wrapped, want)
-		}
 	}
 }
 

@@ -159,8 +159,8 @@ func TestCommOrderingCoarseVsFine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := Communication(h, coarse)
-	fs := Communication(h, fine)
+	cs := BuildCommPlan(h, coarse).Stats
+	fs := BuildCommPlan(h, fine).Stats
 	if cs.Messages >= fs.Messages {
 		t.Errorf("pBD-ISP messages %g not below SP-ISP messages %g", cs.Messages, fs.Messages)
 	}

@@ -116,27 +116,3 @@ type UnitPair struct {
 func Adjacency(h *samr.Hierarchy, a *Assignment) []UnitPair {
 	return BuildCommPlan(h, a).Pairs()
 }
-
-// Communication computes the assignment's communication statistics from
-// its unit boxes. Callers that also need the unit pairs or
-// a later migration diff should call BuildCommPlan once instead.
-func Communication(h *samr.Hierarchy, a *Assignment) CommStats {
-	return BuildCommPlan(h, a).Stats
-}
-
-// CommVolume is a convenience wrapper returning the total communication
-// volume and the per-processor shares.
-func CommVolume(h *samr.Hierarchy, a *Assignment) (total float64, perProc []float64) {
-	st := Communication(h, a)
-	return st.Volume, st.PerProcVolume
-}
-
-// MigrationFraction returns the fraction of grid data present in both the
-// previous and the new configuration whose owning processor changed —
-// the paper's "amount of data migration" component. Levels are compared
-// independently; cells that exist only in one configuration (newly refined
-// or de-refined) do not count. Callers holding CommPlans for both sides
-// should use CommPlan.MigrationFrom, which reuses their unit indexes.
-func MigrationFraction(prevH *samr.Hierarchy, prev *Assignment, h *samr.Hierarchy, a *Assignment) float64 {
-	return BuildCommPlan(h, a).MigrationFrom(BuildCommPlan(prevH, prev))
-}

@@ -44,7 +44,8 @@ func TestCommVolumeTwoHalves(t *testing.T) {
 		pair{samr.MakeBox(4, 4, 4), 0},
 		pair{samr.Box{Lo: samr.Point{4, 0, 0}, Hi: samr.Point{8, 4, 4}}, 1},
 	)
-	total, perProc := CommVolume(h, a)
+	st := BuildCommPlan(h, a).Stats
+	total, perProc := st.Volume, st.PerProcVolume
 	if total != 16 {
 		t.Fatalf("comm volume = %g, want 16", total)
 	}
@@ -59,7 +60,7 @@ func TestCommVolumeSameOwnerIsZero(t *testing.T) {
 		pair{samr.MakeBox(4, 4, 4), 0},
 		pair{samr.Box{Lo: samr.Point{4, 0, 0}, Hi: samr.Point{8, 4, 4}}, 0},
 	)
-	if total, _ := CommVolume(h, a); total != 0 {
+	if total := BuildCommPlan(h, a).Stats.Volume; total != 0 {
 		t.Fatalf("same-owner comm = %g", total)
 	}
 }
@@ -79,7 +80,8 @@ func TestCommVolumeInterLevel(t *testing.T) {
 		},
 		Owner: []int{0, 1},
 	}
-	total, perProc := CommVolume(h, a)
+	st := BuildCommPlan(h, a).Stats
+	total, perProc := st.Volume, st.PerProcVolume
 	// 4*4*4 fine cells with proc-0 parents, exchanged on each of the fine
 	// level's Ratio=2 MIT sub-steps per coarse step.
 	want := interLevelWeight * 64 * 2
@@ -99,7 +101,7 @@ func TestCommunicationMessages(t *testing.T) {
 		pair{samr.Box{Lo: samr.Point{4, 0, 0}, Hi: samr.Point{8, 4, 4}}, 1},
 		pair{samr.Box{Lo: samr.Point{8, 0, 0}, Hi: samr.Point{12, 4, 4}}, 0},
 	)
-	st := Communication(h, a)
+	st := BuildCommPlan(h, a).Stats
 	if st.Messages != 2 {
 		t.Fatalf("messages = %g, want 2", st.Messages)
 	}
@@ -115,7 +117,7 @@ func TestCommunicationMessages(t *testing.T) {
 		pair{samr.Box{Lo: samr.Point{4, 0, 0}, Hi: samr.Point{8, 4, 4}}, 1},
 		pair{samr.Box{Lo: samr.Point{8, 0, 0}, Hi: samr.Point{12, 4, 4}}, 1},
 	)
-	if st := Communication(h, b); st.Messages != 0 || st.Volume != 0 {
+	if st := BuildCommPlan(h, b).Stats; st.Messages != 0 || st.Volume != 0 {
 		t.Fatalf("same-owner stats = %+v", st)
 	}
 }
@@ -127,11 +129,11 @@ func TestMigrationFraction(t *testing.T) {
 	before := manualAssignment(2, pair{left, 0}, pair{right, 1})
 	// Swap the halves: every cell moves.
 	after := manualAssignment(2, pair{left, 1}, pair{right, 0})
-	if got := MigrationFraction(h, before, h, after); got != 1 {
+	if got := BuildCommPlan(h, after).MigrationFrom(BuildCommPlan(h, before)); got != 1 {
 		t.Fatalf("full swap migration = %g", got)
 	}
 	// Identical assignment: nothing moves.
-	if got := MigrationFraction(h, before, h, before); got != 0 {
+	if got := BuildCommPlan(h, before).MigrationFrom(BuildCommPlan(h, before)); got != 0 {
 		t.Fatalf("identity migration = %g", got)
 	}
 	// Shift the boundary by one plane: 16 of 128 cells move.
@@ -139,7 +141,7 @@ func TestMigrationFraction(t *testing.T) {
 		pair{samr.MakeBox(5, 4, 4), 0},
 		pair{samr.Box{Lo: samr.Point{5, 0, 0}, Hi: samr.Point{8, 4, 4}}, 1},
 	)
-	if got := MigrationFraction(h, before, h, shifted); got != 16.0/128.0 {
+	if got := BuildCommPlan(h, shifted).MigrationFrom(BuildCommPlan(h, before)); got != 16.0/128.0 {
 		t.Fatalf("boundary shift migration = %g, want %g", got, 16.0/128.0)
 	}
 }
@@ -160,7 +162,7 @@ func TestMigrationIgnoresDisjointLevels(t *testing.T) {
 		},
 		Owner: []int{0, 1},
 	}
-	if got := MigrationFraction(h0, before, h1, after); got != 0 {
+	if got := BuildCommPlan(h1, after).MigrationFrom(BuildCommPlan(h0, before)); got != 0 {
 		t.Fatalf("new-level migration = %g", got)
 	}
 }
@@ -206,24 +208,10 @@ func TestCommVolumeScalesWithProcs(t *testing.T) {
 	wm := samr.UniformWorkModel{}
 	a4, _ := (SFC{}).Partition(h, wm, 4)
 	a32, _ := (SFC{}).Partition(h, wm, 32)
-	c4, _ := CommVolume(h, a4)
-	c32, _ := CommVolume(h, a32)
+	c4 := BuildCommPlan(h, a4).Stats.Volume
+	c32 := BuildCommPlan(h, a32).Stats.Volume
 	if c32 <= c4 {
 		t.Fatalf("comm at 32 procs (%g) not above 4 procs (%g)", c32, c4)
-	}
-}
-
-func BenchmarkCommVolume(b *testing.B) {
-	h := testHierarchy(b)
-	wm := samr.UniformWorkModel{}
-	a, err := (GMISPSP{}).Partition(h, wm, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CommVolume(h, a)
 	}
 }
 

@@ -9,18 +9,8 @@ import (
 // itself to one attribute ("For simplicity, we only consider the data size
 // attribute"); the PF concept itself is multi-attribute — "we identify the
 // attributes that can accurately express and quantify the operation and
-// performance of a resource (e.g., Clock speed, Error, Capacity)". MultiPF
+// performance of a resource (e.g., Clock speed, Error, Capacity)". MultiNeural
 // generalizes the neural PF to k input attributes.
-
-// MultiPF is a performance function over several attributes.
-type MultiPF interface {
-	// EvalVec returns the performance estimate at the attribute vector x.
-	EvalVec(x []float64) float64
-	// Name identifies the modeled component.
-	Name() string
-	// Arity returns the number of input attributes.
-	Arity() int
-}
 
 // MultiNeural is a k-input feed-forward network with one sigmoid hidden
 // layer and a linear output.
@@ -36,7 +26,7 @@ type MultiNeural struct {
 	yLo, yHi float64
 }
 
-// Name implements MultiPF.
+// Name identifies the modeled component.
 func (n *MultiNeural) Name() string {
 	if n.Label != "" {
 		return n.Label
@@ -44,10 +34,10 @@ func (n *MultiNeural) Name() string {
 	return "multi-neural"
 }
 
-// Arity implements MultiPF.
+// Arity returns the number of input attributes.
 func (n *MultiNeural) Arity() int { return n.arity }
 
-// EvalVec implements MultiPF.
+// EvalVec returns the performance estimate at the attribute vector x.
 func (n *MultiNeural) EvalVec(x []float64) float64 {
 	if len(x) != n.arity {
 		return 0
@@ -190,27 +180,3 @@ func TrainMultiNeural(name string, xs [][]float64, ys []float64, opt TrainOption
 	}
 	return n, nil
 }
-
-// Slice fixes all but one attribute of a MultiPF, producing an ordinary
-// single-attribute PF — e.g. delay versus data size at a given load.
-type Slice struct {
-	Inner MultiPF
-	// Fixed is the full attribute vector; Index selects the free attribute
-	// that Eval's argument replaces.
-	Fixed []float64
-	Index int
-}
-
-// Eval implements PF.
-func (s Slice) Eval(x float64) float64 {
-	vec := append([]float64(nil), s.Fixed...)
-	if s.Index >= 0 && s.Index < len(vec) {
-		vec[s.Index] = x
-	}
-	return s.Inner.EvalVec(vec)
-}
-
-// Name implements PF.
-func (s Slice) Name() string { return fmt.Sprintf("%s[attr %d]", s.Inner.Name(), s.Index) }
-
-var _ PF = Slice{}

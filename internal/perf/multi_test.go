@@ -77,37 +77,3 @@ func TestMultiEvalVecArityMismatch(t *testing.T) {
 		t.Fatalf("arity mismatch returned %g, want 0", got)
 	}
 }
-
-func TestSliceProducesSingleAttributePF(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 150; i++ {
-		size := 100 + rng.Float64()*900
-		load := rng.Float64()
-		xs = append(xs, []float64{size, load})
-		ys = append(ys, 1e-4+1e-6*size+2e-6*load*size)
-	}
-	pf, err := TrainMultiNeural("link", xs, ys, TrainOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A slice at fixed load behaves like an ordinary PF and composes.
-	slice := Slice{Inner: pf, Fixed: []float64{0, 0.5}, Index: 0}
-	e2e := Serial{Parts: []PF{slice, slice}}
-	if got := e2e.Eval(600); got <= 0 {
-		t.Fatalf("composed slice eval = %g", got)
-	}
-	// Monotone in the free attribute over the trained range.
-	if slice.Eval(900) <= slice.Eval(200) {
-		t.Fatal("slice not increasing in data size")
-	}
-	if slice.Name() == "" {
-		t.Fatal("empty slice name")
-	}
-	// Out-of-range index leaves the fixed vector untouched.
-	bad := Slice{Inner: pf, Fixed: []float64{500, 0.5}, Index: 7}
-	if bad.Eval(900) != pf.EvalVec([]float64{500, 0.5}) {
-		t.Fatal("out-of-range index altered the vector")
-	}
-}

@@ -142,23 +142,6 @@ func TrainNeural(name string, xs, ys []float64, opt TrainOptions) (*Neural, erro
 	return n, nil
 }
 
-// FitRMSE returns the root-mean-square relative error of the PF over the
-// samples, a quick goodness-of-fit check.
-func FitRMSE(pf PF, xs, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range xs {
-		if ys[i] == 0 {
-			continue
-		}
-		d := (pf.Eval(xs[i]) - ys[i]) / ys[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 func minMax(v []float64) (lo, hi float64) {
 	lo, hi = v[0], v[0]
 	for _, x := range v[1:] {

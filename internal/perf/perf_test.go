@@ -24,56 +24,6 @@ func TestSerialComposition(t *testing.T) {
 	}
 }
 
-func TestParallelComposition(t *testing.T) {
-	p := Parallel{Parts: []PF{constPF(1), constPF(5), constPF(3)}}
-	if got := p.Eval(0); got != 5 {
-		t.Fatalf("parallel = %g, want 5", got)
-	}
-	// Negative values: max semantics must still pick the largest.
-	p = Parallel{Parts: []PF{constPF(-4), constPF(-1)}}
-	if got := p.Eval(0); got != -1 {
-		t.Fatalf("parallel negatives = %g, want -1", got)
-	}
-}
-
-func TestScaled(t *testing.T) {
-	s := Scaled{Factor: 2.5, Inner: constPF(4)}
-	if got := s.Eval(0); got != 10 {
-		t.Fatalf("scaled = %g", got)
-	}
-}
-
-func TestFitPolyExact(t *testing.T) {
-	// A quadratic must be recovered exactly.
-	xs := []float64{0, 1, 2, 3, 4, 5}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 2 + 3*x + 0.5*x*x
-	}
-	p, err := FitPoly("q", xs, ys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.5, 2.5, 4.7} {
-		want := 2 + 3*x + 0.5*x*x
-		if got := p.Eval(x); math.Abs(got-want) > 1e-6 {
-			t.Fatalf("poly(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
-func TestFitPolyValidation(t *testing.T) {
-	if _, err := FitPoly("x", nil, nil, 1); err == nil {
-		t.Error("empty samples accepted")
-	}
-	if _, err := FitPoly("x", []float64{1, 2}, []float64{1}, 1); err == nil {
-		t.Error("mismatched samples accepted")
-	}
-	if _, err := FitPoly("x", []float64{1, 2}, []float64{1, 2}, 5); err == nil {
-		t.Error("underdetermined degree accepted")
-	}
-}
-
 func TestTrainNeuralFitsLinear(t *testing.T) {
 	xs := make([]float64, 40)
 	ys := make([]float64, 40)
@@ -85,7 +35,12 @@ func TestTrainNeuralFitsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rmse := FitRMSE(n, xs, ys); rmse > 0.02 {
+	var sum float64
+	for i, x := range xs {
+		d := (n.Eval(x) - ys[i]) / ys[i]
+		sum += d * d
+	}
+	if rmse := math.Sqrt(sum / float64(len(xs))); rmse > 0.02 {
 		t.Fatalf("neural fit RMSE %.4f > 2%%", rmse)
 	}
 	// Interpolation between samples stays accurate.

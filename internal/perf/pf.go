@@ -1,15 +1,12 @@
 // Package perf implements Pragma's performance analysis module (§3.2):
 // Performance Functions (PFs) that describe the behavior of a system
 // component in terms of one of its attributes, fitted from measurements
-// (with a small neural network, as in the paper, or a polynomial), and
-// composed into an end-to-end PF that estimates whole-application
-// performance — Eq. 1 and Eq. 2 of the paper.
+// with a small neural network, as in the paper, and composed into an
+// end-to-end PF that estimates whole-application performance — Eq. 1 and
+// Eq. 2 of the paper.
 package perf
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // PF is a performance function: it maps an attribute value (for example
 // data size in bytes) to a performance measure (for example seconds of
@@ -44,142 +41,6 @@ func (s Serial) Name() string {
 		return s.Label
 	}
 	return "serial"
-}
-
-// Parallel composes PFs for components operating concurrently: the
-// end-to-end PF is the maximum of the component PFs (the slowest branch
-// gates completion).
-type Parallel struct {
-	Label string
-	Parts []PF
-}
-
-// Eval implements PF.
-func (p Parallel) Eval(x float64) float64 {
-	var m float64
-	for i, part := range p.Parts {
-		v := part.Eval(x)
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Name implements PF.
-func (p Parallel) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "parallel"
-}
-
-// Scaled wraps a PF with a multiplicative factor (e.g. a component used k
-// times per transaction).
-type Scaled struct {
-	Factor float64
-	Inner  PF
-}
-
-// Eval implements PF.
-func (s Scaled) Eval(x float64) float64 { return s.Factor * s.Inner.Eval(x) }
-
-// Name implements PF.
-func (s Scaled) Name() string { return fmt.Sprintf("%gx %s", s.Factor, s.Inner.Name()) }
-
-// Poly is a polynomial performance function fitted by least squares.
-type Poly struct {
-	Label string
-	// Coef holds the coefficients, lowest degree first.
-	Coef []float64
-}
-
-// Eval implements PF (Horner evaluation).
-func (p Poly) Eval(x float64) float64 {
-	var y float64
-	for i := len(p.Coef) - 1; i >= 0; i-- {
-		y = y*x + p.Coef[i]
-	}
-	return y
-}
-
-// Name implements PF.
-func (p Poly) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "poly"
-}
-
-// FitPoly fits a polynomial of the given degree to (xs, ys) by solving the
-// normal equations. Inputs are normalized internally for conditioning.
-func FitPoly(name string, xs, ys []float64, degree int) (Poly, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return Poly{}, fmt.Errorf("perf: bad sample arrays (%d xs, %d ys)", len(xs), len(ys))
-	}
-	if degree < 0 || degree >= len(xs) {
-		return Poly{}, fmt.Errorf("perf: degree %d invalid for %d samples", degree, len(xs))
-	}
-	n := degree + 1
-	// Normal equations A c = b with A[i][j] = sum x^(i+j), b[i] = sum y x^i.
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-	}
-	for k := range xs {
-		xp := make([]float64, 2*n-1)
-		xp[0] = 1
-		for i := 1; i < len(xp); i++ {
-			xp[i] = xp[i-1] * xs[k]
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a[i][j] += xp[i+j]
-			}
-			b[i] += ys[k] * xp[i]
-		}
-	}
-	coef, err := solve(a, b)
-	if err != nil {
-		return Poly{}, err
-	}
-	return Poly{Label: name, Coef: coef}, nil
-}
-
-// solve performs Gaussian elimination with partial pivoting.
-func solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-300 {
-			return nil, fmt.Errorf("perf: singular normal equations")
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		x[r] = b[r]
-		for c := r + 1; c < n; c++ {
-			x[r] -= a[r][c] * x[c]
-		}
-		x[r] /= a[r][r]
-	}
-	return x, nil
 }
 
 // PercentError returns 100*|predicted-measured|/|measured|, the error

@@ -1,14 +1,13 @@
 // Package policy implements Pragma's adaptation policy knowledge base
 // (§3.5): a programmable database of rules that relate system and
 // application state abstractions to configurations, algorithms and
-// mechanisms. Rules can be added, modified and removed at runtime;
+// mechanisms. Rules can be added and replaced at runtime;
 // management agents query the base associatively — partial attribute sets
 // are allowed and numeric attributes may match fuzzily — and receive
 // actions ranked by degree of match and priority.
 package policy
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -159,25 +158,6 @@ func (b *Base) Add(r Rule) error {
 	return nil
 }
 
-// Remove deletes a rule; removing an unknown id is a no-op returning
-// false.
-func (b *Base) Remove(id string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.rules[id]; !ok {
-		return false
-	}
-	delete(b.rules, id)
-	return true
-}
-
-// Len returns the number of rules.
-func (b *Base) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.rules)
-}
-
 // Rules returns a copy of all rules sorted by insertion order.
 func (b *Base) Rules() []Rule {
 	b.mu.RLock()
@@ -274,46 +254,4 @@ func (b *Base) BestAction(kind string, attrs map[string]interface{}) (Action, bo
 		return Action{}, false
 	}
 	return best.Then, true
-}
-
-// MarshalJSON encodes the base as its rule list.
-func (b *Base) MarshalJSON() ([]byte, error) {
-	type persisted struct {
-		Rule
-		Seq int `json:"seq"`
-	}
-	rules := b.Rules()
-	out := make([]persisted, len(rules))
-	for i, r := range rules {
-		out[i] = persisted{Rule: r, Seq: r.Seq}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON replaces the base's contents with the encoded rule list.
-func (b *Base) UnmarshalJSON(data []byte) error {
-	type persisted struct {
-		Rule
-		Seq int `json:"seq"`
-	}
-	var rules []persisted
-	if err := json.Unmarshal(data, &rules); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.rules = make(map[string]*Rule, len(rules))
-	b.next = 0
-	for _, p := range rules {
-		r := p.Rule
-		r.Seq = p.Seq
-		if r.ID == "" {
-			return fmt.Errorf("policy: persisted rule without id")
-		}
-		b.rules[r.ID] = &r
-		if p.Seq >= b.next {
-			b.next = p.Seq + 1
-		}
-	}
-	return nil
 }

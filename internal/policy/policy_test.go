@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"encoding/json"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/octant"
@@ -28,7 +27,7 @@ func TestFuzzyMembership(t *testing.T) {
 	}
 }
 
-func TestAddRemoveUpdate(t *testing.T) {
+func TestAddUpdate(t *testing.T) {
 	b := NewBase()
 	if err := b.Add(Rule{}); err == nil {
 		t.Error("rule without id accepted")
@@ -40,8 +39,8 @@ func TestAddRemoveUpdate(t *testing.T) {
 	if err := b.Add(r); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 {
-		t.Fatalf("len = %d", b.Len())
+	if n := len(b.Rules()); n != 1 {
+		t.Fatalf("len = %d", n)
 	}
 	// Replacing keeps insertion order.
 	r2 := Rule{ID: "r2", Then: Action{Kind: "k", Target: "b"}}
@@ -55,12 +54,6 @@ func TestAddRemoveUpdate(t *testing.T) {
 	rules := b.Rules()
 	if len(rules) != 2 || rules[0].ID != "r1" || rules[0].Then.Target != "a2" {
 		t.Fatalf("rules after replace: %+v", rules)
-	}
-	if !b.Remove("r1") || b.Remove("r1") {
-		t.Fatal("remove semantics wrong")
-	}
-	if b.Len() != 1 {
-		t.Fatalf("len after remove = %d", b.Len())
 	}
 }
 
@@ -185,43 +178,5 @@ func TestTable2MixedKinds(t *testing.T) {
 	// Cache-size rule fires on numeric attribute.
 	if act, ok := b.BestAction("configure-refinement", map[string]interface{}{"cache-kb": 256}); !ok || act.Params["cells"] != 16384 {
 		t.Fatalf("refinement action = %+v ok=%v", act, ok)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	b := Table2()
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored Base
-	if err := json.Unmarshal(data, &restored); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != b.Len() {
-		t.Fatalf("restored %d rules, want %d", restored.Len(), b.Len())
-	}
-	// Ranking order survives the round trip.
-	for _, oct := range octantOrder {
-		a1, ok1 := b.BestAction("select-partitioner", map[string]interface{}{"octant": oct})
-		a2, ok2 := restored.BestAction("select-partitioner", map[string]interface{}{"octant": oct})
-		if ok1 != ok2 || a1.Target != a2.Target {
-			t.Fatalf("octant %s: %v/%v vs %v/%v", oct, a1, ok1, a2, ok2)
-		}
-	}
-	// New rules added after restore get fresh sequence numbers.
-	if err := restored.Add(Rule{ID: "new", Then: Action{Kind: "k", Target: "t"}}); err != nil {
-		t.Fatal(err)
-	}
-	rules := restored.Rules()
-	if rules[len(rules)-1].ID != "new" {
-		t.Fatal("new rule not last in insertion order")
-	}
-	// Bad payloads are rejected.
-	if err := json.Unmarshal([]byte(`[{"id":""}]`), &restored); err == nil {
-		t.Fatal("rule without id unmarshalled")
-	}
-	if err := json.Unmarshal([]byte(`{`), &restored); err == nil {
-		t.Fatal("syntax error unmarshalled")
 	}
 }

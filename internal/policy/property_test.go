@@ -132,27 +132,6 @@ func TestBestActionAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestAddRemoveRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := randBase(rng, 5+rng.Intn(10))
-		before := b.Len()
-		if err := b.Add(Rule{ID: "probe", Then: Action{Kind: "k", Target: "t"}}); err != nil {
-			return false
-		}
-		if b.Len() != before+1 {
-			return false
-		}
-		if !b.Remove("probe") {
-			return false
-		}
-		return b.Len() == before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPartialQueryNeverBeatsFullMatchProperty(t *testing.T) {
 	// A rule fully matched (all attributes present and matching exactly)
 	// always ranks at degree 1; partial matches rank at most 1.

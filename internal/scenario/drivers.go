@@ -94,9 +94,6 @@ type sheet struct {
 // under Low (octant I), a moving planar shock under High (octant V).
 func Sheet(act Activity) Driver { return sheet{act: act, speed: 4} }
 
-// MovingShock is the moving planar shock: Sheet(High).
-func MovingShock() Driver { return Sheet(High) }
-
 func (s sheet) Name() string { return suffix("sheet", s.act) }
 
 func (s sheet) Signature() Signature {
@@ -137,10 +134,6 @@ func SheetField(n int, act Activity) Driver {
 	}
 	return sheetField{n: n, act: act}
 }
-
-// OscillatingSheets is the oscillating scattered-activity driver:
-// SheetField(n, High).
-func OscillatingSheets(n int) Driver { return SheetField(n, High) }
 
 func (s sheetField) Name() string { return suffix(fmt.Sprintf("sheets%d", s.n), s.act) }
 
@@ -419,17 +412,6 @@ func ForOctant(o octant.Octant) Driver {
 	default:
 		return Sheet(Low)
 	}
-}
-
-// Library returns every driver constructor's canonical instances: the
-// eight octant witnesses plus the point source, merging fronts and
-// background ingredients.
-func Library() []Driver {
-	out := make([]Driver, 0, 12)
-	for o := octant.I; o <= octant.VIII; o++ {
-		out = append(out, ForOctant(o))
-	}
-	return append(out, PointSource(Low), PointSource(High), MergingFronts(), Background(4))
 }
 
 func clampf(v, lo, hi float64) float64 {

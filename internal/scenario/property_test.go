@@ -93,7 +93,7 @@ func TestEveryOctantReachable(t *testing.T) {
 // into the driver's declared Signature().Octant(). MergingFronts is a
 // transition driver and is checked separately.
 func TestClassifierRecoversDriverSignatures(t *testing.T) {
-	for _, d := range Library() {
+	for _, d := range library() {
 		if d.Name() == "merge" {
 			continue
 		}

@@ -120,7 +120,7 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestParseDriverRoundTripsNames(t *testing.T) {
-	for _, d := range Library() {
+	for _, d := range library() {
 		got, err := ParseDriver(d.Name())
 		if err != nil {
 			t.Errorf("driver name %q does not re-parse: %v", d.Name(), err)
@@ -232,4 +232,15 @@ func TestGeneratedTracesValidate(t *testing.T) {
 	if len(back.Snapshots) != len(tr.Snapshots) {
 		t.Fatalf("round trip lost snapshots: %d != %d", len(back.Snapshots), len(tr.Snapshots))
 	}
+}
+
+// library returns every driver constructor's canonical instances: the
+// eight octant witnesses plus the point source, merging fronts and
+// background ingredients.
+func library() []Driver {
+	out := make([]Driver, 0, 12)
+	for o := octant.I; o <= octant.VIII; o++ {
+		out = append(out, ForOctant(o))
+	}
+	return append(out, PointSource(Low), PointSource(High), MergingFronts(), Background(4))
 }

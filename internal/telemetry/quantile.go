@@ -67,29 +67,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	total := acc + h.counts[n].Load()
 	return quantileFromCum(h.bounds, buf, total, q)
 }
-
-// Quantile estimates the q-quantile of a snapshotted histogram series by
-// linear interpolation within its buckets. Non-histogram series (no
-// buckets) return NaN.
-func (s SeriesSnapshot) Quantile(q float64) float64 {
-	if len(s.Buckets) == 0 {
-		return math.NaN()
-	}
-	var cum [64]uint64
-	n := len(s.Buckets)
-	var bufC []uint64
-	var bufB []float64
-	var bounds [64]float64
-	if n <= len(cum) {
-		bufC = cum[:n]
-		bufB = bounds[:n]
-	} else {
-		bufC = make([]uint64, n)
-		bufB = make([]float64, n)
-	}
-	for i, b := range s.Buckets {
-		bufB[i] = b.UpperBound
-		bufC[i] = b.CumulativeCount
-	}
-	return quantileFromCum(bufB, bufC, s.Count, q)
-}

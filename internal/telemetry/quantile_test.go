@@ -99,30 +99,6 @@ func TestQuantileSingleBucketInterpolation(t *testing.T) {
 	}
 }
 
-func TestSeriesSnapshotQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("snapq", "", []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-	for i := 0; i < 10000; i++ {
-		h.Observe(float64(i) * 0.01)
-	}
-	series := reg.Snapshot().Find("snapq")
-	if len(series) != 1 {
-		t.Fatalf("want 1 series, got %d", len(series))
-	}
-	if got := series[0].Quantile(0.99); math.Abs(got-99) > 0.02 {
-		t.Errorf("snapshot Quantile(0.99) = %g, want 99", got)
-	}
-	// Live histogram and snapshot must agree exactly when quiescent.
-	if live, snap := h.Quantile(0.75), series[0].Quantile(0.75); live != snap {
-		t.Errorf("live %g != snapshot %g", live, snap)
-	}
-	// A counter series has no buckets.
-	reg.Counter("plain", "").Inc()
-	if got := reg.Snapshot().Find("plain")[0].Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("counter Quantile = %g, want NaN", got)
-	}
-}
-
 func TestQuantileZeroAllocs(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("qalloc", "", nil) // DefBuckets

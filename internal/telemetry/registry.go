@@ -70,12 +70,6 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -35,29 +35,3 @@ var DefBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
 }
-
-// ByteBuckets suit payload sizes, from 64B to 16MB.
-var ByteBuckets = []float64{
-	64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216,
-}
-
-// LinearBuckets returns n buckets starting at start, each width apart.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns n buckets starting at start, each factor
-// larger than the previous.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
