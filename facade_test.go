@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,12 +58,76 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 	for name, reason := range kept {
 		keptKeys["internal/"+name] = reason
 	}
-	caller := func(f modFile) bool { return f.test || !strings.HasPrefix(f.dir, "internal/") }
-	// A test names its own package's declarations without calling them.
-	counts := func(from modFile, key string) bool { return !from.test || !strings.HasPrefix(key, from.dir+".") }
-	live := m.live(caller, counts, keptKeys)
-	checkCallers(t, m, "internal/", keptKeys, live,
+	checkCallers(t, m, "internal/", keptKeys, m.internalLive(keptKeys),
 		"internal names have no caller outside their own package's tests")
+}
+
+// internalLive is the liveness rule of TestInternalNamesHaveCallers:
+// every test file and every file outside internal/ calls what it names,
+// except that a test names its own package's declarations without
+// calling them.
+func (m *module) internalLive(kept map[string]string) map[string]bool {
+	caller := func(f modFile) bool { return f.test || !strings.HasPrefix(f.dir, "internal/") }
+	counts := func(from modFile, key string) bool { return !from.test || !strings.HasPrefix(key, from.dir+".") }
+	return m.live(caller, counts, kept)
+}
+
+// TestInternalGuardRule runs the liveness rule of
+// TestInternalNamesHaveCallers on a small synthetic module, one case per
+// clause of the rule, so a change to the walk that stops it flagging a
+// dead name fails here rather than passing silently.
+func TestInternalGuardRule(t *testing.T) {
+	m := parseSources(t, map[string]string{
+		"cmd/tool/main.go": `package main
+import "github.com/pragma-grid/pragma/internal/a"
+func main() { a.Used(); var _ a.Shape }`,
+		"internal/a/a.go": `package a
+func Used() { helper() }
+func helper() { Indirect() }
+func Indirect() {}
+func OwnTestsOnly() {}
+func Oracle() bool { return true }
+func Orphan() {}
+type Shape struct{}
+func (Shape) Method() { ViaMethod() }
+func ViaMethod() {}
+var Registered = 0
+func init() { Registered = Hooked() }
+func Hooked() int { return 1 }`,
+		"internal/a/a_test.go": `package a
+import "testing"
+func TestOwn(t *testing.T) { OwnTestsOnly() }`,
+		"internal/b/b_test.go": `package b
+import (
+	"testing"
+	"github.com/pragma-grid/pragma/internal/a"
+)
+func TestOracle(t *testing.T) { _ = a.Oracle() }`,
+	})
+	live := m.internalLive(nil)
+	for _, tc := range []struct {
+		name string
+		key  string
+		live bool
+	}{
+		{"program caller", "internal/a.Used", true},
+		{"reached through a live declaration", "internal/a.Indirect", true},
+		{"method of a live type", "internal/a.ViaMethod", true},
+		{"init func", "internal/a.Hooked", true},
+		{"test in another directory", "internal/a.Oracle", true},
+		{"own package's test only", "internal/a.OwnTestsOnly", false},
+		{"no caller", "internal/a.Orphan", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if live[tc.key] != tc.live {
+				t.Fatalf("%s: live = %v, want %v", tc.key, live[tc.key], tc.live)
+			}
+		})
+	}
+	want := []string{"a.Orphan", "a.OwnTestsOnly"}
+	if got := m.dead("internal/", live); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dead names %v, want %v", got, want)
+	}
 }
 
 // checkCallers fails on every exported top-level name declared in a
@@ -78,6 +143,14 @@ func checkCallers(t *testing.T, m *module, prefix string, kept map[string]string
 			t.Errorf("kept[%q] is not an exported declaration under %s", key, prefix)
 		}
 	}
+	if dead := m.dead(prefix, live); len(dead) > 0 {
+		t.Errorf("%d %s (delete them, or add them to kept with a reason):\n%s", len(dead), what, strings.Join(dead, "\n"))
+	}
+}
+
+// dead returns, sorted, the exported top-level names declared in a
+// non-test file under prefix that are not live.
+func (m *module) dead(prefix string, live map[string]bool) []string {
 	var dead []string
 	for key := range m.exported {
 		if strings.HasPrefix(m.declared[key], prefix) && !live[key] {
@@ -85,9 +158,7 @@ func checkCallers(t *testing.T, m *module, prefix string, kept map[string]string
 		}
 	}
 	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("%d %s (delete them, or add them to kept with a reason):\n%s", len(dead), what, strings.Join(dead, "\n"))
-	}
+	return dead
 }
 
 // modFile is one parsed Go file of the module.
@@ -112,7 +183,7 @@ type module struct {
 // directories the go tool ignores (testdata and names starting with . or _).
 func parseModule(t *testing.T) *module {
 	t.Helper()
-	m := &module{declared: map[string]string{}, exported: map[string]bool{}, pkgName: map[string]string{}}
+	m := newModule()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
 		if err != nil {
@@ -131,25 +202,50 @@ func parseModule(t *testing.T) *module {
 		if err != nil {
 			return err
 		}
-		p = filepath.ToSlash(p)
-		mf := modFile{path: p, dir: path.Dir(p), test: strings.HasSuffix(p, "_test.go"), f: f}
-		if !mf.test {
-			m.pkgName[mf.dir] = f.Name.Name
-			eachDecl(f, func(name string, method bool, _ ast.Node) {
-				key := declKey(mf.dir, name)
-				m.declared[key] = p
-				if !method && ast.IsExported(name) {
-					m.exported[key] = true
-				}
-			})
-		}
-		m.files = append(m.files, mf)
+		m.add(filepath.ToSlash(p), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// parseSources builds a module from in-memory files keyed by their
+// slash-separated path relative to the module root.
+func parseSources(t *testing.T, files map[string]string) *module {
+	t.Helper()
+	m := newModule()
+	fset := token.NewFileSet()
+	for p, src := range files {
+		f, err := parser.ParseFile(fset, p, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.add(p, f)
+	}
+	return m
+}
+
+func newModule() *module {
+	return &module{declared: map[string]string{}, exported: map[string]bool{}, pkgName: map[string]string{}}
+}
+
+// add records one parsed file; p is slash-separated and relative to the
+// module root.
+func (m *module) add(p string, f *ast.File) {
+	mf := modFile{path: p, dir: path.Dir(p), test: strings.HasSuffix(p, "_test.go"), f: f}
+	if !mf.test {
+		m.pkgName[mf.dir] = f.Name.Name
+		eachDecl(f, func(name string, method bool, _ ast.Node) {
+			key := declKey(mf.dir, name)
+			m.declared[key] = p
+			if !method && ast.IsExported(name) {
+				m.exported[key] = true
+			}
+		})
+	}
+	m.files = append(m.files, mf)
 }
 
 // live returns the keys reachable from the roots: the kept keys, init

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/policy"
+	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
 func TestCenterRegisterSendReceive(t *testing.T) {
@@ -364,5 +365,66 @@ func TestTemplateDiscoverSortsByName(t *testing.T) {
 		if len(got) != 3 || got[0].Name != "perf-a" || got[1].Name != "perf-b" || got[2].Name != "perf-c" {
 			t.Fatalf("call %d: discovered %+v, want perf-a, perf-b, perf-c", i, got)
 		}
+	}
+}
+
+// TestTemplateRegisterReplaces checks that registering a template under a
+// name already taken replaces it rather than adding a second match.
+func TestTemplateRegisterReplaces(t *testing.T) {
+	r := NewRegistry()
+	for _, scheme := range []string{"migration", "active-redundancy"} {
+		if err := r.Register(Template{Name: "perf", Provides: map[string]string{"scheme": scheme}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := r.Discover(nil)
+	if len(got) != 1 || got[0].Provides["scheme"] != "active-redundancy" {
+		t.Fatalf("discovered %+v, want the one replacing template", got)
+	}
+	if got := r.Discover(map[string]string{"scheme": "migration"}); len(got) != 0 {
+		t.Fatalf("replaced template still discovered: %+v", got)
+	}
+}
+
+func TestCenterQueueDepthCountsLocalMailboxes(t *testing.T) {
+	c := NewCenter()
+	a, err := c.Register("a", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register("b", 8); err != nil {
+		t.Fatal(err)
+	}
+	if c.QueueDepth() != 0 {
+		t.Fatalf("fresh center queue depth %d", c.QueueDepth())
+	}
+	for _, to := range []string{"a", "a", "b"} {
+		if err := c.Send(Message{From: "x", To: to, Kind: "k"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.QueueDepth(); got != 3 {
+		t.Fatalf("queue depth %d after three sends, want 3", got)
+	}
+	<-a
+	if got := c.QueueDepth(); got != 2 {
+		t.Fatalf("queue depth %d after one receive, want 2", got)
+	}
+}
+
+func TestQueueDepthGaugeSamplesCenter(t *testing.T) {
+	c := NewCenter()
+	if _, err := c.Register("a", 8); err != nil {
+		t.Fatal(err)
+	}
+	RegisterQueueDepthGauge(c)
+	for i := 0; i < 2; i++ {
+		if err := c.Send(Message{From: "x", To: "a", Kind: "k"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := telemetry.Default.Snapshot().Find("pragma_agents_queue_depth")
+	if len(series) != 1 || series[0].Value != 2 {
+		t.Fatalf("queue depth gauge = %+v, want 2", series)
 	}
 }

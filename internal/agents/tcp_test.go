@@ -3,6 +3,7 @@ package agents
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -706,4 +707,37 @@ func TestTCPUnregisterWhileDelivering(t *testing.T) {
 	}
 	close(burst)
 	<-done
+}
+
+func TestTCPOnDisconnectReportsLostPorts(t *testing.T) {
+	center, addr := startCenter(t)
+	lost := make(chan []string, 1)
+	center.OnDisconnect(func(ports []string) { lost <- ports })
+	cl := dialT(t, addr)
+	for _, port := range []string{"w1", "w2"} {
+		if _, err := cl.Register(port, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The broker learns of a registration asynchronously; wait until both
+	// ports route before tearing the link down.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, port := range []string{"w1", "w2"} {
+		for center.Send(Message{From: "x", To: port, Kind: "probe"}) != nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("port %s never became routable", port)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cl.Close()
+	select {
+	case ports := <-lost:
+		sort.Strings(ports)
+		if len(ports) != 2 || ports[0] != "w1" || ports[1] != "w2" {
+			t.Fatalf("disconnect reported %v, want [w1 w2]", ports)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no disconnect reported")
+	}
 }

@@ -206,3 +206,55 @@ func TestFaultPointDisarmed(t *testing.T) {
 		t.Fatal("disarmed fault point reports fired")
 	}
 }
+
+// TestDialerSharesInjector checks that every connection a Dialer makes
+// draws from one fault budget: with a budget of one drop, the first
+// connection is killed and the redial after it carries data intact.
+func TestDialerSharesInjector(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan string, 1)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			buf := make([]byte, 4)
+			if _, err := io.ReadFull(c, buf); err == nil {
+				got <- string(buf)
+			}
+			c.Close()
+		}
+	}()
+	dial := Dialer(Config{Seed: 1, DropRate: 1, MaxFaults: 1})
+	first, err := dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Write([]byte("lost")); err != ErrInjectedDrop {
+		t.Fatalf("first write: err = %v, want ErrInjectedDrop", err)
+	}
+	second, err := dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if _, err := second.Write([]byte("ping")); err != nil {
+		t.Fatalf("redial after the spent budget failed: %v", err)
+	}
+	select {
+	case s := <-got:
+		if s != "ping" {
+			t.Fatalf("server read %q, want ping", s)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never read the redial's bytes")
+	}
+	if n := second.(*Conn).Faults(); n != 1 {
+		t.Fatalf("shared fault count %d, want 1", n)
+	}
+}

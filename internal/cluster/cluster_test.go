@@ -162,3 +162,24 @@ func TestLinuxClusterShape(t *testing.T) {
 		t.Fatalf("fast Ethernet bandwidth = %g MB/s", c.Nodes[0].BandwidthMBps)
 	}
 }
+
+func TestSP2Shape(t *testing.T) {
+	c := SP2(16)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if c.NProcs() != 16 {
+		t.Fatalf("nprocs = %d", c.NProcs())
+	}
+	if c.Load != nil {
+		t.Fatal("the Table 4 machine runs without background load")
+	}
+	if c.Net.LatencySec != 500e-6 {
+		t.Fatalf("latency = %g s, want the calibrated 500 µs", c.Net.LatencySec)
+	}
+	for i := range c.Nodes {
+		if c.EffectiveSpeed(i, 7) != 1e5 {
+			t.Fatalf("node %d effective speed %g", i, c.EffectiveSpeed(i, 7))
+		}
+	}
+}

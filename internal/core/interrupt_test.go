@@ -171,3 +171,13 @@ func TestRunInterruptBeforeFirstInterval(t *testing.T) {
 		t.Fatal("resumed-from-scratch run did no work")
 	}
 }
+
+func TestInterruptedErrorWrapsErrInterrupted(t *testing.T) {
+	var err error = &InterruptedError{Next: 6, Completed: 2}
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatal("InterruptedError does not unwrap to ErrInterrupted")
+	}
+	if got, want := err.Error(), "core: regrid 6: "+ErrInterrupted.Error(); got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}

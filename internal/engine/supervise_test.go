@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -182,5 +183,25 @@ func TestEngineGhostDedupAndStaleRejection(t *testing.T) {
 	// either way exactly `injected` extra messages must be discarded.
 	if dropped != injected {
 		t.Errorf("dropped %d ghosts, want %d", dropped, injected)
+	}
+}
+
+func TestLostWorkersErrorNamesStepAndWorkers(t *testing.T) {
+	err := &LostWorkersError{Step: 4, Missing: []int{1, 3}, Deadline: 250 * time.Millisecond}
+	if got, want := err.Error(), "engine: step 4: workers [1 3] missed the 250ms step deadline"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}
+
+func TestMissingPeersIsSortedAndDeduplicated(t *testing.T) {
+	w := &worker{sends: []send{
+		{pair: 0, peer: 5}, {pair: 1, peer: 2}, {pair: 2, peer: 5}, {pair: 3, peer: 7},
+	}}
+	got := w.missingPeers(0, map[int]bool{3: true})
+	if want := []int{2, 5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("missingPeers = %v, want %v", got, want)
+	}
+	if got := w.missingPeers(0, map[int]bool{0: true, 1: true, 2: true, 3: true}); len(got) != 0 {
+		t.Fatalf("every ghost arrived, yet missingPeers = %v", got)
 	}
 }

@@ -50,3 +50,13 @@ func TestScenarioReplayReportsPhases(t *testing.T) {
 		t.Error("bad spec: expected error")
 	}
 }
+
+func TestTopSelectionsOrder(t *testing.T) {
+	row := CoverageRow{Selected: map[string]int{"G-MISP+SP": 2, "pBD-ISP": 5, "CGDS": 2}}
+	if got, want := row.TopSelections(), "pBD-ISP:5 CGDS:2 G-MISP+SP:2"; got != want {
+		t.Fatalf("TopSelections = %q, want %q", got, want)
+	}
+	if got := (CoverageRow{}).TopSelections(); got != "-" {
+		t.Fatalf("empty row renders %q, want -", got)
+	}
+}

@@ -587,3 +587,33 @@ func TestMain(m *testing.M) {
 	dispatchDeadline, backoffBase, backoffMax = time.Second, 5*time.Millisecond, 50*time.Millisecond
 	os.Exit(m.Run())
 }
+
+// TestRemoteDrainClosesStopped checks the channels serving binaries exit
+// on: draining the router closes its Stopped, and the drain it relays to
+// a worker closes the worker's Stopped without a local call.
+func TestRemoteDrainClosesStopped(t *testing.T) {
+	mat := testMaterializer(t)
+	center, addr := startCenter(t)
+	r := testRouter(t, center, mat, nil)
+	w, cl := startWorker(t, addr, "w0", mat, 1)
+	t.Cleanup(func() { cl.Close() })
+	t.Cleanup(func() { w.Close() })
+	waitReachable(t, r, 1)
+	select {
+	case <-w.Stopped():
+		t.Fatal("worker stopped before any drain")
+	default:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := r.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, stopped := range map[string]<-chan struct{}{"router": r.Stopped(), "worker": w.Stopped()} {
+		select {
+		case <-stopped:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s Stopped still open after the router drained", name)
+		}
+	}
+}

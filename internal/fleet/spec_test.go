@@ -161,3 +161,33 @@ func TestMaterializerCacheBounded(t *testing.T) {
 		t.Error("the regenerated trace differs from the evicted one")
 	}
 }
+
+// stateStrategy is a checkpointable strategy that records what it restores.
+type stateStrategy struct {
+	core.Static
+	restored []byte
+}
+
+func (s *stateStrategy) CheckpointState() ([]byte, error) { return []byte("state"), nil }
+func (s *stateStrategy) RestoreState(data []byte) error   { s.restored = data; return nil }
+
+// TestBeforeAssignKeepsCheckpointState checks that the rehearsal hook
+// passes checkpoint state through to a checkpointable inner strategy and
+// has none of its own around a plain one.
+func TestBeforeAssignKeepsCheckpointState(t *testing.T) {
+	inner := &stateStrategy{}
+	hooked := BeforeAssign(inner, func() error { return nil }).(core.CheckpointableStrategy)
+	if data, err := hooked.CheckpointState(); err != nil || string(data) != "state" {
+		t.Fatalf("CheckpointState = %q, %v; want the inner strategy's", data, err)
+	}
+	if err := hooked.RestoreState([]byte("saved")); err != nil || string(inner.restored) != "saved" {
+		t.Fatalf("RestoreState reached the inner strategy with %q, %v", inner.restored, err)
+	}
+	plain := DelayStrategy(core.Static{}, 0).(core.CheckpointableStrategy)
+	if data, err := plain.CheckpointState(); data != nil || err != nil {
+		t.Fatalf("plain inner strategy checkpointed %q, %v", data, err)
+	}
+	if err := plain.RestoreState([]byte("saved")); err != nil {
+		t.Fatalf("plain inner strategy refused a restore: %v", err)
+	}
+}

@@ -627,3 +627,28 @@ func TestCommPlanMigrationFromAllocatesNothing(t *testing.T) {
 		t.Fatalf("MigrationFrom allocates %g times, want 0", allocs)
 	}
 }
+
+// TestAdjacencyIsThePlanPairList checks that Adjacency returns the
+// reference pair list, cross-processor pairs only, in canonical order.
+func TestAdjacencyIsThePlanPairList(t *testing.T) {
+	h := testHierarchy(t)
+	for _, nprocs := range []int{1, 7} {
+		a, err := SFC{}.Partition(h, samr.UniformWorkModel{}, nprocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := ReferenceCommunication(h, a)
+		got := Adjacency(h, a)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d procs: Adjacency has %d pairs, reference %d", nprocs, len(got), len(want))
+		}
+		if nprocs > 1 && len(got) == 0 {
+			t.Fatalf("%d procs: no cross-processor pairs", nprocs)
+		}
+		for _, p := range got {
+			if a.Owner[p.U1] == a.Owner[p.U2] {
+				t.Fatalf("%d procs: pair %+v joins units of one processor", nprocs, p)
+			}
+		}
+	}
+}

@@ -185,3 +185,26 @@ func BenchmarkTrainNeural(b *testing.B) {
 		}
 	}
 }
+
+func TestNeuralNames(t *testing.T) {
+	if got := (&Neural{}).Name(); got != "neural" {
+		t.Errorf("unlabelled Neural name %q", got)
+	}
+	if got := (&MultiNeural{}).Name(); got != "multi-neural" {
+		t.Errorf("unlabelled MultiNeural name %q", got)
+	}
+	n, err := TrainNeural("compute", []float64{1, 2, 3}, []float64{1, 2, 3}, TrainOptions{Seed: 1, Epochs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Name() != "compute" {
+		t.Errorf("trained Neural name %q, want its label", n.Name())
+	}
+	m, err := TrainMultiNeural("link", [][]float64{{1, 0}, {2, 1}, {3, 0.5}}, []float64{1, 2, 1.5}, TrainOptions{Seed: 1, Epochs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Name() != "link" {
+		t.Errorf("trained MultiNeural name %q, want its label", m.Name())
+	}
+}

@@ -200,3 +200,27 @@ func TestRefinedVolumeFraction(t *testing.T) {
 		t.Fatal("out-of-range level fraction not zero")
 	}
 }
+
+func TestTotalCellsSumsLevels(t *testing.T) {
+	h := mustHierarchy(t, MakeBox(16, 16, 16), 2)
+	if got := h.TotalCells(); got != 16*16*16 {
+		t.Fatalf("base-only TotalCells = %d", got)
+	}
+	if err := h.SetLevel(1, []Box{{Lo: Point{4, 4, 4}, Hi: Point{12, 12, 12}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetLevel(2, []Box{{Lo: Point{10, 10, 10}, Hi: Point{20, 20, 20}}}); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(16*16*16 + 8*8*8 + 10*10*10)
+	if got := h.TotalCells(); got != want {
+		t.Fatalf("TotalCells = %d, want %d", got, want)
+	}
+	var sum int64
+	for l := 0; l < h.Depth(); l++ {
+		sum += h.CellsAtLevel(l)
+	}
+	if sum != want {
+		t.Fatalf("CellsAtLevel sums to %d, want %d", sum, want)
+	}
+}

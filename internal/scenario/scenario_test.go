@@ -244,3 +244,22 @@ func library() []Driver {
 	}
 	return append(out, PointSource(Low), PointSource(High), MergingFronts(), Background(4))
 }
+
+func TestActivityNamesAndDriverSuffix(t *testing.T) {
+	if Low.String() != "low" || High.String() != "high" {
+		t.Fatalf("activity names %q, %q", Low.String(), High.String())
+	}
+	for _, tc := range []struct {
+		d    Driver
+		want string
+	}{
+		{Sheet(Low), "sheet"},
+		{Sheet(High), "sheet.high"},
+		{SheetField(4, High), "sheets4.high"},
+		{PointSource(Low), "point"},
+	} {
+		if got := tc.d.Name(); got != tc.want {
+			t.Errorf("driver name %q, want %q", got, tc.want)
+		}
+	}
+}

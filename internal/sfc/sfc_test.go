@@ -352,3 +352,14 @@ func TestHilbertIndexMatchesSkilling(t *testing.T) {
 		}
 	}
 }
+
+func TestCurveBitsReportResolution(t *testing.T) {
+	for _, bits := range []uint{1, 7, MaxBits} {
+		if got := MustHilbert(bits).Bits(); got != bits {
+			t.Errorf("MustHilbert(%d).Bits() = %d", bits, got)
+		}
+		if got := MustMorton(bits).Bits(); got != bits {
+			t.Errorf("MustMorton(%d).Bits() = %d", bits, got)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -234,5 +235,27 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := g.Value(); math.Abs(got-20000) > 1e-6 {
 		t.Fatalf("gauge = %g, want 20000", got)
+	}
+}
+
+func TestHistogramVecChildren(t *testing.T) {
+	r := NewRegistry()
+	v := r.HistogramVec("op_seconds", "", []float64{1, 10}, "op")
+	v.With("read").Observe(0.5)
+	v.With("read").Observe(5)
+	v.With("write").Observe(50)
+	if v.With("read") != v.With("read") {
+		t.Fatal("With resolved a second child for the same label")
+	}
+	_, read := v.With("read").Buckets()
+	_, write := v.With("write").Buckets()
+	if want := []uint64{1, 2, 2}; !reflect.DeepEqual(read, want) {
+		t.Fatalf("read buckets %v, want %v", read, want)
+	}
+	if want := []uint64{0, 0, 1}; !reflect.DeepEqual(write, want) {
+		t.Fatalf("write buckets %v, want %v", write, want)
+	}
+	if r.HistogramVec("op_seconds", "", []float64{1, 10}, "op").With("write").Sum() != 50 {
+		t.Fatal("re-registration did not return the same family")
 	}
 }
