@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/pragma-grid/pragma/internal/agents"
-	"github.com/pragma-grid/pragma/internal/monitor"
 	"github.com/pragma-grid/pragma/internal/octant"
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -236,47 +235,3 @@ func reproject(prev *partition.Assignment, h *samr.Hierarchy, wm samr.WorkModel)
 }
 
 var _ Strategy = (*AgentManaged)(nil)
-
-// Proactive extends the system-sensitive strategy with Pragma's predictive
-// capability: instead of partitioning on the *current* resource state, it
-// accumulates a monitoring history and partitions on the NWS
-// meta-forecaster's *predicted* next state — "proactive application
-// management by predicting system behavior" (§3.1). The paper's Table 5
-// experiment explicitly did not use prediction; this strategy implements
-// the extension the paper proposes, benchmarked in the ablations.
-type Proactive struct {
-	// P is the capacity-weighted partitioner (nil = partition.Heterogeneous).
-	P partition.CapacityPartitioner
-	// Weights configure the capacity calculator (zero = defaults).
-	Weights monitor.Weights
-	// history holds one reading-set per regrid.
-	history [][]monitor.Reading
-}
-
-// Name implements Strategy.
-func (p *Proactive) Name() string { return "proactive" }
-
-// Assign implements Strategy.
-func (p *Proactive) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
-	part := p.P
-	if part == nil {
-		part = partition.Heterogeneous{}
-	}
-	w := p.Weights
-	if w == (monitor.Weights{}) {
-		w = monitor.DefaultWeights()
-	}
-	readings := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)
-	if ctx.NProcs < len(readings) {
-		readings = readings[:ctx.NProcs]
-	}
-	p.history = append(p.history, readings)
-	caps, err := monitor.PredictiveCapacities(p.history, w)
-	if err != nil {
-		return nil, "", fmt.Errorf("core: predictive capacities: %w", err)
-	}
-	a, err := part.PartitionWeighted(ctx.Snap.H, ctx.WM, caps)
-	return a, part.Name(), err
-}
-
-var _ Strategy = (*Proactive)(nil)

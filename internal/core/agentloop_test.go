@@ -173,7 +173,7 @@ func TestReproject(t *testing.T) {
 func TestProactiveStrategy(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.LinuxCluster(8, 21)
-	res, err := Run(tr, &Proactive{}, RunConfig{Machine: machine, NProcs: 8})
+	res, err := Run(tr, &SystemSensitive{RecalibrateEvery: 1, Forecast: true}, RunConfig{Machine: machine, NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestProactiveStrategy(t *testing.T) {
 	if res.TotalTime <= 0 {
 		t.Fatal("no time accumulated")
 	}
-	// Proactive must also beat the capacity-blind default on a loaded
+	// The forecast must also beat the capacity-blind default on a loaded
 	// cluster.
 	def, err := Run(tr, Static{P: partition.EqualBlock{}}, RunConfig{Machine: machine, NProcs: 8})
 	if err != nil {
@@ -194,14 +194,14 @@ func TestProactiveStrategy(t *testing.T) {
 	}
 }
 
-// TestProactiveEqualsRecalibrateEveryRegrid pins what Proactive does on
+// TestProactiveEqualsRecalibrateEveryRegrid pins what the forecast does on
 // the simulated cluster: its NWS meta-forecaster never beats LastValue on
 // SyntheticLoad, so it partitions on the last reading, exactly as
-// SystemSensitive recalibrating at every regrid does. A forecaster that
+// SystemSensitive recalibrating at every regrid without it does. A forecaster that
 // predicts the load, or a load it can predict, breaks this equality.
 func TestProactiveEqualsRecalibrateEveryRegrid(t *testing.T) {
 	tr := testTrace(t)
-	pro, err := Run(tr, &Proactive{}, RunConfig{Machine: cluster.LinuxCluster(8, 2002), NProcs: 8})
+	pro, err := Run(tr, &SystemSensitive{RecalibrateEvery: 1, Forecast: true}, RunConfig{Machine: cluster.LinuxCluster(8, 2002), NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

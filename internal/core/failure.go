@@ -9,9 +9,9 @@ import (
 
 // FailureAware wraps any strategy with fail-stop tolerance: before each
 // regrid it senses which nodes are alive (the role system sensors play in
-// §3.4.2) and, when nodes have failed, partitions across the survivors and
-// remaps processor ids onto the live nodes. This is the "respond to system
-// failures" behavior of Pragma's reactive management.
+// §3.4.2) and, when nodes have failed, partitions across the survivors,
+// named in StepContext.Nodes, and remaps processor ids onto the live nodes:
+// the "respond to system failures" behavior of Pragma's reactive management.
 type FailureAware struct {
 	// Inner produces the actual partitioning (required).
 	Inner Strategy
@@ -38,6 +38,7 @@ func (f *FailureAware) Assign(ctx *StepContext) (*partition.Assignment, string, 
 	f.FailuresSeen++
 	sub := *ctx
 	sub.NProcs = len(alive)
+	sub.Nodes = alive
 	a, label, err := f.Inner.Assign(&sub)
 	if err != nil {
 		return nil, "", err

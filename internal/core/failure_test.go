@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/cluster"
+	"github.com/pragma-grid/pragma/internal/monitor"
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/samr"
 )
@@ -163,5 +165,111 @@ func TestFailureAwareZeroAliveNodes(t *testing.T) {
 	}
 	if _, _, err := ft.Assign(ctx); err == nil {
 		t.Fatal("assign with zero live nodes succeeded")
+	}
+}
+
+// capsProbe runs a SystemSensitive and records, at every Assign, the
+// machine nodes the processors ran on, every node's reading and the
+// capacities the partition used.
+type capsProbe struct {
+	s     *SystemSensitive
+	calls []capsCall
+}
+
+type capsCall struct {
+	nodes  []int
+	row    []monitor.Reading
+	caps   []float64
+	nprocs int // the assignment's
+}
+
+func (p *capsProbe) Name() string { return p.s.Name() }
+
+func (p *capsProbe) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
+	a, label, err := p.s.Assign(ctx)
+	if err != nil {
+		return nil, "", err
+	}
+	row := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)
+	p.calls = append(p.calls, capsCall{nodes: ctx.Nodes, row: row, caps: p.s.Capacities(), nprocs: a.NProcs})
+	return a, label, nil
+}
+
+// TestFailureAwareCapacityStrategies: FailureAware over a capacity
+// strategy partitions across the survivors by their own nodes' readings,
+// whether capacities are computed once, at every regrid, or forecast.
+// Node 2 fails a third of the way into the healthy run; from then on each
+// survivor's capacity must be what the capacity calculator makes of the
+// survivors' readings (or, forecasting, of their sample histories), in
+// survivor order, and the work must be split across the survivors alone.
+func TestFailureAwareCapacityStrategies(t *testing.T) {
+	tr := testTrace(t)
+	survivors := []int{0, 1, 3, 4, 5, 6, 7}
+	pick := func(row []monitor.Reading) []monitor.Reading {
+		out := make([]monitor.Reading, len(survivors))
+		for p, k := range survivors {
+			out[p] = row[k]
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  SystemSensitive
+	}{
+		{"once", SystemSensitive{}},
+		{"every", SystemSensitive{RecalibrateEvery: 1}},
+		{"forecast", SystemSensitive{RecalibrateEvery: 1, Forecast: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			healthyStrat := tc.cfg
+			healthy, err := Run(tr, &FailureAware{Inner: &healthyStrat}, RunConfig{Machine: cluster.LinuxCluster(8, 2002), NProcs: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			machine := cluster.LinuxCluster(8, 2002)
+			machine.Fail(2, healthy.TotalTime/3)
+			strat := tc.cfg
+			probe := &capsProbe{s: &strat}
+			res, err := Run(tr, &FailureAware{Inner: probe}, RunConfig{Machine: machine, NProcs: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsInf(res.TotalTime, 1) || math.IsNaN(res.TotalTime) {
+				t.Fatalf("run did not complete: %v", res.TotalTime)
+			}
+			var want []float64
+			failed := 0
+			for k, c := range probe.calls {
+				if c.nodes == nil {
+					if failed > 0 {
+						t.Fatalf("call %d: the whole machine again after the failure", k)
+					}
+					continue
+				}
+				if !slices.Equal(c.nodes, survivors) || c.nprocs != len(survivors) {
+					t.Fatalf("call %d: %d processors on nodes %v, want %d on %v", k, c.nprocs, c.nodes, len(survivors), survivors)
+				}
+				switch {
+				case tc.cfg.Forecast:
+					hist := make([][]monitor.Reading, k+1)
+					for i := range hist {
+						hist[i] = pick(probe.calls[i].row)
+					}
+					want, err = monitor.PredictiveCapacities(hist, monitor.DefaultWeights())
+				case tc.cfg.RecalibrateEvery == 1 || failed == 0:
+					want, err = monitor.Capacities(pick(c.row), monitor.DefaultWeights())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(c.caps, want) {
+					t.Fatalf("call %d: capacities %v, want the survivors' %v", k, c.caps, want)
+				}
+				failed++
+			}
+			if failed == 0 {
+				t.Fatal("the failure never reached the strategy")
+			}
+		})
 	}
 }

@@ -327,34 +327,67 @@ func TestRunCheckpointEveryKRegrids(t *testing.T) {
 	}
 }
 
+// noisyLoad is per-node white noise about a per-node base load, a
+// deterministic function of node and time: the mean of the samples so far
+// predicts it better than the last sample does, so a forecast depends on
+// the whole sample history.
+type noisyLoad struct{}
+
+func (noisyLoad) Load(i int, t float64) float64 {
+	x := math.Float64bits(t) ^ uint64(i+1)*0x9e3779b97f4a7c15
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return 0.08*float64(i) + 0.3*float64(x>>11)/(1<<53)
+}
+
+// TestSystemSensitiveStateSurvivesResume: a crashed capacity-strategy run
+// resumes to the uninterrupted result. Computed once, the capacity cache
+// is the decision state: background load makes capacities time-dependent,
+// so a resumed run that re-sampled at resume time would diverge.
+// Forecasting, the sample history is: a resumed run that forecast from an
+// empty history would diverge.
 func TestSystemSensitiveStateSurvivesResume(t *testing.T) {
 	tr := testTrace(t)
-	// Background load makes capacities time-dependent: a resumed run that
-	// re-sampled at resume time instead of restoring the cache would pick
-	// different capacities and diverge.
-	mk := func() *cluster.Cluster { return cluster.LinuxCluster(8, 42) }
+	for _, tc := range []struct {
+		name    string
+		cfg     SystemSensitive
+		machine func() *cluster.Cluster
+	}{
+		{"once", SystemSensitive{}, func() *cluster.Cluster { return cluster.LinuxCluster(8, 42) }},
+		{"forecast", SystemSensitive{RecalibrateEvery: 1, Forecast: true}, func() *cluster.Cluster {
+			c := cluster.LinuxCluster(8, 2002)
+			c.Load = noisyLoad{}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			strat := func() *SystemSensitive { s := tc.cfg; return &s }
+			base, err := Run(tr, strat(), RunConfig{Machine: tc.machine(), NProcs: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	base, err := Run(tr, &SystemSensitive{}, RunConfig{Machine: mk(), NProcs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+			dir := t.TempDir()
+			_, err = Run(tr, crashingStrategy{
+				inner: strat(),
+				fp:    &chaos.FaultPoint{FailAt: len(tr.Snapshots)/2 + 1},
+			}, RunConfig{Machine: tc.machine(), NProcs: 8, CheckpointDir: dir})
+			if !errors.Is(err, chaos.ErrInjectedCrash) {
+				t.Fatalf("crash run: err = %v", err)
+			}
 
-	dir := t.TempDir()
-	_, err = Run(tr, crashingStrategy{
-		inner: &SystemSensitive{},
-		fp:    &chaos.FaultPoint{FailAt: len(tr.Snapshots)/2 + 1},
-	}, RunConfig{Machine: mk(), NProcs: 8, CheckpointDir: dir})
-	if !errors.Is(err, chaos.ErrInjectedCrash) {
-		t.Fatalf("crash run: err = %v", err)
+			resumed, err := Run(tr, strat(), RunConfig{
+				Machine: tc.machine(), NProcs: 8, CheckpointDir: dir, Resume: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, resumed, base)
+		})
 	}
-
-	resumed, err := Run(tr, &SystemSensitive{}, RunConfig{
-		Machine: mk(), NProcs: 8, CheckpointDir: dir, Resume: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, resumed, base)
 }
 
 func TestFailureAwareStateRoundTrip(t *testing.T) {
@@ -362,6 +395,10 @@ func TestFailureAwareStateRoundTrip(t *testing.T) {
 	state, err := f.CheckpointState()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Without Forecast the capacity cache is checkpointed as a bare array.
+	if want := `{"failuresSeen":4,"inner":[0.25,0.75]}`; string(state) != want {
+		t.Errorf("state = %s, want %s", state, want)
 	}
 	g := &FailureAware{Inner: &SystemSensitive{}}
 	if err := g.RestoreState(state); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/pragma-grid/pragma/internal/cluster"
@@ -29,6 +30,9 @@ type StepContext struct {
 	SimTime float64
 	// Machine is the simulated execution environment.
 	Machine *cluster.Cluster
+	// Nodes names the machine node each processor runs on, processor p on
+	// Nodes[p]; nil means processor p is node p.
+	Nodes []int
 	// PrevAssignment and PrevHierarchy describe the outgoing placement
 	// (nil at the first regrid).
 	PrevAssignment *partition.Assignment
@@ -156,69 +160,107 @@ func (a Adaptive) Assign(ctx *StepContext) (*partition.Assignment, string, error
 // feeds the capacity calculator and the heterogeneous partitioner
 // distributes work proportionally to relative capacities. Matching the
 // paper's experiment, capacities are computed "only once before the start
-// of the simulation" unless RecalibrateEvery is positive.
+// of the simulation" unless RecalibrateEvery is positive or the processor
+// count changes. Forecast makes it Pragma's proactive variant (§3.1), which
+// the paper's experiment did not use; the ablations run it as
+// {RecalibrateEvery: 1, Forecast: true}, named "proactive".
 type SystemSensitive struct {
-	// P is the capacity-weighted partitioner (defaults to
-	// partition.Heterogeneous).
-	P partition.CapacityPartitioner
 	// Weights configure the capacity calculator (defaults to
 	// monitor.DefaultWeights).
 	Weights monitor.Weights
 	// RecalibrateEvery re-reads capacities every k regrids; 0 computes
 	// them once at the start.
 	RecalibrateEvery int
+	// Forecast samples the machine at every regrid and calibrates on the
+	// NWS meta-forecaster's prediction over every sample so far
+	// (monitor.PredictiveCapacities) instead of on the current reading.
+	Forecast bool
 
-	caps []float64
+	caps    []float64
+	history [][]monitor.Reading // full-machine samples, one per Assign (Forecast)
 }
 
 // Name implements Strategy.
-func (s *SystemSensitive) Name() string { return "system-sensitive" }
+func (s *SystemSensitive) Name() string {
+	if s.Forecast {
+		return "proactive"
+	}
+	return "system-sensitive"
+}
 
 // Assign implements Strategy.
 func (s *SystemSensitive) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
-	p := s.P
-	if p == nil {
-		p = partition.Heterogeneous{}
-	}
 	w := s.Weights
 	if w == (monitor.Weights{}) {
 		w = monitor.DefaultWeights()
 	}
-	recalc := s.caps == nil ||
-		(s.RecalibrateEvery > 0 && ctx.Index%s.RecalibrateEvery == 0)
-	if recalc {
-		readings := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)
-		if ctx.NProcs < len(readings) {
-			readings = readings[:ctx.NProcs]
+	rows := [][]monitor.Reading{monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)}
+	if s.Forecast {
+		s.history = append(s.history, rows[0])
+		rows = s.history
+	}
+	nodes := ctx.Nodes
+	if nodes == nil {
+		nodes = make([]int, min(ctx.NProcs, len(ctx.Machine.Nodes)))
+		for p := range nodes {
+			nodes[p] = p
 		}
-		caps, err := monitor.Capacities(readings, w)
+	}
+	if len(s.caps) != len(nodes) || (s.RecalibrateEvery > 0 && ctx.Index%s.RecalibrateEvery == 0) {
+		// Rows hold every machine node; calibrate on the processors' own.
+		sel := make([][]monitor.Reading, len(rows))
+		for t, row := range rows {
+			sel[t] = make([]monitor.Reading, len(nodes))
+			for p, k := range nodes {
+				sel[t][p] = row[k]
+			}
+		}
+		var err error
+		if s.Forecast {
+			s.caps, err = monitor.PredictiveCapacities(sel, w)
+		} else {
+			s.caps, err = monitor.Capacities(sel[0], w)
+		}
 		if err != nil {
 			return nil, "", fmt.Errorf("core: capacity calculation: %w", err)
 		}
-		s.caps = caps
 	}
-	a, err := p.PartitionWeighted(ctx.Snap.H, ctx.WM, s.caps)
+	p := partition.Heterogeneous{}
+	a, err := p.PartitionWeighted(ctx.Snap.H, ctx.WM, s.caps, ctx.PartitionPlan)
 	return a, p.Name(), err
 }
 
 // Capacities returns a copy of the relative capacities last computed by
 // Assign (nil before the first assignment).
-func (s *SystemSensitive) Capacities() []float64 {
-	if s.caps == nil {
-		return nil
-	}
-	return append([]float64(nil), s.caps...)
+func (s *SystemSensitive) Capacities() []float64 { return slices.Clone(s.caps) }
+
+// forecastState is a forecasting SystemSensitive's serialized resume
+// state.
+type forecastState struct {
+	Caps    []float64           `json:"caps"`
+	History [][]monitor.Reading `json:"history"`
 }
 
 // CheckpointState implements CheckpointableStrategy: the capacity cache is
 // decision state ("computed only once before the start of the simulation"
 // in the paper's experiment), so a resumed run must reuse it rather than
-// re-sample the machine at resume time.
+// re-sample the machine at resume time. With Forecast the sample history
+// the forecasters train on is decision state too; without it the payload
+// is the capacities' JSON array alone.
 func (s *SystemSensitive) CheckpointState() ([]byte, error) {
+	if s.Forecast {
+		return json.Marshal(forecastState{Caps: s.caps, History: s.history})
+	}
 	return json.Marshal(s.caps)
 }
 
 // RestoreState implements CheckpointableStrategy.
 func (s *SystemSensitive) RestoreState(data []byte) error {
-	return json.Unmarshal(data, &s.caps)
+	if !s.Forecast {
+		return json.Unmarshal(data, &s.caps)
+	}
+	var st forecastState
+	err := json.Unmarshal(data, &st)
+	s.caps, s.history = st.Caps, st.History
+	return err
 }

@@ -328,7 +328,7 @@ func AblationManagement(cfg rm3d.Config, nprocs int, loadSeed int64) ([]Manageme
 	if err := add(&core.SystemSensitive{}, nil); err != nil {
 		return nil, err
 	}
-	if err := add(&core.Proactive{}, nil); err != nil {
+	if err := add(&core.SystemSensitive{RecalibrateEvery: 1, Forecast: true}, nil); err != nil {
 		return nil, err
 	}
 	am, err := core.NewAgentManaged(nprocs, 25)

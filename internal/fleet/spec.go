@@ -176,7 +176,7 @@ func strategyByName(name string) (core.Strategy, error) {
 	case "system-sensitive":
 		return &core.SystemSensitive{}, nil
 	case "proactive":
-		return &core.Proactive{}, nil
+		return &core.SystemSensitive{RecalibrateEvery: 1, Forecast: true}, nil
 	default:
 		p, err := partition.ByName(name)
 		if err != nil {

@@ -90,8 +90,19 @@ type planUnit struct {
 type contact struct {
 	key      uint64 // planLevel.sweepKey of the first-touch cell and relation
 	u1, u2   int32
-	quarters int64 // faces count 4, parent cells 1 (interLevelWeight)
+	quarters int64 // faces count faceQuarters, parent cells 1
 }
+
+// A contact weighs in quarter faces: a cell face between two units counts
+// faceQuarters, and a fine cell whose coarse parent another unit owns
+// counts one, so an inter-level prolongation/restriction transfer weighs
+// interLevelWeight of a ghost exchange — level transfers happen once per
+// sub-cycle rather than per ghost-fill. Integer weights keep the plan's
+// sums exact.
+const (
+	faceQuarters     = 4
+	interLevelWeight = 1.0 / faceQuarters
+)
 
 // sweepKey places a relation of the cell at in the cell-by-cell sweep of
 // the level: the cell's linear index in the level's bounding box, z-major
@@ -204,7 +215,7 @@ func RebuildCommPlan(p, from *CommPlan, h *samr.Hierarchy, a *Assignment) *CommP
 			if o1 == o2 {
 				continue
 			}
-			faces := 0.25 * float64(c.quarters)
+			faces := float64(c.quarters) / faceQuarters
 			st.Volume += faces * lv.freq
 			st.PerProcVolume[o1] += faces * lv.freq
 			st.PerProcVolume[o2] += faces * lv.freq
@@ -283,7 +294,7 @@ func (p *CommPlan) Pairs() []UnitPair {
 			id1, id2 := lv.units[c.u1].id, lv.partners(k)[c.u2].id
 			pairs = append(pairs, UnitPair{
 				U1: int(min(id1, id2)), U2: int(max(id1, id2)),
-				Faces: 0.25 * float64(c.quarters), Frequency: lv.freq,
+				Faces: float64(c.quarters) / faceQuarters, Frequency: lv.freq,
 			})
 		}
 	}
@@ -435,7 +446,7 @@ func (lv *planLevel) faceContacts(found []contact) (_ []contact, overlap bool) {
 				at[axis]--
 				found = append(found, contact{
 					key: lv.sweepKey(at, axis), u1: int32(i), u2: int32(i + 1 + j),
-					quarters: 4 * int64(w[(axis+1)%3]) * int64(w[(axis+2)%3]),
+					quarters: faceQuarters * int64(w[(axis+1)%3]) * int64(w[(axis+2)%3]),
 				})
 			}
 		}

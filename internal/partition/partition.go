@@ -166,42 +166,6 @@ type Partitioner interface {
 	Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error)
 }
 
-// CapacityPartitioner additionally supports heterogeneous processors: the
-// load is distributed proportionally to relative capacities instead of
-// equally (Fig. 4 of the paper).
-type CapacityPartitioner interface {
-	Partitioner
-	// PartitionWeighted assigns the hierarchy proportionally to the given
-	// relative capacities (one per processor; they need not be normalized).
-	PartitionWeighted(h *samr.Hierarchy, wm samr.WorkModel, capacities []float64) (*Assignment, error)
-}
-
-// orderUnits sorts units along the given curve, mapping each unit's center
-// into the hierarchy's finest index space so that units from all levels
-// share one locality-preserving order.
-func orderUnits(units []Unit, h *samr.Hierarchy, curve sfc.Curve) {
-	finest := h.Depth() - 1
-	type keyed struct {
-		key  uint64
-		unit Unit
-	}
-	tmp := make([]keyed, len(units))
-	for i, u := range units {
-		scale := 1
-		for l := u.Level; l < finest; l++ {
-			scale *= h.Ratio
-		}
-		cx := uint32((u.Box.Lo[0] + u.Box.Hi[0]) * scale / 2)
-		cy := uint32((u.Box.Lo[1] + u.Box.Hi[1]) * scale / 2)
-		cz := uint32((u.Box.Lo[2] + u.Box.Hi[2]) * scale / 2)
-		tmp[i] = keyed{key: curve.Index(cx, cy, cz), unit: u}
-	}
-	slices.SortStableFunc(tmp, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-	for i := range tmp {
-		units[i] = tmp[i].unit
-	}
-}
-
 // curveFor builds the default Hilbert curve sized to the hierarchy's finest
 // index space.
 func curveFor(h *samr.Hierarchy) sfc.Curve {

@@ -176,6 +176,13 @@ func splitOwners(k splitKind, weights []float64, nprocs int) []int {
 	return owner
 }
 
+// weightedOwners is weightedSequence into a fresh owner slice.
+func weightedOwners(weights, caps []float64) []int {
+	owner := make([]int, len(weights))
+	weightedSequence(weights, caps, owner)
+	return owner
+}
+
 func TestGreedyPrefix(t *testing.T) {
 	owner := splitOwners(splitGreedy, []float64{1, 1, 1, 1}, 2)
 	if owner[0] != 0 || owner[3] != 1 {
@@ -309,7 +316,7 @@ func TestWeightedSequence(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1
 	}
-	owner := weightedSequence(weights, []float64{3, 1})
+	owner := weightedOwners(weights, []float64{3, 1})
 	load := make([]float64, 2)
 	for i := range weights {
 		load[owner[i]] += weights[i]
@@ -319,7 +326,7 @@ func TestWeightedSequence(t *testing.T) {
 		t.Fatalf("weighted split load = %v, want ~[75 25]", load)
 	}
 	// Zero capacities degrade to equal split without panicking.
-	owner = weightedSequence(weights, []float64{0, 0})
+	owner = weightedOwners(weights, []float64{0, 0})
 	load = make([]float64, 2)
 	for i := range weights {
 		load[owner[i]] += weights[i]
@@ -333,7 +340,7 @@ func TestHeterogeneousPartitioner(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
 	var p Heterogeneous
-	a, err := p.PartitionWeighted(h, wm, []float64{2, 1, 1})
+	a, err := p.PartitionWeighted(h, wm, []float64{2, 1, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +349,10 @@ func TestHeterogeneousPartitioner(t *testing.T) {
 	if w[0] <= w[1] || w[0] <= w[2] {
 		t.Fatalf("capacity-2 processor got %v", w)
 	}
-	if _, err := p.PartitionWeighted(h, wm, nil); err == nil {
+	if _, err := p.PartitionWeighted(h, wm, nil, nil); err == nil {
 		t.Error("empty capacities accepted")
 	}
-	if _, err := p.PartitionWeighted(h, wm, []float64{1, -1}); err == nil {
+	if _, err := p.PartitionWeighted(h, wm, []float64{1, -1}, nil); err == nil {
 		t.Error("negative capacity accepted")
 	}
 	// Plain Partition falls back to equal shares.
@@ -402,7 +409,7 @@ func TestMortonCurveOption(t *testing.T) {
 	h := testHierarchy(t)
 	dom := h.LevelDomain(h.Depth() - 1)
 	curve := sfc.MustMorton(sfc.BitsFor(dom.Dx(0), dom.Dx(1), dom.Dx(2)))
-	a, err := (SFC{Curve: curve}).Partition(h, samr.UniformWorkModel{}, 8)
+	a, err := (SPISP{Curve: curve}).Partition(h, samr.UniformWorkModel{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

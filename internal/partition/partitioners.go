@@ -24,13 +24,7 @@ import (
 //	ISP        fine granularity, greedy split.
 
 // SFC is the plain space-filling-curve partitioner.
-type SFC struct {
-	// Curve overrides the default Hilbert ordering (nil = Hilbert).
-	Curve sfc.Curve
-	// Granularity is the block side in level coordinates; 0 adapts it
-	// to the hierarchy size and processor count.
-	Granularity int
-}
+type SFC struct{}
 
 // Name implements Partitioner.
 func (SFC) Name() string { return "SFC" }
@@ -45,29 +39,21 @@ func (p SFC) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs i
 	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
-func (p SFC) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	g := p.Granularity
-	if g == 0 {
-		g = granularityFor(h, nprocs, 10, 2, 20)
-	}
+func (SFC) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
 	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: g},
-		curve:  p.Curve,
+		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 10, 2, 20)},
 		split:  splitGreedy,
 		cost:   1,
 	}
 }
 
 // GMISP is the variable-grain geometric multilevel inverse SFC partitioner.
-type GMISP struct {
-	Curve sfc.Curve
-	// ThresholdFactor scales the subdivision threshold total/(nprocs*F);
-	// 0 means 4 (units subdivide until about a quarter of a processor's
-	// ideal share).
-	ThresholdFactor float64
-	// MinSide is the smallest block side subdivision may produce (0 = 2).
-	MinSide int
-}
+type GMISP struct{}
+
+// gmispDecomp is the variable-grain decomposition of G-MISP and G-MISP+SP:
+// units subdivide until about a quarter of a processor's ideal share, and
+// never below a side of 2.
+var gmispDecomp = decompSpec{kind: decompVarGrain, factor: 4, minSide: 2}
 
 // Name implements Partitioner.
 func (GMISP) Name() string { return "G-MISP" }
@@ -82,33 +68,12 @@ func (p GMISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs
 	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
-func (p GMISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return pipelineSpec{
-		decomp: p.decomp(),
-		curve:  p.Curve,
-		split:  splitGreedy,
-		cost:   1,
-	}
-}
-
-func (p GMISP) decomp() decompSpec {
-	f := p.ThresholdFactor
-	if f == 0 {
-		f = 4
-	}
-	minSide := p.MinSide
-	if minSide == 0 {
-		minSide = 2
-	}
-	return decompSpec{kind: decompVarGrain, factor: f, minSide: minSide}
+func (GMISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
+	return pipelineSpec{decomp: gmispDecomp, split: splitGreedy, cost: 1}
 }
 
 // GMISPSP is G-MISP with optimal sequence partitioning (G-MISP+SP).
-type GMISPSP struct {
-	Curve           sfc.Curve
-	ThresholdFactor float64
-	MinSide         int
-}
+type GMISPSP struct{}
 
 // Name implements Partitioner.
 func (GMISPSP) Name() string { return "G-MISP+SP" }
@@ -123,23 +88,12 @@ func (p GMISPSP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, npro
 	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
-func (p GMISPSP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	inner := GMISP{Curve: p.Curve, ThresholdFactor: p.ThresholdFactor, MinSide: p.MinSide}
-	return pipelineSpec{
-		decomp: inner.decomp(),
-		curve:  p.Curve,
-		split:  splitOptimal,
-		cost:   seqSplitCost,
-	}
+func (GMISPSP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
+	return pipelineSpec{decomp: gmispDecomp, split: splitOptimal, cost: seqSplitCost}
 }
 
 // PBDISP is the p-way binary dissection inverse SFC partitioner.
-type PBDISP struct {
-	Curve sfc.Curve
-	// Granularity is the (coarse) block side; 0 adapts it to the
-	// hierarchy size and processor count.
-	Granularity int
-}
+type PBDISP struct{}
 
 // Name implements Partitioner.
 func (PBDISP) Name() string { return "pBD-ISP" }
@@ -154,14 +108,9 @@ func (p PBDISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nproc
 	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
-func (p PBDISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	g := p.Granularity
-	if g == 0 {
-		g = granularityFor(h, nprocs, 3, 4, 24)
-	}
+func (PBDISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
 	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: g},
-		curve:  p.Curve,
+		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 3, 4, 24)},
 		split:  splitDissection,
 		cost:   log2(nprocs),
 	}
@@ -170,10 +119,9 @@ func (p PBDISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipel
 // SPISP is the pure sequence partitioner with inverse SFC at fine
 // granularity.
 type SPISP struct {
+	// Curve overrides the default Hilbert ordering (nil = Hilbert); the
+	// curve ablation sets it.
 	Curve sfc.Curve
-	// Granularity is the (fine) block side; 0 adapts it to the
-	// hierarchy size and processor count.
-	Granularity int
 }
 
 // Name implements Partitioner.
@@ -190,12 +138,8 @@ func (p SPISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs
 }
 
 func (p SPISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	g := p.Granularity
-	if g == 0 {
-		g = granularityFor(h, nprocs, 48, 2, 8)
-	}
 	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: g},
+		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 48, 2, 8)},
 		curve:  p.Curve,
 		split:  splitOptimal,
 		cost:   seqSplitCost,
@@ -203,12 +147,7 @@ func (p SPISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipeli
 }
 
 // ISP is the plain fine-granularity inverse SFC partitioner.
-type ISP struct {
-	Curve sfc.Curve
-	// Granularity is the (fine) block side; 0 adapts it to the
-	// hierarchy size and processor count.
-	Granularity int
-}
+type ISP struct{}
 
 // Name implements Partitioner.
 func (ISP) Name() string { return "ISP" }
@@ -223,14 +162,9 @@ func (p ISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs i
 	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
 }
 
-func (p ISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	g := p.Granularity
-	if g == 0 {
-		g = granularityFor(h, nprocs, 48, 2, 8)
-	}
+func (ISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
 	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: g},
-		curve:  p.Curve,
+		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 48, 2, 8)},
 		split:  splitGreedy,
 		cost:   1,
 	}
@@ -279,23 +213,6 @@ func log2(n int) float64 {
 	return c
 }
 
-// prepare runs the shared pipeline steps: validate inputs, build units, and
-// order them along the curve.
-func prepare(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, gen func() []Unit, curve sfc.Curve) ([]Unit, error) {
-	if err := checkArgs(h, nprocs); err != nil {
-		return nil, err
-	}
-	units := gen()
-	if len(units) == 0 {
-		return nil, fmt.Errorf("partition: hierarchy produced no units")
-	}
-	if curve == nil {
-		curve = curveFor(h)
-	}
-	orderUnits(units, h, curve)
-	return units, nil
-}
-
 func checkArgs(h *samr.Hierarchy, nprocs int) error {
 	if h == nil || h.Depth() == 0 {
 		return fmt.Errorf("partition: nil or empty hierarchy")
@@ -304,14 +221,6 @@ func checkArgs(h *samr.Hierarchy, nprocs int) error {
 		return fmt.Errorf("partition: nprocs %d < 1", nprocs)
 	}
 	return nil
-}
-
-func weightsOf(units []Unit) []float64 {
-	w := make([]float64, len(units))
-	for i, u := range units {
-		w[i] = u.Weight
-	}
-	return w
 }
 
 func assemble(units []Unit, owner []int, nprocs int) *Assignment {

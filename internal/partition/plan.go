@@ -1,7 +1,7 @@
 package partition
 
-// The partitioner pipeline (DESIGN.md §16). Every ISP partitioner is the
-// same four steps — decompose the hierarchy into weighted units, key each
+// The partitioner pipeline (DESIGN.md §16). Every curve partitioner — the
+// ISP suite, EqualBlock and Heterogeneous — is the same four steps — decompose the hierarchy into weighted units, key each
 // unit's center along a space-filling curve, stable-sort by key, split the
 // ordered weights across processors — and differs only in its pipelineSpec.
 // The candidate stage (PartitionPlan.Propose) runs them once, serially,
@@ -54,13 +54,14 @@ func (d decompSpec) units(dst []Unit, w *samr.BoxWeigher, h *samr.Hierarchy, wm 
 	return appendBlockUnits(dst, w, h, wm, d.side)
 }
 
-// pipelineSpec is one partitioner's instantiation of the shared ISP
+// pipelineSpec is one partitioner's instantiation of the shared
 // pipeline: decompose, order along the curve, split the sequence.
 type pipelineSpec struct {
 	decomp decompSpec
 	curve  sfc.Curve // nil = default Hilbert curve for the hierarchy
 	split  splitKind
-	cost   float64 // SplitCost of the produced assignment
+	caps   []float64 // relative capacities, one per processor: weightedSequence splits instead of split; nil = equal shares
+	cost   float64   // SplitCost of the produced assignment
 }
 
 // splitKind names the sequence splitter a partitioner uses (seq.go).
@@ -88,7 +89,7 @@ func (k splitKind) owners(weights []float64, nprocs int, owner []int, prefix []f
 }
 
 // pipelinePartitioner is implemented by every partitioner built on the
-// shared ISP pipeline; it is what both the production pipeline and the
+// shared pipeline; it is what both the production pipeline and the
 // reference consume, so the two can never disagree about a partitioner's
 // parameters.
 type pipelinePartitioner interface {
@@ -112,7 +113,8 @@ type IncrementalPartitioner interface {
 	PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error)
 }
 
-// Compile-time proof that the whole ISP suite partitions through a plan.
+// Compile-time proof that every curve partitioner partitions through a
+// plan.
 var (
 	_ IncrementalPartitioner = SFC{}
 	_ IncrementalPartitioner = GMISP{}
@@ -120,6 +122,8 @@ var (
 	_ IncrementalPartitioner = PBDISP{}
 	_ IncrementalPartitioner = SPISP{}
 	_ IncrementalPartitioner = ISP{}
+	_ IncrementalPartitioner = EqualBlock{}
+	_ IncrementalPartitioner = Heterogeneous{}
 )
 
 // PartitionPlan is the pipeline's scratch. The decomposition, sort and
@@ -220,11 +224,11 @@ func (c *Candidate) Materialize() *Assignment {
 // Propose runs part's candidate stage into slot (0 or 1) of the plan's
 // scratch and returns the candidate, which is valid until it is
 // materialized or the next Propose into that slot. Once the plan's
-// buffers have grown to the run's size, an
-// ISP partitioner's candidate allocates nothing. Any other partitioner —
-// EqualBlock, Heterogeneous, PatchGreedy, or one wrapped by a caller — is
-// called through PartitionIncremental when it has one, else Partition, and
-// is its own candidate.
+// buffers have grown to the run's size, a pipeline partitioner's candidate
+// allocates nothing but Heterogeneous's capacities of all ones. Any other
+// partitioner — PatchGreedy, or one wrapped by a caller — is called
+// through PartitionIncremental when it has one, else Partition, and is its
+// own candidate.
 func (p *PartitionPlan) Propose(slot int, part Partitioner, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Candidate, error) {
 	c := &p.slots[slot]
 	if pp, ok := part.(pipelinePartitioner); ok {
@@ -279,7 +283,11 @@ func (p *PartitionPlan) candidate(c *Candidate, name string, pipeline func(*samr
 		p.weights = append(p.weights, u.Weight)
 	}
 	c.owner = grow(c.owner, n)[:n]
-	p.prefix = spec.split.owners(p.weights, nprocs, c.owner, p.prefix)
+	if spec.caps != nil {
+		weightedSequence(p.weights, spec.caps, c.owner)
+	} else {
+		p.prefix = spec.split.owners(p.weights, nprocs, c.owner, p.prefix)
+	}
 	c.work = workInto(c.work, nprocs, c.units, c.owner)
 	metricPartitionSeconds.With(name).Observe(time.Since(start).Seconds())
 	return nil

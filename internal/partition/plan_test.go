@@ -9,8 +9,8 @@ import (
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// The pipeline's contract (DESIGN.md §16): for any hierarchy, work model and
-// processor count, every ISP partitioner's assignment is bit-identical to
+// The pipeline's contract (DESIGN.md §16): for any hierarchy, work model,
+// processor count and capacities, every pipeline partitioner's assignment is bit-identical to
 // ReferencePartition — the retained pipeline with the library sort and the
 // unprepared work model — whether it ran in a PartitionPlan's scratch or
 // without one, and whatever ran through that plan before. The plan carries
@@ -208,6 +208,46 @@ func (c *planCheck) partition(t *testing.T, label string, p Partitioner, h *samr
 	c.pending, c.pendingRef, c.slot = cand, ref, 1-c.slot
 }
 
+// pipelineSuite returns the partitioners the differentials draw from:
+// every pipeline partitioner, and Heterogeneous also at capacities for
+// nprocs processors drawn from rng.
+func pipelineSuite(rng *rand.Rand, nprocs int) []Partitioner {
+	return append(All(), EqualBlock{}, Heterogeneous{}, weighted{caps: randomCaps(rng, nprocs)})
+}
+
+// randomCaps draws relative capacities for nprocs processors: about a
+// quarter of them zero, and one draw in five all zero.
+func randomCaps(rng *rand.Rand, nprocs int) []float64 {
+	caps := make([]float64, nprocs)
+	if rng.Intn(5) == 0 {
+		return caps
+	}
+	for i := range caps {
+		if rng.Intn(4) != 0 {
+			caps[i] = 4 * rng.Float64()
+		}
+	}
+	return caps
+}
+
+// weighted is Heterogeneous at fixed capacities, one per processor, as
+// core.SystemSensitive calls it through PartitionWeighted.
+type weighted struct{ caps []float64 }
+
+func (weighted) Name() string { return "Heterogeneous" }
+
+func (w weighted) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
+	return Heterogeneous{}.PartitionWeighted(h, wm, w.caps, nil)
+}
+
+func (w weighted) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
+	return Heterogeneous{}.PartitionWeighted(h, wm, w.caps, plan)
+}
+
+func (w weighted) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
+	return weightedSpec(h, w.caps)
+}
+
 // wrapped hides a partitioner's candidate stage, as a caller's decorating
 // Lookup does, and counts the calls that reach it.
 type wrapped struct {
@@ -265,18 +305,18 @@ func TestProposeOwnCandidate(t *testing.T) {
 	a.SplitCost = ref.SplitCost
 	requireSameAssignment(t, "wrapped candidate", a, ref)
 
-	eq, err := plan.Propose(0, EqualBlock{}, h, wm, 16)
+	pg, err := plan.Propose(0, PatchGreedy{}, h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := EqualBlock{}.Partition(h, wm, 16)
+	direct, err := PatchGreedy{}.Partition(h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq.Imbalance() != direct.Imbalance() {
-		t.Fatalf("EqualBlock candidate imbalance %v, its assignment's %v", eq.Imbalance(), direct.Imbalance())
+	if pg.Imbalance() != direct.Imbalance() {
+		t.Fatalf("PatchGreedy candidate imbalance %v, its assignment's %v", pg.Imbalance(), direct.Imbalance())
 	}
-	requireSameAssignment(t, "EqualBlock candidate", eq.Materialize(), direct)
+	requireSameAssignment(t, "PatchGreedy candidate", pg.Materialize(), direct)
 }
 
 func TestDeltaPartitionDifferentialRandom(t *testing.T) {
@@ -303,7 +343,7 @@ func TestDeltaPartitionDifferentialRandom(t *testing.T) {
 			}
 			// A run's plan sees the policy's pick and then, when the guard
 			// fires, G-MISP+SP: any order, repeats included.
-			suite := All()
+			suite := pipelineSuite(rng, nprocs)
 			for n := 2 + rng.Intn(len(suite)); n > 0; n-- {
 				p := suite[rng.Intn(len(suite))]
 				check.partition(t, fmt.Sprintf("iter %d cycle %d %s", it, cycle, p.Name()), p, h, wm, nprocs)
@@ -428,15 +468,15 @@ func FuzzDeltaPartition(f *testing.F) {
 		nprocs := 1 + int(procsRaw%24)
 		var wm samr.WorkModel = samr.UniformWorkModel{}
 		check := planCheck{plan: NewPartitionPlan()}
-		suite := All()
 		if len(ops) > 5 {
 			ops = ops[:5]
 		}
 		for cycle := 0; cycle <= len(ops); cycle++ {
-			first, count := 0, len(suite)
+			rng := rand.New(rand.NewSource(seed))
+			var op byte
 			if cycle > 0 {
-				op := ops[cycle-1]
-				rng := rand.New(rand.NewSource(seed ^ int64(op)*1099511628211 ^ int64(cycle)))
+				op = ops[cycle-1]
+				rng = rand.New(rand.NewSource(seed ^ int64(op)*1099511628211 ^ int64(cycle)))
 				h = mutateHierarchy(h, rng)
 				if op%7 == 6 {
 					nprocs = 1 + int(op)%24
@@ -444,6 +484,10 @@ func FuzzDeltaPartition(f *testing.F) {
 				if op%3 != 0 {
 					wm = randomWorkModel(rng, h)
 				}
+			}
+			suite := pipelineSuite(rng, nprocs)
+			first, count := 0, len(suite)
+			if cycle > 0 {
 				first, count = int(op)%len(suite), 1+int(op>>4)%len(suite)
 			}
 			for i := 0; i < count; i++ {

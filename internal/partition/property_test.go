@@ -120,7 +120,7 @@ func TestContiguityProperty(t *testing.T) {
 			splitOwners(splitGreedy, weights, nprocs),
 			splitOwners(splitOptimal, weights, nprocs),
 			splitOwners(splitDissection, weights, nprocs),
-			weightedSequence(weights, make([]float64, nprocs)), // degenerate caps
+			weightedOwners(weights, make([]float64, nprocs)), // degenerate caps
 		} {
 			if len(split) != n {
 				return false
@@ -155,7 +155,7 @@ func TestWeightedSequenceProportionalityProperty(t *testing.T) {
 			caps[i] = 0.2 + rng.Float64()
 			capSum += caps[i]
 		}
-		owner := weightedSequence(weights, caps)
+		owner := weightedOwners(weights, caps)
 		load := make([]float64, nprocs)
 		for i := range weights {
 			load[owner[i]] += weights[i]

@@ -35,11 +35,6 @@ type Quality struct {
 	Overhead float64
 }
 
-// interLevelWeight scales inter-level prolongation/restriction transfers
-// relative to per-step ghost exchange: level transfers happen once per
-// sub-cycle rather than per ghost-fill.
-const interLevelWeight = 0.25
-
 // EvalQuality computes the full PAC metric for an assignment. prev and
 // prevH may be nil when there is no previous partitioning (migration is 0).
 // Callers evaluating several candidates, or holding the previous cycle's

@@ -138,9 +138,9 @@ func dissect(prefix []float64, owner []int, lo, hi, procLo, procs int) {
 
 // weightedSequence splits the sequence into contiguous chunks whose weights
 // are proportional to the given capacities — the heterogeneous variant used
-// by the system-sensitive partitioner (Fig. 4).
-func weightedSequence(weights []float64, capacities []float64) []int {
-	owner := make([]int, len(weights))
+// by the system-sensitive partitioner (Fig. 4). Owners go into owner,
+// which is as long as weights.
+func weightedSequence(weights []float64, capacities []float64, owner []int) {
 	var total, capTotal float64
 	for _, w := range weights {
 		total += w
@@ -151,7 +151,7 @@ func weightedSequence(weights []float64, capacities []float64) []int {
 	if capTotal <= 0 {
 		// Degenerate capacities: fall back to equal shares.
 		greedyPrefix(weights, len(capacities), owner)
-		return owner
+		return
 	}
 	nprocs := len(capacities)
 	proc := 0
@@ -166,5 +166,4 @@ func weightedSequence(weights []float64, capacities []float64) []int {
 		owner[i] = proc
 		acc += w
 	}
-	return owner
 }
