@@ -29,6 +29,21 @@ func testTrace(t testing.TB) *samr.Trace {
 	return smallTrace.tr
 }
 
+// generatePaperTrace generates the paper's RM3D trace once per test binary.
+var generatePaperTrace = sync.OnceValues(func() (*samr.Trace, error) {
+	return rm3d.GenerateTrace(rm3d.DefaultConfig())
+})
+
+// paperTrace returns the trace of the paper's configuration (202 regrids).
+func paperTrace(t testing.TB) *samr.Trace {
+	t.Helper()
+	tr, err := generatePaperTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestMetaPartitionerSelectForOctant(t *testing.T) {
 	m := NewMetaPartitioner()
 	want := map[octant.Octant]string{
@@ -58,10 +73,7 @@ func TestMetaPartitionerSelectForOctant(t *testing.T) {
 // TestTable3PartitionerColumn verifies the meta-partitioner reproduces the
 // partitioner column of the paper's Table 3 on the full RM3D trace.
 func TestTable3PartitionerColumn(t *testing.T) {
-	tr, err := rm3d.GenerateTrace(rm3d.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := paperTrace(t)
 	m := NewMetaPartitioner()
 	want := map[int]struct {
 		oct  octant.Octant

@@ -95,10 +95,53 @@ func TestRunResultGolden(t *testing.T) {
 		}
 		got[c.name] = res
 	}
-	raw, err := os.ReadFile(goldenPath)
+	checkGolden(t, goldenPath, got)
+}
+
+// testdata/agentmanaged_golden.json was recorded at commit 06a37fb, while
+// AgentManaged still ran its own copy of the select-and-partition path and
+// kept its own standing assignment. It pins the agent loop's decisions for
+// the fold onto Adaptive, which must not move one.
+const agentGoldenPath = "testdata/agentmanaged_golden.json"
+
+// TestAgentManagedGolden pins every float of every regrid of three
+// agent-managed runs: the paper trace on 64 processors and the small trace
+// on 8 and 32. Each run gets a strategy of its own, since the agents'
+// event latches carry over from one run to the next.
+func TestAgentManagedGolden(t *testing.T) {
+	got := map[string]*RunResult{}
+	for _, c := range []struct {
+		name   string
+		trace  func(testing.TB) *samr.Trace
+		wm     func(int) samr.WorkModel
+		nprocs int
+	}{
+		{"rm3d-paper/agent-managed/64", paperTrace, rm3d.DefaultConfig().WorkModel, 64},
+		{"rm3d-small/agent-managed/8", testTrace, rm3d.SmallConfig().WorkModel, 8},
+		{"rm3d-small/agent-managed/32", testTrace, rm3d.SmallConfig().WorkModel, 32},
+	} {
+		am, err := NewAgentManaged(c.nprocs, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(c.trace(t), am, RunConfig{Machine: cluster.SP2(c.nprocs), NProcs: c.nprocs, WorkModel: c.wm})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got[c.name] = res
+	}
+	checkGolden(t, agentGoldenPath, got)
+}
+
+// checkGolden compares got with the RunResults recorded in path, case by
+// case and regrid by regrid. Only when the file is absent does it write one
+// from got, and then it fails so the new file gets looked at.
+func checkGolden(t *testing.T, path string, got map[string]*RunResult) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		recordGolden(t, got)
-		t.Fatalf("%s was missing: recorded %d cases from the code under test", goldenPath, len(got))
+		recordGolden(t, path, got)
+		t.Fatalf("%s was missing: recorded %d cases from the code under test", path, len(got))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +200,7 @@ func goldenResult(t *testing.T, name string) *RunResult {
 
 // recordGolden writes one case per line. encoding/json writes the shortest
 // decimal that round-trips each float64, so the file is exact.
-func recordGolden(t *testing.T, got map[string]*RunResult) {
+func recordGolden(t *testing.T, path string, got map[string]*RunResult) {
 	t.Helper()
 	names := make([]string, 0, len(got))
 	for name := range got {
@@ -178,10 +221,10 @@ func recordGolden(t *testing.T, got map[string]*RunResult) {
 		buf.WriteByte('\n')
 	}
 	buf.WriteString("}\n")
-	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
