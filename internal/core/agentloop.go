@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"github.com/pragma-grid/pragma/internal/agents"
@@ -15,14 +16,17 @@ import (
 // at each simulated node monitor local state and publish it to the Message
 // Center; the application delegated manager consolidates the reports,
 // watches for threshold events (load imbalance, octant change), queries the
-// policy base, and only then directs a repartitioning. Between events the
-// previous assignment is reprojected onto the new hierarchy, avoiding
-// repartitioning and migration overheads.
+// policy base through Adaptive, and only then directs a repartitioning.
+// Between events the standing assignment is reprojected onto the new
+// hierarchy, avoiding repartitioning and migration overheads.
 //
 // The strategy owns a live control network: construct it with
 // NewAgentManaged (in-process Center) or NewAgentManagedOn (caller-supplied
-// ports, e.g. TCP clients) and use it for a single Run (it accumulates
-// state).
+// ports, e.g. TCP clients). The standing assignment is the run's own
+// (StepContext.PrevAssignment). The octant of the last regrid and the
+// agents' event latches carry over from one Run to the next, so give each
+// Run a strategy of its own; CheckpointState carries them into a resumed
+// one.
 type AgentManaged struct {
 	meta    *MetaPartitioner
 	adm     *agents.ADM
@@ -42,10 +46,7 @@ type AgentManaged struct {
 	Health func() bool
 
 	prevOctant  octant.Octant
-	current     *partition.Assignment
 	wasDegraded bool
-	// Repartitions counts how many regrids actually repartitioned.
-	Repartitions int
 	// DegradedRegrids counts regrids decided in degraded (local-only)
 	// mode because Health reported the control network down.
 	DegradedRegrids int
@@ -117,15 +118,14 @@ func (am *AgentManaged) Name() string { return "agent-managed" }
 
 // Assign implements Strategy: agents sense the previous interval's load
 // distribution, the ADM consolidates and decides whether adaptation is
-// needed, and either a fresh partitioning is produced (per the policy
-// base's octant recommendation) or the previous one is reprojected.
+// needed, and either Adaptive repartitions (per the policy base's octant
+// recommendation) or the standing assignment is reprojected.
 func (am *AgentManaged) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
 	state, err := octant.StateAt(ctx.Trace, ctx.Index, am.meta.Window)
 	if err != nil {
 		return nil, "", err
 	}
 	oct := octant.Classify(state, am.meta.Thresholds)
-	ctx.CycleTrace.Event("octant-classified", telemetry.String("octant", oct.String()))
 
 	// When the control network is partitioned, skip the agent/ADM round
 	// entirely — no polls can reach the broker — and decide from local
@@ -142,9 +142,11 @@ func (am *AgentManaged) Assign(ctx *StepContext) (*partition.Assignment, string,
 
 	// Publish per-node relative loads from the outgoing assignment, let
 	// the agents poll, and consolidate at the ADM.
-	needRepartition := am.current == nil || oct != am.prevOctant
-	if !degraded && am.current != nil {
-		work := am.current.Work()
+	prev := ctx.PrevAssignment
+	needRepartition := prev == nil || oct != am.prevOctant
+	am.prevOctant = oct
+	if !degraded && prev != nil {
+		work := prev.Work()
 		var total float64
 		for _, w := range work {
 			total += w
@@ -157,41 +159,68 @@ func (am *AgentManaged) Assign(ctx *StepContext) (*partition.Assignment, string,
 				am.loadRef[i] = 0
 			}
 		}
-		for _, ca := range am.nodes {
-			if _, err := ca.Poll(); err != nil {
-				return nil, "", err
-			}
+		event, err := am.publish()
+		if err != nil {
+			return nil, "", err
 		}
-		am.adm.Absorb()
-		if len(am.adm.PendingEvents()) > 0 {
-			needRepartition = true
-		}
+		needRepartition = needRepartition || event
 	}
 
 	if !needRepartition {
 		// Reproject the standing assignment onto the new hierarchy: keep
 		// each new unit on the processor owning its region before.
-		if reused, ok := reproject(am.current, ctx.Snap.H, ctx.WM); ok {
-			am.current = reused
+		if reused, ok := reproject(prev, ctx.Snap.H, ctx.WM); ok {
+			ctx.CycleTrace.Event("octant-classified", telemetry.String("octant", oct.String()))
 			ctx.CycleTrace.Event("reprojected")
 			return reused, "reprojected", nil
 		}
-		needRepartition = true
 	}
+	return Adaptive{Meta: am.meta}.Assign(ctx)
+}
 
-	p, err := am.meta.SelectForOctant(oct)
-	if err != nil {
-		return nil, "", err
+// publish has every node agent poll its relative load and the ADM absorb
+// the reports, and reports whether an agent raised an event.
+func (am *AgentManaged) publish() (event bool, err error) {
+	for _, ca := range am.nodes {
+		if _, err := ca.Poll(); err != nil {
+			return false, err
+		}
 	}
-	ctx.CycleTrace.Event("partitioner-selected", telemetry.String("partitioner", p.Name()))
-	a, err := ctx.Partition(p)
-	if err != nil {
-		return nil, "", err
+	am.adm.Absorb()
+	return len(am.adm.PendingEvents()) > 0, nil
+}
+
+// agentState is AgentManaged's serialized resume state.
+type agentState struct {
+	Octant octant.Octant `json:"octant"`
+	Loads  []float64     `json:"loads"`
+}
+
+// CheckpointState implements CheckpointableStrategy. The run checkpoints
+// the standing assignment itself; what it cannot give back is the octant
+// of the last regrid, which the next one is compared with, and the loads
+// the agents last published: an agent raises its event when its load
+// crosses the threshold, not while the load stays above it.
+func (am *AgentManaged) CheckpointState() ([]byte, error) {
+	return json.Marshal(agentState{Octant: am.prevOctant, Loads: am.loadRef})
+}
+
+// RestoreState implements CheckpointableStrategy: it publishes the loads
+// once through the agents, so each event latch is where the checkpointed
+// run left it, and drops the events that raises, which the checkpointed
+// run already acted on.
+func (am *AgentManaged) RestoreState(data []byte) error {
+	var st agentState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
 	}
-	am.current = a
-	am.prevOctant = oct
-	am.Repartitions++
-	return a, p.Name(), nil
+	if len(st.Loads) != len(am.loadRef) {
+		return fmt.Errorf("core: agent-managed state has %d loads for %d agents", len(st.Loads), len(am.loadRef))
+	}
+	am.prevOctant = st.Octant
+	copy(am.loadRef, st.Loads)
+	_, err := am.publish()
+	return err
 }
 
 // reproject maps a previous assignment onto a new hierarchy: each box of
@@ -235,3 +264,4 @@ func reproject(prev *partition.Assignment, h *samr.Hierarchy, wm samr.WorkModel)
 }
 
 var _ Strategy = (*AgentManaged)(nil)
+var _ CheckpointableStrategy = (*AgentManaged)(nil)

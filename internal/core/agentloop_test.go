@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/agents"
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/samr"
+	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
 func TestAgentManagedRepartitionsOnlyOnEvents(t *testing.T) {
@@ -20,26 +22,17 @@ func TestAgentManagedRepartitionsOnlyOnEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if am.Repartitions == 0 {
+	n := repartitions(res)
+	if n == 0 {
 		t.Fatal("agent-managed never repartitioned")
 	}
-	if am.Repartitions >= len(tr.Snapshots) {
+	if n >= len(tr.Snapshots) {
 		t.Fatalf("agent-managed repartitioned at every regrid (%d of %d) — events are not gating",
-			am.Repartitions, len(tr.Snapshots))
+			n, len(tr.Snapshots))
 	}
 	// Reprojected intervals appear in the per-snapshot stats.
-	reprojected := 0
-	for _, s := range res.Snapshots {
-		if s.Partitioner == "reprojected" {
-			reprojected++
-		}
-	}
-	if reprojected == 0 {
+	if len(res.Snapshots)-n == 0 {
 		t.Fatal("no regrid reused the standing assignment")
-	}
-	if reprojected+am.Repartitions != len(tr.Snapshots) {
-		t.Fatalf("reprojected %d + repartitions %d != %d snapshots",
-			reprojected, am.Repartitions, len(tr.Snapshots))
 	}
 }
 
@@ -81,6 +74,28 @@ func TestAgentManagedDegradedFallback(t *testing.T) {
 	if res.TotalTime <= 0 {
 		t.Fatal("no time accumulated")
 	}
+	// Each regrid's trace names its octant once, then its decision; a
+	// degraded regrid says so first.
+	traces := telemetry.DefaultTracer.Traces()
+	traces = traces[len(traces)-len(tr.Snapshots):]
+	for i, rec := range traces {
+		var events, wantEvents []string
+		for _, e := range rec.Events {
+			events = append(events, e.Name)
+		}
+		if i >= degradeAt {
+			wantEvents = append(wantEvents, "degraded-mode")
+		}
+		wantEvents = append(wantEvents, "octant-classified")
+		if res.Snapshots[i].Partitioner == "reprojected" {
+			wantEvents = append(wantEvents, "reprojected")
+		} else {
+			wantEvents = append(wantEvents, "partitioner-selected")
+		}
+		if !slices.Equal(events, wantEvents) {
+			t.Errorf("regrid %d: trace events %v, want %v", i, events, wantEvents)
+		}
+	}
 }
 
 func TestAgentManagedOnSharedCenterMatchesDefault(t *testing.T) {
@@ -109,10 +124,22 @@ func TestAgentManagedOnSharedCenterMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resA.TotalTime != resB.TotalTime || amA.Repartitions != amB.Repartitions {
+	if resA.TotalTime != resB.TotalTime || repartitions(resA) != repartitions(resB) {
 		t.Fatalf("in-process (%.4f, %d) and explicit-port (%.4f, %d) runs diverge",
-			resA.TotalTime, amA.Repartitions, resB.TotalTime, amB.Repartitions)
+			resA.TotalTime, repartitions(resA), resB.TotalTime, repartitions(resB))
 	}
+}
+
+// repartitions counts the regrids of res that did not reproject the
+// standing assignment.
+func repartitions(res *RunResult) int {
+	n := 0
+	for _, s := range res.Snapshots {
+		if s.Partitioner != "reprojected" {
+			n++
+		}
+	}
+	return n
 }
 
 func TestAgentManagedValidation(t *testing.T) {

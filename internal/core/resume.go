@@ -25,7 +25,7 @@ import (
 
 // CheckpointableStrategy is implemented by strategies carrying in-memory
 // state that a resumed run must restore (capacity caches, failure
-// counters). Stateless strategies need nothing: re-running them over the
+// counters, the agent loop's event baseline). Stateless strategies need nothing: re-running them over the
 // restored inputs reproduces their decisions.
 type CheckpointableStrategy interface {
 	// CheckpointState serializes the strategy's resume-relevant state.

@@ -310,32 +310,35 @@ func AblationManagement(cfg rm3d.Config, nprocs int, loadSeed int64) ([]Manageme
 	rc := core.RunConfig{Machine: machine, NProcs: nprocs, WorkModel: cfg.WorkModel}
 
 	var rows []ManagementAblationRow
-	add := func(s core.Strategy, repartitions func() int) error {
+	add := func(s core.Strategy) error {
 		res, err := core.Run(tr, s, rc)
 		if err != nil {
 			return err
 		}
-		row := ManagementAblationRow{Strategy: res.Strategy, Runtime: res.TotalTime, Repartitions: len(tr.Snapshots)}
-		if repartitions != nil {
-			row.Repartitions = repartitions()
+		// A regrid repartitioned unless it reprojected.
+		row := ManagementAblationRow{Strategy: res.Strategy, Runtime: res.TotalTime}
+		for _, st := range res.Snapshots {
+			if st.Partitioner != "reprojected" {
+				row.Repartitions++
+			}
 		}
 		rows = append(rows, row)
 		return nil
 	}
-	if err := add(core.Static{P: partition.EqualBlock{}}, nil); err != nil {
+	if err := add(core.Static{P: partition.EqualBlock{}}); err != nil {
 		return nil, err
 	}
-	if err := add(&core.SystemSensitive{}, nil); err != nil {
+	if err := add(&core.SystemSensitive{}); err != nil {
 		return nil, err
 	}
-	if err := add(&core.SystemSensitive{RecalibrateEvery: 1, Forecast: true}, nil); err != nil {
+	if err := add(&core.SystemSensitive{RecalibrateEvery: 1, Forecast: true}); err != nil {
 		return nil, err
 	}
 	am, err := core.NewAgentManaged(nprocs, 25)
 	if err != nil {
 		return nil, err
 	}
-	if err := add(am, func() int { return am.Repartitions }); err != nil {
+	if err := add(am); err != nil {
 		return nil, err
 	}
 	return rows, nil

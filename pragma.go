@@ -125,7 +125,10 @@ type (
 	// network connections (latency, jitter, drops, corruption).
 	ChaosConfig = chaos.Config
 	// AgentManagedStrategy is the agent-managed adaptation strategy with a
-	// live control network and degraded-mode fallback.
+	// live control network and degraded-mode fallback: Adaptive
+	// repartitions when its agents raise an event. It checkpoints its
+	// event baseline, so WithResume continues it bit-identically; give
+	// each run a strategy of its own.
 	AgentManagedStrategy = core.AgentManaged
 
 	// HydroGrid is a uniform grid of the built-in compressible-flow solver.

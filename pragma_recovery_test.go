@@ -171,3 +171,57 @@ func TestFacadeEngineStepDeadline(t *testing.T) {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
 }
+
+// TestRuntimeAgentManagedCrashRecovery crashes an agent-managed run built
+// through the facade and resumes it with WithResume: the resumed result is
+// the uninterrupted run's. A checkpoint written for eight agents does not
+// restore into four.
+func TestRuntimeAgentManagedCrashRecovery(t *testing.T) {
+	trace, err := GenerateRM3D(RM3DSmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agentManaged := func(nodes int) *AgentManagedStrategy {
+		center := NewMessageCenter()
+		ports := make([]MessagePort, nodes)
+		for i := range ports {
+			ports[i] = center
+		}
+		strat, err := NewAgentManagedOn(center, ports, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strat
+	}
+	mk := func(strat Strategy) Runtime {
+		return Runtime{Trace: trace, Machine: NewCluster(8), Strategy: strat, NProcs: 8}
+	}
+	base, err := mk(agentManaged(8)).Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Entering these regrids, a resume that starts the agent loop afresh
+	// diverges from the uninterrupted run.
+	for _, k := range []int{2, 16, 32} {
+		dir := t.TempDir()
+		_, err = mk(crashAfter{inner: agentManaged(8), fp: &chaos.FaultPoint{FailAt: k + 1}}).Execute(WithCheckpointDir(dir))
+		if !errors.Is(err, chaos.ErrInjectedCrash) {
+			t.Fatalf("crash run: err = %v, want injected crash", err)
+		}
+		resumed, err := mk(agentManaged(8)).Execute(WithCheckpointDir(dir), WithResume())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resumed, base) {
+			t.Fatalf("crash entering regrid %d: resumed run differs from uninterrupted run:\n got %+v\nwant %+v", k, resumed, base)
+		}
+	}
+
+	state, err := agentManaged(8).CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agentManaged(4).RestoreState(state); err == nil {
+		t.Fatal("state of eight agents restored into four")
+	}
+}
