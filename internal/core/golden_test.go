@@ -98,10 +98,9 @@ func TestRunResultGolden(t *testing.T) {
 	checkGolden(t, goldenPath, got)
 }
 
-// testdata/agentmanaged_golden.json was recorded at commit 06a37fb, while
-// AgentManaged still ran its own copy of the select-and-partition path and
-// kept its own standing assignment. It pins the agent loop's decisions for
-// the fold onto Adaptive, which must not move one.
+// testdata/agentmanaged_golden.json was recorded at commit 06a37fb and
+// pins the agent loop's decisions: a change that must not move one passes
+// it as recorded.
 const agentGoldenPath = "testdata/agentmanaged_golden.json"
 
 // TestAgentManagedGolden pins every float of every regrid of three
