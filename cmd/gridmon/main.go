@@ -80,9 +80,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// forecastErr accumulates each node's one-step-ahead absolute forecast
 	// error: before absorbing a new reading, compare it against what the
-	// meta-forecaster predicted from the history so far.
-	history := make([][]monitor.Reading, 0, *samples)
-	metas := make([]*monitor.Meta, *nodes)
+	// meta-forecaster predicted from the samples so far.
+	forecasts := monitor.NewForecasts(*nodes)
 	forecastErr := make([]float64, *nodes)
 	// errDist pools every node's per-sample absolute error so the summary
 	// can report fleet-wide error quantiles, not just per-node means. The
@@ -90,29 +89,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	errDist := pragma.Telemetry().Histogram("pragma_forecast_abs_error",
 		"one-step-ahead absolute CPU forecast error across all nodes",
 		[]float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64})
-	for i := range metas {
-		metas[i] = monitor.NewMeta()
-	}
+	var last []monitor.Reading
 	for s := 0; s < *samples; s++ {
-		t := float64(s) * *interval
-		readings := sensor.Sample(t)
-		history = append(history, readings)
-		for i, r := range readings {
+		last = sensor.Sample(float64(s) * *interval)
+		for i, r := range last {
 			if s > 0 {
-				e := math.Abs(metas[i].Predict() - r.CPU)
+				e := math.Abs(forecasts.Nodes[i].Predict() - r.CPU)
 				forecastErr[i] += e
 				errDist.Observe(e)
 			}
-			metas[i].Update(r.CPU)
+		}
+		if err := forecasts.Observe(last); err != nil {
+			return fail(err)
 		}
 	}
 
 	fmt.Fprintf(stdout, "monitored %d nodes for %d samples (%.0fs apart)\n\n", *nodes, *samples, *interval)
 	fmt.Fprintf(stdout, "%-6s %-10s %-10s %-12s %-10s %-10s %-20s\n",
 		"Node", "CPU now", "Forecast", "Best model", "MAE", "Accuracy", "Forecaster MSEs")
-	last := history[len(history)-1]
 	for i := 0; i < *nodes; i++ {
-		mses := metas[i].MSE()
+		meta := &forecasts.Nodes[i]
+		mses := meta.MSE()
 		names := make([]string, 0, len(mses))
 		for n := range mses {
 			names = append(names, n)
@@ -125,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			accuracy = 0
 		}
 		fmt.Fprintf(stdout, "%-6d %-10.3f %-10.3f %-12s %-10.4f %-10s %s\n",
-			i, last[i].CPU, metas[i].Predict(), metas[i].Best().Name(), mae,
+			i, last[i].CPU, meta.Predict(), meta.Best(), mae,
 			fmt.Sprintf("%.1f%%", accuracy), top)
 	}
 
@@ -135,7 +132,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if _, err := monitor.Capacities(last, monitor.DefaultWeights()); err != nil {
 		return fail(err)
 	}
-	if _, err := monitor.PredictiveCapacities(history, monitor.DefaultWeights()); err != nil {
+	all := make([]int, *nodes)
+	for i := range all {
+		all[i] = i
+	}
+	if _, err := forecasts.Capacities(all, monitor.DefaultWeights()); err != nil {
 		return fail(err)
 	}
 

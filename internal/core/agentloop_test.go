@@ -222,10 +222,11 @@ func TestProactiveStrategy(t *testing.T) {
 }
 
 // TestProactiveEqualsRecalibrateEveryRegrid pins what the forecast does on
-// the simulated cluster: its NWS meta-forecaster never beats LastValue on
-// SyntheticLoad, so it partitions on the last reading, exactly as
-// SystemSensitive recalibrating at every regrid without it does. A forecaster that
-// predicts the load, or a load it can predict, breaks this equality.
+// the simulated cluster: its NWS meta-forecaster never beats its
+// last-value member on SyntheticLoad, so it partitions on the last
+// reading, exactly as SystemSensitive recalibrating at every regrid
+// without it does. A forecaster that predicts the load, or a load it can
+// predict, breaks this equality.
 func TestProactiveEqualsRecalibrateEveryRegrid(t *testing.T) {
 	tr := testTrace(t)
 	pro, err := Run(tr, &SystemSensitive{RecalibrateEvery: 1, Forecast: true}, RunConfig{Machine: cluster.LinuxCluster(8, 2002), NProcs: 8})

@@ -12,6 +12,8 @@ import (
 // §3.4.2) and, when nodes have failed, partitions across the survivors,
 // named in StepContext.Nodes, and remaps processor ids onto the live nodes:
 // the "respond to system failures" behavior of Pragma's reactive management.
+// The inner strategy sees the standing assignment in survivor ids, or none
+// when it has work on a node that has since died.
 type FailureAware struct {
 	// Inner produces the actual partitioning (required).
 	Inner Strategy
@@ -39,6 +41,7 @@ func (f *FailureAware) Assign(ctx *StepContext) (*partition.Assignment, string, 
 	sub := *ctx
 	sub.NProcs = len(alive)
 	sub.Nodes = alive
+	sub.PrevAssignment = survivorRelative(ctx.PrevAssignment, alive)
 	a, label, err := f.Inner.Assign(&sub)
 	if err != nil {
 		return nil, "", err
@@ -55,6 +58,28 @@ func (f *FailureAware) Assign(ctx *StepContext) (*partition.Assignment, string, 
 		remapped.Owner[i] = alive[o]
 	}
 	return remapped, label + "+ft", nil
+}
+
+// survivorRelative renumbers a, whose owners are machine node ids, onto
+// the survivors alive lists: nil when a is nil or has work on a node alive
+// does not list.
+func survivorRelative(a *partition.Assignment, alive []int) *partition.Assignment {
+	if a == nil {
+		return nil
+	}
+	index := make(map[int]int, len(alive))
+	for p, k := range alive {
+		index[k] = p
+	}
+	out := &partition.Assignment{NProcs: len(alive), Units: a.Units, Owner: make([]int, len(a.Owner)), SplitCost: a.SplitCost}
+	for i, o := range a.Owner {
+		p, ok := index[o]
+		if !ok {
+			return nil
+		}
+		out.Owner[i] = p
+	}
+	return out
 }
 
 // failureAwareState is FailureAware's serialized resume state.

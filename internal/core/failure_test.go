@@ -200,8 +200,10 @@ func (p *capsProbe) Assign(ctx *StepContext) (*partition.Assignment, string, err
 // whether capacities are computed once, at every regrid, or forecast.
 // Node 2 fails a third of the way into the healthy run; from then on each
 // survivor's capacity must be what the capacity calculator makes of the
-// survivors' readings (or, forecasting, of their sample histories), in
-// survivor order, and the work must be split across the survivors alone.
+// survivors' readings, in survivor order, and the work must be split
+// across the survivors alone. Forecasting, every regrid's capacities,
+// before the failure too, must be the replay oracle's over every sample
+// so far.
 func TestFailureAwareCapacityStrategies(t *testing.T) {
 	tr := testTrace(t)
 	survivors := []int{0, 1, 3, 4, 5, 6, 7}
@@ -238,11 +240,19 @@ func TestFailureAwareCapacityStrategies(t *testing.T) {
 				t.Fatalf("run did not complete: %v", res.TotalTime)
 			}
 			var want []float64
+			var rows [][]monitor.Reading
 			failed := 0
 			for k, c := range probe.calls {
+				rows = append(rows, c.row)
 				if c.nodes == nil {
 					if failed > 0 {
 						t.Fatalf("call %d: the whole machine again after the failure", k)
+					}
+					if tc.cfg.Forecast {
+						want, err := replayCapacities(rows, []int{0, 1, 2, 3, 4, 5, 6, 7})
+						if err != nil || !slices.Equal(c.caps, want) {
+							t.Fatalf("call %d: capacities %v, replay %v (%v)", k, c.caps, want, err)
+						}
 					}
 					continue
 				}
@@ -251,11 +261,7 @@ func TestFailureAwareCapacityStrategies(t *testing.T) {
 				}
 				switch {
 				case tc.cfg.Forecast:
-					hist := make([][]monitor.Reading, k+1)
-					for i := range hist {
-						hist[i] = pick(probe.calls[i].row)
-					}
-					want, err = monitor.PredictiveCapacities(hist, monitor.DefaultWeights())
+					want, err = replayCapacities(rows, survivors)
 				case tc.cfg.RecalibrateEvery == 1 || failed == 0:
 					want, err = monitor.Capacities(pick(c.row), monitor.DefaultWeights())
 				}

@@ -30,11 +30,9 @@ type regrid struct {
 	src   bool
 	work  []float64 // the costed assignment's, read by Cluster.Step only
 
-	// The outgoing assignment, the hierarchy it partitioned, and the
-	// partitioner that finished its interval: what the next regrid's
-	// strategy and the checkpoint see.
+	// The outgoing assignment and the partitioner that finished its
+	// interval: what the next regrid's strategy and the checkpoint see.
 	a     *partition.Assignment
-	h     *samr.Hierarchy
 	label string
 }
 
@@ -77,13 +75,13 @@ func (r *regrid) swap() {
 	r.src = true
 }
 
-// commit makes a, costed last on h, the outgoing assignment, and label the
+// commit makes a, costed last, the outgoing assignment, and label the
 // partitioner that finished its interval. It reports a switch: a label
 // other than the previous interval's.
-func (r *regrid) commit(h *samr.Hierarchy, a *partition.Assignment, label string) (switched bool) {
+func (r *regrid) commit(a *partition.Assignment, label string) (switched bool) {
 	r.swap()
 	switched = r.label != "" && label != r.label
-	r.a, r.h, r.label = a, h, label
+	r.a, r.label = a, label
 	return switched
 }
 

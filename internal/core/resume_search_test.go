@@ -82,15 +82,23 @@ func resumeSearchCases(t *testing.T) []resumeCase {
 		c.every = false
 		cases = append(cases, c)
 	}
-	// The failure ablation's configuration, on a machine that loses a
-	// node mid-run, so the wrapper's own counter is state.
-	return append(cases, resumeCase{"static/G-MISP+SP+ft/node-1-fails", func() Strategy {
-		return &FailureAware{Inner: Static{P: partition.GMISPSP{}}}
-	}, func() *cluster.Cluster {
+	// The failure ablation's configuration and the agent loop, on a
+	// machine that loses a node mid-run, so the wrapper's own counter is
+	// state and the agent loop is handed its standing assignment in
+	// survivor ids.
+	failing := func() *cluster.Cluster {
 		c := cluster.SP2(8)
 		c.Fail(1, 20)
 		return c
-	}, 8, true})
+	}
+	return append(cases,
+		resumeCase{"static/G-MISP+SP+ft/node-1-fails", func() Strategy {
+			return &FailureAware{Inner: Static{P: partition.GMISPSP{}}}
+		}, failing, 8, true},
+		resumeCase{"agent-managed/8+ft/node-1-fails", func() Strategy {
+			return &FailureAware{Inner: agentManaged(8)()}
+		}, failing, 8, true},
+	)
 }
 
 // TestResumeSearchEveryStrategy crashes every strategy entering regrids of

@@ -347,8 +347,8 @@ func (noisyLoad) Load(i int, t float64) float64 {
 // resumes to the uninterrupted result. Computed once, the capacity cache
 // is the decision state: background load makes capacities time-dependent,
 // so a resumed run that re-sampled at resume time would diverge.
-// Forecasting, the sample history is: a resumed run that forecast from an
-// empty history would diverge.
+// Forecasting, the forecasters' state is: a resumed run that forecast
+// from fresh forecasters would diverge.
 func TestSystemSensitiveStateSurvivesResume(t *testing.T) {
 	tr := testTrace(t)
 	for _, tc := range []struct {

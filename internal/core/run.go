@@ -260,7 +260,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 				// recomputed, never serialized.
 				h := tr.Snapshots[startIdx-1].H
 				rg.build(h, a)
-				rg.commit(h, a, ck.PrevLabel)
+				rg.commit(a, ck.PrevLabel)
 			}
 		}
 	}
@@ -331,7 +331,6 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			SimTime:        simTime,
 			Machine:        cfg.Machine,
 			PrevAssignment: rg.a,
-			PrevHierarchy:  rg.h,
 			PartitionPlan:  sc.part,
 			CycleTrace:     cycle,
 		}
@@ -361,7 +360,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 				// ignore liveness re-produce the stalled assignment and
 				// the run stays infinite — which is the honest outcome.
 				ctx.SimTime = simTime
-				ctx.PrevAssignment, ctx.PrevHierarchy = a, snap.H
+				ctx.PrevAssignment = a
 				if a2, label2, err := strat.Assign(ctx); err == nil {
 					recMig := cfg.Machine.MigrationTime(float64(snap.H.TotalCells()), cost)
 					simTime += recMig
@@ -396,7 +395,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			res.MaxImbalance = stat.Quality.Imbalance
 		}
 		effSum += snap.H.AMREfficiency()
-		if rg.commit(snap.H, a, stat.Partitioner) {
+		if rg.commit(a, stat.Partitioner) {
 			res.Switches++
 			metricSwitches.Inc()
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -33,10 +34,8 @@ type StepContext struct {
 	// Nodes names the machine node each processor runs on, processor p on
 	// Nodes[p]; nil means processor p is node p.
 	Nodes []int
-	// PrevAssignment and PrevHierarchy describe the outgoing placement
-	// (nil at the first regrid).
+	// PrevAssignment is the outgoing placement (nil at the first regrid).
 	PrevAssignment *partition.Assignment
-	PrevHierarchy  *samr.Hierarchy
 	// PartitionPlan, when non-nil, is the scratch memory partitioners work
 	// in (units, curve keys, sort indices, weights, the prepared work
 	// model) and Adaptive holds its two candidates in. core.Run takes one
@@ -171,13 +170,13 @@ type SystemSensitive struct {
 	// RecalibrateEvery re-reads capacities every k regrids; 0 computes
 	// them once at the start.
 	RecalibrateEvery int
-	// Forecast samples the machine at every regrid and calibrates on the
-	// NWS meta-forecaster's prediction over every sample so far
-	// (monitor.PredictiveCapacities) instead of on the current reading.
+	// Forecast feeds a sample of the machine to one NWS meta-forecaster
+	// per node at every regrid (monitor.Forecasts) and calibrates on their
+	// predictions instead of on the current reading.
 	Forecast bool
 
-	caps    []float64
-	history [][]monitor.Reading // full-machine samples, one per Assign (Forecast)
+	caps      []float64
+	forecasts *monitor.Forecasts // built at the first Assign (Forecast)
 }
 
 // Name implements Strategy.
@@ -194,10 +193,14 @@ func (s *SystemSensitive) Assign(ctx *StepContext) (*partition.Assignment, strin
 	if w == (monitor.Weights{}) {
 		w = monitor.DefaultWeights()
 	}
-	rows := [][]monitor.Reading{monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)}
+	sample := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)
 	if s.Forecast {
-		s.history = append(s.history, rows[0])
-		rows = s.history
+		if s.forecasts == nil {
+			s.forecasts = monitor.NewForecasts(len(sample))
+		}
+		if err := s.forecasts.Observe(sample); err != nil {
+			return nil, "", fmt.Errorf("core: capacity calculation: %w", err)
+		}
 	}
 	nodes := ctx.Nodes
 	if nodes == nil {
@@ -207,19 +210,17 @@ func (s *SystemSensitive) Assign(ctx *StepContext) (*partition.Assignment, strin
 		}
 	}
 	if len(s.caps) != len(nodes) || (s.RecalibrateEvery > 0 && ctx.Index%s.RecalibrateEvery == 0) {
-		// Rows hold every machine node; calibrate on the processors' own.
-		sel := make([][]monitor.Reading, len(rows))
-		for t, row := range rows {
-			sel[t] = make([]monitor.Reading, len(nodes))
-			for p, k := range nodes {
-				sel[t][p] = row[k]
-			}
-		}
 		var err error
 		if s.Forecast {
-			s.caps, err = monitor.PredictiveCapacities(sel, w)
+			s.caps, err = s.forecasts.Capacities(nodes, w)
 		} else {
-			s.caps, err = monitor.Capacities(sel[0], w)
+			// The sample holds every machine node; calibrate on the
+			// processors' own.
+			sel := make([]monitor.Reading, len(nodes))
+			for p, k := range nodes {
+				sel[p] = sample[k]
+			}
+			s.caps, err = monitor.Capacities(sel, w)
 		}
 		if err != nil {
 			return nil, "", fmt.Errorf("core: capacity calculation: %w", err)
@@ -235,23 +236,35 @@ func (s *SystemSensitive) Assign(ctx *StepContext) (*partition.Assignment, strin
 func (s *SystemSensitive) Capacities() []float64 { return slices.Clone(s.caps) }
 
 // forecastState is a forecasting SystemSensitive's serialized resume
-// state.
+// state: the capacities and the forecasters' fixed-size binary state.
 type forecastState struct {
-	Caps    []float64           `json:"caps"`
-	History [][]monitor.Reading `json:"history"`
+	Caps      []float64 `json:"caps"`
+	Forecasts []byte    `json:"forecasts"`
 }
+
+// ErrSampleHistoryState refuses a forecasting checkpoint that holds the
+// machine's sample history instead of its forecasters' state: one written
+// before the forecasters streamed, which cannot resume them.
+var ErrSampleHistoryState = errors.New("core: forecasting checkpoint holds a sample history, not forecaster state")
 
 // CheckpointState implements CheckpointableStrategy: the capacity cache is
 // decision state ("computed only once before the start of the simulation"
 // in the paper's experiment), so a resumed run must reuse it rather than
-// re-sample the machine at resume time. With Forecast the sample history
-// the forecasters train on is decision state too; without it the payload
-// is the capacities' JSON array alone.
+// re-sample the machine at resume time. With Forecast the forecasters'
+// state is decision state too; without it the payload is the capacities'
+// JSON array alone.
 func (s *SystemSensitive) CheckpointState() ([]byte, error) {
-	if s.Forecast {
-		return json.Marshal(forecastState{Caps: s.caps, History: s.history})
+	if !s.Forecast {
+		return json.Marshal(s.caps)
 	}
-	return json.Marshal(s.caps)
+	st := forecastState{Caps: s.caps}
+	if s.forecasts != nil {
+		var err error
+		if st.Forecasts, err = s.forecasts.MarshalBinary(); err != nil {
+			return nil, err
+		}
+	}
+	return json.Marshal(st)
 }
 
 // RestoreState implements CheckpointableStrategy.
@@ -259,8 +272,20 @@ func (s *SystemSensitive) RestoreState(data []byte) error {
 	if !s.Forecast {
 		return json.Unmarshal(data, &s.caps)
 	}
-	var st forecastState
-	err := json.Unmarshal(data, &st)
-	s.caps, s.history = st.Caps, st.History
-	return err
+	var st struct {
+		forecastState
+		History json.RawMessage `json:"history"`
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	if st.History != nil {
+		return ErrSampleHistoryState
+	}
+	s.caps, s.forecasts = st.Caps, nil
+	if len(st.Forecasts) > 0 {
+		s.forecasts = &monitor.Forecasts{}
+		return s.forecasts.UnmarshalBinary(st.Forecasts)
+	}
+	return nil
 }

@@ -141,25 +141,21 @@ func AblationForecasters(nodes, samples int, seed int64) ([]ForecastAblationRow,
 			series[i][s] = 1 - load.Load(i, float64(s)*5) + 0.02*rng.NormFloat64()
 		}
 	}
-	builders := []struct {
-		name  string
-		build func() monitor.Forecaster
-	}{
-		{"last-value", func() monitor.Forecaster { return &monitor.LastValue{} }},
-		{"running-mean", func() monitor.Forecaster { return &monitor.RunningMean{} }},
-		{"sliding-mean-8", func() monitor.Forecaster { return monitor.NewSlidingMean(8) }},
-		{"sliding-median-8", func() monitor.Forecaster { return monitor.NewSlidingMedian(8) }},
-		{"exp-smoothing-0.30", func() monitor.Forecaster { return monitor.NewExpSmoothing(0.3) }},
-		{"ar1-32", func() monitor.Forecaster { return monitor.NewAR1(32) }},
-		{"nws-meta", func() monitor.Forecaster { return monitor.NewMeta() }},
+	// Each node's meta-forecaster accumulates its pool members' errors;
+	// the meta row is its own.
+	members := []string{"last-value", "running-mean", "sliding-mean-8", "sliding-median-8", "exp-smoothing-0.30", "ar1-32"}
+	sums := make([]float64, len(members)+1)
+	for i := range series {
+		m := monitor.NewMeta()
+		sums[len(members)] += monitor.MSEOf(m, series[i])
+		mse := m.MSE()
+		for j, name := range members {
+			sums[j] += mse[name]
+		}
 	}
 	var rows []ForecastAblationRow
-	for _, b := range builders {
-		var sum float64
-		for i := range series {
-			sum += monitor.MSEOf(b.build(), series[i])
-		}
-		rows = append(rows, ForecastAblationRow{Forecaster: b.name, MSE: sum / float64(nodes)})
+	for j, name := range append(members, "nws-meta") {
+		rows = append(rows, ForecastAblationRow{Forecaster: name, MSE: sums[j] / float64(nodes)})
 	}
 	return rows, nil
 }

@@ -73,8 +73,8 @@ type helloMsg struct {
 type heartbeatMsg struct {
 	ID  string `json:"id"`
 	Seq int    `json:"seq"`
-	// CPU is the forecast available-CPU fraction in [0, 1] from the
-	// worker's AvailabilityForecaster.
+	// CPU is the forecast available-CPU fraction in [0, 1]: one minus the
+	// worker's meta-forecast of its pool utilization (advertise).
 	CPU float64 `json:"cpu"`
 	// Active is the worker's queued-plus-running run count; Slots its pool
 	// size. The router places only where Active < Slots.

@@ -62,7 +62,7 @@ type Worker struct {
 	port     agents.Port
 	mailbox  string
 	pool     *sched.Scheduler
-	forecast *monitor.AvailabilityForecaster
+	forecast monitor.Meta // over the pool's utilization, one sample per heartbeat
 
 	mu       sync.Mutex
 	attempts map[string]int // fleet run ID -> attempt being executed here
@@ -89,7 +89,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		port:     cfg.Port,
 		mailbox:  mailbox,
 		pool:     sched.New(sched.Config{Workers: cfg.Slots}),
-		forecast: monitor.NewAvailabilityForecaster(),
 		attempts: make(map[string]int),
 		gone:     make(chan struct{}),
 	}
@@ -119,7 +118,7 @@ func (w *Worker) hello() error {
 }
 
 // heartbeatLoop advertises forecast capacity until the worker stops or its
-// link tears down. Utilization samples feed the availability forecaster,
+// link tears down. Utilization samples feed the worker's meta-forecaster,
 // so the advertised CPU figure is the *predicted* next availability.
 func (w *Worker) heartbeatLoop() {
 	defer w.wg.Done()
@@ -142,11 +141,10 @@ func (w *Worker) heartbeatLoop() {
 		}
 		st := w.pool.Stats()
 		active := st.Active + st.QueueDepth
-		w.forecast.Observe(float64(active) / float64(w.cfg.Slots))
 		hb := heartbeatMsg{
 			ID:            w.cfg.ID,
 			Seq:           seq,
-			CPU:           w.forecast.Available(),
+			CPU:           advertise(&w.forecast, active, w.cfg.Slots),
 			Active:        active,
 			Slots:         w.cfg.Slots,
 			MemoryMB:      workerMemoryMB,
@@ -156,6 +154,17 @@ func (w *Worker) heartbeatLoop() {
 			w.reportErr(fmt.Errorf("fleet: worker %s heartbeat: %w", w.cfg.ID, err))
 		}
 	}
+}
+
+// advertise feeds m one utilization sample, active runs over slots (capped
+// at 1: queued runs push it above), and returns the CPU figure a heartbeat
+// advertises: one minus the predicted next utilization, in [0, 1]. This is
+// the worker's half of the paper's Fig. 4 capacity pipeline: the router
+// places runs against where capacity is heading rather than where it
+// momentarily was.
+func advertise(m *monitor.Meta, active, slots int) float64 {
+	m.Update(min(float64(active)/float64(slots), 1))
+	return min(max(1-m.Predict(), 0), 1)
 }
 
 // recvLoop consumes the worker mailbox until the port closes.

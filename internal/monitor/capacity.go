@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/pragma-grid/pragma/internal/cluster"
@@ -128,43 +129,54 @@ func maxF(a, b float64) float64 {
 	return b
 }
 
-// PredictiveCapacities runs one meta-forecaster per node over a history of
-// CPU availability readings and returns capacities computed from the
-// *predicted* next CPU availability — the proactive variant Pragma's
-// predictive models enable. history[t][k] is node k's reading at sample t.
-func PredictiveCapacities(history [][]Reading, w Weights) ([]float64, error) {
-	if len(history) == 0 {
-		return nil, fmt.Errorf("monitor: empty history")
+// Forecasts is the predictive capacity calculator, Pragma's proactive
+// variant of Capacities: one meta-forecaster per machine node, each
+// updated once per sample. Its state is bounded by the pool's 32-sample
+// window however long it runs.
+type Forecasts struct {
+	// Nodes holds node k's forecaster at k: the whole state, which
+	// MarshalBinary writes.
+	Nodes []Meta
+	// latest is the sample Observe last fed.
+	latest []Reading
+}
+
+// NewForecasts builds forecasters for a machine of n nodes.
+func NewForecasts(n int) *Forecasts { return &Forecasts{Nodes: make([]Meta, n)} }
+
+// Observe feeds one sample of the whole machine, reading k to node k's
+// forecaster. It keeps sample until the next call.
+func (f *Forecasts) Observe(sample []Reading) error {
+	if len(sample) != len(f.Nodes) {
+		return fmt.Errorf("monitor: sample of %d nodes for %d forecasters", len(sample), len(f.Nodes))
 	}
-	n := len(history[0])
-	metas := make([]*Meta, n)
-	for k := range metas {
-		metas[k] = NewMeta()
+	for k, r := range sample {
+		f.Nodes[k].Update(r.CPU)
 	}
-	for _, sample := range history {
-		if len(sample) != n {
-			return nil, fmt.Errorf("monitor: ragged history (%d vs %d nodes)", len(sample), n)
-		}
-		for k, r := range sample {
-			metas[k].Update(r.CPU)
-		}
+	f.latest = sample
+	return nil
+}
+
+// Capacities returns the relative capacities of the given machine nodes,
+// in their order, computed from each one's *predicted* next CPU
+// availability, clamped to [0, 1], and the memory and bandwidth of the
+// sample Observe last fed. It publishes the
+// pragma_monitor_predicted_capacity gauges.
+func (f *Forecasts) Capacities(nodes []int, w Weights) ([]float64, error) {
+	if f.latest == nil {
+		return nil, fmt.Errorf("monitor: no sample observed")
 	}
-	last := history[len(history)-1]
-	predicted := make([]Reading, n)
-	for k := range predicted {
-		cpu := metas[k].Predict()
+	predicted := make([]Reading, len(nodes))
+	for p, k := range nodes {
+		cpu := f.Nodes[k].Predict()
 		if cpu < 0 {
 			cpu = 0
 		}
 		if cpu > 1 {
 			cpu = 1
 		}
-		predicted[k] = Reading{
-			Time:          last[k].Time,
-			CPU:           cpu,
-			MemoryMB:      last[k].MemoryMB,
-			BandwidthMBps: last[k].BandwidthMBps,
-		}
+		last := f.latest[k]
+		predicted[p] = Reading{Time: last.Time, CPU: cpu, MemoryMB: last.MemoryMB, BandwidthMBps: last.BandwidthMBps}
 	}
 	caps, err := capacities(predicted, w)
 	if err != nil {
@@ -172,4 +184,30 @@ func PredictiveCapacities(history [][]Reading, w Weights) ([]float64, error) {
 	}
 	setCapacityGauges(metricPredictedCapacity, caps)
 	return caps, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler: every node's Meta in
+// order, little-endian, a fixed size per node.
+func (f *Forecasts) MarshalBinary() ([]byte, error) {
+	return binary.Append(nil, binary.LittleEndian, f.Nodes)
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The latest sample
+// is not state: Capacities needs an Observe first.
+func (f *Forecasts) UnmarshalBinary(data []byte) error {
+	size := binary.Size(Meta{})
+	if len(data)%size != 0 {
+		return fmt.Errorf("monitor: %d bytes of forecaster state is not a whole number of %d-byte nodes", len(data), size)
+	}
+	nodes := make([]Meta, len(data)/size)
+	if _, err := binary.Decode(data, binary.LittleEndian, nodes); err != nil {
+		return err
+	}
+	for k, m := range nodes {
+		if m.N < 0 {
+			return fmt.Errorf("monitor: node %d's forecaster has %d observations", k, m.N)
+		}
+	}
+	f.Nodes, f.latest = nodes, nil
+	return nil
 }

@@ -10,10 +10,7 @@
 // the predictor that has accumulated the lowest error so far.
 package monitor
 
-import (
-	"fmt"
-	"sort"
-)
+import "slices"
 
 // Forecaster predicts the next value of a measurement series.
 type Forecaster interface {
@@ -26,192 +23,42 @@ type Forecaster interface {
 	Predict() float64
 }
 
-// LastValue predicts the most recent observation.
-type LastValue struct{ last float64 }
-
-// Name implements Forecaster.
-func (*LastValue) Name() string { return "last-value" }
-
-// Update implements Forecaster.
-func (f *LastValue) Update(v float64) { f.last = v }
-
-// Predict implements Forecaster.
-func (f *LastValue) Predict() float64 { return f.last }
-
-// RunningMean predicts the mean of all observations.
-type RunningMean struct {
-	sum float64
-	n   int
-}
-
-// Name implements Forecaster.
-func (*RunningMean) Name() string { return "running-mean" }
-
-// Update implements Forecaster.
-func (f *RunningMean) Update(v float64) { f.sum += v; f.n++ }
-
-// Predict implements Forecaster.
-func (f *RunningMean) Predict() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return f.sum / float64(f.n)
-}
-
-// SlidingMean predicts the mean of the last W observations.
-type SlidingMean struct {
-	w   int
-	buf []float64
-}
-
-// NewSlidingMean builds a sliding-mean forecaster with window w (>= 1).
-func NewSlidingMean(w int) *SlidingMean {
-	if w < 1 {
-		w = 1
-	}
-	return &SlidingMean{w: w}
-}
-
-// Name implements Forecaster.
-func (f *SlidingMean) Name() string { return fmt.Sprintf("sliding-mean-%d", f.w) }
-
-// Update implements Forecaster.
-func (f *SlidingMean) Update(v float64) {
-	f.buf = append(f.buf, v)
-	if len(f.buf) > f.w {
-		f.buf = f.buf[1:]
-	}
-}
-
-// Predict implements Forecaster.
-func (f *SlidingMean) Predict() float64 {
-	if len(f.buf) == 0 {
-		return 0
-	}
+// mean is a sliding mean's prediction over the non-empty xs.
+func mean(xs []float64) float64 {
 	var s float64
-	for _, v := range f.buf {
+	for _, v := range xs {
 		s += v
 	}
-	return s / float64(len(f.buf))
+	return s / float64(len(xs))
 }
 
-// SlidingMedian predicts the median of the last W observations.
-type SlidingMedian struct {
-	w   int
-	buf []float64
-}
-
-// NewSlidingMedian builds a sliding-median forecaster with window w (>= 1).
-func NewSlidingMedian(w int) *SlidingMedian {
-	if w < 1 {
-		w = 1
-	}
-	return &SlidingMedian{w: w}
-}
-
-// Name implements Forecaster.
-func (f *SlidingMedian) Name() string { return fmt.Sprintf("sliding-median-%d", f.w) }
-
-// Update implements Forecaster.
-func (f *SlidingMedian) Update(v float64) {
-	f.buf = append(f.buf, v)
-	if len(f.buf) > f.w {
-		f.buf = f.buf[1:]
-	}
-}
-
-// Predict implements Forecaster.
-func (f *SlidingMedian) Predict() float64 {
-	n := len(f.buf)
-	if n == 0 {
-		return 0
-	}
-	tmp := append([]float64(nil), f.buf...)
-	sort.Float64s(tmp)
+// median is a sliding median's prediction over the non-empty xs, at most
+// 8 long to sort without allocating.
+func median(xs []float64) float64 {
+	n := len(xs)
+	var scratch [8]float64
+	tmp := append(scratch[:0], xs...)
+	slices.Sort(tmp)
 	if n%2 == 1 {
 		return tmp[n/2]
 	}
 	return (tmp[n/2-1] + tmp[n/2]) / 2
 }
 
-// ExpSmoothing predicts with exponential smoothing s' = a*v + (1-a)*s.
-type ExpSmoothing struct {
-	alpha   float64
-	state   float64
-	started bool
-}
-
-// NewExpSmoothing builds an exponential-smoothing forecaster with gain
-// alpha in (0, 1].
-func NewExpSmoothing(alpha float64) *ExpSmoothing {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return &ExpSmoothing{alpha: alpha}
-}
-
-// Name implements Forecaster.
-func (f *ExpSmoothing) Name() string { return fmt.Sprintf("exp-smoothing-%.2f", f.alpha) }
-
-// Update implements Forecaster.
-func (f *ExpSmoothing) Update(v float64) {
-	if !f.started {
-		f.state = v
-		f.started = true
-		return
-	}
-	f.state = f.alpha*v + (1-f.alpha)*f.state
-}
-
-// Predict implements Forecaster.
-func (f *ExpSmoothing) Predict() float64 { return f.state }
-
-// AR1 fits a first-order autoregressive model x' = mean + rho*(x - mean)
-// over a sliding window.
-type AR1 struct {
-	w   int
-	buf []float64
-}
-
-// NewAR1 builds an AR(1) forecaster over a window of w observations.
-func NewAR1(w int) *AR1 {
-	if w < 4 {
-		w = 4
-	}
-	return &AR1{w: w}
-}
-
-// Name implements Forecaster.
-func (f *AR1) Name() string { return fmt.Sprintf("ar1-%d", f.w) }
-
-// Update implements Forecaster.
-func (f *AR1) Update(v float64) {
-	f.buf = append(f.buf, v)
-	if len(f.buf) > f.w {
-		f.buf = f.buf[1:]
-	}
-}
-
-// Predict implements Forecaster.
-func (f *AR1) Predict() float64 {
-	n := len(f.buf)
-	if n == 0 {
-		return 0
-	}
+// ar1 is the AR(1) prediction over the non-empty xs: the last value
+// while it holds fewer than three observations.
+func ar1(xs []float64) float64 {
+	n := len(xs)
 	if n < 3 {
-		return f.buf[n-1]
+		return xs[n-1]
 	}
-	var mean float64
-	for _, v := range f.buf {
-		mean += v
-	}
-	mean /= float64(n)
+	mu := mean(xs)
 	var num, den float64
 	for i := 1; i < n; i++ {
-		num += (f.buf[i] - mean) * (f.buf[i-1] - mean)
+		num += (xs[i] - mu) * (xs[i-1] - mu)
 	}
-	for _, v := range f.buf {
-		den += (v - mean) * (v - mean)
+	for _, v := range xs {
+		den += (v - mu) * (v - mu)
 	}
 	rho := 0.0
 	if den > 1e-12 {
@@ -223,34 +70,46 @@ func (f *AR1) Predict() float64 {
 	if rho < -1 {
 		rho = -1
 	}
-	return mean + rho*(f.buf[n-1]-mean)
+	return mu + rho*(xs[n-1]-mu)
 }
 
-// Meta is the NWS meta-forecaster: it runs a pool of forecasters and
-// predicts with whichever has the lowest accumulated squared error.
+// metaWindow is the longest window in Meta's pool.
+const metaWindow = 32
+
+// metaPool names Meta's pool members in rank order: of two with equal
+// error, the earlier predicts. They are the last value, the running mean,
+// sliding means over 8 and 32, a sliding median over 8, exponential
+// smoothing s' = a*v + (1-a)*s at the gains of metaGains, and an AR(1)
+// fit x' = mean + rho*(x - mean) over 32.
+var metaPool = [...]string{
+	"last-value", "running-mean", "sliding-mean-8", "sliding-mean-32",
+	"sliding-median-8", "exp-smoothing-0.30", "exp-smoothing-0.70", "ar1-32",
+}
+
+var metaGains = [...]float64{0.3, 0.7}
+
+// Meta is the NWS meta-forecaster: it runs a fixed pool of forecasters
+// (metaPool) and predicts with whichever has the lowest accumulated
+// squared error. Every windowed member reads a suffix of one 32-sample
+// window, so the exported fields are the whole state: plain values of a
+// fixed size, which encoding/binary round-trips exactly. The zero value
+// is ready to use.
 type Meta struct {
-	pool []Forecaster
-	mse  []float64
-	n    int
+	// N counts the observations.
+	N int64
+	// Window holds the last metaWindow observations, oldest first, in its
+	// last min(N, metaWindow) slots.
+	Window [metaWindow]float64
+	// Sum is the running mean's sum of observations.
+	Sum float64
+	// Smooth holds the exponential smoothers' states, one per gain.
+	Smooth [len(metaGains)]float64
+	// SqErr accumulates each pool member's squared one-step-ahead error.
+	SqErr [len(metaPool)]float64
 }
 
-// NewMeta builds a meta-forecaster over the given pool; with an empty pool
-// it uses the standard NWS-style set.
-func NewMeta(pool ...Forecaster) *Meta {
-	if len(pool) == 0 {
-		pool = []Forecaster{
-			&LastValue{},
-			&RunningMean{},
-			NewSlidingMean(8),
-			NewSlidingMean(32),
-			NewSlidingMedian(8),
-			NewExpSmoothing(0.3),
-			NewExpSmoothing(0.7),
-			NewAR1(32),
-		}
-	}
-	return &Meta{pool: pool, mse: make([]float64, len(pool))}
-}
+// NewMeta builds a meta-forecaster over the standard NWS-style pool.
+func NewMeta() *Meta { return &Meta{} }
 
 // Name implements Forecaster.
 func (m *Meta) Name() string { return "nws-meta" }
@@ -258,42 +117,75 @@ func (m *Meta) Name() string { return "nws-meta" }
 // Update implements Forecaster: it first charges each pool member the error
 // of its pending prediction, then feeds the observation to all members.
 func (m *Meta) Update(v float64) {
-	if m.n > 0 {
-		for i, f := range m.pool {
-			d := f.Predict() - v
-			m.mse[i] += d * d
+	if m.N > 0 {
+		for i := range m.SqErr {
+			d := m.member(i) - v
+			m.SqErr[i] += d * d
 		}
 	}
-	for _, f := range m.pool {
-		f.Update(v)
+	copy(m.Window[:], m.Window[1:])
+	m.Window[metaWindow-1] = v
+	m.Sum += v
+	for i, a := range metaGains {
+		if m.N == 0 {
+			m.Smooth[i] = v
+		} else {
+			m.Smooth[i] = a*v + (1-a)*m.Smooth[i]
+		}
 	}
-	m.n++
+	m.N++
+}
+
+// member returns pool member i's prediction.
+func (m *Meta) member(i int) float64 {
+	w := m.Window[metaWindow-min(m.N, metaWindow):]
+	if len(w) == 0 {
+		return 0
+	}
+	switch metaPool[i] {
+	case "last-value":
+		return w[len(w)-1]
+	case "running-mean":
+		return m.Sum / float64(m.N)
+	case "sliding-mean-8":
+		return mean(w[max(len(w)-8, 0):])
+	case "sliding-mean-32":
+		return mean(w)
+	case "sliding-median-8":
+		return median(w[max(len(w)-8, 0):])
+	case "exp-smoothing-0.30":
+		return m.Smooth[0]
+	case "exp-smoothing-0.70":
+		return m.Smooth[1]
+	default: // ar1-32
+		return ar1(w)
+	}
 }
 
 // Predict implements Forecaster.
-func (m *Meta) Predict() float64 { return m.pool[m.bestIndex()].Predict() }
+func (m *Meta) Predict() float64 { return m.member(m.bestIndex()) }
 
-// Best returns the currently winning pool member.
-func (m *Meta) Best() Forecaster { return m.pool[m.bestIndex()] }
+// Best names the currently winning pool member.
+func (m *Meta) Best() string { return metaPool[m.bestIndex()] }
 
 // MSE returns each pool member's mean squared prediction error so far,
 // keyed by forecaster name.
 func (m *Meta) MSE() map[string]float64 {
-	out := make(map[string]float64, len(m.pool))
-	div := float64(m.n - 1)
+	out := make(map[string]float64, len(metaPool))
+	div := float64(m.N - 1)
 	if div < 1 {
 		div = 1
 	}
-	for i, f := range m.pool {
-		out[f.Name()] = m.mse[i] / div
+	for i, name := range metaPool {
+		out[name] = m.SqErr[i] / div
 	}
 	return out
 }
 
 func (m *Meta) bestIndex() int {
 	best := 0
-	for i := 1; i < len(m.pool); i++ {
-		if m.mse[i] < m.mse[best] {
+	for i := 1; i < len(m.SqErr); i++ {
+		if m.SqErr[i] < m.SqErr[best] {
 			best = i
 		}
 	}

@@ -15,7 +15,7 @@ var (
 		"node")
 	metricPredictedCapacity = telemetry.Default.GaugeVec(
 		"pragma_monitor_predicted_capacity",
-		"Relative capacity of each node from the last PredictiveCapacities call.",
+		"Relative capacity of each node from the last Forecasts.Capacities call.",
 		"node")
 )
 

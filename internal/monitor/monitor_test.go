@@ -13,8 +13,8 @@ import (
 func TestForecastersOnConstantSeries(t *testing.T) {
 	// Every forecaster must converge to a constant series.
 	forecasters := []Forecaster{
-		&LastValue{}, &RunningMean{}, NewSlidingMean(8), NewSlidingMedian(8),
-		NewExpSmoothing(0.3), NewAR1(16), NewMeta(),
+		&lastValue{}, &runningMean{}, newSlidingMean(8), newSlidingMedian(8),
+		newExpSmoothing(0.3), newAR1(16), NewMeta(),
 	}
 	for _, f := range forecasters {
 		for i := 0; i < 50; i++ {
@@ -28,8 +28,8 @@ func TestForecastersOnConstantSeries(t *testing.T) {
 
 func TestForecastersEmptyPredictZero(t *testing.T) {
 	forecasters := []Forecaster{
-		&LastValue{}, &RunningMean{}, NewSlidingMean(8), NewSlidingMedian(8),
-		NewExpSmoothing(0.3), NewAR1(16),
+		&lastValue{}, &runningMean{}, newSlidingMean(8), newSlidingMedian(8),
+		newExpSmoothing(0.3), newAR1(16),
 	}
 	for _, f := range forecasters {
 		if f.Predict() != 0 {
@@ -39,14 +39,14 @@ func TestForecastersEmptyPredictZero(t *testing.T) {
 }
 
 func TestSlidingWindowEviction(t *testing.T) {
-	f := NewSlidingMean(3)
+	f := newSlidingMean(3)
 	for _, v := range []float64{100, 1, 2, 3} {
 		f.Update(v)
 	}
 	if got := f.Predict(); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("sliding mean = %g, want 2 (window must evict)", got)
 	}
-	m := NewSlidingMedian(3)
+	m := newSlidingMedian(3)
 	for _, v := range []float64{100, 1, 2, 9} {
 		m.Update(v)
 	}
@@ -54,7 +54,7 @@ func TestSlidingWindowEviction(t *testing.T) {
 		t.Fatalf("sliding median = %g, want 2", got)
 	}
 	// Even-length median averages the middle pair.
-	m2 := NewSlidingMedian(4)
+	m2 := newSlidingMedian(4)
 	for _, v := range []float64{1, 2, 3, 4} {
 		m2.Update(v)
 	}
@@ -72,15 +72,15 @@ func TestAR1TracksAutocorrelatedSeries(t *testing.T) {
 		x = 0.95*x + 0.1*rng.NormFloat64()
 		series[i] = x
 	}
-	arErr := MSEOf(NewAR1(64), series)
-	meanErr := MSEOf(&RunningMean{}, series)
+	arErr := MSEOf(newAR1(64), series)
+	meanErr := MSEOf(&runningMean{}, series)
 	if arErr >= meanErr {
-		t.Fatalf("AR1 MSE %g not below running-mean MSE %g", arErr, meanErr)
+		t.Fatalf("ar1Forecaster MSE %g not below running-mean MSE %g", arErr, meanErr)
 	}
 }
 
 func TestExpSmoothingGainValidation(t *testing.T) {
-	f := NewExpSmoothing(-1)
+	f := newExpSmoothing(-1)
 	f.Update(10)
 	f.Update(20)
 	got := f.Predict()
@@ -97,8 +97,7 @@ func TestMetaPicksBestForecaster(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m.Update(5 + rng.NormFloat64())
 	}
-	best := m.Best().Name()
-	if best == "last-value" {
+	if m.Best() == "last-value" {
 		t.Fatalf("meta stuck on last-value for noisy stationary series (MSEs %v)", m.MSE())
 	}
 	if math.Abs(m.Predict()-5) > 0.5 {
@@ -119,10 +118,10 @@ func TestMetaPicksBestForecaster(t *testing.T) {
 }
 
 func TestMSEOfShortSeries(t *testing.T) {
-	if MSEOf(&LastValue{}, nil) != 0 {
+	if MSEOf(&lastValue{}, nil) != 0 {
 		t.Fatal("empty series MSE not 0")
 	}
-	if MSEOf(&LastValue{}, []float64{3}) != 0 {
+	if MSEOf(&lastValue{}, []float64{3}) != 0 {
 		t.Fatal("single-point series MSE not 0")
 	}
 }
@@ -192,18 +191,23 @@ func TestCapacitiesValidation(t *testing.T) {
 	}
 }
 
-func TestPredictiveCapacities(t *testing.T) {
+func TestForecastsCapacities(t *testing.T) {
 	// Node 0 idles, node 1 oscillates around 0.5: prediction should favor
 	// node 0 roughly 2:1 regardless of the oscillation's phase at the end.
-	var history [][]Reading
+	f := NewForecasts(2)
+	if _, err := f.Capacities([]int{0, 1}, DefaultWeights()); err == nil {
+		t.Error("capacities before any sample")
+	}
 	for i := 0; i < 64; i++ {
 		cpu1 := 0.5 + 0.3*math.Sin(float64(i))
-		history = append(history, []Reading{
+		if err := f.Observe([]Reading{
 			{Time: float64(i), CPU: 1, MemoryMB: 512, BandwidthMBps: 100},
 			{Time: float64(i), CPU: cpu1, MemoryMB: 512, BandwidthMBps: 100},
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	caps, err := PredictiveCapacities(history, Weights{CPU: 1, Memory: 0, Bandwidth: 0})
+	caps, err := f.Capacities([]int{0, 1}, Weights{CPU: 1, Memory: 0, Bandwidth: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,17 +215,13 @@ func TestPredictiveCapacities(t *testing.T) {
 	if ratio < 1.5 || ratio > 3.0 {
 		t.Fatalf("predictive capacity ratio = %g, want ~2", ratio)
 	}
-	if _, err := PredictiveCapacities(nil, DefaultWeights()); err == nil {
-		t.Error("empty history accepted")
-	}
-	ragged := [][]Reading{{{CPU: 1}}, {{CPU: 1}, {CPU: 1}}}
-	if _, err := PredictiveCapacities(ragged, DefaultWeights()); err == nil {
-		t.Error("ragged history accepted")
+	if err := f.Observe([]Reading{{CPU: 1}}); err == nil {
+		t.Error("a sample of the wrong node count accepted")
 	}
 }
 
 // TestPredictiveKeepsReactiveGauges guards the distinction between the two
-// capacity gauge families: a PredictiveCapacities run must publish only
+// capacity gauge families: Forecasts.Capacities must publish only
 // pragma_monitor_predicted_capacity, leaving the reactive gauges at the
 // values of the last direct Capacities call.
 func TestPredictiveKeepsReactiveGauges(t *testing.T) {
@@ -233,16 +233,18 @@ func TestPredictiveKeepsReactiveGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A history whose predicted CPUs differ from the instantaneous
+	// Samples whose predicted CPUs differ from the instantaneous
 	// readings, so predictive capacities diverge from reactive ones.
-	var history [][]Reading
+	f := NewForecasts(2)
 	for i := 0; i < 32; i++ {
-		history = append(history, []Reading{
+		if err := f.Observe([]Reading{
 			{Time: float64(i), CPU: 0.2, MemoryMB: 512, BandwidthMBps: 100},
 			{Time: float64(i), CPU: 0.9, MemoryMB: 512, BandwidthMBps: 100},
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	predicted, err := PredictiveCapacities(history, Weights{CPU: 1, Memory: 0, Bandwidth: 0})
+	predicted, err := f.Capacities([]int{0, 1}, Weights{CPU: 1, Memory: 0, Bandwidth: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,24 +296,24 @@ func BenchmarkMetaUpdate(b *testing.B) {
 }
 
 func TestAR1ShortSeriesFallsBackToLastValue(t *testing.T) {
-	f := NewAR1(16)
+	f := newAR1(16)
 	f.Update(3)
 	if got := f.Predict(); got != 3 {
-		t.Fatalf("1-point AR1 = %g", got)
+		t.Fatalf("1-point ar1Forecaster = %g", got)
 	}
 	f.Update(5)
 	if got := f.Predict(); got != 5 {
-		t.Fatalf("2-point AR1 = %g, want last value", got)
+		t.Fatalf("2-point ar1Forecaster = %g, want last value", got)
 	}
 }
 
 func TestAR1ConstantSeriesNoDivisionByZero(t *testing.T) {
-	f := NewAR1(8)
+	f := newAR1(8)
 	for i := 0; i < 20; i++ {
 		f.Update(4.2)
 	}
 	if got := f.Predict(); math.Abs(got-4.2) > 1e-12 {
-		t.Fatalf("constant AR1 = %g", got)
+		t.Fatalf("constant ar1Forecaster = %g", got)
 	}
 }
 
@@ -327,10 +329,16 @@ func TestClusterSensorWithoutLoad(t *testing.T) {
 
 func TestMetaBestBeforeData(t *testing.T) {
 	m := NewMeta()
-	if m.Best() == nil {
-		t.Fatal("Best nil before data")
+	if m.Best() != "last-value" {
+		t.Fatalf("Best = %q before data, want the first pool member", m.Best())
 	}
 	if m.Predict() != 0 {
 		t.Fatalf("empty meta predicts %g", m.Predict())
+	}
+}
+
+func TestMetaName(t *testing.T) {
+	if got := NewMeta().Name(); got != "nws-meta" {
+		t.Fatalf("name = %q", got)
 	}
 }
