@@ -22,11 +22,13 @@ test: vet
 
 # Scenario-engine property suite under the race detector: octant
 # reachability, classifier/driver signature agreement, Table-2 conformance
-# across the seeded corpus, and a short FuzzScenarioRun smoke.
+# across the seeded corpus, and short FuzzScenarioRun and
+# FuzzFeatureHierarchyNests smokes.
 test-scenario:
 	$(GO) test -race ./internal/scenario/ ./internal/octant/
 	$(GO) test -race -run 'TestScenario|ExampleParseScenario|ExampleScenarioForOctant' ./internal/experiments/ .
 	$(GO) test ./internal/scenario/ -fuzz=FuzzScenarioRun -fuzztime=10s -run='^$$'
+	$(GO) test ./internal/samr/ -fuzz=FuzzFeatureHierarchyNests -fuzztime=10s -run='^$$'
 
 # Fleet router/worker suite under the race detector, repeated to shake
 # out placement/failover orderings.

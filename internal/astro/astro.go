@@ -71,8 +71,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("astro: base dimension %d = %d too small (min 16)", d, c.BaseDims[d])
 		}
 	}
-	if c.MaxDepth < 2 || c.MaxDepth > 3 {
-		return fmt.Errorf("astro: max depth %d out of range [2,3]", c.MaxDepth)
+	if c.MaxDepth < 2 || c.MaxDepth > samr.MaxRegridDepth {
+		return fmt.Errorf("astro: max depth %d out of range [2,%d]", c.MaxDepth, samr.MaxRegridDepth)
 	}
 	if c.Ratio < 2 {
 		return fmt.Errorf("astro: ratio %d < 2", c.Ratio)
@@ -104,86 +104,25 @@ func GenerateTrace(cfg Config, ph Phenomenon) (*samr.Trace, error) {
 		return nil, err
 	}
 	domain := samr.MakeBox(cfg.BaseDims[0], cfg.BaseDims[1], cfg.BaseDims[2])
-	total := cfg.Snapshots()
-	tr := &samr.Trace{Name: ph.Name(), RegridEvery: cfg.RegridEvery, Snapshots: make([]samr.Snapshot, 0, total)}
-	for idx := 0; idx < total; idx++ {
-		h, err := buildHierarchy(cfg, domain, ph, idx)
-		if err != nil {
-			return nil, fmt.Errorf("astro: snapshot %d: %w", idx, err)
+	return samr.GenerateTrace("astro", ph.Name(), cfg.Snapshots(), cfg.RegridEvery, func(idx int) (*samr.Hierarchy, error) {
+		flags := samr.NewFlags(domain)
+		for _, b := range ph.Regions(idx) {
+			flags.SetBox(b)
 		}
-		tr.Snapshots = append(tr.Snapshots, samr.Snapshot{
-			Index:      idx,
-			CoarseStep: idx * cfg.RegridEvery,
-			Time:       float64(idx*cfg.RegridEvery) * 0.001,
-			H:          h,
+		return samr.Regrid(flags, cfg.Ratio, cfg.MaxDepth, cfg.Cluster, func(level1 []samr.Box) []samr.Box {
+			// Cores are clipped to the level-1 boxes: only covered cells
+			// are flagged.
+			var fine []samr.Box
+			for _, c := range ph.Cores(idx) {
+				for _, parent := range level1 {
+					if piece, ok := c.Refine(cfg.Ratio).Intersect(parent); ok {
+						fine = append(fine, piece)
+					}
+				}
+			}
+			return fine
 		})
-	}
-	return tr, nil
-}
-
-func buildHierarchy(cfg Config, domain samr.Box, ph Phenomenon, idx int) (*samr.Hierarchy, error) {
-	h, err := samr.NewHierarchy(domain, cfg.Ratio)
-	if err != nil {
-		return nil, err
-	}
-	regions := ph.Regions(idx)
-	if len(regions) == 0 {
-		return h, nil
-	}
-	flags := samr.NewFlags(domain)
-	for _, b := range regions {
-		flags.SetBox(b)
-	}
-	boxes := samr.Cluster(flags, cfg.Cluster)
-	if len(boxes) == 0 {
-		return h, nil
-	}
-	level1 := make([]samr.Box, len(boxes))
-	for i, b := range boxes {
-		level1[i] = b.Refine(cfg.Ratio)
-	}
-	if err := h.SetLevel(1, level1); err != nil {
-		return nil, err
-	}
-	if cfg.MaxDepth < 3 {
-		return h, nil
-	}
-	cores := ph.Cores(idx)
-	if len(cores) == 0 {
-		return h, nil
-	}
-	var bounding samr.Box
-	for _, b := range level1 {
-		bounding = bounding.Bound(b)
-	}
-	fine := samr.NewFlags(bounding)
-	any := false
-	for _, c := range cores {
-		// Cores are clipped against the level-1 coverage so nesting holds.
-		for _, parent := range boxes {
-			if piece, ok := c.Intersect(parent); ok {
-				fine.SetBox(piece.Refine(cfg.Ratio))
-				any = true
-			}
-		}
-	}
-	if !any {
-		return h, nil
-	}
-	var level2 []samr.Box
-	for _, cand := range samr.Cluster(fine, cfg.Cluster) {
-		for _, parent := range level1 {
-			if piece, ok := cand.Intersect(parent); ok {
-				level2 = append(level2, piece.Refine(cfg.Ratio))
-			}
-		}
-	}
-	if len(level2) > 0 {
-		if err := h.SetLevel(2, level2); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
+	})
 }
 
 // ---------------------------------------------------------------------------

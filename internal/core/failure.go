@@ -24,6 +24,10 @@ type FailureAware struct {
 // Name implements Strategy.
 func (f *FailureAware) Name() string { return f.Inner.Name() + "+ft" }
 
+// DegradedCount reports the inner strategy's degraded regrids, so a
+// wrapped AgentManaged run counts them in RunResult.DegradedRegrids.
+func (f *FailureAware) DegradedCount() int { return degradedCount(f.Inner) }
+
 // Assign implements Strategy.
 func (f *FailureAware) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
 	alive := ctx.Machine.AliveNodes(ctx.SimTime)

@@ -279,3 +279,34 @@ func TestFailureAwareCapacityStrategies(t *testing.T) {
 		})
 	}
 }
+
+// TestFailureAwareForwardsDegradedCount: wrapping an agent-managed
+// strategy whose control network is down must not hide its degraded
+// regrids from the run's result or from its checkpoint.
+func TestFailureAwareForwardsDegradedCount(t *testing.T) {
+	tr := testTrace(t)
+	am, err := NewAgentManaged(8, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am.Health = func() bool { return false }
+	dir := t.TempDir()
+	res, err := Run(tr, &FailureAware{Inner: am}, RunConfig{
+		Machine: cluster.Homogeneous(8, 1e5, 512, 100), NProcs: 8, CheckpointDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(tr.Snapshots)
+	if am.DegradedRegrids != want || res.DegradedRegrids != want {
+		t.Fatalf("degraded regrids: inner %d, RunResult %d, want %d", am.DegradedRegrids, res.DegradedRegrids, want)
+	}
+	ck, err := ReadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every regrid before the last boundary ran degraded.
+	if ck.Degraded != ck.Next {
+		t.Fatalf("checkpointed Degraded = %d, want %d", ck.Degraded, ck.Next)
+	}
+}

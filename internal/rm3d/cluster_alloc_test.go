@@ -16,7 +16,7 @@ func TestClusterAllocatesSignaturesOnce(t *testing.T) {
 	domain := cfg.Domain()
 	flags := samr.NewFlags(domain)
 	for _, f := range cfg.features(100) {
-		if b, ok := f.region.cells(domain, cfg.Ratio, 0); ok {
+		if b, ok := f.Rasterize(domain, cfg.Ratio, 0); ok {
 			flags.SetBox(b)
 		}
 	}

@@ -26,7 +26,7 @@ import (
 type Config struct {
 	// BaseDims is the level-0 grid size. The paper uses 128x32x32.
 	BaseDims [3]int
-	// MaxDepth is the number of hierarchy levels. The paper uses 3
+	// MaxDepth is the number of hierarchy levels (1-3). The paper uses 3
 	// ("3 levels of factor 2 space-time refinements").
 	MaxDepth int
 	// Ratio is the refinement factor between levels (2 in the paper).
@@ -73,8 +73,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("rm3d: base dimension %d = %d too small (min 8)", d, c.BaseDims[d])
 		}
 	}
-	if c.MaxDepth < 1 || c.MaxDepth > 4 {
-		return fmt.Errorf("rm3d: max depth %d out of range [1,4]", c.MaxDepth)
+	if c.MaxDepth < 1 || c.MaxDepth > samr.MaxRegridDepth {
+		return fmt.Errorf("rm3d: max depth %d out of range [1,%d]", c.MaxDepth, samr.MaxRegridDepth)
 	}
 	if c.Ratio < 2 {
 		return fmt.Errorf("rm3d: ratio %d < 2", c.Ratio)

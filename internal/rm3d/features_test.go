@@ -11,7 +11,7 @@ import (
 
 // freshFeatures is features with a fresh source per seed, as it was drawn
 // before the generators were pooled.
-func freshFeatures(c Config, idx int) []feature {
+func freshFeatures(c Config, idx int) []samr.Feature {
 	return c.featuresSeeded(idx, func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) })
 }
 

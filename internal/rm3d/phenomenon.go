@@ -104,54 +104,6 @@ func (c Config) phaseStart(p Phase) int {
 	return int(math.Ceil(phaseFractions[p-1] * float64(total)))
 }
 
-// floatBox is an axis-aligned region in continuous level-0 coordinates.
-// Features move in fractional cells between regrids; rasterization to a
-// given level happens at flagging time.
-type floatBox struct {
-	lo, hi [3]float64
-}
-
-// cells rasterizes the region onto level l of a ratio-r hierarchy, rounding
-// outward, and clips it to the level domain.
-func (fb floatBox) cells(domain samr.Box, ratio, level int) (samr.Box, bool) {
-	scale := 1.0
-	dom := domain
-	for i := 0; i < level; i++ {
-		scale *= float64(ratio)
-		dom = dom.Refine(ratio)
-	}
-	var b samr.Box
-	for d := 0; d < 3; d++ {
-		b.Lo[d] = int(math.Floor(fb.lo[d] * scale))
-		b.Hi[d] = int(math.Ceil(fb.hi[d] * scale))
-		if b.Hi[d] <= b.Lo[d] {
-			b.Hi[d] = b.Lo[d] + 1
-		}
-	}
-	return b.Intersect(dom)
-}
-
-// shrink returns the region scaled toward its center by factor f per axis
-// (0 < f <= 1), used to derive the deeper-refinement core of a feature.
-func (fb floatBox) shrink(f float64) floatBox {
-	var out floatBox
-	for d := 0; d < 3; d++ {
-		c := (fb.lo[d] + fb.hi[d]) / 2
-		h := (fb.hi[d] - fb.lo[d]) / 2 * f
-		out.lo[d], out.hi[d] = c-h, c+h
-	}
-	return out
-}
-
-// feature is one refinement-worthy region of the phenomenon: a solid blob,
-// slab, or thin sheet.
-type feature struct {
-	region floatBox
-	// coreShrink scales the region down to its level-2 core; 0 means the
-	// feature needs only one level of refinement.
-	coreShrink float64
-}
-
 // randPool recycles the generators features draws scattered layouts
 // from: a fresh rand.NewSource is about 4.9 KB, and features runs for
 // every snapshot a trace generates and at every regrid a run weighs
@@ -161,7 +113,7 @@ var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // features returns the refinement features active at snapshot idx,
 // deterministically derived from the config seed.
-func (c Config) features(idx int) []feature {
+func (c Config) features(idx int) []samr.Feature {
 	rng := randPool.Get().(*rand.Rand)
 	defer randPool.Put(rng)
 	return c.featuresSeeded(idx, func(seed int64) *rand.Rand {
@@ -172,7 +124,7 @@ func (c Config) features(idx int) []feature {
 
 // featuresSeeded is features drawing from seeded(seed), which must return
 // a generator in the state rand.New(rand.NewSource(seed)) starts in.
-func (c Config) featuresSeeded(idx int, seeded func(seed int64) *rand.Rand) []feature {
+func (c Config) featuresSeeded(idx int, seeded func(seed int64) *rand.Rand) []samr.Feature {
 	nx := float64(c.BaseDims[0])
 	ny := float64(c.BaseDims[1])
 	nz := float64(c.BaseDims[2])
@@ -194,20 +146,19 @@ func (c Config) featuresSeeded(idx int, seeded func(seed int64) *rand.Rand) []fe
 		if back < 0.01 {
 			back = 0.01
 		}
-		return []feature{{
-			region:     floatBox{lo: [3]float64{back * nx, 0, 0}, hi: [3]float64{front * nx, ny, nz}},
-			coreShrink: 0.7,
+		return []samr.Feature{{
+			Lo:         [3]float64{back * nx, 0, 0},
+			Hi:         [3]float64{front * nx, ny, nz},
+			CoreShrink: 0.7,
 		}}
 
 	case PhaseSteadyShock:
 		// Thin shock sheet creeping toward the interface at 0.75*nx.
 		front := 0.66 + 0.0008*float64(age)
-		return []feature{{
-			region: floatBox{
-				lo: [3]float64{(front - 0.008) * nx, 0, 0},
-				hi: [3]float64{front * nx, ny, nz},
-			},
-			coreShrink: 0, // a thin sheet refines one level only
+		return []samr.Feature{{
+			Lo:         [3]float64{(front - 0.008) * nx, 0, 0},
+			Hi:         [3]float64{front * nx, ny, nz},
+			CoreShrink: 0, // a thin sheet refines one level only
 		}}
 
 	case PhaseInteraction:
@@ -225,8 +176,8 @@ func (c Config) featuresSeeded(idx int, seeded func(seed int64) *rand.Rand) []fe
 			[3]float64{0.050 * nx, 0.16 * ny, 0.16 * nz}, 0.7)
 		drift := 0.025 * nx * float64(age%6)
 		for i := range blobs {
-			blobs[i].region.lo[0] += drift
-			blobs[i].region.hi[0] += drift
+			blobs[i].Lo[0] += drift
+			blobs[i].Hi[0] += drift
 		}
 		return blobs
 
@@ -241,41 +192,35 @@ func (c Config) featuresSeeded(idx int, seeded func(seed int64) *rand.Rand) []fe
 		if front < 0.05 {
 			front = 0.05
 		}
-		return []feature{{
-			region: floatBox{
-				lo: [3]float64{(front - 0.008) * nx, 0, 0},
-				hi: [3]float64{front * nx, ny, nz},
-			},
-			coreShrink: 0,
+		return []samr.Feature{{
+			Lo:         [3]float64{(front - 0.008) * nx, 0, 0},
+			Hi:         [3]float64{front * nx, ny, nz},
+			CoreShrink: 0,
 		}}
 
 	default: // PhaseConsolidation
 		// One consolidated mixing block, slowly thickening.
 		grow := 0.002 * float64(age)
-		return []feature{{
-			region: floatBox{
-				lo: [3]float64{(0.66 - grow) * nx, 0.18 * ny, 0.18 * nz},
-				hi: [3]float64{(0.90 + grow) * nx, 0.82 * ny, 0.82 * nz},
-			},
-			coreShrink: 0.7,
+		return []samr.Feature{{
+			Lo:         [3]float64{(0.66 - grow) * nx, 0.18 * ny, 0.18 * nz},
+			Hi:         [3]float64{(0.90 + grow) * nx, 0.82 * ny, 0.82 * nz},
+			CoreShrink: 0.7,
 		}}
 	}
 }
 
 // scatterBlobs places n solid blob features with centers uniformly in
 // xRange (fractions of nx) and the full y/z interior.
-func scatterBlobs(rng *rand.Rand, n int, xRange [2]float64, nx, ny, nz float64, half [3]float64, core float64) []feature {
-	out := make([]feature, 0, n)
+func scatterBlobs(rng *rand.Rand, n int, xRange [2]float64, nx, ny, nz float64, half [3]float64, core float64) []samr.Feature {
+	out := make([]samr.Feature, 0, n)
 	for i := 0; i < n; i++ {
 		cx := (xRange[0] + rng.Float64()*(xRange[1]-xRange[0])) * nx
 		cy := (0.15 + 0.7*rng.Float64()) * ny
 		cz := (0.15 + 0.7*rng.Float64()) * nz
-		out = append(out, feature{
-			region: floatBox{
-				lo: [3]float64{cx - half[0], cy - half[1], cz - half[2]},
-				hi: [3]float64{cx + half[0], cy + half[1], cz + half[2]},
-			},
-			coreShrink: core,
+		out = append(out, samr.Feature{
+			Lo:         [3]float64{cx - half[0], cy - half[1], cz - half[2]},
+			Hi:         [3]float64{cx + half[0], cy + half[1], cz + half[2]},
+			CoreShrink: core,
 		})
 	}
 	return out
@@ -283,19 +228,17 @@ func scatterBlobs(rng *rand.Rand, n int, xRange [2]float64, nx, ny, nz float64, 
 
 // scatterSheets places n thin sheet fragments (thickness `thick` along x,
 // lateral extent `lat` fraction of ny/nz).
-func scatterSheets(rng *rand.Rand, n int, xRange [2]float64, nx, ny, nz, thick, lat float64) []feature {
-	out := make([]feature, 0, n)
+func scatterSheets(rng *rand.Rand, n int, xRange [2]float64, nx, ny, nz, thick, lat float64) []samr.Feature {
+	out := make([]samr.Feature, 0, n)
 	for i := 0; i < n; i++ {
 		cx := (xRange[0] + rng.Float64()*(xRange[1]-xRange[0])) * nx
 		cy := (0.15 + 0.7*rng.Float64()) * ny
 		cz := (0.15 + 0.7*rng.Float64()) * nz
 		hy, hz := lat*ny/2, lat*nz/2
-		out = append(out, feature{
-			region: floatBox{
-				lo: [3]float64{cx - thick/2, cy - hy, cz - hz},
-				hi: [3]float64{cx + thick/2, cy + hy, cz + hz},
-			},
-			coreShrink: 0, // sheets refine one level only
+		out = append(out, samr.Feature{
+			Lo:         [3]float64{cx - thick/2, cy - hy, cz - hz},
+			Hi:         [3]float64{cx + thick/2, cy + hy, cz + hz},
+			CoreShrink: 0, // sheets refine one level only
 		})
 	}
 	return out

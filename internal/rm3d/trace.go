@@ -1,10 +1,6 @@
 package rm3d
 
-import (
-	"fmt"
-
-	"github.com/pragma-grid/pragma/internal/samr"
-)
+import "github.com/pragma-grid/pragma/internal/samr"
 
 // GenerateTrace runs the phenomenon model through the regrid loop and
 // returns the adaptation trace: one hierarchy snapshot per regrid step,
@@ -13,98 +9,14 @@ func GenerateTrace(cfg Config) (*samr.Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	total := cfg.Snapshots()
-	tr := &samr.Trace{
-		Name:        "RM3D",
-		RegridEvery: cfg.RegridEvery,
-		Snapshots:   make([]samr.Snapshot, 0, total),
-	}
-	for idx := 0; idx < total; idx++ {
-		h, err := cfg.HierarchyAt(idx)
-		if err != nil {
-			return nil, fmt.Errorf("rm3d: snapshot %d: %w", idx, err)
-		}
-		tr.Snapshots = append(tr.Snapshots, samr.Snapshot{
-			Index:      idx,
-			CoarseStep: idx * cfg.RegridEvery,
-			Time:       float64(idx*cfg.RegridEvery) * 0.001,
-			H:          h,
-		})
-	}
-	return tr, nil
+	return samr.GenerateTrace("rm3d", "RM3D", cfg.Snapshots(), cfg.RegridEvery, cfg.HierarchyAt)
 }
 
 // HierarchyAt regrids the hierarchy for snapshot idx: it flags the
 // phenomenon's features on each level and clusters the flags with
-// Berger–Rigoutsos, enforcing proper nesting.
+// Berger–Rigoutsos, enforcing proper nesting (samr.FeatureHierarchy).
 func (cfg Config) HierarchyAt(idx int) (*samr.Hierarchy, error) {
-	domain := cfg.Domain()
-	h, err := samr.NewHierarchy(domain, cfg.Ratio)
-	if err != nil {
-		return nil, err
-	}
-	feats := cfg.features(idx)
-	if cfg.MaxDepth < 2 || len(feats) == 0 {
-		return h, nil
-	}
-
-	// Level 1: flag full feature extents on the base grid.
-	flags0 := samr.NewFlags(domain)
-	for _, f := range feats {
-		if b, ok := f.region.cells(domain, cfg.Ratio, 0); ok {
-			flags0.SetBox(b)
-		}
-	}
-	level1Coarse := samr.Cluster(flags0, cfg.Cluster)
-	if len(level1Coarse) == 0 {
-		return h, nil
-	}
-	level1 := make([]samr.Box, len(level1Coarse))
-	for i, b := range level1Coarse {
-		level1[i] = b.Refine(cfg.Ratio)
-	}
-	if err := h.SetLevel(1, level1); err != nil {
-		return nil, err
-	}
-
-	// Level 2: flag feature cores at level-1 resolution; nesting holds
-	// because cores are subsets of the level-1 flags, but clipping against
-	// the level-1 boxes guards against clusterer bounding-box overshoot.
-	if cfg.MaxDepth < 3 {
-		return h, nil
-	}
-	var bounding samr.Box
-	for _, b := range level1 {
-		bounding = bounding.Bound(b)
-	}
-	flags1 := samr.NewFlags(bounding)
-	anyCore := false
-	for _, f := range feats {
-		if f.coreShrink <= 0 {
-			continue
-		}
-		if b, ok := f.region.shrink(f.coreShrink).cells(domain, cfg.Ratio, 1); ok {
-			flags1.SetBox(b)
-			anyCore = true
-		}
-	}
-	if !anyCore {
-		return h, nil
-	}
-	var level2 []samr.Box
-	for _, cand := range samr.Cluster(flags1, cfg.Cluster) {
-		for _, parent := range level1 {
-			if piece, ok := cand.Intersect(parent); ok {
-				level2 = append(level2, piece.Refine(cfg.Ratio))
-			}
-		}
-	}
-	if len(level2) > 0 {
-		if err := h.SetLevel(2, level2); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
+	return samr.FeatureHierarchy(cfg.Domain(), cfg.Ratio, cfg.MaxDepth, cfg.Cluster, cfg.features(idx))
 }
 
 // WorkModel returns the computational cost model for the RM3D kernel at
@@ -112,13 +24,5 @@ func (cfg Config) HierarchyAt(idx int) (*samr.Hierarchy, error) {
 // features, modeling the paper's observation that local physics (and hence
 // per-zone cost) changes as fronts move through the system.
 func (cfg Config) WorkModel(idx int) samr.WorkModel {
-	feats := cfg.features(idx)
-	domain := cfg.Domain()
-	fronts := make([]samr.Front, 0, len(feats))
-	for _, f := range feats {
-		if b, ok := f.region.cells(domain, cfg.Ratio, 0); ok {
-			fronts = append(fronts, samr.Front{Region: b, Multiplier: 2})
-		}
-	}
-	return samr.FrontWorkModel{Base: samr.UniformWorkModel{CellCost: 1}, Fronts: fronts}
+	return samr.FeatureWorkModel(cfg.Domain(), cfg.features(idx))
 }

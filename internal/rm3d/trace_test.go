@@ -41,6 +41,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero depth accepted")
 	}
+	// The generator builds at most three levels, so a fourth is refused
+	// rather than silently dropped.
+	bad = good
+	bad.MaxDepth = 4
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "depth") {
+		t.Errorf("depth 4: error %v, want one naming depth", err)
+	}
 	bad = good
 	bad.Ratio = 1
 	if err := bad.Validate(); err == nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"github.com/pragma-grid/pragma/internal/octant"
+	"github.com/pragma-grid/pragma/internal/samr"
 )
 
 // This file implements the driver library. Each driver's geometry is
@@ -100,14 +101,14 @@ func (s sheet) Signature() Signature {
 	return Signature{HigherDynamics: s.act == High, CommDominated: true, Scattered: false}
 }
 
-func (s sheet) Features(age int, env Env, seed int64) []Feature {
+func (s sheet) Features(age int, env Env, seed int64) []samr.Feature {
 	rng := rand.New(rand.NewSource(seed))
 	p0 := (0.25 + 0.5*rng.Float64()) * env.Nx
 	x := p0
 	if s.act == High {
 		x = wrapSweep(p0, s.speed, age, 0.12*env.Nx, 0.76*env.Nx)
 	}
-	return []Feature{{
+	return []samr.Feature{{
 		Lo: [3]float64{x - sheetThickness/2, 0, 0},
 		Hi: [3]float64{x + sheetThickness/2, env.Ny, env.Nz},
 	}}
@@ -141,11 +142,11 @@ func (s sheetField) Signature() Signature {
 	return Signature{HigherDynamics: s.act == High, CommDominated: true, Scattered: true}
 }
 
-func (s sheetField) Features(age int, env Env, seed int64) []Feature {
+func (s sheetField) Features(age int, env Env, seed int64) []samr.Feature {
 	rng := rand.New(rand.NewSource(seed))
 	hy := clampf(0.18*env.Ny, 2, 8)
 	hz := clampf(0.18*env.Nz, 2, 8)
-	out := make([]Feature, 0, s.n)
+	out := make([]samr.Feature, 0, s.n)
 	for i := 0; i < s.n; i++ {
 		x := float64(i+1) / float64(s.n+1) * env.Nx
 		cy := (0.3 + 0.4*rng.Float64()) * env.Ny
@@ -153,7 +154,7 @@ func (s sheetField) Features(age int, env Env, seed int64) []Feature {
 		if s.act == High {
 			x += 3 * oscSign(age, i)
 		}
-		out = append(out, Feature{
+		out = append(out, samr.Feature{
 			Lo: [3]float64{x - sheetThickness/2, cy - hy, cz - hz},
 			Hi: [3]float64{x + sheetThickness/2, cy + hy, cz + hz},
 		})
@@ -179,7 +180,7 @@ func (b block) Signature() Signature {
 	return Signature{HigherDynamics: b.act == High, CommDominated: false, Scattered: false}
 }
 
-func (b block) Features(age int, env Env, seed int64) []Feature {
+func (b block) Features(age int, env Env, seed int64) []samr.Feature {
 	rng := rand.New(rand.NewSource(seed))
 	hx := solidHalf(env.Nx)
 	hy := solidHalf(env.Ny)
@@ -190,7 +191,7 @@ func (b block) Features(age int, env Env, seed int64) []Feature {
 	if b.act == High {
 		cx = wrapSweep(cx, b.speed, age, 0.15*env.Nx, 0.7*env.Nx)
 	}
-	return []Feature{{
+	return []samr.Feature{{
 		Lo:         [3]float64{cx - hx, cy - hy, cz - hz},
 		Hi:         [3]float64{cx + hx, cy + hy, cz + hz},
 		CoreShrink: 0.6,
@@ -230,7 +231,7 @@ func (b blobField) Signature() Signature {
 	return Signature{HigherDynamics: b.act == High, CommDominated: false, Scattered: true}
 }
 
-func (b blobField) Features(age int, env Env, seed int64) []Feature {
+func (b blobField) Features(age int, env Env, seed int64) []samr.Feature {
 	rng := rand.New(rand.NewSource(seed))
 	// The x half-extent must leave a gap between adjacent anchor stations
 	// even at worst-case jitter — touching blobs would merge into one
@@ -239,7 +240,7 @@ func (b blobField) Features(age int, env Env, seed int64) []Feature {
 	hx := clampf(spacing/2-2.2, 3.6, 7)
 	hy := solidHalf(env.Ny)
 	hz := solidHalf(env.Nz)
-	out := make([]Feature, 0, b.n)
+	out := make([]samr.Feature, 0, b.n)
 	for i := 0; i < b.n; i++ {
 		cx := float64(i+1)/float64(b.n+1)*env.Nx + (rng.Float64()-0.5)*1.6
 		frac := 0.35
@@ -251,7 +252,7 @@ func (b blobField) Features(age int, env Env, seed int64) []Feature {
 		if b.act == High {
 			cy += 3.5 * oscSign(age, i)
 		}
-		out = append(out, Feature{
+		out = append(out, samr.Feature{
 			Lo:         [3]float64{cx - hx, cy - hy, cz - hz},
 			Hi:         [3]float64{cx + hx, cy + hy, cz + hz},
 			CoreShrink: 0.6,
@@ -280,7 +281,7 @@ func (p pointSource) Signature() Signature {
 	return Signature{HigherDynamics: p.act == High, CommDominated: false, Scattered: false}
 }
 
-func (p pointSource) Features(age int, env Env, seed int64) []Feature {
+func (p pointSource) Features(age int, env Env, seed int64) []samr.Feature {
 	rng := rand.New(rand.NewSource(seed))
 	cx := (0.45 + 0.1*rng.Float64()) * env.Nx
 	cy := (0.45 + 0.1*rng.Float64()) * env.Ny
@@ -296,7 +297,7 @@ func (p pointSource) Features(age int, env Env, seed int64) []Feature {
 		cycle := int((hMax-h0)/growth) + 1
 		h = h0 + growth*float64(age%cycle)
 	}
-	return []Feature{{
+	return []samr.Feature{{
 		Lo:         [3]float64{cx - h, cy - h, cz - h},
 		Hi:         [3]float64{cx + h, cy + h, cz + h},
 		CoreShrink: 0.6,
@@ -322,25 +323,25 @@ func (mergingFronts) Signature() Signature {
 	return Signature{HigherDynamics: true, CommDominated: true, Scattered: true}
 }
 
-func (mergingFronts) Features(age int, env Env, seed int64) []Feature {
+func (mergingFronts) Features(age int, env Env, seed int64) []samr.Feature {
 	rng := rand.New(rand.NewSource(seed))
 	v := 2.5
 	x1 := (0.12+0.04*rng.Float64())*env.Nx + v*float64(age)
 	x2 := (0.84+0.04*rng.Float64())*env.Nx - v*float64(age)
 	if x2-x1 > 4 {
-		cross := func(x float64) Feature {
-			return Feature{
+		cross := func(x float64) samr.Feature {
+			return samr.Feature{
 				Lo: [3]float64{x - sheetThickness/2, 0, 0},
 				Hi: [3]float64{x + sheetThickness/2, env.Ny, env.Nz},
 			}
 		}
-		return []Feature{cross(x1), cross(x2)}
+		return []samr.Feature{cross(x1), cross(x2)}
 	}
 	// Merged: one static thin front at the meeting point. It must stay
 	// sheet-thin — a thicker consolidated slab would flip to
 	// computation-dominated and leave the declared post-merge octant I.
 	mid := (x1 + x2) / 2
-	return []Feature{{
+	return []samr.Feature{{
 		Lo: [3]float64{mid - sheetThickness/2, 0, 0},
 		Hi: [3]float64{mid + sheetThickness/2, env.Ny, env.Nz},
 	}}
@@ -373,14 +374,14 @@ func (b background) Signature() Signature {
 	return Signature{HigherDynamics: false, CommDominated: true, Scattered: true}
 }
 
-func (b background) Features(age int, env Env, seed int64) []Feature {
+func (b background) Features(age int, env Env, seed int64) []samr.Feature {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]Feature, 0, b.n)
+	out := make([]samr.Feature, 0, b.n)
 	for i := 0; i < b.n; i++ {
 		cx := float64(i+1)/float64(b.n+1)*env.Nx + (rng.Float64()-0.5)*3
 		cy := (0.2 + 0.6*rng.Float64()) * env.Ny
 		cz := (0.2 + 0.6*rng.Float64()) * env.Nz
-		out = append(out, Feature{
+		out = append(out, samr.Feature{
 			Lo: [3]float64{cx - 2.2, cy - 2.2, cz - 2.2},
 			Hi: [3]float64{cx + 2.2, cy + 2.2, cz + 2.2},
 		})

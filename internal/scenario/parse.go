@@ -15,7 +15,7 @@ import (
 //	spec    := segment (';' segment)*
 //	segment := option | phases
 //	option  := 'name=' str | 'dims=' NxNxN | 'seed=' int |
-//	           'regrid=' int | 'depth=' int
+//	           'regrid=' int | 'depth=' (1 | 2 | 3)
 //	phases  := phase (',' phase)*
 //	phase   := drivers [':' snapshots]
 //	drivers := driver ('+' driver)*

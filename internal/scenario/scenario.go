@@ -27,7 +27,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/pragma-grid/pragma/internal/octant"
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -62,16 +61,6 @@ type Env struct {
 	Nx, Ny, Nz float64
 }
 
-// Feature is one refinement-worthy region: an axis-aligned box in
-// continuous level-0 coordinates. Features move in fractional cells
-// between regrids; rasterization to a level happens at flagging time.
-type Feature struct {
-	Lo, Hi [3]float64
-	// CoreShrink scales the feature down to its level-2 core (0 < f <= 1);
-	// 0 means the feature needs only one level of refinement (thin sheets).
-	CoreShrink float64
-}
-
 // Driver is one phenomenon ingredient: it produces the refinement features
 // active at a given age (snapshots since its phase started) and declares
 // the octant signature its geometry targets. Implementations must derive
@@ -85,7 +74,7 @@ type Driver interface {
 	Signature() Signature
 	// Features returns the active features at the given phase-local age.
 	// seed is the driver's private sub-seed for this scenario.
-	Features(age int, env Env, seed int64) []Feature
+	Features(age int, env Env, seed int64) []samr.Feature
 }
 
 // Phase is one segment of a scenario: a driver mix active for a number of
@@ -147,7 +136,7 @@ type Spec struct {
 	Name string
 	// BaseDims is the level-0 grid size.
 	BaseDims [3]int
-	// MaxDepth is the number of hierarchy levels (1-4, like rm3d).
+	// MaxDepth is the number of hierarchy levels (1-3).
 	MaxDepth int
 	// Ratio is the refinement factor between levels.
 	Ratio int
@@ -192,8 +181,8 @@ func (s Spec) Validate() error {
 	if n := s.BaseDims[0] * s.BaseDims[1] * s.BaseDims[2]; n > 1<<22 {
 		return fmt.Errorf("scenario: base grid of %d cells too large (max %d)", n, 1<<22)
 	}
-	if s.MaxDepth < 1 || s.MaxDepth > 4 {
-		return fmt.Errorf("scenario: max depth %d out of range [1,4]", s.MaxDepth)
+	if s.MaxDepth < 1 || s.MaxDepth > samr.MaxRegridDepth {
+		return fmt.Errorf("scenario: max depth %d out of range [1,%d]", s.MaxDepth, samr.MaxRegridDepth)
 	}
 	if s.Ratio < 2 {
 		return fmt.Errorf("scenario: ratio %d < 2", s.Ratio)
@@ -303,119 +292,23 @@ func SubSeed(seed int64, phase, driver int) int64 {
 
 // features returns the features active at snapshot idx: the union over the
 // active phase's drivers, each driven by its own sub-seed.
-func (s Spec) features(idx int) []Feature {
+func (s Spec) features(idx int) []samr.Feature {
 	pi, age := s.PhaseAt(idx)
 	env := s.env()
-	var out []Feature
+	var out []samr.Feature
 	for di, d := range s.Phases[pi].Drivers {
 		out = append(out, d.Features(age, env, SubSeed(s.Seed, pi, di))...)
 	}
 	return out
 }
 
-// rasterize maps the feature onto level l of a ratio-r hierarchy, rounding
-// outward, and clips it to the level domain (same rule as rm3d).
-func (f Feature) rasterize(domain samr.Box, ratio, level int) (samr.Box, bool) {
-	scale := 1.0
-	dom := domain
-	for i := 0; i < level; i++ {
-		scale *= float64(ratio)
-		dom = dom.Refine(ratio)
-	}
-	var b samr.Box
-	for d := 0; d < 3; d++ {
-		b.Lo[d] = int(math.Floor(f.Lo[d] * scale))
-		b.Hi[d] = int(math.Ceil(f.Hi[d] * scale))
-		if b.Hi[d] <= b.Lo[d] {
-			b.Hi[d] = b.Lo[d] + 1
-		}
-	}
-	return b.Intersect(dom)
-}
-
-// core returns the feature scaled toward its center by CoreShrink, the
-// deeper-refinement core.
-func (f Feature) core() Feature {
-	var out Feature
-	for d := 0; d < 3; d++ {
-		c := (f.Lo[d] + f.Hi[d]) / 2
-		h := (f.Hi[d] - f.Lo[d]) / 2 * f.CoreShrink
-		out.Lo[d], out.Hi[d] = c-h, c+h
-	}
-	return out
-}
-
 // HierarchyAt regrids the hierarchy for snapshot idx: it flags the active
 // drivers' features on each level and clusters the flags with
-// Berger–Rigoutsos, enforcing proper nesting — the same pipeline
-// rm3d.HierarchyAt drives with its hard-coded phase script.
+// Berger–Rigoutsos, enforcing proper nesting — the pipeline
+// (samr.FeatureHierarchy) rm3d.HierarchyAt drives with its hard-coded phase
+// script.
 func (s Spec) HierarchyAt(idx int) (*samr.Hierarchy, error) {
-	domain := s.Domain()
-	h, err := samr.NewHierarchy(domain, s.Ratio)
-	if err != nil {
-		return nil, err
-	}
-	feats := s.features(idx)
-	if s.MaxDepth < 2 || len(feats) == 0 {
-		return h, nil
-	}
-
-	// Level 1: flag full feature extents on the base grid.
-	flags0 := samr.NewFlags(domain)
-	for _, f := range feats {
-		if b, ok := f.rasterize(domain, s.Ratio, 0); ok {
-			flags0.SetBox(b)
-		}
-	}
-	level1Coarse := samr.Cluster(flags0, s.Cluster)
-	if len(level1Coarse) == 0 {
-		return h, nil
-	}
-	level1 := make([]samr.Box, len(level1Coarse))
-	for i, b := range level1Coarse {
-		level1[i] = b.Refine(s.Ratio)
-	}
-	if err := h.SetLevel(1, level1); err != nil {
-		return nil, err
-	}
-
-	// Level 2: flag feature cores at level-1 resolution, clipped against
-	// the level-1 boxes to guard against clusterer bounding-box overshoot.
-	if s.MaxDepth < 3 {
-		return h, nil
-	}
-	var bounding samr.Box
-	for _, b := range level1 {
-		bounding = bounding.Bound(b)
-	}
-	flags1 := samr.NewFlags(bounding)
-	anyCore := false
-	for _, f := range feats {
-		if f.CoreShrink <= 0 {
-			continue
-		}
-		if b, ok := f.core().rasterize(domain, s.Ratio, 1); ok {
-			flags1.SetBox(b)
-			anyCore = true
-		}
-	}
-	if !anyCore {
-		return h, nil
-	}
-	var level2 []samr.Box
-	for _, cand := range samr.Cluster(flags1, s.Cluster) {
-		for _, parent := range level1 {
-			if piece, ok := cand.Intersect(parent); ok {
-				level2 = append(level2, piece.Refine(s.Ratio))
-			}
-		}
-	}
-	if len(level2) > 0 {
-		if err := h.SetLevel(2, level2); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
+	return samr.FeatureHierarchy(s.Domain(), s.Ratio, s.MaxDepth, s.Cluster, s.features(idx))
 }
 
 // Generate runs the scenario through the regrid loop and returns the
@@ -426,42 +319,16 @@ func (s Spec) Generate() (*samr.Trace, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	total := s.TotalSnapshots()
 	name := s.Name
 	if name == "" {
 		name = "scenario"
 	}
-	tr := &samr.Trace{
-		Name:        name,
-		RegridEvery: s.RegridEvery,
-		Snapshots:   make([]samr.Snapshot, 0, total),
-	}
-	for idx := 0; idx < total; idx++ {
-		h, err := s.HierarchyAt(idx)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: snapshot %d: %w", idx, err)
-		}
-		tr.Snapshots = append(tr.Snapshots, samr.Snapshot{
-			Index:      idx,
-			CoarseStep: idx * s.RegridEvery,
-			Time:       float64(idx*s.RegridEvery) * 0.001,
-			H:          h,
-		})
-	}
-	return tr, nil
+	return samr.GenerateTrace("scenario", name, s.TotalSnapshots(), s.RegridEvery, s.HierarchyAt)
 }
 
 // WorkModel returns the computational cost model at snapshot idx: a
 // uniform base cost with a surcharge inside the active features (the same
 // front-tracking surcharge rm3d models).
 func (s Spec) WorkModel(idx int) samr.WorkModel {
-	feats := s.features(idx)
-	domain := s.Domain()
-	fronts := make([]samr.Front, 0, len(feats))
-	for _, f := range feats {
-		if b, ok := f.rasterize(domain, s.Ratio, 0); ok {
-			fronts = append(fronts, samr.Front{Region: b, Multiplier: 2})
-		}
-	}
-	return samr.FrontWorkModel{Base: samr.UniformWorkModel{CellCost: 1}, Fronts: fronts}
+	return samr.FeatureWorkModel(s.Domain(), s.features(idx))
 }

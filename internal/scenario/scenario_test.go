@@ -32,6 +32,7 @@ func TestValidateRejects(t *testing.T) {
 		{"huge dim", func(s *Spec) { s.BaseDims[0] = 4096 }, "too large"},
 		{"huge grid", func(s *Spec) { s.BaseDims = [3]int{512, 512, 512} }, "too large"},
 		{"bad depth", func(s *Spec) { s.MaxDepth = 9 }, "depth"},
+		{"depth 4", func(s *Spec) { s.MaxDepth = 4 }, "depth"},
 		{"bad ratio", func(s *Spec) { s.Ratio = 1 }, "ratio"},
 		{"bad regrid", func(s *Spec) { s.RegridEvery = 0 }, "regrid"},
 		{"no phases", func(s *Spec) { s.Phases = nil }, "no phases"},
@@ -116,6 +117,18 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("%q: expected parse error", s)
 		}
+	}
+}
+
+// TestParseSpecRefusesDepthFour: the generator builds at most three
+// levels, so the grammar's depth stops at 3 instead of accepting a fourth
+// level it would silently drop.
+func TestParseSpecRefusesDepthFour(t *testing.T) {
+	if _, err := ParseSpec("depth=3;III:4"); err != nil {
+		t.Fatalf("depth=3: %v", err)
+	}
+	if _, err := ParseSpec("depth=4;III:4"); err == nil || !strings.Contains(err.Error(), "depth") {
+		t.Fatalf("depth=4: error %v, want one naming depth", err)
 	}
 }
 
