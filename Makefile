@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke bench-pair vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean loc
+.PHONY: build test test-short test-scenario test-fleet test-wire fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke bench-pair vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean loc
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,15 @@ test-scenario:
 # out placement/failover orderings.
 test-fleet:
 	$(GO) test -race ./internal/fleet/ -count=3
+
+# Control-network wire codec: the bit-flip census, the oversize and
+# foreign-format refusals and the binary fleet result under the race
+# detector, then short smokes of the frame and RunResult fuzzers.
+test-wire:
+	$(GO) test -race -run 'TestEveryBitFlipIsRefused|TestFrameLongerThanMaximumRefused|TestForeignFrameFormatRefused|TestResultMsgBinary' ./internal/agents/ ./internal/fleet/
+	$(GO) test ./internal/agents/ -fuzz=FuzzFrameDecode -fuzztime=10s -run='^$$'
+	$(GO) test ./internal/agents/ -fuzz=FuzzFrameRoundTrip -fuzztime=10s -run='^$$'
+	$(GO) test ./internal/core/ -fuzz=FuzzRunResultBinary -fuzztime=10s -run='^$$'
 
 # Multi-process failover rehearsal: 1 router + 3 workers over TCP,
 # SIGKILL one worker mid-run, every run must still complete.

@@ -1,12 +1,13 @@
 package agents
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"net"
+	"reflect"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"github.com/pragma-grid/pragma/internal/chaos"
 )
@@ -21,24 +22,36 @@ type halfConn struct {
 
 func (h *halfConn) Write(p []byte) (int, error) { return h.buf.Write(p) }
 
+// seedFrames are the canonical wire frames the fuzzers start from.
+var seedFrames = []frame{
+	{Op: "register", Port: "node-0"},
+	{Op: "subscribe", Port: "node-0", Topic: "events"},
+	{Op: "send", Msg: Message{From: "a", To: "b", Kind: "state", Payload: []byte(`{"load":0.5}`)}},
+	{Op: "publish", Msg: Message{From: "a", Topic: "events", Kind: "event"}},
+	{Op: "ping"},
+	{Op: "error", Err: "boom"},
+}
+
+// encodeFrame is appendFrame for a frame known to fit.
+func encodeFrame(t testing.TB, f frame) []byte {
+	t.Helper()
+	b, err := appendFrame(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // corruptedFrames runs the canonical wire frames through a chaos
 // connection with certain corruption, yielding the bit-flipped encodings
 // real links produce. These seed the decode fuzzer with realistic
 // near-valid input.
-func corruptedFrames(seed int64) [][]byte {
-	frames := []frame{
-		{Op: "register", Port: "node-0"},
-		{Op: "subscribe", Port: "node-0", Topic: "events"},
-		{Op: "send", Msg: Message{From: "a", To: "b", Kind: "state", Payload: json.RawMessage(`{"load":0.5}`)}},
-		{Op: "publish", Msg: Message{From: "a", Topic: "events", Kind: "event"}},
-		{Op: "ping"},
-		{Op: "error", Err: "boom"},
-	}
+func corruptedFrames(t testing.TB, seed int64) [][]byte {
 	var out [][]byte
-	for i, f := range frames {
+	for i, f := range seedFrames {
 		hc := &halfConn{}
 		cc := chaos.Wrap(hc, chaos.Config{Seed: seed + int64(i), CorruptRate: 1})
-		if err := json.NewEncoder(cc).Encode(f); err != nil {
+		if _, err := cc.Write(encodeFrame(t, f)); err != nil {
 			continue
 		}
 		out = append(out, append([]byte(nil), hc.buf.Bytes()...))
@@ -46,21 +59,37 @@ func corruptedFrames(seed int64) [][]byte {
 	return out
 }
 
+// oversizeHeader is a well-formed header announcing one byte more than a
+// reader accepts.
+func oversizeHeader() []byte {
+	h := binary.LittleEndian.AppendUint32([]byte{frameFormat}, maxFrameBody+1)
+	return append(h, 0, 0, 0, 0)
+}
+
+// readOne decodes the first frame of data.
+func readOne(data []byte) (frame, error) {
+	fr := frameReader{r: bufio.NewReader(bytes.NewReader(data))}
+	var f frame
+	err := fr.read(&f)
+	return f, err
+}
+
 // FuzzFrameDecode feeds arbitrary bytes into a Center's wire handler and
 // requires that malformed input can never panic the broker or leave it
 // unusable: after the connection dies, local registration and delivery
 // must still work.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add([]byte(`{"op":"register","port":"n"}` + "\n"))
-	f.Add([]byte(`{"op":"send","msg":{"from":"a","to":"b","kind":"k"}}` + "\n"))
-	f.Add([]byte(`{"op":"subscribe","port":"n","topic":"t"}` + "\n"))
-	f.Add([]byte(`{"op":"ping"}` + "\n" + `{"op":"publish","msg":{"from":"a","topic":"t","kind":"k"}}` + "\n"))
-	f.Add([]byte(`{"op":"register","port":`))
-	f.Add([]byte("\x00\xff{not json at all"))
-	f.Add([]byte(`{"op":"deliver","msg":{"payload":{"nested":[1,2,{"x":null}]}}}` + "\n"))
-	for _, b := range corruptedFrames(1) {
+	for _, fr := range seedFrames {
+		f.Add(encodeFrame(f, fr))
+	}
+	f.Add(append(encodeFrame(f, frame{Op: "ping"}), encodeFrame(f, seedFrames[3])...))
+	for _, b := range corruptedFrames(f, 1) {
 		f.Add(b)
 	}
+	f.Add(encodeFrame(f, seedFrames[0])[:frameHeader-3]) // a truncated header
+	f.Add(oversizeHeader())
+	f.Add([]byte(`{"op":"register","port":"n"}` + "\n")) // the old JSON line
+	f.Add([]byte("\x00\xff{not a frame at all"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCenter(WithCenterErrorHandler(func(error) {}))
 		client, server := net.Pipe()
@@ -105,49 +134,36 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 // FuzzFrameRoundTrip checks that any frame built from fuzzer-chosen
-// fields survives a wire encode/decode cycle unchanged, so the protocol
-// cannot silently mangle port names, topics or payloads.
+// fields survives a wire encode/decode cycle byte for byte, invalid UTF-8
+// included, so the protocol cannot silently mangle port names, topics or
+// payloads.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add("register", "node-0", "", "", "", "", `{"x":1}`)
-	f.Add("send", "", "events", "a", "b", "state", `null`)
-	f.Add("error", "", "", "", "", "", ``)
-	f.Fuzz(func(t *testing.T, op, port, topic, from, to, kind, payload string) {
+	f.Add("register", "node-0", "", "", "", "", "", "", []byte(`{"x":1}`))
+	f.Add("send", "", "events", "", "a", "b", "", "state", []byte(`null`))
+	f.Add("error", "", "", "boom", "", "", "", "", []byte{})
+	f.Add("deliver", "\xff\xfe", "", "", "w\x00", "r", "t", "fleet.result", []byte{0, 0xff, 0x80})
+	f.Fuzz(func(t *testing.T, op, port, topic, errText, from, to, msgTopic, kind string, payload []byte) {
 		in := frame{
 			Op:    op,
 			Port:  port,
 			Topic: topic,
-			Msg:   Message{From: from, To: to, Kind: kind},
+			Err:   errText,
+			Msg:   Message{From: from, To: to, Topic: msgTopic, Kind: kind, Payload: payload},
 		}
-		if json.Valid([]byte(payload)) && utf8.ValidString(payload) {
-			in.Msg.Payload = json.RawMessage(payload)
+		enc := encodeFrame(t, in)
+		if len(enc) != frameHeader+in.bodyLen() {
+			t.Fatalf("encoded %d bytes, want %d", len(enc), frameHeader+in.bodyLen())
 		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(in); err != nil {
-			t.Skip() // unencodable strings (invalid UTF-8) are not wire frames
-		}
-		var out frame
-		if err := json.NewDecoder(&buf).Decode(&out); err != nil {
+		out, err := readOne(enc)
+		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		// JSON encoding replaces invalid UTF-8 with U+FFFD; normalize the
-		// input the same way before comparing.
-		norm := func(s string) string { return string([]rune(s)) }
-		if out.Op != norm(in.Op) || out.Port != norm(in.Port) || out.Topic != norm(in.Topic) {
-			t.Fatalf("frame fields changed: %+v -> %+v", in, out)
+		if !bytes.Equal(out.Msg.Payload, in.Msg.Payload) {
+			t.Fatalf("payload changed: %x -> %x", in.Msg.Payload, out.Msg.Payload)
 		}
-		if out.Msg.From != norm(in.Msg.From) || out.Msg.To != norm(in.Msg.To) || out.Msg.Kind != norm(in.Msg.Kind) {
-			t.Fatalf("message fields changed: %+v -> %+v", in.Msg, out.Msg)
-		}
-		if in.Msg.Payload != nil && !bytes.Equal(compactJSON(t, in.Msg.Payload), compactJSON(t, out.Msg.Payload)) {
-			t.Fatalf("payload changed: %s -> %s", in.Msg.Payload, out.Msg.Payload)
+		out.Msg.Payload, in.Msg.Payload = nil, nil
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("frame changed: %+q -> %+q", in, out)
 		}
 	})
-}
-
-func compactJSON(t *testing.T, raw json.RawMessage) []byte {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		t.Fatalf("invalid JSON slipped through: %v", err)
-	}
-	return buf.Bytes()
 }

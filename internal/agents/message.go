@@ -22,19 +22,20 @@ import (
 // message directed to a component is placed on this mailbox."
 type Message struct {
 	// From is the sender's port name.
-	From string `json:"from"`
+	From string
 	// To is the destination port; empty for topic publications.
-	To string `json:"to,omitempty"`
+	To string
 	// Topic routes publish/subscribe traffic; empty for direct messages.
-	Topic string `json:"topic,omitempty"`
+	Topic string
 	// Kind labels the payload ("state", "event", "command", ...).
-	Kind string `json:"kind"`
-	// Payload is the JSON-encoded message body.
-	Payload json.RawMessage `json:"payload,omitempty"`
+	Kind string
+	// Payload is the message body, opaque to the Message Center: JSON
+	// from Encode, or a kind's own encoding agreed by its two ends.
+	Payload []byte
 }
 
-// Encode marshals a payload value for a Message.
-func Encode(v interface{}) json.RawMessage {
+// Encode marshals a payload value for a Message as JSON.
+func Encode(v interface{}) []byte {
 	data, err := json.Marshal(v)
 	if err != nil {
 		// Payload types are under our control; failure is programmer error.
@@ -43,7 +44,7 @@ func Encode(v interface{}) json.RawMessage {
 	return data
 }
 
-// Decode unmarshals a message payload into v.
+// Decode unmarshals a JSON message payload into v.
 func Decode(m Message, v interface{}) error {
 	return json.Unmarshal(m.Payload, v)
 }

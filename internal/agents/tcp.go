@@ -2,7 +2,6 @@ package agents
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,25 +22,13 @@ import (
 // carry deadlines, clients heartbeat and reconnect with exponential
 // backoff, the broker evicts silent connections, and messages sent during
 // an outage are buffered (bounded) and replayed after resynchronization.
-// See DESIGN.md, "Failure model".
-
-// frame is the wire protocol unit: one JSON object per line.
-type frame struct {
-	// Op is "register", "unregister", "subscribe", "send", "publish",
-	// "deliver" (server to client), "ping"/"pong" (liveness), or "error"
-	// (server to client, asynchronous failure report).
-	Op    string  `json:"op"`
-	Port  string  `json:"port,omitempty"`
-	Topic string  `json:"topic,omitempty"`
-	Msg   Message `json:"msg,omitempty"`
-	Err   string  `json:"err,omitempty"`
-}
+// See DESIGN.md, "Failure model". The frame format is in frame.go.
 
 // wireConn is the server-side state of one TCP client.
 type wireConn struct {
 	conn         net.Conn
-	enc          *json.Encoder
 	wmu          sync.Mutex
+	buf          []byte // the frame being written, under wmu
 	writeTimeout time.Duration
 }
 
@@ -55,7 +42,22 @@ func (w *wireConn) write(f frame) error {
 	if w.writeTimeout > 0 {
 		w.conn.SetWriteDeadline(time.Now().Add(w.writeTimeout))
 	}
-	return w.enc.Encode(f)
+	return writeFrame(w.conn, &w.buf, &f)
+}
+
+// writeFrame encodes f into *buf and writes it with one Write, so a frame
+// reaches the connection whole or, on a write error, is abandoned with it.
+// The caller serializes writes on conn and uses of *buf.
+func writeFrame(conn net.Conn, buf *[]byte, f *frame) error {
+	b, err := appendFrame((*buf)[:0], f)
+	if err != nil {
+		return err
+	}
+	if cap(b) <= maxKeptBuffer {
+		*buf = b
+	}
+	_, err = conn.Write(b)
+	return err
 }
 
 // connSet tracks the live connections of one Serve loop so they can be
@@ -110,7 +112,7 @@ func (c *Center) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		wc := &wireConn{conn: conn, enc: json.NewEncoder(conn), writeTimeout: c.writeTimeout}
+		wc := &wireConn{conn: conn, writeTimeout: c.writeTimeout}
 		if !live.add(wc) {
 			conn.Close()
 			return fmt.Errorf("agents: serve loop closed")
@@ -125,7 +127,7 @@ func (c *Center) Serve(ln net.Listener) error {
 // handleConn serves one raw connection (used by Serve and by fuzz tests
 // that feed arbitrary bytes into the protocol).
 func (c *Center) handleConn(conn net.Conn) {
-	c.handle(&wireConn{conn: conn, enc: json.NewEncoder(conn), writeTimeout: c.writeTimeout})
+	c.handle(&wireConn{conn: conn, writeTimeout: c.writeTimeout})
 }
 
 func (c *Center) handle(wc *wireConn) {
@@ -148,7 +150,7 @@ func (c *Center) handle(wc *wireConn) {
 			onDisconnect(lost)
 		}
 	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	fr := frameReader{r: bufio.NewReader(conn)}
 	for {
 		// The read deadline doubles as liveness eviction: a client that
 		// stays silent (no frames, no heartbeats) longer than the
@@ -157,7 +159,7 @@ func (c *Center) handle(wc *wireConn) {
 			conn.SetReadDeadline(time.Now().Add(c.heartbeatTimeout))
 		}
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err := fr.read(&f); err != nil {
 			var ne net.Error
 			if c.heartbeatTimeout > 0 && errors.As(err, &ne) && ne.Timeout() {
 				metricHeartbeatMisses.Inc()
@@ -381,10 +383,11 @@ type Client struct {
 	// the operation awaiting them.
 	regMu sync.Mutex
 
+	wbuf []byte // the frame being written, under wmu
+
 	mu      sync.Mutex
 	state   int
 	conn    net.Conn
-	enc     *json.Encoder
 	gen     int // connection generation; readLoops outlive their conn
 	boxes   map[string]*mailbox
 	topics  map[string]map[string]bool // port -> subscribed topics
@@ -433,7 +436,6 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 // installLocked adopts a fresh connection (mu held).
 func (cl *Client) installLocked(conn net.Conn) {
 	cl.conn = conn
-	cl.enc = json.NewEncoder(conn)
 	cl.gen++
 	go cl.readLoop(cl.gen, conn)
 }
@@ -469,7 +471,7 @@ func (cl *Client) Degraded() bool {
 }
 
 func (cl *Client) readLoop(gen int, conn net.Conn) {
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	fr := frameReader{r: bufio.NewReader(conn)}
 	var readTimeout time.Duration
 	if cl.cfg.heartbeat > 0 {
 		readTimeout = 3 * cl.cfg.heartbeat
@@ -479,7 +481,7 @@ func (cl *Client) readLoop(gen int, conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(readTimeout))
 		}
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err := fr.read(&f); err != nil {
 			var ne net.Error
 			if readTimeout > 0 && errors.As(err, &ne) && ne.Timeout() {
 				metricHeartbeatMisses.Inc()
@@ -509,7 +511,7 @@ func (cl *Client) readLoop(gen int, conn net.Conn) {
 			default:
 			}
 		case "pong":
-			// Broker liveness; the Decode above already refreshed the
+			// Broker liveness; the read above already refreshed the
 			// read deadline.
 		case "error":
 			// Asynchronous send failures reported by the broker: route
@@ -610,7 +612,6 @@ func (cl *Client) resync(conn net.Conn) bool {
 		break
 	}
 	cl.installLocked(conn)
-	enc, gen := cl.enc, cl.gen
 	ports := make([]string, 0, len(cl.boxes))
 	for p := range cl.boxes {
 		ports = append(ports, p)
@@ -628,12 +629,12 @@ func (cl *Client) resync(conn net.Conn) bool {
 	// registrations until its read deadline fires, so "already registered
 	// remotely" is retried — the register-race window after reconnect.
 	for _, port := range ports {
-		if !cl.replayRegistration(conn, enc, gen, frame{Op: "register", Port: port}, "register") {
+		if !cl.replayRegistration(conn, frame{Op: "register", Port: port}, "register") {
 			return false
 		}
 	}
 	for _, s := range subsList {
-		if !cl.replayRegistration(conn, enc, gen, frame{Op: "subscribe", Port: s.port, Topic: s.topic}, "subscribe") {
+		if !cl.replayRegistration(conn, frame{Op: "subscribe", Port: s.port, Topic: s.topic}, "subscribe") {
 			return false
 		}
 	}
@@ -650,7 +651,7 @@ func (cl *Client) resync(conn net.Conn) bool {
 		f := cl.pending[0]
 		cl.pending = cl.pending[1:]
 		cl.mu.Unlock()
-		if err := cl.writeConn(conn, enc, f); err != nil {
+		if err := cl.writeConn(conn, f); err != nil {
 			cl.mu.Lock()
 			// Put the frame back for the next attempt.
 			cl.pending = append([]frame{f}, cl.pending...)
@@ -674,10 +675,10 @@ func (cl *Client) resync(conn net.Conn) bool {
 // connection and waits for its acknowledgment, retrying transient "already
 // registered" conflicts. Returns false when the connection must be
 // abandoned.
-func (cl *Client) replayRegistration(conn net.Conn, enc *json.Encoder, gen int, f frame, op string) bool {
+func (cl *Client) replayRegistration(conn net.Conn, f frame, op string) bool {
 	deadline := time.Now().Add(cl.cfg.opTimeout)
 	for {
-		if err := cl.writeConn(conn, enc, f); err != nil {
+		if err := cl.writeConn(conn, f); err != nil {
 			conn.Close()
 			return false
 		}
@@ -696,19 +697,23 @@ func (cl *Client) replayRegistration(conn net.Conn, enc *json.Encoder, gen int, 
 	}
 }
 
-// writeConn writes one frame on an explicit connection (any state).
-func (cl *Client) writeConn(conn net.Conn, enc *json.Encoder, f frame) error {
+// writeConn writes one frame on an explicit connection (any state). The
+// frame's size was checked when it was first written or buffered.
+func (cl *Client) writeConn(conn net.Conn, f frame) error {
 	cl.wmu.Lock()
 	defer cl.wmu.Unlock()
 	if cl.cfg.writeTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(cl.cfg.writeTimeout))
 	}
-	return enc.Encode(f)
+	return writeFrame(conn, &cl.wbuf, &f)
 }
 
-// writeFrame writes one frame on the current connection, failing when the
-// client is not connected (synchronous-operation path).
-func (cl *Client) writeFrame(f frame) error {
+// writeCurrent writes one frame on the current connection, failing when
+// the client is not connected (synchronous-operation path).
+func (cl *Client) writeCurrent(f frame) error {
+	if f.bodyLen() > maxFrameBody {
+		return errFrameTooLong
+	}
 	cl.mu.Lock()
 	switch cl.state {
 	case stateClosed:
@@ -718,9 +723,9 @@ func (cl *Client) writeFrame(f frame) error {
 		cl.mu.Unlock()
 		return fmt.Errorf("agents: client disconnected (reconnecting)")
 	}
-	conn, enc, gen := cl.conn, cl.enc, cl.gen
+	conn, gen := cl.conn, cl.gen
 	cl.mu.Unlock()
-	if err := cl.writeConn(conn, enc, f); err != nil {
+	if err := cl.writeConn(conn, f); err != nil {
 		cl.connLost(gen, conn, err)
 		return err
 	}
@@ -730,6 +735,9 @@ func (cl *Client) writeFrame(f frame) error {
 // sendAsync writes a send/publish frame, buffering it for replay when the
 // connection is down (or breaks mid-write) and reconnection is enabled.
 func (cl *Client) sendAsync(f frame) error {
+	if f.bodyLen() > maxFrameBody {
+		return errFrameTooLong
+	}
 	cl.mu.Lock()
 	switch cl.state {
 	case stateClosed:
@@ -740,9 +748,9 @@ func (cl *Client) sendAsync(f frame) error {
 		cl.mu.Unlock()
 		return err
 	}
-	conn, enc, gen := cl.conn, cl.enc, cl.gen
+	conn, gen := cl.conn, cl.gen
 	cl.mu.Unlock()
-	if err := cl.writeConn(conn, enc, f); err != nil {
+	if err := cl.writeConn(conn, f); err != nil {
 		var buffered error
 		if cl.cfg.reconnect {
 			cl.mu.Lock()
@@ -777,7 +785,7 @@ func (cl *Client) heartbeatLoop() {
 	for range ticker.C {
 		cl.mu.Lock()
 		state := cl.state
-		conn, enc, gen := cl.conn, cl.enc, cl.gen
+		conn, gen := cl.conn, cl.gen
 		cl.mu.Unlock()
 		switch state {
 		case stateClosed:
@@ -785,7 +793,7 @@ func (cl *Client) heartbeatLoop() {
 		case stateReconnecting:
 			continue
 		}
-		if err := cl.writeConn(conn, enc, frame{Op: "ping"}); err != nil {
+		if err := cl.writeConn(conn, frame{Op: "ping"}); err != nil {
 			cl.connLost(gen, conn, err)
 			continue
 		}
@@ -837,7 +845,7 @@ func (cl *Client) Register(port string, buffer int) (<-chan Message, error) {
 		delete(cl.boxes, port)
 		cl.mu.Unlock()
 	}
-	if err := cl.writeFrame(frame{Op: "register", Port: port}); err != nil {
+	if err := cl.writeCurrent(frame{Op: "register", Port: port}); err != nil {
 		rollback()
 		return nil, err
 	}
@@ -857,7 +865,7 @@ func (cl *Client) Unregister(port string) {
 	}
 	delete(cl.topics, port)
 	cl.mu.Unlock()
-	cl.writeFrame(frame{Op: "unregister", Port: port})
+	cl.writeCurrent(frame{Op: "unregister", Port: port})
 }
 
 // Send implements Port. During an outage (with reconnection enabled) the
@@ -870,7 +878,7 @@ func (cl *Client) Send(m Message) error {
 func (cl *Client) Subscribe(port, topic string) error {
 	cl.regMu.Lock()
 	defer cl.regMu.Unlock()
-	if err := cl.writeFrame(frame{Op: "subscribe", Port: port, Topic: topic}); err != nil {
+	if err := cl.writeCurrent(frame{Op: "subscribe", Port: port, Topic: topic}); err != nil {
 		return err
 	}
 	if err := cl.await("subscribe"); err != nil {

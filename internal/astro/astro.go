@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/pragma-grid/pragma/internal/samr"
 )
@@ -138,10 +139,16 @@ type halo struct {
 // nearest more-massive neighbor and merge on contact; refinement follows
 // the halos, with radius growing as mass^(1/3).
 type Galaxy struct {
-	cfg     Config
-	initial []halo
+	cfg Config
 	// drift is the fraction of the separation closed per snapshot.
 	drift float64
+
+	// mu guards history: history[idx] is the halo set at snapshot idx,
+	// extended one merger step at a time and never changed afterwards.
+	mu      sync.Mutex
+	history [][]halo
+	// steps counts merger steps run, one per snapshot past the first.
+	steps int
 }
 
 // NewGalaxy seeds nHalos halos deterministically.
@@ -150,9 +157,9 @@ func NewGalaxy(cfg Config, nHalos int) *Galaxy {
 		nHalos = 2
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 101))
-	g := &Galaxy{cfg: cfg, drift: 0.08}
+	initial := make([]halo, 0, nHalos)
 	for i := 0; i < nHalos; i++ {
-		g.initial = append(g.initial, halo{
+		initial = append(initial, halo{
 			pos: [3]float64{
 				(0.15 + 0.7*rng.Float64()) * float64(cfg.BaseDims[0]),
 				(0.15 + 0.7*rng.Float64()) * float64(cfg.BaseDims[1]),
@@ -161,17 +168,20 @@ func NewGalaxy(cfg Config, nHalos int) *Galaxy {
 			mass: 0.5 + rng.Float64(),
 		})
 	}
-	return g
+	return &Galaxy{cfg: cfg, drift: 0.08, history: [][]halo{initial}}
 }
 
 // Name implements Phenomenon.
 func (*Galaxy) Name() string { return "galaxy" }
 
-// state evolves the merger process to snapshot idx (deterministically
-// recomputed from the initial conditions each call).
+// state returns the halos at snapshot idx, running the merger process
+// only past the snapshots already computed. The result is shared; callers
+// only read it.
 func (g *Galaxy) state(idx int) []halo {
-	halos := append([]halo(nil), g.initial...)
-	for step := 0; step < idx; step++ {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for len(g.history) <= idx {
+		halos := g.history[len(g.history)-1]
 		// Each halo drifts toward the nearest heavier halo.
 		next := append([]halo(nil), halos...)
 		for i := range halos {
@@ -183,9 +193,10 @@ func (g *Galaxy) state(idx int) []halo {
 				next[i].pos[d] += g.drift * (halos[j].pos[d] - halos[i].pos[d])
 			}
 		}
-		halos = mergeContacts(next, g.radiusOf)
+		g.history = append(g.history, mergeContacts(next, g.radiusOf))
+		g.steps++
 	}
-	return halos
+	return g.history[idx]
 }
 
 func (g *Galaxy) nearestHeavier(halos []halo, i int) int {
@@ -289,13 +300,12 @@ type Supernova struct {
 	cfg Config
 	// asym holds per-octant shell speed multipliers (the asphericity).
 	asym [8]float64
-	rng  *rand.Rand
 }
 
 // NewSupernova builds the phenomenon with deterministic asymmetry.
 func NewSupernova(cfg Config) *Supernova {
 	rng := rand.New(rand.NewSource(cfg.Seed + 211))
-	s := &Supernova{cfg: cfg, rng: rng}
+	s := &Supernova{cfg: cfg}
 	for i := range s.asym {
 		s.asym[i] = 0.7 + 0.6*rng.Float64()
 	}

@@ -196,3 +196,37 @@ func TestGalaxyDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestGalaxyRunsEachMergerStepOnce: generating a trace asks for every
+// snapshot's regions and cores, and concurrent readers ask for halo
+// counts, yet the merger process runs each of its steps exactly once.
+func TestGalaxyRunsEachMergerStepOnce(t *testing.T) {
+	cfg := SmallConfig()
+	g := NewGalaxy(cfg, 12)
+	last := cfg.Snapshots() - 1
+	done := make(chan int)
+	for r := 0; r < 4; r++ {
+		go func() {
+			n := 0
+			for idx := last; idx >= 0; idx-- {
+				n += g.HaloCount(idx)
+			}
+			done <- n
+		}()
+	}
+	if _, err := GenerateTrace(cfg, g); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for idx := 0; idx <= last; idx++ {
+		want += len(NewGalaxy(cfg, 12).state(idx))
+	}
+	for r := 0; r < 4; r++ {
+		if n := <-done; n != want {
+			t.Errorf("a concurrent reader counted %d halos over the run, want %d", n, want)
+		}
+	}
+	if g.steps != last {
+		t.Fatalf("%d merger steps for %d snapshots, want %d", g.steps, cfg.Snapshots(), last)
+	}
+}

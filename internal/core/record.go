@@ -38,7 +38,10 @@ const (
 	minUnitBytes = 7 + 8       // level and six coordinates, weight
 )
 
-var errBadRecord = errors.New("malformed checkpoint record")
+var (
+	errBadRecord = errors.New("malformed checkpoint record")
+	errBadResult = errors.New("malformed run result")
+)
 
 // appendCheckpoint appends c's encoding to b.
 func appendCheckpoint(b []byte, c *Checkpoint) []byte {
@@ -57,19 +60,7 @@ func appendCheckpoint(b []byte, c *Checkpoint) []byte {
 	for _, n := range [...]int{c.Degraded, c.Switches, c.Recoveries, c.Steps} {
 		b = appendInt(b, n)
 	}
-	b = binary.AppendUvarint(b, uint64(len(c.Stats)))
-	for i := range c.Stats {
-		s := &c.Stats[i]
-		b = appendInt(b, s.Index)
-		b = appendString(b, s.Partitioner)
-		for _, f := range [...]float64{s.Quality.CommVolume, s.Quality.CommMessages, s.Quality.Imbalance, s.Quality.Migration} {
-			b = appendFloat(b, f)
-		}
-		b = binary.AppendVarint(b, int64(s.Quality.PartitionTime))
-		for _, f := range [...]float64{s.Quality.Overhead, s.StepTime, s.Overhead} {
-			b = appendFloat(b, f)
-		}
-	}
+	b = appendStats(b, c.Stats)
 	if a := c.PrevAssignment; a == nil {
 		b = append(b, 0)
 	} else {
@@ -91,6 +82,25 @@ func appendCheckpoint(b []byte, c *Checkpoint) []byte {
 		b = appendFloat(b, a.SplitCost)
 	}
 	return appendBytes(b, c.StrategyState)
+}
+
+// appendStats appends len(stats) and each stat: the per-regrid encoding
+// the checkpoint record and the RunResult share.
+func appendStats(b []byte, stats []SnapshotStat) []byte {
+	b = binary.AppendUvarint(b, uint64(len(stats)))
+	for i := range stats {
+		s := &stats[i]
+		b = appendInt(b, s.Index)
+		b = appendString(b, s.Partitioner)
+		for _, f := range [...]float64{s.Quality.CommVolume, s.Quality.CommMessages, s.Quality.Imbalance, s.Quality.Migration} {
+			b = appendFloat(b, f)
+		}
+		b = binary.AppendVarint(b, int64(s.Quality.PartitionTime))
+		for _, f := range [...]float64{s.Quality.Overhead, s.StepTime, s.Overhead} {
+			b = appendFloat(b, f)
+		}
+	}
+	return b
 }
 
 func appendInt(b []byte, n int) []byte {
@@ -131,21 +141,7 @@ func decodeCheckpointHead(p []byte) (*Checkpoint, []byte, error) {
 	for _, n := range [...]*int{&c.Degraded, &c.Switches, &c.Recoveries, &c.Steps} {
 		*n = r.int()
 	}
-	if n := r.count(minStatBytes); n > 0 {
-		c.Stats = make([]SnapshotStat, n)
-		for i := range c.Stats {
-			s := &c.Stats[i]
-			s.Index = r.int()
-			s.Partitioner = r.string()
-			for _, f := range [...]*float64{&s.Quality.CommVolume, &s.Quality.CommMessages, &s.Quality.Imbalance, &s.Quality.Migration} {
-				*f = r.float()
-			}
-			s.Quality.PartitionTime = time.Duration(r.varint())
-			for _, f := range [...]*float64{&s.Quality.Overhead, &s.StepTime, &s.Overhead} {
-				*f = r.float()
-			}
-		}
-	}
+	c.Stats = r.stats()
 	if r.err != nil {
 		return nil, nil, r.err
 	}
@@ -189,6 +185,46 @@ func (c *Checkpoint) decodeTail(tail []byte) error {
 		r.fail()
 	}
 	return r.err
+}
+
+// MarshalBinary encodes the result in the record's field encodings:
+// Strategy, TotalTime, ComputeTime, CommTime, PartitionTime,
+// MigrationTime, MaxImbalance, AvgImbalance, AMREfficiency, Switches,
+// Recoveries, DegradedRegrids, Steps, then the snapshots as the record
+// stores its stats. Every float keeps its bits, NaN and -0 included.
+func (res *RunResult) MarshalBinary() ([]byte, error) {
+	b := appendString(nil, res.Strategy)
+	for _, f := range [...]float64{res.TotalTime, res.ComputeTime, res.CommTime, res.PartitionTime,
+		res.MigrationTime, res.MaxImbalance, res.AvgImbalance, res.AMREfficiency} {
+		b = appendFloat(b, f)
+	}
+	for _, n := range [...]int{res.Switches, res.Recoveries, res.DegradedRegrids, res.Steps} {
+		b = appendInt(b, n)
+	}
+	return appendStats(b, res.Snapshots), nil
+}
+
+// UnmarshalBinary decodes what MarshalBinary wrote, which must use up
+// data exactly. No snapshot is allocated that data could not hold.
+func (res *RunResult) UnmarshalBinary(data []byte) error {
+	r := recordReader{b: data}
+	out := RunResult{Strategy: r.string()}
+	for _, f := range [...]*float64{&out.TotalTime, &out.ComputeTime, &out.CommTime, &out.PartitionTime,
+		&out.MigrationTime, &out.MaxImbalance, &out.AvgImbalance, &out.AMREfficiency} {
+		*f = r.float()
+	}
+	for _, n := range [...]*int{&out.Switches, &out.Recoveries, &out.DegradedRegrids, &out.Steps} {
+		*n = r.int()
+	}
+	out.Snapshots = r.stats()
+	if r.err == nil && len(r.b) != 0 {
+		r.fail()
+	}
+	if r.err != nil {
+		return errBadResult
+	}
+	*res = out
+	return nil
 }
 
 // recordReader consumes a record front to back. The first malformed field
@@ -251,3 +287,25 @@ func (r *recordReader) count(minSize int) int {
 }
 
 func (r *recordReader) string() string { return string(r.next(r.count(1))) }
+
+// stats reads what appendStats wrote; nil when there are none.
+func (r *recordReader) stats() []SnapshotStat {
+	n := r.count(minStatBytes)
+	if n == 0 {
+		return nil
+	}
+	stats := make([]SnapshotStat, n)
+	for i := range stats {
+		s := &stats[i]
+		s.Index = r.int()
+		s.Partitioner = r.string()
+		for _, f := range [...]*float64{&s.Quality.CommVolume, &s.Quality.CommMessages, &s.Quality.Imbalance, &s.Quality.Migration} {
+			*f = r.float()
+		}
+		s.Quality.PartitionTime = time.Duration(r.varint())
+		for _, f := range [...]*float64{&s.Quality.Overhead, &s.StepTime, &s.Overhead} {
+			*f = r.float()
+		}
+	}
+	return stats
+}

@@ -541,7 +541,7 @@ func (r *Router) recvLoop(inbox <-chan agents.Message) {
 			}
 		case KindResult:
 			var res resultMsg
-			if err = agents.Decode(m, &res); err == nil && res.State != stateLost {
+			if err = res.unmarshalBinary(m.Payload); err == nil && res.State != stateLost {
 				if d := r.pendingFor(res.RunID, res.Attempt); d != nil {
 					select {
 					case d.res <- res:

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -66,44 +67,84 @@ const (
 // every placement of a run computes the same result.
 type Materializer func(ws WireSpec) (sched.RunSpec, error)
 
+// cachedTrace is one materialized trace and its per-snapshot work models,
+// built once with it; the runs share them read-only.
+type cachedTrace struct {
+	tr        *samr.Trace
+	workModel func(idx int) samr.WorkModel
+}
+
+// traceEntry is one cache key's trace, ready once done is closed.
+type traceEntry struct {
+	done chan struct{}
+	c    cachedTrace
+	err  error
+}
+
+// traceCache holds the latest maxCachedTraces traces by key. A trace is
+// generated outside the lock, once per key however many callers miss it
+// at the same time, so a slow generation stalls only the callers that
+// wait for that key. A failed generation is not kept.
+type traceCache struct {
+	mu      sync.Mutex
+	entries map[string]*traceEntry // generated and in flight
+	order   []string               // generated keys, oldest first
+}
+
+func newTraceCache() *traceCache {
+	return &traceCache{entries: make(map[string]*traceEntry)}
+}
+
+// get returns key's trace, generating it with gen and wm on a miss.
+func (tc *traceCache) get(key string, gen func() (*samr.Trace, error), wm func(idx int) samr.WorkModel) (cachedTrace, error) {
+	tc.mu.Lock()
+	if e, ok := tc.entries[key]; ok {
+		tc.mu.Unlock()
+		<-e.done
+		return e.c, e.err
+	}
+	e := &traceEntry{done: make(chan struct{}), err: errGenerationPanicked}
+	tc.entries[key] = e
+	tc.mu.Unlock()
+	defer func() {
+		// Runs on a panic in gen too, so waiters see an error and the
+		// key is not left in flight.
+		tc.mu.Lock()
+		if e.err != nil {
+			delete(tc.entries, key)
+		} else {
+			if len(tc.order) == maxCachedTraces {
+				delete(tc.entries, tc.order[0])
+				tc.order = tc.order[1:]
+			}
+			tc.order = append(tc.order, key)
+		}
+		tc.mu.Unlock()
+		close(e.done)
+	}()
+	tr, err := gen()
+	if err != nil {
+		e.err = err
+		return cachedTrace{}, err
+	}
+	wms := make([]samr.WorkModel, len(tr.Snapshots))
+	for i := range wms {
+		wms[i] = wm(i)
+	}
+	e.c = cachedTrace{tr: tr, workModel: func(idx int) samr.WorkModel { return wms[idx] }}
+	e.err = nil
+	return e.c, nil
+}
+
+var errGenerationPanicked = errors.New("fleet: trace generation panicked")
+
 // DefaultMaterializer builds the standard materializer: built-in RM3D
 // traces and scenario specs, cached per process (the latest
 // maxCachedTraces of them) so repeated dispatches of the same trace do not
 // regenerate it, with a fresh strategy instance per run (strategies carry
-// per-run state). A trace's per-snapshot work models (the scenario's, or
-// the RM3D configuration's for a built-in trace) are built once with it
-// and cached in the same entry; the runs share them read-only.
+// per-run state).
 func DefaultMaterializer() Materializer {
-	var mu sync.Mutex
-	type cached struct {
-		tr        *samr.Trace
-		workModel func(idx int) samr.WorkModel
-	}
-	cache := map[string]cached{}
-	var order []string // cache keys, oldest first
-	get := func(key string, gen func() (*samr.Trace, error), wm func(idx int) samr.WorkModel) (cached, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if c, ok := cache[key]; ok {
-			return c, nil
-		}
-		tr, err := gen()
-		if err != nil {
-			return cached{}, err
-		}
-		wms := make([]samr.WorkModel, len(tr.Snapshots))
-		for i := range wms {
-			wms[i] = wm(i)
-		}
-		c := cached{tr: tr, workModel: func(idx int) samr.WorkModel { return wms[idx] }}
-		if len(order) == maxCachedTraces {
-			delete(cache, order[0])
-			order = order[1:]
-		}
-		cache[key] = c
-		order = append(order, key)
-		return c, nil
-	}
+	cache := newTraceCache()
 	return func(ws WireSpec) (sched.RunSpec, error) {
 		procs := ws.Procs
 		if procs == 0 {
@@ -115,7 +156,7 @@ func DefaultMaterializer() Materializer {
 		if ws.RegridDelayMS < 0 || ws.RegridDelayMS > maxRegridDelayMS {
 			return sched.RunSpec{}, fmt.Errorf("fleet: regrid delay %d ms outside [0, %d]", ws.RegridDelayMS, maxRegridDelayMS)
 		}
-		var c cached
+		var c cachedTrace
 		var err error
 		if ws.Scenario != "" {
 			spec, perr := scenario.ParseSpec(ws.Scenario)
@@ -126,7 +167,7 @@ func DefaultMaterializer() Materializer {
 				spec.Seed = ws.Seed
 			}
 			key := fmt.Sprintf("scenario\x00%s\x00%d", ws.Scenario, spec.Seed)
-			c, err = get(key, spec.Generate, spec.WorkModel)
+			c, err = cache.get(key, spec.Generate, spec.WorkModel)
 		} else {
 			var cfg rm3d.Config
 			switch ws.Trace {
@@ -141,7 +182,7 @@ func DefaultMaterializer() Materializer {
 			if name == "" {
 				name = "small"
 			}
-			c, err = get(name, func() (*samr.Trace, error) { return rm3d.GenerateTrace(cfg) }, cfg.WorkModel)
+			c, err = cache.get(name, func() (*samr.Trace, error) { return rm3d.GenerateTrace(cfg) }, cfg.WorkModel)
 		}
 		if err != nil {
 			return sched.RunSpec{}, err

@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +163,126 @@ func TestMaterializerCacheBounded(t *testing.T) {
 	if !reflect.DeepEqual(first.Trace, traces[0]) {
 		t.Error("the regenerated trace differs from the evicted one")
 	}
+}
+
+// TestTraceCacheGeneratesOutsideTheLock drives the materializer's trace
+// cache with injected generators: a slow miss blocks only the callers of
+// its own key, concurrent misses of one key generate once, a failure is
+// not kept, and the oldest key is the one evicted.
+func TestTraceCacheGeneratesOutsideTheLock(t *testing.T) {
+	noModel := func(int) samr.WorkModel { return samr.UniformWorkModel{} }
+	ready := func(tr *samr.Trace) func() (*samr.Trace, error) {
+		return func() (*samr.Trace, error) { return tr, nil }
+	}
+	never := func() (*samr.Trace, error) {
+		t.Error("a cached key generated again")
+		return nil, errors.New("unexpected generation")
+	}
+
+	t.Run("hit during another key's miss", func(t *testing.T) {
+		tc := newTraceCache()
+		hot := &samr.Trace{Name: "hot"}
+		if _, err := tc.get("hot", ready(hot), noModel); err != nil {
+			t.Fatal(err)
+		}
+		started, release := make(chan struct{}), make(chan struct{})
+		cold := make(chan error, 1)
+		go func() {
+			_, err := tc.get("cold", func() (*samr.Trace, error) {
+				close(started)
+				<-release
+				return &samr.Trace{Name: "cold"}, nil
+			}, noModel)
+			cold <- err
+		}()
+		<-started
+		hit := make(chan *samr.Trace, 1)
+		go func() {
+			c, _ := tc.get("hot", never, noModel)
+			hit <- c.tr
+		}()
+		select {
+		case tr := <-hit:
+			if tr != hot {
+				t.Fatalf("hit returned %v, want the cached trace", tr)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a cache hit waited for another key's generation")
+		}
+		close(release)
+		if err := <-cold; err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("concurrent misses generate once", func(t *testing.T) {
+		tc := newTraceCache()
+		var calls atomic.Int32
+		started, release := make(chan struct{}), make(chan struct{})
+		gen := func() (*samr.Trace, error) {
+			calls.Add(1)
+			close(started)
+			<-release
+			return &samr.Trace{Name: "k"}, nil
+		}
+		const n = 8
+		got := make(chan *samr.Trace, n)
+		for i := 0; i < n; i++ {
+			go func() {
+				c, err := tc.get("k", gen, noModel)
+				if err != nil {
+					t.Error(err)
+				}
+				got <- c.tr
+			}()
+		}
+		<-started
+		close(release)
+		first := <-got
+		for i := 1; i < n; i++ {
+			if tr := <-got; tr != first {
+				t.Fatal("concurrent callers of one key got different traces")
+			}
+		}
+		if c := calls.Load(); c != 1 {
+			t.Fatalf("%d generations for one key, want 1", c)
+		}
+	})
+
+	t.Run("errors are not cached", func(t *testing.T) {
+		tc := newTraceCache()
+		boom := errors.New("boom")
+		if _, err := tc.get("k", func() (*samr.Trace, error) { return nil, boom }, noModel); !errors.Is(err, boom) {
+			t.Fatalf("first get = %v, want boom", err)
+		}
+		tr := &samr.Trace{Name: "k"}
+		if c, err := tc.get("k", ready(tr), noModel); err != nil || c.tr != tr {
+			t.Fatalf("second get = %v, %v: the failure was kept", c.tr, err)
+		}
+	})
+
+	t.Run("oldest key evicted first", func(t *testing.T) {
+		tc := newTraceCache()
+		key := func(i int) string { return fmt.Sprint("k", i) }
+		for i := 0; i <= maxCachedTraces; i++ {
+			if _, err := tc.get(key(i), ready(&samr.Trace{}), noModel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tc.get(key(1), never, noModel); err != nil {
+			t.Fatal(err)
+		}
+		regenerated := false
+		if _, err := tc.get(key(0), func() (*samr.Trace, error) {
+			regenerated = true
+			return &samr.Trace{}, nil
+		}, noModel); err != nil || !regenerated {
+			t.Fatalf("the oldest key was not evicted (%v)", err)
+		}
+		if len(tc.order) != maxCachedTraces || tc.order[0] != key(2) {
+			t.Fatalf("cache holds %d keys from %q, want %d from %q", len(tc.order), tc.order[0], maxCachedTraces, key(2))
+		}
+	})
 }
 
 // stateStrategy is a checkpointable strategy that records what it restores.

@@ -21,6 +21,9 @@
 package fleet
 
 import (
+	"encoding/binary"
+	"errors"
+
 	"github.com/pragma-grid/pragma/internal/agents"
 	"github.com/pragma-grid/pragma/internal/core"
 )
@@ -37,9 +40,10 @@ const workerPortPrefix = "pragma/fleet/worker/"
 // registers.
 func WorkerPort(id string) string { return workerPortPrefix + id }
 
-// Message kinds of the fleet protocol. All payloads are JSON, carried in
-// agents.Message over the existing control network — the fleet adds no
-// second wire protocol.
+// Message kinds of the fleet protocol, carried in agents.Message over the
+// existing control network — the fleet adds no second wire protocol.
+// Every payload is JSON except KindResult's, which is binary (see
+// resultMsg), so the worker→router hop formats and parses no floats.
 const (
 	// KindHello announces a worker to the router (worker → router).
 	KindHello = "fleet.hello"
@@ -108,15 +112,76 @@ type ackMsg struct {
 }
 
 // resultMsg is KindResult's payload: one run's terminal state on a worker.
+// It travels in binary: RunID, State and Err as uvarint-length strings,
+// Attempt as a varint, a flags byte (resultResumable, resultPresent),
+// then Result in core.RunResult's binary encoding as the rest.
 type resultMsg struct {
-	RunID   string `json:"runID"`
-	Attempt int    `json:"attempt"`
+	RunID   string
+	Attempt int
 	// State is the worker-side outcome: done, failed or drained
 	// (sched.State values).
-	State     string          `json:"state"`
-	Err       string          `json:"err,omitempty"`
-	Resumable bool            `json:"resumable,omitempty"`
-	Result    *core.RunResult `json:"result,omitempty"`
+	State     string
+	Err       string
+	Resumable bool
+	Result    *core.RunResult
+}
+
+// The flags byte of an encoded resultMsg.
+const (
+	resultResumable = 1 << iota
+	resultPresent
+)
+
+var errBadResult = errors.New("fleet: malformed result")
+
+// marshalBinary encodes res.
+func (res *resultMsg) marshalBinary() ([]byte, error) {
+	var b []byte
+	for _, s := range [...]string{res.RunID, res.State, res.Err} {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	b = binary.AppendVarint(b, int64(res.Attempt))
+	var flags byte
+	if res.Resumable {
+		flags |= resultResumable
+	}
+	if res.Result == nil {
+		return append(b, flags), nil
+	}
+	result, err := res.Result.MarshalBinary()
+	return append(append(b, flags|resultPresent), result...), err
+}
+
+// unmarshalBinary decodes what marshalBinary wrote.
+func (res *resultMsg) unmarshalBinary(p []byte) error {
+	var out resultMsg
+	for _, s := range [...]*string{&out.RunID, &out.State, &out.Err} {
+		n, w := binary.Uvarint(p)
+		if w <= 0 || n > uint64(len(p)-w) {
+			return errBadResult
+		}
+		*s, p = string(p[w:w+int(n)]), p[w+int(n):]
+	}
+	attempt, w := binary.Varint(p)
+	if w <= 0 || len(p) == w {
+		return errBadResult
+	}
+	out.Attempt = int(attempt)
+	flags, p := p[w], p[w+1:]
+	out.Resumable = flags&resultResumable != 0
+	switch {
+	case flags&^(resultResumable|resultPresent) != 0:
+		return errBadResult
+	case flags&resultPresent != 0:
+		out.Result = new(core.RunResult)
+		if err := out.Result.UnmarshalBinary(p); err != nil {
+			return err
+		}
+	case len(p) != 0:
+		return errBadResult
+	}
+	*res = out
+	return nil
 }
 
 // byeMsg is KindBye's payload.

@@ -247,7 +247,11 @@ func (w *Worker) handleDispatch(d dispatchMsg) {
 			res.Resumable = final.Resumable
 			res.Result = final.Result
 		}
-		if err := send(w.port, w.mailbox, RouterPort, KindResult, res); err != nil {
+		payload, err := res.marshalBinary()
+		if err == nil {
+			err = w.port.Send(agents.Message{From: w.mailbox, To: RouterPort, Kind: KindResult, Payload: payload})
+		}
+		if err != nil {
 			w.reportErr(fmt.Errorf("fleet: worker %s result %s: %w", w.cfg.ID, d.RunID, err))
 		}
 	}()
