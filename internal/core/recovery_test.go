@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/pragma-grid/pragma/internal/chaos"
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -172,5 +176,101 @@ func TestRunBuildsOneCommPlanPerRegrid(t *testing.T) {
 	}
 	if got, want := pacBuilds(t)-builds, uint64(len(tr.Snapshots)); got != want {
 		t.Fatalf("run built %d plans over %d regrids, want exactly one per regrid", got, want)
+	}
+}
+
+// recoveryProbe wraps a strategy and records, for each Assign call, the
+// regrid it served. A call for the same regrid as the one before it is a
+// mid-interval recovery; with failRecovery set, such a call fails instead.
+type recoveryProbe struct {
+	inner        Strategy
+	failRecovery bool
+	calls        []int
+}
+
+var errRecoveryRefused = errors.New("recovery refused")
+
+func (p *recoveryProbe) Name() string { return p.inner.Name() }
+
+func (p *recoveryProbe) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
+	recovery := len(p.calls) > 0 && p.calls[len(p.calls)-1] == ctx.Index
+	p.calls = append(p.calls, ctx.Index)
+	if recovery && p.failRecovery {
+		return nil, "", errRecoveryRefused
+	}
+	return p.inner.Assign(ctx)
+}
+
+// recoveryCalls returns the 1-based numbers of the recovery calls a probe
+// saw.
+func (p *recoveryProbe) recoveryCalls() []int {
+	var out []int
+	for i := 1; i < len(p.calls); i++ {
+		if p.calls[i] == p.calls[i-1] {
+			out = append(out, i+1)
+		}
+	}
+	return out
+}
+
+// twoNodesLost is SP2(8) losing nodes 1 and 3 at 5 s and 15 s, both
+// mid-interval on the small trace.
+func twoNodesLost() *cluster.Cluster {
+	m := cluster.SP2(8)
+	m.Fail(1, 5)
+	m.Fail(3, 15)
+	return m
+}
+
+// TestRecoveryErrorFailsRun makes a strategy fail only on its
+// mid-interval recovery call: the run must fail with that error and the
+// regrid's index, as a failing first Assign does, rather than finish on
+// the dead assignment at +Inf.
+func TestRecoveryErrorFailsRun(t *testing.T) {
+	tr := testTrace(t)
+	cfg := RunConfig{Machine: twoNodesLost(), NProcs: 8}
+	healthy := &recoveryProbe{inner: &FailureAware{Inner: Static{P: partition.GMISPSP{}}}}
+	res, err := Run(tr, healthy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := healthy.recoveryCalls()
+	if len(rec) == 0 || res.Recoveries != len(rec) {
+		t.Fatalf("%d recoveries, probe saw calls %v: no failure landed mid-interval", res.Recoveries, rec)
+	}
+
+	cfg.Machine = twoNodesLost()
+	failing := &recoveryProbe{inner: &FailureAware{Inner: Static{P: partition.GMISPSP{}}}, failRecovery: true}
+	res, err = Run(tr, failing, cfg)
+	if !errors.Is(err, errRecoveryRefused) {
+		t.Fatalf("run whose recovery fails: err = %v, result %+v", err, res)
+	}
+	regrid := healthy.calls[rec[0]-1]
+	if want := fmt.Sprintf("core: regrid %d: ", regrid); !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %q does not name regrid %d", err, regrid)
+	}
+}
+
+// TestCrashOnRecoverySurfaces injects a crash on the first recovery call
+// of FailureAware{SystemSensitive} on SP2(8) losing two nodes: the run
+// must end with the injected crash, not complete.
+func TestCrashOnRecoverySurfaces(t *testing.T) {
+	tr := testTrace(t)
+	probe := &recoveryProbe{inner: &FailureAware{Inner: &SystemSensitive{}}}
+	if _, err := Run(tr, probe, RunConfig{Machine: twoNodesLost(), NProcs: 8}); err != nil {
+		t.Fatal(err)
+	}
+	rec := probe.recoveryCalls()
+	if len(rec) == 0 {
+		t.Fatal("no recovery to crash")
+	}
+	fp := &chaos.FaultPoint{FailAt: rec[0]}
+	crash := crashingStrategy{inner: &FailureAware{Inner: &SystemSensitive{}}, fp: fp}
+	res, err := Run(tr, crash, RunConfig{Machine: twoNodesLost(), NProcs: 8})
+	if !fp.Fired() {
+		t.Fatalf("the crash at call %d never fired", rec[0])
+	}
+	if !errors.Is(err, chaos.ErrInjectedCrash) {
+		t.Fatalf("crash on the recovery call: err = %v, result %+v", err, res)
 	}
 }

@@ -358,26 +358,30 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 				// strategy one chance to recover: re-assign at the current
 				// time and charge a full redistribution. Strategies that
 				// ignore liveness re-produce the stalled assignment and
-				// the run stays infinite — which is the honest outcome.
+				// the run stays infinite — which is the honest outcome. A
+				// strategy that fails to recover fails the run.
 				ctx.SimTime = simTime
 				ctx.PrevAssignment = a
-				if a2, label2, err := strat.Assign(ctx); err == nil {
-					recMig := cfg.Machine.MigrationTime(float64(snap.H.TotalCells()), cost)
-					simTime += recMig
-					res.MigrationTime += recMig
-					// The replacement is costed after the dead assignment,
-					// so the interval's recorded quality and the gauges
-					// describe the assignment that finishes it.
-					rg.swap()
-					rec, _, _ := rg.cost(idx, snap.H, a2, label2, cycle)
-					a = a2
-					stat.Partitioner, stat.Quality = rec.Partitioner, rec.Quality
-					stat.Overhead += recMig
-					res.Recoveries++
-					metricRecoveries.Inc()
-					cycle.Event("recovery", telemetry.String("partitioner", label2))
-					st = rg.step(simTime)
+				a2, label2, err := strat.Assign(ctx)
+				if err != nil {
+					cycle.End(telemetry.String("error", err.Error()))
+					return nil, fmt.Errorf("core: regrid %d: recovery: %w", idx, err)
 				}
+				recMig := cfg.Machine.MigrationTime(float64(snap.H.TotalCells()), cost)
+				simTime += recMig
+				res.MigrationTime += recMig
+				// The replacement is costed after the dead assignment, so
+				// the interval's recorded quality and the gauges describe
+				// the assignment that finishes it.
+				rg.swap()
+				rec, _, _ := rg.cost(idx, snap.H, a2, label2, cycle)
+				a = a2
+				stat.Partitioner, stat.Quality = rec.Partitioner, rec.Quality
+				stat.Overhead += recMig
+				res.Recoveries++
+				metricRecoveries.Inc()
+				cycle.Event("recovery", telemetry.String("partitioner", label2))
+				st = rg.step(simTime)
 			}
 			simTime += st.Total
 			stat.StepTime += st.Total

@@ -302,3 +302,15 @@ func BenchmarkGenerateTraceSmall(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenerateTrace generates the paper trace, the one every cold
+// trace=paper run and every replay pays for before its first regrid.
+func BenchmarkGenerateTrace(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateTrace(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,6 +10,9 @@ type Flags struct {
 	nx, ny int // cached extents for addressing
 	bits   []uint64
 	count  int
+	// flagged is the bounding box of the flagged cells, empty while count
+	// is 0. Flags only ever gain cells, so Set and SetBox keep it exact.
+	flagged Box
 }
 
 // NewFlags creates an empty flag bitmap over the given (non-empty) bounds.
@@ -50,6 +53,7 @@ func (f *Flags) Set(p Point) {
 	if f.bits[i>>6]&mask == 0 {
 		f.bits[i>>6] |= mask
 		f.count++
+		f.flagged = f.flagged.Bound(Box{Lo: p, Hi: p.Add(Point{1, 1, 1})})
 	}
 }
 
@@ -69,10 +73,21 @@ func (f *Flags) SetBox(b Box) {
 	if !ok {
 		return
 	}
-	f.eachWord(clipped, func(w int, mask uint64, _, _, _ int) {
-		f.count += bits.OnesCount64(mask &^ f.bits[w])
-		f.bits[w] |= mask
-	})
+	f.flagged = f.flagged.Bound(clipped)
+	plane := int(f.index(clipped.Lo))
+	for range clipped.Dx(2) {
+		lo := plane
+		for range clipped.Dx(1) {
+			hi := lo + clipped.Dx(0) - 1
+			for w := lo >> 6; w <= hi>>6; w++ {
+				mask := wordMask(w, lo, hi)
+				f.count += bits.OnesCount64(mask &^ f.bits[w])
+				f.bits[w] |= mask
+			}
+			lo += f.nx
+		}
+		plane += f.nx * f.ny
+	}
 }
 
 // CountIn returns the number of flagged cells inside b.
@@ -82,59 +97,81 @@ func (f *Flags) CountIn(b Box) int {
 		return 0
 	}
 	n := 0
-	f.eachWord(clipped, func(w int, mask uint64, _, _, _ int) {
-		n += bits.OnesCount64(f.bits[w] & mask)
-	})
+	plane := int(f.index(clipped.Lo))
+	for range clipped.Dx(2) {
+		lo := plane
+		for range clipped.Dx(1) {
+			hi := lo + clipped.Dx(0) - 1
+			for w := lo >> 6; w <= hi>>6; w++ {
+				n += bits.OnesCount64(f.bits[w] & wordMask(w, lo, hi))
+			}
+			lo += f.nx
+		}
+		plane += f.nx * f.ny
+	}
 	return n
 }
 
-// signatures overwrites sig[d][:region.Dx(d)] with the per-plane
+// signatures overwrites sig[d], of length region.Dx(d), with the per-plane
 // flagged-cell counts of region along each axis d — sig[d][i] is the
 // number of flagged cells in the plane region.Lo[d]+i — in one pass over
-// the bitmap. region must lie inside the bounds. Signatures drive the
-// Berger–Rigoutsos cut selection.
-func (f *Flags) signatures(region Box, sig *[3][]int64) {
-	sx, sy, sz := sig[0][:region.Dx(0)], sig[1][:region.Dx(1)], sig[2][:region.Dx(2)]
+// the bitmap words of region's rows. region must lie inside the bounds.
+// Signatures drive the Berger–Rigoutsos cut selection.
+//
+// A row adds its word popcounts to its y and z planes. Along x, each run
+// of set bits in a word adds 1 at its first cell and -1 past its last to
+// a difference array, which a prefix sum turns into the x signature, so a
+// row costs its words and runs rather than its set bits.
+func (f *Flags) signatures(region Box, sig [3][]int64) {
+	sx, sy, sz := sig[0], sig[1], sig[2]
 	clear(sx)
 	clear(sy)
 	clear(sz)
-	f.eachWord(region, func(w int, mask uint64, j, k, off int) {
-		v := f.bits[w] & mask
-		if v == 0 {
-			return
+	n := len(sx)
+	plane := int(f.index(region.Lo))
+	for k := range sz {
+		var planeCount int64
+		lo := plane
+		for j := range sy {
+			hi := lo + n - 1
+			var row int64
+			// base is the region x of bit 0 of word w.
+			for w, base := lo>>6, -(lo & 63); w <= hi>>6; w, base = w+1, base+64 {
+				v := f.bits[w] & wordMask(w, lo, hi)
+				row += int64(bits.OnesCount64(v))
+				for v != 0 {
+					low := v & -v
+					end := v + low // the run's bits cleared, the bit past it set
+					sx[base+bits.TrailingZeros64(low)]++
+					if x := base + bits.TrailingZeros64(end); x < n {
+						sx[x]--
+					}
+					v &= end
+				}
+			}
+			sy[j] += row
+			planeCount += row
+			lo += f.nx
 		}
-		n := int64(bits.OnesCount64(v))
-		sy[j] += n
-		sz[k] += n
-		for x0 := w<<6 - off; v != 0; v &= v - 1 {
-			sx[x0+bits.TrailingZeros64(v)]++
-		}
-	})
+		sz[k] = planeCount
+		plane += f.nx * f.ny
+	}
+	for i := 1; i < n; i++ {
+		sx[i] += sx[i-1]
+	}
+	metricSignatureRows.Add(uint64(len(sy) * len(sz)))
 }
 
-// eachWord calls fn for every bitmap word holding cells of b, row by row
-// with x fastest: w is the word's index and mask selects the row's cells
-// of b in it. The row is b's (j, k)-th along y and z, and bit i of word w
-// is the cell b.Lo[0] + 64*w + i - off along x. b must be non-empty and lie
-// inside the bounds.
-func (f *Flags) eachWord(b Box, fn func(w int, mask uint64, j, k, off int)) {
-	x0 := b.Lo[0] - f.bounds.Lo[0]
-	for k := range b.Dx(2) {
-		z := b.Lo[2] + k - f.bounds.Lo[2]
-		for j := range b.Dx(1) {
-			y := b.Lo[1] + j - f.bounds.Lo[1]
-			lo := x0 + f.nx*(y+f.ny*z) // the row's first and last bit
-			hi := lo + b.Dx(0) - 1
-			for w := lo >> 6; w <= hi>>6; w++ {
-				mask := ^uint64(0)
-				if w == lo>>6 {
-					mask <<= uint(lo & 63)
-				}
-				if w == hi>>6 {
-					mask &= ^uint64(0) >> uint(63-hi&63)
-				}
-				fn(w, mask, j, k, lo)
-			}
-		}
+// wordMask selects the bits lo..hi of the bitmap in word w: SetBox,
+// CountIn and signatures walk a box's rows, z then y, each row being the
+// bits lo..hi of the box's cells along x.
+func wordMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if w == lo>>6 {
+		m <<= uint(lo & 63)
 	}
+	if w == hi>>6 {
+		m &= ^uint64(0) >> uint(63-hi&63)
+	}
+	return m
 }
