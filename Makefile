@@ -96,7 +96,7 @@ bench-telemetry:
 # host and pipe the outputs through benchstat. The performance gate is
 # bench/e2e, parent vs change on one host.
 bench-pac:
-	$(GO) test -bench='EvalQuality|Adjacency|CommPlan|Migration' -benchmem -run='^$$' ./internal/partition/
+	$(GO) test -bench='EvalQuality|CommPlan|Migration' -benchmem -run='^$$' ./internal/partition/
 
 # Scheduler benchmarks: admission/fair-queue/worker hand-off overhead
 # (development tools, as above).

@@ -74,10 +74,9 @@ type config struct {
 	slots                  int
 
 	// replay
-	replay                      fleet.WireSpec
-	crashAt                     int
-	emulate                     bool
-	stepDeadline, telemetryHold time.Duration
+	replay        fleet.WireSpec
+	crashAt       int
+	telemetryHold time.Duration
 
 	// sched
 	workers, queue, tenantLimit int
@@ -133,8 +132,6 @@ func replayFlags(fs *flag.FlagSet, c *config) {
 	fs.IntVar(&c.replay.CheckpointEvery, "checkpoint-every", 1, "checkpoint after every k-th regrid")
 	fs.BoolVar(&c.replay.Resume, "resume", false, "continue from the latest valid checkpoint in -checkpoint-dir")
 	fs.IntVar(&c.crashAt, "crash-at", 0, "inject a crash at the n-th regrid (rehearsal; 0 disables)")
-	fs.BoolVar(&c.emulate, "emulate", false, "then run the final snapshot on the message-passing engine")
-	fs.DurationVar(&c.stepDeadline, "step-deadline", 30*time.Second, "emulation: per-step barrier deadline (0 = none, may hang on faults)")
 	fs.DurationVar(&c.telemetryHold, "telemetry-hold", 0, "keep the telemetry endpoint alive this long after the replay finishes (for scraping)")
 }
 
@@ -667,45 +664,5 @@ func replay(c config) error {
 		res.TotalTime, res.ComputeTime, res.CommTime, res.PartitionTime, res.MigrationTime)
 	fmt.Printf("max imbalance %.1f%%  avg %.1f%%  switches %d  steps %d\n",
 		res.MaxImbalance, res.AvgImbalance, res.Switches, res.Steps)
-	if !c.emulate {
-		return nil
-	}
-
-	// Run the final snapshot, partitioned by G-MISP+SP, as a real
-	// message-passing program on an in-process Message Center under worker
-	// supervision: every barrier wait is bounded by the step deadline, so a
-	// stalled or crashed worker fails the run instead of hanging it.
-	h := spec.Trace.Snapshots[len(spec.Trace.Snapshots)-1].H
-	p, err := pragma.PartitionerByName("G-MISP+SP")
-	if err != nil {
-		return err
-	}
-	a, err := p.Partition(h, pragma.UniformWork(), spec.NProcs)
-	if err != nil {
-		return err
-	}
-	center := pragma.NewMessageCenter()
-	ports := make([]pragma.MessagePort, spec.NProcs)
-	for i := range ports {
-		ports[i] = center
-	}
-	eng, err := pragma.NewEngine(h, a, center, ports, pragma.WithStepDeadline(c.stepDeadline))
-	if err != nil {
-		return err
-	}
-	rep, err := eng.Run(4)
-	var lost *pragma.EngineLostWorkers
-	if errors.As(err, &lost) {
-		return fmt.Errorf("emulation lost workers %v at step %d (deadline %s)", lost.Missing, lost.Step, lost.Deadline)
-	}
-	if err != nil {
-		return err
-	}
-	var faces float64
-	for _, w := range rep.Workers {
-		faces += w.FacesSent
-	}
-	fmt.Printf("emulated %d steps on %d workers: %d ghost messages, %.0f faces exchanged\n",
-		rep.Steps, len(rep.Workers), rep.TotalMessages(), faces)
 	return nil
 }

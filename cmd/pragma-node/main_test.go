@@ -52,7 +52,7 @@ func mustParse(t *testing.T, args ...string) config {
 	return c
 }
 
-// TestSubcommandFlags pins which flags each subcommand reads: 37 names in
+// TestSubcommandFlags pins which flags each subcommand reads: 35 names in
 // all, none of them a mode selector.
 func TestSubcommandFlags(t *testing.T) {
 	common := []string{"run-for", "telemetry-addr"}
@@ -60,7 +60,7 @@ func TestSubcommandFlags(t *testing.T) {
 	want := map[string][]string{
 		"broker": {"heartbeat-timeout", "interval", "serve", "write-timeout"},
 		"node":   append([]string{"interval", "join", "load", "overload", "wobble"}, link...),
-		"replay": {"checkpoint-dir", "checkpoint-every", "crash-at", "emulate", "procs", "resume", "scenario", "step-deadline", "strategy", "telemetry-hold", "trace"},
+		"replay": {"checkpoint-dir", "checkpoint-every", "crash-at", "procs", "resume", "scenario", "strategy", "telemetry-hold", "trace"},
 		"sched":  {"checkpoint-root", "drain-timeout", "queue", "state", "tenant-limit", "workers"},
 		"router": {"checkpoint-root", "drain-timeout", "heartbeat-timeout", "serve", "write-timeout"},
 		"worker": append([]string{"drain-timeout", "join", "slots"}, link...),
@@ -77,8 +77,8 @@ func TestSubcommandFlags(t *testing.T) {
 			all[n] = true
 		}
 	}
-	if len(commands) != 6 || len(all) != 37 {
-		t.Errorf("%d subcommands with %d flag names, want 6 with 37", len(commands), len(all))
+	if len(commands) != 6 || len(all) != 35 {
+		t.Errorf("%d subcommands with %d flag names, want 6 with 35", len(commands), len(all))
 	}
 }
 
@@ -191,7 +191,7 @@ func TestParseDefaults(t *testing.T) {
 	if s.workers != 4 || s.queue != 64 || s.tenantLimit != 8 || s.drainTimeout != time.Minute {
 		t.Errorf("sched defaults %+v", s)
 	}
-	if r.replay != (fleet.WireSpec{Trace: "small", Strategy: "adaptive", Procs: 8, CheckpointEvery: 1}) || r.stepDeadline != 30*time.Second {
+	if r.replay != (fleet.WireSpec{Trace: "small", Strategy: "adaptive", Procs: 8, CheckpointEvery: 1}) {
 		t.Errorf("replay defaults %+v", r)
 	}
 	if b := defaults(t, "broker"); b.heartbeatTimeout != 5*time.Second || b.writeTimeout != 5*time.Second {
@@ -227,7 +227,6 @@ func TestParseRejects(t *testing.T) {
 		{[]string{"node", "-join", a, "-interval", "-1s"}, "-interval"},
 		{[]string{"worker", "-join", a, "-chaos-latency", "-1ms"}, "-chaos-latency"},
 		{[]string{"node", "-join", a, "-chaos-jitter", "-1ms"}, "-chaos-jitter"},
-		{[]string{"replay", "-step-deadline", "-1s"}, "-step-deadline"},
 		{[]string{"replay", "-run-for", "-1s"}, "-run-for"},
 		{[]string{"node", "-join", a, "-chaos-drop", "1.5"}, "-chaos-drop"},
 		{[]string{"node", "-join", a, "-chaos-drop", "NaN"}, "-chaos-drop"},
@@ -499,11 +498,10 @@ func TestSchedKeepsStateWhenServeFails(t *testing.T) {
 	}
 }
 
-// TestReplayEmulate pins what replay -emulate prints for the small trace
-// on four procs: the replay's three summary lines, then the final
-// snapshot run on the message-passing engine for four steps.
-func TestReplayEmulate(t *testing.T) {
-	c := mustParse(t, "replay", "-trace", "small", "-procs", "4", "-emulate")
+// TestReplayPrintsSummary pins what replay prints for the small trace on
+// four procs: the replay's three summary lines.
+func TestReplayPrintsSummary(t *testing.T) {
+	c := mustParse(t, "replay", "-trace", "small", "-procs", "4")
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -520,9 +518,8 @@ func TestReplayEmulate(t *testing.T) {
 	want := `replaying small trace (41 snapshots) with adaptive on 4 procs
 simulated run-time 103.0s  compute 96.1s  comm 8.7s  partition 0.02s  migration 0.26s
 max imbalance 17.8%  avg 5.9%  switches 5  steps 164
-emulated 4 steps on 4 workers: 264 ghost messages, 107456 faces exchanged
 `
 	if string(out) != want {
-		t.Fatalf("replay -emulate printed\n%s\nwant\n%s", out, want)
+		t.Fatalf("replay printed\n%s\nwant\n%s", out, want)
 	}
 }

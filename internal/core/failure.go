@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"github.com/pragma-grid/pragma/internal/partition"
 )
@@ -30,13 +31,13 @@ func (f *FailureAware) DegradedCount() int { return degradedCount(f.Inner) }
 
 // Assign implements Strategy.
 func (f *FailureAware) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
+	// The run's processors are nodes 0..NProcs-1; a machine's further
+	// nodes are spares that no assignment uses.
+	total := ctx.NProcs
 	alive := ctx.Machine.AliveNodes(ctx.SimTime)
+	alive = alive[:sort.SearchInts(alive, total)]
 	if len(alive) == 0 {
 		return nil, "", fmt.Errorf("core: no nodes alive at t=%g", ctx.SimTime)
-	}
-	total := ctx.NProcs
-	if len(alive) > total {
-		alive = alive[:total]
 	}
 	if len(alive) == total {
 		return f.Inner.Assign(ctx)

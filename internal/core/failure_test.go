@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/monitor"
 	"github.com/pragma-grid/pragma/internal/partition"
+	"github.com/pragma-grid/pragma/internal/rm3d"
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
@@ -308,5 +311,82 @@ func TestFailureAwareForwardsDegradedCount(t *testing.T) {
 	// Every regrid before the last boundary ran degraded.
 	if ck.Degraded != ck.Next {
 		t.Fatalf("checkpointed Degraded = %d, want %d", ck.Degraded, ck.Next)
+	}
+}
+
+// TestFailureSearch runs five strategies under FailureAware on SP2 and
+// LinuxCluster machines of exactly eight nodes and of ten, eight of which
+// the run uses, under six failure schedules. Every run must finish, and a
+// run crashed at any of five points must resume to the uninterrupted
+// result.
+func TestFailureSearch(t *testing.T) {
+	tr := testTrace(t)
+	n := len(tr.Snapshots)
+	agentManaged := func() Strategy {
+		am, err := NewAgentManaged(8, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return am
+	}
+	inners := []struct {
+		name string
+		mk   func() Strategy
+	}{
+		{"static", func() Strategy { return Static{P: partition.GMISPSP{}} }},
+		{"adaptive", func() Strategy { return Adaptive{ImbalanceGuard: 20} }},
+		{"system-sensitive", func() Strategy { return &SystemSensitive{RecalibrateEvery: 3} }},
+		{"proactive", func() Strategy { return &SystemSensitive{RecalibrateEvery: 1, Forecast: true} }},
+		{"agent-managed", agentManaged},
+	}
+	machines := []struct {
+		name string
+		mk   func(nodes int) *cluster.Cluster
+	}{
+		{"sp2", cluster.SP2},
+		{"linux", func(nodes int) *cluster.Cluster { return cluster.LinuxCluster(nodes, 2002) }},
+	}
+	// Failures are (node, time in s). The healthy runs take 43-84 s, so a
+	// loss after 0 s lands inside a regrid interval and is recovered from
+	// there. Node 8 exists only on the ten-node machines, as a spare.
+	schedules := []struct {
+		name     string
+		failures []cluster.Failure
+	}{
+		{"node-0-at-start", []cluster.Failure{{Node: 0, At: 0}}},
+		{"node-1-at-20s", []cluster.Failure{{Node: 1, At: 20}}},
+		{"node-3-at-7.3s", []cluster.Failure{{Node: 3, At: 7.3}}},
+		{"two-nodes", []cluster.Failure{{Node: 1, At: 5}, {Node: 3, At: 15}}},
+		{"six-of-ten", []cluster.Failure{{Node: 1, At: 2}, {Node: 2, At: 4}, {Node: 3, At: 6}, {Node: 4, At: 8}, {Node: 5, At: 10}, {Node: 6, At: 12}}},
+		{"spare-then-last", []cluster.Failure{{Node: 8, At: 1}, {Node: 7, At: 10}}},
+	}
+	points := []int{1, n / 4, n / 2, 3 * n / 4, n - 1}
+	var recoveries atomic.Int64
+	t.Run("cases", func(t *testing.T) {
+		for _, in := range inners {
+			for _, m := range machines {
+				for _, nodes := range []int{8, 10} {
+					for _, s := range schedules {
+						t.Run(fmt.Sprintf("%s/%s-%d/%s", in.name, m.name, nodes, s.name), func(t *testing.T) {
+							t.Parallel()
+							cfg := func() RunConfig {
+								c := m.mk(nodes)
+								c.Failures = s.failures
+								return RunConfig{Machine: c, NProcs: 8, WorkModel: rm3d.SmallConfig().WorkModel}
+							}
+							strat := func() Strategy { return &FailureAware{Inner: in.mk()} }
+							res := requireResumes(t, tr, strat, cfg, points)
+							if math.IsInf(res.TotalTime, 0) || math.IsNaN(res.TotalTime) {
+								t.Fatalf("TotalTime = %g", res.TotalTime)
+							}
+							recoveries.Add(int64(res.Recoveries))
+						})
+					}
+				}
+			}
+		}
+	})
+	if !t.Failed() && recoveries.Load() == 0 {
+		t.Fatal("no case recovered mid-interval")
 	}
 }

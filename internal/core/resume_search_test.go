@@ -16,6 +16,7 @@ import (
 	"github.com/pragma-grid/pragma/internal/monitor"
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/rm3d"
+	"github.com/pragma-grid/pragma/internal/samr"
 )
 
 // resumeCase is one strategy the resume search crashes and resumes. Each
@@ -113,10 +114,6 @@ func TestResumeSearchEveryStrategy(t *testing.T) {
 			cfg := func() RunConfig {
 				return RunConfig{Machine: c.machine(), NProcs: c.nprocs, WorkModel: rm3d.SmallConfig().WorkModel}
 			}
-			want, err := Run(tr, c.strat(), cfg())
-			if err != nil {
-				t.Fatal(err)
-			}
 			points := []int{1, n / 2, n - 1}
 			if c.every {
 				points = points[:0]
@@ -124,26 +121,41 @@ func TestResumeSearchEveryStrategy(t *testing.T) {
 					points = append(points, k)
 				}
 			}
-			for _, k := range points {
-				crash := cfg()
-				crash.CheckpointDir = t.TempDir()
-				_, err := Run(tr, crashingStrategy{inner: c.strat(), fp: &chaos.FaultPoint{FailAt: k + 1}}, crash)
-				if !errors.Is(err, chaos.ErrInjectedCrash) {
-					t.Fatalf("crash entering regrid %d: err = %v", k, err)
-				}
-				resume := cfg()
-				resume.CheckpointDir, resume.Resume = crash.CheckpointDir, true
-				got, err := Run(tr, c.strat(), resume)
-				if err != nil {
-					t.Fatalf("resume after a crash entering regrid %d: %v", k, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("resume after a crash entering regrid %d: %.6f s, %d switches; uninterrupted %.6f s, %d switches",
-						k, got.TotalTime, got.Switches, want.TotalTime, want.Switches)
-				}
-			}
+			requireResumes(t, tr, c.strat, cfg, points)
 		})
 	}
+}
+
+// requireResumes runs a strategy uninterrupted, then crashes it at each of
+// the points — point k before its (k+1)-th Assign call, regrid k when no
+// recovery came before — and resumes it from its checkpoint directory:
+// each resumed RunResult must equal the uninterrupted run's, which it
+// returns.
+func requireResumes(t *testing.T, tr *samr.Trace, strat func() Strategy, cfg func() RunConfig, points []int) *RunResult {
+	t.Helper()
+	want, err := Run(tr, strat(), cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range points {
+		crash := cfg()
+		crash.CheckpointDir = t.TempDir()
+		_, err := Run(tr, crashingStrategy{inner: strat(), fp: &chaos.FaultPoint{FailAt: k + 1}}, crash)
+		if !errors.Is(err, chaos.ErrInjectedCrash) {
+			t.Fatalf("crash at point %d: err = %v", k, err)
+		}
+		resume := cfg()
+		resume.CheckpointDir, resume.Resume = crash.CheckpointDir, true
+		got, err := Run(tr, strat(), resume)
+		if err != nil {
+			t.Fatalf("resume after a crash at point %d: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("resume after a crash at point %d: %.6f s, %d switches, %d recoveries; uninterrupted %.6f s, %d switches, %d recoveries",
+				k, got.TotalTime, got.Switches, got.Recoveries, want.TotalTime, want.Switches, want.Recoveries)
+		}
+	}
+	return want
 }
 
 // TestResumeSearchCoversEveryStrategy fails when a type of this package

@@ -11,17 +11,15 @@ import (
 )
 
 // CommPlan is everything the runtime derives from the geometry of one
-// assignment: the communication statistics, the cross-processor unit-pair
-// adjacencies a distributed executor must realize (Pairs), and the per-level
-// index of unit boxes (swept by MigrationFrom at the next regrid). Build it
-// once per regrid and thread it through every layer that needs any of the
-// three.
+// assignment: the communication statistics and the per-level index of unit
+// boxes (swept by MigrationFrom at the next regrid). Build it once per
+// regrid and thread it through every layer that needs either.
 //
 // A plan is immutable and safe for concurrent reads until it is rebuilt.
 // RebuildCommPlan writes another assignment's plan into the same buffers,
 // which invalidates every slice the plan handed out before
 // (Stats.PerProcVolume, Stats.PerProcMessages): rebuild a plan only when
-// nothing reads it any more. Pairs returns a fresh slice and survives it.
+// nothing reads it any more.
 //
 // The closed forms assume the units of each level are disjoint, which
 // Assignment.Validate checks. A plan of an assignment with overlapping
@@ -50,12 +48,11 @@ type CommPlan struct {
 	pre      []planUnit
 }
 
-// planLevel is one level's units in canonical order, their bounding box,
-// the level's exchanges per coarse step (Ratio^level) and where its
-// contacts lie in CommPlan.found.
+// planLevel is one level's units in canonical order, the level's
+// exchanges per coarse step (Ratio^level) and where its contacts lie in
+// CommPlan.found.
 type planLevel struct {
 	level int
-	box   samr.Box
 	freq  float64
 	units []planUnit
 	// coarse is the units of the next coarser level, nil when the plan
@@ -80,15 +77,12 @@ type planUnit struct {
 	maxHi int
 }
 
-// contact is one unit pair as the cell-by-cell sweep first sees it, both
-// units named by their position in the level's units (a fine/coarse
-// contact's u2 in the coarse level's). Disjoint boxes meet in exactly one
-// region — one rectangle for two boxes of a level, one box for a fine unit
-// and a coarse unit's preimage — so the sweep's first-touch cell is that
-// region's low corner on the lower side, and its pair order is a sort by
-// key.
+// contact is one unit pair that exchanges data, both units named by their
+// position in the level's units (a fine/coarse contact's u2 in the coarse
+// level's). Disjoint boxes meet in exactly one region — one rectangle for
+// two boxes of a level, one box for a fine unit and a coarse unit's
+// preimage — so one contact holds all of a pair's exchange.
 type contact struct {
-	key      uint64 // planLevel.sweepKey of the first-touch cell and relation
 	u1, u2   int32
 	quarters int64 // faces count faceQuarters, parent cells 1
 }
@@ -103,16 +97,6 @@ const (
 	faceQuarters     = 4
 	interLevelWeight = 1.0 / faceQuarters
 )
-
-// sweepKey places a relation of the cell at in the cell-by-cell sweep of
-// the level: the cell's linear index in the level's bounding box, z-major
-// as the sweep walks it, then dir — 0, 1, 2 for the cell's +x, +y, +z
-// face, 3 for its coarse parent.
-func (lv *planLevel) sweepKey(at samr.Point, dir int) uint64 {
-	b := lv.box
-	cell := ((at[2]-b.Lo[2])*b.Dx(1)+(at[1]-b.Lo[1]))*b.Dx(0) + (at[0] - b.Lo[0])
-	return uint64(cell)<<2 | uint64(dir)
-}
 
 // partners returns the units the second unit of the level's contact at k
 // is named in: the level's own for a face, the coarser level's for a
@@ -142,7 +126,7 @@ func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
 // contacts are not sorted: Stats is accumulated in discovery order and is
 // still bit-identical to the cell-by-cell oracle of the tests, because
 // every contribution is a multiple of a quarter face counted in integers,
-// so no sum depends on the order of its terms. Pairs sorts them when asked.
+// so no sum depends on the order of its terms.
 //
 // from, when not nil and not p, is a plan left intact since it was built —
 // at a regrid, the previous one's. A level whose boxes from lists too
@@ -270,48 +254,6 @@ func sameBoxes(us, vs []planUnit) bool {
 	return true
 }
 
-// Pairs returns every cross-processor unit-pair adjacency in canonical
-// order (levels ascending, then the cell-by-cell sweep order z, y, x;
-// +x/+y/+z faces before the coarse-parent relation at each cell) as a fresh
-// slice, nil when there is none. It sorts the plan's contacts on every
-// call, so a caller that needs the pairs more than once keeps the slice.
-func (p *CommPlan) Pairs() []UnitPair {
-	var pairs []UnitPair
-	var keys []uint64
-	var at []int
-	for i := range p.levels {
-		lv := &p.levels[i]
-		keys, at = keys[:0], at[:0]
-		for k := lv.lo; k < lv.hi; k++ {
-			if c := &p.found[k]; lv.units[c.u1].owner != lv.partners(k)[c.u2].owner {
-				keys = append(keys, c.key)
-				at = append(at, k)
-			}
-		}
-		for _, s := range byKeys(keys) {
-			k := at[s]
-			c := &p.found[k]
-			id1, id2 := lv.units[c.u1].id, lv.partners(k)[c.u2].id
-			pairs = append(pairs, UnitPair{
-				U1: int(min(id1, id2)), U2: int(max(id1, id2)),
-				Faces: float64(c.quarters) / faceQuarters, Frequency: lv.freq,
-			})
-		}
-	}
-	return pairs
-}
-
-// byKeys returns the positions of keys in ascending order of key, equal
-// keys in order of position.
-func byKeys(keys []uint64) []int32 {
-	buf := make([]int32, 2*len(keys))
-	idx := buf[:len(keys)]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return radixSortRun(keys, idx, buf[len(keys):])
-}
-
 // index groups the assignment's non-empty units by level, levels
 // ascending, each level in canonical order, in the plan's buffers. One
 // radix sort orders them all on a key packing the level and the low
@@ -383,13 +325,9 @@ func (p *CommPlan) index(a *Assignment) {
 				p.levels[n-1].units = p.units[first:]
 			}
 			first = len(p.units)
-			p.levels = append(p.levels, planLevel{level: u.Level, box: u.Box})
+			p.levels = append(p.levels, planLevel{level: u.Level})
 		} else {
 			pu.maxHi = max(pu.maxHi, p.units[len(p.units)-1].maxHi)
-			b := &p.levels[n-1].box
-			for d := 0; d < 3; d++ {
-				b.Lo[d], b.Hi[d] = min(b.Lo[d], u.Box.Lo[d]), max(b.Hi[d], u.Box.Hi[d])
-			}
 		}
 		p.units = append(p.units, pu)
 	}
@@ -427,11 +365,9 @@ func (lv *planLevel) faceContacts(found []contact) (_ []contact, overlap bool) {
 			// abut: sharing all three is an overlap, abutting on one a
 			// face, on more an edge or a corner.
 			var w [3]int
-			var at samr.Point
 			axis, abut := 0, 0
 			for d := 0; d < 3; d++ {
-				at[d] = max(a.box.Lo[d], b.box.Lo[d])
-				w[d] = min(a.box.Hi[d], b.box.Hi[d]) - at[d]
+				w[d] = min(a.box.Hi[d], b.box.Hi[d]) - max(a.box.Lo[d], b.box.Lo[d])
 				if w[d] == 0 {
 					axis = d
 					abut++
@@ -441,11 +377,8 @@ func (lv *planLevel) faceContacts(found []contact) (_ []contact, overlap bool) {
 				return found, true
 			}
 			if abut == 1 {
-				// The rectangle's cells on the lower box lie one below
-				// the plane where the two meet.
-				at[axis]--
 				found = append(found, contact{
-					key: lv.sweepKey(at, axis), u1: int32(i), u2: int32(i + 1 + j),
+					u1: int32(i), u2: int32(i + 1 + j),
 					quarters: faceQuarters * int64(w[(axis+1)%3]) * int64(w[(axis+2)%3]),
 				})
 			}
@@ -488,7 +421,7 @@ func (lv *planLevel) parentContacts(found []contact, pre []planUnit, ratio int) 
 		pre = append(pre, c)
 	}
 	overlapping(lv.units, pre, func(f, c int, common samr.Box) {
-		found = append(found, contact{key: lv.sweepKey(common.Lo, 3), u1: int32(f), u2: int32(c), quarters: common.Volume()})
+		found = append(found, contact{u1: int32(f), u2: int32(c), quarters: common.Volume()})
 	})
 	return found, pre
 }

@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +21,8 @@ func diffSuite() []Partitioner {
 
 // requirePlanMatchesReference asserts the box-geometry kernel reproduces
 // the cell-by-cell reference bit for bit: CommStats (including per-processor
-// shares), the pair list in canonical order, and self-migration.
+// shares), every cross-processor pair with its faces and frequency, and
+// self-migration.
 func requirePlanMatchesReference(t *testing.T, h *samr.Hierarchy, a *Assignment, label string) *CommPlan {
 	t.Helper()
 	plan := BuildCommPlan(h, a)
@@ -35,7 +38,7 @@ func requireMatchesReference(t *testing.T, plan *CommPlan, label string) {
 	if !reflect.DeepEqual(plan.Stats, refSt) {
 		t.Fatalf("%s: stats diverge\n plan: %+v\n  ref: %+v", label, plan.Stats, refSt)
 	}
-	pairs := plan.Pairs()
+	pairs, refPairs := planPairs(plan), sortPairs(refPairs)
 	if len(pairs) != len(refPairs) || (pairs == nil) != (refPairs == nil) {
 		t.Fatalf("%s: %d pairs (nil %t), reference has %d (nil %t)", label, len(pairs), pairs == nil, len(refPairs), refPairs == nil)
 	}
@@ -47,6 +50,37 @@ func requireMatchesReference(t *testing.T, plan *CommPlan, label string) {
 	if got := plan.MigrationFrom(plan); got != 0 {
 		t.Fatalf("%s: self-migration = %g, want 0", label, got)
 	}
+}
+
+// planPairs lists the plan's cross-processor contacts as the reference
+// names its pairs, sorted by sortPairs; nil when there is none.
+func planPairs(p *CommPlan) []refPair {
+	var pairs []refPair
+	for i := range p.levels {
+		lv := &p.levels[i]
+		for k := lv.lo; k < lv.hi; k++ {
+			c := &p.found[k]
+			u1, u2 := &lv.units[c.u1], &lv.partners(k)[c.u2]
+			if u1.owner == u2.owner {
+				continue
+			}
+			pairs = append(pairs, refPair{
+				U1: int(min(u1.id, u2.id)), U2: int(max(u1.id, u2.id)),
+				Faces: float64(c.quarters) / faceQuarters, Frequency: lv.freq,
+			})
+		}
+	}
+	return sortPairs(pairs)
+}
+
+// sortPairs sorts pairs in place by (U1, U2) and returns them. The unit ids
+// name a pair uniquely: a face pair's units share a level, a parent pair's
+// do not, and two units meet in one region.
+func sortPairs(pairs []refPair) []refPair {
+	slices.SortFunc(pairs, func(a, b refPair) int {
+		return cmp.Or(cmp.Compare(a.U1, b.U1), cmp.Compare(a.U2, b.U2))
+	})
+	return pairs
 }
 
 // requireMigrationMatchesReference checks the migration diff between two
@@ -144,7 +178,7 @@ func TestCommPlanGOMAXPROCSInvariance(t *testing.T) {
 	for _, procs := range []int{2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
 		plan := BuildCommPlan(h, a)
-		if !reflect.DeepEqual(plan.Stats, base.Stats) || !reflect.DeepEqual(plan.Pairs(), base.Pairs()) {
+		if !reflect.DeepEqual(plan.Stats, base.Stats) || !reflect.DeepEqual(planPairs(plan), planPairs(base)) {
 			t.Fatalf("GOMAXPROCS=%d: plan diverges from GOMAXPROCS=1", procs)
 		}
 		if mig := plan.MigrationFrom(BuildCommPlan(h, prev)); mig != baseMig {
@@ -185,7 +219,7 @@ func TestCommPlanEmptyAndSingleOwner(t *testing.T) {
 	h := flatHierarchy(t, 8, 4, 4)
 	solo := manualAssignment(2, pair{samr.MakeBox(8, 4, 4), 1})
 	plan := requirePlanMatchesReference(t, h, solo, "single-unit")
-	if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || len(plan.Pairs()) != 0 {
+	if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || len(planPairs(plan)) != 0 {
 		t.Fatalf("single-unit plan not empty: %+v", plan.Stats)
 	}
 	sameOwner := manualAssignment(2,
@@ -193,7 +227,7 @@ func TestCommPlanEmptyAndSingleOwner(t *testing.T) {
 		pair{samr.Box{Lo: samr.Point{4, 0, 0}, Hi: samr.Point{8, 4, 4}}, 1},
 	)
 	plan = requirePlanMatchesReference(t, h, sameOwner, "same-owner")
-	if plan.Stats.Volume != 0 || len(plan.Pairs()) != 0 {
+	if plan.Stats.Volume != 0 || len(planPairs(plan)) != 0 {
 		t.Fatalf("same-owner plan not empty: %+v", plan.Stats)
 	}
 }
@@ -219,8 +253,8 @@ func TestEvalQualityPlanMatchesEvalQuality(t *testing.T) {
 }
 
 // TestRasterizationSharing: one BuildCommPlan is one observation of the
-// PAC histogram, and every consumer of the plan — stats, pairs, migration
-// in either direction — builds nothing further.
+// PAC histogram, and every consumer of the plan — stats, migration in
+// either direction, quality — builds nothing further.
 func TestRasterizationSharing(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
@@ -235,7 +269,6 @@ func TestRasterizationSharing(t *testing.T) {
 	planB := BuildCommPlan(h, b)
 	builds = metricPACSeconds.Count()
 	_ = planA.Stats
-	_ = planA.Pairs()
 	_ = planA.MigrationFrom(planB)
 	_ = planB.MigrationFrom(planA)
 	EvalQualityPlan(planA, planB, a.Work(), 0)
@@ -378,7 +411,7 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		plan := requirePlanMatchesReference(t, h, a, "edge-corner")
 		// The second and third do share a face (z=4); the first touches
 		// neither on more than a line.
-		if pairs := plan.Pairs(); len(pairs) != 1 || pairs[0].U1 != 1 || pairs[0].U2 != 2 {
+		if pairs := planPairs(plan); len(pairs) != 1 || pairs[0].U1 != 1 || pairs[0].U2 != 2 {
 			t.Fatalf("pairs = %+v, want only units 1 and 2", pairs)
 		}
 	})
@@ -392,7 +425,7 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		)
 		plan := requirePlanMatchesReference(t, h, a, "three-parents")
 		want := map[int]float64{0: 0.25 * 2 * 8 * 8, 1: 0.25 * 8 * 8 * 8, 2: 0.25 * 2 * 8 * 8}
-		for _, p := range plan.Pairs() {
+		for _, p := range planPairs(plan) {
 			if p.U2 != 3 {
 				continue
 			}
@@ -435,8 +468,8 @@ func TestCommPlanGeometryCases(t *testing.T) {
 	t.Run("empty assignment", func(t *testing.T) {
 		empty := &Assignment{NProcs: 2}
 		plan := requirePlanMatchesReference(t, h, empty, "empty")
-		if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || plan.Pairs() != nil {
-			t.Fatalf("empty plan = %+v, %v", plan.Stats, plan.Pairs())
+		if plan.Stats.Volume != 0 || plan.Stats.Messages != 0 || planPairs(plan) != nil {
+			t.Fatalf("empty plan = %+v, %v", plan.Stats, planPairs(plan))
 		}
 		full := BuildCommPlan(h, units(2, Unit{Box: box(0, 0, 0, 12, 8, 8)}))
 		if a, b := plan.MigrationFrom(full), full.MigrationFrom(plan); a != 0 || b != 0 {
@@ -463,12 +496,12 @@ func TestCommPlanGeometryCases(t *testing.T) {
 		nearID := []int{1, -1, 0, 2}
 		want := requirePlanMatchesReference(t, h, near, "near")
 		got := BuildCommPlan(h, wide)
-		pairs := got.Pairs()
+		pairs := planPairs(got)
 		for i, p := range pairs {
 			pairs[i].U1, pairs[i].U2 = min(nearID[p.U1], nearID[p.U2]), max(nearID[p.U1], nearID[p.U2])
 		}
-		if !reflect.DeepEqual(got.Stats, want.Stats) || !reflect.DeepEqual(pairs, want.Pairs()) {
-			t.Fatalf("wide plan %+v %v, want %+v %v", got.Stats, pairs, want.Stats, want.Pairs())
+		if wantPairs := planPairs(want); !reflect.DeepEqual(got.Stats, want.Stats) || !reflect.DeepEqual(sortPairs(pairs), wantPairs) {
+			t.Fatalf("wide plan %+v %v, want %+v %v", got.Stats, pairs, want.Stats, wantPairs)
 		}
 		if m := got.MigrationFrom(want); m != 0 {
 			t.Fatalf("migration from the near plan %g, want 0", m)
@@ -625,30 +658,5 @@ func TestCommPlanMigrationFromAllocatesNothing(t *testing.T) {
 	prevPlan := BuildCommPlan(h, prev)
 	if allocs := testing.AllocsPerRun(10, func() { plan.MigrationFrom(prevPlan) }); allocs != 0 {
 		t.Fatalf("MigrationFrom allocates %g times, want 0", allocs)
-	}
-}
-
-// TestAdjacencyIsThePlanPairList checks that Adjacency returns the
-// reference pair list, cross-processor pairs only, in canonical order.
-func TestAdjacencyIsThePlanPairList(t *testing.T) {
-	h := testHierarchy(t)
-	for _, nprocs := range []int{1, 7} {
-		a, err := SFC{}.Partition(h, samr.UniformWorkModel{}, nprocs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, want := ReferenceCommunication(h, a)
-		got := Adjacency(h, a)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d procs: Adjacency has %d pairs, reference %d", nprocs, len(got), len(want))
-		}
-		if nprocs > 1 && len(got) == 0 {
-			t.Fatalf("%d procs: no cross-processor pairs", nprocs)
-		}
-		for _, p := range got {
-			if a.Owner[p.U1] == a.Owner[p.U2] {
-				t.Fatalf("%d procs: pair %+v joins units of one processor", nprocs, p)
-			}
-		}
 	}
 }

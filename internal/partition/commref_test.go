@@ -8,25 +8,34 @@ import (
 
 // This file holds the test oracles of the PAC kernel: the simple,
 // obviously-correct cell-by-cell implementations the box-geometry CommPlan
-// is differentially tested against. They define the canonical semantics —
+// is differentially tested against. They define the canonical semantics:
 // per level ascending, cells in z, y, x order, each cell checking its +x,
-// +y, +z face neighbors and then its coarse parent — and the canonical pair
-// enumeration order. They back the property and fuzz tests and the
-// *Reference benchmark rows; production has only BuildCommPlan.
+// +y, +z face neighbors and then its coarse parent. They back the property
+// and fuzz tests and the *Reference benchmark rows; production has only
+// BuildCommPlan.
+
+// refPair is one cross-processor unit pair: U1 < U2 index
+// Assignment.Units, Faces is the unweighted contact area in cell faces (a
+// parent transfer counts its weighted volume) and Frequency the level's
+// exchanges per coarse step (Ratio^level).
+type refPair struct {
+	U1, U2           int
+	Faces, Frequency float64
+}
 
 // ReferenceCommunication computes the assignment's communication
 // statistics and cross-processor unit pairs with the pre-CommPlan
 // sequential kernel: per-cell at() lookups and map-based pair dedup, one
 // fused pass per level. BuildCommPlan must reproduce its output bit for
 // bit.
-func ReferenceCommunication(h *samr.Hierarchy, a *Assignment) (CommStats, []UnitPair) {
+func ReferenceCommunication(h *samr.Hierarchy, a *Assignment) (CommStats, []refPair) {
 	st := CommStats{
 		PerProcVolume:   make([]float64, a.NProcs),
 		PerProcMessages: make([]float64, a.NProcs),
 	}
 	rs := unitRasters(a)
 	pairIdx := map[uint64]int{}
-	var pairList []UnitPair
+	var pairList []refPair
 	record := func(u1, u2 int32, vol, freq float64) {
 		o1, o2 := a.Owner[u1], a.Owner[u2]
 		if o1 == o2 {
@@ -44,7 +53,7 @@ func ReferenceCommunication(h *samr.Hierarchy, a *Assignment) (CommStats, []Unit
 		i, seen := pairIdx[key]
 		if !seen {
 			pairIdx[key] = len(pairList)
-			pairList = append(pairList, UnitPair{U1: int(lo), U2: int(hi), Frequency: freq})
+			pairList = append(pairList, refPair{U1: int(lo), U2: int(hi), Frequency: freq})
 			i = len(pairList) - 1
 			st.Messages += freq
 			st.PerProcMessages[o1] += freq

@@ -92,22 +92,3 @@ type CommStats struct {
 	// PerProcMessages[p] is processor p's share of Messages.
 	PerProcMessages []float64
 }
-
-// UnitPair is one cross-processor adjacency: the two units exchange ghost
-// data every step.
-type UnitPair struct {
-	// U1 and U2 index Assignment.Units; Owner[U1] != Owner[U2].
-	U1, U2 int
-	// Faces is the unweighted contact area in cell faces (inter-level
-	// parent transfers count their weighted volume).
-	Faces float64
-	// Frequency is the per-coarse-step exchange frequency (Ratio^level).
-	Frequency float64
-}
-
-// Adjacency returns every cross-processor unit pair of the assignment —
-// the message pattern a distributed executor must realize. Callers that
-// also need CommStats should call BuildCommPlan once instead.
-func Adjacency(h *samr.Hierarchy, a *Assignment) []UnitPair {
-	return BuildCommPlan(h, a).Pairs()
-}

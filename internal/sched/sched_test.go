@@ -557,17 +557,15 @@ func TestKeepFinishedEviction(t *testing.T) {
 
 // TestExecutionStaysBehindExecutor: the lifecycle describes a run and
 // leaves its execution to the Executor, so no non-test file of the
-// package reaches the message-passing engine or the control network.
+// package reaches the control network.
 func TestExecutionStaysBehindExecutor(t *testing.T) {
 	pkg, err := build.ImportDir(".", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, imp := range pkg.Imports {
-		for _, banned := range []string{"internal/engine", "internal/agents"} {
-			if strings.HasSuffix(imp, banned) {
-				t.Errorf("sched imports %s", imp)
-			}
+		if strings.HasSuffix(imp, "internal/agents") {
+			t.Errorf("sched imports %s", imp)
 		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"github.com/pragma-grid/pragma/internal/chaos"
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/core"
-	"github.com/pragma-grid/pragma/internal/engine"
 	"github.com/pragma-grid/pragma/internal/hydro"
 	"github.com/pragma-grid/pragma/internal/octant"
 	"github.com/pragma-grid/pragma/internal/partition"
@@ -135,16 +134,6 @@ type (
 	HydroGrid = hydro.Grid
 	// HydroState holds one cell's conserved variables.
 	HydroState = hydro.State
-
-	// Engine executes a partitioned hierarchy as a real message-passing
-	// program over the Message Center (see internal/engine).
-	Engine = engine.Engine
-	// EngineOption configures an Engine (step deadlines, port namespacing,
-	// fault injection).
-	EngineOption = engine.Option
-	// EngineLostWorkers is the error an engine run fails with when workers
-	// miss a step deadline; Missing lists the lost processor ids.
-	EngineLostWorkers = engine.LostWorkersError
 
 	// PF is a performance function (§3.2).
 	PF = perf.PF
@@ -352,20 +341,6 @@ func NewADM(id string, port MessagePort, kb *PolicyBase) (*ADM, error) {
 // registry.
 func NewTemplateRegistry() *TemplateRegistry { return agents.NewRegistry() }
 
-// NewEngine wires a distributed-execution emulation of the assignment:
-// one worker per processor on the given ports (the same MessageCenter for
-// an in-process run, or TCP clients for multi-node emulation), exchanging
-// real ghost messages each step. Pass WithStepDeadline to bound every
-// barrier wait so a crashed worker fails the run with EngineLostWorkers
-// instead of hanging it.
-func NewEngine(h *Hierarchy, a *Assignment, coordOn MessagePort, ports []MessagePort, opts ...EngineOption) (*Engine, error) {
-	return engine.New(h, a, coordOn, ports, opts...)
-}
-
-// WithStepDeadline bounds each worker/coordinator barrier wait of an
-// Engine (see NewEngine).
-var WithStepDeadline = engine.WithStepDeadline
-
 // PFExampleSystem returns the paper's PC1 -> switch -> PC2 pipeline used
 // to illustrate performance functions (§3.2, Table 1).
 func PFExampleSystem(noise float64) []SystemComponent { return perf.ExampleSystem(noise) }
@@ -466,7 +441,7 @@ type (
 )
 
 // Telemetry returns the process-global metrics registry every instrumented
-// layer (engine, agents, core, checkpoint, monitor) records into.
+// layer (agents, core, checkpoint, monitor) records into.
 func Telemetry() *TelemetryRegistry { return telemetry.Default }
 
 // ServeTelemetry starts an HTTP server on addr exposing the global registry

@@ -71,37 +71,3 @@ func TestFacadeTraceIO(t *testing.T) {
 		t.Fatalf("reloaded trace replays differently: %g vs %g", a.TotalTime, b.TotalTime)
 	}
 }
-
-func TestFacadeEngineEmulation(t *testing.T) {
-	trace, err := GenerateRM3D(RM3DSmall())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := trace.Snapshots[10]
-	p, err := PartitionerByName("pBD-ISP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := p.Partition(snap.H, UniformWork(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	center := NewMessageCenter()
-	ports := make([]MessagePort, 6)
-	for i := range ports {
-		ports[i] = center
-	}
-	eng, err := NewEngine(snap.H, a, center, ports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The emulation's message traffic matches the model's adjacency count:
-	// every cross-processor unit pair exchanges 2 messages per step.
-	if rep.TotalMessages()%(2*4) != 0 || rep.TotalMessages() == 0 {
-		t.Fatalf("emulation delivered %d messages over 4 steps", rep.TotalMessages())
-	}
-}

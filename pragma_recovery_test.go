@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/pragma-grid/pragma/internal/chaos"
 	"github.com/pragma-grid/pragma/internal/core"
@@ -134,41 +133,6 @@ func TestRuntimeFailureAwareAllNodesDead(t *testing.T) {
 	_, err = Runtime{Trace: trace, Machine: machine, Strategy: FailureAware(Adaptive()), NProcs: 2}.Execute()
 	if err == nil {
 		t.Fatal("run with zero live nodes succeeded")
-	}
-}
-
-// TestFacadeEngineStepDeadline checks the supervision surface: an engine
-// built through the facade with a step deadline completes a healthy run
-// well inside it.
-func TestFacadeEngineStepDeadline(t *testing.T) {
-	trace, err := GenerateRM3D(RM3DSmall())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := trace.Snapshots[len(trace.Snapshots)-1].H
-	p, err := PartitionerByName("G-MISP+SP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := p.Partition(h, UniformWork(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	center := NewMessageCenter()
-	ports := make([]MessagePort, 4)
-	for i := range ports {
-		ports[i] = center
-	}
-	eng, err := NewEngine(h, a, center, ports, WithStepDeadline(30*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Steps != 3 || len(rep.Workers) != 4 {
-		t.Fatalf("unexpected report: %+v", rep)
 	}
 }
 
