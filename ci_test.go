@@ -23,8 +23,8 @@ func TestCIPatternsMatchTests(t *testing.T) {
 		if !mf.test {
 			continue
 		}
-		eachDecl(mf.f, func(name string, method bool, _ ast.Node) {
-			if !method && testFunc.MatchString(name) {
+		eachDecl(mf.f, func(name, method string, _ ast.Node) {
+			if method == "" && testFunc.MatchString(name) {
 				names = append(names, name)
 			}
 		})

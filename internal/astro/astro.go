@@ -274,10 +274,6 @@ func (g *Galaxy) Cores(idx int) []samr.Box {
 	return out
 }
 
-// HaloCount reports the number of surviving halos at snapshot idx — the
-// merger history.
-func (g *Galaxy) HaloCount(idx int) int { return len(g.state(idx)) }
-
 func boxAround(pos [3]float64, r float64) samr.Box {
 	var b samr.Box
 	for d := 0; d < 3; d++ {

@@ -39,8 +39,8 @@ func TestConfigValidate(t *testing.T) {
 func TestGalaxyMergerHistory(t *testing.T) {
 	cfg := DefaultConfig()
 	g := NewGalaxy(cfg, 12)
-	first := g.HaloCount(0)
-	last := g.HaloCount(cfg.Snapshots() - 1)
+	first := len(g.state(0))
+	last := len(g.state(cfg.Snapshots() - 1))
 	if first != 12 {
 		t.Fatalf("initial halos = %d", first)
 	}
@@ -50,7 +50,7 @@ func TestGalaxyMergerHistory(t *testing.T) {
 	// Halo count is non-increasing (merging only).
 	prev := first
 	for idx := 1; idx < cfg.Snapshots(); idx++ {
-		n := g.HaloCount(idx)
+		n := len(g.state(idx))
 		if n > prev {
 			t.Fatalf("halo count grew at %d: %d -> %d", idx, prev, n)
 		}
@@ -209,7 +209,7 @@ func TestGalaxyRunsEachMergerStepOnce(t *testing.T) {
 		go func() {
 			n := 0
 			for idx := last; idx >= 0; idx-- {
-				n += g.HaloCount(idx)
+				n += len(g.state(idx))
 			}
 			done <- n
 		}()

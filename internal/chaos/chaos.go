@@ -63,13 +63,6 @@ func (f *FaultPoint) Fired() bool {
 	return f.fired
 }
 
-// Calls reports how many times Check has run.
-func (f *FaultPoint) Calls() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls
-}
-
 // Config parameterizes the injected faults. The zero value injects
 // nothing and wrapping with it is transparent.
 type Config struct {
@@ -157,13 +150,6 @@ func (in *injector) corrupt(p []byte) []byte {
 	return q
 }
 
-// Faults reports how many drops and corruptions have been injected so far.
-func (in *injector) count() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.faults
-}
-
 // Conn is a net.Conn with fault injection on Read and Write. Deadlines,
 // addresses and Close pass through to the wrapped connection.
 type Conn struct {
@@ -175,9 +161,6 @@ type Conn struct {
 func Wrap(c net.Conn, cfg Config) *Conn {
 	return &Conn{Conn: c, in: newInjector(cfg)}
 }
-
-// Faults reports the injected fault count of this connection's injector.
-func (c *Conn) Faults() int { return c.in.count() }
 
 // Read implements net.Conn.
 func (c *Conn) Read(p []byte) (int, error) {
@@ -244,9 +227,6 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 	return &Conn{Conn: c, in: l.in}, nil
 }
-
-// Faults reports the injected fault count across all accepted connections.
-func (l *Listener) Faults() int { return l.in.count() }
 
 // Dialer returns a dial function producing chaos-wrapped TCP connections;
 // it plugs into the agent client's WithDialer option. All connections it

@@ -30,8 +30,8 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 	if string(buf) != "hello" {
 		t.Fatalf("got %q", buf)
 	}
-	if c.Faults() != 0 {
-		t.Fatalf("faults = %d", c.Faults())
+	if faults(c.in) != 0 {
+		t.Fatalf("faults = %d", faults(c.in))
 	}
 }
 
@@ -85,8 +85,8 @@ func TestDropKillsConnection(t *testing.T) {
 	if _, err := c.Conn.Write([]byte("x")); err == nil {
 		t.Fatal("underlying conn still writable after injected drop")
 	}
-	if c.Faults() != 1 {
-		t.Fatalf("faults = %d", c.Faults())
+	if faults(c.in) != 1 {
+		t.Fatalf("faults = %d", faults(c.in))
 	}
 }
 
@@ -169,9 +169,9 @@ func TestWrapListenerSharesInjector(t *testing.T) {
 		c.Close()
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for cl.Faults() != 1 {
+	for faults(cl.in) != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("faults = %d, want 1", cl.Faults())
+			t.Fatalf("faults = %d, want 1", faults(cl.in))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -190,8 +190,8 @@ func TestFaultPointFiresExactlyOnce(t *testing.T) {
 			t.Fatalf("call %d: unexpected error %v", i, err)
 		}
 	}
-	if !fp.Fired() || fp.Calls() != 6 {
-		t.Fatalf("fired = %v, calls = %d, want true/6", fp.Fired(), fp.Calls())
+	if !fp.Fired() || fp.calls != 6 {
+		t.Fatalf("fired = %v, calls = %d, want true/6", fp.Fired(), fp.calls)
 	}
 }
 
@@ -254,7 +254,14 @@ func TestDialerSharesInjector(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server never read the redial's bytes")
 	}
-	if n := second.(*Conn).Faults(); n != 1 {
+	if n := faults(second.(*Conn).in); n != 1 {
 		t.Fatalf("shared fault count %d, want 1", n)
 	}
+}
+
+// faults reports how many drops and corruptions in has injected so far.
+func faults(in *injector) int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.faults
 }

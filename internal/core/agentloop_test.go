@@ -49,9 +49,11 @@ func TestAgentManagedDegradedFallback(t *testing.T) {
 	const degradeAt = 2
 	partitioned := false
 	am.Health = func() bool { return !partitioned }
+	dir := t.TempDir()
 	res, err := Run(tr, am, RunConfig{
-		Machine: machine,
-		NProcs:  8,
+		Machine:       machine,
+		NProcs:        8,
+		CheckpointDir: dir,
 		WorkModel: func(idx int) samr.WorkModel {
 			// Run builds the step context (and thus calls this) before
 			// each Assign, so the flip lands before regrid degradeAt.
@@ -70,6 +72,14 @@ func TestAgentManagedDegradedFallback(t *testing.T) {
 	}
 	if res.DegradedRegrids != want {
 		t.Fatalf("RunResult.DegradedRegrids = %d, want %d (signal not threaded up)", res.DegradedRegrids, want)
+	}
+	// The last checkpoint counts the degraded regrids before its boundary.
+	ck, err := ReadCheckpoint(dir)
+	if err != nil || ck == nil {
+		t.Fatalf("ReadCheckpoint = %v, %v", ck, err)
+	}
+	if ck.Degraded != ck.Next-degradeAt {
+		t.Fatalf("checkpointed Degraded = %d, want %d", ck.Degraded, ck.Next-degradeAt)
 	}
 	if res.TotalTime <= 0 {
 		t.Fatal("no time accumulated")

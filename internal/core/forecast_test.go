@@ -110,17 +110,12 @@ func TestForecastStateIsBounded(t *testing.T) {
 
 // TestSystemSensitiveRefusesSampleHistory: a forecasting checkpoint that
 // holds the sample history instead of the forecasters' state is refused
-// with ErrSampleHistoryState, directly and through FailureAware, rather
-// than resumed with fresh forecasters.
+// with ErrSampleHistoryState rather than resumed with fresh forecasters.
 func TestSystemSensitiveRefusesSampleHistory(t *testing.T) {
 	old := `{"caps":[0.6,0.4],"history":[[{"Time":0,"CPU":1,"MemoryMB":512,"BandwidthMBps":100},{"Time":0,"CPU":0.5,"MemoryMB":512,"BandwidthMBps":100}]]}`
 	s := &SystemSensitive{RecalibrateEvery: 1, Forecast: true}
 	if err := s.RestoreState([]byte(old)); !errors.Is(err, ErrSampleHistoryState) {
 		t.Fatalf("restore of a sample history: err = %v, want ErrSampleHistoryState", err)
-	}
-	f := &FailureAware{Inner: &SystemSensitive{RecalibrateEvery: 1, Forecast: true}}
-	if err := f.RestoreState([]byte(`{"failuresSeen":1,"inner":` + old + `}`)); !errors.Is(err, ErrSampleHistoryState) {
-		t.Fatalf("restore through FailureAware: err = %v, want ErrSampleHistoryState", err)
 	}
 	// The current shape restores, before its first sample too.
 	fresh := &SystemSensitive{RecalibrateEvery: 1, Forecast: true}

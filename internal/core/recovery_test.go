@@ -44,7 +44,9 @@ func gaugeValue(t *testing.T, name string) float64 {
 }
 
 // TestRecoveryRefreshesPACQuality forces a mid-interval node death between
-// a known dead assignment and a known recovery assignment, and asserts the
+// a known dead assignment and a known recovery assignment — node 3 dies
+// just after the regrid at t = 0, so the recovery is asked for the three
+// survivors and scripted in their ids — and asserts the
 // recorded snapshot quality, the published PAC gauges, and the interval
 // overhead all describe the assignment that actually finished the interval
 // — not the one that died under it.
@@ -54,32 +56,15 @@ func TestRecoveryRefreshesPACQuality(t *testing.T) {
 	h := tr.Snapshots[0].H
 
 	machine := cluster.Homogeneous(4, 1e5, 512, 100)
-	machine.Fail(3, 0)
+	machine.Fail(3, 1e-12)
 
-	dead, err := (partition.GMISPSP{}).Partition(h, samr.UniformWorkModel{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dead.Work()[3] == 0 {
-		t.Fatal("dead assignment puts no work on node 3; the failure cannot trigger")
-	}
 	// The recovery assignment dumps node 3's units onto node 0: alive
 	// everywhere, deliberately imbalanced so its quality is distinguishable
 	// from the dead assignment's.
-	recovered := &partition.Assignment{
-		NProcs:    dead.NProcs,
-		Units:     dead.Units,
-		Owner:     append([]int(nil), dead.Owner...),
-		SplitCost: dead.SplitCost,
-	}
-	for i, o := range recovered.Owner {
-		if o == 3 {
-			recovered.Owner[i] = 0
-		}
-	}
+	dead, recovered := deadAndRescue(t, h)
 
 	strat := &scriptedStrategy{
-		assigns: []*partition.Assignment{dead, recovered},
+		assigns: []*partition.Assignment{dead, survivorRelative(recovered, []int{0, 1, 2})},
 		labels:  []string{"doomed", "rescue"},
 	}
 	builds := pacBuilds(t)
@@ -229,7 +214,7 @@ func twoNodesLost() *cluster.Cluster {
 func TestRecoveryErrorFailsRun(t *testing.T) {
 	tr := testTrace(t)
 	cfg := RunConfig{Machine: twoNodesLost(), NProcs: 8}
-	healthy := &recoveryProbe{inner: &FailureAware{Inner: Static{P: partition.GMISPSP{}}}}
+	healthy := &recoveryProbe{inner: Static{P: partition.GMISPSP{}}}
 	res, err := Run(tr, healthy, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +225,7 @@ func TestRecoveryErrorFailsRun(t *testing.T) {
 	}
 
 	cfg.Machine = twoNodesLost()
-	failing := &recoveryProbe{inner: &FailureAware{Inner: Static{P: partition.GMISPSP{}}}, failRecovery: true}
+	failing := &recoveryProbe{inner: Static{P: partition.GMISPSP{}}, failRecovery: true}
 	res, err = Run(tr, failing, cfg)
 	if !errors.Is(err, errRecoveryRefused) {
 		t.Fatalf("run whose recovery fails: err = %v, result %+v", err, res)
@@ -252,11 +237,11 @@ func TestRecoveryErrorFailsRun(t *testing.T) {
 }
 
 // TestCrashOnRecoverySurfaces injects a crash on the first recovery call
-// of FailureAware{SystemSensitive} on SP2(8) losing two nodes: the run
+// of SystemSensitive on SP2(8) losing two nodes: the run
 // must end with the injected crash, not complete.
 func TestCrashOnRecoverySurfaces(t *testing.T) {
 	tr := testTrace(t)
-	probe := &recoveryProbe{inner: &FailureAware{Inner: &SystemSensitive{}}}
+	probe := &recoveryProbe{inner: &SystemSensitive{}}
 	if _, err := Run(tr, probe, RunConfig{Machine: twoNodesLost(), NProcs: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +250,7 @@ func TestCrashOnRecoverySurfaces(t *testing.T) {
 		t.Fatal("no recovery to crash")
 	}
 	fp := &chaos.FaultPoint{FailAt: rec[0]}
-	crash := crashingStrategy{inner: &FailureAware{Inner: &SystemSensitive{}}, fp: fp}
+	crash := crashingStrategy{inner: &SystemSensitive{}, fp: fp}
 	res, err := Run(tr, crash, RunConfig{Machine: twoNodesLost(), NProcs: 8})
 	if !fp.Fired() {
 		t.Fatalf("the crash at call %d never fired", rec[0])

@@ -23,11 +23,11 @@ func nodeLoss(healthy float64) *cluster.Cluster {
 }
 
 // nodeLossConfig is the small trace's node-loss replay under
-// FailureAware{Static{G-MISP+SP}}, whose healthy time places the failures.
+// Static{G-MISP+SP}, whose healthy time places the failures.
 func nodeLossConfig(t *testing.T) (*samr.Trace, func() Strategy, RunConfig) {
 	t.Helper()
 	tr := testTrace(t)
-	strat := func() Strategy { return &FailureAware{Inner: Static{P: partition.GMISPSP{}}} }
+	strat := func() Strategy { return Static{P: partition.GMISPSP{}} }
 	healthy, err := Run(tr, strat(), RunConfig{Machine: cluster.Homogeneous(8, 1e5, 512, 100), NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -122,12 +122,14 @@ func deadAndRescue(t *testing.T, h *samr.Hierarchy) (dead, rescue *partition.Ass
 
 // TestSwitchesFollowRecordedLabels: a switch is a change of the label a
 // snapshot records, which after a mid-interval recovery is the
-// replacement's. Node 3 is dead from the start; the scripted strategy
-// hands out a dead assignment where the case asks for one, and the
-// recovery that follows records its replacement's label.
+// replacement's. Node 3 dies just after the first regrid, at t = 0: the
+// scripted strategy hands out the dead assignment there, and the recovery
+// that follows, and every regrid after it, are asked for the three
+// survivors and scripted in their ids.
 func TestSwitchesFollowRecordedLabels(t *testing.T) {
 	h := testTrace(t).Snapshots[0].H
-	dead, rescue := deadAndRescue(t, h)
+	dead, rescue4 := deadAndRescue(t, h)
+	rescue := survivorRelative(rescue4, []int{0, 1, 2})
 	cases := []struct {
 		name         string
 		assigns      []*partition.Assignment
@@ -137,13 +139,14 @@ func TestSwitchesFollowRecordedLabels(t *testing.T) {
 	}{
 		// doomed→rescue, then rescue: no switch between the records.
 		{"recovery-then-same", []*partition.Assignment{dead, rescue}, []string{"doomed", "rescue"}, []string{"rescue", "rescue"}, 0},
-		// A, then A→B, then A: two switches between the records.
-		{"recovery-between", []*partition.Assignment{rescue, dead, rescue, rescue}, []string{"A", "A", "B", "A"}, []string{"A", "B", "A"}, 2},
+		// A→B, then A, then B: two switches between the records, none
+		// for the doomed label.
+		{"recovery-then-switches", []*partition.Assignment{dead, rescue, rescue, rescue}, []string{"A", "B", "A", "B"}, []string{"B", "A", "B"}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			machine := cluster.Homogeneous(4, 1e5, 512, 100)
-			machine.Fail(3, 0)
+			machine.Fail(3, 1e-12)
 			tr := &samr.Trace{Name: c.name, RegridEvery: testTrace(t).RegridEvery}
 			for range c.want {
 				tr.Snapshots = append(tr.Snapshots, samr.Snapshot{H: h})

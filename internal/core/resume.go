@@ -24,9 +24,9 @@ import (
 // itself rather than serialized.
 
 // CheckpointableStrategy is implemented by strategies carrying in-memory
-// state that a resumed run must restore (capacity caches, failure
-// counters, the agent loop's event baseline). Stateless strategies need nothing: re-running them over the
-// restored inputs reproduces their decisions.
+// state that a resumed run must restore (capacity caches, the agent
+// loop's event baseline). Stateless strategies need nothing: re-running
+// them over the restored inputs reproduces their decisions.
 type CheckpointableStrategy interface {
 	// CheckpointState serializes the strategy's resume-relevant state.
 	CheckpointState() ([]byte, error)

@@ -335,7 +335,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			CycleTrace:     cycle,
 		}
 		cycle.StartSpan("repartition")
-		a, label, err := strat.Assign(ctx)
+		a, label, err := assign(strat, ctx)
 		if err != nil {
 			cycle.End(telemetry.String("error", err.Error()))
 			return nil, fmt.Errorf("core: regrid %d: %w", idx, err)
@@ -353,16 +353,17 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		cycle.StartSpan("steps")
 		for s := 0; s < stepsPerRegrid; s++ {
 			st := rg.step(simTime)
-			if math.IsInf(st.Total, 1) {
-				// A node carrying work died mid-interval. Give the
-				// strategy one chance to recover: re-assign at the current
-				// time and charge a full redistribution. Strategies that
-				// ignore liveness re-produce the stalled assignment and
-				// the run stays infinite — which is the honest outcome. A
-				// strategy that fails to recover fails the run.
+			for math.IsInf(st.Total, 1) {
+				// A node carrying work died mid-interval. Re-assign across
+				// the survivors at the current time and charge a full
+				// redistribution. The replacement uses only nodes alive
+				// now, so a replacement that stalls in turn lost another
+				// node while its data moved, and once none is left assign
+				// fails the run. A strategy that fails to recover fails
+				// the run.
 				ctx.SimTime = simTime
 				ctx.PrevAssignment = a
-				a2, label2, err := strat.Assign(ctx)
+				a2, label2, err := assign(strat, ctx)
 				if err != nil {
 					cycle.End(telemetry.String("error", err.Error()))
 					return nil, fmt.Errorf("core: regrid %d: recovery: %w", idx, err)

@@ -245,23 +245,22 @@ func AblationCapacityWeights(cfg rm3d.Config, nprocs int, loadSeed int64) ([]Wei
 type FailureAblationRow struct {
 	Scenario string
 	Runtime  float64
-	// Detected counts regrids at which dead nodes were observed.
+	// Detected counts the strategy calls, at regrids and recoveries, at
+	// which dead nodes were observed.
 	Detected int
 }
 
 // AblationFailures injects fail-stop node failures mid-run and measures
-// the fault-tolerant wrapper's graceful degradation — the "respond to
-// system failures" goal of §1. Scenarios: healthy, one failure, two
-// failures (all on the same machine description).
+// how gracefully a run degrades as it moves work off the lost nodes — the
+// "respond to system failures" goal of §1. Scenarios: healthy, one
+// failure, two failures (all on the same machine description).
 func AblationFailures(cfg rm3d.Config, nprocs int) ([]FailureAblationRow, error) {
 	tr, err := TraceFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	healthyMachine := cluster.SP2(nprocs)
-	rc := core.RunConfig{Machine: healthyMachine, NProcs: nprocs, WorkModel: cfg.WorkModel}
-	base := &core.FailureAware{Inner: core.Static{P: partition.GMISPSP{}}}
-	healthy, err := core.Run(tr, base, rc)
+	rc := core.RunConfig{Machine: cluster.SP2(nprocs), NProcs: nprocs, WorkModel: cfg.WorkModel}
+	healthy, err := core.Run(tr, core.Static{P: partition.GMISPSP{}}, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +271,7 @@ func AblationFailures(cfg rm3d.Config, nprocs int) ([]FailureAblationRow, error)
 		for k := 0; k < failures; k++ {
 			machine.Fail(1+2*k, healthy.TotalTime*float64(k+1)/4)
 		}
-		ft := &core.FailureAware{Inner: core.Static{P: partition.GMISPSP{}}}
+		ft := &detections{Strategy: core.Static{P: partition.GMISPSP{}}, nprocs: nprocs}
 		res, err := core.Run(tr, ft, core.RunConfig{Machine: machine, NProcs: nprocs, WorkModel: cfg.WorkModel})
 		if err != nil {
 			return nil, err
@@ -280,10 +279,25 @@ func AblationFailures(cfg rm3d.Config, nprocs int) ([]FailureAblationRow, error)
 		rows = append(rows, FailureAblationRow{
 			Scenario: fmt.Sprintf("%d node(s) fail mid-run", failures),
 			Runtime:  res.TotalTime,
-			Detected: ft.FailuresSeen,
+			Detected: ft.seen,
 		})
 	}
 	return rows, nil
+}
+
+// detections counts the Assign calls, at a regrid or a recovery, at which
+// some of the run's nprocs processors were dead: those core.Run hands the
+// strategy fewer processors for.
+type detections struct {
+	core.Strategy
+	nprocs, seen int
+}
+
+func (d *detections) Assign(ctx *core.StepContext) (*partition.Assignment, string, error) {
+	if ctx.NProcs < d.nprocs {
+		d.seen++
+	}
+	return d.Strategy.Assign(ctx)
 }
 
 // ManagementAblationRow compares runtime-management styles on a loaded

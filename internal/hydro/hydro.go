@@ -261,50 +261,6 @@ func (g *Grid) Step(dt float64) {
 	g.cells, g.scratch = g.scratch, g.cells
 }
 
-// Advance runs steps under the given CFL number and returns the simulated
-// time covered.
-func (g *Grid) Advance(steps int, cfl float64) float64 {
-	var t float64
-	for s := 0; s < steps; s++ {
-		dt := g.StableDt(cfl)
-		g.Step(dt)
-		t += dt
-	}
-	return t
-}
-
-// AdvanceTo integrates until time tEnd (the last step is shortened).
-func (g *Grid) AdvanceTo(tEnd, cfl float64) int {
-	t := 0.0
-	steps := 0
-	for t < tEnd {
-		dt := g.StableDt(cfl)
-		if t+dt > tEnd {
-			dt = tEnd - t
-		}
-		g.Step(dt)
-		t += dt
-		steps++
-		if steps > 1<<20 {
-			panic("hydro: AdvanceTo runaway")
-		}
-	}
-	return steps
-}
-
-// TotalMass returns the integrated density (cell volume factored out).
-func (g *Grid) TotalMass() float64 {
-	var m float64
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				m += g.At(i, j, k).Rho
-			}
-		}
-	}
-	return m
-}
-
 // SodX initializes the classic Sod shock tube along x: (rho=1, p=1) on the
 // left half, (rho=0.125, p=0.1) on the right, at rest.
 func SodX(g *Grid) {

@@ -158,18 +158,6 @@ func (b *Base) Add(r Rule) error {
 	return nil
 }
 
-// Rules returns a copy of all rules sorted by insertion order.
-func (b *Base) Rules() []Rule {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]Rule, 0, len(b.rules))
-	for _, r := range b.rules {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
 // Scored is a rule with its degree of match to a query.
 type Scored struct {
 	Rule   Rule

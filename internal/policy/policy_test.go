@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/octant"
@@ -39,7 +40,7 @@ func TestAddUpdate(t *testing.T) {
 	if err := b.Add(r); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(b.Rules()); n != 1 {
+	if n := len(rules(b)); n != 1 {
 		t.Fatalf("len = %d", n)
 	}
 	// Replacing keeps insertion order.
@@ -51,7 +52,7 @@ func TestAddUpdate(t *testing.T) {
 	if err := b.Add(replaced); err != nil {
 		t.Fatal(err)
 	}
-	rules := b.Rules()
+	rules := rules(b)
 	if len(rules) != 2 || rules[0].ID != "r1" || rules[0].Then.Target != "a2" {
 		t.Fatalf("rules after replace: %+v", rules)
 	}
@@ -179,4 +180,16 @@ func TestTable2MixedKinds(t *testing.T) {
 	if act, ok := b.BestAction("configure-refinement", map[string]interface{}{"cache-kb": 256}); !ok || act.Params["cells"] != 16384 {
 		t.Fatalf("refinement action = %+v ok=%v", act, ok)
 	}
+}
+
+// rules returns a copy of b's rules sorted by insertion order.
+func rules(b *Base) []Rule {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	out := make([]Rule, 0, len(b.rules))
+	for _, r := range b.rules {
+		out = append(out, *r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
 }

@@ -17,7 +17,7 @@ import (
 func TestTable2PriorityEncodesPreferenceOrder(t *testing.T) {
 	b := Table2()
 	byID := map[string]Rule{}
-	for _, r := range b.Rules() {
+	for _, r := range rules(b) {
 		byID[r.ID] = r
 	}
 	recs := Table2Recommendations()
@@ -57,7 +57,7 @@ func TestTable2PriorityEncodesPreferenceOrder(t *testing.T) {
 	}
 	// No stray select-partitioner rules beyond the table.
 	total := 0
-	for _, r := range b.Rules() {
+	for _, r := range rules(b) {
 		if r.Then.Kind == "select-partitioner" {
 			total++
 		}
@@ -76,7 +76,7 @@ func TestTable2MixedKindPriorities(t *testing.T) {
 	b := Table2()
 	commOctants := map[string]bool{"I": true, "II": true, "V": true, "VI": true}
 	seen := map[string]bool{}
-	for _, r := range b.Rules() {
+	for _, r := range rules(b) {
 		switch r.Then.Kind {
 		case "communication-mechanism":
 			oct := r.When["octant"].Equals

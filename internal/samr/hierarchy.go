@@ -191,12 +191,3 @@ func (h *Hierarchy) AMREfficiency() float64 {
 	}
 	return 100 * (1 - h.TotalWork()/uw)
 }
-
-// RefinedVolumeFraction returns the fraction of the level-(l-1) refined
-// domain covered by level-l boxes. Reports 0 for l outside [1, depth).
-func (h *Hierarchy) RefinedVolumeFraction(l int) float64 {
-	if l < 1 || l >= h.Depth() {
-		return 0
-	}
-	return float64(h.CellsAtLevel(l)) / float64(h.LevelDomain(l).Volume())
-}

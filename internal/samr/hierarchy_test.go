@@ -187,20 +187,6 @@ func TestWorkModels(t *testing.T) {
 	}
 }
 
-func TestRefinedVolumeFraction(t *testing.T) {
-	h := mustHierarchy(t, MakeBox(16, 16, 16), 2)
-	if err := h.SetLevel(1, []Box{MakeBox(16, 16, 16)}); err != nil {
-		t.Fatal(err)
-	}
-	// Level-1 domain is 32^3 = 32768; refined region 16^3 = 4096.
-	if got := h.RefinedVolumeFraction(1); math.Abs(got-4096.0/32768.0) > 1e-12 {
-		t.Fatalf("fraction = %g", got)
-	}
-	if h.RefinedVolumeFraction(0) != 0 || h.RefinedVolumeFraction(5) != 0 {
-		t.Fatal("out-of-range level fraction not zero")
-	}
-}
-
 func TestTotalCellsSumsLevels(t *testing.T) {
 	h := mustHierarchy(t, MakeBox(16, 16, 16), 2)
 	if got := h.TotalCells(); got != 16*16*16 {

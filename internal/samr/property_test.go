@@ -89,17 +89,37 @@ func TestReadTraceCorruptionResistance(t *testing.T) {
 }
 
 func TestCoveredByThroughBoxSet(t *testing.T) {
-	// The hierarchy nesting check agrees with BoxSet coverage semantics.
+	// The hierarchy nesting check agrees with set coverage: inner, with
+	// each cover box subtracted in turn, leaves no cell.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inner := randBoxFrom(rng)
 		coverA := randBoxFrom(rng)
 		coverB := randBoxFrom(rng)
 		got := coveredBy(inner, []Box{coverA, coverB})
-		want := NewBoxSet(coverA, coverB).Covers(NewBoxSet(inner))
-		return got == want
+		return got == (len(subtractAll(inner, coverA, coverB)) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// subtractAll returns the disjoint boxes covering the cells of b that no
+// box of cover covers.
+func subtractAll(b Box, cover ...Box) []Box {
+	var pieces []Box
+	if !b.Empty() {
+		pieces = []Box{b}
+	}
+	for _, c := range cover {
+		if c.Empty() {
+			continue
+		}
+		var next []Box
+		for _, p := range pieces {
+			next = append(next, p.Subtract(c)...)
+		}
+		pieces = next
+	}
+	return pieces
 }

@@ -278,10 +278,6 @@ func Adaptive() Strategy { return core.Adaptive{ImbalanceGuard: 20} }
 // partitioning driven by resource monitoring.
 func SystemSensitive() Strategy { return &core.SystemSensitive{} }
 
-// FailureAware wraps a strategy with fail-stop tolerance: dead nodes are
-// detected at each regrid and work is redistributed across survivors.
-func FailureAware(inner Strategy) Strategy { return &core.FailureAware{Inner: inner} }
-
 // NewMessageCenter creates an empty agent Message Center. Serve TCP
 // clients with (*MessageCenter).Serve to emulate a multi-node control
 // network. Options arm server-side robustness: WithHeartbeatTimeout

@@ -93,36 +93,36 @@ func TestRuntimeResumeWithoutCheckpointsRunsFresh(t *testing.T) {
 	}
 }
 
-// TestRuntimeFailureAwareNodeLoss drives a mid-run node failure through the
-// public Runtime API: the failure-aware strategy must keep the run finite
-// by remapping onto survivors.
-func TestRuntimeFailureAwareNodeLoss(t *testing.T) {
+// TestRuntimeSurvivesNodeLoss drives a mid-run node failure through the
+// public Runtime API: the run must stay finite by remapping onto
+// survivors.
+func TestRuntimeSurvivesNodeLoss(t *testing.T) {
 	trace, err := GenerateRM3D(RM3DSmall())
 	if err != nil {
 		t.Fatal(err)
 	}
 	machine := NewCluster(8)
-	healthy, err := Runtime{Trace: trace, Machine: NewCluster(8), Strategy: FailureAware(Adaptive()), NProcs: 8}.Execute()
+	healthy, err := Runtime{Trace: trace, Machine: NewCluster(8), Strategy: Adaptive(), NProcs: 8}.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	machine.Fail(3, healthy.TotalTime/3)
 	machine.Fail(5, healthy.TotalTime/2)
-	res, err := Runtime{Trace: trace, Machine: machine, Strategy: FailureAware(Adaptive()), NProcs: 8}.Execute()
+	res, err := Runtime{Trace: trace, Machine: machine, Strategy: Adaptive(), NProcs: 8}.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.IsInf(res.TotalTime, 1) || math.IsNaN(res.TotalTime) {
-		t.Fatalf("failure-aware run did not survive node loss: total=%v", res.TotalTime)
+		t.Fatalf("run did not survive node loss: total=%v", res.TotalTime)
 	}
 	if res.TotalTime < healthy.TotalTime {
 		t.Errorf("losing 2 of 8 nodes sped the run up: %v < %v", res.TotalTime, healthy.TotalTime)
 	}
 }
 
-// TestRuntimeFailureAwareAllNodesDead pins the zero-survivor error path
+// TestRuntimeAllNodesDead pins the zero-survivor error path
 // through the public API.
-func TestRuntimeFailureAwareAllNodesDead(t *testing.T) {
+func TestRuntimeAllNodesDead(t *testing.T) {
 	trace, err := GenerateRM3D(RM3DSmall())
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestRuntimeFailureAwareAllNodesDead(t *testing.T) {
 	machine := NewCluster(2)
 	machine.Fail(0, 0)
 	machine.Fail(1, 0)
-	_, err = Runtime{Trace: trace, Machine: machine, Strategy: FailureAware(Adaptive()), NProcs: 2}.Execute()
+	_, err = Runtime{Trace: trace, Machine: machine, Strategy: Adaptive(), NProcs: 2}.Execute()
 	if err == nil {
 		t.Fatal("run with zero live nodes succeeded")
 	}
