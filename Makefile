@@ -22,13 +22,15 @@ test: vet
 
 # Scenario-engine property suite under the race detector: octant
 # reachability, classifier/driver signature agreement, Table-2 conformance
-# across the seeded corpus, and short FuzzScenarioRun and
-# FuzzFeatureHierarchyNests smokes.
+# across the seeded corpus, and short FuzzScenarioRun,
+# FuzzFeatureHierarchyNests and FuzzSourceMatchesMathRand (the drivers'
+# generator against math/rand) smokes.
 test-scenario:
-	$(GO) test -race ./internal/scenario/ ./internal/octant/
+	$(GO) test -race ./internal/scenario/ ./internal/octant/ ./internal/lazyrand/
 	$(GO) test -race -run 'TestScenario|ExampleParseScenario|ExampleScenarioForOctant' ./internal/experiments/ .
 	$(GO) test ./internal/scenario/ -fuzz=FuzzScenarioRun -fuzztime=10s -run='^$$'
 	$(GO) test ./internal/samr/ -fuzz=FuzzFeatureHierarchyNests -fuzztime=10s -run='^$$'
+	$(GO) test ./internal/lazyrand/ -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s -run='^$$'
 
 # Fleet router/worker suite under the race detector, repeated to shake
 # out placement/failover orderings.

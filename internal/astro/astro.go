@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"github.com/pragma-grid/pragma/internal/lazyrand"
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
@@ -369,7 +370,8 @@ func (s *Supernova) debris(idx int) []samr.Box {
 	if n > 10 {
 		n = 10
 	}
-	rng := rand.New(rand.NewSource(s.cfg.Seed + 307)) // stable clump identities
+	rng := lazyrand.Get(s.cfg.Seed + 307) // stable clump identities
+	defer lazyrand.Put(rng)
 	base := float64(s.cfg.BaseDims[0])
 	c := s.center()
 	out := make([]samr.Box, 0, n)

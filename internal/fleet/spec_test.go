@@ -314,3 +314,19 @@ func TestBeforeAssignKeepsCheckpointState(t *testing.T) {
 		t.Fatalf("plain inner strategy refused a restore: %v", err)
 	}
 }
+
+// BenchmarkMaterializeMiss times the cold-submit path: the default
+// materializer over keys it has not seen, four-snapshot 16x8x8 scenarios
+// at depth 2 with the octants cycled, so that every call parses the
+// spec, generates its trace and builds the trace's work models.
+func BenchmarkMaterializeMiss(b *testing.B) {
+	octants := []string{"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}
+	mat := DefaultMaterializer()
+	b.ReportAllocs()
+	for i := range b.N {
+		sc := fmt.Sprintf("name=tiny;dims=16x8x8;depth=2;seed=%d;%s:4", i, octants[i%len(octants)])
+		if _, err := mat(WireSpec{Scenario: sc, Strategy: "adaptive", Procs: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,8 +3,8 @@ package rm3d
 import (
 	"math"
 	"math/rand"
-	"sync"
 
+	"github.com/pragma-grid/pragma/internal/lazyrand"
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
@@ -104,18 +104,13 @@ func (c Config) phaseStart(p Phase) int {
 	return int(math.Ceil(phaseFractions[p-1] * float64(total)))
 }
 
-// randPool recycles the generators features draws scattered layouts
-// from: a fresh rand.NewSource is about 4.9 KB, and features runs for
-// every snapshot a trace generates and at every regrid a run weighs
-// (WorkModel). Re-seeding a generator puts it in exactly the state a
-// fresh source with that seed starts in.
-var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
 // features returns the refinement features active at snapshot idx,
-// deterministically derived from the config seed.
+// deterministically derived from the config seed. It runs for every
+// snapshot a trace generates and at every regrid a run weighs (WorkModel),
+// so it draws from a pooled generator that lazyrand re-seeds in O(1).
 func (c Config) features(idx int) []samr.Feature {
-	rng := randPool.Get().(*rand.Rand)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(c.Seed)
+	defer lazyrand.Put(rng)
 	return c.featuresSeeded(idx, func(seed int64) *rand.Rand {
 		rng.Seed(seed)
 		return rng

@@ -1,6 +1,9 @@
 package samr
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Flags is a dense bitmap of error-flagged cells over a bounding box. The
 // application's error estimator marks cells that need refinement; the
@@ -27,6 +30,41 @@ func NewFlags(bounds Box) *Flags {
 		ny:     bounds.Dx(1),
 		bits:   make([]uint64, (n+63)/64),
 	}
+}
+
+// flagsPool recycles the bitmaps FeatureHierarchy and Regrid flag a
+// snapshot into and drop once it is clustered, most of the bytes a trace
+// generation would otherwise allocate. A pooled bitmap's words are all
+// zero.
+var flagsPool sync.Pool
+
+// getFlags is NewFlags reusing a pooled bitmap with enough words. Hand it
+// back with putFlags once it is clustered.
+func getFlags(bounds Box) *Flags {
+	words := (bounds.Volume() + 63) / 64
+	f, _ := flagsPool.Get().(*Flags)
+	if f == nil || bounds.Empty() || int64(cap(f.bits)) < words {
+		return NewFlags(bounds)
+	}
+	*f = Flags{bounds: bounds, nx: bounds.Dx(0), ny: bounds.Dx(1), bits: f.bits[:words]}
+	return f
+}
+
+// putFlags clears f's words and pools it. Set and SetBox write only the
+// rows of the flagged box, so only those rows' words are cleared.
+func putFlags(f *Flags) {
+	if f.count > 0 {
+		plane := int(f.index(f.flagged.Lo))
+		for range f.flagged.Dx(2) {
+			lo := plane
+			for range f.flagged.Dx(1) {
+				clear(f.bits[lo>>6 : (lo+f.flagged.Dx(0)-1)>>6+1])
+				lo += f.nx
+			}
+			plane += f.nx * f.ny
+		}
+	}
+	flagsPool.Put(f)
 }
 
 // Bounds returns the region the bitmap covers.

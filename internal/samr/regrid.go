@@ -50,12 +50,14 @@ func Regrid(flags0 *Flags, ratio, depth int, opt ClusterOptions, fine func(level
 	for _, b := range level1 {
 		bounding = bounding.Bound(b)
 	}
-	flags1 := NewFlags(bounding)
+	flags1 := getFlags(bounding)
 	for _, b := range cells {
 		flags1.SetBox(b)
 	}
+	cands := Cluster(flags1, opt)
+	putFlags(flags1)
 	var level2 []Box
-	for _, cand := range Cluster(flags1, opt) {
+	for _, cand := range cands {
 		for _, parent := range level1 {
 			if piece, ok := cand.Intersect(parent); ok {
 				level2 = append(level2, piece.Refine(ratio))
@@ -118,7 +120,8 @@ func (f Feature) Core() Feature {
 // covers their extents flagged on the base grid, level 2 the cores of
 // those with a CoreShrink, flagged at level 1.
 func FeatureHierarchy(domain Box, ratio, depth int, opt ClusterOptions, feats []Feature) (*Hierarchy, error) {
-	flags0 := NewFlags(domain)
+	flags0 := getFlags(domain)
+	defer putFlags(flags0)
 	for _, f := range feats {
 		if b, ok := f.Rasterize(domain, ratio, 0); ok {
 			flags0.SetBox(b)

@@ -1,6 +1,7 @@
 package samr
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,43 @@ func TestRegridDepthBound(t *testing.T) {
 		if _, err := FeatureHierarchy(domain, 2, depth, DefaultClusterOptions(), feats); err == nil || !strings.Contains(err.Error(), "depth") {
 			t.Fatalf("depth %d: error %v, want one naming depth", depth, err)
 		}
+	}
+}
+
+// TestPooledFlagsAreClear: a bitmap from getFlags, whatever bounds and
+// flags its last use had, is empty in every word of its backing array and
+// counts the cells SetBox flags anew, as one from NewFlags does.
+func TestPooledFlagsAreClear(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randBox := func(lo, size int) Box {
+		var b Box
+		for d := range 3 {
+			b.Lo[d] = lo + rng.Intn(size)
+			b.Hi[d] = b.Lo[d] + 1 + rng.Intn(size)
+		}
+		return b
+	}
+	for i := range 300 {
+		bounds := randBox(-4, 40)
+		f := getFlags(bounds)
+		if f.Bounds() != bounds || f.Count() != 0 {
+			t.Fatalf("use %d: bounds %v count %d, want %v and 0", i, f.Bounds(), f.Count(), bounds)
+		}
+		for w, v := range f.bits[:cap(f.bits)] {
+			if v != 0 {
+				t.Fatalf("use %d over %v: word %d of the backing array is %#x", i, bounds, w, v)
+			}
+		}
+		fresh := NewFlags(bounds)
+		for range rng.Intn(5) {
+			b := randBox(-8, 48)
+			f.SetBox(b)
+			fresh.SetBox(b)
+		}
+		if f.Count() != fresh.Count() || f.CountIn(bounds) != fresh.Count() {
+			t.Fatalf("use %d: pooled bitmap counts %d (%d in bounds), fresh %d", i, f.Count(), f.CountIn(bounds), fresh.Count())
+		}
+		putFlags(f)
 	}
 }
 

@@ -3,9 +3,8 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 
+	"github.com/pragma-grid/pragma/internal/lazyrand"
 	"github.com/pragma-grid/pragma/internal/octant"
 	"github.com/pragma-grid/pragma/internal/samr"
 )
@@ -30,20 +29,10 @@ import (
 //
 // Randomness is placement jitter only, drawn from the driver's sub-seed
 // with a fixed number of draws independent of age, so a driver's feature
-// track is a pure function of (seed, age).
-
-// randPool recycles the drivers' generators: a fresh rand.NewSource is
-// about 4.9 KB, and Features runs for every snapshot a scenario generates
-// and at every regrid a run weighs (Spec.WorkModel).
-var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
-// seeded returns a generator from randPool in exactly the state
-// rand.New(rand.NewSource(seed)) starts in; the caller puts it back.
-func seeded(seed int64) *rand.Rand {
-	rng := randPool.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng
-}
+// track is a pure function of (seed, age). Features runs for every
+// snapshot a scenario generates and at every regrid a run weighs
+// (Spec.WorkModel), so each call draws from a pooled generator that
+// lazyrand re-seeds in O(1).
 
 // Activity is the dynamics dial of a driver: Low produces static features
 // (lower-activity octants I-IV), High produces features that relocate
@@ -116,8 +105,8 @@ func (s sheet) Signature() Signature {
 }
 
 func (s sheet) Features(age int, env Env, seed int64) []samr.Feature {
-	rng := seeded(seed)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(seed)
+	defer lazyrand.Put(rng)
 	p0 := (0.25 + 0.5*rng.Float64()) * env.Nx
 	x := p0
 	if s.act == High {
@@ -158,8 +147,8 @@ func (s sheetField) Signature() Signature {
 }
 
 func (s sheetField) Features(age int, env Env, seed int64) []samr.Feature {
-	rng := seeded(seed)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(seed)
+	defer lazyrand.Put(rng)
 	hy := clampf(0.18*env.Ny, 2, 8)
 	hz := clampf(0.18*env.Nz, 2, 8)
 	out := make([]samr.Feature, 0, s.n)
@@ -197,8 +186,8 @@ func (b block) Signature() Signature {
 }
 
 func (b block) Features(age int, env Env, seed int64) []samr.Feature {
-	rng := seeded(seed)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(seed)
+	defer lazyrand.Put(rng)
 	hx := solidHalf(env.Nx)
 	hy := solidHalf(env.Ny)
 	hz := solidHalf(env.Nz)
@@ -249,8 +238,8 @@ func (b blobField) Signature() Signature {
 }
 
 func (b blobField) Features(age int, env Env, seed int64) []samr.Feature {
-	rng := seeded(seed)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(seed)
+	defer lazyrand.Put(rng)
 	// The x half-extent must leave a gap between adjacent anchor stations
 	// even at worst-case jitter — touching blobs would merge into one
 	// non-box region that the clusterer slices into thin high-S/V boxes.
@@ -300,8 +289,8 @@ func (p pointSource) Signature() Signature {
 }
 
 func (p pointSource) Features(age int, env Env, seed int64) []samr.Feature {
-	rng := seeded(seed)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(seed)
+	defer lazyrand.Put(rng)
 	cx := (0.45 + 0.1*rng.Float64()) * env.Nx
 	cy := (0.45 + 0.1*rng.Float64()) * env.Ny
 	cz := (0.45 + 0.1*rng.Float64()) * env.Nz
@@ -343,8 +332,8 @@ func (mergingFronts) Signature() Signature {
 }
 
 func (mergingFronts) Features(age int, env Env, seed int64) []samr.Feature {
-	rng := seeded(seed)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(seed)
+	defer lazyrand.Put(rng)
 	v := 2.5
 	x1 := (0.12+0.04*rng.Float64())*env.Nx + v*float64(age)
 	x2 := (0.84+0.04*rng.Float64())*env.Nx - v*float64(age)
@@ -395,8 +384,8 @@ func (b background) Signature() Signature {
 }
 
 func (b background) Features(age int, env Env, seed int64) []samr.Feature {
-	rng := seeded(seed)
-	defer randPool.Put(rng)
+	rng := lazyrand.Get(seed)
+	defer lazyrand.Put(rng)
 	out := make([]samr.Feature, 0, b.n)
 	for i := 0; i < b.n; i++ {
 		cx := float64(i+1)/float64(b.n+1)*env.Nx + (rng.Float64()-0.5)*3
