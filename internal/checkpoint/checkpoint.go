@@ -6,6 +6,12 @@
 // one container-framed record to the log its Store owns, and readers take
 // the longest valid prefix of the newest log that has one.
 //
+// Store.Scan is the one read path; Records and Latest are built on it.
+// It streams a log through one record buffer, so a reader holds the
+// largest record, not the log: a resume costs the same memory however
+// long the run has been checkpointing. ParseLog is its in-memory
+// reference.
+//
 // A record is visible once Save returns: it is one write, so every reader
 // on the host sees it and it survives the death of the writing process.
 // It is durable once the Store syncs, which Close does and which a Save
@@ -21,10 +27,13 @@
 package checkpoint
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -105,13 +114,10 @@ func Decode(data []byte) ([]byte, error) {
 // frame validates the container at the start of data and returns its
 // payload and the container's total size. Bytes after it are not looked at.
 func frame(data []byte) (payload []byte, n int, err error) {
-	if len(data) < headerSize || string(data[:8]) != magic {
-		return nil, 0, ErrNotCheckpoint
+	length, err := header(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
-		return nil, 0, fmt.Errorf("%w: %d", ErrVersion, v)
-	}
-	length := binary.LittleEndian.Uint64(data[12:])
 	if length > uint64(len(data)-headerSize) {
 		return nil, 0, fmt.Errorf("%w: header says %d payload bytes, file has %d",
 			ErrTruncated, length, len(data)-headerSize)
@@ -124,12 +130,24 @@ func frame(data []byte) (payload []byte, n int, err error) {
 	return payload, n, nil
 }
 
+// header checks the container header at the start of h and returns the
+// payload length it promises.
+func header(h []byte) (uint64, error) {
+	if len(h) < headerSize || string(h[:8]) != magic {
+		return 0, ErrNotCheckpoint
+	}
+	if v := binary.LittleEndian.Uint32(h[8:]); v != Version {
+		return 0, fmt.Errorf("%w: %d", ErrVersion, v)
+	}
+	return binary.LittleEndian.Uint64(h[12:]), nil
+}
+
 // Record is one valid record of a log.
 type Record struct {
 	// Seq is the caller-chosen sequence number (core: the next regrid).
 	Seq int
-	// Payload is the caller's bytes, a slice of the data the log was read
-	// into.
+	// Payload is the caller's bytes: a slice of the data ParseLog was
+	// given, a copy in what Records returns.
 	Payload []byte
 	// End is the offset just past this record in the log.
 	End int
@@ -137,7 +155,8 @@ type Record struct {
 
 // ParseLog returns the valid prefix of a log's contents, in order: it
 // stops at the first torn, CRC-damaged or foreign record, because a crash
-// can only damage the tail that was being appended.
+// can only damage the tail that was being appended. It is the reference
+// Scan, which reads a log file without holding it, is tested against.
 func ParseLog(data []byte) []Record {
 	var recs []Record
 	for off := 0; off < len(data); {
@@ -369,52 +388,146 @@ func (s *Store) logs() ([]int, error) {
 	return out, nil
 }
 
-// Records returns the valid records of the newest log that has at least
-// one, in the order they were saved, up to its first torn or damaged
-// record. It walks back to an older log only when every newer one has no
-// valid record (an attempt whose host crashed before its first sync). It
-// returns no records and no error when nothing valid exists.
-func (s *Store) Records() ([]Record, error) {
+// Scan calls visit on each valid record of the newest log that has at
+// least one, in the order they were saved, up to its first torn, foreign
+// or CRC-damaged record, and stops early when visit returns false. It
+// walks back to an older log only when every newer one has no valid
+// record (an attempt whose host crashed before its first sync); what
+// visit returns does not change which log that is. payload is valid only
+// during the call: Scan reads through one bufio.Reader into one record
+// buffer, reused across records and logs, so it holds one record however
+// long the log is. A failed read is returned, not taken for a torn tail;
+// a missing directory has no records.
+func (s *Store) Scan(visit func(seq int, payload []byte) bool) error {
 	logs, err := s.logs()
+	if err != nil {
+		return err
+	}
+	var sc scanner
+	for i := len(logs) - 1; i >= 0; i-- {
+		found, err := sc.log(s.path(logs[i]), visit)
+		if found || err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanner is Scan's read state, kept across the logs it walks.
+type scanner struct {
+	br  *bufio.Reader
+	buf []byte // the record being read
+}
+
+// log visits the valid prefix of one log and reports whether it has a
+// valid record. A log unlinked since the listing has none. The length in
+// a record's header is checked against what the log had left when it was
+// opened before the record is read, so a torn or hostile header costs no
+// allocation.
+func (sc *scanner) log(path string, visit func(int, []byte) bool) (found bool, err error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("checkpoint: %w", err)
+	}
+	left := fi.Size()
+	if sc.br == nil {
+		sc.br = bufio.NewReader(f)
+	} else {
+		sc.br.Reset(f)
+	}
+	var hdr [headerSize]byte
+	for {
+		if _, err := io.ReadFull(sc.br, hdr[:]); err != nil {
+			return found, readErr(err)
+		}
+		left -= headerSize
+		length, err := header(hdr[:])
+		if err != nil || left < 0 || length > uint64(left) || length < seqSize {
+			return found, nil
+		}
+		n := int(length)
+		if n > cap(sc.buf) {
+			sc.buf = make([]byte, max(n, min(2*cap(sc.buf), int(left))))
+		}
+		body := sc.buf[:n]
+		if _, err := io.ReadFull(sc.br, body); err != nil {
+			return found, readErr(err)
+		}
+		left -= int64(n)
+		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[20:]) {
+			return found, nil
+		}
+		found = true
+		if !visit(int(int64(binary.LittleEndian.Uint64(body))), body[seqSize:]) {
+			return true, nil
+		}
+	}
+}
+
+// readErr is what a failed read of a log means: nothing at its end,
+// where a torn tail ends the log, and an error otherwise.
+func readErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil
+	}
+	return fmt.Errorf("checkpoint: %w", err)
+}
+
+// Records returns the records Scan visits, each payload copied.
+func (s *Store) Records() ([]Record, error) {
+	var recs []Record
+	end := 0
+	err := s.Scan(func(seq int, payload []byte) bool {
+		end += headerSize + seqSize + len(payload)
+		recs = append(recs, Record{Seq: seq, Payload: bytes.Clone(payload), End: end})
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i := len(logs) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(s.path(logs[i]))
-		if errors.Is(err, fs.ErrNotExist) {
-			continue // unlinked by a newer attempt since the listing
-		}
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		if recs := ParseLog(data); len(recs) > 0 {
-			return recs, nil
-		}
-	}
-	return nil, nil
+	return recs, nil
 }
 
-// Latest returns the newest record of Records that accept, when non-nil,
-// does not reject (e.g. one recorded for a different run configuration).
-// Returns ErrNoCheckpoint when nothing usable exists.
+// Latest returns the newest record Scan visits that accept, when
+// non-nil, does not reject (e.g. one recorded for a different run
+// configuration); accept sees every record, oldest first, with a payload
+// valid only during the call. Only the newest accepted payload is kept,
+// as a copy. Returns ErrNoCheckpoint when nothing usable exists, naming
+// the oldest record's rejection.
 func (s *Store) Latest(accept func(seq int, payload []byte) error) (int, []byte, error) {
-	recs, err := s.Records()
-	if err != nil {
-		return 0, nil, err
-	}
-	var lastErr error
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
+	var (
+		seq      int
+		kept     []byte
+		found    bool
+		firstErr error
+	)
+	err := s.Scan(func(sq int, payload []byte) bool {
 		if accept != nil {
-			if err := accept(r.Seq, r.Payload); err != nil {
-				lastErr = err
-				continue
+			if err := accept(sq, payload); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				return true
 			}
 		}
-		return r.Seq, r.Payload, nil
-	}
-	if lastErr != nil {
-		return 0, nil, fmt.Errorf("%w (last failure: %v)", ErrNoCheckpoint, lastErr)
+		seq, kept, found = sq, append(kept[:0], payload...), true
+		return true
+	})
+	switch {
+	case err != nil:
+		return 0, nil, err
+	case found:
+		return seq, kept, nil
+	case firstErr != nil:
+		return 0, nil, fmt.Errorf("%w (last failure: %v)", ErrNoCheckpoint, firstErr)
 	}
 	return 0, nil, ErrNoCheckpoint
 }

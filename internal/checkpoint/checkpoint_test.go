@@ -2,9 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -402,5 +405,103 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 	}
 	if _, err := st.Save(6, []byte("x")); err == nil {
 		t.Fatal("Save after Close succeeded")
+	}
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestScanHostileLength: a header whose length runs past the end of the
+// log is a torn tail, found before the record is read: a log whose last
+// header claims 2^62 bytes yields its valid prefix, and the scan
+// allocates one record's buffer for the four records it reads.
+func TestScanHostileLength(t *testing.T) {
+	const size = 256 << 10
+	st := &Store{Dir: t.TempDir()}
+	var p string
+	for seq := 1; seq <= 4; seq++ {
+		p = save(t, st, seq, string(bytes.Repeat([]byte{byte(seq)}, size)))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hostile := logRecord(5, []byte("x"))[:headerSize]
+	binary.LittleEndian.PutUint64(hostile[12:], 1<<62)
+	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(hostile, "a little more"...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	got := make([]int, 0, 8)
+	var scanErr error
+	allocated := allocatedBy(func() {
+		scanErr = st.Scan(func(seq int, payload []byte) bool {
+			if len(payload) == size && payload[0] == byte(seq) && payload[size-1] == byte(seq) {
+				got = append(got, seq)
+			}
+			return true
+		})
+	})
+	if scanErr != nil || !slices.Equal(got, []int{1, 2, 3, 4}) {
+		t.Fatalf("scan = %v, %v; want the four intact records before the hostile header", got, scanErr)
+	}
+	if limit := uint64(size + headerSize + seqSize + 32<<10); allocated > limit {
+		t.Fatalf("scan allocated %d bytes, want at most one %d-byte record and small change (%d)", allocated, size, limit)
+	}
+}
+
+// TestScanReturnsReadErrors: a log that cannot be read is an error, not a
+// torn tail and not a reason to fall back to an older log — here a
+// directory named like the newest log.
+func TestScanReturnsReadErrors(t *testing.T) {
+	dir := t.TempDir()
+	st := &Store{Dir: dir}
+	save(t, st, 1, "older")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "log-00000002.ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Scan(func(int, []byte) bool { return true }); err == nil {
+		t.Fatal("Scan over an unreadable log returned no error")
+	}
+	if recs, err := st.Records(); err == nil {
+		t.Fatalf("Records over an unreadable log = %v, want an error", recs)
+	}
+	if _, _, err := st.Latest(nil); err == nil || errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("Latest over an unreadable log: err = %v, want the read error", err)
+	}
+}
+
+// TestScanStopsWhereVisitSays: visit returning false ends the scan, and a
+// log with a valid record is the one scanned even when visit stops at its
+// first: Scan never walks back past it.
+func TestScanStopsWhereVisitSays(t *testing.T) {
+	dir := t.TempDir()
+	for attempt := 1; attempt <= 2; attempt++ {
+		st := &Store{Dir: dir}
+		save(t, st, attempt*10+1, "a")
+		save(t, st, attempt*10+2, "b")
+		st.f.Close() // no Close, so no sync prunes the older log
+
+	}
+	var got []int
+	err := (&Store{Dir: dir}).Scan(func(seq int, _ []byte) bool {
+		got = append(got, seq)
+		return false
+	})
+	if err != nil || !slices.Equal(got, []int{21}) {
+		t.Fatalf("scan = %v, %v; want only the newest log's first record", got, err)
 	}
 }

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"testing"
 )
 
@@ -13,11 +14,13 @@ func logRecord(seq int, payload []byte) []byte {
 }
 
 // FuzzCheckpointDecode throws arbitrary bytes at the container decoder and
-// at the log reader: neither may panic, anything the decoder accepts must
-// re-encode to a container that decodes to the same payload, and the
-// records the log reader returns must be exactly the CRC-valid records
-// that tile the data from its first byte, in order. These are the parsers
-// a resuming run trusts with whatever a crash left on disk.
+// at the log readers: none may panic, anything the decoder accepts must
+// re-encode to a container that decodes to the same payload, the records
+// ParseLog returns must be exactly the CRC-valid records that tile the
+// data from its first byte, in order, and Store.Scan over the same bytes
+// written as a log must visit exactly ParseLog's (seq, payload) list.
+// These are the parsers a resuming run trusts with whatever a crash left
+// on disk.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("PRGMCKPT"))
@@ -33,7 +36,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(log)
 	f.Add(log[:len(log)-5])                       // torn tail
 	f.Add(append(log, logRecord(-3, nil)[:9]...)) // a partial header after two records
+	oversize := logRecord(3, []byte("x"))
+	binary.LittleEndian.PutUint64(oversize[12:], 1<<62)
+	f.Add(append(bytes.Clone(log), oversize...))                      // a length past any file
+	f.Add(append(bytes.Clone(log), "foreign bytes after the log"...)) // not a record at all
 
+	st := &Store{Dir: f.TempDir()}
+	path := st.path(1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if payload, err := Decode(data); err == nil {
 			again, err := Decode(Encode(payload))
@@ -51,6 +60,22 @@ func FuzzCheckpointDecode(f *testing.F) {
 				t.Fatalf("record %d (seq %d) at [%d, %d) is not a valid record of the input", i, r.Seq, off, r.End)
 			}
 			off = r.End
+		}
+
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := ParseLog(data)
+		i := 0
+		err := st.Scan(func(seq int, payload []byte) bool {
+			if i >= len(want) || seq != want[i].Seq || !bytes.Equal(payload, want[i].Payload) {
+				t.Fatalf("Scan's record %d is (%d, %x), ParseLog's %d records disagree", i, seq, payload, len(want))
+			}
+			i++
+			return true
+		})
+		if err != nil || i != len(want) {
+			t.Fatalf("Scan visited %d records (%v), ParseLog returns %d", i, err, len(want))
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/pragma-grid/pragma/internal/partition"
@@ -119,17 +120,19 @@ func appendBytes(b, p []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
-// decodeCheckpointHead decodes a record up to its tail and returns the
-// tail's bytes.
-func decodeCheckpointHead(p []byte) (*Checkpoint, []byte, error) {
+// decodeHead decodes a record up to its tail over c and returns the
+// tail's bytes. The record's stats are appended to c.Stats, and a name
+// equal to the one c already holds (or to the stat before) is kept rather
+// than allocated again, so a fold that decodes record after record over
+// one Checkpoint allocates only its stats and the names that change.
+func (c *Checkpoint) decodeHead(p []byte) ([]byte, error) {
 	r := recordReader{b: p}
 	if r.byte() != checkpointFormat {
-		return nil, nil, errBadRecord
+		return nil, errBadRecord
 	}
-	c := &Checkpoint{}
-	c.Trace = r.string()
+	c.Trace = r.stringLike(c.Trace)
 	c.Snapshots = r.int()
-	c.Strategy = r.string()
+	c.Strategy = r.stringLike(c.Strategy)
 	c.NProcs = r.int()
 	c.From = r.int()
 	c.Next = r.int()
@@ -137,15 +140,15 @@ func decodeCheckpointHead(p []byte) (*Checkpoint, []byte, error) {
 		&c.PartitionTime, &c.MigrationTime, &c.MaxImbalance} {
 		*f = r.float()
 	}
-	c.PrevLabel = r.string()
+	c.PrevLabel = r.stringLike(c.PrevLabel)
 	for _, n := range [...]*int{&c.Degraded, &c.Switches, &c.Recoveries, &c.Steps} {
 		*n = r.int()
 	}
-	c.Stats = r.stats()
+	c.Stats = r.stats(c.Stats)
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, r.err
 	}
-	return c, r.b, nil
+	return r.b, nil
 }
 
 // decodeTail decodes the assignment and strategy state, which must use up
@@ -216,7 +219,7 @@ func (res *RunResult) UnmarshalBinary(data []byte) error {
 	for _, n := range [...]*int{&out.Switches, &out.Recoveries, &out.DegradedRegrids, &out.Steps} {
 		*n = r.int()
 	}
-	out.Snapshots = r.stats()
+	out.Snapshots = r.stats(nil)
 	if r.err == nil && len(r.b) != 0 {
 		r.fail()
 	}
@@ -288,17 +291,33 @@ func (r *recordReader) count(minSize int) int {
 
 func (r *recordReader) string() string { return string(r.next(r.count(1))) }
 
-// stats reads what appendStats wrote; nil when there are none.
-func (r *recordReader) stats() []SnapshotStat {
+// stringLike reads a string and returns like itself when the bytes equal
+// it, so an unchanged name costs no allocation.
+func (r *recordReader) stringLike(like string) string {
+	if b := r.next(r.count(1)); string(b) != like {
+		return string(b)
+	}
+	return like
+}
+
+// stats appends what appendStats wrote to dst, which it returns unchanged
+// when there are none. A stat's Partitioner equal to the one before it
+// shares that string.
+func (r *recordReader) stats(dst []SnapshotStat) []SnapshotStat {
 	n := r.count(minStatBytes)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	stats := make([]SnapshotStat, n)
-	for i := range stats {
-		s := &stats[i]
-		s.Index = r.int()
-		s.Partitioner = r.string()
+	old := len(dst)
+	dst = slices.Grow(dst, n)[:old+n]
+	for i := old; i < len(dst); i++ {
+		s := &dst[i]
+		*s = SnapshotStat{Index: r.int()}
+		like := ""
+		if i > 0 {
+			like = dst[i-1].Partitioner
+		}
+		s.Partitioner = r.stringLike(like)
 		for _, f := range [...]*float64{&s.Quality.CommVolume, &s.Quality.CommMessages, &s.Quality.Imbalance, &s.Quality.Migration} {
 			*f = r.float()
 		}
@@ -307,5 +326,5 @@ func (r *recordReader) stats() []SnapshotStat {
 			*f = r.float()
 		}
 	}
-	return stats
+	return dst
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +14,28 @@ import (
 	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/samr"
 )
+
+// decodeCheckpointHead decodes a record's head into a fresh Checkpoint.
+func decodeCheckpointHead(p []byte) (*Checkpoint, []byte, error) {
+	c := &Checkpoint{}
+	tail, err := c.decodeHead(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, tail, nil
+}
+
+// foldCheckpoint folds records as a resume does when Store.Scan visits
+// them in this order.
+func foldCheckpoint(recs []checkpoint.Record) (*Checkpoint, error) {
+	var f checkpointFold
+	for _, r := range recs {
+		if !f.add(r.Seq, r.Payload) {
+			break
+		}
+	}
+	return f.result()
+}
 
 // decodeCheckpoint decodes a whole record.
 func decodeCheckpoint(p []byte) (*Checkpoint, error) {
@@ -227,6 +251,87 @@ func TestFoldStopsAtBrokenChain(t *testing.T) {
 	}
 	if ck, err := foldCheckpoint([]checkpoint.Record{rec(1, 2, nil)}); err != nil || ck != nil {
 		t.Errorf("a log whose first record is not a full base folded to %+v (%v), want nothing", ck, err)
+	}
+}
+
+// TestFoldKeepsEveryName: the fold shares a name with the one it
+// replaces only when their bytes are equal, so names of one length that
+// differ stay apart.
+func TestFoldKeepsEveryName(t *testing.T) {
+	var recs []checkpoint.Record
+	var want []SnapshotStat
+	for i, name := range []string{"SFC", "CGD", "SFC", "SFC", "GPA"} {
+		c := &Checkpoint{Trace: "t", Snapshots: 9, Strategy: "s", NProcs: 2, From: i, Next: i + 1,
+			PrevLabel: name, Stats: []SnapshotStat{{Index: i, Partitioner: name}}}
+		want = append(want, c.Stats...)
+		recs = append(recs, checkpoint.Record{Seq: i + 1, Payload: appendCheckpoint(nil, c)})
+	}
+	ck, err := foldCheckpoint(recs)
+	if err != nil || ck == nil || ck.PrevLabel != "GPA" || !reflect.DeepEqual(ck.Stats, want) {
+		t.Fatalf("folded to %+v (%v), want label GPA and stats %+v", ck, err, want)
+	}
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestResumeFoldMemoryIsBounded: a resume folds the log while it reads
+// it, holding one record besides the folded stats, so folding 200
+// records the size of a paper run's (64 processors, about 7 KB each)
+// allocates no more than folding 50, within two records, once the stats
+// slice the fold returns is set aside.
+func TestResumeFoldMemoryIsBounded(t *testing.T) {
+	a := &partition.Assignment{NProcs: 64, SplitCost: 0.5}
+	for i := range 380 {
+		lo := samr.Point{8 * (i % 40), 8 * (i / 40), 0}
+		a.Units = append(a.Units, partition.Unit{
+			Level: i % 3, Box: samr.Box{Lo: lo, Hi: samr.Point{lo[0] + 8, lo[1] + 8, 16}}, Weight: float64(i) + 0.5,
+		})
+		a.Owner = append(a.Owner, i%64)
+	}
+	var recordBytes int
+	fold := func(n int) uint64 {
+		dir := t.TempDir()
+		st := &checkpoint.Store{Dir: dir}
+		for next := 1; next <= n; next++ {
+			p := appendCheckpoint(nil, &Checkpoint{
+				Trace: "rm3d-paper", Snapshots: 202, Strategy: "adaptive", NProcs: 64, From: next - 1, Next: next,
+				SimTime: float64(next), PrevLabel: "G-MISP+SP", Steps: 4 * next, PrevAssignment: a,
+				Stats: []SnapshotStat{{Index: next - 1, Partitioner: "G-MISP+SP", StepTime: 1.25, Overhead: 0.01}},
+			})
+			recordBytes = len(p)
+			if _, err := st.Save(next, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var ck *Checkpoint
+		var err error
+		allocated := allocatedBy(func() { ck, err = ReadCheckpoint(dir) })
+		if err != nil || ck == nil || ck.Next != n || len(ck.Stats) != n || len(ck.PrevAssignment.Units) != len(a.Units) {
+			t.Fatalf("folding %d records: %+v, %v", n, ck, err)
+		}
+		// The fold grows its stats slice one record at a time.
+		var stats []SnapshotStat
+		statBytes := allocatedBy(func() {
+			for i := range n {
+				stats = slices.Grow(stats, 1)[:i+1]
+			}
+		})
+		return allocated - min(statBytes, allocated)
+	}
+	short, long := fold(50), fold(200)
+	if long > short+uint64(2*recordBytes) {
+		t.Fatalf("folding 200 records allocated %d bytes besides the stats, 50 records %d: more than two %d-byte records apart",
+			long, short, recordBytes)
 	}
 }
 

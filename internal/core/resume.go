@@ -102,56 +102,79 @@ func (c *Checkpoint) result() *RunResult {
 // any particular run. It returns nil, with no error, when dir holds no
 // usable record.
 func ReadCheckpoint(dir string) (*Checkpoint, error) {
-	recs, err := (&checkpoint.Store{Dir: dir}).Records()
-	if err != nil {
-		return nil, err
-	}
-	return foldCheckpoint(recs)
+	return foldLog(&checkpoint.Store{Dir: dir})
 }
 
-// foldCheckpoint replays a log's records in order. A record is taken when
+// foldLog folds the store's newest log as Store.Scan reads it, so it holds
+// one record and the folded stats, not the log.
+func foldLog(store *checkpoint.Store) (*Checkpoint, error) {
+	var f checkpointFold
+	if err := store.Scan(f.add); err != nil {
+		return nil, err
+	}
+	return f.result()
+}
+
+// checkpointFold replays a log's records in order. A record is taken when
 // it decodes and continues the chain: the first has From 0, every later
 // one belongs to the same run and has From equal to the running Next, and
 // each carries exactly the stats of [From, Next), indexed in order. The
 // fold stops at the first record that does not, as the log reader stops
-// at the first damaged one. Only the last record's assignment and
-// strategy state are decoded.
-func foldCheckpoint(recs []checkpoint.Record) (*Checkpoint, error) {
-	var ck *Checkpoint
-	var tail []byte
-	for _, r := range recs {
-		rec, rest, err := decodeCheckpointHead(r.Payload)
-		if err != nil || rec.Next != r.Seq || !rec.continues(ck) {
-			break
-		}
-		if ck != nil {
-			rec.Stats = append(ck.Stats, rec.Stats...)
-		}
-		ck, tail = rec, rest
+// at the first damaged one. Each head is decoded over the last one taken,
+// so its names are allocated once, and its stats are appended to one
+// slice; only the last record's assignment and strategy state are
+// decoded, from a copy of its tail.
+type checkpointFold struct {
+	ck    Checkpoint // the last head taken, with Stats [0, Next)
+	taken bool
+	tail  []byte // its tail: the reader reuses the payload's bytes
+}
+
+// add takes one record, or reports false where the fold stops.
+func (f *checkpointFold) add(seq int, payload []byte) bool {
+	rec := f.ck
+	tail, err := rec.decodeHead(payload)
+	var prev *Checkpoint
+	if f.taken {
+		prev = &f.ck
 	}
-	if ck == nil {
+	if err != nil || rec.Next != seq || !rec.continues(prev) {
+		return false
+	}
+	f.ck, f.taken = rec, true
+	f.tail = append(f.tail[:0], tail...)
+	return true
+}
+
+// result decodes the last record's tail into the folded state; nil when
+// no record was taken.
+func (f *checkpointFold) result() (*Checkpoint, error) {
+	if !f.taken {
 		return nil, nil
 	}
-	if err := ck.decodeTail(tail); err != nil {
+	ck := f.ck
+	if err := ck.decodeTail(f.tail); err != nil {
 		return nil, fmt.Errorf("core: checkpoint at regrid %d: %w", ck.Next, err)
 	}
 	ck.From = 0
-	return ck, nil
+	return &ck, nil
 }
 
-// continues reports whether c extends the fold so far (nil: nothing yet).
+// continues reports whether c, decoded over prev, extends the fold so far
+// (prev nil: nothing yet): c.Stats holds prev's stats, then its own.
 func (c *Checkpoint) continues(prev *Checkpoint) bool {
-	from := 0
+	from, base := 0, 0
 	if prev != nil {
 		if !c.sameRun(prev) {
 			return false
 		}
-		from = prev.Next
+		from, base = prev.Next, len(prev.Stats)
 	}
-	if c.From != from || c.Next-c.From != len(c.Stats) {
+	stats := c.Stats[base:]
+	if c.From != from || c.Next-c.From != len(stats) {
 		return false
 	}
-	for i, s := range c.Stats {
+	for i, s := range stats {
 		if s.Index != c.From+i {
 			return false
 		}
@@ -166,11 +189,7 @@ func (c *Checkpoint) continues(prev *Checkpoint) bool {
 // placement on this run's processors is an error: the run would build its
 // communication plan from it.
 func loadRunCheckpoint(store *checkpoint.Store, tr *samr.Trace, strat Strategy, nprocs int) (*Checkpoint, error) {
-	recs, err := store.Records()
-	if err != nil {
-		return nil, err
-	}
-	ck, err := foldCheckpoint(recs)
+	ck, err := foldLog(store)
 	if err != nil || ck == nil {
 		return nil, err
 	}

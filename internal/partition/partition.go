@@ -108,7 +108,11 @@ func (a *Assignment) Validate() error {
 	if len(a.Owner) != len(a.Units) {
 		return fmt.Errorf("partition: %d owners for %d units", len(a.Owner), len(a.Units))
 	}
-	byLevel := map[int][]samr.Box{}
+	type levelBox struct {
+		level int
+		box   samr.Box
+	}
+	boxes := make([]levelBox, len(a.Units))
 	for i, u := range a.Units {
 		if a.Owner[i] < 0 || a.Owner[i] >= a.NProcs {
 			return fmt.Errorf("partition: unit %d owner %d out of range [0,%d)", i, a.Owner[i], a.NProcs)
@@ -116,23 +120,28 @@ func (a *Assignment) Validate() error {
 		if u.Box.Empty() {
 			return fmt.Errorf("partition: unit %d has empty box", i)
 		}
-		byLevel[u.Level] = append(byLevel[u.Level], u.Box)
+		boxes[i] = levelBox{u.Level, u.Box}
 	}
-	for l, boxes := range byLevel {
-		slices.SortFunc(boxes, func(a, b samr.Box) int {
-			if c := cmp.Compare(a.Lo[0], b.Lo[0]); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.Lo[1], b.Lo[1]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Lo[2], b.Lo[2])
-		})
-		for i := 0; i < len(boxes); i++ {
-			for j := i + 1; j < len(boxes) && boxes[j].Lo[0] < boxes[i].Hi[0]; j++ {
-				if boxes[i].Overlaps(boxes[j]) {
-					return fmt.Errorf("partition: level %d units %v and %v overlap", l, boxes[i], boxes[j])
-				}
+	// By level, then by low corner: each level is one run, x-sorted, and
+	// a box can only overlap the boxes after it that start before it ends
+	// in x.
+	slices.SortFunc(boxes, func(a, b levelBox) int {
+		if c := cmp.Compare(a.level, b.level); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.box.Lo[0], b.box.Lo[0]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.box.Lo[1], b.box.Lo[1]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.box.Lo[2], b.box.Lo[2])
+	})
+	for i := range boxes {
+		bi := &boxes[i]
+		for j := i + 1; j < len(boxes) && boxes[j].level == bi.level && boxes[j].box.Lo[0] < bi.box.Hi[0]; j++ {
+			if bi.box.Overlaps(boxes[j].box) {
+				return fmt.Errorf("partition: level %d units %v and %v overlap", bi.level, bi.box, boxes[j].box)
 			}
 		}
 	}

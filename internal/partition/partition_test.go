@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -435,5 +437,63 @@ func TestAssignmentValidateCatchesBadData(t *testing.T) {
 	}
 	if err := a.Validate(); err == nil {
 		t.Error("overlapping units accepted")
+	}
+}
+
+// TestAssignmentValidateMatchesPairwise: the sorted, x-pruned overlap scan
+// accepts exactly the assignments whose units are pairwise disjoint within
+// each level; units on different levels never conflict, whatever their
+// boxes. A lone overlapping pair is named in the message.
+func TestAssignmentValidateMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rejected := 0
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(12)
+		a := &Assignment{NProcs: 1, Units: make([]Unit, n), Owner: make([]int, n)}
+		for i := range a.Units {
+			var lo, hi samr.Point
+			for d := 0; d < 3; d++ {
+				lo[d] = rng.Intn(8) - 2
+				hi[d] = lo[d] + 1 + rng.Intn(3)
+			}
+			a.Units[i] = Unit{Level: rng.Intn(3), Box: samr.Box{Lo: lo, Hi: hi}}
+		}
+		want := true
+		for i := range a.Units {
+			for j := i + 1; j < n; j++ {
+				ui, uj := a.Units[i], a.Units[j]
+				if ui.Level == uj.Level && ui.Box.Overlaps(uj.Box) {
+					want = false
+				}
+			}
+		}
+		if err := a.Validate(); (err == nil) != want {
+			t.Fatalf("trial %d: Validate = %v, pairwise disjoint = %v for %+v", trial, err, want, a.Units)
+		}
+		if !want {
+			rejected++
+		}
+	}
+	if rejected == 0 || rejected == 500 {
+		t.Fatalf("%d of 500 random assignments overlap; the trials test one side only", rejected)
+	}
+
+	same := samr.MakeBox(4, 4, 4)
+	a := &Assignment{
+		NProcs: 1,
+		Units: []Unit{
+			{Level: 1, Box: same}, {Level: 0, Box: same}, {Level: 2, Box: same},
+			{Level: 1, Box: samr.Box{Lo: samr.Point{3, 3, 3}, Hi: samr.Point{5, 5, 5}}},
+		},
+		Owner: []int{0, 0, 0, 0},
+	}
+	err := a.Validate()
+	if want := fmt.Sprintf("partition: level 1 units %v and %v overlap", same, a.Units[3].Box); err == nil || err.Error() != want {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	a.Units = a.Units[:3]
+	a.Owner = a.Owner[:3]
+	if err := a.Validate(); err != nil {
+		t.Fatalf("equal boxes on three levels: %v", err)
 	}
 }
