@@ -7,6 +7,7 @@ package pragma
 // for the paper-vs-measured record.
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/experiments"
@@ -201,5 +202,31 @@ func BenchmarkAdaptiveReplaySmall(b *testing.B) {
 		if _, err := (Runtime{Trace: trace, Machine: machine, WorkModel: cfg.WorkModel}).Execute(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAdaptiveReplayPaper times a full replay of the paper trace
+// under Adaptive() (the guarded policy) on 64, 256 and 1024 SP2
+// processors: the EXPERIMENTS.md "Deciding ahead" table. -short skips
+// 1024, a few seconds per run.
+func BenchmarkAdaptiveReplayPaper(b *testing.B) {
+	cfg := RM3DPaper()
+	trace, err := GenerateRM3D(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			if procs > 256 && testing.Short() {
+				b.Skip("1024 processors takes seconds per run")
+			}
+			rt := Runtime{Trace: trace, Machine: NewCluster(procs), WorkModel: cfg.WorkModel}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rt.Execute(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

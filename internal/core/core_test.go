@@ -180,7 +180,7 @@ func TestSystemSensitiveCapacitiesComputedOnce(t *testing.T) {
 	ctx2 := *ctx
 	ctx2.Index = 5
 	ctx2.Snap = tr.Snapshots[5]
-	ctx2.SimTime = 1e4
+	ctx2.simTime = 1e4
 	if _, _, err := s.Assign(&ctx2); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestSystemSensitiveCapacitiesComputedOnce(t *testing.T) {
 	caps1 := append([]float64(nil), s2.caps...)
 	ctx3 := *ctx
 	ctx3.Index = 1
-	ctx3.SimTime = 50 // synthetic load varies over time
+	ctx3.simTime = 50 // synthetic load varies over time
 	if _, _, err := s2.Assign(&ctx3); err != nil {
 		t.Fatal(err)
 	}

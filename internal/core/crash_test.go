@@ -391,19 +391,16 @@ func TestZombieAttemptCannotMixHistories(t *testing.T) {
 	resume := crashConfig(dir)
 	resume.Resume = true
 
-	zombie := &gatedStrategy{
-		Strategy: perAttempt{parts[0]},
-		at:       10,
-		reached:  make(chan struct{}),
-		release:  make(chan struct{}),
-	}
+	zombie := newRegridGate(10)
 	type out struct {
 		res *RunResult
 		err error
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := Run(tr, zombie, crashConfig(dir))
+		cfg := crashConfig(dir)
+		cfg.OnRegrid = zombie.onRegrid
+		res, err := Run(tr, perAttempt{parts[0]}, cfg)
 		done <- out{res, err}
 	}()
 	<-zombie.reached // regrids [0, 10) are durable in the zombie's log

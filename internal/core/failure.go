@@ -21,11 +21,11 @@ import (
 func assign(strat Strategy, ctx *StepContext) (*partition.Assignment, string, error) {
 	sub, alive := ctx, []int(nil)
 	if len(ctx.Machine.Failures) > 0 {
-		alive = ctx.Machine.AliveNodes(ctx.SimTime)
+		alive = ctx.Machine.AliveNodes(ctx.SimTime())
 		alive = alive[:sort.SearchInts(alive, ctx.NProcs)]
 		switch len(alive) {
 		case 0:
-			return nil, "", fmt.Errorf("core: no nodes alive at t=%g", ctx.SimTime)
+			return nil, "", fmt.Errorf("core: no nodes alive at t=%g", ctx.SimTime())
 		case ctx.NProcs:
 			alive = nil
 		default:

@@ -116,7 +116,7 @@ func TestAssignRemapsOntoSurvivors(t *testing.T) {
 	snap := tr.Snapshots[0]
 	ctx := &StepContext{
 		Index: 0, Trace: tr, Snap: snap, WM: samr.UniformWorkModel{},
-		NProcs: 8, SimTime: 10, Machine: machine,
+		NProcs: 8, simTime: 10, Machine: machine,
 	}
 	a, _, err := assign(Static{P: partition.GMISPSP{}}, ctx)
 	if err != nil {
@@ -203,7 +203,7 @@ func (p *capsProbe) Assign(ctx *StepContext) (*partition.Assignment, string, err
 	if err != nil {
 		return nil, "", err
 	}
-	row := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)
+	row := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime())
 	p.calls = append(p.calls, capsCall{nodes: ctx.Nodes, row: row, caps: p.s.Capacities(), nprocs: a.NProcs})
 	return a, label, nil
 }

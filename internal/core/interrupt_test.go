@@ -11,7 +11,10 @@ import (
 )
 
 // gatedStrategy blocks inside Assign at one regrid index until released,
-// so tests can interrupt a run while it is provably mid-flight.
+// so tests can interrupt a run while that regrid is provably being
+// decided. It says nothing about how far the simulation has got: a run
+// that decides ahead is still costing earlier intervals (regridGate
+// waits for those).
 type gatedStrategy struct {
 	Strategy
 	at      int
@@ -28,11 +31,33 @@ func (g *gatedStrategy) Assign(ctx *StepContext) (*partition.Assignment, string,
 	return g.Strategy.Assign(ctx)
 }
 
+// regridGate, installed as RunConfig.OnRegrid, blocks the run at one
+// regrid index until released. OnRegrid runs on Run's goroutine once the
+// intervals before that regrid are finished and checkpointed, so reached
+// closing means they are durable.
+type regridGate struct {
+	at      int
+	reached chan struct{}
+	release chan struct{}
+}
+
+func newRegridGate(at int) *regridGate {
+	return &regridGate{at: at, reached: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *regridGate) onRegrid(idx int, _ string) {
+	if idx == g.at {
+		close(g.reached)
+		<-g.release
+	}
+}
+
 // TestRunInterruptCheckpointsAndResumes drives the graceful-drain path:
-// an interrupt lands while interval 3 executes, the run checkpoints at the
-// regrid boundary (CheckpointEvery is set far beyond the trace so only the
-// drain-save writes), fails with ErrInterrupted, and a resumed run
-// finishes with a result identical to an uninterrupted one.
+// an interrupt lands while regrid 3 is decided, so interval 3 still runs
+// and the run checkpoints at the boundary after it (CheckpointEvery is
+// set far beyond the trace so only the drain-save writes), fails with
+// ErrInterrupted, and a resumed run finishes with a result identical to
+// an uninterrupted one.
 func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 	tr := testTrace(t)
 	p, err := partition.ByName("G-MISP+SP")
@@ -82,7 +107,7 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 		t.Fatalf("drain-save wrote %d checkpoints, want exactly 1", len(recs))
 	}
 	if recs[0].Seq != 4 {
-		t.Fatalf("drain checkpoint has NextIndex %d, want 4 (interrupt landed during interval 3)", recs[0].Seq)
+		t.Fatalf("drain checkpoint has NextIndex %d, want 4 (interrupt landed during regrid 3's decision)", recs[0].Seq)
 	}
 
 	res, err := Run(tr, Static{P: p}, RunConfig{
@@ -96,24 +121,24 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 	sameResult(t, res, ref)
 }
 
-// removeDirAt deletes the checkpoint directory and closes stop when the
-// run enters regrid at: the log this attempt already writes stays open,
-// but its directory can no longer be synced.
+// removeDirAt, installed as RunConfig.OnRegrid, deletes the checkpoint
+// directory and closes stop when the run reaches regrid at, after the
+// intervals before it are checkpointed: the log this attempt already
+// writes stays open, but its directory can no longer be synced.
 type removeDirAt struct {
-	Strategy
+	t    *testing.T
 	at   int
 	dir  string
 	stop chan struct{}
 }
 
-func (s *removeDirAt) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
-	if ctx.Index == s.at {
+func (s *removeDirAt) onRegrid(idx int, _ string) {
+	if idx == s.at {
 		if err := os.RemoveAll(s.dir); err != nil {
-			return nil, "", err
+			s.t.Error(err)
 		}
 		close(s.stop)
 	}
-	return s.Strategy.Assign(ctx)
 }
 
 // TestRunInterruptReportsFailedSync: an interrupted run is reported
@@ -127,10 +152,10 @@ func TestRunInterruptReportsFailedSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	s := &removeDirAt{Strategy: Static{P: p}, at: 1, dir: dir, stop: make(chan struct{})}
-	_, err = Run(tr, s, RunConfig{
+	s := &removeDirAt{t: t, at: 1, dir: dir, stop: make(chan struct{})}
+	_, err = Run(tr, Static{P: p}, RunConfig{
 		Machine: cluster.SP2(4), NProcs: 4,
-		CheckpointDir: dir, CheckpointEvery: 1, Interrupt: s.stop,
+		CheckpointDir: dir, CheckpointEvery: 1, Interrupt: s.stop, OnRegrid: s.onRegrid,
 	})
 	if err == nil || errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupt whose sync failed returned %v, want the sync's error", err)

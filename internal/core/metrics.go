@@ -11,7 +11,7 @@ import (
 var (
 	metricRegridSeconds = telemetry.Default.Histogram(
 		"pragma_core_regrid_seconds",
-		"Wall-clock duration of one regrid decision: partitioning, PAC evaluation, and interval bookkeeping, excluding the simulated BSP steps.",
+		"Wall-clock critical path of one regrid: the wait for its partitioning decision (the decision itself when the run decides in order, what is left of it when the run decides ahead), then PAC evaluation and interval bookkeeping, excluding the simulated BSP steps.",
 		nil)
 	metricPartitionerSelected = telemetry.Default.CounterVec(
 		"pragma_core_partitioner_selected_total",

@@ -25,6 +25,9 @@ type RunConfig struct {
 	// NProcs is the processor count; 0 uses all machine nodes.
 	NProcs int
 	// WorkModel supplies per-snapshot region weights; nil means uniform.
+	// Like Strategy.Assign, Run may call it on a goroutine other than its
+	// caller's, ahead of the simulation, one call at a time and in regrid
+	// order.
 	WorkModel func(idx int) samr.WorkModel
 	// PartitionSecondsPerUnit models the partitioner's own running cost:
 	// partitioning time = units * assignment.SplitCost * this (0 = 1e-6).
@@ -46,21 +49,31 @@ type RunConfig struct {
 	// from the beginning. The final RunResult is identical to an
 	// uninterrupted run's.
 	Resume bool
-	// Interrupt, when non-nil, is polled at every regrid boundary. Once it
-	// is closed the run stops before starting the next interval: with
-	// CheckpointDir configured the loop state is written and synced before
-	// Run returns, so a later Resume continues exactly where the
-	// interrupted run stopped. Run then fails with an error wrapping
-	// ErrInterrupted, or with the sync's error if the records could not be
-	// made durable. This is the graceful-drain hook the scheduler uses (see
-	// internal/sched).
+	// Interrupt, when non-nil, is polled before every regrid's decision.
+	// Once it is closed the run takes no further decision and stops at the
+	// boundary of the first regrid it did not decide: every interval whose
+	// decision began before the interrupt runs to completion. Deciding in
+	// order that is the next boundary; deciding ahead it may be up to three
+	// intervals later, two decided and queued and one being decided
+	// (DESIGN.md §12). With CheckpointDir configured the
+	// loop state is written and synced before Run returns, so a later
+	// Resume continues exactly where the interrupted run stopped. Run then
+	// fails with an error wrapping ErrInterrupted, or with the sync's error
+	// if the records could not be made durable. This is the graceful-drain
+	// hook the scheduler uses (see internal/sched).
 	Interrupt <-chan struct{}
 	// OnRegrid, when non-nil, is called once per regrid cycle with the
 	// snapshot index and the partitioner the meta-strategy chose for it.
-	// It runs on the replay goroutine between cycles, so it must be fast
-	// and must not block — the scheduler uses it to publish regrid-trace
-	// events to streaming subscribers (see internal/stream).
+	// It runs on Run's goroutine between cycles, after the intervals before
+	// idx are finished and checkpointed, so it must be fast and must not
+	// block — the scheduler uses it to publish regrid-trace events to
+	// streaming subscribers (see internal/stream).
 	OnRegrid func(idx int, partitioner string)
+	// DecideInOrder has Run take each decision itself, on its caller's
+	// goroutine, once the interval before it is finished, instead of
+	// deciding ahead on a second goroutine (DESIGN.md §16). The scheduler
+	// sets it: its runs already fill every core.
+	DecideInOrder bool
 }
 
 // ErrInterrupted is the sentinel a Run interrupted through
@@ -166,12 +179,15 @@ type runScratch struct {
 	part   *partition.PartitionPlan
 	regrid regrid
 	record []byte
+	decide decider
 }
 
 // scratchPool recycles run scratch, so a served run does not grow its
 // plans and buffers from empty, regrid by regrid, every time.
 var scratchPool = sync.Pool{New: func() any {
-	return &runScratch{part: partition.NewPartitionPlan()}
+	sc := &runScratch{part: partition.NewPartitionPlan()}
+	sc.decide.init()
+	return sc
 }}
 
 // degradedCount is the number of regrids strat decided in degraded mode.
@@ -297,12 +313,20 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 		return nil
 	}
 
+	// The deciding stage is joined before the scratch goes back to the
+	// pool: this deferred call runs before the Put registered above.
+	dec := &sc.decide
+	dec.start(tr, strat, &cfg, nprocs, wmAt, sc.part, rg.a, startIdx, simTime)
+	defer dec.join()
+
 	for idx := startIdx; idx < len(tr.Snapshots); idx++ {
-		if interrupted(cfg.Interrupt) {
-			// A drain landed between intervals. Everything up to idx is
-			// complete; write it unless the directory already holds
-			// exactly this boundary (there is nothing to save before the
-			// first interval), sync it, and stop. The run is reported
+		regridStart := time.Now()
+		d := dec.next(idx, simTime, rg.a)
+		if d.stop {
+			// The interrupt closed before this regrid's decision.
+			// Everything up to idx is complete; write it unless the
+			// directory already holds exactly this boundary (there is
+			// nothing to save before the first interval), sync it, and stop. The run is reported
 			// interrupted only once its records are durable.
 			if store != nil {
 				if idx > saved {
@@ -317,30 +341,15 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 			metricInterrupts.Inc()
 			return nil, &InterruptedError{Next: idx, Completed: idx - startIdx}
 		}
-		snap := tr.Snapshots[idx]
-		regridStart := time.Now()
-		cycle := telemetry.DefaultTracer.Begin("regrid",
-			telemetry.String("strategy", strat.Name()),
-			telemetry.String("index", strconv.Itoa(idx)))
-		ctx := &StepContext{
-			Index:          idx,
-			Trace:          tr,
-			Snap:           snap,
-			WM:             wmAt(idx),
-			NProcs:         nprocs,
-			SimTime:        simTime,
-			Machine:        cfg.Machine,
-			PrevAssignment: rg.a,
-			PartitionPlan:  sc.part,
-			CycleTrace:     cycle,
+		if d.panicked != nil {
+			panic(d.panicked)
 		}
-		cycle.StartSpan("repartition")
-		a, label, err := assign(strat, ctx)
-		if err != nil {
-			cycle.End(telemetry.String("error", err.Error()))
-			return nil, fmt.Errorf("core: regrid %d: %w", idx, err)
+		cycle := d.cycle
+		if d.err != nil {
+			cycle.End(telemetry.String("error", d.err.Error()))
+			return nil, fmt.Errorf("core: regrid %d: %w", idx, d.err)
 		}
-		cycle.EndSpan(telemetry.String("partitioner", label))
+		snap, ctx, a, label := tr.Snapshots[idx], d.ctx, d.a, d.label
 		if cfg.OnRegrid != nil {
 			cfg.OnRegrid(idx, label)
 		}
@@ -361,7 +370,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 				// node while its data moved, and once none is left assign
 				// fails the run. A strategy that fails to recover fails
 				// the run.
-				ctx.SimTime = simTime
+				ctx.simTime = simTime
 				ctx.PrevAssignment = a
 				a2, label2, err := assign(strat, ctx)
 				if err != nil {

@@ -15,7 +15,12 @@ import (
 )
 
 // StepContext carries everything a strategy may consult when partitioning
-// at a regrid point.
+// at a regrid point. Run may hand it to Assign on a goroutine other than
+// its caller's, before the intervals ahead of the regrid are simulated
+// (DESIGN.md §16, "Deciding ahead"); it asks for one decision at a time,
+// in regrid order. What those intervals decide is reached only through
+// SimTime, which waits for them. A context is valid for the duration of
+// its Assign.
 type StepContext struct {
 	// Index is the regrid (snapshot) index.
 	Index int
@@ -27,8 +32,6 @@ type StepContext struct {
 	WM samr.WorkModel
 	// NProcs is the processor count to partition across.
 	NProcs int
-	// SimTime is the current simulated time (for load-dependent state).
-	SimTime float64
 	// Machine is the simulated execution environment.
 	Machine *cluster.Cluster
 	// Nodes names the machine node each processor runs on, processor p on
@@ -49,6 +52,22 @@ type StepContext struct {
 	// trace ring; strategies annotate it with classification and selection
 	// events (nil-safe to use).
 	CycleTrace *telemetry.Trace
+
+	// simTime is what SimTime returns for a context Run did not decide
+	// ahead, and for one built by hand.
+	simTime float64
+	// progress, set when Run decides ahead, is the stage SimTime waits on.
+	progress *decider
+}
+
+// SimTime returns the simulated time at which the regrid takes effect
+// (for load-dependent state). Deciding ahead, it blocks until the run has
+// finished every interval before the regrid, since they decide it.
+func (ctx *StepContext) SimTime() float64 {
+	if ctx.progress != nil {
+		return ctx.progress.simTimeAt(ctx.Index)
+	}
+	return ctx.simTime
 }
 
 // Partition runs p on the step's snapshot, in the step's PartitionPlan
@@ -62,7 +81,9 @@ func (ctx *StepContext) Partition(p partition.Partitioner) (*partition.Assignmen
 
 // Strategy decides how each regrid point is partitioned. Implementations
 // return the assignment and a label describing the partitioner used (shown
-// in Table 3/4 reporting).
+// in Table 3/4 reporting). Run may call Assign on a goroutine other than
+// its caller's, ahead of the simulation, one call at a time and in regrid
+// order (see StepContext).
 type Strategy interface {
 	// Name identifies the strategy ("SFC", "adaptive", "system-sensitive", ...).
 	Name() string
@@ -193,7 +214,7 @@ func (s *SystemSensitive) Assign(ctx *StepContext) (*partition.Assignment, strin
 	if w == (monitor.Weights{}) {
 		w = monitor.DefaultWeights()
 	}
-	sample := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime)
+	sample := monitor.ClusterSensor{Cluster: ctx.Machine}.Sample(ctx.SimTime())
 	if s.Forecast {
 		if s.forecasts == nil {
 			s.forecasts = monitor.NewForecasts(len(sample))

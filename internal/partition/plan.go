@@ -143,7 +143,7 @@ var (
 // checkpoints it).
 //
 // A PartitionPlan is NOT safe for concurrent use; core.Run owns one per run
-// and uses it from the replay goroutine. The zero value is ready, and a
+// and uses it from its deciding stage only. The zero value is ready, and a
 // fresh one is always valid — resume from checkpoint simply starts with
 // empty buffers.
 type PartitionPlan struct {

@@ -355,6 +355,9 @@ func (l Local) Execute(a *Attempt) (*core.RunResult, error) {
 		Resume:          spec.Resume,
 		Interrupt:       a.Interrupt,
 		OnRegrid:        onRegrid,
+		// The pool's runs already fill every core; deciding ahead would
+		// add a goroutine's hand-offs to each run and no throughput.
+		DecideInOrder: true,
 	})
 	metricRunSeconds.With(string(outcome(err))).Observe(time.Since(start).Seconds())
 	return res, err

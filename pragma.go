@@ -393,11 +393,13 @@ func WithResume() RunOption {
 	return func(c *core.RunConfig) { c.Resume = true }
 }
 
-// WithInterrupt stops the run at the next regrid boundary once ch is
-// closed: with checkpointing configured the loop state is written and
-// synced first, and Execute fails with an error wrapping ErrRunInterrupted
-// (or with the sync's error if it fails). This is the
-// graceful-drain hook (the Scheduler wires it for every run it manages).
+// WithInterrupt stops the run once ch is closed, at the boundary of the
+// first regrid it has not begun to decide: the next one, or up to three
+// later for a run that decides ahead (core.RunConfig.Interrupt). With
+// checkpointing configured the loop state is written and synced first,
+// and Execute fails with an error wrapping ErrRunInterrupted (or with the
+// sync's error if it fails). This is the graceful-drain hook (the
+// Scheduler wires it for every run it manages).
 func WithInterrupt(ch <-chan struct{}) RunOption {
 	return func(c *core.RunConfig) { c.Interrupt = ch }
 }
