@@ -2,13 +2,24 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-scenario test-fleet test-wire fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke bench-pair vet bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean loc
+.PHONY: build test test-short test-scenario test-fleet test-wire fleet-smoke preempt-smoke roll-smoke bench-e2e-smoke bench-pair vet fma-check bench bench-telemetry bench-pac bench-sched load-smoke experiments ablations extensions fmt cover clean loc
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The decision path rounds every product before it is added (an explicit
+# float64(...)): arm64 fuses x*y+z into one instruction otherwise, which
+# would move a decision or a float between architectures. Fails on any
+# fused multiply-add in arm64 code of these packages. A cached build
+# replays its -S output, so no -a is needed.
+FMA_PKGS = ./internal/partition ./internal/cluster ./internal/core
+fma-check:
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -E '\bFN?M(ADD|SUB)[DS]\b'); \
+	if [ -n "$$fused" ]; then echo "fused multiply-add on the decision path:" >&2; echo "$$fused" >&2; exit 1; fi
 
 # Fast subset: skips the paper-scale Table 4/5 replays (~21 s on a 2-vCPU
 # host, warm build cache).

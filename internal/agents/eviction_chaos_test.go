@@ -112,7 +112,7 @@ func TestEvictionReconnectReplayUnderChaos(t *testing.T) {
 			if m.Kind != "back" {
 				t.Fatalf("reverse got %+v", m)
 			}
-			if got := cl.Stats().Reconnects; got < 1 {
+			if got := cl.reconnects.Load(); got < 1 {
 				t.Fatalf("Reconnects = %d, want >= 1", got)
 			}
 			return

@@ -341,27 +341,6 @@ func WithSeed(seed int64) DialOption {
 	return func(c *dialConfig) { c.seed = seed }
 }
 
-// ClientStats counts the client's failure-path events. All counters are
-// cumulative.
-type ClientStats struct {
-	// Reconnects is the number of completed resynchronizations.
-	Reconnects int64
-	// AsyncErrors counts asynchronous errors observed: remote "error"
-	// frames plus connection losses.
-	AsyncErrors int64
-	// Delivered counts messages placed into local mailboxes.
-	Delivered int64
-	// MailboxDrops counts deliveries discarded because a mailbox was full.
-	MailboxDrops int64
-	// Replayed counts buffered frames re-sent after a reconnect.
-	Replayed int64
-	// BufferRejects counts sends refused because the in-flight buffer was
-	// full during an outage.
-	BufferRejects int64
-	// HeartbeatsSent counts ping frames written.
-	HeartbeatsSent int64
-}
-
 // mailbox is one registered port's delivery channel plus the buffer size
 // needed to re-register it after a reconnect.
 type mailbox struct {
@@ -396,11 +375,11 @@ type Client struct {
 
 	acks chan frame
 
+	// Per-client event counts, read by tests; an operator reads the
+	// process-wide pragma_agents_* counters.
 	reconnects     atomic.Int64
-	asyncErrors    atomic.Int64
 	delivered      atomic.Int64
 	mailboxDrops   atomic.Int64
-	replayed       atomic.Int64
 	bufferRejects  atomic.Int64
 	heartbeatsSent atomic.Int64
 }
@@ -441,29 +420,15 @@ func (cl *Client) installLocked(conn net.Conn) {
 }
 
 func (cl *Client) reportErr(err error) {
-	cl.asyncErrors.Add(1)
 	if cl.cfg.onError != nil {
 		cl.cfg.onError(err)
 	}
 }
 
-// Stats returns a snapshot of the failure-path counters.
-func (cl *Client) Stats() ClientStats {
-	return ClientStats{
-		Reconnects:     cl.reconnects.Load(),
-		AsyncErrors:    cl.asyncErrors.Load(),
-		Delivered:      cl.delivered.Load(),
-		MailboxDrops:   cl.mailboxDrops.Load(),
-		Replayed:       cl.replayed.Load(),
-		BufferRejects:  cl.bufferRejects.Load(),
-		HeartbeatsSent: cl.heartbeatsSent.Load(),
-	}
-}
-
 // Degraded reports whether the control network is currently unusable from
-// this client's point of view: reconnecting after a loss, or closed. The
-// meta-partitioner consults it (through core.AgentManaged.Health) to fall
-// back to local-only policy during partitions.
+// this client's point of view: reconnecting after a loss, or closed. A
+// caller that wires core.AgentManaged.Health over it lets the
+// meta-partitioner fall back to local-only policy during partitions.
 func (cl *Client) Degraded() bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -663,7 +628,6 @@ func (cl *Client) resync(conn net.Conn) bool {
 			conn.Close()
 			return false
 		}
-		cl.replayed.Add(1)
 		metricReplayedFrames.Inc()
 	}
 	cl.reconnects.Add(1)

@@ -524,9 +524,9 @@ func TestTCPFaultRecovery(t *testing.T) {
 			}
 			// The counter moves just after the last replayed frame is written,
 			// which the sink may have seen already: wait for it, do not race it.
-			for deadline = time.Now().Add(10 * time.Second); cl.Stats().Reconnects < 1; {
+			for deadline = time.Now().Add(10 * time.Second); cl.reconnects.Load() < 1; {
 				if time.Now().After(deadline) {
-					t.Fatalf("Reconnects = %d, want >= 1", cl.Stats().Reconnects)
+					t.Fatalf("Reconnects = %d, want >= 1", cl.reconnects.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -577,7 +577,7 @@ func TestTCPHeartbeatEviction(t *testing.T) {
 	if alive.Degraded() {
 		t.Fatal("heartbeating client reports degraded")
 	}
-	if alive.Stats().HeartbeatsSent == 0 {
+	if alive.heartbeatsSent.Load() == 0 {
 		t.Fatal("no heartbeats recorded")
 	}
 }
@@ -607,15 +607,15 @@ func TestTCPMailboxOverflowAccounted(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s := cl.Stats()
-		if s.Delivered+s.MailboxDrops == sent {
-			if s.Delivered != 1 || s.MailboxDrops != sent-1 {
-				t.Fatalf("Delivered=%d MailboxDrops=%d, want 1 and %d", s.Delivered, s.MailboxDrops, sent-1)
+		delivered, drops := cl.delivered.Load(), cl.mailboxDrops.Load()
+		if delivered+drops == sent {
+			if delivered != 1 || drops != sent-1 {
+				t.Fatalf("delivered=%d mailboxDrops=%d, want 1 and %d", delivered, drops, sent-1)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("stats stuck at %+v", s)
+			t.Fatalf("counts stuck at delivered=%d mailboxDrops=%d", delivered, drops)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -673,8 +673,8 @@ func TestTCPSendBufferBounded(t *testing.T) {
 	if !rejected {
 		t.Fatal("sends never hit the bounded buffer limit")
 	}
-	if cl.Stats().BufferRejects < 1 {
-		t.Fatalf("BufferRejects = %d, want >= 1", cl.Stats().BufferRejects)
+	if cl.bufferRejects.Load() < 1 {
+		t.Fatalf("BufferRejects = %d, want >= 1", cl.bufferRejects.Load())
 	}
 }
 

@@ -176,7 +176,7 @@ func (c *Cluster) Step(work, commVolume, commMessages []float64, t float64, cost
 			comm = bytes / (c.Nodes[p].BandwidthMBps * 1e6)
 		}
 		if p < len(commMessages) {
-			comm += commMessages[p] * c.Net.LatencySec
+			comm += float64(commMessages[p] * c.Net.LatencySec)
 		}
 		if comp > sc.Compute {
 			sc.Compute = comp

@@ -41,8 +41,8 @@ func NewSyntheticLoad(n int, seed int64) *SyntheticLoad {
 		// Loads are skewed: a few heavily loaded nodes, many light ones.
 		u := rng.Float64()
 		s.base[i] = 0.65 * u * u
-		s.amplitude[i] = 0.04 + 0.08*rng.Float64()
-		s.period[i] = 200 + 400*rng.Float64()
+		s.amplitude[i] = 0.04 + float64(0.08*rng.Float64())
+		s.period[i] = 200 + float64(400*rng.Float64())
 		s.phase[i] = 2 * math.Pi * rng.Float64()
 	}
 	return s
@@ -53,7 +53,7 @@ func (s *SyntheticLoad) Load(i int, t float64) float64 {
 	if i < 0 || i >= len(s.base) {
 		return 0
 	}
-	l := s.base[i] + s.amplitude[i]*math.Sin(2*math.Pi*t/s.period[i]+s.phase[i])
+	l := s.base[i] + float64(s.amplitude[i]*math.Sin(2*math.Pi*t/s.period[i]+s.phase[i]))
 	if l < 0 {
 		return 0
 	}

@@ -42,7 +42,8 @@ type AgentManaged struct {
 	// polling and ADM consolidation are skipped (the network is
 	// partitioned) and partitioning decisions fall back to local-only
 	// policy — pure octant classification from the trace, no event gating.
-	// Typically wired to pragma's Client.Degraded over the node clients.
+	// No program sets it: the caller wires it, for example over the node
+	// clients' agents.Client.Degraded.
 	Health func() bool
 
 	prevOctant  octant.Octant

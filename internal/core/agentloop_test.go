@@ -222,7 +222,7 @@ func TestProactiveStrategy(t *testing.T) {
 	}
 	// The forecast must also beat the capacity-blind default on a loaded
 	// cluster.
-	def, err := Run(tr, Static{P: partition.EqualBlock{}}, RunConfig{Machine: machine, NProcs: 8})
+	def, err := Run(tr, Static{P: partition.EqualBlock}, RunConfig{Machine: machine, NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

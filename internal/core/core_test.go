@@ -103,7 +103,7 @@ func TestTable3PartitionerColumn(t *testing.T) {
 func TestStaticStrategy(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(16, 1e6, 512, 100)
-	res, err := Run(tr, Static{P: partition.SFC{}}, RunConfig{Machine: machine})
+	res, err := Run(tr, Static{P: partition.SFC}, RunConfig{Machine: machine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSystemSensitiveBeatsDefaultOnLoadedCluster(t *testing.T) {
 	// the capacity-weighted partitioner outruns equal distribution.
 	tr := testTrace(t)
 	machine := cluster.LinuxCluster(16, 99)
-	def, err := Run(tr, Static{P: partition.EqualBlock{}}, RunConfig{Machine: machine})
+	def, err := Run(tr, Static{P: partition.EqualBlock}, RunConfig{Machine: machine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +215,13 @@ func TestSystemSensitiveCapacitiesComputedOnce(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(4, 1e6, 512, 100)
-	if _, err := Run(nil, Static{P: partition.SFC{}}, RunConfig{Machine: machine}); err == nil {
+	if _, err := Run(nil, Static{P: partition.SFC}, RunConfig{Machine: machine}); err == nil {
 		t.Error("nil trace accepted")
 	}
-	if _, err := Run(tr, Static{P: partition.SFC{}}, RunConfig{}); err == nil {
+	if _, err := Run(tr, Static{P: partition.SFC}, RunConfig{}); err == nil {
 		t.Error("missing machine accepted")
 	}
-	if _, err := Run(tr, Static{P: partition.SFC{}}, RunConfig{Machine: machine, NProcs: 99}); err == nil {
+	if _, err := Run(tr, Static{P: partition.SFC}, RunConfig{Machine: machine, NProcs: 99}); err == nil {
 		t.Error("nprocs above machine size accepted")
 	}
 }
@@ -229,7 +229,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunAccumulatesOverheads(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(8, 1e6, 512, 100)
-	res, err := Run(tr, Static{P: partition.SPISP{}}, RunConfig{Machine: machine})
+	res, err := Run(tr, Static{P: partition.SPISP}, RunConfig{Machine: machine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestRunAccumulatesOverheads(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.LinuxCluster(8, 42)
-	a, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: machine})
+	a, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{Machine: machine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: machine})
+	b, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{Machine: machine})
 	if err != nil {
 		t.Fatal(err)
 	}

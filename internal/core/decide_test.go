@@ -215,7 +215,7 @@ func TestRunDecidesAheadOnlyWhenItMay(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.maxprocs))
-			p := &aheadProbe{Strategy: Static{P: partition.SFC{}}}
+			p := &aheadProbe{Strategy: Static{P: partition.SFC}}
 			if _, err := Run(tr, c.strat(p), c.cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +236,7 @@ type timeSteered struct {
 func (s *timeSteered) Name() string { return "time-steered" }
 
 func (s *timeSteered) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
-	a, err := ctx.Partition(partition.SFC{})
+	a, err := ctx.Partition(partition.SFC)
 	if err != nil {
 		return nil, "", err
 	}
@@ -245,7 +245,7 @@ func (s *timeSteered) Assign(ctx *StepContext) (*partition.Assignment, string, e
 	if int(now)%2 == 1 {
 		return a, "SFC", nil
 	}
-	a, err = ctx.Partition(partition.GMISPSP{})
+	a, err = ctx.Partition(partition.GMISPSP)
 	return a, "G-MISP+SP", err
 }
 

@@ -23,7 +23,7 @@ func TestRunSurvivesNodeLoss(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(8, 1e5, 512, 100)
 	// First measure a healthy run to locate mid-run time.
-	healthy, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: machine, NProcs: 8})
+	healthy, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{Machine: machine, NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRunSurvivesNodeLoss(t *testing.T) {
 
 	// Kill two nodes mid-interval, so the run must recover inside an
 	// interval, not only re-partition at the next regrid.
-	res, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: nodeLoss(healthy.TotalTime), NProcs: 8})
+	res, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{Machine: nodeLoss(healthy.TotalTime), NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDeadNodeDoesNotStallRun(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(4, 1e5, 512, 100)
 	machine.Fail(1, 0.1)
-	res, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: machine, NProcs: 4})
+	res, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{Machine: machine, NProcs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunAllNodesDead(t *testing.T) {
 	machine := cluster.Homogeneous(2, 1e5, 512, 100)
 	machine.Fail(0, 0)
 	machine.Fail(1, 0)
-	_, err := Run(tr, Static{P: partition.SFC{}}, RunConfig{Machine: machine, NProcs: 2})
+	_, err := Run(tr, Static{P: partition.SFC}, RunConfig{Machine: machine, NProcs: 2})
 	if err == nil || !strings.Contains(err.Error(), "core: regrid 0: core: no nodes alive at t=0") {
 		t.Fatalf("run with zero live nodes: err = %v", err)
 	}
@@ -118,7 +118,7 @@ func TestAssignRemapsOntoSurvivors(t *testing.T) {
 		Index: 0, Trace: tr, Snap: snap, WM: samr.UniformWorkModel{},
 		NProcs: 8, simTime: 10, Machine: machine,
 	}
-	a, _, err := assign(Static{P: partition.GMISPSP{}}, ctx)
+	a, _, err := assign(Static{P: partition.GMISPSP}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ type misfit struct{}
 func (misfit) Name() string { return "misfit" }
 
 func (misfit) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
-	a, err := (partition.GMISPSP{}).Partition(ctx.Snap.H, ctx.WM, ctx.NProcs+1)
+	a, err := partition.GMISPSP.Partition(ctx.Snap.H, ctx.WM, ctx.NProcs+1)
 	return a, "misfit", err
 }
 
@@ -312,7 +312,7 @@ func TestFailureSearch(t *testing.T) {
 		name string
 		mk   func() Strategy
 	}{
-		{"static", func() Strategy { return Static{P: partition.GMISPSP{}} }},
+		{"static", func() Strategy { return Static{P: partition.GMISPSP} }},
 		{"adaptive", func() Strategy { return Adaptive{ImbalanceGuard: 20} }},
 		{"system-sensitive", func() Strategy { return &SystemSensitive{RecalibrateEvery: 3} }},
 		{"proactive", func() Strategy { return &SystemSensitive{RecalibrateEvery: 1, Forecast: true} }},
@@ -472,7 +472,7 @@ func FuzzRun(f *testing.F) {
 // fuzzStrategies builds FuzzRun's strategies for a run of nprocs
 // processors.
 var fuzzStrategies = []func(t *testing.T, nprocs int) Strategy{
-	func(*testing.T, int) Strategy { return Static{P: partition.GMISPSP{}} },
+	func(*testing.T, int) Strategy { return Static{P: partition.GMISPSP} },
 	func(*testing.T, int) Strategy { return Adaptive{ImbalanceGuard: 20} },
 	func(*testing.T, int) Strategy { return Adaptive{} },
 	func(*testing.T, int) Strategy { return &SystemSensitive{} },

@@ -31,7 +31,7 @@ func TestAdaptiveImbalanceGuardFallsBack(t *testing.T) {
 	meta := NewMetaPartitioner()
 	meta.Lookup = func(name string) (partition.Partitioner, error) {
 		if name == "G-MISP+SP" {
-			return partition.GMISPSP{}, nil
+			return partition.GMISPSP, nil
 		}
 		// Every non-fallback selection balances terribly.
 		return badBalancer{}, nil
@@ -97,7 +97,7 @@ func TestAdaptiveGuardKeepsBetterOriginal(t *testing.T) {
 		if name == "G-MISP+SP" {
 			return badBalancer{}, nil // fallback is the bad one
 		}
-		return partition.PBDISP{}, nil
+		return partition.PBDISP, nil
 	}
 	guarded := Adaptive{Meta: meta, ImbalanceGuard: 0.0001} // always triggers
 	var ctx *StepContext

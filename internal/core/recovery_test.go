@@ -156,7 +156,7 @@ func TestRunBuildsOneCommPlanPerRegrid(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(8, 1e5, 512, 100)
 	builds := pacBuilds(t)
-	if _, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: machine, NProcs: 8}); err != nil {
+	if _, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{Machine: machine, NProcs: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := pacBuilds(t)-builds, uint64(len(tr.Snapshots)); got != want {
@@ -214,7 +214,7 @@ func twoNodesLost() *cluster.Cluster {
 func TestRecoveryErrorFailsRun(t *testing.T) {
 	tr := testTrace(t)
 	cfg := RunConfig{Machine: twoNodesLost(), NProcs: 8}
-	healthy := &recoveryProbe{inner: Static{P: partition.GMISPSP{}}}
+	healthy := &recoveryProbe{inner: Static{P: partition.GMISPSP}}
 	res, err := Run(tr, healthy, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestRecoveryErrorFailsRun(t *testing.T) {
 	}
 
 	cfg.Machine = twoNodesLost()
-	failing := &recoveryProbe{inner: Static{P: partition.GMISPSP{}}, failRecovery: true}
+	failing := &recoveryProbe{inner: Static{P: partition.GMISPSP}, failRecovery: true}
 	res, err = Run(tr, failing, cfg)
 	if !errors.Is(err, errRecoveryRefused) {
 		t.Fatalf("run whose recovery fails: err = %v, result %+v", err, res)

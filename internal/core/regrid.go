@@ -63,7 +63,7 @@ func (r *regrid) cost(idx int, h *samr.Hierarchy, a *partition.Assignment, label
 		telemetry.String("imbalance_pct", formatG4(q.Imbalance)),
 		telemetry.String("fraction", formatG4(q.Migration)))
 	setPACGauges(q)
-	partSec = r.puCost * float64(len(a.Units)) * max(a.SplitCost, 1)
+	partSec = float64(r.puCost * float64(len(a.Units)) * max(a.SplitCost, 1))
 	return SnapshotStat{Index: idx, Partitioner: label, Quality: q, Overhead: partSec + migSec}, partSec, migSec
 }
 

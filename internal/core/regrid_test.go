@@ -27,7 +27,7 @@ func nodeLoss(healthy float64) *cluster.Cluster {
 func nodeLossConfig(t *testing.T) (*samr.Trace, func() Strategy, RunConfig) {
 	t.Helper()
 	tr := testTrace(t)
-	strat := func() Strategy { return Static{P: partition.GMISPSP{}} }
+	strat := func() Strategy { return Static{P: partition.GMISPSP} }
 	healthy, err := Run(tr, strat(), RunConfig{Machine: cluster.Homogeneous(8, 1e5, 512, 100), NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRunResultFoldsSnapshots(t *testing.T) {
 // that moves node 3's units onto node 0.
 func deadAndRescue(t *testing.T, h *samr.Hierarchy) (dead, rescue *partition.Assignment) {
 	t.Helper()
-	dead, err := (partition.GMISPSP{}).Partition(h, samr.UniformWorkModel{}, 4)
+	dead, err := partition.GMISPSP.Partition(h, samr.UniformWorkModel{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

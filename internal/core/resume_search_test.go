@@ -83,7 +83,7 @@ func resumeSearchCases(t *testing.T) []resumeCase {
 		return c
 	}
 	return append(cases,
-		resumeCase{"static/G-MISP+SP/node-1-fails", func() Strategy { return Static{P: partition.GMISPSP{}} }, failing, 8, true},
+		resumeCase{"static/G-MISP+SP/node-1-fails", func() Strategy { return Static{P: partition.GMISPSP} }, failing, 8, true},
 		resumeCase{"agent-managed/8/node-1-fails", agentManaged(8), failing, 8, true},
 	)
 }

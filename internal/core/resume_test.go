@@ -153,7 +153,7 @@ func TestRunResumeSkipsCorruptedCheckpoint(t *testing.T) {
 	tr := testTrace(t)
 	mk := func() *cluster.Cluster { return cluster.Homogeneous(4, 1e5, 512, 100) }
 
-	base, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{Machine: mk(), NProcs: 4})
+	base, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{Machine: mk(), NProcs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRunResumeSkipsCorruptedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	crashAt := len(tr.Snapshots) - 2
 	_, err = Run(tr, crashingStrategy{
-		inner: Static{P: partition.GMISPSP{}},
+		inner: Static{P: partition.GMISPSP},
 		fp:    &chaos.FaultPoint{FailAt: crashAt + 1},
 	}, RunConfig{Machine: mk(), NProcs: 4, CheckpointDir: dir})
 	if !errors.Is(err, chaos.ErrInjectedCrash) {
@@ -184,7 +184,7 @@ func TestRunResumeSkipsCorruptedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{
+	resumed, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{
 		Machine: mk(), NProcs: 4, CheckpointDir: dir, Resume: true,
 	})
 	if err != nil {
@@ -196,7 +196,7 @@ func TestRunResumeSkipsCorruptedCheckpoint(t *testing.T) {
 func TestRunResumeWithEmptyDirStartsFresh(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(4, 1e5, 512, 100)
-	res, err := Run(tr, Static{P: partition.SFC{}}, RunConfig{
+	res, err := Run(tr, Static{P: partition.SFC}, RunConfig{
 		Machine: machine, NProcs: 4,
 		CheckpointDir: filepath.Join(t.TempDir(), "fresh"), Resume: true,
 	})
@@ -213,7 +213,7 @@ func TestRunResumeRejectsMismatchedRun(t *testing.T) {
 	mk := func() *cluster.Cluster { return cluster.Homogeneous(4, 1e5, 512, 100) }
 	dir := t.TempDir()
 	_, err := Run(tr, crashingStrategy{
-		inner: Static{P: partition.GMISPSP{}},
+		inner: Static{P: partition.GMISPSP},
 		fp:    &chaos.FaultPoint{FailAt: 3},
 	}, RunConfig{Machine: mk(), NProcs: 4, CheckpointDir: dir})
 	if !errors.Is(err, chaos.ErrInjectedCrash) {
@@ -222,11 +222,11 @@ func TestRunResumeRejectsMismatchedRun(t *testing.T) {
 	// A different strategy must not adopt this checkpoint; with nothing
 	// else valid in the directory, the run restarts from scratch and
 	// completes — matching a from-scratch run of that strategy.
-	base, err := Run(tr, Static{P: partition.SFC{}}, RunConfig{Machine: mk(), NProcs: 4})
+	base, err := Run(tr, Static{P: partition.SFC}, RunConfig{Machine: mk(), NProcs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(tr, Static{P: partition.SFC{}}, RunConfig{
+	res, err := Run(tr, Static{P: partition.SFC}, RunConfig{
 		Machine: mk(), NProcs: 4, CheckpointDir: dir, Resume: true,
 	})
 	if err != nil {
@@ -245,7 +245,7 @@ func TestRunResumeRejectsMismatchedRun(t *testing.T) {
 func TestRunResumeRejectsInvalidAssignment(t *testing.T) {
 	tr := testTrace(t)
 	mk := func() *cluster.Cluster { return cluster.Homogeneous(8, 1e5, 512, 100) }
-	strat := Static{P: partition.GMISPSP{}}
+	strat := Static{P: partition.GMISPSP}
 	base, err := Run(tr, strat, RunConfig{Machine: mk(), NProcs: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestRunCheckpointEveryKRegrids(t *testing.T) {
 	tr := testTrace(t)
 	machine := cluster.Homogeneous(4, 1e5, 512, 100)
 	dir := t.TempDir()
-	if _, err := Run(tr, Static{P: partition.GMISPSP{}}, RunConfig{
+	if _, err := Run(tr, Static{P: partition.GMISPSP}, RunConfig{
 		Machine: machine, NProcs: 4,
 		CheckpointDir: dir, CheckpointEvery: 3,
 	}); err != nil {

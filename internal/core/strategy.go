@@ -247,9 +247,8 @@ func (s *SystemSensitive) Assign(ctx *StepContext) (*partition.Assignment, strin
 			return nil, "", fmt.Errorf("core: capacity calculation: %w", err)
 		}
 	}
-	p := partition.Heterogeneous{}
-	a, err := p.PartitionWeighted(ctx.Snap.H, ctx.WM, s.caps, ctx.PartitionPlan)
-	return a, p.Name(), err
+	a, err := partition.PartitionWeighted(ctx.Snap.H, ctx.WM, s.caps, ctx.PartitionPlan)
+	return a, partition.Heterogeneous.Name(), err
 }
 
 // Capacities returns a copy of the relative capacities last computed by

@@ -51,7 +51,7 @@ func AblationCurves(cfg rm3d.Config, nprocs int, sampleEvery int) ([]CurveAblati
 	}
 	var rows []CurveAblationRow
 	for _, c := range curves {
-		p := partition.SPISP{Curve: c.curve}
+		p := partition.SPISPOnCurve(c.curve)
 		row := CurveAblationRow{Curve: c.name}
 		n := 0
 		for idx := 0; idx < len(tr.Snapshots); idx += sampleEvery {
@@ -93,7 +93,7 @@ func AblationSplitters(cfg rm3d.Config, nprocs int, sampleEvery int) ([]SplitAbl
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
-	partitioners := []partition.Partitioner{partition.GMISP{}, partition.GMISPSP{}}
+	partitioners := []partition.Partitioner{partition.GMISP, partition.GMISPSP}
 	var rows []SplitAblationRow
 	for _, p := range partitioners {
 		row := SplitAblationRow{Splitter: p.Name()}
@@ -186,7 +186,7 @@ func AblationProcSweep(cfg rm3d.Config, procCounts []int) ([]ProcSweepRow, error
 			return nil, err
 		}
 		row := ProcSweepRow{Procs: n, AdaptiveTime: adaptive.TotalTime}
-		for _, p := range []partition.Partitioner{partition.SFC{}, partition.GMISPSP{}, partition.PBDISP{}} {
+		for _, p := range []partition.Partitioner{partition.SFC, partition.GMISPSP, partition.PBDISP} {
 			res, err := core.Run(tr, core.Static{P: p}, rc)
 			if err != nil {
 				return nil, err
@@ -221,7 +221,7 @@ func AblationCapacityWeights(cfg rm3d.Config, nprocs int, loadSeed int64) ([]Wei
 	}
 	machine := cluster.LinuxCluster(nprocs, loadSeed)
 	rc := core.RunConfig{Machine: machine, NProcs: nprocs, WorkModel: cfg.WorkModel}
-	def, err := core.Run(tr, core.Static{P: partition.EqualBlock{}}, rc)
+	def, err := core.Run(tr, core.Static{P: partition.EqualBlock}, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,7 @@ func AblationFailures(cfg rm3d.Config, nprocs int) ([]FailureAblationRow, error)
 		return nil, err
 	}
 	rc := core.RunConfig{Machine: cluster.SP2(nprocs), NProcs: nprocs, WorkModel: cfg.WorkModel}
-	healthy, err := core.Run(tr, core.Static{P: partition.GMISPSP{}}, rc)
+	healthy, err := core.Run(tr, core.Static{P: partition.GMISPSP}, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +271,7 @@ func AblationFailures(cfg rm3d.Config, nprocs int) ([]FailureAblationRow, error)
 		for k := 0; k < failures; k++ {
 			machine.Fail(1+2*k, healthy.TotalTime*float64(k+1)/4)
 		}
-		ft := &detections{Strategy: core.Static{P: partition.GMISPSP{}}, nprocs: nprocs}
+		ft := &detections{Strategy: core.Static{P: partition.GMISPSP}, nprocs: nprocs}
 		res, err := core.Run(tr, ft, core.RunConfig{Machine: machine, NProcs: nprocs, WorkModel: cfg.WorkModel})
 		if err != nil {
 			return nil, err
@@ -335,7 +335,7 @@ func AblationManagement(cfg rm3d.Config, nprocs int, loadSeed int64) ([]Manageme
 		rows = append(rows, row)
 		return nil
 	}
-	if err := add(core.Static{P: partition.EqualBlock{}}); err != nil {
+	if err := add(core.Static{P: partition.EqualBlock}); err != nil {
 		return nil, err
 	}
 	if err := add(&core.SystemSensitive{}); err != nil {

@@ -69,7 +69,7 @@ func CrossApplication(nprocs int) ([]CrossAppRow, error) {
 		}
 		row.AdaptiveTime = adaptive.TotalTime
 		row.Switches = adaptive.Switches
-		for _, p := range []partition.Partitioner{partition.SFC{}, partition.GMISPSP{}, partition.PBDISP{}} {
+		for _, p := range []partition.Partitioner{partition.SFC, partition.GMISPSP, partition.PBDISP} {
 			res, err := core.Run(tr, core.Static{P: p}, rc)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", tr.Name, p.Name(), err)
@@ -107,7 +107,7 @@ func PFRuntimePrediction(cfg rm3d.Config) ([]PredictionRow, error) {
 		return nil, err
 	}
 	simulate := func(n int) (float64, error) {
-		res, err := core.Run(tr, core.Static{P: partition.GMISPSP{}},
+		res, err := core.Run(tr, core.Static{P: partition.GMISPSP},
 			core.RunConfig{Machine: cluster.SP2(n), NProcs: n, WorkModel: cfg.WorkModel})
 		if err != nil {
 			return 0, err

@@ -152,9 +152,9 @@ func Table4(cfg Table4Config) ([]Table4Row, error) {
 		WorkModel: cfg.Trace.WorkModel,
 	}
 	strategies := []core.Strategy{
-		core.Static{P: partition.SFC{}},
-		core.Static{P: partition.GMISPSP{}},
-		core.Static{P: partition.PBDISP{}},
+		core.Static{P: partition.SFC},
+		core.Static{P: partition.GMISPSP},
+		core.Static{P: partition.PBDISP},
 		core.Adaptive{ImbalanceGuard: 20},
 	}
 	var rows []Table4Row
@@ -220,7 +220,7 @@ func Table5(cfg Table5Config) ([]Table5Row, error) {
 	for _, n := range cfg.ProcCounts {
 		machine := cluster.LinuxCluster(n, cfg.LoadSeed)
 		rc := core.RunConfig{Machine: machine, NProcs: n, WorkModel: cfg.Trace.WorkModel}
-		def, err := core.Run(tr, core.Static{P: partition.EqualBlock{}}, rc)
+		def, err := core.Run(tr, core.Static{P: partition.EqualBlock}, rc)
 		if err != nil {
 			return nil, fmt.Errorf("table5: default/%d: %w", n, err)
 		}

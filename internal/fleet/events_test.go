@@ -102,7 +102,7 @@ func TestFleetHandlerPaginationAndEvents(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for _, id := range ids {
-		if _, err := r.Wait(ctx, id); err != nil {
+		if _, err := r.life.Wait(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 	}

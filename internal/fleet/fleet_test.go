@@ -195,7 +195,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for _, id := range ids {
-		st, err := r.Wait(ctx, id)
+		st, err := r.life.Wait(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("run never started on a worker")
 		}
-		if cur, ok := r.Status(st.ID); ok && cur.State == sched.StateRunning && cur.Placement != "" {
+		if cur, ok := r.life.Status(st.ID); ok && cur.State == sched.StateRunning && cur.Placement != "" {
 			victim = cur.Placement
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -273,12 +273,12 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	// Kill the victim: tear its link down with no goodbye. The center's
 	// disconnect hook must evict it and the router must resume the run on
 	// the survivor from the latest CRC-verified checkpoint.
-	evictionsBefore := metricEvictions.Value()
+	evictionsBefore := metricEvictions.With(causeLinkLost).Value()
 	clients[victim].Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	final, err := r.Wait(ctx, st.ID)
+	final, err := r.life.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +294,8 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	if got := metricFailovers.Value(); got <= failoversBefore {
 		t.Fatalf("pragma_fleet_failovers_total = %d, want > %d", got, failoversBefore)
 	}
-	if got := metricEvictions.Value(); got <= evictionsBefore {
-		t.Fatalf("pragma_fleet_evictions_total = %d, want > %d", got, evictionsBefore)
+	if got := metricEvictions.With(causeLinkLost).Value(); got <= evictionsBefore {
+		t.Fatalf(`pragma_fleet_evictions_total{cause="link_lost"} = %d, want > %d`, got, evictionsBefore)
 	}
 
 	// The killed worker's zombie pool may still be running; stop it so the
@@ -348,7 +348,7 @@ func TestFleetLocalFallback(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	final, err := r.Wait(ctx, st.ID)
+	final, err := r.life.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestFleetBreaker(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	final, err := r.Wait(ctx, st.ID)
+	final, err := r.life.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestFleetDrain(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("run never started")
 		}
-		if cur, ok := r.Status(st.ID); ok && cur.State == sched.StateRunning {
+		if cur, ok := r.life.Status(st.ID); ok && cur.State == sched.StateRunning {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -469,7 +469,7 @@ func TestFleetDrain(t *testing.T) {
 	if err := r.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	final, ok := r.Status(st.ID)
+	final, ok := r.life.Status(st.ID)
 	if !ok {
 		t.Fatal("run record vanished")
 	}

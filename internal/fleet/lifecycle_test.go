@@ -91,7 +91,7 @@ func TestOneRequestOneResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaFleet, err := r.Wait(ctx, postSubmit(t, fleet.URL, query))
+		viaFleet, err := r.life.Wait(ctx, postSubmit(t, fleet.URL, query))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestRunningBeforeDone(t *testing.T) {
 	defer cancel()
 	for i := 0; i < 200; i++ {
 		id := postSubmit(t, base, "procs=4&scenario="+url.QueryEscape(tinyScenario(i%8)))
-		st, err := r.Wait(ctx, id)
+		st, err := r.life.Wait(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestStaleHeartbeatNoFallback(t *testing.T) {
 	defer cancel()
 	for i := 0; i < 300; i++ {
 		id := postSubmit(t, base, "procs=4&scenario="+url.QueryEscape(tinyScenario(i%8)))
-		if st, err := r.Wait(ctx, id); err != nil || st.State != sched.StateDone || st.Placement != "w0" {
+		if st, err := r.life.Wait(ctx, id); err != nil || st.State != sched.StateDone || st.Placement != "w0" {
 			t.Fatalf("%s: %+v, %v", id, st, err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestFleetWeightedFairness(t *testing.T) {
 	defer cancel()
 	finals := make([]RunStatus, len(ids))
 	for i, id := range ids {
-		st, err := r.Wait(ctx, id)
+		st, err := r.life.Wait(ctx, id)
 		if err != nil || st.State != sched.StateDone {
 			t.Fatalf("%s: %+v, %v", id, st, err)
 		}
@@ -331,7 +331,7 @@ func TestRefusedSpecSparesBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := r.Wait(ctx, bad.ID); err != nil || st.State != sched.StateFailed {
+	if st, err := r.life.Wait(ctx, bad.ID); err != nil || st.State != sched.StateFailed {
 		t.Fatalf("bogus trace: %+v, %v; want failed", st, err)
 	}
 	if ws := r.Workers(); len(ws) != 1 || ws[0].BreakerOpen {
@@ -341,7 +341,7 @@ func TestRefusedSpecSparesBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := r.Wait(ctx, good.ID); err != nil || st.State != sched.StateDone || st.Placement != "w0" {
+	if st, err := r.life.Wait(ctx, good.ID); err != nil || st.State != sched.StateDone || st.Placement != "w0" {
 		t.Fatalf("valid run after the refusal: %+v, %v; want done on w0", st, err)
 	}
 	if st := r.Stats(); st.LocalFallbacks != 0 {

@@ -24,9 +24,10 @@ var (
 	metricFailovers = telemetry.Default.Counter(
 		"pragma_fleet_failovers_total",
 		"Runs re-placed after their worker was lost mid-run.")
-	metricEvictions = telemetry.Default.Counter(
+	metricEvictions = telemetry.Default.CounterVec(
 		"pragma_fleet_evictions_total",
-		"Workers evicted for heartbeat silence or link teardown.")
+		"Workers evicted, by cause: link_lost (control-network link torn down), heartbeat_silence.",
+		"cause")
 	metricLocalFallbacks = telemetry.Default.Counter(
 		"pragma_fleet_local_fallbacks_total",
 		"Attempts the router executed itself because no worker was placeable.")
@@ -45,4 +46,11 @@ var (
 	dispatchRejected = metricDispatches.With("rejected")
 	dispatchTimeout  = metricDispatches.With("timeout")
 	dispatchSendErr  = metricDispatches.With("send_error")
+)
+
+// The causes of an eviction, as pragma_fleet_evictions_total's cause
+// label spells them.
+const (
+	causeLinkLost = "link_lost"
+	causeSilence  = "heartbeat_silence"
 )

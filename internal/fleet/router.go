@@ -205,7 +205,7 @@ func (r *Router) AttachCenter(c *agents.Center) {
 func (r *Router) PortsLost(ports []string) {
 	for _, p := range ports {
 		if id, ok := strings.CutPrefix(p, workerPortPrefix); ok && id != "" {
-			r.evict(id, "link lost")
+			r.evict(id, causeLinkLost)
 		}
 	}
 }
@@ -645,7 +645,7 @@ func (r *Router) evictLoop() {
 		}
 		r.mu.Unlock()
 		for _, id := range silent {
-			r.evict(id, "heartbeat silence")
+			r.evict(id, causeSilence)
 		}
 		r.life.Kick()
 	}
@@ -675,17 +675,9 @@ func (r *Router) evict(id, cause string) {
 	}
 	live := r.liveLocked()
 	r.mu.Unlock()
-	metricEvictions.Inc()
+	metricEvictions.With(cause).Inc()
 	metricWorkers.Set(float64(live))
 	r.reportErr(fmt.Errorf("fleet: evicted worker %s (%s), %d runs to fail over", id, cause, orphans))
-}
-
-// Status returns one run's snapshot.
-func (r *Router) Status(id string) (RunStatus, bool) { return r.life.Status(id) }
-
-// Wait blocks until the run reaches a terminal state (or ctx ends).
-func (r *Router) Wait(ctx context.Context, id string) (RunStatus, error) {
-	return r.life.Wait(ctx, id)
 }
 
 // Workers lists the router's view of the fleet, evicted members included.

@@ -162,13 +162,6 @@ type Report struct {
 	Endpoints []EndpointReport `json:"endpoints"`
 }
 
-// WriteJSON writes the report as one indented JSON object.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // P99 returns the worst per-endpoint p99 as a duration — the -slo-p99
 // gate input.
 func (r *Report) P99() time.Duration {

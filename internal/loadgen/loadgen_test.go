@@ -84,12 +84,12 @@ func TestRunReportsBothEndpoints(t *testing.T) {
 			t.Errorf("%s: throughput %v", ep.Endpoint, ep.ThroughputRPS)
 		}
 	}
-	var buf strings.Builder
-	if err := rep.WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(rep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var round Report
-	if err := json.Unmarshal([]byte(buf.String()), &round); err != nil {
+	if err := json.Unmarshal(buf, &round); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
 }

@@ -200,9 +200,9 @@ func RebuildCommPlan(p, from *CommPlan, h *samr.Hierarchy, a *Assignment) *CommP
 				continue
 			}
 			faces := float64(c.quarters) / faceQuarters
-			st.Volume += faces * lv.freq
-			st.PerProcVolume[o1] += faces * lv.freq
-			st.PerProcVolume[o2] += faces * lv.freq
+			st.Volume += float64(faces * lv.freq)
+			st.PerProcVolume[o1] += float64(faces * lv.freq)
+			st.PerProcVolume[o2] += float64(faces * lv.freq)
 			st.Messages += lv.freq
 			st.PerProcMessages[o1] += lv.freq
 			st.PerProcMessages[o2] += lv.freq

@@ -43,11 +43,11 @@ func paperAssignments(tb testing.TB) (*samr.Hierarchy, *Assignment, *Assignment)
 	tb.Helper()
 	h := paperHierarchy(tb)
 	wm := samr.UniformWorkModel{}
-	a, err := (GMISPSP{}).Partition(h, wm, 64)
+	a, err := GMISPSP.Partition(h, wm, 64)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	prev, err := (PBDISP{}).Partition(h, wm, 64)
+	prev, err := PBDISP.Partition(h, wm, 64)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // diffSuite is the partitioner set used to produce realistic assignments
 // for the differential tests.
 func diffSuite() []Partitioner {
-	return []Partitioner{SFC{}, GMISPSP{}, PBDISP{}, EqualBlock{}}
+	return []Partitioner{SFC, GMISPSP, PBDISP, EqualBlock}
 }
 
 // requirePlanMatchesReference asserts the box-geometry kernel reproduces
@@ -163,11 +163,11 @@ func TestCommPlanDifferentialRandom(t *testing.T) {
 func TestCommPlanGOMAXPROCSInvariance(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	a, err := (GMISPSP{}).Partition(h, wm, 16)
+	a, err := GMISPSP.Partition(h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := (PBDISP{}).Partition(h, wm, 16)
+	prev, err := PBDISP.Partition(h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +237,11 @@ func TestCommPlanEmptyAndSingleOwner(t *testing.T) {
 func TestEvalQualityPlanMatchesEvalQuality(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	a, err := (GMISPSP{}).Partition(h, wm, 8)
+	a, err := GMISPSP.Partition(h, wm, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := (SFC{}).Partition(h, wm, 8)
+	prev, err := SFC.Partition(h, wm, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func TestEvalQualityPlanMatchesEvalQuality(t *testing.T) {
 func TestRasterizationSharing(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	a, _ := (GMISPSP{}).Partition(h, wm, 8)
-	b, _ := (PBDISP{}).Partition(h, wm, 8)
+	a, _ := GMISPSP.Partition(h, wm, 8)
+	b, _ := PBDISP.Partition(h, wm, 8)
 
 	builds := metricPACSeconds.Count()
 	planA := BuildCommPlan(h, a)

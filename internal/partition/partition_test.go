@@ -95,17 +95,17 @@ func TestByName(t *testing.T) {
 func TestPartitionArgValidation(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	if _, err := (SFC{}).Partition(h, wm, 0); err == nil {
+	if _, err := SFC.Partition(h, wm, 0); err == nil {
 		t.Error("nprocs 0 accepted")
 	}
-	if _, err := (SFC{}).Partition(nil, wm, 4); err == nil {
+	if _, err := SFC.Partition(nil, wm, 4); err == nil {
 		t.Error("nil hierarchy accepted")
 	}
 }
 
 func TestSinglProcAssignsEverythingToZero(t *testing.T) {
 	h := testHierarchy(t)
-	a, err := (GMISPSP{}).Partition(h, samr.UniformWorkModel{}, 1)
+	a, err := GMISPSP.Partition(h, samr.UniformWorkModel{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestCommOrderingCoarseVsFine(t *testing.T) {
 	// networks.
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	coarse, err := (PBDISP{}).Partition(h, wm, 16)
+	coarse, err := PBDISP.Partition(h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := (SPISP{}).Partition(h, wm, 16)
+	fine, err := SPISP.Partition(h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +341,7 @@ func TestWeightedSequence(t *testing.T) {
 func TestHeterogeneousPartitioner(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	var p Heterogeneous
-	a, err := p.PartitionWeighted(h, wm, []float64{2, 1, 1}, nil)
+	a, err := PartitionWeighted(h, wm, []float64{2, 1, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,14 +350,14 @@ func TestHeterogeneousPartitioner(t *testing.T) {
 	if w[0] <= w[1] || w[0] <= w[2] {
 		t.Fatalf("capacity-2 processor got %v", w)
 	}
-	if _, err := p.PartitionWeighted(h, wm, nil, nil); err == nil {
+	if _, err := PartitionWeighted(h, wm, nil, nil); err == nil {
 		t.Error("empty capacities accepted")
 	}
-	if _, err := p.PartitionWeighted(h, wm, []float64{1, -1}, nil); err == nil {
+	if _, err := PartitionWeighted(h, wm, []float64{1, -1}, nil); err == nil {
 		t.Error("negative capacity accepted")
 	}
 	// Plain Partition falls back to equal shares.
-	a2, err := p.Partition(h, wm, 4)
+	a2, err := Heterogeneous.Partition(h, wm, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +366,7 @@ func TestHeterogeneousPartitioner(t *testing.T) {
 
 func TestEqualBlockPartitioner(t *testing.T) {
 	h := testHierarchy(t)
-	a, err := (EqualBlock{}).Partition(h, samr.UniformWorkModel{}, 8)
+	a, err := EqualBlock.Partition(h, samr.UniformWorkModel{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +410,7 @@ func TestMortonCurveOption(t *testing.T) {
 	h := testHierarchy(t)
 	dom := h.LevelDomain(h.Depth() - 1)
 	curve := sfc.MustMorton(sfc.BitsFor(dom.Dx(0), dom.Dx(1), dom.Dx(2)))
-	a, err := (SPISP{Curve: curve}).Partition(h, samr.UniformWorkModel{}, 8)
+	a, err := SPISPOnCurve(curve).Partition(h, samr.UniformWorkModel{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/pragma-grid/pragma/internal/samr"
 	"github.com/pragma-grid/pragma/internal/sfc"
+	"github.com/pragma-grid/pragma/internal/telemetry"
 )
 
 // The suite of patch- and domain-based partitioners named in §4.4 of the
@@ -23,151 +24,93 @@ import (
 //	           balance, highest overheads.
 //	ISP        fine granularity, greedy split.
 
-// SFC is the plain space-filling-curve partitioner.
-type SFC struct{}
+// Pipeline is a partitioner built on the shared pipeline (plan.go): a
+// name and the pipelineSpec it runs for a hierarchy and processor count.
+// The package-level values are the suite; they are stateless and safe for
+// concurrent use.
+type Pipeline struct {
+	name    string
+	spec    func(h *samr.Hierarchy, nprocs int) pipelineSpec
+	seconds *telemetry.Histogram // metricPartitionSeconds' series for name
+}
+
+func newPipeline(name string, spec func(h *samr.Hierarchy, nprocs int) pipelineSpec) *Pipeline {
+	return &Pipeline{name, spec, metricPartitionSeconds.With(name)}
+}
 
 // Name implements Partitioner.
-func (SFC) Name() string { return "SFC" }
+func (p *Pipeline) Name() string { return p.name }
 
 // Partition implements Partitioner.
-func (p SFC) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
+func (p *Pipeline) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
+	return p.PartitionIncremental(h, wm, nprocs, nil)
 }
 
-// PartitionIncremental implements IncrementalPartitioner.
-func (p SFC) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
-}
-
-func (SFC) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 10, 2, 20)},
-		split:  splitGreedy,
-		cost:   1,
+// PartitionIncremental implements IncrementalPartitioner: the candidate
+// stage in plan's own slot (a nil plan gets a throwaway one), materialized.
+func (p *Pipeline) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
+	if plan == nil {
+		plan = &PartitionPlan{}
 	}
+	if err := plan.candidate(&plan.direct, p, h, wm, nprocs); err != nil {
+		return nil, err
+	}
+	return plan.direct.Materialize(), nil
 }
-
-// GMISP is the variable-grain geometric multilevel inverse SFC partitioner.
-type GMISP struct{}
 
 // gmispDecomp is the variable-grain decomposition of G-MISP and G-MISP+SP:
 // units subdivide until about a quarter of a processor's ideal share, and
 // never below a side of 2.
 var gmispDecomp = decompSpec{kind: decompVarGrain, factor: 4, minSide: 2}
 
-// Name implements Partitioner.
-func (GMISP) Name() string { return "G-MISP" }
-
-// Partition implements Partitioner.
-func (p GMISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
+// blockDecomp is the fixed-side block decomposition at granularityFor's
+// side.
+func blockDecomp(h *samr.Hierarchy, nprocs, targetUnitsPerProc, minSide, maxSide int) decompSpec {
+	return decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, targetUnitsPerProc, minSide, maxSide)}
 }
 
-// PartitionIncremental implements IncrementalPartitioner.
-func (p GMISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
-}
+var (
+	// SFC is the plain space-filling-curve partitioner.
+	SFC = newPipeline("SFC", func(h *samr.Hierarchy, nprocs int) pipelineSpec {
+		return pipelineSpec{decomp: blockDecomp(h, nprocs, 10, 2, 20), split: splitGreedy, cost: 1}
+	})
 
-func (GMISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return pipelineSpec{decomp: gmispDecomp, split: splitGreedy, cost: 1}
-}
+	// GMISP is the variable-grain geometric multilevel inverse SFC
+	// partitioner.
+	GMISP = newPipeline("G-MISP", func(*samr.Hierarchy, int) pipelineSpec {
+		return pipelineSpec{decomp: gmispDecomp, split: splitGreedy, cost: 1}
+	})
 
-// GMISPSP is G-MISP with optimal sequence partitioning (G-MISP+SP).
-type GMISPSP struct{}
+	// GMISPSP is G-MISP with optimal sequence partitioning (G-MISP+SP).
+	GMISPSP = newPipeline("G-MISP+SP", func(*samr.Hierarchy, int) pipelineSpec {
+		return pipelineSpec{decomp: gmispDecomp, split: splitOptimal, cost: seqSplitCost}
+	})
 
-// Name implements Partitioner.
-func (GMISPSP) Name() string { return "G-MISP+SP" }
+	// PBDISP is the p-way binary dissection inverse SFC partitioner.
+	PBDISP = newPipeline("pBD-ISP", func(h *samr.Hierarchy, nprocs int) pipelineSpec {
+		return pipelineSpec{decomp: blockDecomp(h, nprocs, 3, 4, 24), split: splitDissection, cost: log2(nprocs)}
+	})
 
-// Partition implements Partitioner.
-func (p GMISPSP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
-}
+	// SPISP is the pure sequence partitioner with inverse SFC at fine
+	// granularity.
+	SPISP = newPipeline("SP-ISP", func(h *samr.Hierarchy, nprocs int) pipelineSpec {
+		return pipelineSpec{decomp: blockDecomp(h, nprocs, 48, 2, 8), split: splitOptimal, cost: seqSplitCost}
+	})
 
-// PartitionIncremental implements IncrementalPartitioner.
-func (p GMISPSP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
-}
+	// ISP is the plain fine-granularity inverse SFC partitioner.
+	ISP = newPipeline("ISP", func(h *samr.Hierarchy, nprocs int) pipelineSpec {
+		return pipelineSpec{decomp: blockDecomp(h, nprocs, 48, 2, 8), split: splitGreedy, cost: 1}
+	})
+)
 
-func (GMISPSP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return pipelineSpec{decomp: gmispDecomp, split: splitOptimal, cost: seqSplitCost}
-}
-
-// PBDISP is the p-way binary dissection inverse SFC partitioner.
-type PBDISP struct{}
-
-// Name implements Partitioner.
-func (PBDISP) Name() string { return "pBD-ISP" }
-
-// Partition implements Partitioner.
-func (p PBDISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
-}
-
-// PartitionIncremental implements IncrementalPartitioner.
-func (p PBDISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
-}
-
-func (PBDISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 3, 4, 24)},
-		split:  splitDissection,
-		cost:   log2(nprocs),
-	}
-}
-
-// SPISP is the pure sequence partitioner with inverse SFC at fine
-// granularity.
-type SPISP struct {
-	// Curve overrides the default Hilbert ordering (nil = Hilbert); the
-	// curve ablation sets it.
-	Curve sfc.Curve
-}
-
-// Name implements Partitioner.
-func (SPISP) Name() string { return "SP-ISP" }
-
-// Partition implements Partitioner.
-func (p SPISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
-}
-
-// PartitionIncremental implements IncrementalPartitioner.
-func (p SPISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
-}
-
-func (p SPISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 48, 2, 8)},
-		curve:  p.Curve,
-		split:  splitOptimal,
-		cost:   seqSplitCost,
-	}
-}
-
-// ISP is the plain fine-granularity inverse SFC partitioner.
-type ISP struct{}
-
-// Name implements Partitioner.
-func (ISP) Name() string { return "ISP" }
-
-// Partition implements Partitioner.
-func (p ISP) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, nil)
-}
-
-// PartitionIncremental implements IncrementalPartitioner.
-func (p ISP) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return partitionPipeline(p.Name(), p.pipeline, h, wm, nprocs, plan)
-}
-
-func (ISP) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return pipelineSpec{
-		decomp: decompSpec{kind: decompBlock, side: granularityFor(h, nprocs, 48, 2, 8)},
-		split:  splitGreedy,
-		cost:   1,
-	}
+// SPISPOnCurve is SP-ISP ordering its units along curve instead of the
+// default Hilbert curve: the curve ablation's partitioner.
+func SPISPOnCurve(curve sfc.Curve) *Pipeline {
+	return &Pipeline{SPISP.name, func(h *samr.Hierarchy, nprocs int) pipelineSpec {
+		spec := SPISP.spec(h, nprocs)
+		spec.curve = curve
+		return spec
+	}, SPISP.seconds}
 }
 
 // ByName returns the partitioner registered under the paper's name, or an
@@ -180,23 +123,23 @@ func ByName(name string) (Partitioner, error) {
 	return nil, fmt.Errorf("partition: unknown partitioner %q (known: SFC, G-MISP, G-MISP+SP, pBD-ISP, SP-ISP, ISP, EqualBlock, Heterogeneous, PatchGreedy)", name)
 }
 
-// byName holds the database's entries already boxed as Partitioners:
-// partitioners are stateless values, so every caller can share one.
+// byName holds the database's entries: partitioners are stateless, so
+// every caller can share one.
 var byName = map[string]Partitioner{
-	"SFC":           SFC{},
-	"G-MISP":        GMISP{},
-	"G-MISP+SP":     GMISPSP{},
-	"pBD-ISP":       PBDISP{},
-	"SP-ISP":        SPISP{},
-	"ISP":           ISP{},
-	"EqualBlock":    EqualBlock{},
-	"Heterogeneous": Heterogeneous{},
+	"SFC":           SFC,
+	"G-MISP":        GMISP,
+	"G-MISP+SP":     GMISPSP,
+	"pBD-ISP":       PBDISP,
+	"SP-ISP":        SPISP,
+	"ISP":           ISP,
+	"EqualBlock":    EqualBlock,
+	"Heterogeneous": Heterogeneous,
 	"PatchGreedy":   PatchGreedy{},
 }
 
 // All returns the ISP partitioner suite in the order the paper lists it.
 func All() []Partitioner {
-	return []Partitioner{SFC{}, GMISP{}, GMISPSP{}, PBDISP{}, SPISP{}, ISP{}}
+	return []Partitioner{SFC, GMISP, GMISPSP, PBDISP, SPISP, ISP}
 }
 
 // seqSplitCost is the relative cost of optimal sequence partitioning: the

@@ -32,14 +32,14 @@ type unprepared struct{ samr.WorkModel }
 // parameters. Partitioners outside the shared pipeline fall through to
 // their own Partition.
 func ReferencePartition(p Partitioner, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	pp, ok := p.(pipelinePartitioner)
+	pp, ok := p.(*Pipeline)
 	if !ok {
 		return p.Partition(h, wm, nprocs)
 	}
 	if err := checkArgs(h, nprocs); err != nil {
 		return nil, err
 	}
-	spec := pp.pipeline(h, wm, nprocs)
+	spec := pp.spec(h, nprocs)
 	var units []Unit
 	switch spec.decomp.kind {
 	case decompVarGrain:

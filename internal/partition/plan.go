@@ -1,7 +1,8 @@
 package partition
 
 // The partitioner pipeline (DESIGN.md §16). Every curve partitioner — the
-// ISP suite, EqualBlock and Heterogeneous — is the same four steps — decompose the hierarchy into weighted units, key each
+// ISP suite, EqualBlock and Heterogeneous — is one *Pipeline running the
+// same four steps — decompose the hierarchy into weighted units, key each
 // unit's center along a space-filling curve, stable-sort by key, split the
 // ordered weights across processors — and differs only in its pipelineSpec.
 // The candidate stage (PartitionPlan.Propose) runs them once, serially,
@@ -88,15 +89,6 @@ func (k splitKind) owners(weights []float64, nprocs int, owner []int, prefix []f
 	return prefix
 }
 
-// pipelinePartitioner is implemented by every partitioner built on the
-// shared pipeline; it is what both the production pipeline and the
-// reference consume, so the two can never disagree about a partitioner's
-// parameters.
-type pipelinePartitioner interface {
-	Partitioner
-	pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec
-}
-
 // IncrementalPartitioner is a Partitioner that can work in scratch memory
 // its caller owns: PartitionIncremental through a PartitionPlan allocates
 // only the returned assignment once the plan's buffers have grown to the
@@ -112,19 +104,6 @@ type IncrementalPartitioner interface {
 	Partitioner
 	PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error)
 }
-
-// Compile-time proof that every curve partitioner partitions through a
-// plan.
-var (
-	_ IncrementalPartitioner = SFC{}
-	_ IncrementalPartitioner = GMISP{}
-	_ IncrementalPartitioner = GMISPSP{}
-	_ IncrementalPartitioner = PBDISP{}
-	_ IncrementalPartitioner = SPISP{}
-	_ IncrementalPartitioner = ISP{}
-	_ IncrementalPartitioner = EqualBlock{}
-	_ IncrementalPartitioner = Heterogeneous{}
-)
 
 // PartitionPlan is the pipeline's scratch. The decomposition, sort and
 // split scratch — the unit list in generation order, its curve keys, the
@@ -231,8 +210,8 @@ func (c *Candidate) Materialize() *Assignment {
 // own candidate.
 func (p *PartitionPlan) Propose(slot int, part Partitioner, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Candidate, error) {
 	c := &p.slots[slot]
-	if pp, ok := part.(pipelinePartitioner); ok {
-		if err := p.candidate(c, pp.Name(), pp.pipeline, h, wm, nprocs); err != nil {
+	if pp, ok := part.(*Pipeline); ok {
+		if err := p.candidate(c, pp, h, wm, nprocs); err != nil {
 			return nil, err
 		}
 		return c, nil
@@ -252,17 +231,14 @@ func (p *PartitionPlan) Propose(slot int, part Partitioner, h *samr.Hierarchy, w
 	return c, nil
 }
 
-// candidate runs the shared pipeline for the partitioner called name, whose
-// pipeline method is given, into c, in the plan's shared decomposition and
-// sort scratch, and observes its duration. It takes the method rather than
-// the partitioner so that a concrete partitioner is not boxed into an
-// interface (an allocation) on every call.
-func (p *PartitionPlan) candidate(c *Candidate, name string, pipeline func(*samr.Hierarchy, samr.WorkModel, int) pipelineSpec, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) error {
+// candidate runs the shared pipeline for pipe into c, in the plan's shared
+// decomposition and sort scratch, and observes its duration.
+func (p *PartitionPlan) candidate(c *Candidate, pipe *Pipeline, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) error {
 	if err := checkArgs(h, nprocs); err != nil {
 		return err
 	}
 	start := time.Now()
-	spec := pipeline(h, wm, nprocs)
+	spec := pipe.spec(h, nprocs)
 	curve := spec.curve
 	if curve == nil {
 		curve = curveFor(h)
@@ -289,7 +265,7 @@ func (p *PartitionPlan) candidate(c *Candidate, name string, pipeline func(*samr
 		p.prefix = spec.split.owners(p.weights, nprocs, c.owner, p.prefix)
 	}
 	c.work = workInto(c.work, nprocs, c.units, c.owner)
-	metricPartitionSeconds.With(name).Observe(time.Since(start).Seconds())
+	pipe.seconds.Observe(time.Since(start).Seconds())
 	return nil
 }
 
@@ -371,16 +347,4 @@ func radixSortRun(keys []uint64, idx, tmp []int32) []int32 {
 		idx, tmp = tmp, idx
 	}
 	return idx
-}
-
-// partitionPipeline runs the candidate stage for one partitioner in
-// plan's own slot (a nil plan gets a throwaway one) and materializes it.
-func partitionPipeline(name string, pipeline func(*samr.Hierarchy, samr.WorkModel, int) pipelineSpec, h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	if plan == nil {
-		plan = &PartitionPlan{}
-	}
-	if err := plan.candidate(&plan.direct, name, pipeline, h, wm, nprocs); err != nil {
-		return nil, err
-	}
-	return plan.direct.Materialize(), nil
 }

@@ -212,7 +212,7 @@ func (c *planCheck) partition(t *testing.T, label string, p Partitioner, h *samr
 // every pipeline partitioner, and Heterogeneous also at capacities for
 // nprocs processors drawn from rng.
 func pipelineSuite(rng *rand.Rand, nprocs int) []Partitioner {
-	return append(All(), EqualBlock{}, Heterogeneous{}, weighted{caps: randomCaps(rng, nprocs)})
+	return append(All(), EqualBlock, Heterogeneous, weightedPipeline(randomCaps(rng, nprocs)))
 }
 
 // randomCaps draws relative capacities for nprocs processors: about a
@@ -228,24 +228,6 @@ func randomCaps(rng *rand.Rand, nprocs int) []float64 {
 		}
 	}
 	return caps
-}
-
-// weighted is Heterogeneous at fixed capacities, one per processor, as
-// core.SystemSensitive calls it through PartitionWeighted.
-type weighted struct{ caps []float64 }
-
-func (weighted) Name() string { return "Heterogeneous" }
-
-func (w weighted) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Assignment, error) {
-	return Heterogeneous{}.PartitionWeighted(h, wm, w.caps, nil)
-}
-
-func (w weighted) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
-	return Heterogeneous{}.PartitionWeighted(h, wm, w.caps, plan)
-}
-
-func (w weighted) pipeline(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) pipelineSpec {
-	return weightedSpec(h, w.caps)
 }
 
 // wrapped hides a partitioner's candidate stage, as a caller's decorating
@@ -270,16 +252,16 @@ func TestProposeOwnCandidate(t *testing.T) {
 	h := testHierarchy(t)
 	var wm samr.WorkModel = samr.UniformWorkModel{}
 	plan := NewPartitionPlan()
-	first, err := plan.Propose(0, PBDISP{}, h, wm, 16)
+	first, err := plan.Propose(0, PBDISP, h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReferencePartition(PBDISP{}, h, wm, 16)
+	want, err := ReferencePartition(PBDISP, h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	second, err := plan.Propose(1, wrapped{Partitioner: GMISPSP{}, calls: &calls}, h, wm, 16)
+	second, err := plan.Propose(1, wrapped{Partitioner: GMISPSP, calls: &calls}, h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +269,7 @@ func TestProposeOwnCandidate(t *testing.T) {
 		t.Fatalf("the wrapper was called %d times, want 1", calls)
 	}
 	requireSameAssignment(t, "slot 0 after a wrapped call into the plan", first.Materialize(), want)
-	ref, err := ReferencePartition(GMISPSP{}, h, wm, 16)
+	ref, err := ReferencePartition(GMISPSP, h, wm, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

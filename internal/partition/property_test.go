@@ -53,7 +53,7 @@ func randomHierarchyRatio(seed int64, ratio int) *samr.Hierarchy {
 // total weight preserved.
 func TestPartitionersPropertyRandomHierarchies(t *testing.T) {
 	wm := samr.UniformWorkModel{}
-	suite := append(All(), EqualBlock{}, Heterogeneous{}, PatchGreedy{})
+	suite := append(All(), EqualBlock, Heterogeneous, PatchGreedy{})
 	f := func(seed int64, procsRaw uint8) bool {
 		h := randomHierarchy(seed)
 		nprocs := 1 + int(procsRaw%32)

@@ -170,7 +170,7 @@ func TestMigrationIgnoresDisjointLevels(t *testing.T) {
 func TestEvalQuality(t *testing.T) {
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	a, err := (GMISPSP{}).Partition(h, wm, 8)
+	a, err := GMISPSP.Partition(h, wm, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestEvalQuality(t *testing.T) {
 	}
 
 	// With a previous assignment, migration is measured.
-	b, err := (PBDISP{}).Partition(h, wm, 8)
+	b, err := PBDISP.Partition(h, wm, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +206,8 @@ func TestCommVolumeScalesWithProcs(t *testing.T) {
 	// More processors => more boundary.
 	h := testHierarchy(t)
 	wm := samr.UniformWorkModel{}
-	a4, _ := (SFC{}).Partition(h, wm, 4)
-	a32, _ := (SFC{}).Partition(h, wm, 32)
+	a4, _ := SFC.Partition(h, wm, 4)
+	a32, _ := SFC.Partition(h, wm, 32)
 	c4 := BuildCommPlan(h, a4).Stats.Volume
 	c32 := BuildCommPlan(h, a32).Stats.Volume
 	if c32 <= c4 {

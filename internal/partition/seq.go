@@ -24,7 +24,7 @@ func greedyPrefix(weights []float64, nprocs int, owner []int) {
 		procsAfterCurrent := nprocs - 1 - proc
 		// Never leave a trailing processor without units when avoidable,
 		// and never run past the last processor.
-		if proc < nprocs-1 && acc > 0 && (acc+w/2 > target || remainingUnits <= procsAfterCurrent) {
+		if proc < nprocs-1 && acc > 0 && (acc+float64(w/2) > target || remainingUnits <= procsAfterCurrent) {
 			proc++
 			acc = 0
 			target = remaining / float64(nprocs-proc)
@@ -158,7 +158,7 @@ func weightedSequence(weights []float64, capacities []float64, owner []int) {
 	var acc float64
 	target := total * capacities[0] / capTotal
 	for i, w := range weights {
-		if proc < nprocs-1 && acc > 0 && acc+w/2 > target {
+		if proc < nprocs-1 && acc > 0 && acc+float64(w/2) > target {
 			proc++
 			acc = 0
 			target = total * capacities[proc] / capTotal

@@ -18,12 +18,12 @@ func TestFlagsSetGetCount(t *testing.T) {
 	if f.Count() != 2 {
 		t.Fatalf("count = %d", f.Count())
 	}
-	if !f.Get(Point{1, 2, 3}) || !f.Get(Point{7, 7, 7}) || f.Get(Point{0, 0, 0}) {
+	if !f.get(Point{1, 2, 3}) || !f.get(Point{7, 7, 7}) || f.get(Point{0, 0, 0}) {
 		t.Fatal("get mismatch")
 	}
 	// Out-of-bounds set is ignored, get is false.
 	f.Set(Point{8, 0, 0})
-	if f.Count() != 2 || f.Get(Point{8, 0, 0}) {
+	if f.Count() != 2 || f.get(Point{8, 0, 0}) {
 		t.Fatal("out-of-bounds handling wrong")
 	}
 }
@@ -224,7 +224,7 @@ func cellByCell(f *Flags, bounds Box) *Flags {
 	for z := b.Hi[2] - 1; z >= b.Lo[2]; z-- {
 		for y := b.Hi[1] - 1; y >= b.Lo[1]; y-- {
 			for x := b.Hi[0] - 1; x >= b.Lo[0]; x-- {
-				if p := (Point{x, y, z}); f.Get(p) {
+				if p := (Point{x, y, z}); f.get(p) {
 					g.Set(p)
 				}
 			}
@@ -368,7 +368,7 @@ func TestFlagsWordWalkMatchesCells(t *testing.T) {
 			for z := q.Lo[2]; z < q.Hi[2]; z++ {
 				for y := q.Lo[1]; y < q.Hi[1]; y++ {
 					for x := q.Lo[0]; x < q.Hi[0]; x++ {
-						if cells.Get(Point{x, y, z}) {
+						if cells.get(Point{x, y, z}) {
 							want++
 						}
 					}

@@ -124,7 +124,7 @@ func (f *Flags) boundingBox(region Box) (Box, bool) {
 	for z := clipped.Lo[2]; z < clipped.Hi[2]; z++ {
 		for y := clipped.Lo[1]; y < clipped.Hi[1]; y++ {
 			for x := clipped.Lo[0]; x < clipped.Hi[0]; x++ {
-				if !f.Get(Point{x, y, z}) {
+				if !f.get(Point{x, y, z}) {
 					continue
 				}
 				found = true
@@ -167,7 +167,7 @@ func (f *Flags) signature(region Box, d int) []int64 {
 	for z := clipped.Lo[2]; z < clipped.Hi[2]; z++ {
 		for y := clipped.Lo[1]; y < clipped.Hi[1]; y++ {
 			for x := clipped.Lo[0]; x < clipped.Hi[0]; x++ {
-				if f.Get(Point{x, y, z}) {
+				if f.get(Point{x, y, z}) {
 					p := Point{x, y, z}
 					sig[p[d]-region.Lo[d]]++
 				}

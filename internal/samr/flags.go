@@ -95,9 +95,9 @@ func (f *Flags) Set(p Point) {
 	}
 }
 
-// Get reports whether the cell at p is flagged. Points outside the bounds
+// get reports whether the cell at p is flagged. Points outside the bounds
 // are unflagged by definition.
-func (f *Flags) Get(p Point) bool {
+func (f *Flags) get(p Point) bool {
 	if !f.bounds.Contains(p) {
 		return false
 	}

@@ -15,6 +15,7 @@
 package stream
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -97,10 +98,11 @@ const maxRuns = 4096
 // append up to size, so a run that publishes a few events holds a few,
 // and wraps once full.
 type ring struct {
-	buf   []Event
-	size  int // Config.History
-	start int // index of oldest
-	n     int
+	buf     []Event
+	size    int // Config.History
+	start   int // index of oldest
+	n       int
+	evicted uint64 // Seq of the newest event overwritten, 0 = none
 }
 
 func (r *ring) push(e Event) {
@@ -109,39 +111,50 @@ func (r *ring) push(e Event) {
 		r.n++
 		return
 	}
+	r.evicted = r.buf[r.start].Seq
 	r.buf[r.start] = e
 	r.start = (r.start + 1) % len(r.buf)
 }
 
-// since appends to out the buffered events with Seq > after, in order,
-// and reports whether the ring has wrapped past the cursor (events with
-// Seq > after were evicted).
-func (r *ring) since(after uint64, out []Event) ([]Event, bool) {
-	lagged := false
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.start+i)%len(r.buf)]
-		if e.Seq <= after {
-			continue
+// at returns the i-th oldest retained event.
+func (r *ring) at(i int) Event { return r.buf[(r.start+i)%len(r.buf)] }
+
+// first returns the position of the oldest retained event with
+// Seq > after (r.n when there is none).
+func (r *ring) first(after uint64) int {
+	return sort.Search(r.n, func(i int) bool { return r.at(i).Seq > after })
+}
+
+// lagged reports whether the ring has evicted an event past the cursor.
+func (r *ring) lagged(after uint64) bool { return after != 0 && after < r.evicted }
+
+// head is a position in one ring during a catch-up merge.
+type head struct {
+	r *ring
+	i int
+}
+
+func (hd head) seq() uint64 { return hd.r.at(hd.i).Seq }
+
+// heads is a binary min-heap of ring positions by the Seq of their events.
+type heads []head
+
+// down restores the heap order below position k.
+func (hs heads) down(k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(hs) {
+			return
 		}
-		out = append(out, e)
-	}
-	if r.n > 0 {
-		oldest := r.buf[r.start].Seq
-		// A gap exists if the cursor predates the oldest retained event
-		// by more than one sequence step *for this run*. Seq is global,
-		// so the precise per-run test is: cursor < oldest-1 may still be
-		// fine (other runs' events fill the numeric gap). The honest
-		// check is whether the run's first retained event is the run's
-		// genuinely first-after-cursor; the ring cannot know once it has
-		// wrapped, so it reports lagged whenever it is full, and so may
-		// have wrapped, and the cursor is older than everything retained.
-		// Full means the configured size: a ring still growing holds
-		// every event its run published.
-		if r.n == r.size && after != 0 && after < oldest-1 {
-			lagged = true
+		if c+1 < len(hs) && hs[c+1].seq() < hs[c].seq() {
+			c++
 		}
+		if hs[k].seq() < hs[c].seq() {
+			return
+		}
+		hs[k], hs[c] = hs[c], hs[k]
+		k = c
 	}
-	return out, lagged
 }
 
 // NewHub returns a hub with the given sizing.
@@ -218,56 +231,51 @@ func (h *Hub) Subscribe(run string, after uint64) *Sub {
 	s.id = h.nextSub
 	h.subs[s.id] = s
 
-	// Replay buffered history into the subscription's channel. The
-	// channel holds SubBuffer events; replay beyond that counts as
-	// dropped, same as live overflow.
-	replay := func(r *ring) {
-		events, lagged := r.since(after, nil)
-		if lagged {
-			s.dropped++
-		}
-		for _, e := range events {
-			select {
-			case s.ch <- e:
-			default:
-				s.dropped++
-			}
-		}
-	}
 	if run != "" {
 		if r := h.history[run]; r != nil {
-			replay(r)
+			replay(s, after, r)
 		}
 	} else if after > 0 {
-		// All-runs catch-up: merge every ring's tail in seq order.
-		var all []Event
+		rings := make([]*ring, 0, len(h.history))
 		for _, r := range h.history {
-			var lagged bool
-			all, lagged = r.since(after, all)
-			if lagged {
-				s.dropped++
-			}
+			rings = append(rings, r)
 		}
-		sortEvents(all)
-		for _, e := range all {
-			select {
-			case s.ch <- e:
-			default:
-				s.dropped++
-			}
-		}
+		replay(s, after, rings...)
 	}
 	return s
 }
 
-// sortEvents orders by Seq (insertion sort: catch-up batches are small
-// and mostly ordered already).
-func sortEvents(events []Event) {
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].Seq < events[j-1].Seq; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
+// replay merges the rings' events past the cursor into s's fresh channel
+// in Seq order, each ring being in order already, and stops when the
+// channel is full: SubBuffer events at O(log rings) each. What did not
+// fit counts as dropped, same as live overflow, and so does each ring
+// that has evicted an event past the cursor.
+func replay(s *Sub, after uint64, rings ...*ring) {
+	hs := make(heads, 0, len(rings))
+	pending := 0
+	for _, r := range rings {
+		if r.lagged(after) {
+			s.dropped++
+		}
+		if i := r.first(after); i < r.n {
+			hs = append(hs, head{r, i})
+			pending += r.n - i
 		}
 	}
+	for k := len(hs)/2 - 1; k >= 0; k-- {
+		hs.down(k)
+	}
+	for len(hs) > 0 && len(s.ch) < cap(s.ch) {
+		top := &hs[0]
+		s.ch <- top.r.at(top.i)
+		pending--
+		if top.i++; top.i == top.r.n {
+			hs[0] = hs[len(hs)-1]
+			hs = hs[:len(hs)-1]
+		}
+		hs.down(0)
+	}
+	s.dropped += uint64(pending)
 }
 
 // Unsubscribe removes the subscription and closes its channel. Safe to
@@ -281,13 +289,6 @@ func (h *Hub) Unsubscribe(s *Sub) {
 	s.closed = true
 	delete(h.subs, s.id)
 	close(s.ch)
-}
-
-// Seq returns the hub's current (latest assigned) sequence number.
-func (h *Hub) Seq() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.seq
 }
 
 // Close shuts the hub: all subscriptions are closed and further Publish

@@ -160,8 +160,8 @@ func TestRingWrapMarksLagged(t *testing.T) {
 	if len(events) != 8 {
 		t.Errorf("got %d events, want 8 (ring size)", len(events))
 	}
-	if last := events[len(events)-1].Seq; last != 20 || h.Seq() != 20 {
-		t.Errorf("last replayed seq %d, hub seq %d, want 20", last, h.Seq())
+	if last := events[len(events)-1].Seq; last != 20 || h.seq != 20 {
+		t.Errorf("last replayed seq %d, hub seq %d, want 20", last, h.seq)
 	}
 	// A cursor inside the retained window is not lagged.
 	if _, dropped := replayed(h, "r", 15); dropped != 0 {
@@ -275,8 +275,8 @@ func TestRingGrowsOnDemand(t *testing.T) {
 	if r.n != size || len(r.buf) != size {
 		t.Fatalf("a wrapped ring holds %d events in %d slots, want %d", r.n, len(r.buf), size)
 	}
-	if events, _ := r.since(0, nil); len(events) != size || events[0].Seq != h.Seq()-uint64(size)+1 || events[size-1].Seq != h.Seq() {
-		t.Fatalf("a wrapped ring returns %d events, want the newest %d in order", len(events), size)
+	if r.at(0).Seq != h.seq-uint64(size)+1 || r.at(size-1).Seq != h.seq {
+		t.Fatalf("a wrapped ring holds seqs %d to %d, want the newest %d", r.at(0).Seq, r.at(size-1).Seq, size)
 	}
 }
 
@@ -319,5 +319,68 @@ func TestHistoryEvictsOldestRun(t *testing.T) {
 	}
 	if events, _ := replayed(h, "run-1", 0); len(events) != 1 {
 		t.Errorf("the next oldest run replays %d events, want 1", len(events))
+	}
+}
+
+// TestExactLagWhenRingJustFull: a run that published exactly History
+// events has evicted none, so a cursor older than all of them replays
+// every one and reports no gap; one more event evicts the oldest, and
+// then the same cursor lags while a cursor at the evicted event does not.
+func TestExactLagWhenRingJustFull(t *testing.T) {
+	h := NewHub(Config{History: 4})
+	defer h.Close()
+	for range 6 {
+		h.Publish(Event{Run: "other", Type: TypeRegrid})
+	}
+	for range 4 {
+		h.Publish(Event{Run: "a", Type: TypeRegrid})
+	}
+	events, dropped := replayed(h, "a", 2)
+	if len(events) != 4 || events[0].Seq != 7 || dropped != 0 {
+		t.Fatalf("full ring, nothing evicted: %d events from seq %d, %d dropped, want 4 from 7 and 0", len(events), events[0].Seq, dropped)
+	}
+	evicted := events[0].Seq
+	h.Publish(Event{Run: "a", Type: TypeRegrid})
+	if events, dropped := replayed(h, "a", 2); len(events) != 4 || dropped != 1 {
+		t.Fatalf("one event evicted past the cursor: %d events, %d dropped, want 4 and 1", len(events), dropped)
+	}
+	if events, dropped := replayed(h, "a", evicted); len(events) != 4 || dropped != 0 {
+		t.Fatalf("cursor at the evicted event: %d events, %d dropped, want 4 and 0", len(events), dropped)
+	}
+}
+
+// TestAllRunsCatchUpIsBounded: an all-runs catch-up over many runs'
+// history replays the SubBuffer oldest events past the cursor, in order,
+// counts every other one as dropped, and returns promptly: it holds the
+// hub's lock, which the scheduler's publishers wait on.
+func TestAllRunsCatchUpIsBounded(t *testing.T) {
+	const runs, perRun = 1000, 100
+	h := NewHub(Config{})
+	defer h.Close()
+	for i := range runs * perRun {
+		h.Publish(Event{Run: fmt.Sprintf("run-%d", i%runs), Type: TypeRegrid, Time: time.Unix(0, 0)})
+	}
+	done := make(chan struct{})
+	var events []Event
+	var dropped uint64
+	go func() {
+		events, dropped = replayed(h, "", 1)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("an all-runs catch-up over %d events held the hub for more than 5s", runs*perRun)
+	}
+	if len(events) != h.cfg.SubBuffer {
+		t.Fatalf("replayed %d events, want %d", len(events), h.cfg.SubBuffer)
+	}
+	for i, e := range events {
+		if e.Seq != uint64(i+2) {
+			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, i+2)
+		}
+	}
+	if want := uint64(runs*perRun - 1 - h.cfg.SubBuffer); dropped != want {
+		t.Fatalf("dropped %d, want %d", dropped, want)
 	}
 }

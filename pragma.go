@@ -314,9 +314,9 @@ func ChaosDialer(cfg ChaosConfig) func(addr string) (net.Conn, error) { return c
 // over caller-supplied ports: node agents gate repartitioning on threshold
 // events instead of repartitioning at every regrid. The ADM registers on
 // admPort and one component agent per node port (e.g. TCP clients of a
-// served MessageCenter). Set the strategy's Health field —
-// typically over AgentClient.Degraded — to enable degraded-mode fallback
-// when the control network partitions.
+// served MessageCenter). The caller sets the strategy's Health field, for
+// example over its clients' AgentClient.Degraded, to enable degraded-mode
+// fallback when the control network partitions.
 func NewAgentManagedOn(admPort MessagePort, nodePorts []MessagePort, imbalanceEventPct float64) (*AgentManagedStrategy, error) {
 	return core.NewAgentManagedOn(admPort, nodePorts, imbalanceEventPct)
 }

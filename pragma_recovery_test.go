@@ -83,7 +83,7 @@ func TestRuntimeResumeWithoutCheckpointsRunsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := Runtime{Trace: trace, Machine: NewCluster(4), Strategy: Static(partition.SFC{}), NProcs: 4}
+	rt := Runtime{Trace: trace, Machine: NewCluster(4), Strategy: Static(partition.SFC), NProcs: 4}
 	res, err := rt.Execute(WithCheckpointDir(t.TempDir()), WithResume())
 	if err != nil {
 		t.Fatal(err)
