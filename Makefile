@@ -15,7 +15,7 @@ vet:
 # would move a decision or a float between architectures. Fails on any
 # fused multiply-add in arm64 code of these packages. A cached build
 # replays its -S output, so no -a is needed.
-FMA_PKGS = ./internal/partition ./internal/cluster ./internal/core
+FMA_PKGS = ./internal/partition ./internal/cluster ./internal/core ./internal/samr
 fma-check:
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm" >&2; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E '\bFN?M(ADD|SUB)[DS]\b'); \

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"testing"
@@ -190,7 +191,9 @@ func TestCheckpointedRunSyncsOncePerAttempt(t *testing.T) {
 // TestGuardedAssignAllocatesOnlyTheAssignment: once the step's plan is
 // warm, a guarded Assign in which pBD-ISP loses to G-MISP+SP allocates the
 // assignment it returns — the struct, its Units, its Owner — and nothing
-// for the discarded candidate.
+// for the discarded candidate, when the plan remembers nothing (the first
+// regrid of a run on recycled scratch); repeated on the same inputs, it
+// returns the same assignment and allocates nothing.
 func TestGuardedAssignAllocatesOnlyTheAssignment(t *testing.T) {
 	tr := testTrace(t)
 	wmAt := rm3d.SmallConfig().WorkModel
@@ -203,34 +206,117 @@ func TestGuardedAssignAllocatesOnlyTheAssignment(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := &StepContext{Index: idx, Trace: tr, Snap: tr.Snapshots[idx], WM: wmAt(idx), NProcs: 64, PartitionPlan: plan}
-		_, label, err := guarded.Assign(ctx)
+		a, label, err := guarded.Assign(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.Name() != "pBD-ISP" || label != "G-MISP+SP" {
 			continue
 		}
-		allocs := testing.AllocsPerRun(20, func() {
+		first := testing.AllocsPerRun(20, func() {
+			plan.Forget()
 			if _, _, err := guarded.Assign(ctx); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 3 {
-			t.Fatalf("regrid %d: a guarded Assign allocates %v objects, want 3 (the assignment, its Units, its Owner)", idx, allocs)
+		if first != 3 {
+			t.Fatalf("regrid %d: a guarded Assign allocates %v objects, want 3 (the assignment, its Units, its Owner)", idx, first)
+		}
+		if a, _, err = guarded.Assign(ctx); err != nil {
+			t.Fatal(err)
+		}
+		repeated := testing.AllocsPerRun(20, func() {
+			if b, _, err := guarded.Assign(ctx); err != nil || b != a {
+				t.Fatalf("regrid %d: a repeated guarded Assign returned %p (%v), want the last one's %p", idx, b, err, a)
+			}
+		})
+		if repeated != 0 {
+			t.Fatalf("regrid %d: a repeated guarded Assign allocates %v objects, want 0", idx, repeated)
 		}
 		return
 	}
 	t.Fatal("no regrid of the trace where the guard replaces pBD-ISP with G-MISP+SP")
 }
 
+// TestGoldenTraceCandidatesReused pins how many candidates the guarded
+// adaptive strategy is served from its plan's memory at 64 processors:
+// every regrid whose hierarchy and work model equal the previous one's
+// gets its selected candidate back, and, when the guard fires, the
+// G-MISP+SP one too, and returns the previous assignment itself. On the
+// golden SmallConfig trace 16 of 41 regrids repeat (19 candidates: 16
+// pBD-ISP, 3 G-MISP+SP); on the paper trace 91 of 202 (142 candidates: 86
+// pBD-ISP, 56 G-MISP+SP). Both runs must stay what they were.
+func TestGoldenTraceCandidatesReused(t *testing.T) {
+	reused := func() map[string]float64 {
+		m := map[string]float64{}
+		for _, s := range telemetry.Default.Snapshot().Find("pragma_partition_candidates_reused_total") {
+			m[s.Labels["partitioner"]] = s.Value
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name        string
+		tr          *samr.Trace
+		wm          func(int) samr.WorkModel
+		repeats     int
+		pbd, gmispp float64
+	}{
+		{"rm3d-small", testTrace(t), rm3d.SmallConfig().WorkModel, 16, 16, 3},
+		{"rm3d-paper", paperTrace(t), rm3d.DefaultConfig().WorkModel, 91, 86, 56},
+	} {
+		before := reused()
+		strat := &repeatCounter{Strategy: Adaptive{ImbalanceGuard: 20}}
+		res, err := Run(c.tr, strat, RunConfig{Machine: cluster.SP2(64), NProcs: 64, WorkModel: c.wm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := reused()
+		if c.name == "rm3d-small" {
+			if want := goldenResult(t, "rm3d-small/adaptive/64"); !reflect.DeepEqual(res, want) {
+				t.Fatal("the run no longer matches the golden record")
+			}
+		} else if got := fmt.Sprintf("%.1f", res.TotalTime); got != "252.2" {
+			t.Fatalf("%s: simulated run-time %s s, want Table 4's adaptive 252.2 s", c.name, got)
+		}
+		var other float64
+		for name, v := range after {
+			if name != "pBD-ISP" && name != "G-MISP+SP" {
+				other += v - before[name]
+			}
+		}
+		pbd, gmispp := after["pBD-ISP"]-before["pBD-ISP"], after["G-MISP+SP"]-before["G-MISP+SP"]
+		if strat.repeats != c.repeats || pbd != c.pbd || gmispp != c.gmispp || other != 0 {
+			t.Errorf("%s: %d assignments repeated, candidates reused %g pBD-ISP, %g G-MISP+SP, %g other; want %d, %g, %g, 0",
+				c.name, strat.repeats, pbd, gmispp, other, c.repeats, c.pbd, c.gmispp)
+		}
+	}
+}
+
+// repeatCounter counts the regrids whose assignment is the outgoing one
+// itself.
+type repeatCounter struct {
+	Strategy
+	repeats int
+}
+
+func (s *repeatCounter) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
+	a, label, err := s.Strategy.Assign(ctx)
+	if err == nil && a == ctx.PrevAssignment {
+		s.repeats++
+	}
+	return a, label, err
+}
+
 // TestWarmRunAllocations pins what a warm core.Run allocates on the golden
-// SmallConfig trace at 64 procs: 41 regrids, 12 guard re-runs. With its
-// scratch taken from the pool, a run allocates only what it hands out or
-// records:
+// SmallConfig trace at 64 procs: 41 regrids, 12 guard re-runs, 16 regrids
+// that repeat the previous one's inputs. With its scratch taken from the
+// pool, a run allocates only what it hands out or records:
 //
-//	  127  assignments: 41 × 3 (struct, Units, Owner); the candidate
-//	       slots grow Units and Owner 43 times for the 41 they hand
-//	       over (41 × 3 + 2 × 2)
+//	   79  assignments: the 25 regrids that do not repeat materialize
+//	       one each, 3 objects (struct, Units, Owner); the candidate
+//	       slots grow Units and Owner 27 times for the 25 they hand over
+//	       (25 × 3 + 2 × 2). A repeating regrid is served its candidates
+//	       and its assignment from the plan's memory
 //	+  49  the run: its RunResult, 41 StepContexts, 7 growths of Snapshots
 //	+ 228  the pac and migration span attributes: 3 floats formatted per
 //	       regrid, a buffer and a string each, no string for the 18
@@ -240,19 +326,20 @@ func TestGuardedAssignAllocatesOnlyTheAssignment(t *testing.T) {
 //	       lists, two events and their attributes) and 2 per guard re-run
 //	       (its event) = 41 × 14 + 12 × 2
 //	+   1  this test's Adaptive, boxed into a Strategy
-//	= 1003
+//	= 955
 //
-// Before runs recycled their scratch the count was 1188: every run grew
-// its partition plan, both communication plans and its work vector from
-// empty, 185 objects more. A change that brings that warm-up back fails
-// here. The work models are built once, as the fleet's materializer
-// builds them, and the collector is held off while counting: a
-// collection can account an object of its own to the window.
+// Before a repeating regrid reused its decision the count was 1003 (41
+// assignments, 43 growths); before runs recycled their scratch it was
+// 1188: every run grew its partition plan, both communication plans and
+// its work vector from empty, 185 objects more. A change that brings
+// either back fails here. The work models are built once, as the fleet's
+// materializer builds them, and the collector is held off while counting:
+// a collection can account an object of its own to the window.
 func TestWarmRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop recycled scratch at random")
 	}
-	const want = 1003
+	const want = 955
 	tr := testTrace(t)
 	wms := make([]samr.WorkModel, len(tr.Snapshots))
 	for i := range wms {

@@ -169,11 +169,12 @@ type RunResult struct {
 
 // runScratch is the memory a Run works in: buffers whose capacity is
 // worth keeping from one run to the next and whose contents never reach
-// an output. The partition plan's candidates are handed over to fresh
-// assignments (DESIGN.md §16), the regrid kernel rebuilds a communication
-// plan before it is read (§11), and the work vector and checkpoint record
-// are rewritten before each use; Cluster.Step and the checkpoint store
-// copy what they keep. A run of another shape, or a resumed one, therefore
+// an output. Run makes the partition plan forget what it remembers, its
+// candidates are handed over to assignments (DESIGN.md §16), the regrid
+// kernel rebuilds a communication plan before it is read (§11), and the
+// work vector and checkpoint record are rewritten before each use;
+// Cluster.Step and the checkpoint store copy what they keep. A run of
+// another shape, or a resumed one, therefore
 // decides and computes exactly what it would in fresh memory.
 type runScratch struct {
 	part   *partition.PartitionPlan
@@ -242,6 +243,7 @@ func Run(tr *samr.Trace, strat Strategy, cfg RunConfig) (*RunResult, error) {
 	// registered before the store's deferred Close, so it runs after it.
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
+	sc.part.Forget()
 	rg := &sc.regrid
 	*rg = regrid{machine: cfg.Machine, model: cost, puCost: puCost, plans: rg.plans, work: rg.work}
 	var imbSum, effSum float64

@@ -9,6 +9,7 @@ import (
 
 	"github.com/pragma-grid/pragma/internal/cluster"
 	"github.com/pragma-grid/pragma/internal/octant"
+	"github.com/pragma-grid/pragma/internal/partition"
 	"github.com/pragma-grid/pragma/internal/rm3d"
 	"github.com/pragma-grid/pragma/internal/samr"
 	"github.com/pragma-grid/pragma/internal/scenario"
@@ -128,4 +129,55 @@ func TestRunScratchRecycledConcurrently(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestRecycledPlanServesNothingAtFirstRegrid: a run on recycled scratch
+// starts with a plan that remembers nothing, so it computes its first
+// candidate even when its first regrid has exactly the inputs of the
+// previous run's last, on another trace. Each attempt runs the golden
+// trace and then a one-snapshot trace of its last hierarchy under the
+// same partitioner; an attempt whose second run did not get the first
+// one's scratch back from the pool (the race detector drops some at
+// random) proves nothing and is tried again.
+func TestRecycledPlanServesNothingAtFirstRegrid(t *testing.T) {
+	golden := goldenScratchCase(t)
+	last := len(golden.tr.Snapshots) - 1
+	tail := &samr.Trace{Name: "golden-tail", RegridEvery: golden.tr.RegridEvery, Snapshots: golden.tr.Snapshots[last:]}
+	wm := golden.wm(last)
+	for attempt := 0; attempt < 20; attempt++ {
+		first := &firstPlan{Strategy: Static{P: partition.SFC}}
+		if _, err := Run(golden.tr, first, golden.config()); err != nil {
+			t.Fatal(err)
+		}
+		second := &firstPlan{Strategy: Static{P: partition.SFC}}
+		if _, err := Run(tail, second, RunConfig{Machine: cluster.SP2(golden.nprocs), NProcs: golden.nprocs,
+			WorkModel: func(int) samr.WorkModel { return wm }}); err != nil {
+			t.Fatal(err)
+		}
+		if second.plan != first.plan {
+			continue
+		}
+		if second.reused != 0 {
+			t.Fatalf("the first regrid of a run on recycled scratch was served %d units from the previous run's memory", second.reused)
+		}
+		return
+	}
+	t.Fatal("no attempt's second run got the first run's scratch back")
+}
+
+// firstPlan notes the plan of a run's first regrid and the units its
+// plan served from memory by the end of that regrid.
+type firstPlan struct {
+	Strategy
+	plan   *partition.PartitionPlan
+	reused int64
+}
+
+func (s *firstPlan) Assign(ctx *StepContext) (*partition.Assignment, string, error) {
+	a, label, err := s.Strategy.Assign(ctx)
+	if s.plan == nil {
+		s.plan = ctx.PartitionPlan
+		s.reused, _ = ctx.PartitionPlan.Stats()
+	}
+	return a, label, err
 }

@@ -38,15 +38,18 @@ type StepContext struct {
 	// Nodes[p]; nil means processor p is node p.
 	Nodes []int
 	// PrevAssignment is the outgoing placement (nil at the first regrid).
+	// Adaptive returns it again when the regrid repeats the previous
+	// one's inputs; like every assignment it is never modified.
 	PrevAssignment *partition.Assignment
 	// PartitionPlan, when non-nil, is the scratch memory partitioners work
 	// in (units, curve keys, sort indices, weights, the prepared work
 	// model) and Adaptive holds its two candidates in. core.Run takes one
-	// from a pool for each run and gives it back when it returns, so the
-	// plan is valid only for the duration of that Run: a strategy must
-	// not keep it, or anything it holds, past its Assign. Nothing but
-	// capacity survives a call, so output is bit-identical with or
-	// without it.
+	// from a pool for each run, makes it forget what it remembers, and
+	// gives it back when it returns, so the plan is valid only for the
+	// duration of that Run: a strategy must not keep it, or anything it
+	// holds, past its Assign. A call it serves from its memory of the
+	// last equal inputs returns what the call computed, so output is
+	// bit-identical with or without it.
 	PartitionPlan *partition.PartitionPlan
 	// CycleTrace, when non-nil, records this regrid cycle in the telemetry
 	// trace ring; strategies annotate it with classification and selection

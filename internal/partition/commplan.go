@@ -129,12 +129,14 @@ func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
 // so no sum depends on the order of its terms.
 //
 // from, when not nil and not p, is a plan left intact since it was built —
-// at a regrid, the previous one's. A level whose boxes from lists too
-// copies from's contacts instead of searching for them: the contacts hold
-// every pair whatever the owners, by position in the canonical order, so
-// the same boxes have the same contacts. Its fine/coarse contacts are
-// copied only when the next coarser level is unchanged too and the
-// refinement factor is the same, which is all a preimage depends on.
+// at a regrid, the previous one's. A from built for a itself on a
+// hierarchy equal to h by value (a regrid that repeats) is copied whole.
+// Otherwise a level whose boxes from lists too copies from's contacts
+// instead of searching for them: the contacts hold every pair whatever the
+// owners, by position in the canonical order, so the same boxes have the
+// same contacts. Its fine/coarse contacts are copied only when the next
+// coarser level is unchanged too and the refinement factor is the same,
+// which is all a preimage depends on.
 //
 // It panics when two units of one level overlap (see CommPlan).
 func RebuildCommPlan(p, from *CommPlan, h *samr.Hierarchy, a *Assignment) *CommPlan {
@@ -144,6 +146,12 @@ func RebuildCommPlan(p, from *CommPlan, h *samr.Hierarchy, a *Assignment) *CommP
 	}
 	if from == p {
 		from = nil
+	}
+	if from != nil && a == from.A && sameHierarchy(h, from.H) {
+		p.copyPlan(from, h)
+		metricPlanLevelsCopied.Add(uint64(len(p.levels)))
+		metricPACSeconds.Observe(time.Since(start).Seconds())
+		return p
 	}
 	p.H, p.A = h, a
 	p.Stats = CommStats{
@@ -165,7 +173,7 @@ func RebuildCommPlan(p, from *CommPlan, h *samr.Hierarchy, a *Assignment) *CommP
 			var overlap bool
 			if p.found, overlap = lv.faceContacts(p.found); overlap {
 				// Nothing may copy from what is left.
-				p.levels = p.levels[:0]
+				p.levels, p.A = p.levels[:0], nil
 				panic(fmt.Sprintf("partition: CommPlan of overlapping units on level %d: the assignment fails Assignment.Validate", lv.level))
 			}
 		}
@@ -212,6 +220,45 @@ func RebuildCommPlan(p, from *CommPlan, h *samr.Hierarchy, a *Assignment) *CommP
 	metricPlanLevelsSearched.Add(searched)
 	metricPACSeconds.Observe(time.Since(start).Seconds())
 	return p
+}
+
+// copyPlan makes p a copy of from, as the plan of h, in p's buffers: the
+// levels' windows move into p.units.
+func (p *CommPlan) copyPlan(from *CommPlan, h *samr.Hierarchy) {
+	st := from.Stats
+	st.PerProcVolume = append(p.Stats.PerProcVolume[:0], st.PerProcVolume...)
+	st.PerProcMessages = append(p.Stats.PerProcMessages[:0], st.PerProcMessages...)
+	p.H, p.A, p.Stats = h, from.A, st
+	p.units = append(p.units[:0], from.units...)
+	p.found = append(p.found[:0], from.found...)
+	p.levels = append(p.levels[:0], from.levels...)
+	off := 0
+	for i := range p.levels {
+		lv := &p.levels[i]
+		n := len(lv.units)
+		lv.units = p.units[off : off+n]
+		if lv.coarse != nil {
+			lv.coarse = p.levels[i-1].units
+		}
+		off += n
+	}
+}
+
+// sameHierarchy reports whether two hierarchies are equal by value:
+// domain, ratio and every level's boxes in order.
+func sameHierarchy(g, h *samr.Hierarchy) bool {
+	if g == h {
+		return true
+	}
+	if g.Domain != h.Domain || g.Ratio != h.Ratio || len(g.Levels) != len(h.Levels) {
+		return false
+	}
+	for l := range g.Levels {
+		if !slices.Equal(g.Levels[l], h.Levels[l]) {
+			return false
+		}
+	}
+	return true
 }
 
 // cleared returns s resized to n zeros, reusing its capacity.
@@ -475,10 +522,10 @@ func lowerCorner(a, b *samr.Box) bool {
 // summed volume of prev-unit ∩ new-unit over each common level, and the
 // part of it where the owners differ. It merges the two plans' indexes —
 // a unit whose box prev also has counts whole and is not swept — and
-// sweeps the rest, and allocates nothing. Bit-identical to the
-// cell-by-cell oracle of the tests.
+// sweeps the rest, and allocates nothing; a plan of prev's own assignment
+// moved nothing and is not swept. Bit-identical to the cell-by-cell oracle.
 func (p *CommPlan) MigrationFrom(prev *CommPlan) float64 {
-	if p == nil || prev == nil {
+	if p == nil || prev == nil || p.A == prev.A {
 		return 0
 	}
 	var both, moved int64

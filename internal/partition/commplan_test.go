@@ -347,9 +347,11 @@ func FuzzCommPlanMatchesReference(f *testing.F) {
 		}
 
 		// The reuse sequence: a, then other (more processors, every level
-		// one deeper, a different unit count), a twice, a's boxes under
-		// other owners, then a's level 0 or nothing at all — one plan,
-		// rebuilt each time.
+		// one deeper, a different unit count), a three times — the last
+		// on a copy of h, as a regrid that repeats the previous one's
+		// hierarchy and assignment sees it — a's boxes under other owners,
+		// then a's level 0 or nothing at all — one plan, rebuilt each
+		// time.
 		other := finer(prev, ratio, max(a.NProcs, prev.NProcs)+1)
 		if len(other.Units) == len(a.Units) {
 			other.Units, other.Owner = other.Units[1:], other.Owner[1:]
@@ -372,14 +374,19 @@ func FuzzCommPlanMatchesReference(f *testing.F) {
 		for i, step := range []struct {
 			h *samr.Hierarchy
 			a *Assignment
-		}{{h, a}, {prevH, other}, {h, a}, {h, a}, {h, rotated}, {h, last}} {
+		}{{h, a}, {prevH, other}, {h, a}, {h, a}, {h.Clone(), a}, {h, rotated}, {h, last}} {
 			// Each rebuild names the previous step's plan as its source:
-			// the repeated step copies every level, the rotated one every
+			// the repeated steps copy the whole plan, the rotated one every
 			// level under new owners, the others what they share.
 			reused = RebuildCommPlan(reused, before, step.h, step.a)
 			label := fmt.Sprintf("rebuild %d", i)
 			requireMatchesReference(t, reused, label)
 			requireMigrationMatchesReference(t, reused, before, label)
+			if step.a == before.A {
+				if m := reused.MigrationFrom(before); m != 0 || reused.H != step.h {
+					t.Fatalf("%s: a copy of the source's plan migrates %g from it and describes %p, want 0 and %p", label, m, reused.H, step.h)
+				}
+			}
 			before = BuildCommPlan(step.h, step.a)
 		}
 	})

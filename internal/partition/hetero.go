@@ -52,7 +52,7 @@ func PartitionWeighted(h *samr.Hierarchy, wm samr.WorkModel, capacities []float6
 func weightedPipeline(caps []float64) *Pipeline {
 	return &Pipeline{Heterogeneous.name, func(h *samr.Hierarchy, _ int) pipelineSpec {
 		return weightedSpec(h, caps)
-	}, Heterogeneous.seconds}
+	}, Heterogeneous.seconds, Heterogeneous.reused}
 }
 
 // weightedSpec is Heterogeneous's pipeline at the given capacities.

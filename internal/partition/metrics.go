@@ -17,13 +17,20 @@ var metricPACSeconds = telemetry.Default.Histogram(
 // with that metric.
 func Rasterizations() uint64 { return 0 }
 
-// metricPartitionSeconds times every partitioner invocation through the
-// shared ISP pipeline — decompose, curve-order, split — labeled by
-// partitioner so placement-time cost is visible per algorithm fleet-wide.
+// metricPartitionSeconds times every candidate the shared ISP pipeline
+// computes — decompose, curve-order, split — labeled by partitioner so
+// placement-time cost is visible per algorithm fleet-wide.
 var metricPartitionSeconds = telemetry.Default.HistogramVec(
 	"pragma_partition_seconds",
 	"Wall-clock duration of one partitioner invocation (decompose, order, split), by partitioner.",
 	nil, "partitioner")
+
+// metricCandidatesReused counts the candidates a PartitionPlan slot served
+// from its memory of equal inputs instead of computing them.
+var metricCandidatesReused = telemetry.Default.CounterVec(
+	"pragma_partition_candidates_reused_total",
+	"Partitioner candidates served from the plan's memory of equal inputs instead of computed, by partitioner.",
+	"partitioner")
 
 // metricPlanLevels counts the levels of every CommPlan build by how their
 // contacts were found: copied from the source plan, which had the same

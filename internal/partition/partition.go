@@ -29,6 +29,11 @@ type Unit struct {
 }
 
 // Assignment is the result of partitioning: each unit mapped to a processor.
+// An assignment is never modified once returned: a PartitionPlan may hand
+// the same one, or its Units and Owner, out again for a call with equal
+// inputs, and a CommPlan takes its pointer as its identity
+// (RebuildCommPlan, MigrationFrom). A caller that wants another one makes
+// a new struct.
 type Assignment struct {
 	// NProcs is the number of processors partitioned across.
 	NProcs int

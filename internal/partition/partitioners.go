@@ -32,10 +32,11 @@ type Pipeline struct {
 	name    string
 	spec    func(h *samr.Hierarchy, nprocs int) pipelineSpec
 	seconds *telemetry.Histogram // metricPartitionSeconds' series for name
+	reused  *telemetry.Counter   // metricCandidatesReused's series for name
 }
 
 func newPipeline(name string, spec func(h *samr.Hierarchy, nprocs int) pipelineSpec) *Pipeline {
-	return &Pipeline{name, spec, metricPartitionSeconds.With(name)}
+	return &Pipeline{name, spec, metricPartitionSeconds.With(name), metricCandidatesReused.With(name)}
 }
 
 // Name implements Partitioner.
@@ -47,7 +48,8 @@ func (p *Pipeline) Partition(h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (
 }
 
 // PartitionIncremental implements IncrementalPartitioner: the candidate
-// stage in plan's own slot (a nil plan gets a throwaway one), materialized.
+// stage in plan's own slot (a nil plan gets a throwaway one), materialized,
+// so a call with the inputs of the slot's last returns its assignment.
 func (p *Pipeline) PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error) {
 	if plan == nil {
 		plan = &PartitionPlan{}
@@ -110,7 +112,7 @@ func SPISPOnCurve(curve sfc.Curve) *Pipeline {
 		spec := SPISP.spec(h, nprocs)
 		spec.curve = curve
 		return spec
-	}, SPISP.seconds}
+	}, SPISP.seconds, SPISP.reused}
 }
 
 // ByName returns the partitioner registered under the paper's name, or an

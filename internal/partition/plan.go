@@ -5,15 +5,17 @@ package partition
 // same four steps — decompose the hierarchy into weighted units, key each
 // unit's center along a space-filling curve, stable-sort by key, split the
 // ordered weights across processors — and differs only in its pipelineSpec.
-// The candidate stage (PartitionPlan.Propose) runs them once, serially,
-// from scratch, on the calling goroutine, into plan scratch; the
-// materialize stage (Candidate.Materialize) copies one candidate into a
-// fresh Assignment. The test oracle ReferencePartition (partref_test.go) is
-// the same pipeline with the library sort and the unprepared work model,
-// and the two must agree bit for bit.
+// The candidate stage (PartitionPlan.Propose) runs them serially, on the
+// calling goroutine, into plan scratch, unless the slot's last candidate
+// was computed from equal inputs; the materialize stage
+// (Candidate.Materialize) hands one candidate over to an Assignment. The
+// test oracle ReferencePartition (partref_test.go) is the same pipeline
+// with the library sort and the unprepared work model, and the two must
+// agree bit for bit.
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -92,39 +94,40 @@ func (k splitKind) owners(weights []float64, nprocs int, owner []int, prefix []f
 // IncrementalPartitioner is a Partitioner that can work in scratch memory
 // its caller owns: PartitionIncremental through a PartitionPlan allocates
 // only the returned assignment once the plan's buffers have grown to the
-// run's size. With a nil plan it is exactly Partition. Nothing is carried
-// from one call to the next but capacity, so the assignment is the same
-// either way and after any sequence of earlier calls.
-//
-// The interface and method names date from the delta-regrid cache this
-// file once held; bench/e2e (frozen between benchmark issues) type-asserts
-// and calls them, so they go with its partition.reuse_ratio metric in the
-// next benchmark issue.
+// run's size, and nothing when it repeats the inputs of the plan's last
+// call, whose assignment it returns again. With a nil plan it is exactly
+// Partition. The assignment is the same either way and after any sequence
+// of earlier calls. bench/e2e (frozen between benchmark issues) calls it.
 type IncrementalPartitioner interface {
 	Partitioner
 	PartitionIncremental(h *samr.Hierarchy, wm samr.WorkModel, nprocs int, plan *PartitionPlan) (*Assignment, error)
 }
 
-// PartitionPlan is the pipeline's scratch. The decomposition, sort and
-// split scratch — the unit list in generation order, its curve keys, the
-// sort permutation, the ordered weights, the splitter's prefix sums, the
-// prepared work model — is shared by every call: one candidate's is
-// consumed before the next decomposition runs. The candidate outputs —
-// ordered units, owners, the per-processor work — live in two slots for
-// Propose, so two candidates can be compared, plus one that
-// PartitionIncremental works in, so a partitioner that reaches the
-// pipeline through PartitionIncremental while Propose holds two candidates
-// never overwrites one. Capacity survives from call to call; contents do
-// not, and no assignment ever aliases them: a materialized assignment
-// takes its candidate's units and owners with it and the plan keeps no
-// reference to them, because assignments outlive the regrid that made
-// them (core.Run keeps the previous one for the migration diff and
-// checkpoints it).
+// PartitionPlan is the pipeline's scratch and its memory of the last
+// candidate in each slot. The decomposition, sort and split scratch — the
+// unit list in generation order, its curve keys, the sort permutation, the
+// ordered weights, the splitter's prefix sums, the prepared work model —
+// is shared by every call: one candidate's is consumed before the next
+// decomposition runs. The candidate outputs — ordered units, owners, the
+// per-processor work — live in two slots for Propose, so two candidates
+// can be compared, plus one that PartitionIncremental works in, so a
+// partitioner that reaches the pipeline through PartitionIncremental while
+// Propose holds two candidates never overwrites one.
+//
+// Each slot also remembers value copies of what its candidate was computed
+// from (inputs), so a call into the slot with equal inputs returns the
+// candidate as it stands, without decomposing, keying, sorting or
+// splitting (DESIGN.md §16, "What a regrid reuses"). A materialized
+// assignment takes its candidate's units and owners with it, and the slot
+// grows new ones for its next computed candidate, so assignments, which
+// outlive the regrid that made them (core.Run keeps the previous one for
+// the migration diff and checkpoints it), never alias scratch.
 //
 // A PartitionPlan is NOT safe for concurrent use; core.Run owns one per run
-// and uses it from its deciding stage only. The zero value is ready, and a
-// fresh one is always valid — resume from checkpoint simply starts with
-// empty buffers.
+// and uses it from its deciding stage only. The zero value is ready, and
+// Forget returns a plan to it but for capacity: core.Run forgets the
+// pooled plan it takes, so no run, a resumed one included, is served
+// another run's candidates.
 type PartitionPlan struct {
 	weigher samr.BoxWeigher
 	units   []Unit
@@ -138,27 +141,36 @@ type PartitionPlan struct {
 	slots  [2]Candidate // Propose's
 	direct Candidate    // PartitionIncremental's
 
-	totalUnits int64
+	totalUnits, reusedUnits int64
 }
 
 // NewPartitionPlan returns an empty plan.
 func NewPartitionPlan() *PartitionPlan { return &PartitionPlan{} }
 
-// Stats reports the units emitted by all partitions through this plan, and
-// zero for the units reused across regrids: there is no cache. The
-// two-value shape is read by bench/e2e as partition.reuse_ratio and goes
-// with that metric in the next benchmark issue.
+// Stats reports the units of every pipeline candidate through this plan
+// since it was made or last forgotten, and how many of them were served
+// from memory rather than computed. bench/e2e reads the two as
+// partition.reuse_ratio.
 func (p *PartitionPlan) Stats() (reused, total int64) {
-	return 0, p.totalUnits
+	return p.reusedUnits, p.totalUnits
+}
+
+// Forget drops what every slot remembers and zeroes Stats; the buffers
+// keep their capacity.
+func (p *PartitionPlan) Forget() {
+	p.slots[0].forget()
+	p.slots[1].forget()
+	p.direct.forget()
+	p.totalUnits, p.reusedUnits = 0, 0
 }
 
 // Candidate is one partitioner's answer before anything is materialized:
 // the units in curve order, their owners and the per-processor work
-// vector, held in the scratch of the PartitionPlan that proposed it. It
-// stays valid until it is materialized or the next Propose into the same
-// slot. A partitioner with no candidate stage is its own candidate: the
-// candidate holds its fresh assignment and materializes as exactly that
-// assignment.
+// vector, held in the slot of the PartitionPlan that proposed it. It stays
+// valid until the next Propose into the same slot; one that returns it
+// from memory returns the same *Candidate with SplitCost reset. A
+// partitioner with no candidate stage is its own candidate: the candidate
+// holds its assignment and materializes as that assignment.
 type Candidate struct {
 	// SplitCost is the SplitCost the materialized assignment carries. A
 	// caller may charge extra work to it before Materialize.
@@ -169,6 +181,21 @@ type Candidate struct {
 	owner  []int
 	work   []float64 // per processor, summed in unit order
 	fresh  *Assignment
+	// mat is the assignment units and owner were handed over to, nil
+	// while they are the slot's scratch.
+	mat *Assignment
+	// in is what units and owner were computed from; the zero value
+	// matches nothing.
+	in inputs
+}
+
+// forget makes the next call into c's slot compute.
+func (c *Candidate) forget() {
+	c.in.model = modelNone
+	if c.mat != nil {
+		c.units, c.owner, c.mat = nil, nil, nil
+	}
+	c.fresh = nil
 }
 
 // Len returns the number of units in the candidate.
@@ -183,31 +210,40 @@ func (c *Candidate) Len() int {
 // Imbalance returns on its materialized assignment, bit for bit.
 func (c *Candidate) Imbalance() float64 { return ImbalanceOf(c.work) }
 
-// Materialize returns the candidate as an assignment, once. A candidate
-// from plan scratch hands its units and owners over to a fresh Assignment
-// and its slot grows new ones for the next candidate, so the assignment
-// outlives the plan's next call without a copy: the struct, its Units and
-// its Owner are the only allocations the winner costs, and a candidate
-// that is never materialized costs none. A partitioner's own assignment
-// is returned as it came, with the candidate's SplitCost.
+// Materialize returns the candidate as an assignment. The first time, a
+// candidate from plan scratch hands its units and owners over to a new
+// Assignment, so the assignment outlives the plan's next call without a
+// copy: the struct, its Units and its Owner are the only allocations the
+// winner costs, and a candidate that is never materialized costs none.
+// After that, and served from memory, it returns the same assignment
+// while SplitCost is equal, else a new struct over the same Units and
+// Owner. A partitioner's own assignment is copied when SplitCost differs
+// from its own: an assignment is never modified once returned.
 func (c *Candidate) Materialize() *Assignment {
 	if c.fresh != nil {
-		c.fresh.SplitCost = c.SplitCost
+		if c.fresh.SplitCost != c.SplitCost {
+			a := *c.fresh
+			a.SplitCost = c.SplitCost
+			c.fresh = &a
+		}
 		return c.fresh
 	}
-	a := &Assignment{NProcs: c.nprocs, Units: c.units, Owner: c.owner, SplitCost: c.SplitCost}
-	c.units, c.owner = nil, nil
-	return a
+	if c.mat == nil || c.mat.SplitCost != c.SplitCost {
+		c.mat = &Assignment{NProcs: c.nprocs, Units: c.units, Owner: c.owner, SplitCost: c.SplitCost}
+	}
+	return c.mat
 }
 
-// Propose runs part's candidate stage into slot (0 or 1) of the plan's
-// scratch and returns the candidate, which is valid until it is
-// materialized or the next Propose into that slot. Once the plan's
-// buffers have grown to the run's size, a pipeline partitioner's candidate
-// allocates nothing but Heterogeneous's capacities of all ones. Any other
-// partitioner — PatchGreedy, or one wrapped by a caller — is called
-// through PartitionIncremental when it has one, else Partition, and is its
-// own candidate.
+// Propose runs part's candidate stage into slot (0 or 1) of the plan and
+// returns the candidate, which is valid until the next Propose into that
+// slot. A pipeline partitioner whose inputs equal those the slot's
+// candidate was computed from gets that candidate back, with SplitCost
+// reset, at no cost but the comparison. Otherwise, once the plan's buffers
+// have grown to the run's size, its candidate allocates nothing but
+// Heterogeneous's capacities of all ones. Any other partitioner —
+// PatchGreedy, or one wrapped by a caller — is called through
+// PartitionIncremental when it has one, else Partition, and is its own
+// candidate.
 func (p *PartitionPlan) Propose(slot int, part Partitioner, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) (*Candidate, error) {
 	c := &p.slots[slot]
 	if pp, ok := part.(*Pipeline); ok {
@@ -226,19 +262,30 @@ func (p *PartitionPlan) Propose(slot int, part Partitioner, h *samr.Hierarchy, w
 	if err != nil {
 		return nil, err
 	}
+	c.in.model = modelNone
 	c.fresh, c.nprocs, c.SplitCost = a, a.NProcs, a.SplitCost
 	c.work = a.WorkInto(c.work)
 	return c, nil
 }
 
 // candidate runs the shared pipeline for pipe into c, in the plan's shared
-// decomposition and sort scratch, and observes its duration.
+// decomposition and sort scratch, and observes its duration, unless c was
+// computed from equal inputs.
 func (p *PartitionPlan) candidate(c *Candidate, pipe *Pipeline, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) error {
 	if err := checkArgs(h, nprocs); err != nil {
 		return err
 	}
-	start := time.Now()
 	spec := pipe.spec(h, nprocs)
+	if c.in.match(&spec, h, wm, nprocs) {
+		n := int64(len(c.units))
+		p.totalUnits += n
+		p.reusedUnits += n
+		c.SplitCost = spec.cost
+		pipe.reused.Inc()
+		return nil
+	}
+	start := time.Now()
+	c.in.model = modelNone
 	curve := spec.curve
 	if curve == nil {
 		curve = curveFor(h)
@@ -249,6 +296,10 @@ func (p *PartitionPlan) candidate(c *Candidate, pipe *Pipeline, h *samr.Hierarch
 	}
 	n := len(perm)
 	p.totalUnits += int64(n)
+	if c.mat != nil {
+		// Handed over: the slot grows new ones.
+		c.units, c.owner, c.mat = nil, nil, nil
+	}
 	c.fresh, c.nprocs, c.SplitCost = nil, nprocs, spec.cost
 	// Grown once to size: appending from empty would reallocate at every
 	// doubling, which a short run never amortizes.
@@ -265,8 +316,86 @@ func (p *PartitionPlan) candidate(c *Candidate, pipe *Pipeline, h *samr.Hierarch
 		p.prefix = spec.split.owners(p.weights, nprocs, c.owner, p.prefix)
 	}
 	c.work = workInto(c.work, nprocs, c.units, c.owner)
+	c.in.record(&spec, h, wm, nprocs)
 	pipe.seconds.Observe(time.Since(start).Seconds())
 	return nil
+}
+
+// The work model types inputs holds by value; modelNone matches nothing.
+const (
+	modelNone = iota
+	modelUniform
+	modelFront
+)
+
+// inputs is a value copy of everything a slot's candidate depends on: the
+// pipelineSpec with its capacities, the hierarchy, the processor count,
+// and the work model when it is a samr.UniformWorkModel or
+// samr.FrontWorkModel. Nothing is kept by reference, so a caller may reuse
+// or mutate its hierarchy, model and capacities after a call.
+type inputs struct {
+	model  uint8
+	spec   pipelineSpec // its caps are caps when not nil
+	caps   []float64
+	nprocs int
+	h      samr.Hierarchy
+	base   samr.UniformWorkModel
+	fronts []samr.Front
+}
+
+// match reports whether the inputs equal those recorded. Floats compare
+// with ==: a NaN never matches, and ±0, which == calls equal, weigh,
+// charge and split alike.
+func (in *inputs) match(spec *pipelineSpec, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) bool {
+	if in.model == modelNone || nprocs != in.nprocs || spec.decomp != in.spec.decomp ||
+		spec.split != in.spec.split || spec.cost != in.spec.cost || !sameCurve(spec.curve, in.spec.curve) ||
+		(spec.caps == nil) != (in.spec.caps == nil) || !slices.Equal(spec.caps, in.spec.caps) || !sameHierarchy(h, &in.h) {
+		return false
+	}
+	switch m := wm.(type) {
+	case samr.UniformWorkModel:
+		return in.model == modelUniform && m == in.base
+	case samr.FrontWorkModel:
+		return in.model == modelFront && m.Base == in.base && slices.Equal(m.Fronts, in.fronts)
+	}
+	return false
+}
+
+// record copies the inputs into in, reusing its buffers. A work model of
+// another type is recorded as modelNone.
+func (in *inputs) record(spec *pipelineSpec, h *samr.Hierarchy, wm samr.WorkModel, nprocs int) {
+	in.spec, in.nprocs = *spec, nprocs
+	if spec.caps != nil {
+		in.caps = append(in.caps[:0], spec.caps...)
+		in.spec.caps = in.caps
+	}
+	in.h.Domain, in.h.Ratio = h.Domain, h.Ratio
+	levels := in.h.Levels[:cap(in.h.Levels)]
+	for l, boxes := range h.Levels {
+		if l == len(levels) {
+			levels = append(levels, nil)
+		}
+		levels[l] = append(levels[l][:0], boxes...)
+	}
+	in.h.Levels = levels[:len(h.Levels)]
+	in.model, in.fronts = modelNone, in.fronts[:0]
+	switch m := wm.(type) {
+	case samr.UniformWorkModel:
+		in.model, in.base = modelUniform, m
+	case samr.FrontWorkModel:
+		in.model, in.base, in.fronts = modelFront, m.Base, append(in.fronts, m.Fronts...)
+	}
+}
+
+// sameCurve reports whether two specs order along the same curve: both the
+// hierarchy's default (nil), or equal curves of the package sfc's types. A
+// curve of another type may not be comparable and never matches.
+func sameCurve(a, b sfc.Curve) bool {
+	switch a.(type) {
+	case nil, sfc.Hilbert, sfc.Morton:
+		return a == b
+	}
+	return false
 }
 
 // order decomposes h across nprocs under spec into the plan's unit

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -191,11 +192,7 @@ func (c *planCheck) partition(t *testing.T, label string, p Partitioner, h *samr
 	if c.mat != nil {
 		requireSameAssignment(t, label+": earlier materialized candidate after a later call", c.mat, c.matRef)
 	}
-	if c.pending != nil {
-		c.mat, c.matRef = c.pending.Materialize(), c.pendingRef
-		c.pending = nil
-		requireSameAssignment(t, label+": earlier candidate after a later one", c.mat, c.matRef)
-	}
+	c.materializePending(t, label+": earlier candidate after a later one")
 	if errRef != nil {
 		return
 	}
@@ -208,11 +205,27 @@ func (c *planCheck) partition(t *testing.T, label string, p Partitioner, h *samr
 	c.pending, c.pendingRef, c.slot = cand, ref, 1-c.slot
 }
 
+// materializePending materializes the candidate proposed last and
+// requires it to equal its reference.
+func (c *planCheck) materializePending(t *testing.T, label string) {
+	t.Helper()
+	if c.pending != nil {
+		c.mat, c.matRef = c.pending.Materialize(), c.pendingRef
+		c.pending = nil
+		requireSameAssignment(t, label, c.mat, c.matRef)
+	}
+}
+
 // pipelineSuite returns the partitioners the differentials draw from:
 // every pipeline partitioner, and Heterogeneous also at capacities for
 // nprocs processors drawn from rng.
 func pipelineSuite(rng *rand.Rand, nprocs int) []Partitioner {
-	return append(All(), EqualBlock, Heterogeneous, weightedPipeline(randomCaps(rng, nprocs)))
+	return suiteAt(randomCaps(rng, nprocs))
+}
+
+// suiteAt is pipelineSuite with the weighted Heterogeneous at caps.
+func suiteAt(caps []float64) []Partitioner {
+	return append(All(), EqualBlock, Heterogeneous, weightedPipeline(caps))
 }
 
 // randomCaps draws relative capacities for nprocs processors: about a
@@ -353,8 +366,8 @@ func deltaSequence(t testing.TB) []*samr.Hierarchy {
 }
 
 // TestPartitionPlanScratch pins what a plan is: buffers that stop growing
-// once they have seen the run's largest hierarchy, and a unit count with
-// nothing reused.
+// once they have seen the run's largest hierarchy, and a memory of the
+// last inputs that serves a repeated call whole.
 func TestPartitionPlanScratch(t *testing.T) {
 	seq := deltaSequence(t)
 	// An interface value, as core.Run hands it over: converting a struct
@@ -374,19 +387,88 @@ func TestPartitionPlanScratch(t *testing.T) {
 	if reused, total := plan.Stats(); reused != 0 || total != want {
 		t.Fatalf("stats reused=%d total=%d, want 0 and %d", reused, total, want)
 	}
-	// Warm: only the assignment itself is allocated — the struct, its
-	// units and its owners. The splitters work in plan scratch.
-	h := seq[len(seq)-1]
+	// Warm, a call with other inputs than the last allocates only the
+	// assignment itself — the struct, its units and its owners; the
+	// splitters work in plan scratch. A call that repeats the last one's
+	// inputs, on value-equal copies, returns the same assignment and
+	// allocates nothing.
 	for _, p := range All() {
 		ip := p.(IncrementalPartitioner)
-		warm := testing.AllocsPerRun(20, func() {
-			if _, err := ip.PartitionIncremental(h, wm, 16, plan); err != nil {
+		k := 0
+		first := testing.AllocsPerRun(20, func() {
+			k++
+			if _, err := ip.PartitionIncremental(seq[1+k%2], wm, 16, plan); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if warm != 3 {
-			t.Errorf("%s: %v allocations through a warm plan, want 3 (the assignment, its Units, its Owner)", p.Name(), warm)
+		if first != 3 {
+			t.Errorf("%s: %v allocations through a warm plan, want 3 (the assignment, its Units, its Owner)", p.Name(), first)
 		}
+		h, again := seq[2].Clone(), samr.WorkModel(samr.FrontWorkModel{Fronts: []samr.Front{{Region: samr.MakeBox(40, 32, 32), Multiplier: 2}}})
+		a, err := ip.PartitionIncremental(h, wm, 16, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, total := plan.Stats()
+		repeated := testing.AllocsPerRun(20, func() {
+			if b, err := ip.PartitionIncremental(h, again, 16, plan); err != nil || b != a {
+				t.Fatalf("a repeated call returned %p (%v), want the last call's %p", b, err, a)
+			}
+		})
+		if repeated != 0 {
+			t.Errorf("%s: %v allocations repeating the last call, want 0", p.Name(), repeated)
+		}
+		n := int64(len(a.Units))
+		if r, tot := plan.Stats(); r-reused != 21*n || tot-total != 21*n {
+			t.Errorf("%s: 21 repeated calls of %d units counted reused=%d total=%d, want %d each", p.Name(), n, r-reused, tot-total, 21*n)
+		}
+	}
+}
+
+// TestProposeKeepsEachSlotsCandidate: one pipeline proposed into both
+// slots alternately, on repeated and on new inputs, leaves each slot's
+// candidate valid until that slot's next Propose, materialized or not. A
+// memory keyed per pipeline instead of per slot would serve slot 1 the
+// candidate slot 0 holds, and slot 0's next computation would change it.
+func TestProposeKeepsEachSlotsCandidate(t *testing.T) {
+	seq := deltaSequence(t)
+	var wm samr.WorkModel = samr.UniformWorkModel{}
+	plan := NewPartitionPlan()
+	var held [2]*Candidate
+	var refs [2]*Assignment
+	var mats, matRefs []*Assignment
+	for i, h := range []*samr.Hierarchy{seq[0], seq[0], seq[0], seq[1], seq[1], seq[0], seq[2], seq[2], seq[2]} {
+		slot := i % 2
+		if other := held[1-slot]; other != nil {
+			if other.Imbalance() != refs[1-slot].Imbalance() || other.Len() != len(refs[1-slot].Units) {
+				t.Fatalf("step %d: slot %d's candidate changed under slot %d's Propose", i, 1-slot, slot)
+			}
+		}
+		cand, err := plan.Propose(slot, GMISPSP, h, wm, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := ReferencePartition(GMISPSP, h, wm, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other := held[1-slot]; other != nil {
+			if other == cand {
+				t.Fatalf("step %d: slot %d was served slot %d's candidate", i, slot, 1-slot)
+			}
+			if i%3 == 0 {
+				a := other.Materialize()
+				requireSameAssignment(t, fmt.Sprintf("step %d: slot %d's candidate after slot %d's Propose", i, 1-slot, slot), a, refs[1-slot])
+				mats, matRefs = append(mats, a), append(matRefs, refs[1-slot])
+			}
+		}
+		held[slot], refs[slot] = cand, ref
+	}
+	for i, a := range mats {
+		requireSameAssignment(t, fmt.Sprintf("materialized assignment %d at the end", i), a, matRefs[i])
+	}
+	if reused, _ := plan.Stats(); reused == 0 {
+		t.Fatal("no candidate was served from memory: the test repeats nothing")
 	}
 }
 
@@ -439,12 +521,22 @@ func TestGranularityForMatchesProbe(t *testing.T) {
 
 // FuzzDeltaPartition is the differential test with the fuzzer choosing the
 // regrid deltas and, per delta, the processor count, the work model and
-// which partitioners run through the one plan, in which order.
+// which partitioners run through the one plan, in which order. Three
+// operations test the plan's memory of the last inputs: a repeat of the
+// previous cycle on value-equal copies behind fresh pointers; the previous
+// front model's Fronts mutated in place, which a memory holding the
+// caller's slice would not see; and the previous cycle again under a work
+// model of a type the plan does not know, which must never be served from
+// memory.
 func FuzzDeltaPartition(f *testing.F) {
 	f.Add(int64(1), uint8(4), []byte{0, 1, 2})
 	f.Add(int64(7), uint8(1), []byte{3, 4, 5, 0})
 	f.Add(int64(42), uint8(16), []byte{5, 5, 2, 2, 1})
 	f.Add(int64(-3), uint8(0), []byte{})
+	// Ops ≡ 7, 8 and 9 mod 10 are the repeat, the in-place change and
+	// the unknown model type.
+	f.Add(int64(5), uint8(8), []byte{0x01, 0x11, 0x1c, 0x27, 0x25})
+	f.Add(int64(9), uint8(3), []byte{0x02, 0x12, 0x1b, 0x13})
 	f.Fuzz(func(t *testing.T, seed int64, procsRaw uint8, ops []byte) {
 		h := randomHierarchy(seed)
 		nprocs := 1 + int(procsRaw%24)
@@ -453,29 +545,79 @@ func FuzzDeltaPartition(f *testing.F) {
 		if len(ops) > 5 {
 			ops = ops[:5]
 		}
+		var caps []float64
+		var first, count, last int
 		for cycle := 0; cycle <= len(ops); cycle++ {
 			rng := rand.New(rand.NewSource(seed))
 			var op byte
+			repeat, foreign := false, false
 			if cycle > 0 {
 				op = ops[cycle-1]
 				rng = rand.New(rand.NewSource(seed ^ int64(op)*1099511628211 ^ int64(cycle)))
-				h = mutateHierarchy(h, rng)
-				if op%7 == 6 {
-					nprocs = 1 + int(op)%24
+				switch op % 10 {
+				case 7: // the previous cycle, on copies
+					h, wm, caps, repeat = h.Clone(), cloneWorkModel(wm), slices.Clone(caps), true
+				case 8: // the previous fronts, changed in place
+					if f, ok := wm.(samr.FrontWorkModel); ok && len(f.Fronts) > 0 {
+						fr := &f.Fronts[int(op>>4)%len(f.Fronts)]
+						fr.Multiplier = 2*fr.Multiplier + 1
+						fr.Region = h.Domain
+						repeat = true
+					}
+				case 9: // the previous cycle, under an unknown model type
+					wm, repeat, foreign = foreignModel{wm}, true, true
 				}
-				if op%3 != 0 {
-					wm = randomWorkModel(rng, h)
+				if !repeat {
+					h = mutateHierarchy(h, rng)
+					if op%7 == 6 {
+						nprocs = 1 + int(op)%24
+					}
+					if op%3 != 0 {
+						wm = randomWorkModel(rng, h)
+					}
 				}
 			}
-			suite := pipelineSuite(rng, nprocs)
-			first, count := 0, len(suite)
-			if cycle > 0 {
-				first, count = int(op)%len(suite), 1+int(op>>4)%len(suite)
+			if !repeat {
+				caps = randomCaps(rng, nprocs)
+				first, count = 0, len(suiteAt(caps))
+				if cycle > 0 {
+					first, count = int(op)%count, 1+int(op>>4)%count
+				}
+			}
+			suite := suiteAt(caps)
+			before, _ := check.plan.Stats()
+			if repeat {
+				// The previous cycle's last call again, into the same
+				// slot: both its slot and PartitionIncremental's remember
+				// exactly these inputs, or their unchanged copies.
+				check.materializePending(t, fmt.Sprintf("cycle %d: last candidate", cycle-1))
+				check.slot = 1 - check.slot
+				check.partition(t, fmt.Sprintf("cycle %d %s again", cycle, suite[last].Name()), suite[last], h, wm, nprocs)
 			}
 			for i := 0; i < count; i++ {
-				p := suite[(first+i*5)%len(suite)]
-				check.partition(t, fmt.Sprintf("cycle %d %s", cycle, p.Name()), p, h, wm, nprocs)
+				last = (first + i*5) % len(suite)
+				check.partition(t, fmt.Sprintf("cycle %d %s", cycle, suite[last].Name()), suite[last], h, wm, nprocs)
+			}
+			if reused, _ := check.plan.Stats(); foreign && reused != before {
+				t.Fatalf("cycle %d: %d units served from memory under a work model of an unknown type", cycle, reused-before)
+			}
+			if foreign {
+				wm = wm.(foreignModel).WorkModel
 			}
 		}
 	})
 }
+
+// cloneWorkModel returns a value-equal copy of wm that shares no memory
+// with it.
+func cloneWorkModel(wm samr.WorkModel) samr.WorkModel {
+	if f, ok := wm.(samr.FrontWorkModel); ok {
+		f.Fronts = slices.Clone(f.Fronts)
+		return f
+	}
+	return wm
+}
+
+// foreignModel weighs as its model does, under a type the plan cannot
+// copy or compare.
+type foreignModel struct{ samr.WorkModel }

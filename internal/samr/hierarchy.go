@@ -166,7 +166,7 @@ func (h *Hierarchy) TotalCells() int64 {
 func (h *Hierarchy) TotalWork() float64 {
 	var w float64
 	for l := range h.Levels {
-		w += float64(h.CellsAtLevel(l)) * float64(h.refinementScale(l))
+		w += float64(float64(h.CellsAtLevel(l)) * float64(h.refinementScale(l)))
 	}
 	return w
 }

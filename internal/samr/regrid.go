@@ -109,8 +109,8 @@ func (f Feature) Rasterize(domain Box, ratio, level int) (Box, bool) {
 func (f Feature) Core() Feature {
 	var out Feature
 	for d := 0; d < 3; d++ {
-		c := (f.Lo[d] + f.Hi[d]) / 2
-		h := (f.Hi[d] - f.Lo[d]) / 2 * f.CoreShrink
+		c := float64((f.Lo[d] + f.Hi[d]) / 2)
+		h := float64((f.Hi[d] - f.Lo[d]) / 2 * f.CoreShrink)
 		out.Lo[d], out.Hi[d] = c-h, c+h
 	}
 	return out

@@ -84,7 +84,7 @@ func (p *preparedFronts) boxWork(b Box) float64 {
 	for i := range p.fronts {
 		fr := &p.fronts[i]
 		if v := b.OverlapVolume(fr.Region); v > 0 {
-			w += p.cell * (fr.Multiplier - 1) * float64(v) * p.scale
+			w += float64(p.cell * (fr.Multiplier - 1) * float64(v) * p.scale)
 		}
 	}
 	return w

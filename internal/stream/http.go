@@ -84,11 +84,8 @@ func serveSSE(hub *Hub, cfg HandlerConfig, w http.ResponseWriter, req *http.Requ
 		if err != nil {
 			return false // end the stream rather than skip an event silently
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
+		return err == nil
 	}
 	writeLagging := func(dropped uint64) bool {
 		if _, err := fmt.Fprintf(w, "event: lagging\ndata: {\"dropped\":%d}\n\n", dropped); err != nil {
@@ -112,9 +109,18 @@ func serveSSE(hub *Hub, cfg HandlerConfig, w http.ResponseWriter, req *http.Requ
 			if !ok {
 				return // hub closed
 			}
-			if !writeEvent(e) {
-				return
+			// The events queued behind e go out in the same flush: a
+			// burst of regrids costs the client one read, not one each.
+			for n := len(sub.C); ; n-- {
+				if !writeEvent(e) {
+					return
+				}
+				if n == 0 {
+					break
+				}
+				e = <-sub.C
 			}
+			flusher.Flush()
 		case <-heartbeat.C:
 			if _, err := w.Write([]byte(": keep-alive\n\n")); err != nil {
 				return

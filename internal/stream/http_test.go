@@ -3,6 +3,7 @@ package stream
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -225,5 +227,67 @@ func TestHandlerRejectsBadInput(t *testing.T) {
 	}
 	if body := rec.Body.String(); body != `{"error":"streaming unsupported"}`+"\n" {
 		t.Errorf("no flusher: body %q", body)
+	}
+}
+
+// flushCounter is a streaming ResponseWriter that counts its frames and
+// flushes, safe to read while the handler writes.
+type flushCounter struct {
+	mu      sync.Mutex
+	header  http.Header
+	body    bytes.Buffer
+	flushes int
+}
+
+func (w *flushCounter) Header() http.Header { return w.header }
+func (w *flushCounter) WriteHeader(int)     {}
+func (w *flushCounter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+func (w *flushCounter) Flush() {
+	w.mu.Lock()
+	w.flushes++
+	w.mu.Unlock()
+}
+
+func (w *flushCounter) counts() (frames, flushes int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return strings.Count(w.body.String(), "\n\n"), w.flushes
+}
+
+// TestSSEBurstIsOneFlush: the events already queued for a subscriber go
+// out in order and in one flush after the headers', so a burst of regrids
+// costs the client one read rather than one each.
+func TestSSEBurstIsOneFlush(t *testing.T) {
+	h := NewHub(Config{})
+	defer h.Close()
+	for i := range 5 {
+		h.Publish(Event{Run: "r", Type: TypeRegrid, Cycle: i + 1})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &flushCounter{header: http.Header{}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Handler(h, HandlerConfig{}).ServeHTTP(w, httptest.NewRequest("GET", "/?run=r", nil).WithContext(ctx))
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if frames, _ := w.counts(); frames == 5 || time.Now().After(deadline) {
+			break
+		}
+	}
+	cancel()
+	<-done
+	frames, flushes := w.counts()
+	if frames != 5 || flushes != 2 {
+		t.Fatalf("%d frames in %d flushes, want 5 in 2 (the headers, then the burst)", frames, flushes)
+	}
+	for i, part := range strings.Split(strings.TrimSuffix(w.body.String(), "\n\n"), "\n\n") {
+		if !strings.Contains(part, fmt.Sprintf(`"cycle":%d,`, i+1)) {
+			t.Fatalf("frame %d is %q, want cycle %d", i, part, i+1)
+		}
 	}
 }
